@@ -92,7 +92,6 @@ def _cmd_color(args) -> tuple[int, dict]:
         degree_threshold=args.degree_threshold,
         degree_ratio=args.degree_ratio,
         certificate=args.certificate,
-        workers=args.workers,
     )
     result = coloring.solve_kcoloring(g, args.k, config)
     report = {
@@ -114,7 +113,6 @@ def _cmd_mis(args) -> tuple[int, dict]:
         epsilon=args.epsilon,
         degree_ratio=args.degree_ratio,
         force=args.force,
-        workers=args.workers,
     )
     result = mis.mis_containers(g, config)
     return 0, {
@@ -135,7 +133,7 @@ def _cmd_sat(args) -> tuple[int, dict]:
     else:
         raise core.ParameterError("provide --input or --random-ksat")
     params = sat.StructureParams(D=args.D, C=args.C, epsilon=args.eps)
-    result = sat.solve_ksat_dense(phi, params, sat.SatConfig(mode=args.mode, workers=args.workers))
+    result = sat.solve_ksat_dense(phi, params, sat.SatConfig(mode=args.mode))
     model = (
         {str(v): int(b) for v, b in sorted(result.model.items())} if result.model else None
     )
@@ -196,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="generate a random d-regular graph instead of reading a file",
         )
         p.add_argument("--seed", type=int, help="RNG seed (required for generators)")
-        p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("containers", help="build a container collection")
     add_graph_source(p)
@@ -246,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate a random k-CNF instead of reading a file",
     )
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--D", type=int, default=10)
     p.add_argument("--C", type=float, default=4.0)
     p.add_argument("--eps", type=float, default=0.3)

@@ -172,7 +172,6 @@ class ColoringConfig:
     candidate_budget: int = 20000
     max_base_containers: int = 10  # engine raises its threshold to fit this
     certificate: bool = False
-    workers: int = 1
 
 
 @dataclass

@@ -3,11 +3,14 @@
 Two constructions live here: the exact scheme for graphs (scan an independent
 set in a fixed vertex order, keep vertices that contribute enough fresh
 neighbors, expand the kept fingerprint into a container), and a pragmatic
-engine for r-uniform hypergraphs built on the same idea with edge-saturation
-counts playing the role of neighborhoods. Coverage -- every independent set is
-inside the container of its fingerprint -- holds by construction in both;
-container size bounds are certified for regular graphs and measured/reported
-for the hypergraph engine.
+engine for r-uniform hypergraphs built on the same idea, with exclusions
+playing the role of neighborhoods: a vertex is excluded by a set F once some
+edge has all its other vertices in F. One rule, `_exclusions`, drives the
+fingerprint scan, the container expansion and the enumeration of candidate
+fingerprints, which is a single budgeted walk per threshold. Coverage -- every
+independent set is inside the container of its fingerprint -- holds by
+construction in both; container size bounds are certified for regular graphs
+and measured/reported for the hypergraph engine.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ class HypergraphContainerParams:
     p: float
     C: float
     r: int
-    eps_edges: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.p < 1 + 1e-12:
@@ -78,11 +80,6 @@ class ContainerCollection:
 
     def __len__(self) -> int:
         return len(self.containers)
-
-    def covering_container(self, independent: VertexSet) -> VertexSet:
-        if self.locate is None:
-            raise RuntimeError("collection has no locator (low-degree build?)")
-        return self.locate(independent)
 
 
 def fingerprint(g: Graph, independent: VertexSet, params: ContainerParams) -> VertexSet:
@@ -127,10 +124,11 @@ def container_sparsity(g: Graph, c: VertexSet) -> int:
     return g.induced_edge_count(c.mask)
 
 
-def _independent_subsets_upto(is_independent, conflict_mask, n: int, cap: int, budget: int | None = None):
+def _independent_subsets_upto(conflict_mask, n: int, cap: int, budget: int | None = None):
     """Yield bitmasks of all independent subsets of size <= cap in ascending
-    lexicographic (bitmask) order. `conflict_mask(v)` gives the vertices that
-    cannot join a set already containing v."""
+    lexicographic (bitmask) order. `conflict_mask(v, current)` gives the
+    vertices that cannot join once v is added to the set `current`; more than
+    `budget` subsets raise SizeLimitError."""
     count = 0
 
     def rec(start: int, current: int, blocked: int, size: int):
@@ -147,13 +145,6 @@ def _independent_subsets_upto(is_independent, conflict_mask, n: int, cap: int, b
             yield from rec(v + 1, current | (1 << v), blocked | conflict_mask(v, current), size + 1)
 
     yield from rec(0, 0, 0, 0)
-
-
-def _enumerate_graph_fingerprints(g: Graph, cap: int, budget: int | None = None):
-    def conflict(v: int, current: int) -> int:
-        return g.adj_mask[v]
-
-    yield from _independent_subsets_upto(g.is_independent, conflict, g.n, cap, budget)
 
 
 def build_regular_collection(
@@ -224,7 +215,7 @@ def build_regular_collection(
     cap = min(g.n, math.floor(params.q * g.n))
     size_bound = (1.0 / (2.0 - epsilon) + params.q) * g.n
     dedup: dict[int, VertexSet] = {}
-    for f_mask in _enumerate_graph_fingerprints(g, cap, budget):
+    for f_mask in _independent_subsets_upto(lambda v, _: g.adj_mask[v], g.n, cap, budget):
         fp = VertexSet(f_mask)
         cont = fp | boundary_set(g, fp, params)
         if len(cont) > size_bound + 1e-9:
@@ -302,41 +293,19 @@ def check_codegree_conditions(h: Hypergraph, params: HypergraphContainerParams) 
     return CodegreeReport(checks=tuple(checks))
 
 
-class _Saturation:
-    """Incremental edge-saturation tracker for a growing fingerprint F.
-
-    Tracks, for each edge, how many of its vertices are in F. A vertex is
-    excluded once some edge has all other vertices in F (it could not belong
-    to any independent set containing F). For r=2 the excluded set is exactly
-    the neighborhood of F.
-    """
-
-    def __init__(self, h: Hypergraph):
-        self.h = h
-        self.counts = [0] * len(h.edges)
-        self.in_f = 0
-        self.excluded = 0
-
-    def add(self, v: int):
-        h = self.h
-        self.in_f |= 1 << v
-        for idx in h.incidence[v]:
-            self.counts[idx] += 1
-            if self.counts[idx] == h.r - 1:
-                rest = h.edge_masks[idx] & ~self.in_f
-                if rest.bit_count() == 1:
-                    self.excluded |= rest
-
-    def new_exclusions(self, v: int) -> int:
-        """Bitmask of vertices newly excluded if v joined the fingerprint."""
-        h = self.h
-        out = 0
-        for idx in h.incidence[v]:
-            if self.counts[idx] == h.r - 2:
-                rest = h.edge_masks[idx] & ~self.in_f & ~(1 << v)
-                if rest.bit_count() == 1:
-                    out |= rest
-        return out & ~self.excluded
+def _exclusions(h: Hypergraph, v: int, inside: int) -> int:
+    """Vertices u such that some edge through v has every vertex except u in
+    `inside`: with v in `inside`, the vertices no independent superset of
+    `inside` can take. This one rule serves the fingerprint scan, the
+    container expansion and the fingerprint enumeration; for r=2 it is the
+    set of neighbors of v outside `inside`."""
+    outside = ~inside
+    out = 0
+    for idx in h.incidence[v]:
+        rest = h.edge_masks[idx] & outside
+        if rest.bit_count() == 1:
+            out |= rest
+    return out
 
 
 def hypergraph_fingerprint(h: Hypergraph, independent: VertexSet, tau: int) -> VertexSet:
@@ -344,63 +313,37 @@ def hypergraph_fingerprint(h: Hypergraph, independent: VertexSet, tau: int) -> V
     least tau vertices; passes repeat until a full pass adds nothing."""
     if not h.is_independent(independent.mask):
         raise PreconditionError("input set is not independent in the hypergraph")
-    sat = _Saturation(h)
     members = independent.to_list()
-    in_f: set[int] = set()
+    f = excluded = 0
     changed = True
     while changed:
         changed = False
         for v in members:
-            if v in in_f:
+            if (f >> v) & 1:
                 continue
-            if sat.new_exclusions(v).bit_count() >= tau:
-                sat.add(v)
-                in_f.add(v)
+            new = _exclusions(h, v, f | (1 << v))
+            if (new & ~excluded).bit_count() >= tau:
+                f |= 1 << v
+                excluded |= new
                 changed = True
-    return VertexSet.of(in_f)
+    return VertexSet(f)
 
 
 def hypergraph_container(h: Hypergraph, fp: VertexSet, tau: int) -> VertexSet:
     """F plus every non-excluded vertex that would newly exclude fewer than
     tau vertices. Contains every independent set whose fingerprint is F."""
-    sat = _Saturation(h)
+    f = fp.mask
+    excluded = 0
     for v in fp:
-        sat.add(v)
-    out = fp.mask
-    forbidden = fp.mask | sat.excluded
+        excluded |= _exclusions(h, v, f)
+    out = f
+    forbidden = f | excluded
     for v in range(h.n):
         if (forbidden >> v) & 1:
             continue
-        if sat.new_exclusions(v).bit_count() < tau:
+        if (_exclusions(h, v, f | (1 << v)) & ~excluded).bit_count() < tau:
             out |= 1 << v
     return VertexSet(out)
-
-
-def _count_hypergraph_candidates(h: Hypergraph, cap: int, budget: int) -> int | None:
-    """Number of independent subsets of size <= cap, or None if above budget."""
-    count = 0
-
-    def rec(start: int, sat: _Saturation, size: int) -> bool:
-        nonlocal count
-        count += 1
-        if count > budget:
-            return False
-        if size == cap:
-            return True
-        for v in range(start, h.n):
-            if (sat.excluded >> v) & 1 or (sat.in_f >> v) & 1:
-                continue
-            snapshot = (list(sat.counts), sat.in_f, sat.excluded)
-            sat.add(v)
-            ok = rec(v + 1, sat, size + 1)
-            sat.counts, sat.in_f, sat.excluded = list(snapshot[0]), snapshot[1], snapshot[2]
-            if not ok:
-                return False
-        return True
-
-    if rec(0, _Saturation(h), 0):
-        return count
-    return None
 
 
 def build_hypergraph_collection(
@@ -428,17 +371,22 @@ def build_hypergraph_collection(
     if not report.ok:
         raise CodegreeConditionError(report)
 
+    def conflict(v: int, current: int) -> int:
+        return _exclusions(h, v, current | (1 << v))
+
     tau = max(1, math.ceil(1.0 / ((h.r - 1) * params.p)))
     fallback = None  # last build whose containers were not all-of-V
     while True:
         cap = h.n // tau
-        count = _count_hypergraph_candidates(h, cap, candidate_budget)
-        if count is None:
+        try:
+            fingerprints = list(_independent_subsets_upto(conflict, h.n, cap, candidate_budget))
+        except SizeLimitError:
             tau += max(1, tau // 2)
             continue
+        count = len(fingerprints)
         dedup: dict[int, VertexSet] = {}
         max_seen = 0
-        for f_mask in _independent_hypergraph_subsets(h, cap):
+        for f_mask in fingerprints:
             fp = VertexSet(f_mask)
             cont = hypergraph_container(h, fp, tau)
             max_seen = max(max_seen, cont.cardinality)
@@ -481,24 +429,6 @@ def build_hypergraph_collection(
     )
 
 
-def _independent_hypergraph_subsets(h: Hypergraph, cap: int):
-    """All bitmasks of independent subsets of size <= cap, lexicographic order."""
-
-    def rec(start: int, sat: _Saturation, size: int):
-        yield sat.in_f
-        if size == cap:
-            return
-        for v in range(start, h.n):
-            if (sat.excluded >> v) & 1 or (sat.in_f >> v) & 1:
-                continue
-            snapshot = (list(sat.counts), sat.in_f, sat.excluded)
-            sat.add(v)
-            yield from rec(v + 1, sat, size + 1)
-            sat.counts, sat.in_f, sat.excluded = list(snapshot[0]), snapshot[1], snapshot[2]
-
-    yield from rec(0, _Saturation(h), 0)
-
-
 def graph_as_hypergraph(g: Graph) -> Hypergraph:
     return Hypergraph(g.n, 2, g.edges)
 
@@ -508,7 +438,6 @@ def build_almost_regular_collection(
     degree_ratio: float,
     *,
     epsilon: float = 0.25,
-    eps_edges: float = 0.0,
     candidate_budget: int = 20000,
     max_containers: int | None = None,
 ) -> ContainerCollection:
@@ -534,7 +463,7 @@ def build_almost_regular_collection(
         )
     c_eng = 2.0 * degree_ratio
     p = min(1.0, 1.0 / (epsilon * g.average_degree))
-    params = HypergraphContainerParams(p=p, C=c_eng, r=2, eps_edges=eps_edges)
+    params = HypergraphContainerParams(p=p, C=c_eng, r=2)
     coll = build_hypergraph_collection(
         graph_as_hypergraph(g),
         params,
@@ -568,12 +497,7 @@ def collection_report(coll: ContainerCollection, g: Graph | None = None) -> dict
     if isinstance(coll.params, ContainerParams):
         report["params"] = {"epsilon": coll.params.epsilon, "d": coll.params.d, "q": coll.params.q}
     elif isinstance(coll.params, HypergraphContainerParams):
-        report["params"] = {
-            "p": coll.params.p,
-            "C": coll.params.C,
-            "r": coll.params.r,
-            "eps_edges": coll.params.eps_edges,
-        }
+        report["params"] = {"p": coll.params.p, "C": coll.params.C, "r": coll.params.r}
     if g is not None:
         sparsities: dict[int, int] = {}
         for c in coll.containers:

@@ -45,8 +45,8 @@ class VertexSet:
     def __init__(self, mask: int = 0):
         if mask < 0:
             raise ValueError("bitmask must be non-negative")
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "cardinality", mask.bit_count())
+        _set_mask(self, mask)
+        _set_cardinality(self, mask.bit_count())
 
     def __setattr__(self, name, value):
         raise AttributeError("VertexSet is immutable")
@@ -94,6 +94,12 @@ class VertexSet:
 
     def __repr__(self) -> str:
         return f"VertexSet({{{', '.join(map(str, self))}}})"
+
+
+# slot setters that bypass the immutability guard; calling them directly is
+# faster than object.__setattr__, and VertexSet is built in bulk
+_set_mask = VertexSet.mask.__set__
+_set_cardinality = VertexSet.cardinality.__set__
 
 
 class Graph:
@@ -356,6 +362,7 @@ def parse_dimacs_graph(text) -> Graph:
     """Parse DIMACS edge format: `p edge n m` header, `e u v` lines, 1-indexed."""
     n = m = None
     edges = []
+    seen = set()
     for lineno, raw in enumerate(_decode_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -386,8 +393,9 @@ def parse_dimacs_graph(text) -> Graph:
             if u == v:
                 raise ParseError(f"self-loop at vertex {u}", lineno)
             key = (min(u, v) - 1, max(u, v) - 1)
-            if key in {tuple(e) for e in edges}:
+            if key in seen:
                 raise ParseError(f"duplicate edge ({u}, {v})", lineno)
+            seen.add(key)
             edges.append(key)
         else:
             raise ParseError(f"unrecognized line {line!r}", lineno)

@@ -8,7 +8,6 @@ independent set of an induced subgraph is independent in the whole graph."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .core import Graph, ParameterError, VertexSet
@@ -96,7 +95,6 @@ class MisConfig:
     degree_ratio: float = 2.0  # almost-regular degree bound
     force: bool = False  # run containers below the useful-degree floor
     candidate_budget: int = 20000
-    workers: int = 1
 
 
 def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int] | None = None) -> MisResult:
@@ -141,15 +139,9 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
         w, tup = _key(global_mask, weights)
         return w, tup, global_mask, r.stats["nodes"]
 
-    if config.workers > 1 and len(subproblems) > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(solve, subproblems))
-    else:
-        results = [solve(c) for c in subproblems]
-
     best_w, best_tup, best_mask = -1, (), 0
     nodes = 0
-    for w, tup, mask, sub_nodes in results:
+    for w, tup, mask, sub_nodes in map(solve, subproblems):
         nodes += sub_nodes
         if w > best_w or (w == best_w and tup < best_tup):
             best_w, best_tup, best_mask = w, tup, mask

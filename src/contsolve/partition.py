@@ -129,9 +129,8 @@ def matching_refinement(g: Graph, subsets: list[VertexSet]) -> RefinementResult:
 class PartitionContainerCollection:
     """Unions of at most k base containers under the ceiling (1-epsilon)n.
 
-    The full union collection is only materialized on demand; membership is
-    decidable from the base collection, and `cover_split` produces an
-    explicit split witness for a k-tuple of independent sets."""
+    The full union collection is only materialized on demand; `cover_split`
+    produces an explicit split witness for a k-tuple of independent sets."""
 
     base: ContainerCollection
     k: int
@@ -146,46 +145,40 @@ class PartitionContainerCollection:
     def size_ceiling(self) -> float:
         return (1.0 - self.epsilon) * self.n
 
-    def is_member(self, c: VertexSet) -> bool:
-        """Union of <= k base containers, size under the ceiling."""
-        if c.cardinality > self.size_ceiling:
-            return False
-        for j in range(1, self.k + 1):
-            for combo in combinations(self.base.containers, j):
-                u = 0
-                for b in combo:
-                    u |= b.mask
-                if u == c.mask:
-                    return True
-        return False
-
     def materialize(self, limit: int = 200000) -> tuple[VertexSet, ...]:
         if self._materialized is not None:
             return self._materialized
-        dedup: dict[int, VertexSet] = {}
+        # candidates are counted, then kept as ints; many coincide, so a
+        # VertexSet is built only for each distinct union
+        unions: set[int] = set()
+        masks = [c.mask for c in self.base.containers]
         count = 0
         ceiling = self.size_ceiling
 
         def extend(start: int, union_mask: int, depth: int):
             nonlocal count
-            for idx in range(start, len(self.base.containers)):
-                u = union_mask | self.base.containers[idx].mask
-                if u.bit_count() > ceiling:
-                    continue
-                count += 1
-                if count > limit:
-                    raise SizeLimitError(
-                        "partition-container-materialization",
-                        f"more than {limit} candidate unions",
-                    )
-                dedup[u] = VertexSet(u)
-                if depth + 1 < self.k:
-                    extend(idx + 1, u, depth + 1)
+            fits = [
+                i for i in range(start, len(masks))
+                if (union_mask | masks[i]).bit_count() <= ceiling
+            ]
+            count += len(fits)
+            if count > limit:
+                raise SizeLimitError(
+                    "partition-container-materialization",
+                    f"more than {limit} candidate unions",
+                )
+            if depth + 1 < self.k:
+                for i in fits:
+                    u = union_mask | masks[i]
+                    unions.add(u)
+                    extend(i + 1, u, depth + 1)
+            else:
+                unions.update([union_mask | masks[i] for i in fits])
 
         extend(0, 0, 0)
-        self._materialized = tuple(
-            sorted(dedup.values(), key=lambda c: (c.cardinality, c.mask))
-        )
+        ordered = sorted(unions)
+        ordered.sort(key=int.bit_count)  # stable: by size, then by mask
+        self._materialized = tuple(map(VertexSet, ordered))
         self.stats["container_count"] = len(self._materialized)
         return self._materialized
 
@@ -315,11 +308,9 @@ def build_partition_collection_almost_regular(
         raise ParameterError("k must be at least 1")
     if degree_ratio < 1:
         raise ParameterError("degree ratio must be at least 1")
-    eps_edges = 1.0 / (4.0 * k)
     base = build_almost_regular_collection(
         g,
         degree_ratio,
-        eps_edges=eps_edges,
         candidate_budget=candidate_budget,
         max_containers=max_base,
     )
@@ -330,7 +321,7 @@ def build_partition_collection_almost_regular(
         epsilon=epsilon,
         n=g.n,
         source="almost-regular",
-        stats={"base_container_count": len(base), "base_eps_edges": eps_edges},
+        stats={"base_container_count": len(base)},
     )
 
 
@@ -348,15 +339,3 @@ def partition_collection_report(coll: PartitionContainerCollection) -> dict:
         report["container_count"] = len(coll._materialized)
     return report
 
-
-def boundary_intersection_bound(n: int, boundary_sets: list[VertexSet], neighborhoods: list[VertexSet]) -> bool:
-    """|union of boundary sets| <= n - |intersection of neighborhoods|,
-    exposed for diagnostics; each boundary set avoids its own fingerprint
-    neighborhood, which is what makes the bound hold."""
-    union = 0
-    for b in boundary_sets:
-        union |= b.mask
-    inter = (1 << n) - 1
-    for nb in neighborhoods:
-        inter &= nb.mask
-    return union.bit_count() <= n - inter.bit_count()

@@ -275,7 +275,6 @@ def extract_structure(h: Hypergraph, params: StructureParams) -> StructureResult
 class SatConfig:
     mode: str = "auto"  # auto | dpll | containers
     candidate_budget: int = 20000
-    workers: int = 1
 
 
 @dataclass

@@ -255,6 +255,32 @@ class TestHypergraphEngine:
         cont = hypergraph_container(h, f, tau=1)
         assert iset.issubset(cont)
 
+    def test_candidate_count_is_one_walk_of_the_fingerprint_tree(self):
+        from contsolve.core import max_codegree
+
+        raised = 0
+        for seed, (n, r, m) in enumerate([(7, 2, 9), (9, 2, 14), (8, 3, 12), (10, 3, 20)]):
+            h = _random_hypergraph(n, r, m, seed)
+            density = len(h.edges) / n
+            c_needed = max(max_codegree(h, i) / density for i in range(1, r + 1))
+            params = HypergraphContainerParams(p=1.0, C=c_needed * 1.001, r=r)
+            isets = hypergraph_independent_sets(h)
+            # p=1 starts at tau=1, cap=n: the first tree is every independent
+            # set, so a budget one below it forces a raised threshold
+            for budget in (len(isets), len(isets) - 1):
+                coll = build_hypergraph_collection(h, params, candidate_budget=budget)
+                cap = coll.fingerprint_cap
+                assert coll.stats["candidate_count"] == sum(
+                    1 for s in isets if s.bit_count() <= cap
+                )
+                assert coll.stats["candidate_count"] <= budget
+                raised += coll.stats["tau"] > 1
+                members = {c.mask for c in coll.containers}
+                for iset in isets:
+                    cont = coll.locate(VertexSet(iset))
+                    assert iset & ~cont.mask == 0 and cont.mask in members
+        assert raised == 4
+
     def test_max_container_ceiling_enforced(self):
         h = _random_hypergraph(8, 2, 10, 1)
         from contsolve.core import max_codegree, SizeLimitError

@@ -71,6 +71,15 @@ class TestGraphParsing:
         assert parse_dimacs_graph(g.to_dimacs()) == g
         assert Graph.from_json(g.to_json()) == g
 
+    def test_large_graph_parses_in_linear_time(self):
+        g = complete_graph(290)  # 41,905 edges; quadratic dedup took about a minute
+        text = g.to_dimacs()
+        assert parse_dimacs_graph(text) == g
+        body = text.split("\n", 1)[1]
+        with pytest.raises(ParseError) as err:
+            parse_dimacs_graph(f"p edge {g.n} {g.m + 1}\n{body}e 2 1\n")
+        assert err.value.line == g.m + 2
+
 
 class TestCnfParsing:
     def test_basic(self):

@@ -126,14 +126,6 @@ class TestMisContainers:
             assert c.size == mis_base(g).size
             assert c.stats["largest_subproblem"] <= (0.5 + 0.45) * g.n
 
-    def test_workers_deterministic(self):
-        rng = random.Random(56)
-        for _ in range(6):
-            g = random_regular_graph(12, 6, rng.randrange(10**6))
-            one = mis_containers(g, MisConfig(mode="containers", workers=1))
-            four = mis_containers(g, MisConfig(mode="containers", workers=4))
-            assert one.best.mask == four.best.mask
-
     def test_unknown_mode(self):
         with pytest.raises(ParameterError):
             mis_containers(cycle_graph(4), MisConfig(mode="fastest"))

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +9,7 @@ from contsolve.containers import ContainerParams, boundary_set
 from contsolve.core import (
     Graph,
     ParameterError,
+    SizeLimitError,
     VertexSet,
     complete_graph,
     cycle_graph,
@@ -201,6 +202,28 @@ class TestRegularPartitionCollection:
             for c in (ca, cb):
                 if c is not None:
                     assert c.mask in members
+
+    @pytest.mark.parametrize("n,d,k", [(10, 3, 1), (12, 4, 2), (10, 3, 3)])
+    def test_materialize_is_every_union_under_the_ceiling(self, n, d, k):
+        # the definition, by brute force: every union of 1..k base containers
+        # under the ceiling is one candidate; members are the distinct unions
+        # ordered by size, then by mask
+        g = random_regular_graph(n, d, 5)
+        coll = build_partition_collection_regular(g, k, force=True)
+        base = list(coll.base.containers)
+        candidates = [
+            _union(base, combo)
+            for j in range(1, k + 1)
+            for combo in combinations(range(len(base)), j)
+        ]
+        candidates = [u for u in candidates if u.bit_count() <= coll.size_ceiling]
+        expected = sorted(set(candidates), key=lambda u: (u.bit_count(), u))
+        assert [c.mask for c in coll.materialize(limit=len(candidates))] == expected
+        assert coll.stats["container_count"] == len(expected)
+        # one candidate over the limit is refused, however the walk is ordered
+        coll = build_partition_collection_regular(g, k, force=True)
+        with pytest.raises(SizeLimitError):
+            coll.materialize(limit=len(candidates) - 1)
 
     def test_non_regular_rejected(self):
         with pytest.raises(ParameterError):
