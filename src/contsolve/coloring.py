@@ -12,10 +12,11 @@ on sign cancellation, so no modular shortcuts."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import or_
 
-from .containers import build_almost_regular_collection
+from .containers import build_almost_regular_collection, maximal_masks
 from .core import Graph, ParameterError, SizeLimitError, VertexSet
 from .extsum import (
     ExtSumInstance,
@@ -207,24 +208,12 @@ def _decide_containers(g: Graph, k: int, config: ColoringConfig, stats: dict) ->
     stats["base_containers"] = len(base)
     if k == 1:
         return g.m == 0
-    masks = sorted({c.mask for c in base.containers}, key=lambda m: -m.bit_count())
-    # keep only maximal base containers; any union over dropped ones is
-    # dominated by a union over their supersets
-    maximal_base: list[int] = []
-    for m in masks:
-        if not any(m | other == other for other in maximal_base):
-            maximal_base.append(m)
+    # any union over non-maximal base containers is dominated by a union
+    # over their supersets
+    maximal_base = maximal_masks(c.mask for c in base.containers)
     take = min(k - 1, len(maximal_base))
-    candidates: set[int] = set()
-    for combo in combinations(maximal_base, take):
-        u = 0
-        for m in combo:
-            u |= m
-        candidates.add(u)
-    maximal: list[VertexSet] = []
-    for m in sorted(candidates, key=lambda m: -m.bit_count()):
-        if not any(m | other.mask == other.mask for other in maximal):
-            maximal.append(VertexSet(m))
+    unions = (reduce(or_, combo, 0) for combo in combinations(maximal_base, take))
+    maximal = [VertexSet(m) for m in maximal_masks(unions)]
     stats["candidate_containers"] = len(maximal)
     if not maximal:
         return False

@@ -16,8 +16,8 @@ and measured/reported for the hypergraph engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable
 
 from .core import (
     Graph,
@@ -80,6 +80,18 @@ class ContainerCollection:
 
     def __len__(self) -> int:
         return len(self.containers)
+
+
+def maximal_masks(masks: Iterable[int]) -> list[int]:
+    """The inclusion-maximal distinct masks, largest first, ties by mask.
+
+    Every independent set lies in some container, hence in some maximal one,
+    so a solver confined to containers needs only these."""
+    kept: list[int] = []
+    for m in sorted(set(masks), key=lambda m: (-m.bit_count(), m)):
+        if all(m & ~other for other in kept):
+            kept.append(m)
+    return kept
 
 
 def fingerprint(g: Graph, independent: VertexSet, params: ContainerParams) -> VertexSet:
@@ -470,15 +482,7 @@ def build_almost_regular_collection(
         candidate_budget=candidate_budget,
         max_containers=max_containers,
     )
-    return ContainerCollection(
-        containers=coll.containers,
-        params=params,
-        source="almost-regular-graph",
-        fingerprint_cap=coll.fingerprint_cap,
-        low_degree=False,
-        stats=coll.stats,
-        locate=coll.locate,
-    )
+    return replace(coll, source="almost-regular-graph")
 
 
 def collection_report(coll: ContainerCollection, g: Graph | None = None) -> dict:

@@ -154,9 +154,6 @@ class Graph:
     def is_regular(self) -> bool:
         return self.n == 0 or all(len(a) == len(self.adj[0]) for a in self.adj)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (self.adj_mask[u] >> v) & 1 == 1
-
     def neighborhood_mask(self, vertices: int) -> int:
         """Union of neighborhoods of the vertices in the given bitmask."""
         out = 0

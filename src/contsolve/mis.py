@@ -2,16 +2,17 @@
 
 The base solver is branch-and-bound on the max-degree vertex with a greedy
 seed and a residual-weight prune. The container wrapper builds a container
-collection, solves each induced subproblem with the base solver, and returns
-the best: exact, because the optimum lies inside some container and any
-independent set of an induced subgraph is independent in the whole graph."""
+collection, solves the subproblem induced by each inclusion-maximal container
+with the base solver, and returns the best: exact, because the optimum lies
+inside some container, hence inside a maximal one, and any independent set of
+an induced subgraph is independent in the whole graph."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .core import Graph, ParameterError, VertexSet
-from .containers import build_almost_regular_collection, build_regular_collection
+from .containers import build_almost_regular_collection, build_regular_collection, maximal_masks
 
 
 @dataclass
@@ -111,14 +112,12 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
         full = VertexSet((1 << g.n) - 1)
         return MisResult(full, g.n, sum(weights), {"path": "edgeless"})
     if g.is_regular():
-        coll = build_regular_collection(g, config.epsilon, force=config.force)
-        if coll.low_degree and not config.force:
-            if config.mode == "containers":
-                coll = build_regular_collection(g, config.epsilon, force=True)
-            else:
-                r = mis_base(g, weights)
-                r.stats["path"] = "base (low-degree dispatch)"
-                return r
+        force = config.force or config.mode == "containers"
+        coll = build_regular_collection(g, config.epsilon, force=force)
+        if coll.low_degree and not force:
+            r = mis_base(g, weights)
+            r.stats["path"] = "base (low-degree dispatch)"
+            return r
     else:
         # the ratio only parameterizes the engine threshold, so widen it to
         # the measured value rather than reject graphs above the configured one
@@ -127,22 +126,15 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
             g, ratio, candidate_budget=config.candidate_budget
         )
 
-    subproblems = sorted(coll.containers, key=lambda c: (-c.cardinality, c.mask))
-
-    def solve(container: VertexSet) -> tuple[int, tuple[int, ...], int, int]:
-        sub, order = g.induced_subgraph(container)
-        sub_weights = [weights[v] for v in order]
-        r = mis_base(sub, sub_weights)
-        global_mask = 0
-        for local in r.best:
-            global_mask |= 1 << order[local]
-        w, tup = _key(global_mask, weights)
-        return w, tup, global_mask, r.stats["nodes"]
-
+    subproblems = maximal_masks(c.mask for c in coll.containers)
     best_w, best_tup, best_mask = -1, (), 0
     nodes = 0
-    for w, tup, mask, sub_nodes in map(solve, subproblems):
-        nodes += sub_nodes
+    for container in subproblems:
+        sub, order = g.induced_subgraph(VertexSet(container))
+        r = mis_base(sub, [weights[v] for v in order])
+        nodes += r.stats["nodes"]
+        mask = sum(1 << order[local] for local in r.best)
+        w, tup = _key(mask, weights)
         if w > best_w or (w == best_w and tup < best_tup):
             best_w, best_tup, best_mask = w, tup, mask
     best = VertexSet(best_mask)
@@ -155,7 +147,7 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
         stats={
             "path": "containers",
             "containers": len(subproblems),
-            "largest_subproblem": max((c.cardinality for c in subproblems), default=0),
+            "largest_subproblem": max((m.bit_count() for m in subproblems), default=0),
             "nodes": nodes,
         },
     )

@@ -35,9 +35,6 @@ class RefinementResult:
     gamma: float  # max part-union size / n
     matching_size: int = 0  # populated by matching_refinement
 
-    def part_indices(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(p[0] for p in self.parts)
-
 
 def _membership_code(v: int, subsets: list[VertexSet]) -> int:
     """Bit i set iff v is in subsets[i]."""

@@ -5,8 +5,8 @@ assignment satisfies the formula exactly when its set of true literals spans
 no edge. On formulas dense enough to contain a well-spread sub-hypergraph
 (many edges per vertex, bounded degree and co-degree), containers for that
 sub-hypergraph cover every candidate literal set; restricting the formula to
-one container forces all missing literals false and leaves a smaller
-instance for a plain DPLL base solver."""
+each inclusion-maximal container forces all missing literals false and leaves
+a smaller instance for a plain DPLL base solver."""
 
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from .core import (
 from .containers import (
     HypergraphContainerParams,
     build_hypergraph_collection,
+    maximal_masks,
 )
 
 
@@ -315,12 +316,14 @@ def solve_ksat_dense(
     coll = build_hypergraph_collection(
         sub, engine_params, candidate_budget=config.candidate_budget
     )
+    # a collection that contains V reduces to one whole-formula solve
+    kept = maximal_masks(c.mask for c in coll.containers)
     stats["path"] = "containers"
-    stats["containers"] = len(coll)
+    stats["containers"] = len(kept)
     stats["p"] = p
     largest = 0
-    for idx, container in enumerate(coll.containers):
-        restriction = restrict_formula(phi, container)
+    for idx, container in enumerate(kept):
+        restriction = restrict_formula(phi, VertexSet(container))
         if restriction.contradiction:
             continue
         largest = max(largest, restriction.unassigned_before_propagation)

@@ -18,6 +18,7 @@ from contsolve.containers import (
     graph_as_hypergraph,
     hypergraph_container,
     hypergraph_fingerprint,
+    maximal_masks,
 )
 from contsolve.core import (
     Graph,
@@ -156,6 +157,30 @@ class TestRegularCollection:
         a = build_regular_collection(g, EPS, force=True)
         b = build_regular_collection(g, EPS, force=True)
         assert [c.mask for c in a.containers] == [c.mask for c in b.containers]
+
+
+class TestMaximalMasks:
+    def test_matches_brute_force(self):
+        rng = random.Random(31)
+        for trial in range(200):
+            n = rng.randint(1, 7)
+            full = (1 << n) - 1
+            family = [rng.randrange(1 << n) for _ in range(rng.randint(0, 12))]
+            family += rng.sample(family, min(3, len(family)))  # duplicates
+            if trial % 4 == 0:
+                family.append(full)
+            kept = maximal_masks(family)
+            # every input lies inside some output
+            assert all(any(m & ~o == 0 for o in kept) for m in family)
+            # outputs are pairwise incomparable, and each is an input
+            assert all(a & ~b for a in kept for b in kept if a != b)
+            assert len(set(kept)) == len(kept) and set(kept) <= set(family)
+            assert kept == sorted(kept, key=lambda m: (-m.bit_count(), m))
+            if full in family:
+                assert kept == [full]
+
+    def test_empty_family(self):
+        assert maximal_masks([]) == []
 
 
 class TestCodegreeConditions:

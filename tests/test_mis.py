@@ -11,6 +11,11 @@ from contsolve.core import (
     random_graph,
     random_regular_graph,
 )
+from contsolve.containers import (
+    build_almost_regular_collection,
+    build_regular_collection,
+    maximal_masks,
+)
 from contsolve.mis import MisConfig, mis_base, mis_containers
 from oracles import max_independent_set_size, max_weight_independent_set
 
@@ -125,6 +130,26 @@ class TestMisContainers:
             c = mis_containers(g, cfg)
             assert c.size == mis_base(g).size
             assert c.stats["largest_subproblem"] <= (0.5 + 0.45) * g.n
+
+    def test_same_tie_break_as_base_on_maximal_containers(self):
+        # the optimum with the smallest sorted vertex tuple lies in some
+        # maximal container, so solving only those keeps mis_base's answer
+        rng = random.Random(56)
+        for trial in range(24):
+            weights_unit = trial % 2 == 0
+            if trial % 4 < 2:
+                g = random_regular_graph(rng.choice([10, 12, 14]), 4, rng.randrange(10**6))
+                coll = build_regular_collection(g, 0.25, force=True)
+            else:
+                g = random_graph(rng.randint(8, 13), 0.45, rng.randrange(10**6))
+                if g.m == 0:
+                    continue
+                ratio = max(2.0, g.max_degree / g.average_degree * (1 + 1e-9))
+                coll = build_almost_regular_collection(g, ratio)
+            weights = None if weights_unit else [rng.randint(0, 3) for _ in range(g.n)]
+            c = mis_containers(g, MisConfig(mode="containers"), weights)
+            assert c.best == mis_base(g, weights).best
+            assert c.stats["containers"] == len(maximal_masks(x.mask for x in coll.containers))
 
     def test_unknown_mode(self):
         with pytest.raises(ParameterError):

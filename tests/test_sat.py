@@ -11,6 +11,7 @@ from contsolve.core import (
     VertexSet,
     random_ksat_formula,
 )
+from contsolve import sat
 from contsolve.sat import (
     LiteralHypergraph,
     SatConfig,
@@ -197,3 +198,19 @@ class TestSolveKsatDense:
     def test_unknown_mode(self):
         with pytest.raises(ParameterError):
             solve_ksat_dense(random_ksat_formula(4, 4, 3, 4), self.PARAMS, SatConfig(mode="zchaff"))
+
+    def test_collection_containing_all_literals_costs_one_restriction(self, monkeypatch):
+        # on this formula the r=3 engine's container of the empty fingerprint
+        # is every literal, which holds every other container
+        phi = random_ksat_formula(10, 80, 3, 424242)
+        calls = []
+
+        def counted(phi, kept):
+            calls.append(kept)
+            return restrict_formula(phi, kept)
+
+        monkeypatch.setattr(sat, "restrict_formula", counted)
+        r = solve_ksat_dense(phi, self.PARAMS, SatConfig(mode="containers"))
+        assert calls == [VertexSet((1 << (2 * phi.num_vars)) - 1)]
+        assert r.stats["largest_restriction"] == phi.num_vars
+        assert r.satisfiable == dpll(phi)[0]
