@@ -1,4 +1,4 @@
-"""Command-line front end: one subcommand per solver plus a bench sweep.
+"""Command-line front end: one subcommand per solver.
 
 Every run prints a single JSON report on stdout. Exit codes: 0 for success,
 1 for a negative decision (not colorable / unsatisfiable), 2 for errors.
@@ -39,9 +39,7 @@ def _graph_stats(g: core.Graph) -> dict:
 def _cmd_containers(args) -> tuple[int, dict]:
     g = _load_graph(args)
     if args.builder == "regular":
-        coll = containers.build_regular_collection(
-            g, args.epsilon, force=args.force, analysis_fallback=args.analysis_fallback
-        )
+        coll = containers.build_regular_collection(g, args.epsilon, force=args.force)
     else:
         coll = containers.build_almost_regular_collection(g, args.degree_ratio)
     return 0, {"instance": _graph_stats(g), "result": containers.collection_report(coll, g)}
@@ -145,44 +143,6 @@ def _cmd_sat(args) -> tuple[int, dict]:
     return (0 if result.satisfiable else 1), report
 
 
-def _cmd_bench(args) -> tuple[int, dict]:
-    rows = []
-    if args.family == "regular-mis":
-        for n in args.sizes:
-            g = core.random_regular_graph(n, args.d, args.seed + n)
-            forced = mis.mis_containers(g, mis.MisConfig(mode="containers", force=True))
-            base = mis.mis_base(g)
-            rows.append(
-                {
-                    "n": n,
-                    "mis": base.size,
-                    "base_nodes": base.stats["nodes"],
-                    "containers": forced.stats.get("containers"),
-                    "largest_subproblem": forced.stats.get("largest_subproblem"),
-                    "container_nodes": forced.stats.get("nodes"),
-                }
-            )
-    elif args.family == "ksat":
-        for n in args.sizes:
-            m = max(1, int(args.density * n))
-            phi = core.random_ksat_formula(n, m, args.k, args.seed + n)
-            params = sat.StructureParams(D=args.D, C=args.C, epsilon=args.eps)
-            result = sat.solve_ksat_dense(phi, params)
-            rows.append(
-                {
-                    "n": n,
-                    "m": m,
-                    "satisfiable": result.satisfiable,
-                    "path": result.stats.get("path"),
-                    "containers": result.stats.get("containers"),
-                    "largest_restriction": result.stats.get("largest_restriction"),
-                }
-            )
-    else:
-        raise core.ParameterError(f"unknown bench family {args.family!r}")
-    return 0, {"result": {"family": args.family, "rows": rows}}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="contsolve")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -201,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.25)
     p.add_argument("--degree-ratio", type=float, default=2.0)
     p.add_argument("--force", action="store_true", help="build even below the useful-degree floor")
-    p.add_argument("--analysis-fallback", action="store_true")
     p.set_defaults(func=_cmd_containers)
 
     p = sub.add_parser("partition-containers", help="build partition containers")
@@ -249,17 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["auto", "dpll", "containers"], default="auto")
     p.set_defaults(func=_cmd_sat)
 
-    p = sub.add_parser("bench", help="sweep instance sizes and report counters")
-    p.add_argument("--family", choices=["regular-mis", "ksat"], required=True)
-    p.add_argument("--sizes", nargs="+", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--d", type=int, default=4, help="degree for graph families")
-    p.add_argument("--k", type=int, default=3, help="clause width for ksat")
-    p.add_argument("--density", type=float, default=4.0, help="clauses per variable")
-    p.add_argument("--D", type=int, default=10)
-    p.add_argument("--C", type=float, default=4.0)
-    p.add_argument("--eps", type=float, default=0.3)
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 

@@ -143,7 +143,7 @@ def _merge_equal_subsets(inst: ExtSumInstance) -> ExtSumInstance:
     return ExtSumInstance(inst.universe, tuple(subsets), tuple(tables))
 
 
-def constrained_F(g: Graph, containers: list[VertexSet], naive_limit: int = 24) -> int:
+def constrained_F(g: Graph, containers: list[VertexSet]) -> int:
     """Ordered tuples of independent sets covering V with the j-th confined
     to containers[j]. Zero immediately when the containers miss a vertex."""
     if not containers:
@@ -161,7 +161,7 @@ def constrained_F(g: Graph, containers: list[VertexSet], naive_limit: int = 24) 
     elif inst.k == 3:
         value = eval_k3(inst)
     else:
-        value = eval_naive(inst, naive_limit)
+        value = eval_naive(inst)
     return -value if g.n & 1 else value
 
 

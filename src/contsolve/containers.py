@@ -164,7 +164,6 @@ def build_regular_collection(
     epsilon: float,
     *,
     force: bool = False,
-    analysis_fallback: bool = False,
     budget: int | None = None,
 ) -> ContainerCollection:
     """Container collection for a d-regular graph.
@@ -173,8 +172,8 @@ def build_regular_collection(
     default the result is flagged low-degree with no containers so solvers can
     switch to their non-container path. `force=True` runs the construction
     anyway (coverage still holds; size bounds are still certified since their
-    proof needs only regularity). `analysis_fallback=True` instead emits the
-    exponential all-floor(n/2)-subsets collection, for analysis/demo use only.
+    proof needs only regularity). More than `budget` candidate fingerprints
+    raise SizeLimitError; without a budget the enumeration is unbounded.
     """
     if g.n == 0:
         raise ParameterError("empty graph")
@@ -198,22 +197,6 @@ def build_regular_collection(
     params = ContainerParams(epsilon=epsilon, d=float(d))
     low_degree = d <= 2.0 / (epsilon * epsilon)
     if low_degree and not force:
-        if analysis_fallback:
-            from itertools import combinations
-
-            half = g.n // 2
-            containers = tuple(
-                VertexSet.of(c) for c in combinations(range(g.n), half)
-            )
-            return ContainerCollection(
-                containers=containers,
-                params=params,
-                source="regular-graph",
-                fingerprint_cap=0,
-                low_degree=True,
-                stats={"mode": "analysis-fallback", "container_count": len(containers)},
-                locate=None,
-            )
         return ContainerCollection(
             containers=(),
             params=params,
@@ -363,7 +346,6 @@ def build_hypergraph_collection(
     params: HypergraphContainerParams,
     *,
     candidate_budget: int = 20000,
-    max_container_size: int | None = None,
     max_containers: int | None = None,
 ) -> ContainerCollection:
     """Container collection for an r-uniform hypergraph.
@@ -372,8 +354,7 @@ def build_hypergraph_collection(
     candidate fingerprints fit the budget and, when requested, the deduped
     collection fits max_containers (larger tau means fewer, smaller
     fingerprints and larger containers; coverage is unaffected). Container
-    sizes are measured and reported, not certified; a caller-provided ceiling
-    turns an oversized container into a hard error.
+    sizes are measured and reported in the stats, not certified.
     """
     if h.r != params.r:
         raise ParameterError(f"params are for uniformity {params.r}, hypergraph has {h.r}")
@@ -414,11 +395,6 @@ def build_hypergraph_collection(
         # full-vertex-set container; prefer the last informative build even
         # if it overshoots the requested collection size
         tau, cap, count, dedup, max_seen = fallback
-    if max_container_size is not None and max_seen > max_container_size:
-        raise SizeLimitError(
-            "hypergraph-container-size",
-            f"container of size {max_seen} exceeds ceiling {max_container_size}",
-        )
     containers = tuple(sorted(dedup.values(), key=lambda c: (c.cardinality, c.mask)))
 
     def locate(independent: VertexSet) -> VertexSet:

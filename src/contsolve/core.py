@@ -253,13 +253,6 @@ class Hypergraph:
     def __setattr__(self, name, value):
         raise AttributeError("Hypergraph is immutable")
 
-    def codegree(self, vertices) -> int:
-        """Number of edges containing every vertex of the given set."""
-        mask = 0
-        for v in vertices:
-            mask |= 1 << v
-        return sum(1 for em in self.edge_masks if em & mask == mask)
-
     def is_independent(self, vertices: int) -> bool:
         """True when the bitmask spans no edge entirely."""
         return all(em & vertices != em for em in self.edge_masks)
@@ -351,7 +344,11 @@ class CnfFormula:
 
 def _decode_lines(text) -> list[str]:
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = text.count(b"\n", 0, exc.start) + 1
+            raise ParseError("input is not valid UTF-8", line) from None
     return text.splitlines()
 
 

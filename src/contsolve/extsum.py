@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
-from .core import ParameterError, PreconditionError, SizeLimitError
+from .core import ParameterError, ParseError, PreconditionError, SizeLimitError
 
 TABLE_ENTRY_CEILING = 1 << 24
 
@@ -63,20 +63,35 @@ class ExtSumInstance:
 
     @staticmethod
     def from_json(text: str) -> "ExtSumInstance":
-        data = json.loads(text)
+        """Read `{"universe": int, "subsets": [[int]], "tables": [[int]]}`;
+        malformed JSON or any other shape raises ParseError, and values the
+        constructor rejects raise ParameterError or SizeLimitError."""
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"invalid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ParseError("expected a JSON object")
+        try:
+            universe, subsets, tables = data["universe"], data["subsets"], data["tables"]
+        except KeyError as exc:
+            raise ParseError(f"missing key {exc}") from None
+        if not _is_int(universe):
+            raise ParseError("universe must be an integer")
+        for name, rows in (("subsets", subsets), ("tables", tables)):
+            if not isinstance(rows, list) or not all(
+                isinstance(row, list) and all(map(_is_int, row)) for row in rows
+            ):
+                raise ParseError(f"{name} must be a list of integer lists")
         return ExtSumInstance(
-            universe=data["universe"],
-            subsets=tuple(tuple(xs) for xs in data["subsets"]),
-            tables=tuple(tuple(t) for t in data["tables"]),
+            universe=universe,
+            subsets=tuple(map(tuple, subsets)),
+            tables=tuple(map(tuple, tables)),
         )
 
 
-def _local_index(assignment: int, variables: tuple[int, ...]) -> int:
-    idx = 0
-    for j, v in enumerate(variables):
-        if (assignment >> v) & 1:
-            idx |= 1 << j
-    return idx
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def eval_naive(inst: ExtSumInstance, limit: int = 24) -> int:
@@ -201,22 +216,18 @@ def eval_k3(inst: ExtSumInstance) -> int:
     return (1 << free) * total
 
 
-def evaluate(inst: ExtSumInstance, naive_limit: int = 24) -> int:
-    """Dispatch: disjoint product, k=2, k=3, or the naive oracle."""
-    if inst.k == 0:
-        return 1 << inst.universe
+def evaluate(inst: ExtSumInstance) -> int:
+    """Dispatch: disjoint product (every instance with k <= 1), k=2, k=3, or
+    the naive oracle."""
     try:
         return eval_disjoint(inst)
     except PreconditionError:
         pass
-    if inst.k == 1:
-        xs, tab = inst.subsets[0], inst.tables[0]
-        return (1 << (inst.universe - len(xs))) * sum(tab)
     if inst.k == 2:
         return eval_k2(inst)
     if inst.k == 3:
         return eval_k3(inst)
-    return eval_naive(inst, naive_limit)
+    return eval_naive(inst)
 
 
 def reduce_refinement(inst: ExtSumInstance, parts: list[tuple[int, ...]]) -> ExtSumInstance:
@@ -295,9 +306,9 @@ def hyperclique_to_extsum(h, k: int) -> ExtSumInstance:
     return ExtSumInstance(k * bits, tuple(subsets), tuple(tables))
 
 
-def hyperclique_count(h, k: int, naive_limit: int = 24) -> int:
+def hyperclique_count(h, k: int) -> int:
     inst = hyperclique_to_extsum(h, k)
-    value = eval_naive(inst, naive_limit)
+    value = eval_naive(inst)
     fact = math.factorial(k)
     if value % fact:
         raise RuntimeError("encoding value not divisible by k!; this is a bug")

@@ -101,11 +101,8 @@ def matching_refinement(g: Graph, subsets: list[VertexSet]) -> RefinementResult:
         raise RefinementUnavailableError("every edge lies inside some subset")
     k = len(subsets)
     freq: dict[int, int] = {}
-    for e0, e1 in matching:
-        code = 0
-        for i, s in enumerate(subsets):
-            if e0 in s:
-                code |= 1 << i
+    for e0, _ in matching:
+        code = _membership_code(e0, subsets)
         freq[code] = freq.get(code, 0) + 1
     best = min(freq.items(), key=lambda kv: (-kv[1], kv[0]))[0]
     a = tuple(i for i in range(k) if not (best >> i) & 1)
@@ -297,7 +294,6 @@ def build_partition_collection_almost_regular(
     degree_ratio: float,
     *,
     candidate_budget: int = 20000,
-    max_base: int | None = None,
 ) -> PartitionContainerCollection:
     """Almost-regular construction via the degree-ratio container builder;
     size ceiling (1 - epsilon'')n with epsilon'' = 1/(degree_ratio*2^(k+2))."""
@@ -305,12 +301,7 @@ def build_partition_collection_almost_regular(
         raise ParameterError("k must be at least 1")
     if degree_ratio < 1:
         raise ParameterError("degree ratio must be at least 1")
-    base = build_almost_regular_collection(
-        g,
-        degree_ratio,
-        candidate_budget=candidate_budget,
-        max_containers=max_base,
-    )
+    base = build_almost_regular_collection(g, degree_ratio, candidate_budget=candidate_budget)
     epsilon = 1.0 / (degree_ratio * 2 ** (k + 2))
     return PartitionContainerCollection(
         base=base,

@@ -87,7 +87,7 @@ class Restriction:
     unassigned_before_propagation: int
 
 
-def _propagate(num_vars: int, clauses: list[list[int]], forced: dict[int, bool]):
+def _propagate(clauses: list[list[int]], forced: dict[int, bool]):
     """Apply `forced` and unit-propagate until fixpoint. Returns simplified
     clauses or None on contradiction; extends `forced` in place."""
     while True:
@@ -130,7 +130,7 @@ def restrict_formula(phi: CnfFormula, kept: VertexSet) -> Restriction:
     unassigned = phi.num_vars - len(forced)
     if unassigned != len(kept) - phi.num_vars:
         raise RuntimeError("restriction size accounting failed; this is a bug")
-    clauses = _propagate(phi.num_vars, [list(c) for c in phi.clauses], forced)
+    clauses = _propagate([list(c) for c in phi.clauses], forced)
     if clauses is None:
         return Restriction(True, forced, None, unassigned)
     formula = CnfFormula(phi.num_vars, [tuple(c) for c in clauses])
@@ -141,7 +141,7 @@ def dpll(phi: CnfFormula, assumptions: dict[int, bool] | None = None) -> tuple[b
     """Unit propagation + pure-literal elimination + branching on the lowest
     free variable of the first clause. Returns a total model when SAT."""
     forced = dict(assumptions or {})
-    clauses = _propagate(phi.num_vars, [list(c) for c in phi.clauses], forced)
+    clauses = _propagate([list(c) for c in phi.clauses], forced)
     if clauses is None:
         return False, None
 
@@ -157,7 +157,7 @@ def dpll(phi: CnfFormula, assumptions: dict[int, bool] | None = None) -> tuple[b
         if pures:
             model = dict(model)
             model.update(pures)
-            reduced = _propagate(phi.num_vars, clauses, model)
+            reduced = _propagate(clauses, model)
             if reduced is None:
                 return None
             return rec(reduced, model)
@@ -165,7 +165,7 @@ def dpll(phi: CnfFormula, assumptions: dict[int, bool] | None = None) -> tuple[b
         for value in (True, False):
             trial = dict(model)
             trial[branch] = value
-            reduced = _propagate(phi.num_vars, clauses, trial)
+            reduced = _propagate(clauses, trial)
             if reduced is None:
                 continue
             result = rec(reduced, trial)

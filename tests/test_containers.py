@@ -102,13 +102,6 @@ class TestRegularCollection:
         coll = build_regular_collection(complete_graph(4), 0.25)
         assert coll.low_degree and len(coll) == 0 and coll.locate is None
 
-    def test_analysis_fallback_emits_half_subsets(self):
-        g = cycle_graph(6)
-        coll = build_regular_collection(g, 0.25, analysis_fallback=True)
-        assert coll.low_degree
-        assert len(coll) == 20  # C(6,3)
-        assert all(c.cardinality == 3 for c in coll.containers)
-
     def test_edgeless_rejected_as_low_degree(self):
         g = Graph(4, [])
         coll = build_regular_collection(g, 0.25)
@@ -305,16 +298,6 @@ class TestHypergraphEngine:
                     cont = coll.locate(VertexSet(iset))
                     assert iset & ~cont.mask == 0 and cont.mask in members
         assert raised == 4
-
-    def test_max_container_ceiling_enforced(self):
-        h = _random_hypergraph(8, 2, 10, 1)
-        from contsolve.core import max_codegree, SizeLimitError
-
-        density = len(h.edges) / h.n
-        c_needed = max(max_codegree(h, i) / density for i in (1, 2)) * 2
-        params = HypergraphContainerParams(p=1.0, C=c_needed, r=2)
-        with pytest.raises(SizeLimitError):
-            build_hypergraph_collection(h, params, max_container_size=1)
 
 
 class TestAlmostRegular:

@@ -80,6 +80,14 @@ class TestGraphParsing:
             parse_dimacs_graph(f"p edge {g.n} {g.m + 1}\n{body}e 2 1\n")
         assert err.value.line == g.m + 2
 
+    def test_non_utf8_bytes_rejected_by_both_parsers(self):
+        for parse in (parse_dimacs_graph, parse_dimacs_cnf):
+            with pytest.raises(ParseError):
+                parse(b"\xff\xfe")
+            with pytest.raises(ParseError) as err:
+                parse(b"c ok\nc \xff\n")
+            assert err.value.line == 2
+
 
 class TestCnfParsing:
     def test_basic(self):

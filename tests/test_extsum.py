@@ -1,11 +1,15 @@
+import json
 import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contsolve.core import (
     Hypergraph,
     ParameterError,
+    ParseError,
     PreconditionError,
     SizeLimitError,
     complete_graph,
@@ -254,3 +258,65 @@ class TestRefinementWitness:
                 collection.append(frozenset(rng.sample(range(n), sz)))
             w = refinement_witness(n, collection, k)
             assert w is not None
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=12,
+)
+_id_lists = st.lists(st.integers(-1, 6) | st.floats(-1, 6) | st.booleans(), max_size=3)
+_instance_like = st.fixed_dictionaries(
+    {
+        "universe": st.integers(-1, 8) | st.floats() | st.booleans() | st.text(max_size=2),
+        "subsets": st.lists(_id_lists, max_size=3) | _json_values,
+        "tables": st.lists(st.lists(st.integers(-2, 2) | st.text(max_size=1), max_size=8), max_size=3)
+        | _json_values,
+    }
+)
+
+
+@st.composite
+def _valid_instance_dicts(draw):
+    universe = draw(st.integers(0, 6))
+    ids = st.sets(st.integers(0, universe - 1), max_size=3) if universe else st.just(set())
+    subsets = [sorted(xs) for xs in draw(st.lists(ids, max_size=3))]
+    entries = [st.lists(st.integers(-9, 9), min_size=1 << len(xs), max_size=1 << len(xs)) for xs in subsets]
+    tables = [draw(e) for e in entries]
+    return {"universe": universe, "subsets": subsets, "tables": tables}
+
+
+class TestFromJson:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "not json",
+            "[]",
+            '{"universe": 3}',
+            "[" * 100000 + "]" * 100000,
+            '{"universe": 2, "subsets": [[0]], "tables": [[1, "a"]]}',
+            '{"universe": 2, "subsets": [[0.0]], "tables": [[1, 2]]}',
+            '{"universe": 1e400, "subsets": [], "tables": []}',
+            '{"universe": true, "subsets": [], "tables": []}',
+            '{"universe": 2, "subsets": [[true]], "tables": [[1, 2]]}',
+            '{"universe": 2, "subsets": [0], "tables": [[1, 2]]}',
+            '{"universe": 2, "subsets": [[0]], "tables": {"0": [1, 2]}}',
+        ],
+    )
+    def test_malformed_input_raises_parse_error(self, text):
+        with pytest.raises(ParseError):
+            ExtSumInstance.from_json(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(max_size=60)
+        | st.one_of(_json_values, _instance_like, _valid_instance_dicts()).map(json.dumps)
+    )
+    def test_any_text_yields_instance_or_typed_error(self, text):
+        try:
+            inst = ExtSumInstance.from_json(text)
+        except (ParseError, ParameterError, SizeLimitError):
+            return
+        assert isinstance(inst.universe, int)
+        assert ExtSumInstance.from_json(inst.to_json()) == inst
