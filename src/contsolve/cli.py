@@ -76,9 +76,15 @@ def _cmd_extsum(args) -> tuple[int, dict]:
         value = extsum.eval_k3(inst)
     else:
         value = extsum.evaluate(inst)
+    try:
+        text = str(value)
+    except ValueError:
+        raise core.SizeLimitError(
+            "report", f"value exceeds {sys.get_int_max_str_digits()} decimal digits"
+        ) from None
     return 0, {
         "instance": {"universe": inst.universe, "k": inst.k},
-        "result": {"value": str(value), "algo": args.algo},
+        "result": {"value": text, "algo": args.algo},
         "counters": stats,
     }
 

@@ -10,6 +10,12 @@ import json
 import random
 from itertools import combinations
 
+# ceilings on the counts a DIMACS header may declare, checked at the header:
+# Graph allocates one adjacency list per vertex, and the SAT solver one
+# hypergraph vertex per literal
+DIMACS_MAX_VERTICES = 1_000_000
+DIMACS_MAX_VARIABLES = 1_000_000
+
 
 class ParseError(ValueError):
     """Malformed input file; carries the 1-based line number when known."""
@@ -182,17 +188,6 @@ class Graph:
             total += (self.adj_mask[low.bit_length() - 1] & vertices).bit_count()
             mask ^= low
         return total // 2
-
-    def induced_subgraph(self, vertices: VertexSet) -> tuple["Graph", list[int]]:
-        """Induced subgraph plus the list mapping new ids back to original ids."""
-        order = vertices.to_list()
-        index = {v: i for i, v in enumerate(order)}
-        edges = [
-            (index[u], index[v])
-            for u, v in self.edges
-            if u in vertices and v in vertices
-        ]
-        return Graph(len(order), edges), order
 
     def to_dimacs(self) -> str:
         lines = [f"p edge {self.n} {self.m}"]
@@ -373,6 +368,10 @@ def parse_dimacs_graph(text) -> Graph:
                 raise ParseError(f"malformed header {line!r}", lineno) from None
             if n < 0 or m < 0:
                 raise ParseError("negative count in header", lineno)
+            if n > DIMACS_MAX_VERTICES:
+                raise ParseError(
+                    f"{n} vertices exceeds the ceiling of {DIMACS_MAX_VERTICES}", lineno
+                )
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge line before header", lineno)
@@ -419,6 +418,12 @@ def parse_dimacs_cnf(text, k_bound: int | None = None) -> CnfFormula:
                 n, m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError(f"malformed header {line!r}", lineno) from None
+            if n < 0 or m < 0:
+                raise ParseError("negative count in header", lineno)
+            if n > DIMACS_MAX_VARIABLES:
+                raise ParseError(
+                    f"{n} variables exceeds the ceiling of {DIMACS_MAX_VARIABLES}", lineno
+                )
             continue
         if n is None:
             raise ParseError("clause line before header", lineno)

@@ -19,6 +19,9 @@ from itertools import combinations, combinations_with_replacement
 from .core import ParameterError, ParseError, PreconditionError, SizeLimitError
 
 TABLE_ENTRY_CEILING = 1 << 24
+# the disjoint evaluator multiplies by 2^(free variables), so the universe
+# bounds the size of the value
+UNIVERSE_CEILING = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -34,6 +37,8 @@ class ExtSumInstance:
     def __post_init__(self):
         if self.universe < 0:
             raise ParameterError("universe must be non-negative")
+        if self.universe > UNIVERSE_CEILING:
+            raise SizeLimitError("universe", f"{self.universe} variables exceeds ceiling")
         if len(self.subsets) != len(self.tables):
             raise ParameterError("one table per subset required")
         for xs, tab in zip(self.subsets, self.tables):

@@ -1,11 +1,14 @@
 """Maximum (weighted) independent set.
 
 The base solver is branch-and-bound on the max-degree vertex with a greedy
-seed and a residual-weight prune. The container wrapper builds a container
-collection, solves the subproblem induced by each inclusion-maximal container
-with the base solver, and returns the best: exact, because the optimum lies
-inside some container, hence inside a maximal one, and any independent set of
-an induced subgraph is independent in the whole graph."""
+seed and a residual-weight prune; it can be confined to a vertex mask and
+started from a given incumbent. The container wrapper builds a container
+collection and runs the base solver inside each inclusion-maximal container
+of the parent graph, largest first, with one incumbent carried across
+containers: it starts as a greedy set of the whole graph and each search
+returns the better of it and the container's optimum. That is exact, because
+the optimum lies inside some container, hence inside a maximal one, and the
+prune only cuts branches that cannot beat or tie the incumbent."""
 
 from __future__ import annotations
 
@@ -23,9 +26,9 @@ class MisResult:
     stats: dict = field(default_factory=dict)
 
 
-def _greedy_seed(g: Graph, weights: list[int]) -> int:
-    """Min-degree greedy independent set, as the initial lower bound."""
-    alive = (1 << g.n) - 1
+def _greedy_seed(g: Graph, weights: list[int], alive: int) -> int:
+    """Min-degree greedy independent set inside `alive`, as the initial lower
+    bound."""
     chosen = 0
     while alive:
         best_v, best_key = -1, None
@@ -42,19 +45,39 @@ def _greedy_seed(g: Graph, weights: list[int]) -> int:
     return chosen
 
 
-def _key(mask: int, weights: list[int]) -> tuple[int, tuple[int, ...]]:
-    w = sum(weights[v] for v in VertexSet(mask))
-    return w, tuple(VertexSet(mask))
-
-
-def mis_base(g: Graph, weights: list[int] | None = None) -> MisResult:
-    """Exact maximum-weight independent set; unit weights by default. Ties
-    resolve to the lexicographically smallest sorted vertex tuple."""
+def _check_weights(g: Graph, weights: list[int] | None) -> list[int]:
     if weights is None:
-        weights = [1] * g.n
+        return [1] * g.n
     if len(weights) != g.n or any(w < 0 for w in weights):
         raise ParameterError("weights must be non-negative, one per vertex")
-    best_mask = _greedy_seed(g, weights)
+    return weights
+
+
+def mis_base(
+    g: Graph,
+    weights: list[int] | None = None,
+    *,
+    within: int | None = None,
+    incumbent: int | None = None,
+) -> MisResult:
+    """Exact maximum-weight independent set; unit weights by default. Ties
+    resolve to the lexicographically smallest sorted vertex tuple.
+
+    `within` is the vertex mask the search may use (all of V by default).
+    `incumbent` is an independent set of g, anywhere in V, to start from
+    instead of a greedy set inside `within`; the result is the best of it and
+    the independent subsets of `within`, under the same tie rule."""
+    weights = _check_weights(g, weights)
+    if within is None:
+        within = (1 << g.n) - 1
+    elif within >> g.n:
+        raise ParameterError("within must be a vertex mask of the graph")
+    if incumbent is None:
+        best_mask = _greedy_seed(g, weights, within)
+    elif incumbent >> g.n or not g.is_independent(incumbent):
+        raise ParameterError("incumbent must be an independent vertex mask of the graph")
+    else:
+        best_mask = incumbent
     best_w = sum(weights[v] for v in VertexSet(best_mask))
     nodes = 0
 
@@ -82,7 +105,7 @@ def mis_base(g: Graph, weights: list[int] | None = None) -> MisResult:
         rec(alive & ~(g.adj_mask[pivot] | (1 << pivot)), chosen | (1 << pivot), chosen_w + weights[pivot])
         rec(alive & ~(1 << pivot), chosen, chosen_w)
 
-    rec((1 << g.n) - 1, 0, 0)
+    rec(within, 0, 0)
     best = VertexSet(best_mask)
     if not g.is_independent(best.mask):
         raise RuntimeError("solver returned a dependent set; this is a bug")
@@ -100,8 +123,7 @@ class MisConfig:
 
 def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int] | None = None) -> MisResult:
     config = config or MisConfig()
-    if weights is None:
-        weights = [1] * g.n
+    weights = _check_weights(g, weights)
     if config.mode == "base":
         r = mis_base(g, weights)
         r.stats["path"] = "base"
@@ -127,23 +149,19 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
         )
 
     subproblems = maximal_masks(c.mask for c in coll.containers)
-    best_w, best_tup, best_mask = -1, (), 0
+    best_mask = _greedy_seed(g, weights, (1 << g.n) - 1)
     nodes = 0
     for container in subproblems:
-        sub, order = g.induced_subgraph(VertexSet(container))
-        r = mis_base(sub, [weights[v] for v in order])
+        r = mis_base(g, weights, within=container, incumbent=best_mask)
         nodes += r.stats["nodes"]
-        mask = sum(1 << order[local] for local in r.best)
-        w, tup = _key(mask, weights)
-        if w > best_w or (w == best_w and tup < best_tup):
-            best_w, best_tup, best_mask = w, tup, mask
+        best_mask = r.best.mask
     best = VertexSet(best_mask)
     if not g.is_independent(best.mask):
         raise RuntimeError("container subproblem produced a dependent set; this is a bug")
     return MisResult(
         best=best,
         size=best.cardinality,
-        weight=best_w,
+        weight=sum(weights[v] for v in best),
         stats={
             "path": "containers",
             "containers": len(subproblems),

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -52,6 +53,14 @@ class TestContainersCommand:
         )
         assert code == 0
 
+    def test_huge_vertex_count_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "huge.col"
+        path.write_text("p edge 10000000000 0\n")
+        code, report = run_json(capsys, ["containers", "--input", str(path)])
+        assert code == 2
+        assert report["error"]["type"] == "ParseError"
+        assert report["error"]["message"].startswith("line 1:")
+
 
 class TestPartitionContainersCommand:
     def test_cycle(self, capsys, tmp_path):
@@ -83,6 +92,28 @@ class TestExtsumCommand:
             capsys, ["extsum", "eval", "--input", str(tmp_path / "none.json")]
         )
         assert code == 2
+
+    def test_universe_above_ceiling_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text('{"universe": 20000, "subsets": [], "tables": []}')
+        code, report = run_json(capsys, ["extsum", "eval", "--input", str(path)])
+        assert code == 2
+        assert report["error"]["type"] == "SizeLimitError"
+
+    def test_value_past_the_digit_limit_exits_two(self, capsys, tmp_path):
+        # three disjoint one-variable tables of 10^1500 multiply to 10^4500
+        entry = 10**1500
+        inst = ExtSumInstance(3, ((0,), (1,), (2,)), ((entry, 0),) * 3)
+        path = tmp_path / "inst.json"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            path.write_text(inst.to_json())
+            code, report = run_json(capsys, ["extsum", "eval", "--input", str(path)])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2
+        assert report["error"]["type"] == "SizeLimitError"
 
 
 class TestColorCommand:

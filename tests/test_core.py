@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contsolve.core import (
+    DIMACS_MAX_VARIABLES,
+    DIMACS_MAX_VERTICES,
     CnfFormula,
     Graph,
     Hypergraph,
@@ -87,6 +89,75 @@ class TestGraphParsing:
             with pytest.raises(ParseError) as err:
                 parse(b"c ok\nc \xff\n")
             assert err.value.line == 2
+
+    def test_vertex_count_ceiling_checked_at_header(self):
+        with pytest.raises(ParseError) as err:
+            parse_dimacs_graph("p edge 10000000000 0\n")
+        assert err.value.line == 1
+        with pytest.raises(ParseError):
+            parse_dimacs_graph(f"p edge {DIMACS_MAX_VERTICES + 1} 0\n")
+
+    def test_cnf_header_counts_checked(self):
+        for header in ("p cnf -1 0", "p cnf 2 -1", f"p cnf {DIMACS_MAX_VARIABLES + 1} 0"):
+            with pytest.raises(ParseError) as err:
+                parse_dimacs_cnf(header + "\n")
+            assert err.value.line == 1
+
+
+# DIMACS-shaped documents: a header with small, negative, huge or over-long
+# counts, then edge or clause lines, with at times one junk line
+_counts = st.integers(-3, 12) | st.sampled_from(
+    [-(10**10), 10**10, DIMACS_MAX_VERTICES + 1, DIMACS_MAX_VARIABLES + 1, "9" * 5000, "x", ""]
+)
+_edge_lines = st.builds("e {} {}".format, st.integers(0, 7), st.integers(1, 6))
+_clause_lines = (
+    st.lists(st.integers(1, 7), min_size=1, max_size=3, unique=True)
+    .flatmap(lambda vs: st.tuples(*(st.sampled_from([v, -v]) for v in vs)))
+    .map(lambda lits: " ".join(map(str, lits)) + " 0")
+)
+_junk_lines = st.one_of(
+    st.builds("p {} {} {}".format, st.sampled_from(["edge", "cnf", "col"]), _counts, _counts),
+    st.builds("e {} {}".format, st.text(max_size=3), st.integers(-1, 3)),
+    st.sampled_from(["c comment", "", "%", "0", "p", "e 1", "1 -1 0", "1 1 0", "1 2"]),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def _dimacs_texts(draw):
+    kind = draw(st.sampled_from(["edge", "cnf"]))
+    lines = draw(st.lists(_edge_lines if kind == "edge" else _clause_lines, max_size=6))
+    n, m = (draw(_counts), draw(_counts)) if draw(st.booleans()) else (7, len(lines))
+    if draw(st.integers(0, 2)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(_junk_lines))
+    if draw(st.integers(0, 3)):
+        lines.insert(0, f"p {kind} {n} {m}")
+    return "\n".join(lines)
+
+
+_dimacs_inputs = st.one_of(
+    _dimacs_texts(), _dimacs_texts().map(str.encode), st.text(max_size=40), st.binary(max_size=40)
+)
+
+
+class TestDimacsFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(_dimacs_inputs)
+    def test_graph_parser_yields_graph_or_parse_error(self, text):
+        try:
+            g = parse_dimacs_graph(text)
+        except ParseError:
+            return
+        assert isinstance(g, Graph) and 0 <= g.n <= DIMACS_MAX_VERTICES
+
+    @settings(max_examples=400, deadline=None)
+    @given(_dimacs_inputs)
+    def test_cnf_parser_yields_formula_or_parse_error(self, text):
+        try:
+            phi = parse_dimacs_cnf(text)
+        except ParseError:
+            return
+        assert isinstance(phi, CnfFormula) and 0 <= phi.num_vars <= DIMACS_MAX_VARIABLES
 
 
 class TestCnfParsing:

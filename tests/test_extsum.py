@@ -15,6 +15,7 @@ from contsolve.core import (
     complete_graph,
 )
 from contsolve.extsum import (
+    UNIVERSE_CEILING,
     ExtSumInstance,
     eval_disjoint,
     eval_k2,
@@ -63,6 +64,14 @@ class TestHandExamples:
     def test_naive_all_ones(self):
         inst = ExtSumInstance(2, ((0,), (1,)), ((1, 1), (1, 1)))
         assert eval_naive(inst) == 4
+
+    def test_universe_ceiling(self):
+        # refused at construction, before any evaluator builds 2^universe
+        with pytest.raises(SizeLimitError):
+            ExtSumInstance(10**7, (), ())
+        with pytest.raises(SizeLimitError):
+            ExtSumInstance.from_json('{"universe": 10000000, "subsets": [], "tables": []}')
+        assert evaluate(ExtSumInstance(UNIVERSE_CEILING, (), ())) == 1 << UNIVERSE_CEILING
 
     def test_naive_repeated_variable(self):
         inst = ExtSumInstance(1, ((0,), (0,)), ((1, 2), (3, 4)))

@@ -5,6 +5,7 @@ import pytest
 from contsolve.core import (
     Graph,
     ParameterError,
+    VertexSet,
     complete_graph,
     cycle_graph,
     petersen_graph,
@@ -17,7 +18,7 @@ from contsolve.containers import (
     maximal_masks,
 )
 from contsolve.mis import MisConfig, mis_base, mis_containers
-from oracles import max_independent_set_size, max_weight_independent_set
+from oracles import all_independent_sets, max_independent_set_size, max_weight_independent_set
 
 
 class TestMisBase:
@@ -66,6 +67,39 @@ class TestMisBase:
             mis_base(cycle_graph(4), [1, 2, 3])
         with pytest.raises(ParameterError):
             mis_base(cycle_graph(4), [1, -1, 1, 1])
+
+    def test_within_and_incumbent_match_brute_force(self):
+        # the best, by weight then smallest sorted tuple, of the incumbent and
+        # the independent subsets of `within`; the greedy seed when no
+        # incumbent is given lies inside `within`, so it never wins alone
+        rng = random.Random(57)
+        outside = 0
+        for trial in range(200):
+            n = rng.randint(1, 12)
+            g = random_graph(n, rng.choice([0.2, 0.4, 0.6]), rng.randrange(10**6))
+            weights = [1] * n if trial % 2 else [rng.randint(0, 3) for _ in range(n)]
+            within = rng.getrandbits(n)
+            isets = all_independent_sets(g)
+            incumbent = None if trial % 5 == 0 else rng.choice(isets)
+            pool = [m for m in isets if not m & ~within]
+            if incumbent is not None:
+                pool.append(incumbent)
+                outside += bool(incumbent & ~within)
+
+            def key(m):
+                return -sum(weights[v] for v in VertexSet(m)), tuple(VertexSet(m))
+
+            expected = min(pool, key=key)
+            r = mis_base(g, weights, within=within, incumbent=incumbent)
+            assert r.best.mask == expected
+            assert r.weight == -key(expected)[0] and r.size == expected.bit_count()
+        assert outside > 20
+
+    def test_rejects_bad_within_and_incumbent(self):
+        g = cycle_graph(4)
+        for kwargs in ({"within": 1 << 4}, {"within": -1}, {"incumbent": 0b11}, {"incumbent": 1 << 5}):
+            with pytest.raises(ParameterError):
+                mis_base(g, **kwargs)
 
 
 class TestMisContainers:
@@ -150,6 +184,27 @@ class TestMisContainers:
             c = mis_containers(g, MisConfig(mode="containers"), weights)
             assert c.best == mis_base(g, weights).best
             assert c.stats["containers"] == len(maximal_masks(x.mask for x in coll.containers))
+
+    def test_incumbent_is_carried_across_containers(self):
+        # one incumbent threaded through the maximal containers prunes more
+        # than a fresh greedy seed per container
+        rng = random.Random(58)
+        for _ in range(4):
+            g = random_regular_graph(18, 8, rng.randrange(10**6))
+            coll = build_regular_collection(g, 0.45, force=True)
+            standalone = sum(
+                mis_base(g, within=c).stats["nodes"]
+                for c in maximal_masks(x.mask for x in coll.containers)
+            )
+            c = mis_containers(g, MisConfig(mode="containers", epsilon=0.45, force=True))
+            assert c.stats["nodes"] < standalone
+
+    def test_rejects_bad_weights(self):
+        for weights in ([1, 2, 3], [1, -1, 1, 1]):
+            with pytest.raises(ParameterError):
+                mis_containers(cycle_graph(4), MisConfig(mode="containers"), weights)
+        with pytest.raises(ParameterError):
+            mis_containers(Graph(3, []), weights=[1, 1])
 
     def test_unknown_mode(self):
         with pytest.raises(ParameterError):
