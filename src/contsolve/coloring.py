@@ -6,8 +6,9 @@ iff F(G) > 0. The constrained variant confines the j-th set to a given
 container and factors through the extensions-sum evaluators; the full solver
 either runs the plain 2^n sum or, on dense graphs, tests pairs of unions of
 independence containers with per-pair color counts, deciding each with the
-k=2 evaluator. Counts are exact big integers throughout: positivity hinges
-on sign cancellation, so no modular shortcuts."""
+k=2 evaluator -- unless the priced pairs cost at least the whole-V sum,
+which then decides alone. Counts are exact big integers throughout:
+positivity hinges on sign cancellation, so no modular shortcuts."""
 
 from __future__ import annotations
 
@@ -195,7 +196,12 @@ def _decide_containers(g: Graph, k: int, config: ColoringConfig, stats: dict) ->
     constrained count is monotone in the containers, so it is enough to test
     supersets of those unions. Each group has at most k-1 classes, hence
     candidates are unions of k-1 base containers (inclusion-maximal ones
-    only), and by symmetry a pair (X, Y) needs just the k-1 color counts."""
+    only), and by symmetry a pair (X, Y) needs just the k-1 color counts.
+
+    The covering pairs are priced first, at (k-1)(2^|X| + 2^|Y|) table
+    entries each. When that sum is at least the k*2^n of the whole-V sum --
+    always so when V itself is the only candidate -- one whole-V
+    inclusion-exclusion sum decides instead."""
     # the ratio only parameterizes the engine threshold, so widen it to the
     # measured value rather than reject graphs above the configured one
     ratio = max(config.degree_ratio, g.max_degree / g.average_degree * (1 + 1e-9))
@@ -215,19 +221,28 @@ def _decide_containers(g: Graph, k: int, config: ColoringConfig, stats: dict) ->
     unions = (reduce(or_, combo, 0) for combo in combinations(maximal_base, take))
     maximal = [VertexSet(m) for m in maximal_masks(unions)]
     stats["candidate_containers"] = len(maximal)
-    if not maximal:
-        return False
+    full = (1 << g.n) - 1
     pairs = sorted(
         (maximal[ia].cardinality + maximal[ib].cardinality, ia, ib)
         for ia in range(len(maximal))
         for ib in range(ia, len(maximal))
+        if maximal[ia].mask | maximal[ib].mask == full
     )
-    full = (1 << g.n) - 1
+    pair_cost = sum(
+        (k - 1) * ((1 << maximal[ia].cardinality) + (1 << maximal[ib].cardinality))
+        for _, ia, ib in pairs
+    )
+    whole_cost = k << g.n
+    stats["pair_cost"] = pair_cost
+    stats["whole_cost"] = whole_cost
+    if pair_cost >= whole_cost:
+        stats["dispatch"] = "whole-V"
+        stats["pairs_tested"] = 0
+        return inclusion_exclusion_F(g, k, ceiling=IS_TABLE_CEILING) > 0
+    stats["dispatch"] = "pairs"
     tested = 0
     for _, ia, ib in pairs:
         ca, cb = maximal[ia], maximal[ib]
-        if ca.mask | cb.mask != full:
-            continue
         for a in range(1, k):
             assigned = [ca] * a + [cb] * (k - a)
             tested += 1

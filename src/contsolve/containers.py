@@ -6,18 +6,23 @@ neighbors, expand the kept fingerprint into a container), and a pragmatic
 engine for r-uniform hypergraphs built on the same idea, with exclusions
 playing the role of neighborhoods: a vertex is excluded by a set F once some
 edge has all its other vertices in F. One rule, `_exclusions`, drives the
-fingerprint scan, the container expansion and the enumeration of candidate
-fingerprints, which is a single budgeted walk per threshold. Coverage -- every
-independent set is inside the container of its fingerprint -- holds by
-construction in both; container size bounds are certified for regular graphs
-and measured/reported for the hypergraph engine.
+engine's fingerprint scan and container expansion. Both scans are single
+pass, so the fingerprints of the independent sets are exactly the fixed
+points fp(F) == F, and these are prefix-closed: one depth-first walker,
+`_fixed_points`, lists them for both builders, pruning at the first vertex
+that brings too few new exclusions (the algorithmic graph container lemma of
+Kleitman-Winston and Sapozhenko). At r>=3 a lone vertex excludes nothing, so
+the walk stops at the empty fingerprint and the engine's collection is {V}.
+Coverage -- every independent set is inside the container of its
+fingerprint -- holds by construction in both; container size bounds are
+certified for regular graphs and measured/reported for the hypergraph engine.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     Graph,
@@ -67,13 +72,13 @@ class ContainerCollection:
     """Deduplicated containers plus the parameters that produced them.
 
     `locate(I)` recomputes the container assigned to a concrete independent
-    set; the result is always a member of `containers`.
+    set; the result is always a member of `containers`. `stats["vacuous"]` is
+    true when V itself is a container, so the collection prunes nothing.
     """
 
     containers: tuple[VertexSet, ...]
     params: object
     source: str  # "regular-graph" | "almost-regular-graph" | "hypergraph"
-    fingerprint_cap: int
     low_degree: bool = False
     stats: dict = field(default_factory=dict)
     locate: Callable[[VertexSet], VertexSet] | None = None
@@ -113,16 +118,19 @@ def boundary_set(g: Graph, fp: VertexSet, params: ContainerParams) -> VertexSet:
     """Vertices outside the fingerprint and its neighborhood whose own
     neighborhood is almost entirely absorbed: at least (1-epsilon)*d neighbors
     already neighbor the fingerprint."""
-    nf = g.neighborhood_mask(fp.mask)
+    return VertexSet(_boundary_mask(g, fp.mask, g.neighborhood_mask(fp.mask), params))
+
+
+def _boundary_mask(g: Graph, f: int, nf: int, params: ContainerParams) -> int:
     threshold = (1.0 - params.epsilon) * params.d
     out = 0
-    forbidden = fp.mask | nf
-    for v in range(g.n):
-        if (forbidden >> v) & 1:
-            continue
-        if (g.adj_mask[v] & nf).bit_count() >= threshold:
-            out |= 1 << v
-    return VertexSet(out)
+    free = ((1 << g.n) - 1) & ~(f | nf)
+    while free:
+        low = free & -free
+        free ^= low
+        if (g.adj_mask[low.bit_length() - 1] & nf).bit_count() >= threshold:
+            out |= low
+    return out
 
 
 def container_of(g: Graph, fp: VertexSet, params: ContainerParams) -> VertexSet:
@@ -136,27 +144,36 @@ def container_sparsity(g: Graph, c: VertexSet) -> int:
     return g.induced_edge_count(c.mask)
 
 
-def _independent_subsets_upto(conflict_mask, n: int, cap: int, budget: int | None = None):
-    """Yield bitmasks of all independent subsets of size <= cap in ascending
-    lexicographic (bitmask) order. `conflict_mask(v, current)` gives the
-    vertices that cannot join once v is added to the set `current`; more than
-    `budget` subsets raise SizeLimitError."""
-    count = 0
+def _fixed_points(
+    excludes: Sequence[int], threshold: float, budget: int | None = None
+) -> Iterator[tuple[int, int]]:
+    """Depth-first walk of the single-pass fingerprint fixed points, each
+    yielded once as (F, vertices F excludes).
 
-    def rec(start: int, current: int, blocked: int, size: int):
-        nonlocal count
-        yield current
+    `excludes[v]` is what v excludes when it joins a set that does not
+    exclude it (its neighborhood, in a graph). F is a fixed point, fp(F) ==
+    F, exactly when each of its vertices, in id order, newly excluded at least
+    `threshold` vertices; so fixed points are prefix-closed, and the walk
+    extends F only by a vertex v > max F, not excluded, that passes the test.
+    They are exactly the fingerprints of the independent sets, each with at
+    most n/threshold vertices. More than `budget` of them raise
+    SizeLimitError."""
+    full = (1 << len(excludes)) - 1
+    count = 0
+    stack = [(0, 0, 0)]
+    while stack:
+        start, f, excluded = stack.pop()
         count += 1
         if budget is not None and count > budget:
             raise SizeLimitError("fingerprint-enumeration", f"budget {budget} exceeded")
-        if size == cap:
-            return
-        for v in range(start, n):
-            if (blocked >> v) & 1:
-                continue
-            yield from rec(v + 1, current | (1 << v), blocked | conflict_mask(v, current), size + 1)
-
-    yield from rec(0, 0, 0, 0)
+        yield f, excluded
+        free = full & ~excluded & -(1 << start)
+        while free:
+            low = free & -free
+            free ^= low
+            v = low.bit_length() - 1
+            if (excludes[v] & ~excluded).bit_count() >= threshold:
+                stack.append((v + 1, f | low, excluded | excludes[v]))
 
 
 def build_regular_collection(
@@ -172,8 +189,10 @@ def build_regular_collection(
     default the result is flagged low-degree with no containers so solvers can
     switch to their non-container path. `force=True` runs the construction
     anyway (coverage still holds; size bounds are still certified since their
-    proof needs only regularity). More than `budget` candidate fingerprints
-    raise SizeLimitError; without a budget the enumeration is unbounded.
+    proof needs only regularity). The containers are those of the fingerprint
+    fixed points at threshold epsilon*d, under `container_of`'s rule. More
+    than `budget` fingerprints raise SizeLimitError; without a budget the walk
+    is unbounded.
     """
     if g.n == 0:
         raise ParameterError("empty graph")
@@ -189,9 +208,8 @@ def build_regular_collection(
             containers=(),
             params=None,
             source="regular-graph",
-            fingerprint_cap=0,
             low_degree=True,
-            stats={"mode": "low-degree-flag", "note": "edgeless"},
+            stats={"mode": "low-degree-flag", "note": "edgeless", "vacuous": False},
             locate=None,
         )
     params = ContainerParams(epsilon=epsilon, d=float(d))
@@ -201,44 +219,48 @@ def build_regular_collection(
             containers=(),
             params=params,
             source="regular-graph",
-            fingerprint_cap=0,
             low_degree=True,
-            stats={"mode": "low-degree-flag"},
+            stats={"mode": "low-degree-flag", "vacuous": False},
             locate=None,
         )
 
-    cap = min(g.n, math.floor(params.q * g.n))
     size_bound = (1.0 / (2.0 - epsilon) + params.q) * g.n
-    dedup: dict[int, VertexSet] = {}
-    for f_mask in _independent_subsets_upto(lambda v, _: g.adj_mask[v], g.n, cap, budget):
-        fp = VertexSet(f_mask)
-        cont = fp | boundary_set(g, fp, params)
-        if len(cont) > size_bound + 1e-9:
+    dedup: set[int] = set()
+    walked = 0
+    for f, nf in _fixed_points(g.adj_mask, params.epsilon * params.d, budget):
+        walked += 1
+        cont = f | _boundary_mask(g, f, nf, params)
+        if cont.bit_count() > size_bound + 1e-9:
             raise RuntimeError(
-                f"container of size {len(cont)} violates the regular-graph bound "
+                f"container of size {cont.bit_count()} violates the regular-graph bound "
                 f"{size_bound:.3f}; this indicates a bug"
             )
-        dedup[cont.mask] = cont
-    containers = tuple(sorted(dedup.values(), key=lambda c: (c.cardinality, c.mask)))
+        dedup.add(cont)
+    containers = _sorted_sets(dedup)
 
     def locate(independent: VertexSet) -> VertexSet:
         return container_of(g, fingerprint(g, independent, params), params)
 
-    sizes = [c.cardinality for c in containers]
     return ContainerCollection(
         containers=containers,
         params=params,
         source="regular-graph",
-        fingerprint_cap=cap,
         low_degree=low_degree,
         stats={
             "container_count": len(containers),
-            "max_container_size": max(sizes, default=0),
+            "max_container_size": containers[-1].cardinality,
             "size_bound": size_bound,
             "forced": force and low_degree,
+            "candidate_count": walked,
+            "vacuous": (1 << g.n) - 1 in dedup,
         },
         locate=locate,
     )
+
+
+def _sorted_sets(masks: Iterable[int]) -> tuple[VertexSet, ...]:
+    """Vertex sets by size, then mask."""
+    return tuple(VertexSet(m) for m in sorted(masks, key=lambda m: (m.bit_count(), m)))
 
 
 # --- r-uniform hypergraph engine ------------------------------------------
@@ -291,9 +313,9 @@ def check_codegree_conditions(h: Hypergraph, params: HypergraphContainerParams) 
 def _exclusions(h: Hypergraph, v: int, inside: int) -> int:
     """Vertices u such that some edge through v has every vertex except u in
     `inside`: with v in `inside`, the vertices no independent superset of
-    `inside` can take. This one rule serves the fingerprint scan, the
-    container expansion and the fingerprint enumeration; for r=2 it is the
-    set of neighbors of v outside `inside`."""
+    `inside` can take. This one rule serves the fingerprint scan and the
+    container expansion; for r=2 it is the set of neighbors of v outside
+    `inside`."""
     outside = ~inside
     out = 0
     for idx in h.incidence[v]:
@@ -304,23 +326,16 @@ def _exclusions(h: Hypergraph, v: int, inside: int) -> int:
 
 
 def hypergraph_fingerprint(h: Hypergraph, independent: VertexSet, tau: int) -> VertexSet:
-    """Multipass scan: a vertex of I joins F when it would newly exclude at
-    least tau vertices; passes repeat until a full pass adds nothing."""
+    """Single-pass scan in vertex-id order: a vertex of I joins F when it
+    would newly exclude at least tau vertices."""
     if not h.is_independent(independent.mask):
         raise PreconditionError("input set is not independent in the hypergraph")
-    members = independent.to_list()
     f = excluded = 0
-    changed = True
-    while changed:
-        changed = False
-        for v in members:
-            if (f >> v) & 1:
-                continue
-            new = _exclusions(h, v, f | (1 << v))
-            if (new & ~excluded).bit_count() >= tau:
-                f |= 1 << v
-                excluded |= new
-                changed = True
+    for v in independent:
+        new = _exclusions(h, v, f | (1 << v))
+        if (new & ~excluded).bit_count() >= tau:
+            f |= 1 << v
+            excluded |= new
     return VertexSet(f)
 
 
@@ -341,6 +356,25 @@ def hypergraph_container(h: Hypergraph, fp: VertexSet, tau: int) -> VertexSet:
     return VertexSet(out)
 
 
+def _walked_containers(excludes: Sequence[int], tau: int, budget: int) -> tuple[int, set[int]]:
+    """Number of fingerprints walked at threshold tau and the distinct
+    `hypergraph_container` masks of those fingerprints."""
+    full = (1 << len(excludes)) - 1
+    walked = 0
+    dedup: set[int] = set()
+    for f, excluded in _fixed_points(excludes, tau, budget):
+        walked += 1
+        out = f
+        free = full & ~(f | excluded)
+        while free:
+            low = free & -free
+            free ^= low
+            if (excludes[low.bit_length() - 1] & ~excluded).bit_count() < tau:
+                out |= low
+        dedup.add(out)
+    return walked, dedup
+
+
 def build_hypergraph_collection(
     h: Hypergraph,
     params: HypergraphContainerParams,
@@ -350,11 +384,20 @@ def build_hypergraph_collection(
 ) -> ContainerCollection:
     """Container collection for an r-uniform hypergraph.
 
-    The exclusion threshold tau starts at ~1/((r-1)p) and is raised until the
-    candidate fingerprints fit the budget and, when requested, the deduped
-    collection fits max_containers (larger tau means fewer, smaller
-    fingerprints and larger containers; coverage is unaffected). Container
-    sizes are measured and reported in the stats, not certified.
+    The containers are those of the single-pass fingerprints, which one walk
+    of the fixed points lists. The exclusion threshold tau starts at
+    ~1/((r-1)p) and is raised until the walk fits the budget and, when
+    requested, the deduped collection fits max_containers (larger tau means
+    fewer, smaller fingerprints and larger containers; coverage is
+    unaffected). Container sizes are measured and reported in the stats, not
+    certified.
+
+    What a vertex excludes on joining a fingerprint is its lone-vertex
+    exclusion set: at r=2 its neighborhood, and at r>=3 nothing, since an
+    edge through v has r-1 >= 2 other vertices. So at r>=3 no vertex joins
+    the empty fingerprint, every `locate` image is V and the collection is
+    {V}, which `stats["vacuous"]` reports. At r=2 a collection holds V only
+    when it is {V}.
     """
     if h.r != params.r:
         raise ParameterError(f"params are for uniformity {params.r}, hypergraph has {h.r}")
@@ -364,38 +407,28 @@ def build_hypergraph_collection(
     if not report.ok:
         raise CodegreeConditionError(report)
 
-    def conflict(v: int, current: int) -> int:
-        return _exclusions(h, v, current | (1 << v))
-
+    excludes = [_exclusions(h, v, 1 << v) for v in range(h.n)]
+    full = (1 << h.n) - 1
     tau = max(1, math.ceil(1.0 / ((h.r - 1) * params.p)))
     fallback = None  # last build whose containers were not all-of-V
     while True:
-        cap = h.n // tau
         try:
-            fingerprints = list(_independent_subsets_upto(conflict, h.n, cap, candidate_budget))
+            count, dedup = _walked_containers(excludes, tau, candidate_budget)
         except SizeLimitError:
             tau += max(1, tau // 2)
             continue
-        count = len(fingerprints)
-        dedup: dict[int, VertexSet] = {}
-        max_seen = 0
-        for f_mask in fingerprints:
-            fp = VertexSet(f_mask)
-            cont = hypergraph_container(h, fp, tau)
-            max_seen = max(max_seen, cont.cardinality)
-            dedup[cont.mask] = cont
-        if not (len(dedup) == 1 and max_seen == h.n):
-            fallback = (tau, cap, count, dedup, max_seen)
-        if max_containers is not None and len(dedup) > max_containers and cap > 0:
+        if full not in dedup:
+            fallback = (tau, count, dedup)
+        if max_containers is not None and len(dedup) > max_containers and count > 1:
             tau += max(1, tau // 2)
             continue
         break
-    if len(dedup) == 1 and max_seen == h.n and fallback is not None:
+    if full in dedup and fallback is not None:
         # raising the threshold degenerated the collection to the single
         # full-vertex-set container; prefer the last informative build even
         # if it overshoots the requested collection size
-        tau, cap, count, dedup, max_seen = fallback
-    containers = tuple(sorted(dedup.values(), key=lambda c: (c.cardinality, c.mask)))
+        tau, count, dedup = fallback
+    containers = _sorted_sets(dedup)
 
     def locate(independent: VertexSet) -> VertexSet:
         return hypergraph_container(h, hypergraph_fingerprint(h, independent, tau), tau)
@@ -404,14 +437,13 @@ def build_hypergraph_collection(
         containers=containers,
         params=params,
         source="hypergraph",
-        fingerprint_cap=cap,
         low_degree=False,
         stats={
             "container_count": len(containers),
-            "max_container_size": max_seen,
+            "max_container_size": containers[-1].cardinality,
             "tau": tau,
-            "fingerprint_cap_ratio_M": (cap / (params.p * h.n)) if params.p * h.n > 0 else None,
             "candidate_count": count,
+            "vacuous": full in dedup,
         },
         locate=locate,
     )
@@ -469,7 +501,6 @@ def collection_report(coll: ContainerCollection, g: Graph | None = None) -> dict
     report = {
         "source": coll.source,
         "container_count": len(coll.containers),
-        "fingerprint_cap": coll.fingerprint_cap,
         "low_degree": coll.low_degree,
         "size_histogram": {str(k): v for k, v in sorted(sizes.items())},
         "stats": {k: v for k, v in coll.stats.items()},

@@ -258,8 +258,8 @@ def build_partition_collection_regular(
             containers=(),
             params=None,
             source="regular-graph",
-            fingerprint_cap=0,
             low_degree=True,
+            stats={"vacuous": False},
         )
         return PartitionContainerCollection(
             base=base,

@@ -320,6 +320,7 @@ def solve_ksat_dense(
     kept = maximal_masks(c.mask for c in coll.containers)
     stats["path"] = "containers"
     stats["containers"] = len(kept)
+    stats["vacuous"] = coll.stats["vacuous"]
     stats["p"] = p
     largest = 0
     for idx, container in enumerate(kept):

@@ -198,6 +198,48 @@ class TestSolveKColoring:
                 for u, v in g.edges:
                     assert cert[u] != cert[v]
 
+    def test_whole_v_dispatch_matches_ie_sum_and_oracle(self):
+        # G(14, p) with k just below and at chi: when the priced pairs cost at
+        # least the whole-V sum, that sum alone decides
+        rng = random.Random(17)
+        cfg = ColoringConfig(mode="containers", degree_ratio=3.0)
+        informative = 0
+        for i in range(24):
+            g = random_graph(14, (0.5, 0.6, 0.7)[i % 3], rng.randrange(10**6))
+            chi = next(k for k in range(1, g.n + 1) if is_k_colorable(g, k))
+            for k in (chi - 1, chi):
+                result = solve_kcoloring(g, k, cfg)
+                stats = result.stats
+                assert result.colorable == (k >= chi)
+                assert stats["whole_cost"] == k << g.n
+                if stats["dispatch"] == "pairs":
+                    assert stats["pair_cost"] < stats["whole_cost"]
+                    continue
+                assert stats["dispatch"] == "whole-V"
+                assert stats["pair_cost"] >= stats["whole_cost"]
+                assert stats["pairs_tested"] == 0
+                assert result.colorable == (inclusion_exclusion_F(g, k) > 0)
+                # a collection holding V is {V}, so more than one base
+                # container means the walk found real fingerprints
+                informative += stats["base_containers"] > 1
+        assert informative >= 20
+
+    def test_priced_pairs_reach_the_pair_loop(self):
+        cfg = ColoringConfig(mode="containers", degree_ratio=3.0)
+        # below chi on G(14, 0.7): six pair tests, all negative
+        g = random_graph(14, 0.7, 845876)
+        result = solve_kcoloring(g, 3, cfg)
+        assert result.stats["dispatch"] == "pairs" and result.stats["pairs_tested"] > 0
+        assert result.stats["pair_cost"] < result.stats["whole_cost"]
+        assert not result.colorable and not is_k_colorable(g, 3)
+        # a dense bipartite graph: the first covering pair is positive
+        rng = random.Random(935784)
+        g = Graph(14, [(u, v) for u in range(14) for v in range(u + 1, 14)
+                       if (u - v) % 2 and rng.random() < 0.7])
+        result = solve_kcoloring(g, 2, cfg)
+        assert result.stats["dispatch"] == "pairs" and result.stats["pairs_tested"] == 1
+        assert result.colorable
+
     def test_auto_dispatch(self):
         sparse = cycle_graph(8)
         assert solve_kcoloring(sparse, 2).stats["path"] == "baseline"

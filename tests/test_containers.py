@@ -20,6 +20,7 @@ from contsolve.containers import (
     hypergraph_fingerprint,
     maximal_masks,
 )
+from contsolve.containers import _fixed_points
 from contsolve.core import (
     Graph,
     Hypergraph,
@@ -29,6 +30,7 @@ from contsolve.core import (
     complete_graph,
     cycle_graph,
     petersen_graph,
+    random_graph,
     random_regular_graph,
 )
 from oracles import all_independent_sets, hypergraph_independent_sets
@@ -101,11 +103,13 @@ class TestRegularCollection:
         # d = 3 <= 2/eps^2 = 32 at eps = 0.25
         coll = build_regular_collection(complete_graph(4), 0.25)
         assert coll.low_degree and len(coll) == 0 and coll.locate is None
+        assert coll.stats["vacuous"] is False
 
     def test_edgeless_rejected_as_low_degree(self):
         g = Graph(4, [])
         coll = build_regular_collection(g, 0.25)
         assert coll.low_degree
+        assert coll.stats["vacuous"] is False
 
     def test_non_regular_rejected(self):
         g = Graph(3, [(0, 1)])
@@ -273,31 +277,109 @@ class TestHypergraphEngine:
         cont = hypergraph_container(h, f, tau=1)
         assert iset.issubset(cont)
 
-    def test_candidate_count_is_one_walk_of_the_fingerprint_tree(self):
-        from contsolve.core import max_codegree
 
-        raised = 0
-        for seed, (n, r, m) in enumerate([(7, 2, 9), (9, 2, 14), (8, 3, 12), (10, 3, 20)]):
-            h = _random_hypergraph(n, r, m, seed)
-            density = len(h.edges) / n
-            c_needed = max(max_codegree(h, i) / density for i in range(1, r + 1))
-            params = HypergraphContainerParams(p=1.0, C=c_needed * 1.001, r=r)
-            isets = hypergraph_independent_sets(h)
-            # p=1 starts at tau=1, cap=n: the first tree is every independent
-            # set, so a budget one below it forces a raised threshold
-            for budget in (len(isets), len(isets) - 1):
-                coll = build_hypergraph_collection(h, params, candidate_budget=budget)
-                cap = coll.fingerprint_cap
-                assert coll.stats["candidate_count"] == sum(
-                    1 for s in isets if s.bit_count() <= cap
-                )
-                assert coll.stats["candidate_count"] <= budget
-                raised += coll.stats["tau"] > 1
+def _engine_params(h, p):
+    """Engine parameters at edge probability p with C just large enough for
+    the co-degree conditions."""
+    from contsolve.core import max_codegree
+
+    density = len(h.edges) / h.n
+    c_needed = max(max_codegree(h, i) / (p ** (i - 1) * density) for i in range(1, h.r + 1))
+    return HypergraphContainerParams(p=p, C=c_needed * 1.001, r=h.r)
+
+
+class TestFixedPointWalk:
+    """The builders walk exactly the fingerprints of the independent sets, so
+    their containers are exactly the `locate` images."""
+
+    def test_engine_walks_every_fingerprint_and_nothing_else(self):
+        rng = random.Random(41)
+        cases = 0
+        for _ in range(60):
+            n = rng.randint(2, 12)
+            g = random_graph(n, rng.choice([0.2, 0.35, 0.5, 0.7]), rng.randrange(10**6))
+            if g.m == 0:
+                continue
+            h = graph_as_hypergraph(g)
+            isets = all_independent_sets(g)
+            for tau in (1, 2, 3):
+                walked = [f for f, _ in _fixed_points(g.adj_mask, tau)]
+                fps = {hypergraph_fingerprint(h, VertexSet(i), tau).mask for i in isets}
+                assert len(walked) == len(set(walked))
+                assert set(walked) == fps
+            coll = build_hypergraph_collection(h, _engine_params(h, 1.0 / rng.randint(1, 3)))
+            tau = coll.stats["tau"]
+            fps = {hypergraph_fingerprint(h, VertexSet(i), tau).mask for i in isets}
+            assert coll.stats["candidate_count"] == len(fps)
+            images = {coll.locate(VertexSet(i)).mask for i in isets}
+            assert {c.mask for c in coll.containers} == images
+            assert coll.stats["vacuous"] == (images == {(1 << n) - 1})
+            cases += 1
+        assert cases > 40
+
+    def test_regular_builder_walks_every_fingerprint_and_nothing_else(self):
+        for g in _coverage_instances():
+            for eps in (0.2, EPS):
+                coll = build_regular_collection(g, eps, force=True)
+                params = coll.params
+                isets = all_independent_sets(g)
+                fps = {fingerprint(g, VertexSet(i), params).mask for i in isets}
+                walked = [f for f, _ in _fixed_points(g.adj_mask, params.epsilon * params.d)]
+                assert len(walked) == len(set(walked)) and set(walked) == fps
+                assert coll.stats["candidate_count"] == len(fps)
+                images = {coll.locate(VertexSet(i)).mask for i in isets}
+                assert {c.mask for c in coll.containers} == images
+                assert not coll.stats["vacuous"]
+
+    def test_integer_threshold_keeps_locate_images_members(self):
+        # epsilon*d = 2 exactly: a vertex bringing exactly 2 new neighbors is
+        # both a fingerprint vertex and, under container_of's rule, inside
+        # the container
+        g = random_regular_graph(12, 5, 9)
+        coll = build_regular_collection(g, 0.4, force=True)
+        assert coll.params.epsilon * coll.params.d == 2.0
+        members = {c.mask for c in coll.containers}
+        for iset in all_independent_sets(g):
+            cont = coll.locate(VertexSet(iset))
+            assert iset & ~cont.mask == 0 and cont.mask in members
+
+    def test_coverage_on_gnp_at_each_tau(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            g = random_graph(12, 0.35, rng.randrange(10**6))
+            if g.m == 0:
+                continue
+            h = graph_as_hypergraph(g)
+            for tau in (1, 2, 3):
+                coll = build_hypergraph_collection(h, _engine_params(h, 1.0 / tau))
+                assert coll.stats["tau"] == tau
                 members = {c.mask for c in coll.containers}
-                for iset in isets:
+                for iset in all_independent_sets(g):
                     cont = coll.locate(VertexSet(iset))
                     assert iset & ~cont.mask == 0 and cont.mask in members
-        assert raised == 4
+
+    def test_three_uniform_collection_is_all_of_v(self):
+        rng = random.Random(47)
+        for seed in range(20):
+            n = rng.randint(5, 12)
+            h = _random_hypergraph(n, 3, rng.randint(n, 3 * n), seed)
+            coll = build_hypergraph_collection(h, _engine_params(h, rng.choice([0.25, 0.5, 1.0])))
+            assert [c.mask for c in coll.containers] == [(1 << n) - 1]
+            assert coll.stats["candidate_count"] == 1 and coll.stats["vacuous"]
+            for iset in hypergraph_independent_sets(h)[:50]:
+                assert coll.locate(VertexSet(iset)).mask == (1 << n) - 1
+
+    def test_budget_raises_tau(self):
+        g = random_graph(12, 0.35, 5)
+        h = graph_as_hypergraph(g)
+        params = _engine_params(h, 1.0)
+        walked = build_hypergraph_collection(h, params).stats["candidate_count"]
+        coll = build_hypergraph_collection(h, params, candidate_budget=walked - 1)
+        assert coll.stats["tau"] > 1 and coll.stats["candidate_count"] < walked
+        members = {c.mask for c in coll.containers}
+        for iset in all_independent_sets(g):
+            cont = coll.locate(VertexSet(iset))
+            assert iset & ~cont.mask == 0 and cont.mask in members
 
 
 class TestAlmostRegular:

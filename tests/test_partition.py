@@ -155,6 +155,7 @@ class TestRegularPartitionCollection:
         g = random_regular_graph(10, 3, 1)
         coll = build_partition_collection_regular(g, 2)
         assert coll.low_degree  # d = 3 < d0
+        assert coll.base.stats["vacuous"] is False
         assert coll.epsilon == pytest.approx(1 / 16)
         assert coll.stats["d0"] == 2 * 2**7
 

@@ -200,8 +200,8 @@ class TestSolveKsatDense:
             solve_ksat_dense(random_ksat_formula(4, 4, 3, 4), self.PARAMS, SatConfig(mode="zchaff"))
 
     def test_collection_containing_all_literals_costs_one_restriction(self, monkeypatch):
-        # on this formula the r=3 engine's container of the empty fingerprint
-        # is every literal, which holds every other container
+        # at r=3 no literal joins the empty fingerprint, so the engine's only
+        # container is every literal
         phi = random_ksat_formula(10, 80, 3, 424242)
         calls = []
 
@@ -213,4 +213,5 @@ class TestSolveKsatDense:
         r = solve_ksat_dense(phi, self.PARAMS, SatConfig(mode="containers"))
         assert calls == [VertexSet((1 << (2 * phi.num_vars)) - 1)]
         assert r.stats["largest_restriction"] == phi.num_vars
+        assert r.stats["vacuous"] is True
         assert r.satisfiable == dpll(phi)[0]
