@@ -6,7 +6,8 @@ neighbors, expand the kept fingerprint into a container), and a pragmatic
 engine for r-uniform hypergraphs built on the same idea, with exclusions
 playing the role of neighborhoods: a vertex is excluded by a set F once some
 edge has all its other vertices in F. One rule, `_exclusions`, drives the
-engine's fingerprint scan and container expansion. Both scans are single
+engine's fingerprint scan and container expansion, and one mask helper,
+`_container_mask`, expands fingerprints into containers. Both scans are single
 pass, so the fingerprints of the independent sets are exactly the fixed
 points fp(F) == F, and these are prefix-closed: one depth-first walker,
 `_fixed_points`, lists them for both builders, pruning at the first vertex
@@ -346,32 +347,32 @@ def hypergraph_container(h: Hypergraph, fp: VertexSet, tau: int) -> VertexSet:
     excluded = 0
     for v in fp:
         excluded |= _exclusions(h, v, f)
+    joins = [_exclusions(h, v, f | (1 << v)) for v in range(h.n)]
+    return VertexSet(_container_mask(joins, f, excluded, tau))
+
+
+def _container_mask(excludes: Sequence[int], f: int, excluded: int, tau: int) -> int:
+    """The engine's container rule: F plus every vertex v outside F and
+    `excluded` whose `excludes[v]` (what v excludes on joining F) holds fewer
+    than tau vertices not yet excluded."""
     out = f
-    forbidden = f | excluded
-    for v in range(h.n):
-        if (forbidden >> v) & 1:
-            continue
-        if (_exclusions(h, v, f | (1 << v)) & ~excluded).bit_count() < tau:
-            out |= 1 << v
-    return VertexSet(out)
+    free = ((1 << len(excludes)) - 1) & ~(f | excluded)
+    while free:
+        low = free & -free
+        free ^= low
+        if (excludes[low.bit_length() - 1] & ~excluded).bit_count() < tau:
+            out |= low
+    return out
 
 
 def _walked_containers(excludes: Sequence[int], tau: int, budget: int) -> tuple[int, set[int]]:
     """Number of fingerprints walked at threshold tau and the distinct
-    `hypergraph_container` masks of those fingerprints."""
-    full = (1 << len(excludes)) - 1
+    container masks of those fingerprints."""
     walked = 0
     dedup: set[int] = set()
     for f, excluded in _fixed_points(excludes, tau, budget):
         walked += 1
-        out = f
-        free = full & ~(f | excluded)
-        while free:
-            low = free & -free
-            free ^= low
-            if (excludes[low.bit_length() - 1] & ~excluded).bit_count() < tau:
-                out |= low
-        dedup.add(out)
+        dedup.add(_container_mask(excludes, f, excluded, tau))
     return walked, dedup
 
 
@@ -431,7 +432,13 @@ def build_hypergraph_collection(
     containers = _sorted_sets(dedup)
 
     def locate(independent: VertexSet) -> VertexSet:
-        return hypergraph_container(h, hypergraph_fingerprint(h, independent, tau), tau)
+        # a fingerprint's vertices exclude exactly their lone exclusion sets
+        # (F is independent at r=2 and empty at r>=3), as in the walk
+        fp = hypergraph_fingerprint(h, independent, tau)
+        excluded = 0
+        for v in fp:
+            excluded |= excludes[v]
+        return VertexSet(_container_mask(excludes, fp.mask, excluded, tau))
 
     return ContainerCollection(
         containers=containers,

@@ -211,7 +211,7 @@ class TestSolveKColoring:
                 result = solve_kcoloring(g, k, cfg)
                 stats = result.stats
                 assert result.colorable == (k >= chi)
-                assert stats["whole_cost"] == k << g.n
+                assert stats["whole_cost"] == 1 << g.n
                 if stats["dispatch"] == "pairs":
                     assert stats["pair_cost"] < stats["whole_cost"]
                     continue
@@ -226,12 +226,19 @@ class TestSolveKColoring:
 
     def test_priced_pairs_reach_the_pair_loop(self):
         cfg = ColoringConfig(mode="containers", degree_ratio=3.0)
-        # below chi on G(14, 0.7): six pair tests, all negative
-        g = random_graph(14, 0.7, 845876)
+        # below chi on G(14, 0.8): six pair tests, all negative
+        g = random_graph(14, 0.8, 795664)
         result = solve_kcoloring(g, 3, cfg)
-        assert result.stats["dispatch"] == "pairs" and result.stats["pairs_tested"] > 0
+        assert result.stats["dispatch"] == "pairs" and result.stats["pairs_tested"] == 6
         assert result.stats["pair_cost"] < result.stats["whole_cost"]
         assert not result.colorable and not is_k_colorable(g, 3)
+        # G(20, 0.5) at k=2: no pair of candidates covers V, so the pair
+        # branch decides with no test where the whole-V sum walks 2^20 subsets
+        g = random_graph(20, 0.5, 62443)
+        result = solve_kcoloring(g, 2, cfg)
+        assert result.stats["dispatch"] == "pairs" and result.stats["pair_cost"] == 0
+        assert result.stats["pairs_tested"] == 0
+        assert not result.colorable and not is_k_colorable(g, 2)
         # a dense bipartite graph: the first covering pair is positive
         rng = random.Random(935784)
         g = Graph(14, [(u, v) for u in range(14) for v in range(u + 1, 14)

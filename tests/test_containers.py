@@ -314,6 +314,10 @@ class TestFixedPointWalk:
             images = {coll.locate(VertexSet(i)).mask for i in isets}
             assert {c.mask for c in coll.containers} == images
             assert coll.stats["vacuous"] == (images == {(1 << n) - 1})
+            # the per-set API gives the same container as `locate`
+            for i in isets:
+                fp = hypergraph_fingerprint(h, VertexSet(i), tau)
+                assert hypergraph_container(h, fp, tau) == coll.locate(VertexSet(i))
             cases += 1
         assert cases > 40
 
@@ -366,8 +370,11 @@ class TestFixedPointWalk:
             coll = build_hypergraph_collection(h, _engine_params(h, rng.choice([0.25, 0.5, 1.0])))
             assert [c.mask for c in coll.containers] == [(1 << n) - 1]
             assert coll.stats["candidate_count"] == 1 and coll.stats["vacuous"]
+            tau = coll.stats["tau"]
             for iset in hypergraph_independent_sets(h)[:50]:
                 assert coll.locate(VertexSet(iset)).mask == (1 << n) - 1
+                fp = hypergraph_fingerprint(h, VertexSet(iset), tau)
+                assert fp.mask == 0 and hypergraph_container(h, fp, tau).mask == (1 << n) - 1
 
     def test_budget_raises_tau(self):
         g = random_graph(12, 0.35, 5)
