@@ -94,7 +94,6 @@ def _cmd_color(args) -> tuple[int, dict]:
     config = coloring.ColoringConfig(
         mode=args.mode,
         degree_threshold=args.degree_threshold,
-        degree_ratio=args.degree_ratio,
         certificate=args.certificate,
     )
     result = coloring.solve_kcoloring(g, args.k, config)
@@ -112,12 +111,7 @@ def _cmd_color(args) -> tuple[int, dict]:
 
 def _cmd_mis(args) -> tuple[int, dict]:
     g = _load_graph(args)
-    config = mis.MisConfig(
-        mode=args.mode,
-        epsilon=args.epsilon,
-        degree_ratio=args.degree_ratio,
-        force=args.force,
-    )
+    config = mis.MisConfig(mode=args.mode, epsilon=args.epsilon)
     result = mis.mis_containers(g, config)
     return 0, {
         "instance": _graph_stats(g),
@@ -189,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=["auto", "baseline", "containers"], default="auto")
     p.add_argument("--degree-threshold", type=float, default=8.0)
-    p.add_argument("--degree-ratio", type=float, default=2.0)
     p.add_argument("--certificate", action="store_true")
     p.set_defaults(func=_cmd_color)
 
@@ -197,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_source(p)
     p.add_argument("--mode", choices=["auto", "base", "containers"], default="auto")
     p.add_argument("--epsilon", type=float, default=0.25)
-    p.add_argument("--degree-ratio", type=float, default=2.0)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_mis)
 
     p = sub.add_parser("sat", help="dense k-SAT")

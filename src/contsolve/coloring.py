@@ -33,6 +33,9 @@ BASELINE_CEILING = 26
 # is about 2^n units at any small k): median 4.4, range 3.4-5.5 over G(n, 0.6),
 # n = 12-18, k = 2-5, random covering pairs, cold table caches.
 PAIR_ENTRY_COST = 4
+# the engine raises its threshold until the base collection has at most this
+# many containers
+MAX_BASE_CONTAINERS = 10
 
 
 @dataclass(frozen=True)
@@ -176,8 +179,6 @@ class ColoringConfig:
     mode: str = "auto"  # auto | baseline | containers
     degree_threshold: float = 8.0  # auto picks containers at or above this
     degree_ratio: float = 2.0  # max/average degree bound for the base build
-    candidate_budget: int = 20000
-    max_base_containers: int = 10  # engine raises its threshold to fit this
     certificate: bool = False
 
 
@@ -208,18 +209,15 @@ def _decide_containers(g: Graph, k: int, config: ColoringConfig, stats: dict) ->
     that total is at least the 2^n of the whole-V sum -- always so when V
     itself is the only candidate -- one whole-V inclusion-exclusion sum
     decides instead."""
+    if k == 1 or g.m == 0:
+        # a k-coloring exists for every k when there are no edges, and for
+        # k = 1 only then
+        return g.m == 0
     # the ratio only parameterizes the engine threshold, so widen it to the
     # measured value rather than reject graphs above the configured one
     ratio = max(config.degree_ratio, g.max_degree / g.average_degree * (1 + 1e-9))
-    base = build_almost_regular_collection(
-        g,
-        ratio,
-        candidate_budget=config.candidate_budget,
-        max_containers=config.max_base_containers,
-    )
+    base = build_almost_regular_collection(g, ratio, max_containers=MAX_BASE_CONTAINERS)
     stats["base_containers"] = len(base)
-    if k == 1:
-        return g.m == 0
     # any union over non-maximal base containers is dominated by a union
     # over their supersets
     maximal_base = maximal_masks(c.mask for c in base.containers)

@@ -6,17 +6,20 @@ neighbors, expand the kept fingerprint into a container), and a pragmatic
 engine for r-uniform hypergraphs built on the same idea, with exclusions
 playing the role of neighborhoods: a vertex is excluded by a set F once some
 edge has all its other vertices in F. One rule, `_exclusions`, drives the
-engine's fingerprint scan and container expansion, and one mask helper,
-`_container_mask`, expands fingerprints into containers. Both scans are single
-pass, so the fingerprints of the independent sets are exactly the fixed
-points fp(F) == F, and these are prefix-closed: one depth-first walker,
-`_fixed_points`, lists them for both builders, pruning at the first vertex
-that brings too few new exclusions (the algorithmic graph container lemma of
-Kleitman-Winston and Sapozhenko). At r>=3 a lone vertex excludes nothing, so
-the walk stops at the empty fingerprint and the engine's collection is {V}.
-Coverage -- every independent set is inside the container of its
-fingerprint -- holds by construction in both; container size bounds are
-certified for regular graphs and measured/reported for the hypergraph engine.
+engine's fingerprint scan, and one container rule, `_container_mask`, expands
+every fingerprint of all three builders (regular, almost-regular, r>=3) into
+its container: F plus each vertex outside F and its exclusions that would
+newly exclude fewer than tau vertices. Both scans are single pass, so the
+fingerprints of the independent sets are exactly the fixed points fp(F) == F,
+and these are prefix-closed: one depth-first walker, `_fixed_points`, lists
+them for every builder, pruning at the first vertex that brings too few new
+exclusions (the algorithmic graph container lemma of Kleitman-Winston and
+Sapozhenko). At r>=3 a lone vertex excludes nothing, so the walk stops at the
+empty fingerprint and the engine's collection is {V}. Coverage -- every
+independent set is inside the container of its fingerprint -- holds by
+construction; container size bounds are certified for regular graphs and
+measured/reported for the hypergraph engine. The engine's walk is budgeted
+(`CANDIDATE_BUDGET` fingerprints per threshold); the regular walk is not.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ from .core import (
     SizeLimitError,
     VertexSet,
 )
+
+# fingerprints the engine walks at one threshold before it raises the threshold
+CANDIDATE_BUDGET = 20000
 
 
 @dataclass(frozen=True)
@@ -51,6 +57,12 @@ class ContainerParams:
     @property
     def q(self) -> float:
         return 1.0 / (self.epsilon * self.d)
+
+    @property
+    def tau(self) -> int:
+        """The fingerprint threshold: a vertex joins F when it brings at least
+        epsilon*d new neighbors, i.e. at least tau, as counts are integers."""
+        return math.ceil(self.epsilon * self.d)
 
 
 @dataclass(frozen=True)
@@ -105,39 +117,25 @@ def fingerprint(g: Graph, independent: VertexSet, params: ContainerParams) -> Ve
     least epsilon*d neighbors outside the current fingerprint neighborhood."""
     if not g.is_independent(independent.mask):
         raise PreconditionError("input set is not independent")
-    threshold = params.epsilon * params.d
+    tau = params.tau
     nf = 0  # union of neighborhoods of the fingerprint so far
     f = 0
     for v in independent:
-        if (g.adj_mask[v] & ~nf).bit_count() >= threshold:
+        if (g.adj_mask[v] & ~nf).bit_count() >= tau:
             f |= 1 << v
             nf |= g.adj_mask[v]
     return VertexSet(f)
 
 
-def boundary_set(g: Graph, fp: VertexSet, params: ContainerParams) -> VertexSet:
-    """Vertices outside the fingerprint and its neighborhood whose own
-    neighborhood is almost entirely absorbed: at least (1-epsilon)*d neighbors
-    already neighbor the fingerprint."""
-    return VertexSet(_boundary_mask(g, fp.mask, g.neighborhood_mask(fp.mask), params))
-
-
-def _boundary_mask(g: Graph, f: int, nf: int, params: ContainerParams) -> int:
-    threshold = (1.0 - params.epsilon) * params.d
-    out = 0
-    free = ((1 << g.n) - 1) & ~(f | nf)
-    while free:
-        low = free & -free
-        free ^= low
-        if (g.adj_mask[low.bit_length() - 1] & nf).bit_count() >= threshold:
-            out |= low
-    return out
-
-
 def container_of(g: Graph, fp: VertexSet, params: ContainerParams) -> VertexSet:
+    """F plus every vertex outside F and its neighborhood with fewer than
+    epsilon*d neighbors outside that neighborhood: the vertices the
+    fingerprint scan would have passed over."""
     if not g.is_independent(fp.mask):
         raise PreconditionError("fingerprint is not independent")
-    return fp | boundary_set(g, fp, params)
+    return VertexSet(
+        _container_mask(g.adj_mask, fp.mask, g.neighborhood_mask(fp.mask), params.tau)
+    )
 
 
 def container_sparsity(g: Graph, c: VertexSet) -> int:
@@ -182,7 +180,6 @@ def build_regular_collection(
     epsilon: float,
     *,
     force: bool = False,
-    budget: int | None = None,
 ) -> ContainerCollection:
     """Container collection for a d-regular graph.
 
@@ -190,10 +187,10 @@ def build_regular_collection(
     default the result is flagged low-degree with no containers so solvers can
     switch to their non-container path. `force=True` runs the construction
     anyway (coverage still holds; size bounds are still certified since their
-    proof needs only regularity). The containers are those of the fingerprint
-    fixed points at threshold epsilon*d, under `container_of`'s rule. More
-    than `budget` fingerprints raise SizeLimitError; without a budget the walk
-    is unbounded.
+    proof needs only regularity); an edgeless graph is always flagged. The
+    containers are those of the fingerprint fixed points at threshold
+    tau = ceil(epsilon*d), under the one container rule `_container_mask`,
+    which `container_of` applies too. The walk is unbounded.
     """
     if g.n == 0:
         raise ParameterError("empty graph")
@@ -201,43 +198,31 @@ def build_regular_collection(
         raise ParameterError(
             "graph is not regular; use the almost-regular (hypergraph engine) builder"
         )
+    if not 0 < epsilon < 0.5:
+        raise ParameterError(f"epsilon must be in (0, 1/2), got {epsilon}")
     d = g.degree(0)
-    if d == 0:
-        if not 0 < epsilon < 0.5:
-            raise ParameterError(f"epsilon must be in (0, 1/2), got {epsilon}")
-        return ContainerCollection(
-            containers=(),
-            params=None,
-            source="regular-graph",
-            low_degree=True,
-            stats={"mode": "low-degree-flag", "note": "edgeless", "vacuous": False},
-            locate=None,
-        )
-    params = ContainerParams(epsilon=epsilon, d=float(d))
+    params = ContainerParams(epsilon=epsilon, d=float(d)) if d else None
     low_degree = d <= 2.0 / (epsilon * epsilon)
-    if low_degree and not force:
+    if d == 0 or (low_degree and not force):
+        note = {} if d else {"note": "edgeless"}
         return ContainerCollection(
             containers=(),
             params=params,
             source="regular-graph",
             low_degree=True,
-            stats={"mode": "low-degree-flag", "vacuous": False},
+            stats={"mode": "low-degree-flag", **note, "vacuous": False},
             locate=None,
         )
 
     size_bound = (1.0 / (2.0 - epsilon) + params.q) * g.n
-    dedup: set[int] = set()
-    walked = 0
-    for f, nf in _fixed_points(g.adj_mask, params.epsilon * params.d, budget):
-        walked += 1
-        cont = f | _boundary_mask(g, f, nf, params)
-        if cont.bit_count() > size_bound + 1e-9:
-            raise RuntimeError(
-                f"container of size {cont.bit_count()} violates the regular-graph bound "
-                f"{size_bound:.3f}; this indicates a bug"
-            )
-        dedup.add(cont)
+    walked, dedup = _walked_containers(g.adj_mask, params.tau, None)
     containers = _sorted_sets(dedup)
+    largest = containers[-1].cardinality
+    if largest > size_bound + 1e-9:
+        raise RuntimeError(
+            f"container of size {largest} violates the regular-graph bound "
+            f"{size_bound:.3f}; this indicates a bug"
+        )
 
     def locate(independent: VertexSet) -> VertexSet:
         return container_of(g, fingerprint(g, independent, params), params)
@@ -249,7 +234,7 @@ def build_regular_collection(
         low_degree=low_degree,
         stats={
             "container_count": len(containers),
-            "max_container_size": containers[-1].cardinality,
+            "max_container_size": largest,
             "size_bound": size_bound,
             "forced": force and low_degree,
             "candidate_count": walked,
@@ -365,7 +350,9 @@ def _container_mask(excludes: Sequence[int], f: int, excluded: int, tau: int) ->
     return out
 
 
-def _walked_containers(excludes: Sequence[int], tau: int, budget: int) -> tuple[int, set[int]]:
+def _walked_containers(
+    excludes: Sequence[int], tau: int, budget: int | None
+) -> tuple[int, set[int]]:
     """Number of fingerprints walked at threshold tau and the distinct
     container masks of those fingerprints."""
     walked = 0
@@ -380,7 +367,7 @@ def build_hypergraph_collection(
     h: Hypergraph,
     params: HypergraphContainerParams,
     *,
-    candidate_budget: int = 20000,
+    candidate_budget: int = CANDIDATE_BUDGET,
     max_containers: int | None = None,
 ) -> ContainerCollection:
     """Container collection for an r-uniform hypergraph.
@@ -464,38 +451,31 @@ def build_almost_regular_collection(
     g: Graph,
     degree_ratio: float,
     *,
-    epsilon: float = 0.25,
-    candidate_budget: int = 20000,
     max_containers: int | None = None,
 ) -> ContainerCollection:
     """Graph containers via the hypergraph engine at r=2.
 
     degree_ratio is the max/average degree bound the caller asserts; the
     engine's spread constant is twice it because edge density |E|/|V| is
-    half the average degree. p = 1/(epsilon*avg_degree) mirrors the regular
-    scheme, where a fingerprint vertex must bring epsilon*d new exclusions:
-    any larger threshold would exceed vertex degrees and every container
-    would degenerate to the full vertex set. The co-degree conditions still
-    hold: pair co-degree is 1 in a simple graph and p >= 1/(ratio*d) since
-    epsilon < 1 <= ratio.
+    half the average degree. p = 1/(epsilon*avg_degree) at epsilon = 1/4
+    mirrors the regular scheme, where a fingerprint vertex must bring
+    epsilon*d new exclusions: any larger threshold would exceed vertex
+    degrees and every container would degenerate to the full vertex set. The
+    co-degree conditions still hold: pair co-degree is 1 in a simple graph
+    and p >= 1/(ratio*d) since epsilon < 1 <= ratio.
     """
     if g.m == 0:
         raise ParameterError("graph has no edges (zero edge density)")
-    if not 0 < epsilon < 0.5:
-        raise ParameterError(f"epsilon must be in (0, 1/2), got {epsilon}")
     if g.max_degree > degree_ratio * g.average_degree + 1e-9:
         raise ParameterError(
             f"max degree {g.max_degree} exceeds {degree_ratio} times the "
             f"average degree {g.average_degree:.3f}"
         )
     c_eng = 2.0 * degree_ratio
-    p = min(1.0, 1.0 / (epsilon * g.average_degree))
+    p = min(1.0, 1.0 / (0.25 * g.average_degree))
     params = HypergraphContainerParams(p=p, C=c_eng, r=2)
     coll = build_hypergraph_collection(
-        graph_as_hypergraph(g),
-        params,
-        candidate_budget=candidate_budget,
-        max_containers=max_containers,
+        graph_as_hypergraph(g), params, max_containers=max_containers
     )
     return replace(coll, source="almost-regular-graph")
 

@@ -118,7 +118,6 @@ class MisConfig:
     epsilon: float = 0.25  # regular-build slack
     degree_ratio: float = 2.0  # almost-regular degree bound
     force: bool = False  # run containers below the useful-degree floor
-    candidate_budget: int = 20000
 
 
 def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int] | None = None) -> MisResult:
@@ -144,9 +143,7 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
         # the ratio only parameterizes the engine threshold, so widen it to
         # the measured value rather than reject graphs above the configured one
         ratio = max(config.degree_ratio, g.max_degree / g.average_degree * (1 + 1e-9))
-        coll = build_almost_regular_collection(
-            g, ratio, candidate_budget=config.candidate_budget
-        )
+        coll = build_almost_regular_collection(g, ratio)
 
     subproblems = maximal_masks(c.mask for c in coll.containers)
     best_mask = _greedy_seed(g, weights, (1 << g.n) - 1)

@@ -292,8 +292,6 @@ def build_partition_collection_almost_regular(
     g: Graph,
     k: int,
     degree_ratio: float,
-    *,
-    candidate_budget: int = 20000,
 ) -> PartitionContainerCollection:
     """Almost-regular construction via the degree-ratio container builder;
     size ceiling (1 - epsilon'')n with epsilon'' = 1/(degree_ratio*2^(k+2))."""
@@ -301,7 +299,7 @@ def build_partition_collection_almost_regular(
         raise ParameterError("k must be at least 1")
     if degree_ratio < 1:
         raise ParameterError("degree ratio must be at least 1")
-    base = build_almost_regular_collection(g, degree_ratio, candidate_budget=candidate_budget)
+    base = build_almost_regular_collection(g, degree_ratio)
     epsilon = 1.0 / (degree_ratio * 2 ** (k + 2))
     return PartitionContainerCollection(
         base=base,

@@ -275,7 +275,6 @@ def extract_structure(h: Hypergraph, params: StructureParams) -> StructureResult
 @dataclass
 class SatConfig:
     mode: str = "auto"  # auto | dpll | containers
-    candidate_budget: int = 20000
 
 
 @dataclass
@@ -313,9 +312,7 @@ def solve_ksat_dense(
         max_codegree(sub, i) / (p ** (i - 1) * density) for i in range(1, sub.r + 1)
     )
     engine_params = HypergraphContainerParams(p=p, C=c_eng * (1 + 1e-9), r=sub.r)
-    coll = build_hypergraph_collection(
-        sub, engine_params, candidate_budget=config.candidate_budget
-    )
+    coll = build_hypergraph_collection(sub, engine_params)
     # a collection that contains V reduces to one whole-formula solve
     kept = maximal_masks(c.mask for c in coll.containers)
     stats["path"] = "containers"

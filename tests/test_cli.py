@@ -140,6 +140,15 @@ class TestColorCommand:
         for u, w in g.edges:
             assert cert[u] != cert[w]
 
+    def test_containers_mode_on_edgeless_graph(self, capsys):
+        code, report = run_json(
+            capsys,
+            ["color", "--random-regular", "6", "0", "--seed", "1", "--k", "2",
+             "--mode", "containers"],
+        )
+        assert code == 0
+        assert report["result"]["colorable"] is True
+
 
 class TestMisCommand:
     def test_basic(self, capsys, tmp_path):
@@ -191,3 +200,8 @@ class TestDeterminismAndErrors:
         assert run(
             ["containers", "--random-regular", "8", "3", "--seed", "1", "--analysis-fallback"]
         ) == 2
+        # removed flags that changed no output
+        graph = ["--random-regular", "8", "3", "--seed", "1"]
+        assert run(["mis", *graph, "--degree-ratio", "3"]) == 2
+        assert run(["color", *graph, "--k", "3", "--degree-ratio", "3"]) == 2
+        assert run(["mis", *graph, "--force"]) == 2

@@ -247,6 +247,13 @@ class TestSolveKColoring:
         assert result.stats["dispatch"] == "pairs" and result.stats["pairs_tested"] == 1
         assert result.colorable
 
+    def test_containers_path_on_edgeless_graphs(self):
+        for g in (Graph(0, []), Graph(3, [])):
+            for k in (1, 2):
+                want = solve_kcoloring(g, k, ColoringConfig(mode="baseline")).colorable
+                got = solve_kcoloring(g, k, ColoringConfig(mode="containers"))
+                assert want and got.colorable == want
+
     def test_auto_dispatch(self):
         sparse = cycle_graph(8)
         assert solve_kcoloring(sparse, 2).stats["path"] == "baseline"

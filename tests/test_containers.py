@@ -7,7 +7,6 @@ from contsolve.containers import (
     CodegreeConditionError,
     ContainerParams,
     HypergraphContainerParams,
-    boundary_set,
     build_almost_regular_collection,
     build_hypergraph_collection,
     build_regular_collection,
@@ -20,7 +19,7 @@ from contsolve.containers import (
     hypergraph_fingerprint,
     maximal_masks,
 )
-from contsolve.containers import _fixed_points
+from contsolve.containers import _fixed_points, _walked_containers
 from contsolve.core import (
     Graph,
     Hypergraph,
@@ -322,8 +321,10 @@ class TestFixedPointWalk:
         assert cases > 40
 
     def test_regular_builder_walks_every_fingerprint_and_nothing_else(self):
+        # 0.25 makes epsilon*d an integer on the 4-regular instances (1.0);
+        # 0.3 puts the float product just off one (0.3*3 = 0.8999999999999999)
         for g in _coverage_instances():
-            for eps in (0.2, EPS):
+            for eps in (0.2, 0.25, 0.3, EPS):
                 coll = build_regular_collection(g, eps, force=True)
                 params = coll.params
                 isets = all_independent_sets(g)
@@ -337,12 +338,13 @@ class TestFixedPointWalk:
 
     def test_integer_threshold_keeps_locate_images_members(self):
         # epsilon*d = 2 exactly: a vertex bringing exactly 2 new neighbors is
-        # both a fingerprint vertex and, under container_of's rule, inside
-        # the container
+        # a fingerprint vertex, so the one container rule leaves it out of
+        # the container, as the walk does
         g = random_regular_graph(12, 5, 9)
         coll = build_regular_collection(g, 0.4, force=True)
         assert coll.params.epsilon * coll.params.d == 2.0
         members = {c.mask for c in coll.containers}
+        assert members == _walked_containers(g.adj_mask, coll.params.tau, None)[1]
         for iset in all_independent_sets(g):
             cont = coll.locate(VertexSet(iset))
             assert iset & ~cont.mask == 0 and cont.mask in members

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contsolve.containers import ContainerParams, boundary_set
+from contsolve.containers import ContainerParams, container_of
 from contsolve.core import (
     Graph,
     ParameterError,
@@ -145,7 +145,7 @@ class TestBoundaryIntersectionBound:
             union_b = 0
             inter_n = (1 << g.n) - 1
             for f in fps:
-                union_b |= boundary_set(g, f, params).mask
+                union_b |= (container_of(g, f, params) - f).mask
                 inter_n &= g.neighborhood_mask(f.mask)
             assert union_b.bit_count() <= g.n - inter_n.bit_count()
 
