@@ -14,12 +14,18 @@ fingerprints of the independent sets are exactly the fixed points fp(F) == F,
 and these are prefix-closed: one depth-first walker, `_fixed_points`, lists
 them for every builder, pruning at the first vertex that brings too few new
 exclusions (the algorithmic graph container lemma of Kleitman-Winston and
-Sapozhenko). At r>=3 a lone vertex excludes nothing, so the walk stops at the
-empty fingerprint and the engine's collection is {V}. Coverage -- every
-independent set is inside the container of its fingerprint -- holds by
-construction; container size bounds are certified for regular graphs and
-measured/reported for the hypergraph engine. The engine's walk is budgeted
-(`CANDIDATE_BUDGET` fingerprints per threshold); the regular walk is not.
+Sapozhenko). The walk carries each fingerprint's heavy set, the vertices
+outside F and its exclusions that would newly exclude at least tau: the
+children of F are its heavy vertices above max F, its container is every
+vertex neither excluded nor heavy (the mask of the container rule), and a
+child's heavy set is found by testing only its parent's heavy vertices, as
+new-exclusion counts only fall while F grows. At r>=3 a lone vertex excludes
+nothing, so the walk stops at the empty fingerprint and the engine's
+collection is {V}. Coverage -- every independent set is inside the container
+of its fingerprint -- holds by construction; container size bounds are
+certified for regular graphs and measured/reported for the hypergraph
+engine. The engine's walk is budgeted (`CANDIDATE_BUDGET` fingerprints per
+threshold); the regular walk is not.
 """
 
 from __future__ import annotations
@@ -107,7 +113,10 @@ def maximal_masks(masks: Iterable[int]) -> list[int]:
     so a solver confined to containers needs only these."""
     kept: list[int] = []
     for m in sorted(set(masks), key=lambda m: (-m.bit_count(), m)):
-        if all(m & ~other for other in kept):
+        for other in kept:
+            if not m & ~other:
+                break
+        else:
             kept.append(m)
     return kept
 
@@ -143,36 +152,55 @@ def container_sparsity(g: Graph, c: VertexSet) -> int:
     return g.induced_edge_count(c.mask)
 
 
+def _heavy(excludes: Sequence[int], candidates: int, excluded: int, threshold: float) -> int:
+    """The vertices v of `candidates` whose `excludes[v]` holds at least
+    `threshold` vertices not yet excluded."""
+    fresh = ~excluded
+    heavy = 0
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        if (excludes[low.bit_length() - 1] & fresh).bit_count() >= threshold:
+            heavy |= low
+    return heavy
+
+
 def _fixed_points(
     excludes: Sequence[int], threshold: float, budget: int | None = None
-) -> Iterator[tuple[int, int]]:
+) -> Iterator[tuple[int, int, int]]:
     """Depth-first walk of the single-pass fingerprint fixed points, each
-    yielded once as (F, vertices F excludes).
+    yielded once as (F, vertices F excludes, heavy set of F).
 
     `excludes[v]` is what v excludes when it joins a set that does not
-    exclude it (its neighborhood, in a graph). F is a fixed point, fp(F) ==
-    F, exactly when each of its vertices, in id order, newly excluded at least
-    `threshold` vertices; so fixed points are prefix-closed, and the walk
-    extends F only by a vertex v > max F, not excluded, that passes the test.
-    They are exactly the fingerprints of the independent sets, each with at
-    most n/threshold vertices. More than `budget` of them raise
-    SizeLimitError."""
+    exclude it (its neighborhood, in a graph). The heavy set H(F) holds the
+    vertices outside F and its exclusions that would newly exclude at least
+    `threshold` vertices. F is a fixed point, fp(F) == F, exactly when each
+    of its vertices, in id order, was heavy for the vertices before it; so
+    fixed points are prefix-closed, and the children of F are F + v for v in
+    H(F) above max F. New-exclusion counts only fall as the exclusions grow,
+    so a child's heavy set lies inside H(F) minus the child's new exclusions
+    and its new vertex, and only those vertices are tested again. The
+    container of F is what is neither excluded nor heavy, `full & ~(excluded
+    | H(F))`, the mask `_container_mask` gives. The fixed points are exactly
+    the fingerprints of the independent sets, each with at most n/threshold
+    vertices. More than `budget` of them raise SizeLimitError."""
     full = (1 << len(excludes)) - 1
     count = 0
-    stack = [(0, 0, 0)]
+    stack = [(0, 0, 0, _heavy(excludes, full, 0, threshold))]
     while stack:
-        start, f, excluded = stack.pop()
+        start, f, excluded, heavy = stack.pop()
         count += 1
         if budget is not None and count > budget:
             raise SizeLimitError("fingerprint-enumeration", f"budget {budget} exceeded")
-        yield f, excluded
-        free = full & ~excluded & -(1 << start)
-        while free:
-            low = free & -free
-            free ^= low
+        yield f, excluded, heavy
+        children = heavy & -(1 << start)
+        while children:
+            low = children & -children
+            children ^= low
             v = low.bit_length() - 1
-            if (excludes[v] & ~excluded).bit_count() >= threshold:
-                stack.append((v + 1, f | low, excluded | excludes[v]))
+            grown = excluded | excludes[v]
+            child_heavy = _heavy(excludes, heavy & ~(grown | low), grown, threshold)
+            stack.append((v + 1, f | low, grown, child_heavy))
 
 
 def build_regular_collection(
@@ -340,14 +368,8 @@ def _container_mask(excludes: Sequence[int], f: int, excluded: int, tau: int) ->
     """The engine's container rule: F plus every vertex v outside F and
     `excluded` whose `excludes[v]` (what v excludes on joining F) holds fewer
     than tau vertices not yet excluded."""
-    out = f
     free = ((1 << len(excludes)) - 1) & ~(f | excluded)
-    while free:
-        low = free & -free
-        free ^= low
-        if (excludes[low.bit_length() - 1] & ~excluded).bit_count() < tau:
-            out |= low
-    return out
+    return f | (free & ~_heavy(excludes, free, excluded, tau))
 
 
 def _walked_containers(
@@ -355,11 +377,12 @@ def _walked_containers(
 ) -> tuple[int, set[int]]:
     """Number of fingerprints walked at threshold tau and the distinct
     container masks of those fingerprints."""
+    full = (1 << len(excludes)) - 1
     walked = 0
     dedup: set[int] = set()
-    for f, excluded in _fixed_points(excludes, tau, budget):
+    for _, excluded, heavy in _fixed_points(excludes, tau, budget):
         walked += 1
-        dedup.add(_container_mask(excludes, f, excluded, tau))
+        dedup.add(full & ~(excluded | heavy))
     return walked, dedup
 
 

@@ -3,12 +3,20 @@
 The base solver is branch-and-bound on the max-degree vertex with a greedy
 seed and a residual-weight prune; it can be confined to a vertex mask and
 started from a given incumbent. The container wrapper builds a container
-collection and runs the base solver inside each inclusion-maximal container
-of the parent graph, largest first, with one incumbent carried across
-containers: it starts as a greedy set of the whole graph and each search
-returns the better of it and the container's optimum. That is exact, because
+collection and runs the base solver inside the inclusion-maximal containers
+of the parent graph, with one incumbent carried across containers: it
+starts as a greedy set of the whole graph and each search returns the better
+of it and the container's optimum. That is exact, because
 the optimum lies inside some container, hence inside a maximal one, and the
-prune only cuts branches that cannot beat or tie the incumbent."""
+prune only cuts branches that cannot beat or tie the incumbent.
+
+Each maximal container is priced before any search by a greedy clique cover:
+an independent set takes at most one vertex of each clique, so the sum of the
+cliques' heaviest weights bounds every independent subset of the container.
+Containers are searched in descending bound order, and the search stops at
+the first bound below the incumbent's weight: no container left can beat or
+tie it. Ties are searched, so the answer does not depend on the order: it is
+still the lexicographically smallest set of maximum weight."""
 
 from __future__ import annotations
 
@@ -43,6 +51,29 @@ def _greedy_seed(g: Graph, weights: list[int], alive: int) -> int:
         chosen |= 1 << best_v
         alive &= ~(g.adj_mask[best_v] | (1 << best_v))
     return chosen
+
+
+def _clique_cover_bound(g: Graph, weights: list[int], mask: int) -> int:
+    """Upper bound on the weight of an independent subset of `mask`: cover
+    `mask` greedily by cliques, each grown from its lowest free vertex by its
+    lowest common free neighbour, and add up each clique's heaviest weight.
+    An independent set meets each clique at most once, so the bound holds for
+    any non-negative weights; on an independent mask it is the mask's weight."""
+    bound = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        v = low.bit_length() - 1
+        heaviest = weights[v]
+        common = g.adj_mask[v] & mask
+        while common:
+            low = common & -common
+            mask ^= low
+            u = low.bit_length() - 1
+            heaviest = max(heaviest, weights[u])
+            common &= g.adj_mask[u]
+        bound += heaviest
+    return bound
 
 
 def _check_weights(g: Graph, weights: list[int] | None) -> list[int]:
@@ -146,22 +177,32 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
         coll = build_almost_regular_collection(g, ratio)
 
     subproblems = maximal_masks(c.mask for c in coll.containers)
+    priced = sorted(
+        ((_clique_cover_bound(g, weights, m), m) for m in subproblems), key=lambda p: -p[0]
+    )
     best_mask = _greedy_seed(g, weights, (1 << g.n) - 1)
-    nodes = 0
-    for container in subproblems:
+    best_w = sum(weights[v] for v in VertexSet(best_mask))
+    nodes = searched = 0
+    # highest bound first, equal bounds in maximal_masks order; the incumbent
+    # only grows, so the first bound below it ends the search
+    for bound, container in priced:
+        if bound < best_w:
+            break
         r = mis_base(g, weights, within=container, incumbent=best_mask)
         nodes += r.stats["nodes"]
-        best_mask = r.best.mask
+        searched += 1
+        best_mask, best_w = r.best.mask, r.weight
     best = VertexSet(best_mask)
     if not g.is_independent(best.mask):
         raise RuntimeError("container subproblem produced a dependent set; this is a bug")
     return MisResult(
         best=best,
         size=best.cardinality,
-        weight=sum(weights[v] for v in best),
+        weight=best_w,
         stats={
             "path": "containers",
             "containers": len(subproblems),
+            "searched": searched,
             "largest_subproblem": max((m.bit_count() for m in subproblems), default=0),
             "nodes": nodes,
         },

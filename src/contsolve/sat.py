@@ -198,9 +198,13 @@ class StructureParams:
 @dataclass
 class StructureResult:
     status: str  # "found" | "absent" | "found-codegree-fail"
-    edges: tuple[tuple[int, ...], ...] | None
+    hypergraph: Hypergraph | None  # the extracted sub-hypergraph on the host's vertices
     d_eff: float
     stats: dict = field(default_factory=dict)
+
+    @property
+    def edges(self) -> tuple[tuple[int, ...], ...] | None:
+        return None if self.hypergraph is None else self.hypergraph.edges
 
     @property
     def usable(self) -> bool:
@@ -268,8 +272,8 @@ def extract_structure(h: Hypergraph, params: StructureParams) -> StructureResult
         stats["delta2"] = delta2
         stats["delta2_bound"] = bound
         if delta2 > bound + 1e-9:
-            return StructureResult("found-codegree-fail", edges, d_eff, stats)
-    return StructureResult("found", edges, d_eff, stats)
+            return StructureResult("found-codegree-fail", sub, d_eff, stats)
+    return StructureResult("found", sub, d_eff, stats)
 
 
 @dataclass
@@ -305,11 +309,14 @@ def solve_ksat_dense(
         stats["path"] = "dpll (no structure)"
         return SatResult(sat, model, stats)
 
-    sub = Hypergraph(lh.hypergraph.n, lh.hypergraph.r, list(structure.edges))
+    sub = structure.hypergraph
     p = min(1.0, structure.d_eff ** (-params.epsilon / phi.k)) if structure.d_eff > 0 else 1.0
     density = len(sub.edges) / sub.n
+    # extraction measured the i = 1 and i = 2 co-degrees already
+    measured = (structure.stats["max_degree"], structure.stats.get("delta2"))
     c_eng = max(
-        max_codegree(sub, i) / (p ** (i - 1) * density) for i in range(1, sub.r + 1)
+        (measured[i - 1] if i <= 2 else max_codegree(sub, i)) / (p ** (i - 1) * density)
+        for i in range(1, sub.r + 1)
     )
     engine_params = HypergraphContainerParams(p=p, C=c_eng * (1 + 1e-9), r=sub.r)
     coll = build_hypergraph_collection(sub, engine_params)

@@ -19,7 +19,7 @@ from contsolve.containers import (
     hypergraph_fingerprint,
     maximal_masks,
 )
-from contsolve.containers import _fixed_points, _walked_containers
+from contsolve.containers import _container_mask, _exclusions, _fixed_points, _walked_containers
 from contsolve.core import (
     Graph,
     Hypergraph,
@@ -302,7 +302,7 @@ class TestFixedPointWalk:
             h = graph_as_hypergraph(g)
             isets = all_independent_sets(g)
             for tau in (1, 2, 3):
-                walked = [f for f, _ in _fixed_points(g.adj_mask, tau)]
+                walked = [f for f, _, _ in _fixed_points(g.adj_mask, tau)]
                 fps = {hypergraph_fingerprint(h, VertexSet(i), tau).mask for i in isets}
                 assert len(walked) == len(set(walked))
                 assert set(walked) == fps
@@ -329,7 +329,7 @@ class TestFixedPointWalk:
                 params = coll.params
                 isets = all_independent_sets(g)
                 fps = {fingerprint(g, VertexSet(i), params).mask for i in isets}
-                walked = [f for f, _ in _fixed_points(g.adj_mask, params.epsilon * params.d)]
+                walked = [f for f, _, _ in _fixed_points(g.adj_mask, params.epsilon * params.d)]
                 assert len(walked) == len(set(walked)) and set(walked) == fps
                 assert coll.stats["candidate_count"] == len(fps)
                 images = {coll.locate(VertexSet(i)).mask for i in isets}
@@ -389,6 +389,53 @@ class TestFixedPointWalk:
         for iset in all_independent_sets(g):
             cont = coll.locate(VertexSet(iset))
             assert iset & ~cont.mask == 0 and cont.mask in members
+
+
+def _assert_walk_matches_container_rule(excludes, tau):
+    """Every walked fingerprint carries its heavy set, and the container the
+    walk reads off it is the one `_container_mask` gives. Returns the number
+    of fingerprints walked."""
+    full = (1 << len(excludes)) - 1
+    walked = 0
+    for f, excluded, heavy in _fixed_points(excludes, tau):
+        expected_heavy = 0
+        for v in range(len(excludes)):
+            if not (f | excluded) >> v & 1 and (excludes[v] & ~excluded).bit_count() >= tau:
+                expected_heavy |= 1 << v
+        assert heavy == expected_heavy
+        assert full & ~(excluded | heavy) == _container_mask(excludes, f, excluded, tau)
+        walked += 1
+    return walked
+
+
+class TestHeavySetWalk:
+    """The walk tests only the parent's heavy vertices for each child and
+    still gives every fingerprint the container of the one container rule."""
+
+    def test_gnp_at_each_tau(self):
+        rng = random.Random(61)
+        for _ in range(40):
+            n, p = rng.randint(1, 12), rng.choice([0.2, 0.35, 0.5, 0.7])
+            g = random_graph(n, p, rng.randrange(10**6))
+            for tau in (1, 2, 3):
+                assert _assert_walk_matches_container_rule(g.adj_mask, tau) >= 1
+
+    def test_forced_regular_at_two_epsilons(self):
+        for g in _coverage_instances():
+            for eps in (0.25, EPS):
+                coll = build_regular_collection(g, eps, force=True)
+                walked = _assert_walk_matches_container_rule(g.adj_mask, coll.params.tau)
+                assert walked == coll.stats["candidate_count"]
+
+    def test_three_uniform_walk_is_the_root_with_container_v(self):
+        rng = random.Random(67)
+        for seed in range(20):
+            n = rng.randint(5, 12)
+            h = _random_hypergraph(n, 3, rng.randint(n, 3 * n), seed)
+            excludes = [_exclusions(h, v, 1 << v) for v in range(n)]
+            for tau in (1, 2, 3):
+                assert _assert_walk_matches_container_rule(excludes, tau) == 1
+                assert _walked_containers(excludes, tau, None) == (1, {(1 << n) - 1})
 
 
 class TestAlmostRegular:

@@ -17,7 +17,7 @@ from contsolve.containers import (
     build_regular_collection,
     maximal_masks,
 )
-from contsolve.mis import MisConfig, mis_base, mis_containers
+from contsolve.mis import MisConfig, _clique_cover_bound, _greedy_seed, mis_base, mis_containers
 from oracles import all_independent_sets, max_independent_set_size, max_weight_independent_set
 
 
@@ -209,3 +209,74 @@ class TestMisContainers:
     def test_unknown_mode(self):
         with pytest.raises(ParameterError):
             mis_containers(cycle_graph(4), MisConfig(mode="fastest"))
+
+
+def _priced_cases(seed, count):
+    """(graph, weights, collection, config) on forced regular and G(n, p)
+    graphs, built as mis_containers builds them; weights 0-3, so zero
+    weights and equal-weight optima are common."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        if trial % 2 == 0:
+            n, d = rng.choice([12, 14, 16]), rng.choice([4, 6, 8])
+            g = random_regular_graph(n, d, rng.randrange(10**6))
+            eps = rng.choice([0.25, 0.45])
+            coll = build_regular_collection(g, eps, force=True)
+            config = MisConfig(mode="containers", epsilon=eps, force=True)
+        else:
+            g = random_graph(rng.randint(8, 16), rng.choice([0.3, 0.45]), rng.randrange(10**6))
+            if g.m == 0:
+                continue
+            ratio = max(2.0, g.max_degree / g.average_degree * (1 + 1e-9))
+            coll = build_almost_regular_collection(g, ratio)
+            config = MisConfig(mode="containers")
+        yield g, [rng.randint(0, 3) for _ in range(g.n)], coll, config
+
+
+class TestContainerPricing:
+    def test_clique_cover_bound_is_an_upper_bound(self):
+        rng = random.Random(71)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            g = random_graph(n, rng.choice([0.2, 0.4, 0.6, 0.8]), rng.randrange(10**6))
+            weights = [rng.randint(0, 3) for _ in range(n)]
+            mask = rng.randrange(1 << n)
+            best = max(
+                sum(weights[v] for v in VertexSet(i))
+                for i in all_independent_sets(g)
+                if not i & ~mask
+            )
+            assert _clique_cover_bound(g, weights, mask) >= best
+
+    def test_clique_cover_bound_is_exact_on_independent_masks(self):
+        rng = random.Random(72)
+        for _ in range(30):
+            n = rng.randint(1, 12)
+            g = random_graph(n, rng.choice([0.2, 0.4, 0.6]), rng.randrange(10**6))
+            weights = [rng.randint(0, 3) for _ in range(n)]
+            for i in all_independent_sets(g):
+                assert _clique_cover_bound(g, weights, i) == sum(weights[v] for v in VertexSet(i))
+
+    def test_priced_search_keeps_base_answer_under_ties(self):
+        for g, weights, _, config in _priced_cases(73, 40):
+            c = mis_containers(g, config, weights)
+            assert c.best == mis_base(g, weights).best
+            assert c.weight == max_weight_independent_set(g, weights)
+
+    def test_pricing_never_adds_nodes_to_the_unpriced_loop(self):
+        # the loop before pricing: every maximal container in maximal_masks
+        # order, one incumbent carried across, started from a greedy set
+        skipped = 0
+        for g, weights, coll, config in _priced_cases(74, 30):
+            best = _greedy_seed(g, weights, (1 << g.n) - 1)
+            unpriced = 0
+            for container in maximal_masks(x.mask for x in coll.containers):
+                r = mis_base(g, weights, within=container, incumbent=best)
+                unpriced += r.stats["nodes"]
+                best = r.best.mask
+            c = mis_containers(g, config, weights)
+            assert c.best.mask == best
+            assert c.stats["nodes"] <= unpriced
+            assert c.stats["searched"] <= c.stats["containers"]
+            skipped += c.stats["searched"] < c.stats["containers"]
+        assert skipped > 0
