@@ -62,8 +62,6 @@ def _cmd_partition_containers(args) -> tuple[int, dict]:
 
 
 def _cmd_extsum(args) -> tuple[int, dict]:
-    if args.action != "eval":
-        raise core.ParameterError(f"unknown extsum action {args.action!r}")
     inst = extsum.ExtSumInstance.from_json(Path(args.input).read_text())
     stats: dict = {}
     if args.algo == "naive":

@@ -42,18 +42,8 @@ MAX_BASE_CONTAINERS = 10
 class IsCountTable:
     """Independent-set counts i(G[V']) for every subset V' of a domain."""
 
-    domain: VertexSet
     order: tuple[int, ...]  # ascending vertex ids of the domain
     counts: tuple[int, ...]  # indexed by local bitmask over `order`
-
-    def count(self, subset: VertexSet) -> int:
-        if subset.mask & ~self.domain.mask:
-            raise ParameterError("subset not inside the table domain")
-        local = 0
-        for j, v in enumerate(self.order):
-            if (subset.mask >> v) & 1:
-                local |= 1 << j
-        return self.counts[local]
 
 
 @lru_cache(maxsize=2048)
@@ -61,14 +51,16 @@ def _cached_is_table(g: Graph, domain: VertexSet) -> IsCountTable:
     return count_is_dp(g, domain)
 
 
-def count_is_dp(g: Graph, domain: VertexSet, ceiling: int = IS_TABLE_CEILING) -> IsCountTable:
+def count_is_dp(g: Graph, domain: VertexSet) -> IsCountTable:
     """Full table via i(V') = i(V' minus pivot) + i(V' minus pivot's closed
     neighborhood), pivot = lowest-id vertex; subsets in ascending bitmask
     order so both recurrence arguments are already computed."""
     order = tuple(domain)
     w = len(order)
-    if w > ceiling:
-        raise SizeLimitError("is-count-table", f"domain of {w} exceeds ceiling {ceiling}")
+    if w > IS_TABLE_CEILING:
+        raise SizeLimitError(
+            "is-count-table", f"domain of {w} exceeds ceiling {IS_TABLE_CEILING}"
+        )
     closed = []
     for v in order:
         nb = (g.adj_mask[v] | (1 << v)) & domain.mask
@@ -82,16 +74,16 @@ def count_is_dp(g: Graph, domain: VertexSet, ceiling: int = IS_TABLE_CEILING) ->
     for m in range(1, 1 << w):
         j = (m & -m).bit_length() - 1
         counts[m] = counts[m & (m - 1)] + counts[m & ~closed[j]]
-    return IsCountTable(domain=domain, order=order, counts=tuple(counts))
+    return IsCountTable(order=order, counts=tuple(counts))
 
 
-def inclusion_exclusion_F(g: Graph, k: int, ceiling: int = BASELINE_CEILING) -> int:
+def inclusion_exclusion_F(g: Graph, k: int) -> int:
     """Number of ordered k-tuples of independent sets covering V(G)."""
     if k < 1:
         raise ParameterError("k must be at least 1")
-    if g.n > ceiling:
-        raise SizeLimitError("inclusion-exclusion", f"n={g.n} exceeds ceiling {ceiling}")
-    table = count_is_dp(g, VertexSet((1 << g.n) - 1), ceiling=max(ceiling, g.n))
+    if g.n > BASELINE_CEILING:
+        raise SizeLimitError("inclusion-exclusion", f"n={g.n} exceeds ceiling {BASELINE_CEILING}")
+    table = count_is_dp(g, VertexSet((1 << g.n) - 1))
     total = 0
     for m in range(1 << g.n):
         term = pow(table.counts[m], k)
@@ -242,7 +234,7 @@ def _decide_containers(g: Graph, k: int, config: ColoringConfig, stats: dict) ->
     if pair_cost >= whole_cost:
         stats["dispatch"] = "whole-V"
         stats["pairs_tested"] = 0
-        return inclusion_exclusion_F(g, k, ceiling=IS_TABLE_CEILING) > 0
+        return inclusion_exclusion_F(g, k) > 0
     stats["dispatch"] = "pairs"
     tested = 0
     for _, ia, ib in pairs:

@@ -24,8 +24,12 @@ nothing, so the walk stops at the empty fingerprint and the engine's
 collection is {V}. Coverage -- every independent set is inside the container
 of its fingerprint -- holds by construction; container size bounds are
 certified for regular graphs and measured/reported for the hypergraph
-engine. The engine's walk is budgeted (`CANDIDATE_BUDGET` fingerprints per
-threshold); the regular walk is not.
+engine. The engine's only input is p, which sets its starting threshold;
+co-degree conditions, which the container lemma needs only to bound
+container sizes, are not checked. The engine's walk is budgeted
+(`CANDIDATE_BUDGET` fingerprints per threshold); the regular walk is not.
+Every collection's `locate` is one scan, `_locate`: the fingerprint scan of
+the set, then the container rule.
 """
 
 from __future__ import annotations
@@ -71,32 +75,20 @@ class ContainerParams:
         return math.ceil(self.epsilon * self.d)
 
 
-@dataclass(frozen=True)
-class HypergraphContainerParams:
-    p: float
-    C: float
-    r: int
-
-    def __post_init__(self):
-        if not 0 < self.p < 1 + 1e-12:
-            raise ParameterError(f"p must be in (0, 1], got {self.p}")
-        if self.C <= 0:
-            raise ParameterError("co-degree constant must be positive")
-        if self.r < 2:
-            raise ParameterError("uniformity must be at least 2")
-
-
 @dataclass
 class ContainerCollection:
-    """Deduplicated containers plus the parameters that produced them.
+    """Deduplicated containers plus what produced them.
 
-    `locate(I)` recomputes the container assigned to a concrete independent
-    set; the result is always a member of `containers`. `stats["vacuous"]` is
-    true when V itself is a container, so the collection prunes nothing.
+    `params` is the regular scheme's `ContainerParams`, and None for engine
+    collections, whose p and threshold are in `stats["p"]` and
+    `stats["tau"]`. `locate(I)` recomputes the container assigned to a
+    concrete independent set; the result is always a member of
+    `containers`. `stats["vacuous"]` is true when V itself is a container,
+    so the collection prunes nothing.
     """
 
     containers: tuple[VertexSet, ...]
-    params: object
+    params: ContainerParams | None
     source: str  # "regular-graph" | "almost-regular-graph" | "hypergraph"
     low_degree: bool = False
     stats: dict = field(default_factory=dict)
@@ -218,7 +210,8 @@ def build_regular_collection(
     proof needs only regularity); an edgeless graph is always flagged. The
     containers are those of the fingerprint fixed points at threshold
     tau = ceil(epsilon*d), under the one container rule `_container_mask`,
-    which `container_of` applies too. The walk is unbounded.
+    which `container_of` applies too; `locate` is the shared scan `_locate`,
+    which gives `container_of(g, fingerprint(g, I))`. The walk is unbounded.
     """
     if g.n == 0:
         raise ParameterError("empty graph")
@@ -253,7 +246,7 @@ def build_regular_collection(
         )
 
     def locate(independent: VertexSet) -> VertexSet:
-        return container_of(g, fingerprint(g, independent, params), params)
+        return _locate(g, g.adj_mask, params.tau, independent)
 
     return ContainerCollection(
         containers=containers,
@@ -278,51 +271,6 @@ def _sorted_sets(masks: Iterable[int]) -> tuple[VertexSet, ...]:
 
 
 # --- r-uniform hypergraph engine ------------------------------------------
-
-@dataclass(frozen=True)
-class CodegreeCheck:
-    i: int
-    delta: int
-    bound: float
-
-    @property
-    def ok(self) -> bool:
-        return self.delta <= self.bound + 1e-9
-
-
-@dataclass(frozen=True)
-class CodegreeReport:
-    checks: tuple[CodegreeCheck, ...]
-    note: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.checks) and all(c.ok for c in self.checks)
-
-
-class CodegreeConditionError(ValueError):
-    def __init__(self, report: CodegreeReport):
-        failing = [c.i for c in report.checks if not c.ok]
-        super().__init__(
-            f"co-degree condition violated for i in {failing}"
-            + (f" ({report.note})" if report.note else "")
-        )
-        self.report = report
-
-
-def check_codegree_conditions(h: Hypergraph, params: HypergraphContainerParams) -> CodegreeReport:
-    """Per-i comparison of the measured max co-degree against C*p^(i-1)*|E|/|V|."""
-    from .core import max_codegree
-
-    if h.n == 0 or not h.edges:
-        return CodegreeReport(checks=(), note="zero edge density")
-    density = len(h.edges) / h.n
-    checks = []
-    for i in range(1, h.r + 1):
-        bound = params.C * (params.p ** (i - 1)) * density
-        checks.append(CodegreeCheck(i=i, delta=max_codegree(h, i), bound=bound))
-    return CodegreeReport(checks=tuple(checks))
-
 
 def _exclusions(h: Hypergraph, v: int, inside: int) -> int:
     """Vertices u such that some edge through v has every vertex except u in
@@ -372,6 +320,24 @@ def _container_mask(excludes: Sequence[int], f: int, excluded: int, tau: int) ->
     return f | (free & ~_heavy(excludes, free, excluded, tau))
 
 
+def _locate(
+    structure: Graph | Hypergraph, excludes: Sequence[int], tau: int, independent: VertexSet
+) -> VertexSet:
+    """The container of an independent set's fingerprint, in one scan: a
+    vertex of I, in id order, joins F when `excludes[v]` brings at least tau
+    new exclusions, and the container rule expands F. `excludes` holds the
+    lone exclusion sets the walk uses, which are exactly what a fingerprint
+    vertex excludes (F is independent at r=2 and empty at r>=3)."""
+    if not structure.is_independent(independent.mask):
+        raise PreconditionError("input set is not independent")
+    f = excluded = 0
+    for v in independent:
+        if (excludes[v] & ~excluded).bit_count() >= tau:
+            f |= 1 << v
+            excluded |= excludes[v]
+    return VertexSet(_container_mask(excludes, f, excluded, tau))
+
+
 def _walked_containers(
     excludes: Sequence[int], tau: int, budget: int | None
 ) -> tuple[int, set[int]]:
@@ -388,20 +354,21 @@ def _walked_containers(
 
 def build_hypergraph_collection(
     h: Hypergraph,
-    params: HypergraphContainerParams,
+    p: float,
     *,
     candidate_budget: int = CANDIDATE_BUDGET,
     max_containers: int | None = None,
 ) -> ContainerCollection:
-    """Container collection for an r-uniform hypergraph.
+    """Container collection for an r-uniform hypergraph, r read from h.
 
-    The containers are those of the single-pass fingerprints, which one walk
-    of the fixed points lists. The exclusion threshold tau starts at
-    ~1/((r-1)p) and is raised until the walk fits the budget and, when
-    requested, the deduped collection fits max_containers (larger tau means
-    fewer, smaller fingerprints and larger containers; coverage is
-    unaffected). Container sizes are measured and reported in the stats, not
-    certified.
+    p in (0, 1] is the engine's only input. The containers are those of the
+    single-pass fingerprints, which one walk of the fixed points lists. The
+    exclusion threshold tau starts at ~1/((r-1)p) and is raised until the
+    walk fits the budget and, when requested, the deduped collection fits
+    max_containers (larger tau means fewer, smaller fingerprints and larger
+    containers; coverage is unaffected). Container sizes are measured and
+    reported in the stats, not certified, so no co-degree condition is
+    checked; p and the final tau are in the stats.
 
     What a vertex excludes on joining a fingerprint is its lone-vertex
     exclusion set: at r=2 its neighborhood, and at r>=3 nothing, since an
@@ -410,17 +377,16 @@ def build_hypergraph_collection(
     {V}, which `stats["vacuous"]` reports. At r=2 a collection holds V only
     when it is {V}.
     """
-    if h.r != params.r:
-        raise ParameterError(f"params are for uniformity {params.r}, hypergraph has {h.r}")
+    if not 0 < p <= 1:
+        raise ParameterError(f"p must be in (0, 1], got {p}")
+    if h.r < 2:
+        raise ParameterError("uniformity must be at least 2")
     if not h.edges:
         raise ParameterError("hypergraph has no edges (zero edge density)")
-    report = check_codegree_conditions(h, params)
-    if not report.ok:
-        raise CodegreeConditionError(report)
 
     excludes = [_exclusions(h, v, 1 << v) for v in range(h.n)]
     full = (1 << h.n) - 1
-    tau = max(1, math.ceil(1.0 / ((h.r - 1) * params.p)))
+    tau = max(1, math.ceil(1.0 / ((h.r - 1) * p)))
     fallback = None  # last build whose containers were not all-of-V
     while True:
         try:
@@ -442,22 +408,17 @@ def build_hypergraph_collection(
     containers = _sorted_sets(dedup)
 
     def locate(independent: VertexSet) -> VertexSet:
-        # a fingerprint's vertices exclude exactly their lone exclusion sets
-        # (F is independent at r=2 and empty at r>=3), as in the walk
-        fp = hypergraph_fingerprint(h, independent, tau)
-        excluded = 0
-        for v in fp:
-            excluded |= excludes[v]
-        return VertexSet(_container_mask(excludes, fp.mask, excluded, tau))
+        return _locate(h, excludes, tau, independent)
 
     return ContainerCollection(
         containers=containers,
-        params=params,
+        params=None,
         source="hypergraph",
         low_degree=False,
         stats={
             "container_count": len(containers),
             "max_container_size": containers[-1].cardinality,
+            "p": p,
             "tau": tau,
             "candidate_count": count,
             "vacuous": full in dedup,
@@ -478,14 +439,11 @@ def build_almost_regular_collection(
 ) -> ContainerCollection:
     """Graph containers via the hypergraph engine at r=2.
 
-    degree_ratio is the max/average degree bound the caller asserts; the
-    engine's spread constant is twice it because edge density |E|/|V| is
-    half the average degree. p = 1/(epsilon*avg_degree) at epsilon = 1/4
-    mirrors the regular scheme, where a fingerprint vertex must bring
-    epsilon*d new exclusions: any larger threshold would exceed vertex
-    degrees and every container would degenerate to the full vertex set. The
-    co-degree conditions still hold: pair co-degree is 1 in a simple graph
-    and p >= 1/(ratio*d) since epsilon < 1 <= ratio.
+    degree_ratio is the max/average degree bound the caller asserts, checked
+    against g. p = 1/(epsilon*avg_degree) at epsilon = 1/4 mirrors the
+    regular scheme, where a fingerprint vertex must bring epsilon*d new
+    exclusions: any larger threshold would exceed vertex degrees and every
+    container would degenerate to the full vertex set.
     """
     if g.m == 0:
         raise ParameterError("graph has no edges (zero edge density)")
@@ -494,12 +452,8 @@ def build_almost_regular_collection(
             f"max degree {g.max_degree} exceeds {degree_ratio} times the "
             f"average degree {g.average_degree:.3f}"
         )
-    c_eng = 2.0 * degree_ratio
     p = min(1.0, 1.0 / (0.25 * g.average_degree))
-    params = HypergraphContainerParams(p=p, C=c_eng, r=2)
-    coll = build_hypergraph_collection(
-        graph_as_hypergraph(g), params, max_containers=max_containers
-    )
+    coll = build_hypergraph_collection(graph_as_hypergraph(g), p, max_containers=max_containers)
     return replace(coll, source="almost-regular-graph")
 
 
@@ -515,10 +469,8 @@ def collection_report(coll: ContainerCollection, g: Graph | None = None) -> dict
         "size_histogram": {str(k): v for k, v in sorted(sizes.items())},
         "stats": {k: v for k, v in coll.stats.items()},
     }
-    if isinstance(coll.params, ContainerParams):
+    if coll.params is not None:
         report["params"] = {"epsilon": coll.params.epsilon, "d": coll.params.d, "q": coll.params.q}
-    elif isinstance(coll.params, HypergraphContainerParams):
-        report["params"] = {"p": coll.params.p, "C": coll.params.C, "r": coll.params.r}
     if g is not None:
         sparsities: dict[int, int] = {}
         for c in coll.containers:

@@ -6,7 +6,6 @@ Vertex ids are 0-indexed internally; the DIMACS boundary is 1-indexed.
 
 from __future__ import annotations
 
-import json
 import random
 from itertools import combinations
 
@@ -194,14 +193,6 @@ class Graph:
         lines.extend(f"e {u + 1} {v + 1}" for u, v in self.edges)
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "edges": [list(e) for e in self.edges]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Graph":
-        data = json.loads(text)
-        return cls(data["n"], [tuple(e) for e in data["edges"]])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
@@ -251,16 +242,6 @@ class Hypergraph:
     def is_independent(self, vertices: int) -> bool:
         """True when the bitmask spans no edge entirely."""
         return all(em & vertices != em for em in self.edge_masks)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"n": self.n, "r": self.r, "edges": [list(e) for e in self.edges]}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Hypergraph":
-        data = json.loads(text)
-        return cls(data["n"], data["r"], data["edges"])
 
 
 def max_codegree(h: Hypergraph, i: int) -> int:
@@ -318,16 +299,6 @@ class CnfFormula:
         lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
         lines.extend(" ".join(map(str, c)) + " 0" for c in self.clauses)
         return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"num_vars": self.num_vars, "clauses": [list(c) for c in self.clauses]}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CnfFormula":
-        data = json.loads(text)
-        return cls(data["num_vars"], data["clauses"])
 
     def __eq__(self, other):
         return (

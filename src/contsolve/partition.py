@@ -11,7 +11,6 @@ that each miss a fraction of the vertices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -32,7 +31,6 @@ class RefinementResult:
     """Partition of a subset collection's index set with exact part unions."""
 
     parts: tuple[tuple[tuple[int, ...], VertexSet], ...]  # (indices, union)
-    gamma: float  # max part-union size / n
     matching_size: int = 0  # populated by matching_refinement
 
 
@@ -115,8 +113,7 @@ def matching_refinement(g: Graph, subsets: list[VertexSet]) -> RefinementResult:
         for i in indices:
             union = union | subsets[i]
         parts.append((indices, union))
-    gamma = max((len(u) for _, u in parts), default=0) / g.n if g.n else 0.0
-    return RefinementResult(parts=tuple(parts), gamma=gamma, matching_size=len(matching))
+    return RefinementResult(parts=tuple(parts), matching_size=len(matching))
 
 
 @dataclass

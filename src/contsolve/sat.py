@@ -14,18 +14,13 @@ from dataclasses import dataclass, field
 
 from .core import (
     CnfFormula,
-    Graph,
     Hypergraph,
     ParameterError,
     PreconditionError,
     VertexSet,
     max_codegree,
 )
-from .containers import (
-    HypergraphContainerParams,
-    build_hypergraph_collection,
-    maximal_masks,
-)
+from .containers import build_hypergraph_collection, maximal_masks
 
 
 @dataclass(frozen=True)
@@ -311,15 +306,7 @@ def solve_ksat_dense(
 
     sub = structure.hypergraph
     p = min(1.0, structure.d_eff ** (-params.epsilon / phi.k)) if structure.d_eff > 0 else 1.0
-    density = len(sub.edges) / sub.n
-    # extraction measured the i = 1 and i = 2 co-degrees already
-    measured = (structure.stats["max_degree"], structure.stats.get("delta2"))
-    c_eng = max(
-        (measured[i - 1] if i <= 2 else max_codegree(sub, i)) / (p ** (i - 1) * density)
-        for i in range(1, sub.r + 1)
-    )
-    engine_params = HypergraphContainerParams(p=p, C=c_eng * (1 + 1e-9), r=sub.r)
-    coll = build_hypergraph_collection(sub, engine_params)
+    coll = build_hypergraph_collection(sub, p)
     # a collection that contains V reduces to one whole-formula solve
     kept = maximal_masks(c.mask for c in coll.containers)
     stats["path"] = "containers"

@@ -247,6 +247,15 @@ class TestSolveKColoring:
         assert result.stats["dispatch"] == "pairs" and result.stats["pairs_tested"] == 1
         assert result.colorable
 
+    def test_whole_v_sum_keeps_the_baseline_ceiling(self):
+        # n = 27 prices at whole-V, and the container path's whole-V sum
+        # refuses it as the baseline does, before any table is built
+        g = random_graph(27, 0.7, 0)
+        for mode in ("baseline", "containers", "auto"):
+            with pytest.raises(SizeLimitError) as exc:
+                solve_kcoloring(g, 3, ColoringConfig(mode=mode))
+            assert exc.value.stage == "inclusion-exclusion"
+
     def test_containers_path_on_edgeless_graphs(self):
         for g in (Graph(0, []), Graph(3, [])):
             for k in (1, 2):

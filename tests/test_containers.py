@@ -4,13 +4,11 @@ from itertools import combinations
 import pytest
 
 from contsolve.containers import (
-    CodegreeConditionError,
     ContainerParams,
-    HypergraphContainerParams,
     build_almost_regular_collection,
     build_hypergraph_collection,
     build_regular_collection,
-    check_codegree_conditions,
+    collection_report,
     container_of,
     container_sparsity,
     fingerprint,
@@ -179,26 +177,6 @@ class TestMaximalMasks:
         assert maximal_masks([]) == []
 
 
-class TestCodegreeConditions:
-    def test_k4_as_two_uniform_passes(self):
-        h = graph_as_hypergraph(complete_graph(4))
-        report = check_codegree_conditions(h, HypergraphContainerParams(p=2 / 3, C=2.0, r=2))
-        assert report.ok
-        assert report.checks[0].delta == 3 and report.checks[0].bound == pytest.approx(3.0)
-        assert report.checks[1].delta == 1 and report.checks[1].bound == pytest.approx(2.0)
-
-    def test_single_triple_edge_fails_i1(self):
-        h = Hypergraph(3, 3, [(0, 1, 2)])
-        report = check_codegree_conditions(h, HypergraphContainerParams(p=1.0, C=1.0, r=3))
-        assert not report.ok
-        assert not report.checks[0].ok  # delta_1 = 1 > 1/3
-
-    def test_empty_fails_with_zero_density_note(self):
-        h = Hypergraph(4, 2, [])
-        report = check_codegree_conditions(h, HypergraphContainerParams(p=0.5, C=1.0, r=2))
-        assert not report.ok and "zero" in report.note
-
-
 def _random_hypergraph(n, r, m, seed):
     rng = random.Random(seed)
     pool = list(combinations(range(n), r))
@@ -208,9 +186,12 @@ def _random_hypergraph(n, r, m, seed):
 
 class TestHypergraphEngine:
     def test_single_edge_coverage(self):
+        # max degree 1 is three times the edge density 1/3; the engine checks
+        # no co-degree condition, builds {V} at p = 1 and records p
         h = Hypergraph(3, 3, [(0, 1, 2)])
-        params = HypergraphContainerParams(p=1.0, C=3.0, r=3)
-        coll = build_hypergraph_collection(h, params)
+        coll = build_hypergraph_collection(h, 1.0)
+        assert [c.mask for c in coll.containers] == [0b111] and coll.params is None
+        assert (coll.stats["p"], coll.stats["tau"], coll.stats["vacuous"]) == (1.0, 1, True)
         members = {c.mask for c in coll.containers}
         for iset in hypergraph_independent_sets(h):
             cont = coll.locate(VertexSet(iset))
@@ -219,19 +200,50 @@ class TestHypergraphEngine:
     def test_no_edges_rejected(self):
         h = Hypergraph(4, 2, [])
         with pytest.raises(ParameterError):
-            build_hypergraph_collection(h, HypergraphContainerParams(p=0.5, C=1.0, r=2))
+            build_hypergraph_collection(h, 0.5)
 
-    def test_codegree_violation_is_structured(self):
-        h = Hypergraph(3, 3, [(0, 1, 2)])
-        with pytest.raises(CodegreeConditionError) as exc:
-            build_hypergraph_collection(h, HypergraphContainerParams(p=1.0, C=1.0, r=3))
-        assert exc.value.report.checks[0].i == 1
+    def test_p_outside_unit_interval_and_one_uniform_rejected(self):
+        h = graph_as_hypergraph(cycle_graph(4))
+        for bad in (0, -0.5, 1.5):
+            with pytest.raises(ParameterError, match="p must be"):
+                build_hypergraph_collection(h, bad)
+        with pytest.raises(ParameterError, match="uniformity"):
+            build_hypergraph_collection(Hypergraph(3, 1, [(0,), (2,)]), 1.0)
+
+    def test_locate_rejects_dependent_set(self):
+        g = cycle_graph(6)
+        regular = build_regular_collection(g, EPS, force=True)
+        engine = build_hypergraph_collection(graph_as_hypergraph(g), 1.0)
+        triple = build_hypergraph_collection(Hypergraph(4, 3, [(0, 1, 2), (1, 2, 3)]), 1.0)
+        for coll, dependent in ((regular, 0b11), (engine, 0b11), (triple, 0b111)):
+            with pytest.raises(PreconditionError):
+                coll.locate(VertexSet(dependent))
+
+    def test_locate_matches_the_per_set_api(self):
+        # the shared scan gives the container of the single-pass fingerprint
+        rng = random.Random(17)
+        for seed in range(20):
+            n = rng.randint(4, 9)
+            r = rng.choice([2, 3])
+            pool = len(list(combinations(range(n), r)))
+            h = _random_hypergraph(n, r, min(rng.randint(n, 2 * n), pool), seed)
+            coll = build_hypergraph_collection(h, rng.choice([0.25, 0.5, 1.0]))
+            tau = coll.stats["tau"]
+            for iset in hypergraph_independent_sets(h):
+                fp = hypergraph_fingerprint(h, VertexSet(iset), tau)
+                assert coll.locate(VertexSet(iset)) == hypergraph_container(h, fp, tau)
+
+    def test_report_prints_p_from_the_stats(self):
+        g = petersen_graph()
+        coll = build_hypergraph_collection(graph_as_hypergraph(g), 0.5)
+        report = collection_report(coll, g)
+        assert coll.params is None and "params" not in report
+        assert report["stats"]["p"] == 0.5 and report["stats"]["tau"] == coll.stats["tau"]
 
     def test_c4_cross_check_with_regular_builder(self):
         g = cycle_graph(4)
         reg = build_regular_collection(g, EPS, force=True)
-        params = HypergraphContainerParams(p=1.0, C=2.0, r=2)
-        eng = build_hypergraph_collection(graph_as_hypergraph(g), params)
+        eng = build_hypergraph_collection(graph_as_hypergraph(g), 1.0)
         reg_members = {c.mask for c in reg.containers}
         eng_members = {c.mask for c in eng.containers}
         for iset in all_independent_sets(g):
@@ -247,17 +259,8 @@ class TestHypergraphEngine:
             r = rng.choice([2, 3])
             m = rng.randint(n, 3 * n)
             h = _random_hypergraph(n, r, min(m, len(list(combinations(range(n), r)))), seed)
-            density = len(h.edges) / n
-            p = min(1.0, 2.0 / max(1.0, density))
-            # pick C just large enough that the conditions hold; the point
-            # here is coverage, not the constants
-            from contsolve.core import max_codegree
-
-            c_needed = max(
-                max_codegree(h, i) / (p ** (i - 1) * density) for i in range(1, r + 1)
-            )
-            params = HypergraphContainerParams(p=p, C=c_needed * 1.001, r=r)
-            coll = build_hypergraph_collection(h, params, candidate_budget=50000)
+            p = min(1.0, 2.0 / max(1.0, len(h.edges) / n))
+            coll = build_hypergraph_collection(h, p, candidate_budget=50000)
             members = {c.mask for c in coll.containers}
             for iset in hypergraph_independent_sets(h):
                 cont = coll.locate(VertexSet(iset))
@@ -275,16 +278,6 @@ class TestHypergraphEngine:
         f = hypergraph_fingerprint(h, iset, tau=1)
         cont = hypergraph_container(h, f, tau=1)
         assert iset.issubset(cont)
-
-
-def _engine_params(h, p):
-    """Engine parameters at edge probability p with C just large enough for
-    the co-degree conditions."""
-    from contsolve.core import max_codegree
-
-    density = len(h.edges) / h.n
-    c_needed = max(max_codegree(h, i) / (p ** (i - 1) * density) for i in range(1, h.r + 1))
-    return HypergraphContainerParams(p=p, C=c_needed * 1.001, r=h.r)
 
 
 class TestFixedPointWalk:
@@ -306,7 +299,7 @@ class TestFixedPointWalk:
                 fps = {hypergraph_fingerprint(h, VertexSet(i), tau).mask for i in isets}
                 assert len(walked) == len(set(walked))
                 assert set(walked) == fps
-            coll = build_hypergraph_collection(h, _engine_params(h, 1.0 / rng.randint(1, 3)))
+            coll = build_hypergraph_collection(h, 1.0 / rng.randint(1, 3))
             tau = coll.stats["tau"]
             fps = {hypergraph_fingerprint(h, VertexSet(i), tau).mask for i in isets}
             assert coll.stats["candidate_count"] == len(fps)
@@ -335,6 +328,10 @@ class TestFixedPointWalk:
                 images = {coll.locate(VertexSet(i)).mask for i in isets}
                 assert {c.mask for c in coll.containers} == images
                 assert not coll.stats["vacuous"]
+                # the shared scan gives the per-set API's container
+                for i in isets:
+                    fp = fingerprint(g, VertexSet(i), params)
+                    assert coll.locate(VertexSet(i)) == container_of(g, fp, params)
 
     def test_integer_threshold_keeps_locate_images_members(self):
         # epsilon*d = 2 exactly: a vertex bringing exactly 2 new neighbors is
@@ -357,7 +354,7 @@ class TestFixedPointWalk:
                 continue
             h = graph_as_hypergraph(g)
             for tau in (1, 2, 3):
-                coll = build_hypergraph_collection(h, _engine_params(h, 1.0 / tau))
+                coll = build_hypergraph_collection(h, 1.0 / tau)
                 assert coll.stats["tau"] == tau
                 members = {c.mask for c in coll.containers}
                 for iset in all_independent_sets(g):
@@ -369,7 +366,7 @@ class TestFixedPointWalk:
         for seed in range(20):
             n = rng.randint(5, 12)
             h = _random_hypergraph(n, 3, rng.randint(n, 3 * n), seed)
-            coll = build_hypergraph_collection(h, _engine_params(h, rng.choice([0.25, 0.5, 1.0])))
+            coll = build_hypergraph_collection(h, rng.choice([0.25, 0.5, 1.0]))
             assert [c.mask for c in coll.containers] == [(1 << n) - 1]
             assert coll.stats["candidate_count"] == 1 and coll.stats["vacuous"]
             tau = coll.stats["tau"]
@@ -381,9 +378,8 @@ class TestFixedPointWalk:
     def test_budget_raises_tau(self):
         g = random_graph(12, 0.35, 5)
         h = graph_as_hypergraph(g)
-        params = _engine_params(h, 1.0)
-        walked = build_hypergraph_collection(h, params).stats["candidate_count"]
-        coll = build_hypergraph_collection(h, params, candidate_budget=walked - 1)
+        walked = build_hypergraph_collection(h, 1.0).stats["candidate_count"]
+        coll = build_hypergraph_collection(h, 1.0, candidate_budget=walked - 1)
         assert coll.stats["tau"] > 1 and coll.stats["candidate_count"] < walked
         members = {c.mask for c in coll.containers}
         for iset in all_independent_sets(g):
@@ -443,6 +439,13 @@ class TestAlmostRegular:
         star = Graph(6, [(0, i) for i in range(1, 6)])
         with pytest.raises(ParameterError):
             build_almost_regular_collection(star, 1.5)
+
+    def test_engine_runs_at_four_over_average_degree(self):
+        for g in (petersen_graph(), cycle_graph(8), random_graph(12, 0.5, 2)):
+            ratio = g.max_degree / g.average_degree
+            coll = build_almost_regular_collection(g, ratio)
+            assert coll.source == "almost-regular-graph" and coll.params is None
+            assert coll.stats["p"] == min(1.0, 4.0 / g.average_degree)
 
     def test_coverage_on_irregular_graph(self):
         rng = random.Random(3)
