@@ -26,10 +26,11 @@ of its fingerprint -- holds by construction; container size bounds are
 certified for regular graphs and measured/reported for the hypergraph
 engine. The engine's only input is p, which sets its starting threshold;
 co-degree conditions, which the container lemma needs only to bound
-container sizes, are not checked. The engine's walk is budgeted
-(`CANDIDATE_BUDGET` fingerprints per threshold); the regular walk is not.
-Every collection's `locate` is one scan, `_locate`: the fingerprint scan of
-the set, then the container rule.
+container sizes, are not checked. One driver, `_collection`, walks and
+assembles every collection; only the engine's walk is budgeted
+(`CANDIDATE_BUDGET` fingerprints per threshold). A graph is walked on its
+own adjacency masks. Every collection's `locate` is one scan, `_locate`: the
+fingerprint scan of the set, then the container rule.
 """
 
 from __future__ import annotations
@@ -211,7 +212,8 @@ def build_regular_collection(
     containers are those of the fingerprint fixed points at threshold
     tau = ceil(epsilon*d), under the one container rule `_container_mask`,
     which `container_of` applies too; `locate` is the shared scan `_locate`,
-    which gives `container_of(g, fingerprint(g, I))`. The walk is unbounded.
+    which gives `container_of(g, fingerprint(g, I))`. The walk is unbounded,
+    so `stats["tau"]` is `params.tau`.
     """
     if g.n == 0:
         raise ParameterError("empty graph")
@@ -236,38 +238,17 @@ def build_regular_collection(
         )
 
     size_bound = (1.0 / (2.0 - epsilon) + params.q) * g.n
-    walked, dedup = _walked_containers(g.adj_mask, params.tau, None)
-    containers = _sorted_sets(dedup)
-    largest = containers[-1].cardinality
+    coll = _collection(
+        g, g.adj_mask, params.tau, budget=None, max_containers=None, source="regular-graph",
+        stats={"size_bound": size_bound, "forced": force and low_degree},
+    )
+    largest = coll.stats["max_container_size"]
     if largest > size_bound + 1e-9:
         raise RuntimeError(
             f"container of size {largest} violates the regular-graph bound "
             f"{size_bound:.3f}; this indicates a bug"
         )
-
-    def locate(independent: VertexSet) -> VertexSet:
-        return _locate(g, g.adj_mask, params.tau, independent)
-
-    return ContainerCollection(
-        containers=containers,
-        params=params,
-        source="regular-graph",
-        low_degree=low_degree,
-        stats={
-            "container_count": len(containers),
-            "max_container_size": largest,
-            "size_bound": size_bound,
-            "forced": force and low_degree,
-            "candidate_count": walked,
-            "vacuous": (1 << g.n) - 1 in dedup,
-        },
-        locate=locate,
-    )
-
-
-def _sorted_sets(masks: Iterable[int]) -> tuple[VertexSet, ...]:
-    """Vertex sets by size, then mask."""
-    return tuple(VertexSet(m) for m in sorted(masks, key=lambda m: (m.bit_count(), m)))
+    return replace(coll, params=params, low_degree=low_degree)
 
 
 # --- r-uniform hypergraph engine ------------------------------------------
@@ -352,45 +333,25 @@ def _walked_containers(
     return walked, dedup
 
 
-def build_hypergraph_collection(
-    h: Hypergraph,
-    p: float,
-    *,
-    candidate_budget: int = CANDIDATE_BUDGET,
-    max_containers: int | None = None,
+def _collection(
+    structure: Graph | Hypergraph,
+    excludes: Sequence[int],
+    tau: int,
+    budget: int | None,
+    max_containers: int | None,
+    source: str,
+    stats: dict,
 ) -> ContainerCollection:
-    """Container collection for an r-uniform hypergraph, r read from h.
-
-    p in (0, 1] is the engine's only input. The containers are those of the
-    single-pass fingerprints, which one walk of the fixed points lists. The
-    exclusion threshold tau starts at ~1/((r-1)p) and is raised until the
-    walk fits the budget and, when requested, the deduped collection fits
-    max_containers (larger tau means fewer, smaller fingerprints and larger
-    containers; coverage is unaffected). Container sizes are measured and
-    reported in the stats, not certified, so no co-degree condition is
-    checked; p and the final tau are in the stats.
-
-    What a vertex excludes on joining a fingerprint is its lone-vertex
-    exclusion set: at r=2 its neighborhood, and at r>=3 nothing, since an
-    edge through v has r-1 >= 2 other vertices. So at r>=3 no vertex joins
-    the empty fingerprint, every `locate` image is V and the collection is
-    {V}, which `stats["vacuous"]` reports. At r=2 a collection holds V only
-    when it is {V}.
-    """
-    if not 0 < p <= 1:
-        raise ParameterError(f"p must be in (0, 1], got {p}")
-    if h.r < 2:
-        raise ParameterError("uniformity must be at least 2")
-    if not h.edges:
-        raise ParameterError("hypergraph has no edges (zero edge density)")
-
-    excludes = [_exclusions(h, v, 1 << v) for v in range(h.n)]
-    full = (1 << h.n) - 1
-    tau = max(1, math.ceil(1.0 / ((h.r - 1) * p)))
+    """Every builder's collection: walk the fixed points at threshold tau,
+    raised by half while the walk overflows `budget` or yields more than
+    `max_containers` containers (larger tau means fewer, smaller
+    fingerprints and larger containers; coverage is unaffected). The stats
+    add the caller's `stats` and the final tau."""
+    full = (1 << len(excludes)) - 1
     fallback = None  # last build whose containers were not all-of-V
     while True:
         try:
-            count, dedup = _walked_containers(excludes, tau, candidate_budget)
+            count, dedup = _walked_containers(excludes, tau, budget)
         except SizeLimitError:
             tau += max(1, tau // 2)
             continue
@@ -405,20 +366,19 @@ def build_hypergraph_collection(
         # full-vertex-set container; prefer the last informative build even
         # if it overshoots the requested collection size
         tau, count, dedup = fallback
-    containers = _sorted_sets(dedup)
+    containers = tuple(VertexSet(m) for m in sorted(dedup, key=lambda m: (m.bit_count(), m)))
 
     def locate(independent: VertexSet) -> VertexSet:
-        return _locate(h, excludes, tau, independent)
+        return _locate(structure, excludes, tau, independent)
 
     return ContainerCollection(
         containers=containers,
         params=None,
-        source="hypergraph",
-        low_degree=False,
+        source=source,
         stats={
             "container_count": len(containers),
             "max_container_size": containers[-1].cardinality,
-            "p": p,
+            **stats,
             "tau": tau,
             "candidate_count": count,
             "vacuous": full in dedup,
@@ -427,8 +387,47 @@ def build_hypergraph_collection(
     )
 
 
-def graph_as_hypergraph(g: Graph) -> Hypergraph:
-    return Hypergraph(g.n, 2, g.edges)
+def build_hypergraph_collection(
+    structure: Graph | Hypergraph,
+    p: float,
+    *,
+    candidate_budget: int = CANDIDATE_BUDGET,
+    max_containers: int | None = None,
+) -> ContainerCollection:
+    """Container collection for an r-uniform hypergraph, r read from it; a
+    `Graph` is the r=2 case, walked on its own adjacency masks.
+
+    p in (0, 1] is the engine's only input. The containers are those of the
+    single-pass fingerprints, which one walk of the fixed points lists. The
+    exclusion threshold tau starts at ~1/((r-1)p) and is raised until the
+    walk fits the budget and, when requested, the deduped collection fits
+    max_containers. Container sizes are measured and reported in the stats,
+    not certified, so no co-degree condition is checked; p and the final tau
+    are in the stats.
+
+    What a vertex excludes on joining a fingerprint is its lone-vertex
+    exclusion set: at r=2 its neighborhood, and at r>=3 nothing, since an
+    edge through v has r-1 >= 2 other vertices. So at r>=3 no vertex joins
+    the empty fingerprint, every `locate` image is V and the collection is
+    {V}, which `stats["vacuous"]` reports. At r=2 a collection holds V only
+    when it is {V}.
+    """
+    if not 0 < p <= 1:
+        raise ParameterError(f"p must be in (0, 1], got {p}")
+    graph = isinstance(structure, Graph)
+    r = 2 if graph else structure.r
+    if r < 2:
+        raise ParameterError("uniformity must be at least 2")
+    if not structure.edges:
+        raise ParameterError("hypergraph has no edges (zero edge density)")
+    if graph:
+        excludes = structure.adj_mask
+    else:
+        excludes = [_exclusions(structure, v, 1 << v) for v in range(structure.n)]
+    tau = max(1, math.ceil(1.0 / ((r - 1) * p)))
+    return _collection(
+        structure, excludes, tau, candidate_budget, max_containers, "hypergraph", {"p": p}
+    )
 
 
 def build_almost_regular_collection(
@@ -437,7 +436,7 @@ def build_almost_regular_collection(
     *,
     max_containers: int | None = None,
 ) -> ContainerCollection:
-    """Graph containers via the hypergraph engine at r=2.
+    """Graph containers via the hypergraph engine at r=2, on g itself.
 
     degree_ratio is the max/average degree bound the caller asserts, checked
     against g. p = 1/(epsilon*avg_degree) at epsilon = 1/4 mirrors the
@@ -453,7 +452,7 @@ def build_almost_regular_collection(
             f"average degree {g.average_degree:.3f}"
         )
     p = min(1.0, 1.0 / (0.25 * g.average_degree))
-    coll = build_hypergraph_collection(graph_as_hypergraph(g), p, max_containers=max_containers)
+    coll = build_hypergraph_collection(g, p, max_containers=max_containers)
     return replace(coll, source="almost-regular-graph")
 
 

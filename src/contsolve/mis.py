@@ -147,7 +147,6 @@ def mis_base(
 class MisConfig:
     mode: str = "auto"  # auto | base | containers
     epsilon: float = 0.25  # regular-build slack
-    degree_ratio: float = 2.0  # almost-regular degree bound
     force: bool = False  # run containers below the useful-degree floor
 
 
@@ -171,10 +170,9 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
             r.stats["path"] = "base (low-degree dispatch)"
             return r
     else:
-        # the ratio only parameterizes the engine threshold, so widen it to
-        # the measured value rather than reject graphs above the configured one
-        ratio = max(config.degree_ratio, g.max_degree / g.average_degree * (1 + 1e-9))
-        coll = build_almost_regular_collection(g, ratio)
+        # the engine's threshold comes from the average degree alone, so
+        # assert the measured degree ratio rather than a configured bound
+        coll = build_almost_regular_collection(g, g.max_degree / g.average_degree * (1 + 1e-9))
 
     subproblems = maximal_masks(c.mask for c in coll.containers)
     priced = sorted(

@@ -30,7 +30,6 @@ class LiteralHypergraph:
     negation; a clause contributes the edge of its negated literals."""
 
     hypergraph: Hypergraph
-    num_vars: int
 
     @staticmethod
     def literal_vertex(literal: int) -> int:
@@ -53,9 +52,7 @@ def build_literal_hypergraph(phi: CnfFormula) -> LiteralHypergraph:
                 f"mixed clause widths ({len(clause)} vs {k}); pad or split upstream"
             )
         edges.append(tuple(sorted(LiteralHypergraph.negation_vertex(l) for l in clause)))
-    return LiteralHypergraph(
-        hypergraph=Hypergraph(2 * phi.num_vars, k, edges), num_vars=phi.num_vars
-    )
+    return LiteralHypergraph(Hypergraph(2 * phi.num_vars, k, edges))
 
 
 def assignment_literal_set(phi: CnfFormula, assignment: dict[int, bool]) -> VertexSet:
@@ -206,6 +203,34 @@ class StructureResult:
         return self.status == "found"
 
 
+def _greedy_edges(h: Hypergraph, d: int) -> tuple[list[int], list[int], int, int]:
+    """The greedy of `extract_structure` in one pass over the vertices. An
+    edge is residual while it meets no retired vertex; a moved edge holds
+    its picker, which retires. Residual counts only fall, so a vertex passed
+    over never qualifies later. Returns the moved edge indices, each
+    vertex's output degree, and the masks of the picked and the retired
+    vertices."""
+    cap = h.r * d
+    picked = retired = 0
+    degree = [0] * h.n
+    eprime: list[int] = []
+    for v in range(h.n):
+        if (retired >> v) & 1:
+            continue
+        residual = [i for i in h.incidence[v] if not h.edge_masks[i] & retired]
+        if len(residual) < d:
+            continue
+        picked |= 1 << v
+        retired |= 1 << v
+        for idx in residual[:d]:
+            eprime.append(idx)
+            for u in h.edges[idx]:
+                degree[u] += 1
+                if degree[u] > cap:
+                    retired |= 1 << u
+    return eprime, degree, picked, retired
+
+
 def extract_structure(h: Hypergraph, params: StructureParams) -> StructureResult:
     """Greedy dense-substructure extraction.
 
@@ -217,46 +242,13 @@ def extract_structure(h: Hypergraph, params: StructureParams) -> StructureResult
     failure there is reported as its own outcome."""
     r = h.r
     d = params.D
-    retired = 0
-    in_eprime = [False] * len(h.edges)
-    eprime_degree = [0] * h.n
-    eprime: list[int] = []
-    while True:
-        pick = -1
-        for v in range(h.n):
-            if (retired >> v) & 1:
-                continue
-            residual = [
-                idx
-                for idx in h.incidence[v]
-                if not in_eprime[idx] and not (h.edge_masks[idx] & retired)
-            ]
-            if len(residual) >= d:
-                pick = v
-                break
-        if pick < 0:
-            break
-        moved = 0
-        for idx in h.incidence[pick]:
-            if moved == d:
-                break
-            if in_eprime[idx] or (h.edge_masks[idx] & retired):
-                continue
-            in_eprime[idx] = True
-            eprime.append(idx)
-            moved += 1
-            for u in h.edges[idx]:
-                eprime_degree[u] += 1
-        retired |= 1 << pick
-        for u in range(h.n):
-            if eprime_degree[u] > r * d:
-                retired |= 1 << u
+    eprime, degree, _, retired = _greedy_edges(h, d)
     edges = tuple(h.edges[i] for i in sorted(eprime))
     stats = {"edges": len(edges), "vertices": h.n, "retired": retired.bit_count()}
     if len(edges) < h.n:
         return StructureResult("absent", None, len(edges) / h.n if h.n else 0.0, stats)
     sub = Hypergraph(h.n, r, list(edges))
-    max_deg = max_codegree(sub, 1)
+    max_deg = max(degree)
     if max_deg > (r + 1) * d:
         raise RuntimeError("extraction degree cap violated; this is a bug")
     d_eff = len(edges) / h.n
@@ -292,16 +284,23 @@ def solve_ksat_dense(
     if config.mode == "dpll" or not phi.clauses:
         sat, model = dpll(phi)
         return SatResult(sat, model, {"path": "dpll"})
-    lh = build_literal_hypergraph(phi)
-    structure = extract_structure(lh.hypergraph, params)
-    stats: dict = {"structure": structure.status, "structure_stats": structure.stats}
-    if not structure.usable:
+    stats: dict = {}
+    if any(len(c) != phi.k for c in phi.clauses):
+        reason = "mixed clause widths"
+    elif phi.k < 2:
+        reason = "clause width below 2"
+    else:
+        structure = extract_structure(build_literal_hypergraph(phi).hypergraph, params)
+        stats = {"structure": structure.status, "structure_stats": structure.stats}
+        reason = None if structure.usable else "no structure"
+    if reason is not None:
         if config.mode == "containers":
             raise PreconditionError(
-                f"containers mode requires a usable structure (got {structure.status})"
+                "containers mode requires one clause width of at least 2 and a usable "
+                f"structure (got {stats.get('structure', reason)})"
             )
         sat, model = dpll(phi)
-        stats["path"] = "dpll (no structure)"
+        stats["path"] = f"dpll ({reason})"
         return SatResult(sat, model, stats)
 
     sub = structure.hypergraph

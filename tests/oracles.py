@@ -137,3 +137,28 @@ def count_hypercliques(h: Hypergraph, k: int) -> int:
         if all(sub in edge_set for sub in combinations(combo, h.r)):
             count += 1
     return count
+
+
+def greedy_structure_rescan(h: Hypergraph, d: int) -> tuple[list[int], int]:
+    """The greedy D-edge extraction that rescans from vertex 0 after every
+    pick: the lowest non-retired vertex with d residual edges moves the first
+    d of them and retires, then every vertex of output degree above r*d
+    retires. Returns the sorted moved edge indices and the retired mask."""
+    retired = 0
+    moved: list[int] = []
+    degree = [0] * h.n
+    while True:
+        for v in range(h.n):
+            residual = [
+                i for i in h.incidence[v] if i not in moved and not h.edge_masks[i] & retired
+            ]
+            if not retired >> v & 1 and len(residual) >= d:
+                break
+        else:
+            return sorted(moved), retired
+        for i in residual[:d]:
+            moved.append(i)
+            for u in h.edges[i]:
+                degree[u] += 1
+        retired |= 1 << v
+        retired |= sum(1 << u for u in range(h.n) if degree[u] > h.r * d)

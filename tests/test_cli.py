@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from contsolve.cli import run
-from contsolve.core import complete_graph, cycle_graph
+from contsolve.core import complete_graph, cycle_graph, parse_dimacs_cnf
 from contsolve.extsum import ExtSumInstance
 
 
@@ -182,6 +182,24 @@ class TestSatCommand:
         code, report = run_json(capsys, ["sat", "--input", path.as_posix(), "--mode", "dpll"])
         assert code == 1
         assert report["result"]["satisfiable"] is False
+
+
+    @pytest.mark.parametrize(
+        "text, extra, path",
+        [
+            ("p cnf 3 2\n1 2 0\n1 2 3 0\n", [], "dpll (mixed clause widths)"),
+            # width 1 with a structure found at D = 2
+            ("p cnf 1 4\n1 0\n1 0\n1 0\n1 0\n", ["--D", "2"], "dpll (clause width below 2)"),
+        ],
+        ids=["mixed-widths", "unit-clauses"],
+    )
+    def test_auto_solves_what_the_engine_cannot_take(self, capsys, tmp_path, text, extra, path):
+        cnf = tmp_path / "phi.cnf"
+        cnf.write_text(text)
+        code, report = run_json(capsys, ["sat", "--input", cnf.as_posix(), *extra])
+        assert code == 0 and report["counters"]["path"] == path
+        model = {int(v): bool(b) for v, b in report["result"]["model"].items()}
+        assert parse_dimacs_cnf(text).is_satisfied_by(model)
 
 
 class TestDeterminismAndErrors:

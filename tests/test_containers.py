@@ -12,11 +12,12 @@ from contsolve.containers import (
     container_of,
     container_sparsity,
     fingerprint,
-    graph_as_hypergraph,
     hypergraph_container,
     hypergraph_fingerprint,
     maximal_masks,
 )
+from contsolve.coloring import ColoringConfig, solve_kcoloring
+from contsolve.mis import MisConfig, mis_containers
 from contsolve.containers import _container_mask, _exclusions, _fixed_points, _walked_containers
 from contsolve.core import (
     Graph,
@@ -152,6 +153,13 @@ class TestRegularCollection:
         b = build_regular_collection(g, EPS, force=True)
         assert [c.mask for c in a.containers] == [c.mask for c in b.containers]
 
+    def test_forced_collection_reports_its_tau(self):
+        # the regular walk has no budget, so the driver keeps params.tau
+        for g in _coverage_instances():
+            for eps in (0.25, EPS):
+                coll = build_regular_collection(g, eps, force=True)
+                assert coll.stats["tau"] == coll.params.tau
+
 
 class TestMaximalMasks:
     def test_matches_brute_force(self):
@@ -203,7 +211,7 @@ class TestHypergraphEngine:
             build_hypergraph_collection(h, 0.5)
 
     def test_p_outside_unit_interval_and_one_uniform_rejected(self):
-        h = graph_as_hypergraph(cycle_graph(4))
+        h = Hypergraph(4, 2, cycle_graph(4).edges)
         for bad in (0, -0.5, 1.5):
             with pytest.raises(ParameterError, match="p must be"):
                 build_hypergraph_collection(h, bad)
@@ -213,7 +221,7 @@ class TestHypergraphEngine:
     def test_locate_rejects_dependent_set(self):
         g = cycle_graph(6)
         regular = build_regular_collection(g, EPS, force=True)
-        engine = build_hypergraph_collection(graph_as_hypergraph(g), 1.0)
+        engine = build_hypergraph_collection(Hypergraph(g.n, 2, g.edges), 1.0)
         triple = build_hypergraph_collection(Hypergraph(4, 3, [(0, 1, 2), (1, 2, 3)]), 1.0)
         for coll, dependent in ((regular, 0b11), (engine, 0b11), (triple, 0b111)):
             with pytest.raises(PreconditionError):
@@ -235,7 +243,7 @@ class TestHypergraphEngine:
 
     def test_report_prints_p_from_the_stats(self):
         g = petersen_graph()
-        coll = build_hypergraph_collection(graph_as_hypergraph(g), 0.5)
+        coll = build_hypergraph_collection(Hypergraph(g.n, 2, g.edges), 0.5)
         report = collection_report(coll, g)
         assert coll.params is None and "params" not in report
         assert report["stats"]["p"] == 0.5 and report["stats"]["tau"] == coll.stats["tau"]
@@ -243,7 +251,7 @@ class TestHypergraphEngine:
     def test_c4_cross_check_with_regular_builder(self):
         g = cycle_graph(4)
         reg = build_regular_collection(g, EPS, force=True)
-        eng = build_hypergraph_collection(graph_as_hypergraph(g), 1.0)
+        eng = build_hypergraph_collection(Hypergraph(g.n, 2, g.edges), 1.0)
         reg_members = {c.mask for c in reg.containers}
         eng_members = {c.mask for c in eng.containers}
         for iset in all_independent_sets(g):
@@ -269,11 +277,35 @@ class TestHypergraphEngine:
             cases += 1
         assert cases == 40
 
+    def test_graph_builds_as_its_two_uniform_hypergraph(self):
+        # a Graph is walked on its adjacency masks; the collection, its stats
+        # and its locate images are those of the same edges as a 2-uniform
+        # hypergraph, with and without the driver raising tau
+        rng = random.Random(71)
+        cases = 0
+        for _ in range(30):
+            g = random_graph(rng.randint(2, 12), rng.choice([0.2, 0.35, 0.5, 0.7]), rng.randrange(10**6))
+            if g.m == 0:
+                continue
+            h = Hypergraph(g.n, 2, g.edges)
+            p = rng.choice([0.25, 0.5, 1.0])
+            for kwargs in ({}, {"max_containers": 2}, {"candidate_budget": 3}):
+                a = build_hypergraph_collection(g, p, **kwargs)
+                b = build_hypergraph_collection(h, p, **kwargs)
+                assert a.containers == b.containers and a.stats == b.stats
+                for iset in all_independent_sets(g):
+                    assert a.locate(VertexSet(iset)) == b.locate(VertexSet(iset))
+            u, v = g.edges[0]
+            with pytest.raises(PreconditionError):
+                a.locate(VertexSet(1 << u | 1 << v))
+            cases += 1
+        assert cases > 20
+
     def test_fingerprint_reduces_to_graph_scheme_shape(self):
         # at r=2 exclusions are plain neighborhoods: a fingerprint vertex must
         # newly exclude >= tau neighbors, the graph analogue of the degree rule
         g = cycle_graph(8)
-        h = graph_as_hypergraph(g)
+        h = Hypergraph(g.n, 2, g.edges)
         iset = VertexSet.of([0, 2, 4])
         f = hypergraph_fingerprint(h, iset, tau=1)
         cont = hypergraph_container(h, f, tau=1)
@@ -292,7 +324,7 @@ class TestFixedPointWalk:
             g = random_graph(n, rng.choice([0.2, 0.35, 0.5, 0.7]), rng.randrange(10**6))
             if g.m == 0:
                 continue
-            h = graph_as_hypergraph(g)
+            h = Hypergraph(g.n, 2, g.edges)
             isets = all_independent_sets(g)
             for tau in (1, 2, 3):
                 walked = [f for f, _, _ in _fixed_points(g.adj_mask, tau)]
@@ -352,7 +384,7 @@ class TestFixedPointWalk:
             g = random_graph(12, 0.35, rng.randrange(10**6))
             if g.m == 0:
                 continue
-            h = graph_as_hypergraph(g)
+            h = Hypergraph(g.n, 2, g.edges)
             for tau in (1, 2, 3):
                 coll = build_hypergraph_collection(h, 1.0 / tau)
                 assert coll.stats["tau"] == tau
@@ -377,7 +409,7 @@ class TestFixedPointWalk:
 
     def test_budget_raises_tau(self):
         g = random_graph(12, 0.35, 5)
-        h = graph_as_hypergraph(g)
+        h = Hypergraph(g.n, 2, g.edges)
         walked = build_hypergraph_collection(h, 1.0).stats["candidate_count"]
         coll = build_hypergraph_collection(h, 1.0, candidate_budget=walked - 1)
         assert coll.stats["tau"] > 1 and coll.stats["candidate_count"] < walked
@@ -446,6 +478,24 @@ class TestAlmostRegular:
             coll = build_almost_regular_collection(g, ratio)
             assert coll.source == "almost-regular-graph" and coll.params is None
             assert coll.stats["p"] == min(1.0, 4.0 / g.average_degree)
+
+    def test_graph_callers_build_no_hypergraph(self, monkeypatch):
+        built = []
+        init = Hypergraph.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Hypergraph, "__init__", counted)
+        g = random_graph(12, 0.5, 2)
+        assert not g.is_regular()
+        coll = build_almost_regular_collection(g, g.max_degree / g.average_degree)
+        assert coll.source == "almost-regular-graph" and coll.stats["candidate_count"] > 1
+        assert mis_containers(g, MisConfig(mode="containers")).stats["path"] == "containers"
+        stats = solve_kcoloring(g, 3, ColoringConfig(mode="containers")).stats
+        assert stats["base_containers"] > 0
+        assert built == []
 
     def test_coverage_on_irregular_graph(self):
         rng = random.Random(3)

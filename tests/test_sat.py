@@ -24,7 +24,7 @@ from contsolve.sat import (
     restrict_formula,
     solve_ksat_dense,
 )
-from oracles import hypergraph_independent_sets, truth_table_sat
+from oracles import greedy_structure_rescan, hypergraph_independent_sets, truth_table_sat
 
 
 class TestLiteralHypergraph:
@@ -144,6 +144,30 @@ class TestExtractStructure:
         if result.status != "absent":
             assert result.status == "found-codegree-fail"
 
+    def test_one_pass_keeps_the_rescanning_greedy(self):
+        # at exit no vertex left has D residual edges, every retired vertex
+        # was picked or passed r*D output edges, and the picks are those of
+        # rescanning from vertex 0 after each one
+        rng = random.Random(65)
+        for _ in range(60):
+            n, r, d = rng.randint(3, 12), rng.choice([2, 3]), rng.randint(1, 4)
+            pool = list(combinations(range(n), r))
+            edges = [rng.choice(pool) for _ in range(rng.randint(0, 6 * n))]
+            h = Hypergraph(n, r, edges)
+            eprime, degree, picked, retired = sat._greedy_edges(h, d)
+            assert (sorted(eprime), retired) == greedy_structure_rescan(h, d)
+            assert len(eprime) == d * picked.bit_count()
+            assert degree == [sum(v in h.edges[i] for i in eprime) for v in range(n)]
+            capped = sum(1 << v for v in range(n) if degree[v] > r * d)
+            assert retired == picked | capped
+            for v in range(n):
+                if not retired >> v & 1:
+                    residual = [
+                        i for i in h.incidence[v]
+                        if i not in eprime and not h.edge_masks[i] & retired
+                    ]
+                    assert len(residual) < d
+
     def test_param_validation(self):
         with pytest.raises(ParameterError):
             StructureParams(D=0, C=1.0, epsilon=0.5)
@@ -162,8 +186,15 @@ class TestSolveKsatDense:
 
     def test_containers_mode_requires_structure(self):
         phi = random_ksat_formula(12, 4, 3, 2)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="got absent"):
             solve_ksat_dense(phi, self.PARAMS, SatConfig(mode="containers"))
+        # the engine needs one clause width of at least 2
+        for phi, reason in (
+            (CnfFormula(3, [(1, 2), (1, 2, 3)]), "mixed clause widths"),
+            (CnfFormula(1, [(1,)] * 8), "clause width below 2"),
+        ):
+            with pytest.raises(PreconditionError, match=reason):
+                solve_ksat_dense(phi, StructureParams(D=2, C=40.0, epsilon=0.3), SatConfig(mode="containers"))
 
     def test_auto_falls_back_without_structure(self):
         phi = random_ksat_formula(12, 4, 3, 3)
