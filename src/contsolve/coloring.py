@@ -13,9 +13,7 @@ positivity hinges on sign cancellation, so no modular shortcuts."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
-from itertools import combinations
-from operator import or_
+from functools import lru_cache
 
 from .containers import build_almost_regular_collection, maximal_masks
 from .core import Graph, ParameterError, SizeLimitError, VertexSet
@@ -25,6 +23,7 @@ from .extsum import (
     eval_k3,
     eval_naive,
 )
+from .partition import container_unions
 
 IS_TABLE_CEILING = 30
 BASELINE_CEILING = 26
@@ -193,8 +192,9 @@ def _decide_containers(g: Graph, k: int, config: ColoringConfig, stats: dict) ->
     whose classes' base containers have unions (X, Y); positivity of the
     constrained count is monotone in the containers, so it is enough to test
     supersets of those unions. Each group has at most k-1 classes, hence
-    candidates are unions of k-1 base containers (inclusion-maximal ones
-    only), and by symmetry a pair (X, Y) needs just the k-1 color counts.
+    candidates are the inclusion-maximal unions of at most k-1 maximal base
+    containers, from the partition enumeration `container_unions`, and by
+    symmetry a pair (X, Y) needs just the k-1 color counts.
 
     The covering pairs are priced first, at PAIR_ENTRY_COST * (k-1)(2^|X| +
     2^|Y|) each, in the time units of one subset of the whole-V sum. When
@@ -213,9 +213,7 @@ def _decide_containers(g: Graph, k: int, config: ColoringConfig, stats: dict) ->
     # any union over non-maximal base containers is dominated by a union
     # over their supersets
     maximal_base = maximal_masks(c.mask for c in base.containers)
-    take = min(k - 1, len(maximal_base))
-    unions = (reduce(or_, combo, 0) for combo in combinations(maximal_base, take))
-    maximal = [VertexSet(m) for m in maximal_masks(unions)]
+    maximal = [VertexSet(m) for m in maximal_masks(container_unions(maximal_base, k - 1))]
     stats["candidate_containers"] = len(maximal)
     full = (1 << g.n) - 1
     pairs = sorted(

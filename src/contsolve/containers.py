@@ -30,13 +30,15 @@ container sizes, are not checked. One driver, `_collection`, walks and
 assembles every collection; only the engine's walk is budgeted
 (`CANDIDATE_BUDGET` fingerprints per threshold). A graph is walked on its
 own adjacency masks. Every collection's `locate` is one scan, `_locate`: the
-fingerprint scan of the set, then the container rule.
+fingerprint scan of the set, then a lookup in the walk's map from fingerprint
+to container.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -82,10 +84,10 @@ class ContainerCollection:
 
     `params` is the regular scheme's `ContainerParams`, and None for engine
     collections, whose p and threshold are in `stats["p"]` and
-    `stats["tau"]`. `locate(I)` recomputes the container assigned to a
-    concrete independent set; the result is always a member of
-    `containers`. `stats["vacuous"]` is true when V itself is a container,
-    so the collection prunes nothing.
+    `stats["tau"]`. `locate(I)` scans I for its fingerprint, then looks up
+    the container the walk built for that fingerprint; the result is always
+    a member of `containers`. `stats["vacuous"]` is true when V itself is a
+    container, so the collection prunes nothing.
     """
 
     containers: tuple[VertexSet, ...]
@@ -211,9 +213,9 @@ def build_regular_collection(
     proof needs only regularity); an edgeless graph is always flagged. The
     containers are those of the fingerprint fixed points at threshold
     tau = ceil(epsilon*d), under the one container rule `_container_mask`,
-    which `container_of` applies too; `locate` is the shared scan `_locate`,
-    which gives `container_of(g, fingerprint(g, I))`. The walk is unbounded,
-    so `stats["tau"]` is `params.tau`.
+    which `container_of` applies too; `locate` is the shared scan and lookup
+    `_locate`, which gives `container_of(g, fingerprint(g, I))`. The walk is
+    unbounded, so `stats["tau"]` is `params.tau`.
     """
     if g.n == 0:
         raise ParameterError("empty graph")
@@ -302,13 +304,15 @@ def _container_mask(excludes: Sequence[int], f: int, excluded: int, tau: int) ->
 
 
 def _locate(
-    structure: Graph | Hypergraph, excludes: Sequence[int], tau: int, independent: VertexSet
+    structure: Graph | Hypergraph, excludes: Sequence[int], tau: int, walked: dict[int, int],
+    independent: VertexSet,
 ) -> VertexSet:
     """The container of an independent set's fingerprint, in one scan: a
     vertex of I, in id order, joins F when `excludes[v]` brings at least tau
-    new exclusions, and the container rule expands F. `excludes` holds the
-    lone exclusion sets the walk uses, which are exactly what a fingerprint
-    vertex excludes (F is independent at r=2 and empty at r>=3)."""
+    new exclusions, and F's container is looked up in `walked`. `excludes`
+    holds the lone exclusion sets the walk uses, which are exactly what a
+    fingerprint vertex excludes (F is independent at r=2 and empty at r>=3),
+    so F is a fixed point the walk listed."""
     if not structure.is_independent(independent.mask):
         raise PreconditionError("input set is not independent")
     f = excluded = 0
@@ -316,21 +320,16 @@ def _locate(
         if (excludes[v] & ~excluded).bit_count() >= tau:
             f |= 1 << v
             excluded |= excludes[v]
-    return VertexSet(_container_mask(excludes, f, excluded, tau))
+    return VertexSet(walked[f])
 
 
-def _walked_containers(
-    excludes: Sequence[int], tau: int, budget: int | None
-) -> tuple[int, set[int]]:
-    """Number of fingerprints walked at threshold tau and the distinct
-    container masks of those fingerprints."""
+def _walked_containers(excludes: Sequence[int], tau: int, budget: int | None) -> dict[int, int]:
+    """The map from each fingerprint walked at threshold tau to its
+    container mask."""
     full = (1 << len(excludes)) - 1
-    walked = 0
-    dedup: set[int] = set()
-    for _, excluded, heavy in _fixed_points(excludes, tau, budget):
-        walked += 1
-        dedup.add(full & ~(excluded | heavy))
-    return walked, dedup
+    return {
+        f: full & ~(excluded | heavy) for f, excluded, heavy in _fixed_points(excludes, tau, budget)
+    }
 
 
 def _collection(
@@ -351,13 +350,14 @@ def _collection(
     fallback = None  # last build whose containers were not all-of-V
     while True:
         try:
-            count, dedup = _walked_containers(excludes, tau, budget)
+            walked = _walked_containers(excludes, tau, budget)
         except SizeLimitError:
             tau += max(1, tau // 2)
             continue
+        dedup = set(walked.values())
         if full not in dedup:
-            fallback = (tau, count, dedup)
-        if max_containers is not None and len(dedup) > max_containers and count > 1:
+            fallback = (tau, walked, dedup)
+        if max_containers is not None and len(dedup) > max_containers and len(walked) > 1:
             tau += max(1, tau // 2)
             continue
         break
@@ -365,12 +365,8 @@ def _collection(
         # raising the threshold degenerated the collection to the single
         # full-vertex-set container; prefer the last informative build even
         # if it overshoots the requested collection size
-        tau, count, dedup = fallback
+        tau, walked, dedup = fallback
     containers = tuple(VertexSet(m) for m in sorted(dedup, key=lambda m: (m.bit_count(), m)))
-
-    def locate(independent: VertexSet) -> VertexSet:
-        return _locate(structure, excludes, tau, independent)
-
     return ContainerCollection(
         containers=containers,
         params=None,
@@ -380,10 +376,10 @@ def _collection(
             "max_container_size": containers[-1].cardinality,
             **stats,
             "tau": tau,
-            "candidate_count": count,
+            "candidate_count": len(walked),
             "vacuous": full in dedup,
         },
-        locate=locate,
+        locate=partial(_locate, structure, excludes, tau, walked),
     )
 
 
@@ -414,6 +410,8 @@ def build_hypergraph_collection(
     """
     if not 0 < p <= 1:
         raise ParameterError(f"p must be in (0, 1], got {p}")
+    if candidate_budget < 1:  # every walk visits the root
+        raise ParameterError(f"candidate budget must be at least 1, got {candidate_budget}")
     graph = isinstance(structure, Graph)
     r = 2 if graph else structure.r
     if r < 2:

@@ -3,16 +3,20 @@
 A partition container collection for tuple size k has the property that any k
 independent sets can be split into two groups, each group fully inside one
 container. The containers are unions of at most k base containers kept under
-a size ceiling. Two refinement primitives support the constructions: a Venn
-(membership-vector pigeonhole) split of a subset family, and a matching-based
-split that trades a maximal matching avoiding all subsets for part unions
-that each miss a fraction of the vertices.
+a size ceiling; one enumeration, `container_unions`, lists such unions for
+the collection and for the k-coloring solver. Two refinement primitives
+support the constructions: a Venn (membership-vector pigeonhole) split of a
+subset family, and a matching-based split that trades a maximal matching
+avoiding all subsets for part unions that each miss a fraction of the
+vertices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 from .core import Graph, ParameterError, SizeLimitError, VertexSet
 from .containers import (
@@ -20,6 +24,10 @@ from .containers import (
     build_almost_regular_collection,
     build_regular_collection,
 )
+
+# candidate unions `materialize`, and so `cover_split`'s fallback, tries
+# before it raises SizeLimitError
+UNION_BUDGET = 200000
 
 
 class RefinementUnavailableError(ValueError):
@@ -116,12 +124,51 @@ def matching_refinement(g: Graph, subsets: list[VertexSet]) -> RefinementResult:
     return RefinementResult(parts=tuple(parts), matching_size=len(matching))
 
 
+def container_unions(
+    masks: Sequence[int], count: int, ceiling: float = math.inf, limit: float = math.inf
+) -> Iterator[int]:
+    """The distinct unions of 1..count of `masks`, each yielded once. A
+    candidate is a combination of masks whose union has at most `ceiling`
+    vertices (a union only grows, so no superset of a combination over the
+    ceiling is tried); more than `limit` candidates raise SizeLimitError."""
+    seen: set[int] = set()
+    tried = 0
+    stack = [(0, 0, 1)]  # (first index to add, union, size of its extensions)
+    while stack:
+        start, union, size = stack.pop()
+        for i in range(start, len(masks)):
+            grown = union | masks[i]
+            if grown.bit_count() > ceiling:
+                continue
+            tried += 1
+            if tried > limit:
+                raise SizeLimitError(
+                    "partition-container-materialization",
+                    f"more than {limit} candidate unions",
+                )
+            if grown not in seen:
+                seen.add(grown)
+                yield grown
+            if size < count:
+                stack.append((i + 1, grown, size + 1))
+
+
+@lru_cache(maxsize=None)
+def _splits(k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The 2^k splits (A, B) of range(k), in the order of A's bit mask."""
+    return tuple(
+        (tuple(j for j in range(k) if split >> j & 1), tuple(j for j in range(k) if not split >> j & 1))
+        for split in range(1 << k)
+    )
+
+
 @dataclass
 class PartitionContainerCollection:
     """Unions of at most k base containers under the ceiling (1-epsilon)n.
 
     The full union collection is only materialized on demand; `cover_split`
-    produces an explicit split witness for a k-tuple of independent sets."""
+    produces an explicit split witness for a k-tuple of independent sets,
+    from the materialized unions only when the located containers overflow."""
 
     base: ContainerCollection
     k: int
@@ -136,38 +183,15 @@ class PartitionContainerCollection:
     def size_ceiling(self) -> float:
         return (1.0 - self.epsilon) * self.n
 
-    def materialize(self, limit: int = 200000) -> tuple[VertexSet, ...]:
+    def materialize(self, limit: int | None = None) -> tuple[VertexSet, ...]:
+        """The distinct unions of 1..k base containers under the ceiling, by
+        size, then mask; past `limit` (default `UNION_BUDGET`) candidates,
+        SizeLimitError."""
         if self._materialized is not None:
             return self._materialized
-        # candidates are counted, then kept as ints; many coincide, so a
-        # VertexSet is built only for each distinct union
-        unions: set[int] = set()
         masks = [c.mask for c in self.base.containers]
-        count = 0
-        ceiling = self.size_ceiling
-
-        def extend(start: int, union_mask: int, depth: int):
-            nonlocal count
-            fits = [
-                i for i in range(start, len(masks))
-                if (union_mask | masks[i]).bit_count() <= ceiling
-            ]
-            count += len(fits)
-            if count > limit:
-                raise SizeLimitError(
-                    "partition-container-materialization",
-                    f"more than {limit} candidate unions",
-                )
-            if depth + 1 < self.k:
-                for i in fits:
-                    u = union_mask | masks[i]
-                    unions.add(u)
-                    extend(i + 1, u, depth + 1)
-            else:
-                unions.update([union_mask | masks[i] for i in fits])
-
-        extend(0, 0, 0)
-        ordered = sorted(unions)
+        limit = UNION_BUDGET if limit is None else limit
+        ordered = sorted(container_unions(masks, self.k, self.size_ceiling, limit))
         ordered.sort(key=int.bit_count)  # stable: by size, then by mask
         self._materialized = tuple(map(VertexSet, ordered))
         self.stats["container_count"] = len(self._materialized)
@@ -182,59 +206,37 @@ class PartitionContainerCollection:
         group, the A-union is inside container_A and the complement-group
         union inside container_B; an empty group gets container None. The
         fast path unions the located base containers D_j = locate(I_j) over
-        each of the 2^k splits; the fallback searches bounded combinations
-        of base containers for each side."""
+        each of the 2^k splits; the fallback gives each side the first
+        `materialize()` member covering its sets, within its budget."""
         if len(independents) != self.k:
             raise ParameterError(f"expected {self.k} sets, got {len(independents)}")
         if self.base.locate is None:
             raise RefinementUnavailableError("base collection has no locator")
-        located = [self.base.locate(i) for i in independents]
+        located = [self.base.locate(i).mask for i in independents]
         ceiling = self.size_ceiling
-        k = self.k
-        for split in range(1 << k):
-            a = tuple(j for j in range(k) if (split >> j) & 1)
-            b = tuple(j for j in range(k) if not (split >> j) & 1)
-            ua = 0
+        for a, b in _splits(self.k):
+            ua = ub = 0
             for j in a:
-                ua |= located[j].mask
-            ub = 0
+                ua |= located[j]
             for j in b:
-                ub |= located[j].mask
+                ub |= located[j]
             if ua.bit_count() <= ceiling and ub.bit_count() <= ceiling:
-                return (
-                    a,
-                    VertexSet(ua) if a else None,
-                    VertexSet(ub) if b else None,
-                )
-        # rare path: located containers overflow the ceiling jointly; look
-        # for any base-container combinations covering the two group unions
-        for split in range(1 << k):
-            a = tuple(j for j in range(k) if (split >> j) & 1)
-            b = tuple(j for j in range(k) if not (split >> j) & 1)
-            ca = self._covering_union(a, independents)
-            if ca is None and a:
-                continue
-            cb = self._covering_union(b, independents)
-            if cb is None and b:
-                continue
-            return a, ca, cb
-        raise RefinementUnavailableError("no split of the tuple fits any container pair")
+                return a, VertexSet(ua) if a else None, VertexSet(ub) if b else None
+        # rare path: located containers overflow the ceiling jointly
+        members = self.materialize()
 
-    def _covering_union(self, indices, independents) -> VertexSet | None:
-        if not indices:
-            return None
-        target = 0
-        for j in indices:
-            target |= independents[j].mask
-        ceiling = self.size_ceiling
-        for j in range(1, self.k + 1):
-            for combo in combinations(self.base.containers, j):
-                u = 0
-                for b in combo:
-                    u |= b.mask
-                if u.bit_count() <= ceiling and target & ~u == 0:
-                    return VertexSet(u)
-        return None
+        def cover(group: tuple[int, ...]) -> VertexSet | None:
+            target = 0
+            for j in group:
+                target |= independents[j].mask
+            return next((c for c in members if not target & ~c.mask), None)
+
+        for a, b in _splits(self.k):
+            ca = cover(a) if a else None
+            cb = cover(b) if b else None
+            if (ca is not None or not a) and (cb is not None or not b):
+                return a, ca, cb
+        raise RefinementUnavailableError("no split of the tuple fits any container pair")
 
 
 def build_partition_collection_regular(

@@ -1,8 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from contsolve.coloring import (
+    MAX_BASE_CONTAINERS,
     ColoringConfig,
     constrained_F,
     count_is_dp,
@@ -20,11 +22,18 @@ from contsolve.core import (
     random_graph,
     random_regular_graph,
 )
+from contsolve.containers import build_almost_regular_collection
 from oracles import all_independent_sets, count_ordered_covers, is_k_colorable
 
 
 def _full(g):
     return VertexSet((1 << g.n) - 1)
+
+
+def _maximal(masks):
+    """The distinct masks no other mask strictly contains, by brute force."""
+    masks = set(masks)
+    return {m for m in masks if not any(m != o and not m & ~o for o in masks)}
 
 
 class TestCountIsDp:
@@ -212,6 +221,19 @@ class TestSolveKColoring:
                 stats = result.stats
                 assert result.colorable == (k >= chi)
                 assert stats["whole_cost"] == 1 << g.n
+                # the candidates are the maximal unions of exactly
+                # min(k-1, m) of the m maximal base containers; the degree
+                # ratio only gates the build, so any ratio that admits g
+                # gives the same base collection
+                base = build_almost_regular_collection(g, g.n, max_containers=MAX_BASE_CONTAINERS)
+                maximal_base = _maximal(c.mask for c in base.containers)
+                unions = []
+                for combo in combinations(sorted(maximal_base), min(k - 1, len(maximal_base))):
+                    union = 0
+                    for m in combo:
+                        union |= m
+                    unions.append(union)
+                assert stats["candidate_containers"] == len(_maximal(unions))
                 if stats["dispatch"] == "pairs":
                     assert stats["pair_cost"] < stats["whole_cost"]
                     continue

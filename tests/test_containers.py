@@ -373,7 +373,8 @@ class TestFixedPointWalk:
         coll = build_regular_collection(g, 0.4, force=True)
         assert coll.params.epsilon * coll.params.d == 2.0
         members = {c.mask for c in coll.containers}
-        assert members == _walked_containers(g.adj_mask, coll.params.tau, None)[1]
+        walked = _walked_containers(g.adj_mask, coll.params.tau, None)
+        assert members == set(walked.values())
         for iset in all_independent_sets(g):
             cont = coll.locate(VertexSet(iset))
             assert iset & ~cont.mask == 0 and cont.mask in members
@@ -406,6 +407,14 @@ class TestFixedPointWalk:
                 assert coll.locate(VertexSet(iset)).mask == (1 << n) - 1
                 fp = hypergraph_fingerprint(h, VertexSet(iset), tau)
                 assert fp.mask == 0 and hypergraph_container(h, fp, tau).mask == (1 << n) - 1
+
+    def test_budget_below_one_is_refused(self):
+        # the walk always visits the root, so such a budget could never fit
+        g = cycle_graph(6)
+        for budget in (0, -1):
+            with pytest.raises(ParameterError, match="candidate budget"):
+                build_hypergraph_collection(g, 1.0, candidate_budget=budget)
+        assert build_hypergraph_collection(g, 1.0, candidate_budget=1).stats["candidate_count"] == 1
 
     def test_budget_raises_tau(self):
         g = random_graph(12, 0.35, 5)
@@ -463,7 +472,8 @@ class TestHeavySetWalk:
             excludes = [_exclusions(h, v, 1 << v) for v in range(n)]
             for tau in (1, 2, 3):
                 assert _assert_walk_matches_container_rule(excludes, tau) == 1
-                assert _walked_containers(excludes, tau, None) == (1, {(1 << n) - 1})
+                walked = _walked_containers(excludes, tau, None)
+                assert (len(walked), set(walked.values())) == (1, {(1 << n) - 1})
 
 
 class TestAlmostRegular:

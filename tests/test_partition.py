@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contsolve.containers import ContainerParams, container_of
+from contsolve import partition
+from contsolve.containers import ContainerCollection, ContainerParams, container_of
 from contsolve.core import (
     Graph,
     ParameterError,
@@ -16,6 +17,7 @@ from contsolve.core import (
     random_regular_graph,
 )
 from contsolve.partition import (
+    PartitionContainerCollection,
     RefinementUnavailableError,
     build_partition_collection_almost_regular,
     build_partition_collection_regular,
@@ -225,6 +227,45 @@ class TestRegularPartitionCollection:
         coll = build_partition_collection_regular(g, k, force=True)
         with pytest.raises(SizeLimitError):
             coll.materialize(limit=len(candidates) - 1)
+
+    def test_cover_split_fallback_uses_materialized_unions(self, monkeypatch):
+        # every set locates to V, which is over the ceiling, so no split of
+        # the located containers fits and the fallback must cover each side
+        # with unions of the four pair containers
+        n = 8
+        full = VertexSet((1 << n) - 1)
+        pairs = [VertexSet.of([v, v + 1]) for v in range(0, n, 2)]
+        base = ContainerCollection(
+            containers=(*pairs, full),
+            params=None,
+            source="regular-graph",
+            locate=lambda independent: full,
+        )
+
+        def collection():
+            return PartitionContainerCollection(base=base, k=2, epsilon=1 / 16, n=n, source="regular")
+
+        coll = collection()
+        assert full.cardinality > coll.size_ceiling
+        tup = [VertexSet.of([0, 2]), VertexSet.of([5])]
+        a, ca, cb = coll.cover_split(tup)
+        # all three of {0, 2, 5} need three pairs, so the sets are split
+        assert a == (0,)
+        members = set(coll.materialize())
+        for j, target in ((0, ca), (1, cb)):
+            assert target in members and tup[j].issubset(target)
+            assert target.cardinality <= coll.size_ceiling
+        # 4 single pairs and 6 unions of two fit the ceiling: one fewer is refused
+        fitting = [
+            combo
+            for j in (1, 2)
+            for combo in combinations(range(len(base.containers)), j)
+            if _union(base.containers, combo).bit_count() <= coll.size_ceiling
+        ]
+        assert len(fitting) == 10
+        monkeypatch.setattr(partition, "UNION_BUDGET", len(fitting) - 1)
+        with pytest.raises(SizeLimitError):
+            collection().cover_split(tup)
 
     def test_non_regular_rejected(self):
         with pytest.raises(ParameterError):
