@@ -1,7 +1,8 @@
 """Command-line front end: one subcommand per solver.
 
 Every run prints a single JSON report on stdout. Exit codes: 0 for success,
-1 for a negative decision (not colorable / unsatisfiable), 2 for errors.
+1 for a negative decision (not colorable / unsatisfiable), 2 for errors; the
+error report of a `SizeLimitError` names the stage whose budget was hit.
 Timings are informational only; the counters inside the reports are the
 reproducible part and are byte-identical for identical inputs and seeds."""
 
@@ -216,7 +217,10 @@ def run(argv: list[str] | None = None) -> int:
     try:
         code, report = args.func(args)
     except Exception as exc:  # noqa: BLE001 - boundary: everything becomes exit 2
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, core.SizeLimitError):
+            error["stage"] = exc.stage
+        print(json.dumps({"error": error}))
         return 2
     report = {
         "command": args.command,

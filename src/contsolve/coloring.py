@@ -193,8 +193,9 @@ def _decide_containers(g: Graph, k: int, config: ColoringConfig, stats: dict) ->
     constrained count is monotone in the containers, so it is enough to test
     supersets of those unions. Each group has at most k-1 classes, hence
     candidates are the inclusion-maximal unions of at most k-1 maximal base
-    containers, from the partition enumeration `container_unions`, and by
-    symmetry a pair (X, Y) needs just the k-1 color counts.
+    containers, from the partition enumeration `container_unions` (past its
+    `UNION_BUDGET` candidates, SizeLimitError), and by symmetry a pair
+    (X, Y) needs just the k-1 color counts.
 
     The covering pairs are priced first, at PAIR_ENTRY_COST * (k-1)(2^|X| +
     2^|Y|) each, in the time units of one subset of the whole-V sum. When

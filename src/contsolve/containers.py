@@ -27,11 +27,11 @@ certified for regular graphs and measured/reported for the hypergraph
 engine. The engine's only input is p, which sets its starting threshold;
 co-degree conditions, which the container lemma needs only to bound
 container sizes, are not checked. One driver, `_collection`, walks and
-assembles every collection; only the engine's walk is budgeted
-(`CANDIDATE_BUDGET` fingerprints per threshold). A graph is walked on its
-own adjacency masks. Every collection's `locate` is one scan, `_locate`: the
-fingerprint scan of the set, then a lookup in the walk's map from fingerprint
-to container.
+assembles every collection; every walk is budgeted (`CANDIDATE_BUDGET`
+fingerprints per threshold), and past it the driver raises the threshold. A
+graph is walked on its own adjacency masks. Every collection's `locate` is
+one scan, `_locate`: the fingerprint scan of the set, then a lookup in the
+walk's map from fingerprint to container.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ from .core import (
     VertexSet,
 )
 
-# fingerprints the engine walks at one threshold before it raises the threshold
+# fingerprints any walk lists at one threshold before the driver raises the
+# threshold
 CANDIDATE_BUDGET = 20000
 
 
@@ -160,9 +161,7 @@ def _heavy(excludes: Sequence[int], candidates: int, excluded: int, threshold: f
     return heavy
 
 
-def _fixed_points(
-    excludes: Sequence[int], threshold: float, budget: int | None = None
-) -> Iterator[tuple[int, int, int]]:
+def _fixed_points(excludes: Sequence[int], threshold: float) -> Iterator[tuple[int, int, int]]:
     """Depth-first walk of the single-pass fingerprint fixed points, each
     yielded once as (F, vertices F excludes, heavy set of F).
 
@@ -178,14 +177,15 @@ def _fixed_points(
     container of F is what is neither excluded nor heavy, `full & ~(excluded
     | H(F))`, the mask `_container_mask` gives. The fixed points are exactly
     the fingerprints of the independent sets, each with at most n/threshold
-    vertices. More than `budget` of them raise SizeLimitError."""
+    vertices. More than `CANDIDATE_BUDGET` of them raise SizeLimitError."""
     full = (1 << len(excludes)) - 1
+    budget = CANDIDATE_BUDGET
     count = 0
     stack = [(0, 0, 0, _heavy(excludes, full, 0, threshold))]
     while stack:
         start, f, excluded, heavy = stack.pop()
         count += 1
-        if budget is not None and count > budget:
+        if count > budget:
             raise SizeLimitError("fingerprint-enumeration", f"budget {budget} exceeded")
         yield f, excluded, heavy
         children = heavy & -(1 << start)
@@ -214,8 +214,13 @@ def build_regular_collection(
     containers are those of the fingerprint fixed points at threshold
     tau = ceil(epsilon*d), under the one container rule `_container_mask`,
     which `container_of` applies too; `locate` is the shared scan and lookup
-    `_locate`, which gives `container_of(g, fingerprint(g, I))`. The walk is
-    unbounded, so `stats["tau"]` is `params.tau`.
+    `_locate`, which gives `container_of(g, fingerprint(g, I))`.
+
+    A walk past `CANDIDATE_BUDGET` fingerprints makes the driver raise tau,
+    as it does for the engine. `stats["tau"]` is the walked threshold and
+    `locate` follows it; `params` stays the requested scheme. A raised tau
+    is the scheme at epsilon' = tau/d, so the size check and
+    `stats["size_bound"]` use (1/(2 - epsilon') + 1/tau)*n there.
     """
     if g.n == 0:
         raise ParameterError("empty graph")
@@ -241,9 +246,15 @@ def build_regular_collection(
 
     size_bound = (1.0 / (2.0 - epsilon) + params.q) * g.n
     coll = _collection(
-        g, g.adj_mask, params.tau, budget=None, max_containers=None, source="regular-graph",
+        g, g.adj_mask, params.tau, max_containers=None, source="regular-graph",
         stats={"size_bound": size_bound, "forced": force and low_degree},
     )
+    tau = coll.stats["tau"]
+    if tau != params.tau:
+        # raised past the budget: the scheme at epsilon' = tau/d, capped at 1,
+        # past which the bound exceeds n (and at 2, reachable at d = 1, has a pole)
+        raised = min(tau / d, 1.0)
+        size_bound = coll.stats["size_bound"] = (1.0 / (2.0 - raised) + 1.0 / tau) * g.n
     largest = coll.stats["max_container_size"]
     if largest > size_bound + 1e-9:
         raise RuntimeError(
@@ -313,44 +324,45 @@ def _locate(
     holds the lone exclusion sets the walk uses, which are exactly what a
     fingerprint vertex excludes (F is independent at r=2 and empty at r>=3),
     so F is a fixed point the walk listed."""
-    if not structure.is_independent(independent.mask):
+    mask = independent.mask
+    if not structure.is_independent(mask):
         raise PreconditionError("input set is not independent")
     f = excluded = 0
-    for v in independent:
-        if (excludes[v] & ~excluded).bit_count() >= tau:
-            f |= 1 << v
-            excluded |= excludes[v]
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        joined = excludes[low.bit_length() - 1]
+        if (joined & ~excluded).bit_count() >= tau:
+            f |= low
+            excluded |= joined
     return VertexSet(walked[f])
 
 
-def _walked_containers(excludes: Sequence[int], tau: int, budget: int | None) -> dict[int, int]:
+def _walked_containers(excludes: Sequence[int], tau: int) -> dict[int, int]:
     """The map from each fingerprint walked at threshold tau to its
     container mask."""
     full = (1 << len(excludes)) - 1
-    return {
-        f: full & ~(excluded | heavy) for f, excluded, heavy in _fixed_points(excludes, tau, budget)
-    }
+    return {f: full & ~(excluded | heavy) for f, excluded, heavy in _fixed_points(excludes, tau)}
 
 
 def _collection(
     structure: Graph | Hypergraph,
     excludes: Sequence[int],
     tau: int,
-    budget: int | None,
     max_containers: int | None,
     source: str,
     stats: dict,
 ) -> ContainerCollection:
     """Every builder's collection: walk the fixed points at threshold tau,
-    raised by half while the walk overflows `budget` or yields more than
-    `max_containers` containers (larger tau means fewer, smaller
+    raised by half while the walk overflows `CANDIDATE_BUDGET` or yields
+    more than `max_containers` containers (larger tau means fewer, smaller
     fingerprints and larger containers; coverage is unaffected). The stats
-    add the caller's `stats` and the final tau."""
+    add the caller's `stats` and the final tau, which `locate` follows."""
     full = (1 << len(excludes)) - 1
     fallback = None  # last build whose containers were not all-of-V
     while True:
         try:
-            walked = _walked_containers(excludes, tau, budget)
+            walked = _walked_containers(excludes, tau)
         except SizeLimitError:
             tau += max(1, tau // 2)
             continue
@@ -387,7 +399,6 @@ def build_hypergraph_collection(
     structure: Graph | Hypergraph,
     p: float,
     *,
-    candidate_budget: int = CANDIDATE_BUDGET,
     max_containers: int | None = None,
 ) -> ContainerCollection:
     """Container collection for an r-uniform hypergraph, r read from it; a
@@ -396,10 +407,10 @@ def build_hypergraph_collection(
     p in (0, 1] is the engine's only input. The containers are those of the
     single-pass fingerprints, which one walk of the fixed points lists. The
     exclusion threshold tau starts at ~1/((r-1)p) and is raised until the
-    walk fits the budget and, when requested, the deduped collection fits
-    max_containers. Container sizes are measured and reported in the stats,
-    not certified, so no co-degree condition is checked; p and the final tau
-    are in the stats.
+    walk fits `CANDIDATE_BUDGET` and, when requested, the deduped collection
+    fits max_containers. Container sizes are measured and reported in the
+    stats, not certified, so no co-degree condition is checked; p and the
+    final tau are in the stats.
 
     What a vertex excludes on joining a fingerprint is its lone-vertex
     exclusion set: at r=2 its neighborhood, and at r>=3 nothing, since an
@@ -410,8 +421,6 @@ def build_hypergraph_collection(
     """
     if not 0 < p <= 1:
         raise ParameterError(f"p must be in (0, 1], got {p}")
-    if candidate_budget < 1:  # every walk visits the root
-        raise ParameterError(f"candidate budget must be at least 1, got {candidate_budget}")
     graph = isinstance(structure, Graph)
     r = 2 if graph else structure.r
     if r < 2:
@@ -423,9 +432,7 @@ def build_hypergraph_collection(
     else:
         excludes = [_exclusions(structure, v, 1 << v) for v in range(structure.n)]
     tau = max(1, math.ceil(1.0 / ((r - 1) * p)))
-    return _collection(
-        structure, excludes, tau, candidate_budget, max_containers, "hypergraph", {"p": p}
-    )
+    return _collection(structure, excludes, tau, max_containers, "hypergraph", {"p": p})
 
 
 def build_almost_regular_collection(

@@ -19,6 +19,8 @@ from itertools import combinations, combinations_with_replacement
 from .core import ParameterError, ParseError, PreconditionError, SizeLimitError
 
 TABLE_ENTRY_CEILING = 1 << 24
+# the naive sum visits 2^universe assignments
+NAIVE_UNIVERSE_CEILING = 24
 # the disjoint evaluator multiplies by 2^(free variables), so the universe
 # bounds the size of the value
 UNIVERSE_CEILING = 1 << 12
@@ -99,10 +101,12 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def eval_naive(inst: ExtSumInstance, limit: int = 24) -> int:
+def eval_naive(inst: ExtSumInstance) -> int:
     """Direct sum over all assignments; the oracle for every other evaluator."""
-    if inst.universe > limit:
-        raise SizeLimitError("naive-eval", f"universe {inst.universe} exceeds {limit}")
+    if inst.universe > NAIVE_UNIVERSE_CEILING:
+        raise SizeLimitError(
+            "naive-eval", f"universe {inst.universe} exceeds {NAIVE_UNIVERSE_CEILING}"
+        )
     # precompute value-by-projection so the main loop is one mask-and-lookup
     # per subset instead of a per-variable bit gather
     lookups = []

@@ -25,7 +25,8 @@ from .containers import (
     build_regular_collection,
 )
 
-# candidate unions `materialize`, and so `cover_split`'s fallback, tries
+# candidate unions any `container_unions` enumeration (`materialize`, so
+# `cover_split`'s fallback, and the coloring solver's candidates) tries
 # before it raises SizeLimitError
 UNION_BUDGET = 200000
 
@@ -124,13 +125,13 @@ def matching_refinement(g: Graph, subsets: list[VertexSet]) -> RefinementResult:
     return RefinementResult(parts=tuple(parts), matching_size=len(matching))
 
 
-def container_unions(
-    masks: Sequence[int], count: int, ceiling: float = math.inf, limit: float = math.inf
-) -> Iterator[int]:
+def container_unions(masks: Sequence[int], count: int, ceiling: float = math.inf) -> Iterator[int]:
     """The distinct unions of 1..count of `masks`, each yielded once. A
     candidate is a combination of masks whose union has at most `ceiling`
     vertices (a union only grows, so no superset of a combination over the
-    ceiling is tried); more than `limit` candidates raise SizeLimitError."""
+    ceiling is tried); more than `UNION_BUDGET` candidates raise
+    SizeLimitError."""
+    limit = UNION_BUDGET
     seen: set[int] = set()
     tried = 0
     stack = [(0, 0, 1)]  # (first index to add, union, size of its extensions)
@@ -183,15 +184,13 @@ class PartitionContainerCollection:
     def size_ceiling(self) -> float:
         return (1.0 - self.epsilon) * self.n
 
-    def materialize(self, limit: int | None = None) -> tuple[VertexSet, ...]:
+    def materialize(self) -> tuple[VertexSet, ...]:
         """The distinct unions of 1..k base containers under the ceiling, by
-        size, then mask; past `limit` (default `UNION_BUDGET`) candidates,
-        SizeLimitError."""
+        size, then mask; past `UNION_BUDGET` candidates, SizeLimitError."""
         if self._materialized is not None:
             return self._materialized
         masks = [c.mask for c in self.base.containers]
-        limit = UNION_BUDGET if limit is None else limit
-        ordered = sorted(container_unions(masks, self.k, self.size_ceiling, limit))
+        ordered = sorted(container_unions(masks, self.k, self.size_ceiling))
         ordered.sort(key=int.bit_count)  # stable: by size, then by mask
         self._materialized = tuple(map(VertexSet, ordered))
         self.stats["container_count"] = len(self._materialized)
@@ -207,7 +206,7 @@ class PartitionContainerCollection:
         union inside container_B; an empty group gets container None. The
         fast path unions the located base containers D_j = locate(I_j) over
         each of the 2^k splits; the fallback gives each side the first
-        `materialize()` member covering its sets, within its budget."""
+        `materialize()` member covering its sets, within `UNION_BUDGET`."""
         if len(independents) != self.k:
             raise ParameterError(f"expected {self.k} sets, got {len(independents)}")
         if self.base.locate is None:

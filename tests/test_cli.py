@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from contsolve import containers, partition
 from contsolve.cli import run
 from contsolve.core import complete_graph, cycle_graph, parse_dimacs_cnf
 from contsolve.extsum import ExtSumInstance
@@ -61,6 +62,15 @@ class TestContainersCommand:
         assert report["error"]["type"] == "ParseError"
         assert report["error"]["message"].startswith("line 1:")
 
+    def test_walk_past_the_budget_raises_tau(self, capsys, monkeypatch):
+        argv = ["containers", "--random-regular", "12", "3", "--seed", "1", "--force"]
+        code, report = run_json(capsys, argv)
+        stats = report["result"]["stats"]
+        monkeypatch.setattr(containers, "CANDIDATE_BUDGET", stats["candidate_count"] - 1)
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        assert report["result"]["stats"]["tau"] > stats["tau"]
+
 
 class TestPartitionContainersCommand:
     def test_cycle(self, capsys, tmp_path):
@@ -71,6 +81,17 @@ class TestPartitionContainersCommand:
         )
         assert code == 0
         assert report["result"]["base_container_count"] >= 1
+
+    def test_union_budget_names_the_stage(self, capsys, monkeypatch):
+        monkeypatch.setattr(partition, "UNION_BUDGET", 1)
+        code, report = run_json(
+            capsys,
+            ["partition-containers", "--random-regular", "12", "4", "--seed", "1",
+             "--k", "2", "--force", "--materialize"],
+        )
+        assert code == 2
+        assert report["error"]["type"] == "SizeLimitError"
+        assert report["error"]["stage"] == "partition-container-materialization"
 
 
 class TestExtsumCommand:

@@ -1,8 +1,10 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
+from contsolve import partition
 from contsolve.coloring import (
     MAX_BASE_CONTAINERS,
     ColoringConfig,
@@ -22,7 +24,7 @@ from contsolve.core import (
     random_graph,
     random_regular_graph,
 )
-from contsolve.containers import build_almost_regular_collection
+from contsolve.containers import build_almost_regular_collection, maximal_masks
 from oracles import all_independent_sets, count_ordered_covers, is_k_colorable
 
 
@@ -277,6 +279,24 @@ class TestSolveKColoring:
             with pytest.raises(SizeLimitError) as exc:
                 solve_kcoloring(g, 3, ColoringConfig(mode=mode))
             assert exc.value.stage == "inclusion-exclusion"
+
+    def test_candidate_unions_stop_at_the_union_budget(self, monkeypatch):
+        # the candidates are unions of 1..k-1 maximal base containers, one
+        # per combination, and past UNION_BUDGET of them the path refuses
+        g, k = random_graph(12, 0.5, 2), 3
+        config = ColoringConfig(mode="containers")
+        want = solve_kcoloring(g, k, config).colorable
+        ratio = max(config.degree_ratio, g.max_degree / g.average_degree * (1 + 1e-9))
+        base = build_almost_regular_collection(g, ratio, max_containers=MAX_BASE_CONTAINERS)
+        maximal = len(maximal_masks(c.mask for c in base.containers))
+        tried = sum(comb(maximal, j) for j in range(1, k))
+        assert tried > 1
+        monkeypatch.setattr(partition, "UNION_BUDGET", tried)
+        assert solve_kcoloring(g, k, config).colorable == want
+        monkeypatch.setattr(partition, "UNION_BUDGET", tried - 1)
+        with pytest.raises(SizeLimitError) as exc:
+            solve_kcoloring(g, k, config)
+        assert exc.value.stage == "partition-container-materialization"
 
     def test_containers_path_on_edgeless_graphs(self):
         for g in (Graph(0, []), Graph(3, [])):

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from contsolve import containers
 from contsolve.containers import (
     ContainerParams,
     build_almost_regular_collection,
@@ -154,11 +155,36 @@ class TestRegularCollection:
         assert [c.mask for c in a.containers] == [c.mask for c in b.containers]
 
     def test_forced_collection_reports_its_tau(self):
-        # the regular walk has no budget, so the driver keeps params.tau
+        # these walks fit CANDIDATE_BUDGET, so the driver keeps params.tau
         for g in _coverage_instances():
             for eps in (0.25, EPS):
                 coll = build_regular_collection(g, eps, force=True)
                 assert coll.stats["tau"] == coll.params.tau
+
+    def test_budget_raises_tau(self, monkeypatch):
+        # past the budget the driver raises tau on the regular scheme as on
+        # the engine: params stay the requested scheme, locate follows the
+        # walked tau, and the size check holds at epsilon' = tau/d; a perfect
+        # matching is raised to tau = 2d, where the bound is capped at
+        # epsilon' = 1 rather than divided by 2 - 2
+        default = containers.CANDIDATE_BUDGET
+        matching = Graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
+        for g in (*_coverage_instances(), matching):
+            monkeypatch.setattr(containers, "CANDIDATE_BUDGET", default)
+            full = build_regular_collection(g, 0.25, force=True)
+            walked = full.stats["candidate_count"]
+            monkeypatch.setattr(containers, "CANDIDATE_BUDGET", walked - 1)
+            coll = build_regular_collection(g, 0.25, force=True)
+            tau, d = coll.stats["tau"], g.degree(0)
+            assert coll.params == full.params and tau > coll.params.tau
+            assert coll.stats["candidate_count"] < walked
+            bound = (1.0 / (2.0 - min(tau / d, 1.0)) + 1.0 / tau) * g.n
+            assert coll.stats["size_bound"] == pytest.approx(bound)
+            assert coll.stats["max_container_size"] <= bound
+            members = {c.mask for c in coll.containers}
+            for iset in all_independent_sets(g):
+                cont = coll.locate(VertexSet(iset))
+                assert iset & ~cont.mask == 0 and cont.mask in members
 
 
 class TestMaximalMasks:
@@ -259,7 +285,8 @@ class TestHypergraphEngine:
             assert eng.locate(VertexSet(iset)).mask in eng_members
             assert iset & ~eng.locate(VertexSet(iset)).mask == 0
 
-    def test_random_hypergraph_coverage(self):
+    def test_random_hypergraph_coverage(self, monkeypatch):
+        monkeypatch.setattr(containers, "CANDIDATE_BUDGET", 50000)
         cases = 0
         for seed in range(40):
             rng = random.Random(seed)
@@ -268,7 +295,7 @@ class TestHypergraphEngine:
             m = rng.randint(n, 3 * n)
             h = _random_hypergraph(n, r, min(m, len(list(combinations(range(n), r)))), seed)
             p = min(1.0, 2.0 / max(1.0, len(h.edges) / n))
-            coll = build_hypergraph_collection(h, p, candidate_budget=50000)
+            coll = build_hypergraph_collection(h, p)
             members = {c.mask for c in coll.containers}
             for iset in hypergraph_independent_sets(h):
                 cont = coll.locate(VertexSet(iset))
@@ -277,10 +304,11 @@ class TestHypergraphEngine:
             cases += 1
         assert cases == 40
 
-    def test_graph_builds_as_its_two_uniform_hypergraph(self):
+    def test_graph_builds_as_its_two_uniform_hypergraph(self, monkeypatch):
         # a Graph is walked on its adjacency masks; the collection, its stats
         # and its locate images are those of the same edges as a 2-uniform
         # hypergraph, with and without the driver raising tau
+        default = containers.CANDIDATE_BUDGET
         rng = random.Random(71)
         cases = 0
         for _ in range(30):
@@ -289,7 +317,8 @@ class TestHypergraphEngine:
                 continue
             h = Hypergraph(g.n, 2, g.edges)
             p = rng.choice([0.25, 0.5, 1.0])
-            for kwargs in ({}, {"max_containers": 2}, {"candidate_budget": 3}):
+            for budget, kwargs in ((default, {}), (default, {"max_containers": 2}), (3, {})):
+                monkeypatch.setattr(containers, "CANDIDATE_BUDGET", budget)
                 a = build_hypergraph_collection(g, p, **kwargs)
                 b = build_hypergraph_collection(h, p, **kwargs)
                 assert a.containers == b.containers and a.stats == b.stats
@@ -373,7 +402,7 @@ class TestFixedPointWalk:
         coll = build_regular_collection(g, 0.4, force=True)
         assert coll.params.epsilon * coll.params.d == 2.0
         members = {c.mask for c in coll.containers}
-        walked = _walked_containers(g.adj_mask, coll.params.tau, None)
+        walked = _walked_containers(g.adj_mask, coll.params.tau)
         assert members == set(walked.values())
         for iset in all_independent_sets(g):
             cont = coll.locate(VertexSet(iset))
@@ -408,19 +437,12 @@ class TestFixedPointWalk:
                 fp = hypergraph_fingerprint(h, VertexSet(iset), tau)
                 assert fp.mask == 0 and hypergraph_container(h, fp, tau).mask == (1 << n) - 1
 
-    def test_budget_below_one_is_refused(self):
-        # the walk always visits the root, so such a budget could never fit
-        g = cycle_graph(6)
-        for budget in (0, -1):
-            with pytest.raises(ParameterError, match="candidate budget"):
-                build_hypergraph_collection(g, 1.0, candidate_budget=budget)
-        assert build_hypergraph_collection(g, 1.0, candidate_budget=1).stats["candidate_count"] == 1
-
-    def test_budget_raises_tau(self):
+    def test_budget_raises_tau(self, monkeypatch):
         g = random_graph(12, 0.35, 5)
         h = Hypergraph(g.n, 2, g.edges)
         walked = build_hypergraph_collection(h, 1.0).stats["candidate_count"]
-        coll = build_hypergraph_collection(h, 1.0, candidate_budget=walked - 1)
+        monkeypatch.setattr(containers, "CANDIDATE_BUDGET", walked - 1)
+        coll = build_hypergraph_collection(h, 1.0)
         assert coll.stats["tau"] > 1 and coll.stats["candidate_count"] < walked
         members = {c.mask for c in coll.containers}
         for iset in all_independent_sets(g):
@@ -472,7 +494,7 @@ class TestHeavySetWalk:
             excludes = [_exclusions(h, v, 1 << v) for v in range(n)]
             for tau in (1, 2, 3):
                 assert _assert_walk_matches_container_rule(excludes, tau) == 1
-                walked = _walked_containers(excludes, tau, None)
+                walked = _walked_containers(excludes, tau)
                 assert (len(walked), set(walked.values())) == (1, {(1 << n) - 1})
 
 

@@ -13,6 +13,7 @@ from contsolve.core import (
     random_regular_graph,
 )
 from contsolve.containers import (
+    CANDIDATE_BUDGET,
     build_almost_regular_collection,
     build_regular_collection,
     maximal_masks,
@@ -120,6 +121,21 @@ class TestMisContainers:
         r = mis_containers(cycle_graph(8), MisConfig(mode="containers"))
         assert r.size == 4
         assert r.stats["path"] == "containers"
+
+    def test_low_degree_regular_walk_stops_at_the_budget(self):
+        # two 3-regular n=24 graphs of acceptance criterion 8, which walk
+        # 27,881 and 27,789 fingerprints at tau = 1: the driver raises tau,
+        # the containers keep the scheme's bound at epsilon' = tau/3, and
+        # the answer is the base path's
+        for seed in (538876, 810624):
+            g = random_regular_graph(24, 3, seed)
+            coll = build_regular_collection(g, 0.25, force=True)
+            tau = coll.stats["tau"]
+            assert tau > coll.params.tau and coll.stats["candidate_count"] <= CANDIDATE_BUDGET
+            assert coll.stats["max_container_size"] <= (1.0 / (2.0 - tau / 3) + 1.0 / tau) * g.n
+            base = mis_base(g)
+            cont = mis_containers(g, MisConfig(mode="containers"))
+            assert (cont.size, cont.weight) == (base.size, base.weight)
 
     def test_regular_agrees_with_base(self):
         rng = random.Random(52)

@@ -207,7 +207,7 @@ class TestRegularPartitionCollection:
                     assert c.mask in members
 
     @pytest.mark.parametrize("n,d,k", [(10, 3, 1), (12, 4, 2), (10, 3, 3)])
-    def test_materialize_is_every_union_under_the_ceiling(self, n, d, k):
+    def test_materialize_is_every_union_under_the_ceiling(self, n, d, k, monkeypatch):
         # the definition, by brute force: every union of 1..k base containers
         # under the ceiling is one candidate; members are the distinct unions
         # ordered by size, then by mask
@@ -221,12 +221,14 @@ class TestRegularPartitionCollection:
         ]
         candidates = [u for u in candidates if u.bit_count() <= coll.size_ceiling]
         expected = sorted(set(candidates), key=lambda u: (u.bit_count(), u))
-        assert [c.mask for c in coll.materialize(limit=len(candidates))] == expected
+        monkeypatch.setattr(partition, "UNION_BUDGET", len(candidates))
+        assert [c.mask for c in coll.materialize()] == expected
         assert coll.stats["container_count"] == len(expected)
-        # one candidate over the limit is refused, however the walk is ordered
+        # one candidate over the budget is refused, however the walk is ordered
         coll = build_partition_collection_regular(g, k, force=True)
+        monkeypatch.setattr(partition, "UNION_BUDGET", len(candidates) - 1)
         with pytest.raises(SizeLimitError):
-            coll.materialize(limit=len(candidates) - 1)
+            coll.materialize()
 
     def test_cover_split_fallback_uses_materialized_unions(self, monkeypatch):
         # every set locates to V, which is over the ceiling, so no split of
