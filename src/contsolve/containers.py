@@ -107,14 +107,14 @@ def maximal_masks(masks: Iterable[int]) -> list[int]:
 
     Every independent set lies in some container, hence in some maximal one,
     so a solver confined to containers needs only these."""
-    kept: list[int] = []
+    holes: list[int] = []  # the complement of each kept mask
     for m in sorted(set(masks), key=lambda m: (-m.bit_count(), m)):
-        for other in kept:
-            if not m & ~other:
+        for hole in holes:
+            if not m & hole:
                 break
         else:
-            kept.append(m)
-    return kept
+            holes.append(~m)
+    return [~hole for hole in holes]
 
 
 def fingerprint(g: Graph, independent: VertexSet, params: ContainerParams) -> VertexSet:
@@ -209,18 +209,22 @@ def build_regular_collection(
     When d <= 2/epsilon^2 the construction gives no useful size bound; by
     default the result is flagged low-degree with no containers so solvers can
     switch to their non-container path. `force=True` runs the construction
-    anyway (coverage still holds; size bounds are still certified since their
-    proof needs only regularity); an edgeless graph is always flagged. The
-    containers are those of the fingerprint fixed points at threshold
-    tau = ceil(epsilon*d), under the one container rule `_container_mask`,
-    which `container_of` applies too; `locate` is the shared scan and lookup
-    `_locate`, which gives `container_of(g, fingerprint(g, I))`.
+    anyway (coverage still holds, and so does the size bound, whose proof
+    needs only regularity, though it may reach n); an edgeless graph is
+    always flagged. The containers are those of the fingerprint fixed points
+    at threshold tau = ceil(epsilon*d), under the one container rule
+    `_container_mask`, which `container_of` applies too; `locate` is the
+    shared scan and lookup `_locate`, which gives
+    `container_of(g, fingerprint(g, I))`.
 
     A walk past `CANDIDATE_BUDGET` fingerprints makes the driver raise tau,
     as it does for the engine. `stats["tau"]` is the walked threshold and
     `locate` follows it; `params` stays the requested scheme. A raised tau
     is the scheme at epsilon' = tau/d, so the size check and
     `stats["size_bound"]` use (1/(2 - epsilon') + 1/tau)*n there.
+    `stats["certified"]` is whether that bound is below n: at or above it
+    (a raised tau on a low-degree graph, such as tau = 2 at d = 3) the size
+    check cannot fail, and the bound certifies nothing.
     """
     if g.n == 0:
         raise ParameterError("empty graph")
@@ -255,6 +259,7 @@ def build_regular_collection(
         # past which the bound exceeds n (and at 2, reachable at d = 1, has a pole)
         raised = min(tau / d, 1.0)
         size_bound = coll.stats["size_bound"] = (1.0 / (2.0 - raised) + 1.0 / tau) * g.n
+    coll.stats["certified"] = size_bound < g.n
     largest = coll.stats["max_container_size"]
     if largest > size_bound + 1e-9:
         raise RuntimeError(

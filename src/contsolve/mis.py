@@ -15,8 +15,13 @@ an independent set takes at most one vertex of each clique, so the sum of the
 cliques' heaviest weights bounds every independent subset of the container.
 Containers are searched in descending bound order, and the search stops at
 the first bound below the incumbent's weight: no container left can beat or
-tie it. Ties are searched, so the answer does not depend on the order: it is
-still the lexicographically smallest set of maximum weight."""
+tie it. A container whose bound equals the incumbent's weight can only tie
+it, so it is searched only when a bit test along the incumbent B = b1 < b2 <
+... finds room in it for a tying set that sorts before B: a proper prefix of
+B whose remaining vertices weigh 0, or a vertex between b(i-1) and b(i)
+adjacent to none of b1..b(i-1), with b1..b(i-1) inside the container. The answer is
+therefore the one every container's search would give: the lexicographically
+smallest set of maximum weight."""
 
 from __future__ import annotations
 
@@ -74,6 +79,36 @@ def _clique_cover_bound(g: Graph, weights: list[int], mask: int) -> int:
             common &= g.adj_mask[u]
         bound += heaviest
     return bound
+
+
+def _may_hold_earlier_tie(g: Graph, weights: list[int], container: int, best: int) -> bool:
+    """Whether `container` may hold an independent set of the incumbent's
+    weight that sorts before the incumbent `best` = b1 < b2 < ... < bk.
+
+    Such a set S either is a proper prefix b1..b(i-1) of `best` whose rest
+    b(i)..bk weighs 0, or first differs from `best` at some i with b(i-1) <
+    s(i) < b(i); either way b1..b(i-1) lies in the container. So for i = 1,
+    2, ...: a zero-weight rest or a vertex of the container strictly between
+    b(i-1) and b(i) that no b1..b(i-1) is adjacent to says yes, and b(i)
+    outside the container says no. Past bk it is no: every other subset of
+    the container that holds all of `best` extends it and sorts after it."""
+    rest_w = sum(weights[v] for v in VertexSet(best))
+    passed = 0  # b1..b(i-1) and every vertex below them
+    blocked = 0  # the neighbourhood of b1..b(i-1)
+    while best:
+        if rest_w == 0:
+            return True
+        low = best & -best
+        best ^= low
+        if container & (low - 1) & ~(passed | blocked):
+            return True
+        if not container & low:
+            return False
+        v = low.bit_length() - 1
+        passed |= (low << 1) - 1
+        blocked |= g.adj_mask[v]
+        rest_w -= weights[v]
+    return False
 
 
 def _check_weights(g: Graph, weights: list[int] | None) -> list[int]:
@@ -180,12 +215,16 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
     )
     best_mask = _greedy_seed(g, weights, (1 << g.n) - 1)
     best_w = sum(weights[v] for v in VertexSet(best_mask))
-    nodes = searched = 0
+    nodes = searched = tie_skipped = 0
     # highest bound first, equal bounds in maximal_masks order; the incumbent
-    # only grows, so the first bound below it ends the search
+    # only grows, so the first bound below it ends the search, and a
+    # container that can only tie it is searched only for a set sorting first
     for bound, container in priced:
         if bound < best_w:
             break
+        if bound == best_w and not _may_hold_earlier_tie(g, weights, container, best_mask):
+            tie_skipped += 1
+            continue
         r = mis_base(g, weights, within=container, incumbent=best_mask)
         nodes += r.stats["nodes"]
         searched += 1
@@ -201,6 +240,7 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
             "path": "containers",
             "containers": len(subproblems),
             "searched": searched,
+            "tie_skipped": tie_skipped,
             "largest_subproblem": max((m.bit_count() for m in subproblems), default=0),
             "nodes": nodes,
         },

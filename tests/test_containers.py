@@ -186,6 +186,19 @@ class TestRegularCollection:
                 cont = coll.locate(VertexSet(iset))
                 assert iset & ~cont.mask == 0 and cont.mask in members
 
+    def test_certified_says_whether_the_size_bound_is_below_n(self):
+        # criterion 8's 3-regular n=24 graphs overflow the budget at tau = 1;
+        # tau = 2 is epsilon' = 2/3, a bound of (3/4 + 1/2) n = 30, above n,
+        # so the size check cannot fail; the dense scheme's bound stays below n
+        for seed in (538876, 810624):
+            coll = build_regular_collection(random_regular_graph(24, 3, seed), 0.25, force=True)
+            assert coll.stats["tau"] == 2
+            assert coll.stats["size_bound"] == pytest.approx(30.0)
+            assert coll.stats["certified"] is False
+        for n, d in ((18, 8), (24, 12)):
+            coll = build_regular_collection(random_regular_graph(n, d, 5), 0.45, force=True)
+            assert coll.stats["size_bound"] < n and coll.stats["certified"] is True
+
 
 class TestMaximalMasks:
     def test_matches_brute_force(self):

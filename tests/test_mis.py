@@ -18,7 +18,14 @@ from contsolve.containers import (
     build_regular_collection,
     maximal_masks,
 )
-from contsolve.mis import MisConfig, _clique_cover_bound, _greedy_seed, mis_base, mis_containers
+from contsolve.mis import (
+    MisConfig,
+    _clique_cover_bound,
+    _greedy_seed,
+    _may_hold_earlier_tie,
+    mis_base,
+    mis_containers,
+)
 from oracles import all_independent_sets, max_independent_set_size, max_weight_independent_set
 
 
@@ -296,3 +303,56 @@ class TestContainerPricing:
             assert c.stats["searched"] <= c.stats["containers"]
             skipped += c.stats["searched"] < c.stats["containers"]
         assert skipped > 0
+
+    def test_tie_test_skips_only_containers_without_an_earlier_tie(self):
+        # B is what a search confined to a random mask returns, on every
+        # third trial the whole graph's answer; when the test says skip, no
+        # independent subset of the container ties B and sorts before it
+        rng = random.Random(75)
+        skipped = needed = 0
+        for trial in range(400):
+            n = rng.randint(1, 10)
+            g = random_graph(n, rng.choice([0.2, 0.4, 0.6]), rng.randrange(10**6))
+            weights = [rng.randint(0, 3) for _ in range(n)]
+            isets = all_independent_sets(g)
+
+            def key(m):
+                return -sum(weights[v] for v in VertexSet(m)), tuple(VertexSet(m))
+
+            within = (1 << n) - 1 if trial % 3 == 0 else rng.getrandbits(n)
+            best = min((m for m in isets if not m & ~within), key=key)
+            for _ in range(8):
+                container = rng.getrandbits(n)
+                earlier = [
+                    m for m in isets
+                    if not m & ~container and key(m)[0] == key(best)[0] and key(m) < key(best)
+                ]
+                if not _may_hold_earlier_tie(g, weights, container, best):
+                    assert not earlier
+                    skipped += 1
+                needed += bool(earlier)
+        assert skipped > 0 and needed > 0
+
+    def test_tie_test_searches_a_prefix_whose_rest_weighs_zero(self):
+        # B = (0, 2) with w(2) = 0 ties its prefix (0,), which sorts first;
+        # the container holds only the prefix, so b2 outside it must not end
+        # the test before the zero-weight rest is seen
+        g = Graph(3, [(0, 1)])
+        assert _may_hold_earlier_tie(g, [1, 1, 0], 0b001, 0b101)
+        assert not _may_hold_earlier_tie(g, [1, 1, 1], 0b001, 0b101)
+
+    def test_tie_test_cuts_searches_on_dense_regular_graphs(self):
+        # every container whose bound reaches the final weight is either
+        # searched or skipped by the tie test, and the test skips some
+        rng = random.Random(76)
+        for _ in range(4):
+            g = random_regular_graph(18, 8, rng.randrange(10**6))
+            coll = build_regular_collection(g, 0.45, force=True)
+            c = mis_containers(g, MisConfig(mode="containers", epsilon=0.45, force=True))
+            assert c.best == mis_base(g).best
+            reach = sum(
+                _clique_cover_bound(g, [1] * g.n, m) >= c.weight
+                for m in maximal_masks(x.mask for x in coll.containers)
+            )
+            assert c.stats["searched"] + c.stats["tie_skipped"] == reach
+            assert c.stats["searched"] < reach
