@@ -5,10 +5,12 @@ seed and a residual-weight prune; it can be confined to a vertex mask and
 started from a given incumbent. The container wrapper builds a container
 collection and runs the base solver inside the inclusion-maximal containers
 of the parent graph, with one incumbent carried across containers: it
-starts as a greedy set of the whole graph and each search returns the better
-of it and the container's optimum. That is exact, because
-the optimum lies inside some container, hence inside a maximal one, and the
-prune only cuts branches that cannot beat or tie the incumbent.
+starts as the optimum of the highest-priced container, and each later search
+returns the better of it and its container's optimum, so every set the
+wrapper holds lies in a container and its answer always comes out of a
+container search. That is exact, because the optimum lies inside some
+container, hence inside a maximal one, and the prune only cuts branches that
+cannot beat or tie the incumbent.
 
 Each maximal container is priced before any search by a greedy clique cover:
 an independent set takes at most one vertex of each clique, so the sum of the
@@ -213,13 +215,15 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
     priced = sorted(
         ((_clique_cover_bound(g, weights, m), m) for m in subproblems), key=lambda p: -p[0]
     )
-    best_mask = _greedy_seed(g, weights, (1 << g.n) - 1)
-    best_w = sum(weights[v] for v in VertexSet(best_mask))
-    nodes = searched = tie_skipped = 0
-    # highest bound first, equal bounds in maximal_masks order; the incumbent
-    # only grows, so the first bound below it ends the search, and a
-    # container that can only tie it is searched only for a set sorting first
-    for bound, container in priced:
+    # highest bound first, equal bounds in maximal_masks order; the first
+    # container seeds the incumbent, which only grows, so the first bound
+    # below it ends the search, and a container that can only tie it is
+    # searched only for a set sorting first
+    (_, top), *rest = priced
+    r = mis_base(g, weights, within=top)
+    best_mask, best_w = r.best.mask, r.weight
+    nodes, searched, tie_skipped = r.stats["nodes"], 1, 0
+    for bound, container in rest:
         if bound < best_w:
             break
         if bound == best_w and not _may_hold_earlier_tie(g, weights, container, best_mask):

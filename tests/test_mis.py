@@ -333,6 +333,23 @@ class TestContainerPricing:
                 needed += bool(earlier)
         assert skipped > 0 and needed > 0
 
+    def test_highest_priced_container_seeds_the_incumbent(self):
+        # the answer comes out of a container search even where every other
+        # container is cut or tie-skipped, as on these 4-regular n = 10
+        # graphs whose greedy set over V is already optimal
+        rng = random.Random(77)
+        only_seed = 0
+        for _ in range(40):
+            g = random_regular_graph(10, 4, rng.randrange(10**6))
+            coll = build_regular_collection(g, 0.45, force=True)
+            maximal = maximal_masks(x.mask for x in coll.containers)
+            c = mis_containers(g, MisConfig(mode="containers", epsilon=0.45, force=True))
+            assert c.best == mis_base(g).best
+            assert c.stats["searched"] >= 1
+            assert any(not c.best.mask & ~m for m in maximal)
+            only_seed += c.stats["searched"] == 1 and c.stats["tie_skipped"] > 0
+        assert only_seed > 0
+
     def test_tie_test_searches_a_prefix_whose_rest_weighs_zero(self):
         # B = (0, 2) with w(2) = 0 ties its prefix (0,), which sorts first;
         # the container holds only the prefix, so b2 outside it must not end
