@@ -8,12 +8,22 @@ either runs the plain 2^n sum or, on dense graphs, tests pairs of unions of
 independence containers with per-pair color counts, deciding each with the
 k=2 evaluator -- unless the priced pairs cost at least the whole-V sum,
 which then decides alone. Counts are exact big integers throughout:
-positivity hinges on sign cancellation, so no modular shortcuts."""
+positivity hinges on sign cancellation, so no modular shortcuts.
+
+The IS-count table is built one block per vertex, each block one list
+operation (see `count_is_dp`). The plain sum is taken as a value histogram:
+the subset parities come as one bytes object, doubled bit by bit, the
+counts of each parity are tallied by value, and each distinct count is
+raised to the k-th power once, so the per-subset work runs in C."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
+from operator import add
+from typing import Iterable
 
 from .containers import build_almost_regular_collection, maximal_masks
 from .core import Graph, ParameterError, SizeLimitError, VertexSet
@@ -27,11 +37,19 @@ from .partition import container_unions
 
 IS_TABLE_CEILING = 30
 BASELINE_CEILING = 26
-# Measured cost of one covering-pair test, all k-1 color counts, per unit of
+# Cost of one covering-pair test, all k-1 color counts, per unit of
 # (k-1)(2^|X| + 2^|Y|), in units of one subset of the whole-V sum (whose time
-# is about 2^n units at any small k): median 4.4, range 3.4-5.5 over G(n, 0.6),
-# n = 12-18, k = 2-5, random covering pairs, cold table caches.
+# is about 2^n units at any small k), over G(n, 0.6), n = 12-18, k = 2-5,
+# random covering pairs, cold table caches: median 13.1, range 9.3-17.6. The
+# price is still the 4 measured (median 4.4) when the whole-V sum was a
+# per-subset loop, so pairs priced above about 0.3 * 2^n can cost more than
+# the whole-V sum.
 PAIR_ENTRY_COST = 4
+# the sliced gather of count_is_dp must copy at least 2^GATHER_MIN_RUN
+# entries per step on average, or a flat map gathers instead (measured on
+# G(n, p), n = 12-16, p = 0.02-0.8: 3 to 5 are within noise, 8 is 40% slower)
+GATHER_MIN_RUN = 4
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 # the engine raises its threshold until the base collection has at most this
 # many containers
 MAX_BASE_CONTAINERS = 10
@@ -51,29 +69,64 @@ def _cached_is_table(g: Graph, domain: VertexSet) -> IsCountTable:
 
 
 def count_is_dp(g: Graph, domain: VertexSet) -> IsCountTable:
-    """Full table via i(V') = i(V' minus pivot) + i(V' minus pivot's closed
-    neighborhood), pivot = lowest-id vertex; subsets in ascending bitmask
-    order so both recurrence arguments are already computed."""
+    """Full table via i(S) = i(S - j) + i(S minus j's closed neighborhood),
+    j = the highest local vertex of S, built one block per local vertex: the
+    subsets whose highest vertex is j are the 2^j entries r + 2^j, r < 2^j,
+    and their counts are counts[r] + counts[r & keep_j], keep_j being j's
+    non-neighbours below j, all in the table already.
+
+    The gather r -> counts[r & keep_j] is assembled from list slices: a
+    keep_j bit missing on top repeats the gather below it, a kept top bit
+    joins the gathers of the two halves, and a run of kept low bits is one
+    slice. That takes about 2^(kept bits above keep_j's lowest gap) steps;
+    when they would not each copy at least 2^GATHER_MIN_RUN entries on
+    average, one flat map over r < 2^j gathers instead."""
     order = tuple(domain)
     w = len(order)
     if w > IS_TABLE_CEILING:
         raise SizeLimitError(
             "is-count-table", f"domain of {w} exceeds ceiling {IS_TABLE_CEILING}"
         )
-    closed = []
-    for v in order:
-        nb = (g.adj_mask[v] | (1 << v)) & domain.mask
-        local = 0
-        for j, u in enumerate(order):
-            if (nb >> u) & 1:
-                local |= 1 << j
-        closed.append(local)
-    counts = [0] * (1 << w)
-    counts[0] = 1
-    for m in range(1, 1 << w):
-        j = (m & -m).bit_length() - 1
-        counts[m] = counts[m & (m - 1)] + counts[m & ~closed[j]]
+    counts = [1]
+    for j, v in enumerate(order):
+        keep = 0
+        for i, u in enumerate(order[:j]):
+            if not (g.adj_mask[v] >> u) & 1:
+                keep |= 1 << i
+        # the map ends with the gather's 2^j entries, so it never reads the
+        # block it is appending
+        counts += map(add, counts, _gather(counts, keep, j))
     return IsCountTable(order=order, counts=tuple(counts))
+
+
+def _gather(counts: list[int], keep: int, width: int) -> Iterable[int]:
+    """counts[r & keep] for every r < 2^width, in order of r."""
+    gaps = ~keep & ((1 << width) - 1)
+    branching = (keep >> (gaps & -gaps).bit_length()).bit_count() if gaps else 0
+    if width - branching < GATHER_MIN_RUN:
+        return map(counts.__getitem__, map(keep.__and__, range(1 << width)))
+    return _sliced_gather(counts, 0, keep, width)
+
+
+def _sliced_gather(counts: list[int], base: int, keep: int, width: int) -> list[int]:
+    """counts[base + (r & keep)] for every r < 2^width, from slices."""
+    if keep == (1 << width) - 1:
+        return counts[base : base + (1 << width)]
+    top = keep.bit_length()
+    if top < width:
+        return _sliced_gather(counts, base, keep, top) * (1 << (width - top))
+    top -= 1
+    rest = keep ^ (1 << top)
+    return _sliced_gather(counts, base, rest, top) + _sliced_gather(counts, base + (1 << top), rest, top)
+
+
+def _parities(width: int, flips: int) -> bytes:
+    """Byte m is the parity of |m & flips|, for every m < 2^width: each bit
+    doubles the bytes, flipping the new half when the bit is in flips."""
+    par = b"\x00"
+    for j in range(width):
+        par += par.translate(_FLIP) if flips >> j & 1 else par
+    return par
 
 
 def inclusion_exclusion_F(g: Graph, k: int) -> int:
@@ -82,15 +135,13 @@ def inclusion_exclusion_F(g: Graph, k: int) -> int:
         raise ParameterError("k must be at least 1")
     if g.n > BASELINE_CEILING:
         raise SizeLimitError("inclusion-exclusion", f"n={g.n} exceeds ceiling {BASELINE_CEILING}")
-    table = count_is_dp(g, VertexSet((1 << g.n) - 1))
-    total = 0
-    for m in range(1 << g.n):
-        term = pow(table.counts[m], k)
-        if (g.n - m.bit_count()) & 1:
-            total -= term
-        else:
-            total += term
-    return total
+    counts = count_is_dp(g, VertexSet((1 << g.n) - 1)).counts
+    odd = _parities(g.n, (1 << g.n) - 1)
+    # each distinct count is raised to the k-th power once, times how often
+    # it occurs among the subsets of each parity
+    total = sum(c * pow(i, k) for i, c in Counter(compress(counts, odd.translate(_FLIP))).items())
+    total -= sum(c * pow(i, k) for i, c in Counter(compress(counts, odd)).items())
+    return -total if g.n & 1 else total
 
 
 @lru_cache(maxsize=4096)
@@ -105,11 +156,8 @@ def _signed_table(g: Graph, container: VertexSet, fresh: int) -> tuple[tuple[int
     for j, v in enumerate(order):
         if (fresh >> v) & 1:
             fresh_local |= 1 << j
-    signed = tuple(
-        -c if (m & fresh_local).bit_count() & 1 else c
-        for m, c in enumerate(table.counts)
-    )
-    return order, signed
+    signs = _parities(len(order), fresh_local)
+    return order, tuple(-c if s else c for c, s in zip(table.counts, signs))
 
 
 def constrained_extsum_instance(g: Graph, containers: list[VertexSet]) -> ExtSumInstance:
@@ -214,7 +262,11 @@ def _decide_containers(g: Graph, k: int, config: ColoringConfig, stats: dict) ->
     # any union over non-maximal base containers is dominated by a union
     # over their supersets
     maximal_base = maximal_masks(c.mask for c in base.containers)
-    maximal = [VertexSet(m) for m in maximal_masks(container_unions(maximal_base, k - 1))]
+    # a union of fewer containers lies inside one of min(k-1, m) containers,
+    # so only those unions can be maximal
+    fewest = min(k - 1, len(maximal_base))
+    unions = container_unions(maximal_base, k - 1, fewest=fewest)
+    maximal = [VertexSet(m) for m in maximal_masks(unions)]
     stats["candidate_containers"] = len(maximal)
     full = (1 << g.n) - 1
     pairs = sorted(

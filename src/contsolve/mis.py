@@ -197,8 +197,12 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
     if config.mode not in ("auto", "containers"):
         raise ParameterError(f"unknown mode {config.mode!r}")
     if g.m == 0:
-        full = VertexSet((1 << g.n) - 1)
-        return MisResult(full, g.n, sum(weights), {"path": "edgeless"})
+        # every positive weight, and each zero weight below the last of them,
+        # which only sorts the set earlier
+        top = g.n
+        while top and not weights[top - 1]:
+            top -= 1
+        return MisResult(VertexSet((1 << top) - 1), top, sum(weights), {"path": "edgeless"})
     if g.is_regular():
         force = config.force or config.mode == "containers"
         coll = build_regular_collection(g, config.epsilon, force=force)

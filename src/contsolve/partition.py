@@ -125,12 +125,14 @@ def matching_refinement(g: Graph, subsets: list[VertexSet]) -> RefinementResult:
     return RefinementResult(parts=tuple(parts), matching_size=len(matching))
 
 
-def container_unions(masks: Sequence[int], count: int, ceiling: float = math.inf) -> Iterator[int]:
-    """The distinct unions of 1..count of `masks`, each yielded once. A
-    candidate is a combination of masks whose union has at most `ceiling`
-    vertices (a union only grows, so no superset of a combination over the
-    ceiling is tried); more than `UNION_BUDGET` candidates raise
-    SizeLimitError."""
+def container_unions(
+    masks: Sequence[int], count: int, ceiling: float = math.inf, *, fewest: int = 1
+) -> Iterator[int]:
+    """The distinct unions of fewest..count of `masks`, each yielded once. A
+    candidate is a combination of 1..count masks whose union has at most
+    `ceiling` vertices (a union only grows, so no superset of a combination
+    over the ceiling is tried), counted and extended whatever its size;
+    more than `UNION_BUDGET` candidates raise SizeLimitError."""
     limit = UNION_BUDGET
     seen: set[int] = set()
     tried = 0
@@ -147,7 +149,7 @@ def container_unions(masks: Sequence[int], count: int, ceiling: float = math.inf
                     "partition-container-materialization",
                     f"more than {limit} candidate unions",
                 )
-            if grown not in seen:
+            if size >= fewest and grown not in seen:
                 seen.add(grown)
                 yield grown
             if size < count:

@@ -22,6 +22,22 @@ def all_independent_sets(g: Graph) -> list[int]:
     return out
 
 
+def is_counts_lowest_bit(g: Graph, domain: int) -> list[int]:
+    """i(G[S]) for every S within the domain mask, indexed by the local
+    bitmask over the domain's ascending vertices, by the lowest-vertex
+    recurrence i(S) = i(S - v) + i(S minus v's closed neighborhood)."""
+    order = [v for v in range(g.n) if (domain >> v) & 1]
+    closed = [
+        sum(1 << j for j, u in enumerate(order) if u == v or (g.adj_mask[v] >> u) & 1)
+        for v in order
+    ]
+    counts = [1] * (1 << len(order))
+    for m in range(1, 1 << len(order)):
+        j = (m & -m).bit_length() - 1
+        counts[m] = counts[m & (m - 1)] + counts[m & ~closed[j]]
+    return counts
+
+
 def max_independent_set_size(g: Graph) -> int:
     return max(m.bit_count() for m in all_independent_sets(g))
 

@@ -8,6 +8,7 @@ from contsolve import partition
 from contsolve.coloring import (
     MAX_BASE_CONTAINERS,
     ColoringConfig,
+    _signed_table,
     constrained_F,
     count_is_dp,
     inclusion_exclusion_F,
@@ -25,7 +26,12 @@ from contsolve.core import (
     random_regular_graph,
 )
 from contsolve.containers import build_almost_regular_collection, maximal_masks
-from oracles import all_independent_sets, count_ordered_covers, is_k_colorable
+from oracles import (
+    all_independent_sets,
+    count_ordered_covers,
+    is_counts_lowest_bit,
+    is_k_colorable,
+)
 
 
 def _full(g):
@@ -72,6 +78,59 @@ class TestCountIsDp:
         g = Graph(31, [])
         with pytest.raises(SizeLimitError):
             count_is_dp(g, _full(g))
+
+
+class TestKernelsAgainstTheLowestBitRecurrence:
+    def test_tables_on_random_domains(self):
+        rng = random.Random(21)
+        for _ in range(150):
+            n = rng.randint(0, 12)
+            g = random_graph(n, rng.random(), rng.randrange(10**6))
+            domain = rng.getrandbits(n) if n else 0
+            table = count_is_dp(g, VertexSet(domain))
+            assert table.order == tuple(VertexSet(domain))
+            assert list(table.counts) == is_counts_lowest_bit(g, domain)
+        assert count_is_dp(Graph(5, []), VertexSet(0)).counts == (1,)
+
+    def test_tables_on_n16_shapes(self):
+        # a star centred at 0 leaves every later vertex a gap at bit 0 below
+        # it, so the sliced gather would branch 2^(j-1) ways there
+        n = 16
+        shapes = [
+            Graph(n, [(0, v) for v in range(1, n)]),
+            Graph(n, [(v, n - 1) for v in range(n - 1)]),
+            Graph(n, [(v, v + 1) for v in range(n - 1)]),
+            Graph(n, []),
+            complete_graph(n),
+        ]
+        for g in shapes:
+            assert list(count_is_dp(g, _full(g)).counts) == is_counts_lowest_bit(g, (1 << n) - 1)
+
+    def test_F_is_the_direct_signed_sum(self):
+        rng = random.Random(22)
+        for n in range(13):
+            g = random_graph(n, rng.uniform(0.2, 0.8), rng.randrange(10**6))
+            counts = is_counts_lowest_bit(g, (1 << n) - 1)
+            for k in range(1, 9):
+                direct = sum(
+                    (-1) ** (n - m.bit_count()) * c**k for m, c in enumerate(counts)
+                )
+                assert inclusion_exclusion_F(g, k) == direct
+
+    def test_signed_table_is_its_per_entry_formula(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            n = rng.randint(1, 10)
+            g = random_graph(n, rng.random(), rng.randrange(10**6))
+            container = VertexSet(rng.getrandbits(n))
+            fresh = container.mask & rng.getrandbits(n)
+            order, signed = _signed_table(g, container, fresh)
+            counts = is_counts_lowest_bit(g, container.mask)
+            local = [j for j, v in enumerate(order) if (fresh >> v) & 1]
+            assert order == tuple(container)
+            assert list(signed) == [
+                (-1) ** sum((m >> j) & 1 for j in local) * c for m, c in enumerate(counts)
+            ]
 
 
 class TestSignCancellation:

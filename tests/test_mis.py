@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -118,6 +119,16 @@ class TestMisContainers:
     def test_edgeless_shortcut(self):
         r = mis_containers(Graph(5, []))
         assert r.size == 5 and r.stats["path"] == "edgeless"
+
+    def test_edgeless_shortcut_is_the_base_answer(self):
+        for n in range(8):
+            g = Graph(n, [])
+            for weights in product(range(3), repeat=n):
+                weights = list(weights)
+                want = mis_base(g, weights)
+                got = mis_containers(g, weights=weights)
+                assert got.stats["path"] == "edgeless"
+                assert (got.best, got.size, got.weight) == (want.best, want.size, want.weight)
 
     def test_auto_low_degree_dispatches_to_base(self):
         r = mis_containers(cycle_graph(8), MisConfig(mode="auto"))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contsolve import partition
-from contsolve.containers import ContainerCollection, ContainerParams, container_of
+from contsolve.containers import ContainerCollection, ContainerParams, container_of, maximal_masks
 from contsolve.core import (
     Graph,
     ParameterError,
@@ -21,6 +21,7 @@ from contsolve.partition import (
     RefinementUnavailableError,
     build_partition_collection_almost_regular,
     build_partition_collection_regular,
+    container_unions,
     greedy_matching,
     matching_refinement,
     uncovered_edges,
@@ -41,6 +42,39 @@ def _union(subsets, indices):
     for i in indices:
         u |= subsets[i].mask
     return u
+
+
+class TestContainerUnions:
+    def test_fewest_skips_smaller_combinations_but_counts_them(self, monkeypatch):
+        rng = random.Random(31)
+        for _ in range(40):
+            masks = [rng.getrandbits(10) for _ in range(rng.randint(1, 6))]
+            count = rng.randint(1, 4)
+            fewest = rng.randint(1, count)
+            combos = [
+                combo for j in range(1, count + 1) for combo in combinations(range(len(masks)), j)
+            ]
+            want = {
+                _union([VertexSet(m) for m in masks], combo) for combo in combos if len(combo) >= fewest
+            }
+            got = list(container_unions(masks, count, fewest=fewest))
+            assert len(got) == len(set(got)) and set(got) == want
+            monkeypatch.setattr(partition, "UNION_BUDGET", len(combos))
+            list(container_unions(masks, count, fewest=fewest))
+            monkeypatch.setattr(partition, "UNION_BUDGET", len(combos) - 1)
+            with pytest.raises(SizeLimitError):
+                list(container_unions(masks, count, fewest=fewest))
+            monkeypatch.undo()
+
+    def test_unions_of_the_most_containers_hold_every_maximal_union(self):
+        rng = random.Random(32)
+        for _ in range(60):
+            masks = maximal_masks(rng.getrandbits(12) for _ in range(rng.randint(1, 7)))
+            count = rng.randint(1, 5)
+            fewest = min(count, len(masks))
+            assert maximal_masks(container_unions(masks, count)) == maximal_masks(
+                container_unions(masks, count, fewest=fewest)
+            )
 
 
 class TestVennRefinement:
