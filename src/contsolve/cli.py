@@ -90,11 +90,7 @@ def _cmd_extsum(args) -> tuple[int, dict]:
 
 def _cmd_color(args) -> tuple[int, dict]:
     g = _load_graph(args)
-    config = coloring.ColoringConfig(
-        mode=args.mode,
-        degree_threshold=args.degree_threshold,
-        certificate=args.certificate,
-    )
+    config = coloring.ColoringConfig(mode=args.mode, certificate=args.certificate)
     result = coloring.solve_kcoloring(g, args.k, config)
     report = {
         "instance": _graph_stats(g),
@@ -181,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_source(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=["auto", "baseline", "containers"], default="auto")
-    p.add_argument("--degree-threshold", type=float, default=8.0)
     p.add_argument("--certificate", action="store_true")
     p.set_defaults(func=_cmd_color)
 

