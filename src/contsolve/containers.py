@@ -32,6 +32,13 @@ fingerprints per threshold), and past it the driver raises the threshold. A
 graph is walked on its own adjacency masks. Every collection's `locate` is
 one scan, `_locate`: the fingerprint scan of the set, then a lookup in the
 walk's map from fingerprint to container.
+
+A builder's caller may pass `keep(F, excluded, heavy)` to cut the walk: a
+fingerprint it rejects is skipped with its whole subtree. Exclusions only
+grow down the tree, so every container below F lies inside V minus F's
+exclusions, and a solver that can bound what that set holds (the MIS
+wrapper, with its incumbent) lists only the containers it may need. Such a
+collection no longer covers every independent set, so it has no `locate`.
 """
 
 from __future__ import annotations
@@ -53,6 +60,9 @@ from .core import (
 # fingerprints any walk lists at one threshold before the driver raises the
 # threshold
 CANDIDATE_BUDGET = 20000
+
+# keep(F, excluded, heavy): whether the walk enters fingerprint F's subtree
+Keep = Callable[[int, int, int], bool]
 
 
 @dataclass(frozen=True)
@@ -88,7 +98,9 @@ class ContainerCollection:
     `stats["tau"]`. `locate(I)` scans I for its fingerprint, then looks up
     the container the walk built for that fingerprint; the result is always
     a member of `containers`. `stats["vacuous"]` is true when V itself is a
-    container, so the collection prunes nothing.
+    container, so the collection prunes nothing. A walk that a `keep`
+    filter cut reports the number of subtrees it skipped in `stats["cut"]`
+    and has no `locate`, as it no longer covers every independent set.
     """
 
     containers: tuple[VertexSet, ...]
@@ -161,7 +173,9 @@ def _heavy(excludes: Sequence[int], candidates: int, excluded: int, threshold: f
     return heavy
 
 
-def _fixed_points(excludes: Sequence[int], threshold: float) -> Iterator[tuple[int, int, int]]:
+def _fixed_points(
+    excludes: Sequence[int], threshold: float, keep: Keep | None = None
+) -> Iterator[tuple[int, int, int]]:
     """Depth-first walk of the single-pass fingerprint fixed points, each
     yielded once as (F, vertices F excludes, heavy set of F).
 
@@ -177,7 +191,13 @@ def _fixed_points(excludes: Sequence[int], threshold: float) -> Iterator[tuple[i
     container of F is what is neither excluded nor heavy, `full & ~(excluded
     | H(F))`, the mask `_container_mask` gives. The fixed points are exactly
     the fingerprints of the independent sets, each with at most n/threshold
-    vertices. More than `CANDIDATE_BUDGET` of them raise SizeLimitError."""
+    vertices. More than `CANDIDATE_BUDGET` of them raise SizeLimitError.
+
+    `keep(F, excluded, heavy)`, when given, is asked about every fixed point
+    but the root; where it is false, F and its whole subtree are skipped.
+    Exclusions only grow down the tree, so every container below F lies
+    inside V minus F's exclusions, and a caller can cut by what that set or,
+    at a leaf (no heavy vertex above max F), F's container can hold."""
     full = (1 << len(excludes)) - 1
     budget = CANDIDATE_BUDGET
     count = 0
@@ -195,7 +215,8 @@ def _fixed_points(excludes: Sequence[int], threshold: float) -> Iterator[tuple[i
             v = low.bit_length() - 1
             grown = excluded | excludes[v]
             child_heavy = _heavy(excludes, heavy & ~(grown | low), grown, threshold)
-            stack.append((v + 1, f | low, grown, child_heavy))
+            if keep is None or keep(f | low, grown, child_heavy):
+                stack.append((v + 1, f | low, grown, child_heavy))
 
 
 def build_regular_collection(
@@ -203,6 +224,7 @@ def build_regular_collection(
     epsilon: float,
     *,
     force: bool = False,
+    keep: Keep | None = None,
 ) -> ContainerCollection:
     """Container collection for a d-regular graph.
 
@@ -225,6 +247,8 @@ def build_regular_collection(
     `stats["certified"]` is whether that bound is below n: at or above it
     (a raised tau on a low-degree graph, such as tau = 2 at d = 3) the size
     check cannot fail, and the bound certifies nothing.
+
+    `keep` cuts the walk as in `_fixed_points`; see `_collection`.
     """
     if g.n == 0:
         raise ParameterError("empty graph")
@@ -251,7 +275,7 @@ def build_regular_collection(
     size_bound = (1.0 / (2.0 - epsilon) + params.q) * g.n
     coll = _collection(
         g, g.adj_mask, params.tau, max_containers=None, source="regular-graph",
-        stats={"size_bound": size_bound, "forced": force and low_degree},
+        stats={"size_bound": size_bound, "forced": force and low_degree}, keep=keep,
     )
     tau = coll.stats["tau"]
     if tau != params.tau:
@@ -343,11 +367,15 @@ def _locate(
     return VertexSet(walked[f])
 
 
-def _walked_containers(excludes: Sequence[int], tau: int) -> dict[int, int]:
+def _walked_containers(
+    excludes: Sequence[int], tau: int, keep: Keep | None = None
+) -> dict[int, int]:
     """The map from each fingerprint walked at threshold tau to its
     container mask."""
     full = (1 << len(excludes)) - 1
-    return {f: full & ~(excluded | heavy) for f, excluded, heavy in _fixed_points(excludes, tau)}
+    return {
+        f: full & ~(excluded | heavy) for f, excluded, heavy in _fixed_points(excludes, tau, keep)
+    }
 
 
 def _collection(
@@ -357,23 +385,35 @@ def _collection(
     max_containers: int | None,
     source: str,
     stats: dict,
+    keep: Keep | None,
 ) -> ContainerCollection:
     """Every builder's collection: walk the fixed points at threshold tau,
     raised by half while the walk overflows `CANDIDATE_BUDGET` or yields
     more than `max_containers` containers (larger tau means fewer, smaller
     fingerprints and larger containers; coverage is unaffected). The stats
-    add the caller's `stats` and the final tau, which `locate` follows."""
+    add the caller's `stats` and the final tau, which `locate` follows.
+    With `keep`, `stats["cut"]` counts the subtrees the final walk skipped,
+    when there are any, and the collection has no `locate`."""
     full = (1 << len(excludes)) - 1
     fallback = None  # last build whose containers were not all-of-V
+
+    def counted(f, excluded, heavy):
+        nonlocal cut
+        if keep(f, excluded, heavy):
+            return True
+        cut += 1
+        return False
+
     while True:
+        cut = 0
         try:
-            walked = _walked_containers(excludes, tau)
+            walked = _walked_containers(excludes, tau, counted if keep else None)
         except SizeLimitError:
             tau += max(1, tau // 2)
             continue
         dedup = set(walked.values())
         if full not in dedup:
-            fallback = (tau, walked, dedup)
+            fallback = (tau, walked, dedup, cut)
         if max_containers is not None and len(dedup) > max_containers and len(walked) > 1:
             tau += max(1, tau // 2)
             continue
@@ -382,7 +422,7 @@ def _collection(
         # raising the threshold degenerated the collection to the single
         # full-vertex-set container; prefer the last informative build even
         # if it overshoots the requested collection size
-        tau, walked, dedup = fallback
+        tau, walked, dedup, cut = fallback
     containers = tuple(VertexSet(m) for m in sorted(dedup, key=lambda m: (m.bit_count(), m)))
     return ContainerCollection(
         containers=containers,
@@ -395,8 +435,9 @@ def _collection(
             "tau": tau,
             "candidate_count": len(walked),
             "vacuous": full in dedup,
+            **({"cut": cut} if cut else {}),
         },
-        locate=partial(_locate, structure, excludes, tau, walked),
+        locate=None if cut else partial(_locate, structure, excludes, tau, walked),
     )
 
 
@@ -405,6 +446,7 @@ def build_hypergraph_collection(
     p: float,
     *,
     max_containers: int | None = None,
+    keep: Keep | None = None,
 ) -> ContainerCollection:
     """Container collection for an r-uniform hypergraph, r read from it; a
     `Graph` is the r=2 case, walked on its own adjacency masks.
@@ -422,7 +464,8 @@ def build_hypergraph_collection(
     edge through v has r-1 >= 2 other vertices. So at r>=3 no vertex joins
     the empty fingerprint, every `locate` image is V and the collection is
     {V}, which `stats["vacuous"]` reports. At r=2 a collection holds V only
-    when it is {V}.
+    when it is {V}. `keep` cuts the walk as in `_fixed_points`; see
+    `_collection`.
     """
     if not 0 < p <= 1:
         raise ParameterError(f"p must be in (0, 1], got {p}")
@@ -437,7 +480,7 @@ def build_hypergraph_collection(
     else:
         excludes = [_exclusions(structure, v, 1 << v) for v in range(structure.n)]
     tau = max(1, math.ceil(1.0 / ((r - 1) * p)))
-    return _collection(structure, excludes, tau, max_containers, "hypergraph", {"p": p})
+    return _collection(structure, excludes, tau, max_containers, "hypergraph", {"p": p}, keep)
 
 
 def build_almost_regular_collection(
@@ -445,6 +488,7 @@ def build_almost_regular_collection(
     degree_ratio: float,
     *,
     max_containers: int | None = None,
+    keep: Keep | None = None,
 ) -> ContainerCollection:
     """Graph containers via the hypergraph engine at r=2, on g itself.
 
@@ -462,7 +506,7 @@ def build_almost_regular_collection(
             f"average degree {g.average_degree:.3f}"
         )
     p = min(1.0, 1.0 / (0.25 * g.average_degree))
-    coll = build_hypergraph_collection(g, p, max_containers=max_containers)
+    coll = build_hypergraph_collection(g, p, max_containers=max_containers, keep=keep)
     return replace(coll, source="almost-regular-graph")
 
 

@@ -2,35 +2,38 @@
 
 The base solver is branch-and-bound on the max-degree vertex with a greedy
 seed and a residual-weight prune; it can be confined to a vertex mask and
-started from a given incumbent. The container wrapper builds a container
-collection and runs the base solver inside the inclusion-maximal containers
-of the parent graph, with one incumbent carried across containers: it
-starts as the optimum of the highest-priced container, and each later search
-returns the better of it and its container's optimum, so every set the
-wrapper holds lies in a container and its answer always comes out of a
-container search. That is exact, because the optimum lies inside some
-container, hence inside a maximal one, and the prune only cuts branches that
-cannot beat or tie the incumbent.
+started from a given incumbent. The container wrapper takes the greedy set S
+over V as its incumbent and runs the base solver inside a few containers of
+the parent graph, carrying one incumbent across them: each search returns the
+better of it and its container's optimum. That is exact, because the optimum
+lies inside the container of its fingerprint, and the prune only cuts
+branches that cannot beat or tie the incumbent.
 
-Each maximal container is priced before any search by a greedy clique cover:
-an independent set takes at most one vertex of each clique, so the sum of the
-cliques' heaviest weights bounds every independent subset of the container.
-Containers are searched in descending bound order, and the search stops at
-the first bound below the incumbent's weight: no container left can beat or
-tie it. A container whose bound equals the incumbent's weight can only tie
-it, so it is searched only when a bit test along the incumbent B = b1 < b2 <
-... finds room in it for a tying set that sorts before B: a proper prefix of
-B whose remaining vertices weigh 0, or a vertex between b(i-1) and b(i)
-adjacent to none of b1..b(i-1), with b1..b(i-1) inside the container. The answer is
-therefore the one every container's search would give: the lexicographically
-smallest set of maximum weight."""
+Containers are priced by a greedy clique cover: an independent set takes at
+most one vertex of each clique, so the sum of the cliques' heaviest weights
+bounds every independent subset of a vertex set. The answer never ranks
+below S, so the fingerprint walk is cut where it cannot reach a better set:
+every container below a fingerprint F lies inside V minus F's exclusions,
+and F's subtree is skipped when that set (at a leaf, F's own container) is
+priced below w(S), or at w(S) without room for a tie that sorts before S.
+
+The kept containers are searched in descending bound order, larger first on
+equal bounds; the first always, from S, and the rest until the first bound
+below the incumbent's weight. A container whose bound equals that weight can
+only tie the incumbent B = b1 < b2 < ..., so it is searched only when a bit
+test along B finds room in it for a tying set that sorts before B: a proper
+prefix of B whose remaining vertices weigh 0, or a vertex between b(i-1) and
+b(i) adjacent to none of b1..b(i-1), with b1..b(i-1) inside the container. A
+container inside one already searched is skipped, as that search saw all of
+its subsets. The answer is therefore the one every container's search would
+give: the lexicographically smallest set of maximum weight."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .core import Graph, ParameterError, VertexSet
-from .containers import build_almost_regular_collection, build_regular_collection, maximal_masks
+from .containers import build_almost_regular_collection, build_regular_collection
 
 
 @dataclass
@@ -77,15 +80,19 @@ def _clique_cover_bound(g: Graph, weights: list[int], mask: int) -> int:
             low = common & -common
             mask ^= low
             u = low.bit_length() - 1
-            heaviest = max(heaviest, weights[u])
+            if weights[u] > heaviest:
+                heaviest = weights[u]
             common &= g.adj_mask[u]
         bound += heaviest
     return bound
 
 
-def _may_hold_earlier_tie(g: Graph, weights: list[int], container: int, best: int) -> bool:
+def _may_hold_earlier_tie(
+    g: Graph, weights: list[int], container: int, best: int, best_w: int | None = None
+) -> bool:
     """Whether `container` may hold an independent set of the incumbent's
-    weight that sorts before the incumbent `best` = b1 < b2 < ... < bk.
+    weight that sorts before the incumbent `best` = b1 < b2 < ... < bk, of
+    weight `best_w` (summed here when not given).
 
     Such a set S either is a proper prefix b1..b(i-1) of `best` whose rest
     b(i)..bk weighs 0, or first differs from `best` at some i with b(i-1) <
@@ -94,7 +101,7 @@ def _may_hold_earlier_tie(g: Graph, weights: list[int], container: int, best: in
     b(i-1) and b(i) that no b1..b(i-1) is adjacent to says yes, and b(i)
     outside the container says no. Past bk it is no: every other subset of
     the container that holds all of `best` extends it and sorts after it."""
-    rest_w = sum(weights[v] for v in VertexSet(best))
+    rest_w = sum(weights[v] for v in VertexSet(best)) if best_w is None else best_w
     passed = 0  # b1..b(i-1) and every vertex below them
     blocked = 0  # the neighbourhood of b1..b(i-1)
     while best:
@@ -203,9 +210,33 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
         while top and not weights[top - 1]:
             top -= 1
         return MisResult(VertexSet((1 << top) - 1), top, sum(weights), {"path": "edgeless"})
+    # every answer sorts at or before the greedy set S over V, so the walk
+    # enters a fingerprint's subtree only when what it can reach (V minus
+    # the fingerprint's exclusions, or at a leaf its container) is priced
+    # above w(S), or at w(S) with room for a tie that sorts before S
+    full = (1 << g.n) - 1
+    seed = _greedy_seed(g, weights, full)
+    seed_w = sum(weights[v] for v in VertexSet(seed))
+    prices: dict[int, int] = {}  # vertex mask -> bound
+
+    def price(mask: int) -> int:
+        bound = prices.get(mask)
+        if bound is None:
+            bound = prices[mask] = _clique_cover_bound(g, weights, mask)
+        return bound
+
+    def keep(f: int, excluded: int, heavy: int) -> bool:
+        # F's children are its heavy vertices above max F; a leaf's subtree
+        # is F's own container
+        reach = full & ~(excluded if heavy >> f.bit_length() else excluded | heavy)
+        bound = price(reach)
+        return bound > seed_w or (
+            bound == seed_w and _may_hold_earlier_tie(g, weights, reach, seed, seed_w)
+        )
+
     if g.is_regular():
         force = config.force or config.mode == "containers"
-        coll = build_regular_collection(g, config.epsilon, force=force)
+        coll = build_regular_collection(g, config.epsilon, force=force, keep=keep)
         if coll.low_degree and not force:
             r = mis_base(g, weights)
             r.stats["path"] = "base (low-degree dispatch)"
@@ -213,29 +244,32 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
     else:
         # the engine's threshold comes from the average degree alone, so
         # assert the measured degree ratio rather than a configured bound
-        coll = build_almost_regular_collection(g, g.max_degree / g.average_degree * (1 + 1e-9))
+        coll = build_almost_regular_collection(
+            g, g.max_degree / g.average_degree * (1 + 1e-9), keep=keep
+        )
 
-    subproblems = maximal_masks(c.mask for c in coll.containers)
-    priced = sorted(
-        ((_clique_cover_bound(g, weights, m), m) for m in subproblems), key=lambda p: -p[0]
-    )
-    # highest bound first, equal bounds in maximal_masks order; the first
-    # container seeds the incumbent, which only grows, so the first bound
-    # below it ends the search, and a container that can only tie it is
-    # searched only for a set sorting first
-    (_, top), *rest = priced
-    r = mis_base(g, weights, within=top)
+    order = sorted((c.mask for c in coll.containers), key=lambda m: (-price(m), -m.bit_count(), m))
+    # highest bound first, then larger, then by mask; the first container is
+    # searched from S, and the incumbent only grows, so the first bound below
+    # it ends the search; a container that can only tie it is searched only
+    # for a set sorting first, and one inside a searched container not at all
+    first, *rest = order
+    r = mis_base(g, weights, within=first, incumbent=seed)
     best_mask, best_w = r.best.mask, r.weight
-    nodes, searched, tie_skipped = r.stats["nodes"], 1, 0
-    for bound, container in rest:
+    nodes, searched, tie_skipped, subsumed = r.stats["nodes"], [first], 0, 0
+    for container in rest:
+        bound = prices[container]
         if bound < best_w:
             break
-        if bound == best_w and not _may_hold_earlier_tie(g, weights, container, best_mask):
+        if bound == best_w and not _may_hold_earlier_tie(g, weights, container, best_mask, best_w):
             tie_skipped += 1
+            continue
+        if any(not container & ~done for done in searched):
+            subsumed += 1
             continue
         r = mis_base(g, weights, within=container, incumbent=best_mask)
         nodes += r.stats["nodes"]
-        searched += 1
+        searched.append(container)
         best_mask, best_w = r.best.mask, r.weight
     best = VertexSet(best_mask)
     if not g.is_independent(best.mask):
@@ -246,10 +280,12 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
         weight=best_w,
         stats={
             "path": "containers",
-            "containers": len(subproblems),
-            "searched": searched,
+            "containers": len(coll.containers),
+            "cut": coll.stats.get("cut", 0),
+            "searched": len(searched),
             "tie_skipped": tie_skipped,
-            "largest_subproblem": max((m.bit_count() for m in subproblems), default=0),
+            "subsumed": subsumed,
+            "largest_subproblem": coll.stats["max_container_size"],
             "nodes": nodes,
         },
     )

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -509,6 +510,77 @@ class TestHeavySetWalk:
                 assert _assert_walk_matches_container_rule(excludes, tau) == 1
                 walked = _walked_containers(excludes, tau)
                 assert (len(walked), set(walked.values())) == (1, {(1 << n) - 1})
+
+
+def _keep_builds():
+    """(independent sets, build) pairs, `build(keep=...)` being one builder
+    at fixed arguments: every builder that takes `keep`, at r=2 and r=3."""
+    rng = random.Random(81)
+    for g in _coverage_instances():
+        yield all_independent_sets(g), partial(build_regular_collection, g, EPS, force=True)
+    for _ in range(20):
+        g = random_graph(rng.randint(4, 12), rng.choice([0.25, 0.4, 0.6]), rng.randrange(10**6))
+        if g.m == 0:
+            continue
+        h = Hypergraph(g.n, 2, g.edges)
+        isets = all_independent_sets(g)
+        yield isets, partial(build_hypergraph_collection, h, rng.choice([0.25, 0.5, 1.0]))
+        yield isets, partial(build_almost_regular_collection, g, g.max_degree / g.average_degree)
+    h = _random_hypergraph(9, 3, 20, 5)
+    yield hypergraph_independent_sets(h)[:50], partial(build_hypergraph_collection, h, 0.5)
+
+
+class TestCutWalk:
+    """`keep` skips fingerprint subtrees; keeping every one changes
+    nothing, and a collection that lost one offers no `locate`."""
+
+    def test_keeping_everything_changes_nothing(self):
+        for isets, build in _keep_builds():
+            a, b = build(), build(keep=lambda *args: True)
+            assert a.containers == b.containers and a.stats == b.stats
+            assert "cut" not in b.stats and b.locate is not None
+            for i in isets:
+                assert a.locate(VertexSet(i)) == b.locate(VertexSet(i))
+
+    def test_keep_is_never_asked_about_the_root(self):
+        for _, build in _keep_builds():
+            asked = []
+            coll = build(keep=lambda f, excluded, heavy: asked.append(f) or True)
+            assert 0 not in asked and len(asked) == coll.stats["candidate_count"] - 1
+        g = random_graph(10, 0.4, 3)
+        assert [f for f, _, _ in _fixed_points(g.adj_mask, 1, lambda *args: False)] == [0]
+
+    def test_keep_sees_what_the_walk_carries(self):
+        # the arguments are the fingerprint's own (F, excluded, heavy)
+        g = random_regular_graph(12, 4, 11)
+        walked = {f: (excluded, heavy) for f, excluded, heavy in _fixed_points(g.adj_mask, 2)}
+        seen = {}
+
+        def record(f, excluded, heavy):
+            seen[f] = (excluded, heavy)
+            return True
+
+        list(_fixed_points(g.adj_mask, 2, record))
+        assert seen == {f: v for f, v in walked.items() if f}
+
+    def test_cut_collection_reports_the_cut_and_has_no_locate(self):
+        # keeping the fingerprints of at most one vertex cuts the subtree of
+        # every two-vertex fingerprint the uncut walk lists
+        cases = 0
+        for _, build in _keep_builds():
+            walked = []
+            full = build(keep=lambda f, excluded, heavy: walked.append(f) or True)
+            coll = build(keep=lambda f, excluded, heavy: not f & (f - 1))
+            assert coll.stats["tau"] == full.stats["tau"]
+            sizes = [f.bit_count() for f in walked]
+            assert coll.stats["candidate_count"] == 1 + sizes.count(1)
+            assert {c.mask for c in coll.containers} <= {c.mask for c in full.containers}
+            if sizes.count(2):
+                assert coll.stats["cut"] == sizes.count(2) and coll.locate is None
+                cases += 1
+            else:
+                assert "cut" not in coll.stats and coll.locate is not None
+        assert cases > 10
 
 
 class TestAlmostRegular:

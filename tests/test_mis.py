@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from contsolve import containers, mis
 from contsolve.core import (
     Graph,
     ParameterError,
@@ -201,7 +202,8 @@ class TestMisContainers:
 
     def test_same_tie_break_as_base_on_maximal_containers(self):
         # the optimum with the smallest sorted vertex tuple lies in some
-        # maximal container, so solving only those keeps mis_base's answer
+        # container the cut walk keeps, so solving only those keeps
+        # mis_base's answer; every kept container is one of the uncut walk's
         rng = random.Random(56)
         for trial in range(24):
             weights_unit = trial % 2 == 0
@@ -215,9 +217,11 @@ class TestMisContainers:
                 ratio = max(2.0, g.max_degree / g.average_degree * (1 + 1e-9))
                 coll = build_almost_regular_collection(g, ratio)
             weights = None if weights_unit else [rng.randint(0, 3) for _ in range(g.n)]
-            c = mis_containers(g, MisConfig(mode="containers"), weights)
+            c, kept = _solve_and_capture(g, MisConfig(mode="containers"), weights)
             assert c.best == mis_base(g, weights).best
-            assert c.stats["containers"] == len(maximal_masks(x.mask for x in coll.containers))
+            assert c.stats["containers"] == len(kept.containers)
+            assert {x.mask for x in kept.containers} <= {x.mask for x in coll.containers}
+            assert kept.stats["tau"] == coll.stats["tau"]
 
     def test_incumbent_is_carried_across_containers(self):
         # one incumbent threaded through the maximal containers prunes more
@@ -243,6 +247,20 @@ class TestMisContainers:
     def test_unknown_mode(self):
         with pytest.raises(ParameterError):
             mis_containers(cycle_graph(4), MisConfig(mode="fastest"))
+
+
+def _solve_and_capture(g, config, weights=None):
+    """mis_containers' result and the cut collection its walk built."""
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("build_regular_collection", "build_almost_regular_collection"):
+
+            def capture(*args, _real=getattr(mis, name), **kwargs):
+                built.append(_real(*args, **kwargs))
+                return built[-1]
+
+            mp.setattr(mis, name, capture)
+        return mis_containers(g, config, weights), built[0]
 
 
 def _priced_cases(seed, count):
@@ -370,17 +388,71 @@ class TestContainerPricing:
         assert not _may_hold_earlier_tie(g, [1, 1, 1], 0b001, 0b101)
 
     def test_tie_test_cuts_searches_on_dense_regular_graphs(self):
-        # every container whose bound reaches the final weight is either
-        # searched or skipped by the tie test, and the test skips some
+        # the walk cuts subtrees, and every kept container whose bound
+        # reaches the final weight is searched, skipped by the tie test or
+        # skipped inside a searched one; the tie test skips some (the walk's
+        # own tie test leaves none to skip on some graphs)
         rng = random.Random(76)
+        tie_skipped = 0
         for _ in range(4):
             g = random_regular_graph(18, 8, rng.randrange(10**6))
             coll = build_regular_collection(g, 0.45, force=True)
-            c = mis_containers(g, MisConfig(mode="containers", epsilon=0.45, force=True))
+            config = MisConfig(mode="containers", epsilon=0.45, force=True)
+            c, kept = _solve_and_capture(g, config)
             assert c.best == mis_base(g).best
+            assert {x.mask for x in kept.containers} <= {x.mask for x in coll.containers}
             reach = sum(
-                _clique_cover_bound(g, [1] * g.n, m) >= c.weight
-                for m in maximal_masks(x.mask for x in coll.containers)
+                _clique_cover_bound(g, [1] * g.n, x.mask) >= c.weight for x in kept.containers
             )
-            assert c.stats["searched"] + c.stats["tie_skipped"] == reach
-            assert c.stats["searched"] < reach
+            # the first is searched even when S outweighs every bound
+            skipped = c.stats["tie_skipped"] + c.stats["subsumed"]
+            assert c.stats["searched"] + skipped == max(reach, 1)
+            assert c.stats["cut"] > 0
+            tie_skipped += c.stats["tie_skipped"]
+        assert tie_skipped > 0
+
+
+class TestCutWalk:
+    def test_answer_matches_brute_force(self):
+        # weights 0-3 make zero weights and equal-weight optima common, so the
+        # walk's own tie test decides many cuts
+        rng = random.Random(78)
+        for trial in range(160):
+            if trial % 2 == 0:
+                n, d = rng.choice([(8, 3), (10, 4), (12, 4), (10, 6), (12, 6), (12, 8)])
+                g = random_regular_graph(n, d, rng.randrange(10**6))
+                config = MisConfig(mode="containers", epsilon=rng.choice([0.25, 0.45]), force=True)
+            else:
+                n, p = rng.randint(2, 12), rng.choice([0.2, 0.4, 0.6])
+                g = random_graph(n, p, rng.randrange(10**6))
+                config = MisConfig(mode="containers")
+            weights = [rng.randint(0, 3) for _ in range(g.n)]
+            c = mis_containers(g, config, weights)
+            assert c.best == mis_base(g, weights).best
+            assert c.weight == max_weight_independent_set(g, weights)
+
+    def test_cut_walk_past_the_budget_raises_tau(self, monkeypatch):
+        # a budget below the cut walk (so below the uncut one) makes the
+        # driver raise tau while the walk is cut, and the answer stays exact
+        rng = random.Random(79)
+        default = containers.CANDIDATE_BUDGET
+        raised = 0
+        for trial in range(12):
+            if trial % 2 == 0:
+                g = random_regular_graph(12, 6, rng.randrange(10**6))
+                config = MisConfig(mode="containers", epsilon=0.45, force=True)
+            else:
+                g = random_graph(12, 0.4, rng.randrange(10**6))
+                config = MisConfig(mode="containers")
+            weights = [rng.randint(0, 3) for _ in range(g.n)]
+            monkeypatch.setattr(containers, "CANDIDATE_BUDGET", default)
+            _, kept = _solve_and_capture(g, config, weights)
+            if kept.stats["candidate_count"] < 2:
+                continue
+            monkeypatch.setattr(containers, "CANDIDATE_BUDGET", kept.stats["candidate_count"] - 1)
+            c, cut = _solve_and_capture(g, config, weights)
+            assert cut.stats["tau"] > kept.stats["tau"]
+            assert c.best == mis_base(g, weights).best
+            assert c.weight == max_weight_independent_set(g, weights)
+            raised += 1
+        assert raised >= 8
