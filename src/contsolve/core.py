@@ -7,7 +7,8 @@ Vertex ids are 0-indexed internally; the DIMACS boundary is 1-indexed.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations, repeat
 
 # ceilings on the counts a DIMACS header may declare, checked at the header:
 # Graph allocates one adjacency list per vertex, and the SAT solver one
@@ -252,10 +253,7 @@ def max_codegree(h: Hypergraph, i: int) -> int:
     """
     if not 1 <= i <= h.r:
         raise ParameterError(f"subset size {i} out of range 1..{h.r}")
-    counts: dict[tuple, int] = {}
-    for e in h.edges:
-        for sub in combinations(e, i):
-            counts[sub] = counts.get(sub, 0) + 1
+    counts = Counter(chain.from_iterable(map(combinations, h.edges, repeat(i))))
     return max(counts.values(), default=0)
 
 

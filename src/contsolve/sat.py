@@ -45,14 +45,17 @@ def build_literal_hypergraph(phi: CnfFormula) -> LiteralHypergraph:
     if not phi.clauses:
         raise ParameterError("formula has no clauses")
     k = len(phi.clauses[0])
-    edges = []
     for clause in phi.clauses:
         if len(clause) != k:
             raise ParameterError(
                 f"mixed clause widths ({len(clause)} vs {k}); pad or split upstream"
             )
-        edges.append(tuple(sorted(LiteralHypergraph.negation_vertex(l) for l in clause)))
-    return LiteralHypergraph(Hypergraph(2 * phi.num_vars, k, edges))
+    n = phi.num_vars
+    # negated[lit] is the vertex of -lit; a negative lit indexes from the end
+    negated = [None, *map(LiteralHypergraph.negation_vertex, (*range(1, n + 1), *range(-n, 0)))]
+    # the Hypergraph constructor sorts each edge
+    edges = [tuple(map(negated.__getitem__, clause)) for clause in phi.clauses]
+    return LiteralHypergraph(Hypergraph(2 * n, k, edges))
 
 
 def assignment_literal_set(phi: CnfFormula, assignment: dict[int, bool]) -> VertexSet:
@@ -110,6 +113,11 @@ def _propagate(clauses: list[list[int]], forced: dict[int, bool]):
 
 
 def restrict_formula(phi: CnfFormula, kept: VertexSet) -> Restriction:
+    """Force every literal outside `kept` false and unit-propagate. When
+    `kept` holds every literal and no clause is a unit, there is nothing to
+    force or propagate, and the restriction's formula is `phi` itself."""
+    if kept.mask >> (2 * phi.num_vars):
+        raise ParameterError("kept must be a mask of the formula's literal vertices")
     forced: dict[int, bool] = {}
     for var in range(1, phi.num_vars + 1):
         pos = LiteralHypergraph.literal_vertex(var) in kept
@@ -122,6 +130,8 @@ def restrict_formula(phi: CnfFormula, kept: VertexSet) -> Restriction:
     unassigned = phi.num_vars - len(forced)
     if unassigned != len(kept) - phi.num_vars:
         raise RuntimeError("restriction size accounting failed; this is a bug")
+    if not forced and 1 not in map(len, phi.clauses):
+        return Restriction(False, forced, phi, unassigned)
     clauses = _propagate([list(c) for c in phi.clauses], forced)
     if clauses is None:
         return Restriction(True, forced, None, unassigned)

@@ -1,4 +1,7 @@
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -230,10 +233,22 @@ class TestCodegree:
     def test_matches_brute_force(self, data):
         n = data.draw(st.integers(3, 12))
         r = data.draw(st.integers(2, min(4, n)))
-        from itertools import combinations
-
         pool = list(combinations(range(n), r))
         edges = data.draw(st.lists(st.sampled_from(pool), min_size=0, max_size=12, unique=True))
         h = Hypergraph(n, r, edges)
         for i in range(1, r + 1):
             assert max_codegree(h, i) == brute_codegree(h, i)
+
+    def test_repeated_edges_count_with_multiplicity(self):
+        # random k-CNF repeats clauses, so its literal hypergraph repeats edges
+        assert [max_codegree(Hypergraph(5, 3, [(0, 1, 2)] * 3), i) for i in (1, 2, 3)] == [3, 3, 3]
+        rng = random.Random(67)
+        for _ in range(40):
+            n = rng.randint(3, 9)
+            r = rng.randint(2, min(4, n))
+            pool = list(combinations(range(n), r))
+            edges = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
+            edges += rng.choices(edges, k=rng.randint(1, 6))
+            h = Hypergraph(n, r, edges)
+            for i in range(1, r + 1):
+                assert max_codegree(h, i) == brute_codegree(h, i)

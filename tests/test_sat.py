@@ -46,6 +46,17 @@ class TestLiteralHypergraph:
         with pytest.raises(ParameterError):
             build_literal_hypergraph(phi)
 
+    def test_edges_are_the_sorted_negations_of_each_clause(self):
+        rng = random.Random(66)
+        for _ in range(40):
+            k = rng.randint(2, 5)
+            n = rng.randint(k, 9)
+            phi = random_ksat_formula(n, rng.randint(1, 12), k, rng.randrange(10**6))
+            edges = build_literal_hypergraph(phi).hypergraph.edges
+            assert edges == tuple(
+                tuple(sorted(map(LiteralHypergraph.negation_vertex, c))) for c in phi.clauses
+            )
+
     def test_empty_formula_rejected(self):
         with pytest.raises(ParameterError):
             build_literal_hypergraph(CnfFormula(2, []))
@@ -89,6 +100,45 @@ class TestRestriction:
         phi = CnfFormula(2, [(1, 2)])
         kept = VertexSet.of([1, 3])  # both variables forced false
         assert restrict_formula(phi, kept).contradiction
+
+    def test_mask_outside_the_literals_rejected(self):
+        with pytest.raises(ParameterError, match="literal vertices"):
+            restrict_formula(CnfFormula(2, [(1, -2)]), VertexSet(0b11111))
+
+    def test_matches_propagation(self):
+        # forcing the missing literals and propagating gives the restriction,
+        # including the shortcut that keeps every literal of a unit-free formula
+        rng = random.Random(68)
+        shortcuts = 0
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            clauses = []
+            for _ in range(rng.randint(1, 4 * n)):
+                width = rng.choice([1, 2, 3, 3]) if rng.random() < 0.5 else 3
+                trip = rng.sample(range(1, n + 1), min(width, n))
+                clauses.append([v if rng.random() < 0.5 else -v for v in trip])
+            phi = CnfFormula(n, clauses)
+            full = (1 << 2 * n) - 1
+            kept = VertexSet(full if rng.random() < 0.5 else rng.getrandbits(2 * n))
+            r = restrict_formula(phi, kept)
+            forced = {}
+            for var in range(1, n + 1):
+                pos = LiteralHypergraph.literal_vertex(var) in kept
+                neg = LiteralHypergraph.literal_vertex(-var) in kept
+                if not pos and not neg:
+                    assert r.contradiction
+                    break
+                if pos != neg:
+                    forced[var] = pos
+            else:
+                clauses = sat._propagate([list(c) for c in phi.clauses], forced)
+                assert r.contradiction == (clauses is None)
+                assert r.forced == forced
+                if clauses is not None:
+                    assert r.formula.clauses == tuple(map(tuple, clauses))
+                    if r.formula is phi:
+                        shortcuts += 1
+        assert shortcuts > 0
 
 
 class TestDpll:
