@@ -29,7 +29,7 @@ from .containers import build_almost_regular_collection, maximal_masks
 from .core import Graph, ParameterError, SizeLimitError, VertexSet
 # eval_k2 is not called here: perfbench's tracer test checks that a name
 # bound by `from .extsum import` is patched, and names this one
-from .extsum import TABLE_ENTRY_CEILING, ExtSumInstance, eval_k2, evaluate  # noqa: F401
+from .extsum import TABLE_ENTRY_CEILING, ExtSumInstance, eval_k2, evaluate, reduce_refinement  # noqa: F401
 from .partition import container_unions
 
 # vertices of the largest IS-count table, and of the whole-V sum
@@ -38,9 +38,9 @@ BASELINE_CEILING = 26
 # (k-1)(2^|X| + 2^|Y|), in units of one subset of the whole-V sum (whose time
 # is about 2^n units at any small k), over G(n, 0.6), n = 12-18, k = 2-5,
 # random covering pairs (each vertex in X, in Y or in both), cold table
-# caches, best of 3: median 13.3 over 384 pairs, quartiles 12.0-14.8, range
-# 7.8-24.0 (2-CPU machine; separate 192-pair runs had medians 13.6-15.0).
-PAIR_ENTRY_COST = 13
+# caches, best of 3: median 2.01 over 384 pairs, quartiles 1.72-2.41, range
+# 1.04-7.78 (2-CPU machine; two more 384-pair runs had medians 1.97).
+PAIR_ENTRY_COST = 2
 # the sliced gather of count_is_dp must copy at least 2^GATHER_MIN_RUN
 # entries per step on average, or a flat map gathers instead (measured on
 # G(n, p), n = 12-16, p = 0.02-0.8: 3 to 5 are within noise, 8 is 40% slower)
@@ -169,35 +169,24 @@ def constrained_extsum_instance(g: Graph, containers: list[VertexSet]) -> ExtSum
     return ExtSumInstance(g.n, tuple(subsets), tuple(tables))
 
 
-def _merge_equal_subsets(inst: ExtSumInstance) -> ExtSumInstance:
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, xs in enumerate(inst.subsets):
-        groups.setdefault(xs, []).append(i)
-    if len(groups) == inst.k:
-        return inst
-    subsets = []
-    tables = []
-    for xs, idxs in groups.items():
-        merged = list(inst.tables[idxs[0]])
-        for i in idxs[1:]:
-            tab = inst.tables[i]
-            merged = [a * b for a, b in zip(merged, tab)]
-        subsets.append(xs)
-        tables.append(tuple(merged))
-    return ExtSumInstance(inst.universe, tuple(subsets), tuple(tables))
-
-
 def constrained_F(g: Graph, containers: list[VertexSet]) -> int:
     """Ordered tuples of independent sets covering V with the j-th confined
-    to containers[j]. Zero immediately when the containers miss a vertex."""
+    to containers[j]. Zero immediately when the containers miss a vertex.
+    Containers over the same vertices are merged into one factor first."""
     if not containers:
         raise ParameterError("need at least one container")
     union = 0
     for c in containers:
         union |= c.mask
+    if union >> g.n:
+        raise ParameterError("containers must be vertex masks of the graph")
     if union != (1 << g.n) - 1:
         return 0
-    value = evaluate(_merge_equal_subsets(constrained_extsum_instance(g, containers)))
+    inst = constrained_extsum_instance(g, containers)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, xs in enumerate(inst.subsets):
+        groups.setdefault(xs, []).append(i)
+    value = evaluate(reduce_refinement(inst, [tuple(idxs) for idxs in groups.values()]))
     return -value if g.n & 1 else value
 
 

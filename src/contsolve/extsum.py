@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
+from operator import mul
 
 from .core import ParameterError, ParseError, PreconditionError, SizeLimitError
 
@@ -148,19 +149,30 @@ def eval_disjoint(inst: ExtSumInstance) -> int:
     return (1 << free) * prod
 
 
+def _project(variables: tuple[int, ...], onto: tuple[int, ...]) -> list[int]:
+    """For every local assignment a of `variables`, its values packed in the
+    order `onto`: bit i of entry a is a's value of onto[i], and a variable
+    outside `onto` is dropped. The list doubles once per variable, each time
+    by one map over the half already built."""
+    pos = {v: j for j, v in enumerate(onto)}
+    image = [0]
+    for v in variables:
+        if v in pos:
+            # extend by a list: a map reading the list it extends never ends
+            image += list(map((1 << pos[v]).__or__, image))
+        else:
+            image *= 2
+    return image
+
+
 def _marginalize(
-    variables: tuple[int, ...], table: tuple[int, ...], axes: tuple[tuple[int, ...], ...]
-) -> dict[tuple[int, ...], int]:
-    """Collapse a table onto keyed axes (tuples of variable ids), summing over
-    the remaining variables. One pass over the full table."""
-    pos = {v: j for j, v in enumerate(variables)}
-    axis_bits = [[(1 << pos[v], 1 << j) for j, v in enumerate(axis)] for axis in axes]
-    out: dict[tuple[int, ...], int] = {}
-    for a in range(1 << len(variables)):
-        key = tuple(
-            sum(local for src, local in bits if a & src) for bits in axis_bits
-        )
-        out[key] = out.get(key, 0) + table[a]
+    variables: tuple[int, ...], table: tuple[int, ...], onto: tuple[int, ...]
+) -> list[int]:
+    """Collapse a table onto the variables `onto`, summing over the rest:
+    entry j is indexed by the packed bits of `onto` (bit i is onto[i])."""
+    out = [0] * (1 << len(onto))
+    for j, value in zip(_project(variables, onto), table):
+        out[j] += value
     return out
 
 
@@ -171,26 +183,23 @@ def eval_k2(inst: ExtSumInstance, stats: dict | None = None) -> int:
     if inst.k != 2:
         raise ParameterError(f"eval_k2 needs exactly 2 subsets, got {inst.k}")
     x1, x2 = inst.subsets
-    shared = tuple(v for v in x1 if v in set(x2))
-    m1 = _marginalize(x1, inst.tables[0], (shared,))
-    m2 = _marginalize(x2, inst.tables[1], (shared,))
+    shared = tuple(sorted(set(x1) & set(x2)))
+    m1 = _marginalize(x1, inst.tables[0], shared)
+    m2 = _marginalize(x2, inst.tables[1], shared)
     if stats is not None:
         stats["inner_iterations"] = (1 << len(x1)) + (1 << len(x2))
-    covered = len(set(x1) | set(x2))
-    free = inst.universe - covered
-    total = 0
-    for key, w1 in m1.items():
-        total += w1 * m2.get(key, 0)
-    return (1 << free) * total
+    free = inst.universe - len(set(x1) | set(x2))
+    return (1 << free) * sum(map(mul, m1, m2))
 
 
 def eval_k3(inst: ExtSumInstance) -> int:
     """Three subsets via weighted tripartite triangles.
 
-    Axes: the triple overlap, plus the three pairwise overlaps outside it.
-    Each table is marginalized once onto (triple, pair, pair); for every
-    triple-overlap assignment the value is the weighted triangle sum of the
-    three matrices, computed with one naive matrix product."""
+    Axes: the triple overlap (core), plus the three pairwise overlaps
+    outside it. Each table is marginalized once onto core + pair + pair, the
+    core in the low bits. For every core assignment the value is the sum over
+    (a12, a13) of W1[a12][a13] times the dot product of the rows W2[a12] and
+    W3[a13], each row a strided slice."""
     if inst.k != 3:
         raise ParameterError(f"eval_k3 needs exactly 3 subsets, got {inst.k}")
     s1, s2, s3 = (set(xs) for xs in inst.subsets)
@@ -198,30 +207,18 @@ def eval_k3(inst: ExtSumInstance) -> int:
     p12 = tuple(sorted((s1 & s2) - s3))
     p13 = tuple(sorted((s1 & s3) - s2))
     p23 = tuple(sorted((s2 & s3) - s1))
-    w1 = _marginalize(inst.subsets[0], inst.tables[0], (core, p12, p13))
-    w2 = _marginalize(inst.subsets[1], inst.tables[1], (core, p12, p23))
-    w3 = _marginalize(inst.subsets[2], inst.tables[2], (core, p13, p23))
-    n12, n13, n23 = 1 << len(p12), 1 << len(p13), 1 << len(p23)
+    w1 = _marginalize(inst.subsets[0], inst.tables[0], core + p12 + p13)
+    w2 = _marginalize(inst.subsets[1], inst.tables[1], core + p12 + p23)
+    w3 = _marginalize(inst.subsets[2], inst.tables[2], core + p13 + p23)
+    nc, n12, n13 = 1 << len(core), 1 << len(p12), 1 << len(p13)
     free = inst.universe - len(s1 | s2 | s3)
     total = 0
-    for g in range(1 << len(core)):
-        # m[a13][a23] = sum over a12 of W1[a12][a13] * W2[a12][a23]
-        m = [[0] * n23 for _ in range(n13)]
-        for a12 in range(n12):
-            for a13 in range(n13):
-                v1 = w1.get((g, a12, a13), 0)
-                if v1 == 0:
-                    continue
-                row = m[a13]
-                for a23 in range(n23):
-                    v2 = w2.get((g, a12, a23), 0)
-                    if v2:
-                        row[a23] += v1 * v2
+    for g in range(nc):
+        rows2 = [w2[g + nc * a12 :: nc * n12] for a12 in range(n12)]
         for a13 in range(n13):
-            row = m[a13]
-            for a23 in range(n23):
-                if row[a23]:
-                    total += row[a23] * w3.get((g, a13, a23), 0)
+            row3 = w3[g + nc * a13 :: nc * n13]
+            col1 = w1[g + nc * n12 * a13 : nc * n12 * (a13 + 1) : nc]
+            total += sum(v1 * sum(map(mul, row2, row3)) for v1, row2 in zip(col1, rows2) if v1)
     return (1 << free) * total
 
 
@@ -254,30 +251,18 @@ def reduce_refinement(inst: ExtSumInstance, parts: list[tuple[int, ...]]) -> Ext
     new_subsets = []
     new_tables = []
     for part in parts:
-        union = sorted(set().union(*(inst.subsets[i] for i in part)))
+        union = tuple(sorted(set().union(*(inst.subsets[i] for i in part))))
         if 1 << len(union) > TABLE_ENTRY_CEILING:
             raise SizeLimitError(
                 "refinement-merge", f"part union of {len(union)} variables too large"
             )
-        pos = {v: j for j, v in enumerate(union)}
-        member_bits = []
-        for i in part:
-            member_bits.append(
-                (inst.tables[i], [(1 << pos[v], 1 << j) for j, v in enumerate(inst.subsets[i])])
-            )
-        table = []
-        for a in range(1 << len(union)):
-            prod = 1
-            for tab, bits in member_bits:
-                local = 0
-                for src, dst in bits:
-                    if a & src:
-                        local |= dst
-                prod *= tab[local]
-                if prod == 0:
-                    break
-            table.append(prod)
-        new_subsets.append(tuple(union))
+        table = (1,)  # an empty part: the empty product over no variables
+        for j, i in enumerate(part):
+            tab = inst.tables[i]
+            if inst.subsets[i] != union:
+                tab = list(map(tab.__getitem__, _project(union, inst.subsets[i])))
+            table = list(map(mul, table, tab)) if j else tab
+        new_subsets.append(union)
         new_tables.append(tuple(table))
     return ExtSumInstance(inst.universe, tuple(new_subsets), tuple(new_tables))
 
@@ -293,29 +278,32 @@ def hyperclique_to_extsum(h, k: int) -> ExtSumInstance:
     if k <= h.r:
         raise ParameterError(f"k must exceed the uniformity {h.r}")
     n = h.n
-    bits = max(1, (n - 1).bit_length()) if n > 1 else 1
-    edge_set = set(h.edges)
-    subsets = []
-    tables = []
-    for blocks in combinations(range(k), h.r):
-        variables = tuple(
-            b * bits + j for b in blocks for j in range(bits)
+    bits = max(1, (n - 1).bit_length())
+    if 1 << (h.r * bits) > TABLE_ENTRY_CEILING:
+        raise SizeLimitError(
+            "hyperclique-table", f"2^{h.r * bits} entries per table exceeds ceiling"
         )
-        table = []
-        for a in range(1 << (h.r * bits)):
-            ids = [
-                (a >> (pos * bits)) & ((1 << bits) - 1) for pos in range(h.r)
-            ]
-            if any(i >= n for i in ids) or len(set(ids)) != h.r:
-                table.append(0)
-            else:
-                table.append(1 if tuple(sorted(ids)) in edge_set else 0)
-        subsets.append(variables)
-        tables.append(tuple(table))
-    return ExtSumInstance(k * bits, tuple(subsets), tuple(tables))
+    # every r-subset of blocks gets the same table: 1 at each ordering of an
+    # edge's ids
+    table = [0] * (1 << (h.r * bits))
+    for e in h.edges:
+        for ids in permutations(e):
+            table[sum(v << (pos * bits) for pos, v in enumerate(ids))] = 1
+    subsets = tuple(
+        tuple(b * bits + j for b in blocks for j in range(bits))
+        for blocks in combinations(range(k), h.r)
+    )
+    return ExtSumInstance(k * bits, subsets, (tuple(table),) * len(subsets))
 
 
 def hyperclique_count(h, k: int) -> int:
+    """Number of k-hypercliques, by the naive sum over the encoding; refused
+    before encoding when its k * bits variables exceed the naive ceiling."""
+    bits = max(1, (h.n - 1).bit_length())
+    if k * bits > NAIVE_UNIVERSE_CEILING:
+        raise SizeLimitError(
+            "naive-eval", f"universe {k * bits} exceeds {NAIVE_UNIVERSE_CEILING}"
+        )
     inst = hyperclique_to_extsum(h, k)
     value = eval_naive(inst)
     fact = math.factorial(k)

@@ -8,6 +8,7 @@ from contsolve import coloring, partition
 from contsolve.coloring import (
     BASELINE_CEILING,
     MAX_BASE_CONTAINERS,
+    PAIR_ENTRY_COST,
     ColoringConfig,
     _signed_table,
     constrained_F,
@@ -197,6 +198,13 @@ class TestConstrainedF:
         g = cycle_graph(4)
         assert constrained_F(g, [VertexSet.of([0, 2]), VertexSet.of([1, 3])]) == 1
 
+    def test_vertex_outside_the_graph_rejected(self):
+        # the extra bit would make the union unequal to V, and the count 0
+        g = cycle_graph(4)
+        assert constrained_F(g, [_full(g)] * 2) == 2
+        with pytest.raises(ParameterError):
+            constrained_F(g, [VertexSet(0b11111)] * 2)
+
     def test_matches_brute_force_random_containers(self):
         rng = random.Random(9)
         for _ in range(40):
@@ -310,13 +318,14 @@ class TestSolveKColoring:
 
     def test_priced_pairs_reach_the_pair_loop(self):
         cfg = ColoringConfig(mode="containers", degree_ratio=3.0)
-        # G(14, 0.5) at k=2, priced at about a quarter of the whole-V sum:
-        # one covering pair, and its test is negative
+        # G(14, 0.5) at k=2, priced at 320 pair entries against the 2^14
+        # subsets of the whole-V sum: one covering pair, and its test is
+        # negative
         g = random_graph(14, 0.5, 0)
         result = solve_kcoloring(g, 2, cfg)
         assert result.stats["dispatch"] == "pairs" and result.stats["pairs_tested"] == 1
         assert result.stats["candidate_containers"] == 6
-        assert result.stats["pair_cost"] == 4160 and result.stats["whole_cost"] == 1 << 14
+        assert result.stats["pair_cost"] == PAIR_ENTRY_COST * 320 and result.stats["whole_cost"] == 1 << 14
         assert not result.colorable and not is_k_colorable(g, 2)
         # G(20, 0.5) at k=2: no pair of candidates covers V, so the pair
         # branch decides with no test where the whole-V sum walks 2^20 subsets

@@ -14,9 +14,11 @@ from contsolve.core import (
     SizeLimitError,
     complete_graph,
 )
+from contsolve import extsum
 from contsolve.extsum import (
     UNIVERSE_CEILING,
     ExtSumInstance,
+    _marginalize,
     eval_disjoint,
     eval_k2,
     eval_k3,
@@ -141,6 +143,20 @@ class TestOracleEquivalence:
             inst = random_disjoint_instance(rng, 2)
             assert eval_k2(inst) == eval_disjoint(inst)
 
+    def test_marginal_matches_dict_sum(self):
+        # onto in an unsorted order, as eval_k3's core + pair + pair
+        rng = random.Random(15)
+        for _ in range(150):
+            variables = tuple(sorted(rng.sample(range(14), rng.randint(0, 8))))
+            table = tuple(rng.randint(-9, 9) for _ in range(1 << len(variables)))
+            onto = rng.sample(variables, rng.randint(0, len(variables)))
+            want = {}
+            for a in range(1 << len(variables)):
+                key = sum(1 << onto.index(v) for j, v in enumerate(variables) if a >> j & 1 and v in onto)
+                want[key] = want.get(key, 0) + table[a]
+            got = _marginalize(variables, table, tuple(onto))
+            assert got == [want.get(key, 0) for key in range(1 << len(onto))]
+
     def test_dispatcher(self):
         rng = random.Random(14)
         for k in (0, 1, 2, 3):
@@ -159,9 +175,16 @@ class TestReduceRefinement:
 
     def test_merge_preserves_value(self):
         rng = random.Random(21)
-        for _ in range(80):
+        for i in range(160):
             k = rng.randint(2, 4)
             inst = random_instance(rng, k, max_universe=12, max_subset=6)
+            if i >= 80:
+                # members that share a subset, so a part's union can be a
+                # member's own subset and its table is reused as it is
+                subsets = list(inst.subsets)
+                subsets[rng.randrange(1, k)] = subsets[0]
+                tables = [tuple(rng.randint(-9, 9) for _ in range(1 << len(xs))) for xs in subsets]
+                inst = ExtSumInstance(inst.universe, tuple(subsets), tuple(tables))
             indices = list(range(k))
             rng.shuffle(indices)
             cut = rng.randint(1, k)
@@ -203,6 +226,22 @@ class TestHypercliqueReduction:
     def test_single_edge_no_bigger_clique(self):
         h = Hypergraph(5, 3, [(0, 1, 2)])
         assert hyperclique_count(h, 4) == 0
+
+    def test_table_over_ceiling_refused_before_building(self):
+        # 2^(3 * 9) entries per table: refused at once, not after the build
+        h = Hypergraph(512, 3, [(0, 1, 2)])
+        with pytest.raises(SizeLimitError):
+            hyperclique_to_extsum(h, 4)
+
+    def test_universe_over_naive_ceiling_refused_before_encoding(self, monkeypatch):
+        # 3 blocks of 9 bits: a 27-variable naive sum
+        def encode(h, k):
+            raise AssertionError("encoded an instance the naive sum refuses")
+
+        monkeypatch.setattr(extsum, "hyperclique_to_extsum", encode)
+        h = Hypergraph(512, 2, [(0, 1)])
+        with pytest.raises(SizeLimitError):
+            hyperclique_count(h, 3)
 
     def test_k_must_exceed_r(self):
         h = Hypergraph(4, 2, [(0, 1)])
