@@ -42,7 +42,7 @@ def _cmd_containers(args) -> tuple[int, dict]:
     if args.builder == "regular":
         coll = containers.build_regular_collection(g, args.epsilon, force=args.force)
     else:
-        coll = containers.build_almost_regular_collection(g, args.degree_ratio)
+        coll = containers.build_almost_regular_collection(g)
     return 0, {"instance": _graph_stats(g), "result": containers.collection_report(coll, g)}
 
 
@@ -51,9 +51,7 @@ def _cmd_partition_containers(args) -> tuple[int, dict]:
     if args.builder == "regular":
         coll = partition.build_partition_collection_regular(g, args.k, force=args.force)
     else:
-        coll = partition.build_partition_collection_almost_regular(
-            g, args.k, args.degree_ratio
-        )
+        coll = partition.build_partition_collection_almost_regular(g, args.k)
     if args.materialize and not coll.low_degree:
         coll.materialize()
     return 0, {
@@ -154,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_source(p)
     p.add_argument("--builder", choices=["regular", "almost-regular"], default="regular")
     p.add_argument("--epsilon", type=float, default=0.25)
-    p.add_argument("--degree-ratio", type=float, default=2.0)
     p.add_argument("--force", action="store_true", help="build even below the useful-degree floor")
     p.set_defaults(func=_cmd_containers)
 
@@ -162,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_source(p)
     p.add_argument("--builder", choices=["regular", "almost-regular"], default="regular")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--degree-ratio", type=float, default=2.0)
     p.add_argument("--force", action="store_true")
     p.add_argument("--materialize", action="store_true")
     p.set_defaults(func=_cmd_partition_containers)

@@ -484,33 +484,24 @@ def build_hypergraph_collection(
 
 
 def build_almost_regular_collection(
-    g: Graph,
-    degree_ratio: float,
-    *,
-    max_containers: int | None = None,
-    keep: Keep | None = None,
+    g: Graph, *, max_containers: int | None = None, keep: Keep | None = None
 ) -> ContainerCollection:
     """Graph containers via the hypergraph engine at r=2, on g itself.
 
-    degree_ratio is the max/average degree bound the caller asserts, checked
-    against g. p = 1/(epsilon*avg_degree) at epsilon = 1/4 mirrors the
-    regular scheme, where a fingerprint vertex must bring epsilon*d new
-    exclusions: any larger threshold would exceed vertex degrees and every
-    container would degenerate to the full vertex set.
+    p = 1/(epsilon*avg_degree) at epsilon = 1/4 mirrors the regular scheme,
+    where a fingerprint vertex must bring epsilon*d new exclusions: any
+    larger threshold would exceed vertex degrees and every container would
+    degenerate to the full vertex set. p reads only the average degree, so
+    any degree ratio is accepted.
     """
     if g.m == 0:
         raise ParameterError("graph has no edges (zero edge density)")
-    if g.max_degree > degree_ratio * g.average_degree + 1e-9:
-        raise ParameterError(
-            f"max degree {g.max_degree} exceeds {degree_ratio} times the "
-            f"average degree {g.average_degree:.3f}"
-        )
     p = min(1.0, 1.0 / (0.25 * g.average_degree))
     coll = build_hypergraph_collection(g, p, max_containers=max_containers, keep=keep)
     return replace(coll, source="almost-regular-graph")
 
 
-def collection_report(coll: ContainerCollection, g: Graph | None = None) -> dict:
+def collection_report(coll: ContainerCollection, g: Graph) -> dict:
     """JSON-ready summary: parameters, count, size histogram, sparsity histogram."""
     sizes: dict[int, int] = {}
     for c in coll.containers:
@@ -524,10 +515,9 @@ def collection_report(coll: ContainerCollection, g: Graph | None = None) -> dict
     }
     if coll.params is not None:
         report["params"] = {"epsilon": coll.params.epsilon, "d": coll.params.d, "q": coll.params.q}
-    if g is not None:
-        sparsities: dict[int, int] = {}
-        for c in coll.containers:
-            s = container_sparsity(g, c)
-            sparsities[s] = sparsities.get(s, 0) + 1
-        report["sparsity_histogram"] = {str(k): v for k, v in sorted(sparsities.items())}
+    sparsities: dict[int, int] = {}
+    for c in coll.containers:
+        s = container_sparsity(g, c)
+        sparsities[s] = sparsities.get(s, 0) + 1
+    report["sparsity_histogram"] = {str(k): v for k, v in sorted(sparsities.items())}
     return report

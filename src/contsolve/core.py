@@ -10,11 +10,38 @@ import random
 from collections import Counter
 from itertools import chain, combinations, repeat
 
-# ceilings on the counts a DIMACS header may declare, checked at the header:
-# Graph allocates one adjacency list per vertex, and the SAT solver one
-# hypergraph vertex per literal
-DIMACS_MAX_VERTICES = 1_000_000
-DIMACS_MAX_VARIABLES = 1_000_000
+# One byte budget for what a graph or a formula may allocate. The DIMACS
+# parsers check it against the counts the header declares, and the
+# generators against their arguments, before any list is built. Worst
+# cases, for n vertices or variables and m edges or clauses:
+# - a Graph holds one adjacency bitmask of up to n bits per vertex, n*n/8
+#   bytes in all;
+# - a formula's literal hypergraph holds one bitmask of up to 2n bits per
+#   clause, m*n/4 bytes in all;
+# - each vertex, literal, edge and clause costs up to ITEM_BYTES more in
+#   tuples, ints and list, set and dict slots, parser and constructor
+#   included (tracemalloc, 64-bit CPython: 310-500 bytes per edge or per
+#   clause of width 3-5; wider clauses cost more, in proportion to the text).
+# At 256 MiB a graph has at most 44,338 vertices (44,338^2/8 + 44,338*512 =
+# 268.4e6 bytes) and fewer than 524,288 edges, and a formula at most 262,144
+# variables; at 10,000 variables it has at most 85,722 clauses.
+MEMORY_BUDGET_BYTES = 1 << 28
+ITEM_BYTES = 512
+
+
+def graph_bytes(n: int, m: int) -> int:
+    """Worst-case bytes of a graph with n vertices and m edges."""
+    return n * n // 8 + (n + m) * ITEM_BYTES
+
+
+def formula_bytes(n: int, m: int) -> int:
+    """Worst-case bytes of a formula with n variables and m clauses, its
+    literal hypergraph included."""
+    return m * n // 4 + (2 * n + m) * ITEM_BYTES
+
+
+def _over_budget(counts: str, need: int) -> str:
+    return f"{counts} may need {need:,} bytes, over the budget of {MEMORY_BUDGET_BYTES:,}"
 
 
 class ParseError(ValueError):
@@ -337,10 +364,9 @@ def parse_dimacs_graph(text) -> Graph:
                 raise ParseError(f"malformed header {line!r}", lineno) from None
             if n < 0 or m < 0:
                 raise ParseError("negative count in header", lineno)
-            if n > DIMACS_MAX_VERTICES:
-                raise ParseError(
-                    f"{n} vertices exceeds the ceiling of {DIMACS_MAX_VERTICES}", lineno
-                )
+            need = graph_bytes(n, m)
+            if need > MEMORY_BUDGET_BYTES:
+                raise ParseError(_over_budget(f"{n} vertices and {m} edges", need), lineno)
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge line before header", lineno)
@@ -357,6 +383,8 @@ def parse_dimacs_graph(text) -> Graph:
             key = (min(u, v) - 1, max(u, v) - 1)
             if key in seen:
                 raise ParseError(f"duplicate edge ({u}, {v})", lineno)
+            if len(edges) == m:
+                raise ParseError(f"more edges than the {m} the header declares", lineno)
             seen.add(key)
             edges.append(key)
         else:
@@ -368,7 +396,7 @@ def parse_dimacs_graph(text) -> Graph:
     return Graph(n, edges)
 
 
-def parse_dimacs_cnf(text, k_bound: int | None = None) -> CnfFormula:
+def parse_dimacs_cnf(text) -> CnfFormula:
     """Parse DIMACS CNF; clauses are zero-terminated and may span lines."""
     n = m = None
     clauses: list[list[int]] = []
@@ -389,10 +417,9 @@ def parse_dimacs_cnf(text, k_bound: int | None = None) -> CnfFormula:
                 raise ParseError(f"malformed header {line!r}", lineno) from None
             if n < 0 or m < 0:
                 raise ParseError("negative count in header", lineno)
-            if n > DIMACS_MAX_VARIABLES:
-                raise ParseError(
-                    f"{n} variables exceeds the ceiling of {DIMACS_MAX_VARIABLES}", lineno
-                )
+            need = formula_bytes(n, m)
+            if need > MEMORY_BUDGET_BYTES:
+                raise ParseError(_over_budget(f"{n} variables and {m} clauses", need), lineno)
             continue
         if n is None:
             raise ParseError("clause line before header", lineno)
@@ -412,10 +439,8 @@ def parse_dimacs_cnf(text, k_bound: int | None = None) -> CnfFormula:
                         raise ParseError(f"tautological clause on variable {var}", lineno)
                 if len(var_signs) != len(current):
                     raise ParseError("repeated literal in clause", lineno)
-                if k_bound is not None and len(current) > k_bound:
-                    raise ParseError(
-                        f"clause width {len(current)} exceeds bound {k_bound}", lineno
-                    )
+                if len(clauses) == m:
+                    raise ParseError(f"more clauses than the {m} the header declares", lineno)
                 clauses.append(current)
                 current = []
             else:
@@ -438,6 +463,9 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
         raise ParameterError(f"degree {d} must satisfy 0 <= d < n = {n}")
     if (n * d) % 2 != 0:
         raise ParameterError(f"n*d = {n * d} must be even")
+    need = graph_bytes(n, n * d // 2)
+    if need > MEMORY_BUDGET_BYTES:
+        raise SizeLimitError("memory", _over_budget(f"{n} vertices of degree {d}", need))
     rng = random.Random(seed)
     # pairing model with local rejection: draw two random stubs, redraw on a
     # loop or multi-edge, and restart the attempt only when stuck near the
@@ -480,8 +508,11 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 
 def random_ksat_formula(n: int, m: int, k: int, seed: int) -> CnfFormula:
     """Random k-CNF: each clause has k distinct variables with random signs."""
-    if k > n:
-        raise ParameterError(f"clause width {k} exceeds variable count {n}")
+    if not 1 <= k <= n:
+        raise ParameterError(f"clause width {k} must be between 1 and the variable count {n}")
+    need = formula_bytes(n, m)
+    if need > MEMORY_BUDGET_BYTES:
+        raise SizeLimitError("memory", _over_budget(f"{n} variables and {m} clauses", need))
     rng = random.Random(seed)
     clauses = []
     for _ in range(m):

@@ -88,11 +88,11 @@ def _clique_cover_bound(g: Graph, weights: list[int], mask: int) -> int:
 
 
 def _may_hold_earlier_tie(
-    g: Graph, weights: list[int], container: int, best: int, best_w: int | None = None
+    g: Graph, weights: list[int], container: int, best: int, best_w: int
 ) -> bool:
     """Whether `container` may hold an independent set of the incumbent's
     weight that sorts before the incumbent `best` = b1 < b2 < ... < bk, of
-    weight `best_w` (summed here when not given).
+    weight `best_w`.
 
     Such a set S either is a proper prefix b1..b(i-1) of `best` whose rest
     b(i)..bk weighs 0, or first differs from `best` at some i with b(i-1) <
@@ -101,7 +101,7 @@ def _may_hold_earlier_tie(
     b(i-1) and b(i) that no b1..b(i-1) is adjacent to says yes, and b(i)
     outside the container says no. Past bk it is no: every other subset of
     the container that holds all of `best` extends it and sorts after it."""
-    rest_w = sum(weights[v] for v in VertexSet(best)) if best_w is None else best_w
+    rest_w = best_w  # the weight of b(i)..bk
     passed = 0  # b1..b(i-1) and every vertex below them
     blocked = 0  # the neighbourhood of b1..b(i-1)
     while best:
@@ -242,11 +242,7 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
             r.stats["path"] = "base (low-degree dispatch)"
             return r
     else:
-        # the engine's threshold comes from the average degree alone, so
-        # assert the measured degree ratio rather than a configured bound
-        coll = build_almost_regular_collection(
-            g, g.max_degree / g.average_degree * (1 + 1e-9), keep=keep
-        )
+        coll = build_almost_regular_collection(g, keep=keep)
 
     order = sorted((c.mask for c in coll.containers), key=lambda m: (-price(m), -m.bit_count(), m))
     # highest bound first, then larger, then by mask; the first container is

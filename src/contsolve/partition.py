@@ -288,26 +288,22 @@ def build_partition_collection_regular(
     )
 
 
-def build_partition_collection_almost_regular(
-    g: Graph,
-    k: int,
-    degree_ratio: float,
-) -> PartitionContainerCollection:
-    """Almost-regular construction via the degree-ratio container builder;
-    size ceiling (1 - epsilon'')n with epsilon'' = 1/(degree_ratio*2^(k+2))."""
+def build_partition_collection_almost_regular(g: Graph, k: int) -> PartitionContainerCollection:
+    """Almost-regular construction via the almost-regular container builder;
+    size ceiling (1 - epsilon'')n with epsilon'' = 1/(C*2^(k+2)), C the
+    measured max/average degree ratio (1 on a regular graph, where
+    epsilon'' is the regular construction's 2^-(k+2))."""
     if k < 1:
         raise ParameterError("k must be at least 1")
-    if degree_ratio < 1:
-        raise ParameterError("degree ratio must be at least 1")
-    base = build_almost_regular_collection(g, degree_ratio)
-    epsilon = 1.0 / (degree_ratio * 2 ** (k + 2))
+    base = build_almost_regular_collection(g)
+    ratio = g.max_degree / g.average_degree
     return PartitionContainerCollection(
         base=base,
         k=k,
-        epsilon=epsilon,
+        epsilon=1.0 / (ratio * 2 ** (k + 2)),
         n=g.n,
         source="almost-regular",
-        stats={"base_container_count": len(base)},
+        stats={"base_container_count": len(base), "degree_ratio": ratio},
     )
 
 

@@ -328,7 +328,7 @@ def test_criterion_7_coloring_exactness(capfd):
             g = random_graph(n, rng.choice([0.3, 0.5]), rng.randrange(10**6))
             k = rng.randint(2, 4)
             assert solve_kcoloring(g, k, baseline).colorable == is_k_colorable(g, k)
-        containers = ColoringConfig(mode="containers", degree_ratio=3.0)
+        containers = ColoringConfig(mode="containers")
         done = 0
         while done < 90:  # container dispatch path on dense instances
             n = rng.randint(8, 12)

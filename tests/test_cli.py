@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -55,12 +59,37 @@ class TestContainersCommand:
         assert code == 0
 
     def test_huge_vertex_count_exits_two(self, capsys, tmp_path):
-        path = tmp_path / "huge.col"
-        path.write_text("p edge 10000000000 0\n")
-        code, report = run_json(capsys, ["containers", "--input", str(path)])
-        assert code == 2
-        assert report["error"]["type"] == "ParseError"
-        assert report["error"]["message"].startswith("line 1:")
+        # header-only inputs whose counts need more than the byte budget
+        cases = [
+            ("huge.col", "p edge 10000000000 0", "containers"),
+            ("wide.col", "p edge 80000 40000", "mis"),
+            ("huge.cnf", "p cnf 1000000 4000", "sat"),
+        ]
+        for name, header, command in cases:
+            path = tmp_path / name
+            path.write_text(header + "\n")
+            started = time.monotonic()
+            code, report = run_json(capsys, [command, "--input", str(path)])
+            assert time.monotonic() - started < 1
+            assert code == 2
+            assert report["error"]["type"] == "ParseError"
+            assert report["error"]["message"].startswith("line 1:")
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["mis", "--random-regular", "160000", "4"], "SizeLimitError"),
+            (["sat", "--random-ksat", "1000000", "4000", "3"], "SizeLimitError"),
+            (["sat", "--random-ksat", "10", "1000000000", "3"], "SizeLimitError"),
+            (["sat", "--random-ksat", "10", "1000000", "0"], "ParameterError"),
+            (["sat", "--random-ksat", "10", "1000000", "-1"], "ParameterError"),
+        ],
+    )
+    def test_generator_arguments_refused_at_once(self, capsys, argv, error):
+        started = time.monotonic()
+        code, report = run_json(capsys, [*argv, "--seed", "1"])
+        assert time.monotonic() - started < 1
+        assert code == 2 and report["error"]["type"] == error
 
     def test_walk_past_the_budget_raises_tau(self, capsys, monkeypatch):
         argv = ["containers", "--random-regular", "12", "3", "--seed", "1", "--force"]
@@ -249,6 +278,23 @@ class TestDeterminismAndErrors:
         # removed flags that changed no output
         graph = ["--random-regular", "8", "3", "--seed", "1"]
         assert run(["mis", *graph, "--degree-ratio", "3"]) == 2
+        assert run(["containers", *graph, "--degree-ratio", "2"]) == 2
+        assert run(["partition-containers", *graph, "--k", "2", "--degree-ratio", "2"]) == 2
         assert run(["color", *graph, "--k", "3", "--degree-ratio", "3"]) == 2
         assert run(["color", *graph, "--k", "3", "--degree-threshold", "8"]) == 2
         assert run(["mis", *graph, "--force"]) == 2
+
+
+class TestConsoleEntryPoint:
+    def test_module_exit_status(self, tmp_path):
+        # the console script's `main` exits with `run`'s code
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        for g, k, code in ((cycle_graph(6), 2, 0), (complete_graph(4), 3, 1)):
+            argv = ["color", "--input", write_graph(tmp_path, g), "--k", str(k)]
+            out = subprocess.run(
+                [sys.executable, "-m", "contsolve.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert out.returncode == code, out.stderr
+            assert json.loads(out.stdout)["result"]["colorable"] is (code == 0)

@@ -245,12 +245,10 @@ class TestSolveKColoring:
 
     def test_containers_path_matches_oracle(self):
         rng = random.Random(12)
-        cfg = ColoringConfig(mode="containers", degree_ratio=3.0)
+        cfg = ColoringConfig(mode="containers")
         for _ in range(12):
             n = rng.randint(8, 12)
             g = random_graph(n, 0.7, rng.randrange(10**6))
-            if g.m == 0 or g.max_degree > 3.0 * g.average_degree:
-                continue
             for k in (3, 4):
                 result = solve_kcoloring(g, k, cfg)
                 assert result.stats["path"] == "containers"
@@ -281,7 +279,7 @@ class TestSolveKColoring:
         # G(14, p) with k just below and at chi: when the priced pairs cost at
         # least the whole-V sum, that sum alone decides
         rng = random.Random(17)
-        cfg = ColoringConfig(mode="containers", degree_ratio=3.0)
+        cfg = ColoringConfig(mode="containers")
         informative = 0
         for i in range(24):
             g = random_graph(14, (0.5, 0.6, 0.7)[i % 3], rng.randrange(10**6))
@@ -292,10 +290,8 @@ class TestSolveKColoring:
                 assert result.colorable == (k >= chi)
                 assert stats["whole_cost"] == 1 << g.n
                 # the candidates are the maximal unions of exactly
-                # min(k-1, m) of the m maximal base containers; the degree
-                # ratio only gates the build, so any ratio that admits g
-                # gives the same base collection
-                base = build_almost_regular_collection(g, g.n, max_containers=MAX_BASE_CONTAINERS)
+                # min(k-1, m) of the m maximal base containers
+                base = build_almost_regular_collection(g, max_containers=MAX_BASE_CONTAINERS)
                 maximal_base = _maximal(c.mask for c in base.containers)
                 unions = []
                 for combo in combinations(sorted(maximal_base), min(k - 1, len(maximal_base))):
@@ -317,7 +313,7 @@ class TestSolveKColoring:
         assert informative >= 20
 
     def test_priced_pairs_reach_the_pair_loop(self):
-        cfg = ColoringConfig(mode="containers", degree_ratio=3.0)
+        cfg = ColoringConfig(mode="containers")
         # G(14, 0.5) at k=2, priced at 320 pair entries against the 2^14
         # subsets of the whole-V sum: one covering pair, and its test is
         # negative
@@ -357,8 +353,7 @@ class TestSolveKColoring:
         g, k = random_graph(12, 0.5, 2), 3
         config = ColoringConfig(mode="containers")
         want = solve_kcoloring(g, k, config).colorable
-        ratio = max(config.degree_ratio, g.max_degree / g.average_degree * (1 + 1e-9))
-        base = build_almost_regular_collection(g, ratio, max_containers=MAX_BASE_CONTAINERS)
+        base = build_almost_regular_collection(g, max_containers=MAX_BASE_CONTAINERS)
         maximal = len(maximal_masks(c.mask for c in base.containers))
         tried = sum(comb(maximal, j) for j in range(1, k))
         assert tried > 1

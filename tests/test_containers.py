@@ -525,7 +525,7 @@ def _keep_builds():
         h = Hypergraph(g.n, 2, g.edges)
         isets = all_independent_sets(g)
         yield isets, partial(build_hypergraph_collection, h, rng.choice([0.25, 0.5, 1.0]))
-        yield isets, partial(build_almost_regular_collection, g, g.max_degree / g.average_degree)
+        yield isets, partial(build_almost_regular_collection, g)
     h = _random_hypergraph(9, 3, 20, 5)
     yield hypergraph_independent_sets(h)[:50], partial(build_hypergraph_collection, h, 0.5)
 
@@ -584,15 +584,10 @@ class TestCutWalk:
 
 
 class TestAlmostRegular:
-    def test_degree_ratio_enforced(self):
-        star = Graph(6, [(0, i) for i in range(1, 6)])
-        with pytest.raises(ParameterError):
-            build_almost_regular_collection(star, 1.5)
-
     def test_engine_runs_at_four_over_average_degree(self):
-        for g in (petersen_graph(), cycle_graph(8), random_graph(12, 0.5, 2)):
-            ratio = g.max_degree / g.average_degree
-            coll = build_almost_regular_collection(g, ratio)
+        star = Graph(6, [(0, i) for i in range(1, 6)])  # degree ratio 3
+        for g in (petersen_graph(), cycle_graph(8), random_graph(12, 0.5, 2), star):
+            coll = build_almost_regular_collection(g)
             assert coll.source == "almost-regular-graph" and coll.params is None
             assert coll.stats["p"] == min(1.0, 4.0 / g.average_degree)
 
@@ -607,7 +602,7 @@ class TestAlmostRegular:
         monkeypatch.setattr(Hypergraph, "__init__", counted)
         g = random_graph(12, 0.5, 2)
         assert not g.is_regular()
-        coll = build_almost_regular_collection(g, g.max_degree / g.average_degree)
+        coll = build_almost_regular_collection(g)
         assert coll.source == "almost-regular-graph" and coll.stats["candidate_count"] > 1
         assert mis_containers(g, MisConfig(mode="containers")).stats["path"] == "containers"
         stats = solve_kcoloring(g, 3, ColoringConfig(mode="containers")).stats
@@ -621,8 +616,7 @@ class TestAlmostRegular:
             u, v = rng.sample(range(10), 2)
             edges.add((min(u, v), max(u, v)))
         g = Graph(10, sorted(edges))
-        ratio = g.max_degree / g.average_degree + 0.1
-        coll = build_almost_regular_collection(g, ratio)
+        coll = build_almost_regular_collection(g)
         members = {c.mask for c in coll.containers}
         for iset in all_independent_sets(g):
             cont = coll.locate(VertexSet(iset))

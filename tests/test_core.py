@@ -1,22 +1,27 @@
 
+import math
 import random
-from itertools import combinations
+import time
+from itertools import combinations, count
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contsolve.core import (
-    DIMACS_MAX_VARIABLES,
-    DIMACS_MAX_VERTICES,
+    ITEM_BYTES,
+    MEMORY_BUDGET_BYTES,
     CnfFormula,
     Graph,
     Hypergraph,
     ParameterError,
     ParseError,
+    SizeLimitError,
     VertexSet,
     complete_graph,
     cycle_graph,
+    formula_bytes,
+    graph_bytes,
     max_codegree,
     parse_dimacs_cnf,
     parse_dimacs_graph,
@@ -92,23 +97,56 @@ class TestGraphParsing:
             assert err.value.line == 2
 
     def test_vertex_count_ceiling_checked_at_header(self):
-        with pytest.raises(ParseError) as err:
-            parse_dimacs_graph("p edge 10000000000 0\n")
-        assert err.value.line == 1
-        with pytest.raises(ParseError):
-            parse_dimacs_graph(f"p edge {DIMACS_MAX_VERTICES + 1} 0\n")
+        # the largest vertex count the byte budget admits parses; one more,
+        # or an edge count over the budget, is refused at the header at once
+        n = _GRAPH_MAX_VERTICES
+        assert parse_dimacs_graph(f"p edge {n} 0\n").n == n
+        m = (MEMORY_BUDGET_BYTES - graph_bytes(100, 0)) // ITEM_BYTES + 1
+        started = time.monotonic()
+        for header in (
+            "p edge 10000000000 0", f"p edge {n + 1} 0", "p edge 80000 40000", f"p edge 100 {m}"
+        ):
+            with pytest.raises(ParseError) as err:
+                parse_dimacs_graph(header + "\n")
+            assert err.value.line == 1
+        assert time.monotonic() - started < 1
 
     def test_cnf_header_counts_checked(self):
-        for header in ("p cnf -1 0", "p cnf 2 -1", f"p cnf {DIMACS_MAX_VARIABLES + 1} 0"):
+        n = _FORMULA_MAX_VARIABLES
+        assert parse_dimacs_cnf(f"p cnf {n} 0\n").num_vars == n
+        m = (MEMORY_BUDGET_BYTES - formula_bytes(10_000, 0)) // (10_000 // 4 + ITEM_BYTES) + 1
+        started = time.monotonic()
+        for header in (
+            "p cnf -1 0", "p cnf 2 -1", f"p cnf {n + 1} 0", "p cnf 1000000 4000", f"p cnf 10000 {m}"
+        ):
             with pytest.raises(ParseError) as err:
                 parse_dimacs_cnf(header + "\n")
             assert err.value.line == 1
+        assert time.monotonic() - started < 1
+
+    def test_counts_past_the_header_refused_at_their_line(self):
+        # the header's counts bound what the parser holds
+        with pytest.raises(ParseError) as err:
+            parse_dimacs_graph("p edge 3 1\ne 1 2\ne 2 3\n")
+        assert err.value.line == 3
+        with pytest.raises(ParseError) as err:
+            parse_dimacs_cnf("p cnf 2 1\n1 0\n2 -1\n0\n")
+        assert err.value.line == 4
+
+
+# the largest counts the byte budget admits on their own: the masks of
+# isqrt(8 * budget) vertices alone fill it
+_GRAPH_MAX_VERTICES = next(
+    n for n in count(math.isqrt(8 * MEMORY_BUDGET_BYTES), -1)
+    if graph_bytes(n, 0) <= MEMORY_BUDGET_BYTES
+)
+_FORMULA_MAX_VARIABLES = MEMORY_BUDGET_BYTES // (2 * ITEM_BYTES)
 
 
 # DIMACS-shaped documents: a header with small, negative, huge or over-long
 # counts, then edge or clause lines, with at times one junk line
 _counts = st.integers(-3, 12) | st.sampled_from(
-    [-(10**10), 10**10, DIMACS_MAX_VERTICES + 1, DIMACS_MAX_VARIABLES + 1, "9" * 5000, "x", ""]
+    [-(10**10), 10**10, _GRAPH_MAX_VERTICES + 1, _FORMULA_MAX_VARIABLES + 1, "9" * 5000, "x", ""]
 )
 _edge_lines = st.builds("e {} {}".format, st.integers(0, 7), st.integers(1, 6))
 _clause_lines = (
@@ -149,7 +187,7 @@ class TestDimacsFuzz:
             g = parse_dimacs_graph(text)
         except ParseError:
             return
-        assert isinstance(g, Graph) and 0 <= g.n <= DIMACS_MAX_VERTICES
+        assert isinstance(g, Graph) and graph_bytes(g.n, g.m) <= MEMORY_BUDGET_BYTES
 
     @settings(max_examples=400, deadline=None)
     @given(_dimacs_inputs)
@@ -158,7 +196,8 @@ class TestDimacsFuzz:
             phi = parse_dimacs_cnf(text)
         except ParseError:
             return
-        assert isinstance(phi, CnfFormula) and 0 <= phi.num_vars <= DIMACS_MAX_VARIABLES
+        assert isinstance(phi, CnfFormula)
+        assert formula_bytes(phi.num_vars, len(phi.clauses)) <= MEMORY_BUDGET_BYTES
 
 
 class TestCnfParsing:
@@ -173,10 +212,6 @@ class TestCnfParsing:
     def test_no_clauses(self):
         phi = parse_dimacs_cnf("p cnf 3 0\n")
         assert phi.num_vars == 3 and phi.clauses == ()
-
-    def test_width_bound(self):
-        with pytest.raises(ParseError):
-            parse_dimacs_cnf("p cnf 3 1\n1 2 3 0\n", k_bound=2)
 
     def test_roundtrip(self):
         phi = random_ksat_formula(6, 10, 3, seed=1)
@@ -196,6 +231,24 @@ class TestGenerators:
     def test_odd_product_rejected(self):
         with pytest.raises(ParameterError):
             random_regular_graph(5, 3, 1)
+
+    def test_clause_width_outside_one_to_n_rejected(self):
+        for k in (-1, 0, 5):
+            with pytest.raises(ParameterError):
+                random_ksat_formula(4, 10**6, k, 1)
+
+    def test_sizes_over_the_byte_budget_refused_at_once(self):
+        started = time.monotonic()
+        for generate in (
+            lambda: random_regular_graph(160_000, 4, 1),
+            lambda: random_regular_graph(_GRAPH_MAX_VERTICES + 2, 0, 1),
+            lambda: random_ksat_formula(1_000_000, 4000, 3, 1),
+            lambda: random_ksat_formula(1000, 10**9, 3, 1),
+        ):
+            with pytest.raises(SizeLimitError) as err:
+                generate()
+            assert err.value.stage == "memory"
+        assert time.monotonic() - started < 1
 
     def test_deterministic(self):
         assert random_regular_graph(12, 4, 3) == random_regular_graph(12, 4, 3)

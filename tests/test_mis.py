@@ -214,8 +214,7 @@ class TestMisContainers:
                 g = random_graph(rng.randint(8, 13), 0.45, rng.randrange(10**6))
                 if g.m == 0:
                     continue
-                ratio = max(2.0, g.max_degree / g.average_degree * (1 + 1e-9))
-                coll = build_almost_regular_collection(g, ratio)
+                coll = build_almost_regular_collection(g)
             weights = None if weights_unit else [rng.randint(0, 3) for _ in range(g.n)]
             c, kept = _solve_and_capture(g, MisConfig(mode="containers"), weights)
             assert c.best == mis_base(g, weights).best
@@ -279,8 +278,7 @@ def _priced_cases(seed, count):
             g = random_graph(rng.randint(8, 16), rng.choice([0.3, 0.45]), rng.randrange(10**6))
             if g.m == 0:
                 continue
-            ratio = max(2.0, g.max_degree / g.average_degree * (1 + 1e-9))
-            coll = build_almost_regular_collection(g, ratio)
+            coll = build_almost_regular_collection(g)
             config = MisConfig(mode="containers")
         yield g, [rng.randint(0, 3) for _ in range(g.n)], coll, config
 
@@ -356,7 +354,7 @@ class TestContainerPricing:
                     m for m in isets
                     if not m & ~container and key(m)[0] == key(best)[0] and key(m) < key(best)
                 ]
-                if not _may_hold_earlier_tie(g, weights, container, best):
+                if not _may_hold_earlier_tie(g, weights, container, best, -key(best)[0]):
                     assert not earlier
                     skipped += 1
                 needed += bool(earlier)
@@ -384,8 +382,8 @@ class TestContainerPricing:
         # the container holds only the prefix, so b2 outside it must not end
         # the test before the zero-weight rest is seen
         g = Graph(3, [(0, 1)])
-        assert _may_hold_earlier_tie(g, [1, 1, 0], 0b001, 0b101)
-        assert not _may_hold_earlier_tie(g, [1, 1, 1], 0b001, 0b101)
+        assert _may_hold_earlier_tie(g, [1, 1, 0], 0b001, 0b101, 1)
+        assert not _may_hold_earlier_tie(g, [1, 1, 1], 0b001, 0b101, 2)
 
     def test_tie_test_cuts_searches_on_dense_regular_graphs(self):
         # the walk cuts subtrees, and every kept container whose bound

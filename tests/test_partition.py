@@ -14,6 +14,7 @@ from contsolve.core import (
     VertexSet,
     complete_graph,
     cycle_graph,
+    random_graph,
     random_regular_graph,
 )
 from contsolve.partition import (
@@ -310,19 +311,43 @@ class TestRegularPartitionCollection:
 
 class TestAlmostRegularPartitionCollection:
     def test_epsilon_constant(self):
+        # a regular graph measures C = 1, so epsilon'' = 1/(C*2^(k+2)) is
+        # the regular construction's 2^-(k+2)
         g = random_regular_graph(12, 4, 2)
-        coll = build_partition_collection_almost_regular(g, 2, 2.0)
-        assert coll.epsilon == pytest.approx(1 / 32)
+        coll = build_partition_collection_almost_regular(g, 2)
+        assert coll.epsilon == 1 / 16 and coll.stats["degree_ratio"] == 1
+        for g in (g, cycle_graph(9), random_regular_graph(10, 3, 5)):
+            for k in (1, 2, 3):
+                regular = build_partition_collection_regular(g, k)
+                assert build_partition_collection_almost_regular(g, k).epsilon == regular.epsilon
 
-    def test_degree_ratio_violation(self):
-        star = Graph(6, [(0, i) for i in range(1, 6)])  # max degree 5, avg 5/3
-        with pytest.raises(ParameterError):
-            build_partition_collection_almost_regular(star, 2, 2.0)
+    def test_cover_split_on_irregular_graphs(self):
+        # the ceiling reads the measured ratio C; the star K1,5 (C = 3) was
+        # refused while C was an option defaulting to 2
+        rng = random.Random(19)
+        graphs = [Graph(6, [(0, i) for i in range(1, 6)])]
+        while len(graphs) < 7:
+            g = random_graph(10, rng.choice([0.3, 0.5]), rng.randrange(10**6))
+            if g.m and not g.is_regular():
+                graphs.append(g)
+        for g in graphs:
+            ratio = g.max_degree / g.average_degree
+            isets = [VertexSet(m) for m in all_independent_sets(g)][:40]
+            for k in (2, 3):
+                coll = build_partition_collection_almost_regular(g, k)
+                assert coll.stats["degree_ratio"] == ratio
+                assert coll.size_ceiling == pytest.approx((1 - 1 / (ratio * 2 ** (k + 2))) * g.n)
+                for tup in combinations_with_replacement(isets, k):
+                    a, ca, cb = coll.cover_split(list(tup))
+                    for j in range(k):
+                        target = ca if j in a else cb
+                        assert tup[j].issubset(target)
+                        assert target.cardinality <= coll.size_ceiling
 
     def test_cover_split_on_regular_instance(self):
         g = random_regular_graph(12, 4, 8)
         reg = build_partition_collection_regular(g, 2, force=True)
-        alm = build_partition_collection_almost_regular(g, 2, 1.0)
+        alm = build_partition_collection_almost_regular(g, 2)
         isets = [VertexSet(m) for m in all_independent_sets(g)]
         rng = random.Random(1)
         for _ in range(200):
