@@ -143,32 +143,22 @@ class Graph:
     def __init__(self, n: int, edges):
         if n < 0:
             raise ParameterError("vertex count must be non-negative")
-        seen = set()
         adj = [[] for _ in range(n)]
+        masks = [0] * n
         norm_edges = []
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ParameterError(f"vertex id out of range in edge ({u}, {v})")
             if u == v:
                 raise ParameterError(f"self-loop at vertex {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ParameterError(f"duplicate edge ({key[0]}, {key[1]})")
-            seen.add(key)
-            norm_edges.append(key)
+            if masks[u] >> v & 1:
+                raise ParameterError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
             adj[u].append(v)
             adj[v].append(u)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", len(norm_edges))
-        object.__setattr__(self, "adj", tuple(tuple(sorted(a)) for a in adj))
-        masks = []
-        for a in adj:
-            mask = 0
-            for w in a:
-                mask |= 1 << w
-            masks.append(mask)
-        object.__setattr__(self, "adj_mask", tuple(masks))
-        object.__setattr__(self, "edges", tuple(sorted(norm_edges)))
+            norm_edges.append((u, v) if u < v else (v, u))
+        _fill_graph(self, n, adj, masks, norm_edges)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -230,6 +220,18 @@ class Graph:
         return hash((self.n, self.edges))
 
 
+def _fill_graph(g: Graph, n: int, adj: list, masks: list, edges: list) -> None:
+    """Set a Graph's fields from checked parts: each vertex's neighbours in
+    any order, its adjacency mask, and the edges as (low, high) pairs in any
+    order. Sorts `edges` in place."""
+    edges.sort()
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "m", len(edges))
+    object.__setattr__(g, "adj", tuple(tuple(sorted(a)) for a in adj))
+    object.__setattr__(g, "adj_mask", tuple(masks))
+    object.__setattr__(g, "edges", tuple(edges))
+
+
 class Hypergraph:
     """r-uniform hypergraph. Edges are sorted r-tuples of distinct vertices.
 
@@ -243,24 +245,26 @@ class Hypergraph:
         if r < 1:
             raise ParameterError("uniformity must be at least 1")
         norm = []
-        for e in edges:
-            e = tuple(sorted(e))
-            if len(e) != r or len(set(e)) != r:
-                raise ParameterError(f"edge {e} does not have exactly {r} distinct vertices")
-            if e[0] < 0 or e[-1] >= n:
-                raise ParameterError(f"vertex id out of range in edge {e}")
-            norm.append(e)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "edges", tuple(norm))
         masks = []
         incidence = [[] for _ in range(n)]
-        for idx, e in enumerate(norm):
+        for idx, e in enumerate(edges):
+            e = tuple(sorted(e))
+            if len(e) != r or e[0] < 0 or e[-1] >= n:
+                # a repeated vertex is named before a vertex out of range
+                if len(e) != r or len(set(e)) != r:
+                    raise ParameterError(f"edge {e} does not have exactly {r} distinct vertices")
+                raise ParameterError(f"vertex id out of range in edge {e}")
             mask = 0
             for v in e:
                 mask |= 1 << v
                 incidence[v].append(idx)
+            if mask.bit_count() != r:
+                raise ParameterError(f"edge {e} does not have exactly {r} distinct vertices")
+            norm.append(e)
             masks.append(mask)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "edge_masks", tuple(masks))
         object.__setattr__(self, "incidence", tuple(tuple(i) for i in incidence))
 
@@ -344,15 +348,41 @@ def _decode_lines(text) -> list[str]:
 
 
 def parse_dimacs_graph(text) -> Graph:
-    """Parse DIMACS edge format: `p edge n m` header, `e u v` lines, 1-indexed."""
+    """Parse DIMACS edge format: `p edge n m` header, `e u v` lines, 1-indexed.
+
+    A well-formed edge line after the header costs one split, two int()
+    calls and one combined test for range, self-loop, duplicate and the
+    header's edge count; only a line that fails the test is looked at again,
+    to name its fault."""
     n = m = None
+    adj = masks = ()
     edges = []
-    seen = set()
     for lineno, raw in enumerate(_decode_lines(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if len(parts) == 3 and parts[0] == "e" and n is not None:
+            try:
+                u, v = int(parts[1]) - 1, int(parts[2]) - 1
+            except ValueError:
+                raise ParseError(f"malformed edge line {raw.strip()!r}", lineno) from None
+            if 0 <= u < n and 0 <= v < n and u != v and not masks[u] >> v & 1 and len(edges) < m:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+                adj[u].append(v)
+                adj[v].append(u)
+                edges.append((u, v) if u < v else (v, u))
+                continue
+            if not (0 <= u < n and 0 <= v < n):
+                message = f"vertex id out of range in edge ({u + 1}, {v + 1})"
+            elif u == v:
+                message = f"self-loop at vertex {u + 1}"
+            elif masks[u] >> v & 1:
+                message = f"duplicate edge ({u + 1}, {v + 1})"
+            else:
+                message = f"more edges than the {m} the header declares"
+            raise ParseError(message, lineno)
+        if not parts or parts[0].startswith("c"):
             continue
-        parts = line.split()
+        line = raw.strip()
         if parts[0] == "p":
             if n is not None:
                 raise ParseError("duplicate header", lineno)
@@ -367,33 +397,21 @@ def parse_dimacs_graph(text) -> Graph:
             need = graph_bytes(n, m)
             if need > MEMORY_BUDGET_BYTES:
                 raise ParseError(_over_budget(f"{n} vertices and {m} edges", need), lineno)
+            adj = [[] for _ in range(n)]
+            masks = [0] * n
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge line before header", lineno)
-            if len(parts) != 3:
-                raise ParseError(f"malformed edge line {line!r}", lineno)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(f"malformed edge line {line!r}", lineno) from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"vertex id out of range in edge ({u}, {v})", lineno)
-            if u == v:
-                raise ParseError(f"self-loop at vertex {u}", lineno)
-            key = (min(u, v) - 1, max(u, v) - 1)
-            if key in seen:
-                raise ParseError(f"duplicate edge ({u}, {v})", lineno)
-            if len(edges) == m:
-                raise ParseError(f"more edges than the {m} the header declares", lineno)
-            seen.add(key)
-            edges.append(key)
+            raise ParseError(f"malformed edge line {line!r}", lineno)
         else:
             raise ParseError(f"unrecognized line {line!r}", lineno)
     if n is None:
         raise ParseError("missing header")
     if len(edges) != m:
         raise ParseError(f"header declares {m} edges, found {len(edges)}")
-    return Graph(n, edges)
+    g = object.__new__(Graph)
+    _fill_graph(g, n, adj, masks, edges)
+    return g
 
 
 def parse_dimacs_cnf(text) -> CnfFormula:
@@ -510,6 +528,8 @@ def random_ksat_formula(n: int, m: int, k: int, seed: int) -> CnfFormula:
     """Random k-CNF: each clause has k distinct variables with random signs."""
     if not 1 <= k <= n:
         raise ParameterError(f"clause width {k} must be between 1 and the variable count {n}")
+    if m < 0:
+        raise ParameterError(f"clause count {m} must be non-negative")
     need = formula_bytes(n, m)
     if need > MEMORY_BUDGET_BYTES:
         raise SizeLimitError("memory", _over_budget(f"{n} variables and {m} clauses", need))

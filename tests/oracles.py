@@ -8,6 +8,22 @@ from itertools import combinations
 from contsolve.core import CnfFormula, Graph, Hypergraph, VertexSet
 
 
+def graph_fields(n: int, pairs: set[tuple[int, int]]) -> dict:
+    """The fields a Graph on n vertices with the given (low, high) pairs
+    must hold, each read straight off the pair set."""
+    adj = tuple(
+        tuple(sorted({b for a, b in pairs if a == v} | {a for a, b in pairs if b == v}))
+        for v in range(n)
+    )
+    return {
+        "n": n,
+        "m": len(pairs),
+        "adj": adj,
+        "adj_mask": tuple(sum(1 << w for w in a) for a in adj),
+        "edges": tuple(sorted(pairs)),
+    }
+
+
 def all_independent_sets(g: Graph) -> list[int]:
     """Bitmasks of every independent set, by backtracking over vertices."""
     out = []

@@ -83,6 +83,7 @@ class TestContainersCommand:
             (["sat", "--random-ksat", "10", "1000000000", "3"], "SizeLimitError"),
             (["sat", "--random-ksat", "10", "1000000", "0"], "ParameterError"),
             (["sat", "--random-ksat", "10", "1000000", "-1"], "ParameterError"),
+            (["sat", "--random-ksat", "10", "-5", "3"], "ParameterError"),
         ],
     )
     def test_generator_arguments_refused_at_once(self, capsys, argv, error):

@@ -28,7 +28,7 @@ from contsolve.core import (
     random_ksat_formula,
     random_regular_graph,
 )
-from oracles import brute_codegree
+from oracles import brute_codegree, graph_fields
 
 
 class TestVertexSet:
@@ -51,6 +51,45 @@ class TestVertexSet:
         vs = VertexSet.of([1])
         with pytest.raises(AttributeError):
             vs.mask = 0
+
+
+class TestGraphConstructor:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_fields_match_the_pair_set(self, data):
+        # any order of the edges and either orientation of each gives the
+        # fields read off the set of (low, high) pairs
+        n = data.draw(st.integers(0, 40))
+        pool = list(combinations(range(n), 2))
+        pairs = data.draw(st.lists(st.sampled_from(pool), unique=True) if pool else st.just([]))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(pairs, flips)]
+        edges = data.draw(st.permutations(edges))
+        g = Graph(n, edges)
+        expected = graph_fields(n, set(pairs))
+        assert {name: getattr(g, name) for name in expected} == expected
+
+    def test_empty_graph(self):
+        for n in (0, 1, 5):
+            g = Graph(n, [])
+            expected = graph_fields(n, set())
+            assert {name: getattr(g, name) for name in expected} == expected
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 4)], "vertex id out of range in edge (0, 4)"),
+            ([(1, 2), (-1, 2)], "vertex id out of range in edge (-1, 2)"),
+            ([(3, -2)], "vertex id out of range in edge (3, -2)"),
+            ([(0, 1), (2, 2)], "self-loop at vertex 2"),
+            ([(1, 3), (0, 2), (3, 1)], "duplicate edge (1, 3)"),
+            ([(2, 0), (0, 2)], "duplicate edge (0, 2)"),
+        ],
+    )
+    def test_bad_edges_rejected(self, edges, message):
+        with pytest.raises(ParameterError) as err:
+            Graph(4, edges)
+        assert str(err.value) == message
 
 
 class TestGraphParsing:
@@ -132,6 +171,37 @@ class TestGraphParsing:
         with pytest.raises(ParseError) as err:
             parse_dimacs_cnf("p cnf 2 1\n1 0\n2 -1\n0\n")
         assert err.value.line == 4
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["p edge 4 3", "e 1 2", "c x", "  e 1 5"], "vertex id out of range in edge (1, 5)"),
+            (["p edge 4 3", "", "e 0 2"], "vertex id out of range in edge (0, 2)"),
+            (["p edge 4 3", "e 2 3", "\te -1 2"], "vertex id out of range in edge (-1, 2)"),
+            (["p edge 4 3", "c", "\te 3 3"], "self-loop at vertex 3"),
+            (["p edge 4 3", "e 1 2", "", "  e 2 1"], "duplicate edge (2, 1)"),
+            (["p edge 4 2", "e 1 2", "c", "e 2 3", "e 3 4"], "more edges than the 2 the header declares"),
+            (["p edge 4 3", "  e 1"], "malformed edge line 'e 1'"),
+            (["p edge 4 3", "c e 1 2 3", "e 1 2 3 "], "malformed edge line 'e 1 2 3'"),
+            (["p edge 4 3", "e 1 x"], "malformed edge line 'e 1 x'"),
+            (["p edge 4 3", "", "e 1.0 2"], "malformed edge line 'e 1.0 2'"),
+            (["c", "", " e 1 2"], "edge line before header"),
+            (["p edge 4 3", "e 1 2", "  x 1 2"], "unrecognized line 'x 1 2'"),
+        ],
+        ids=[
+            "out-of-range", "zero", "negative", "self-loop", "reversed-duplicate",
+            "over-the-header", "two-tokens", "four-tokens", "non-integer", "non-integer-float",
+            "before-header", "unrecognized",
+        ],
+    )
+    def test_edge_line_faults_name_their_line(self, lines, message):
+        # the faulty line is the last one; comments, blank lines and
+        # leading whitespace before it count toward its number
+        with pytest.raises(ParseError) as err:
+            parse_dimacs_graph("c graph\n\n" + "\n".join(lines) + "\ne 1 3\n")
+        line = len(lines) + 2
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
 
 
 # the largest counts the byte budget admits on their own: the masks of
@@ -236,6 +306,11 @@ class TestGenerators:
         for k in (-1, 0, 5):
             with pytest.raises(ParameterError):
                 random_ksat_formula(4, 10**6, k, 1)
+
+    def test_negative_clause_count_rejected(self):
+        for m in (-1, -5, -(10**9)):
+            with pytest.raises(ParameterError):
+                random_ksat_formula(10, m, 3, 1)
 
     def test_sizes_over_the_byte_budget_refused_at_once(self):
         started = time.monotonic()
