@@ -31,7 +31,10 @@ assembles every collection; every walk is budgeted (`CANDIDATE_BUDGET`
 fingerprints per threshold), and past it the driver raises the threshold. A
 graph is walked on its own adjacency masks. Every collection's `locate` is
 one scan, `_locate`: the fingerprint scan of the set, then a lookup in the
-walk's map from fingerprint to container.
+walk's map from fingerprint to container. The engine's per-set scans (one
+set's fingerprint, one fingerprint's container) are not in the library:
+`tests/oracles.py` holds them as the references the walk and `locate` are
+checked against.
 
 A builder's caller may pass `keep(F, excluded, heavy)` to cut the walk: a
 fingerprint it rejects is skipped with its whole subtree. Exclusions only
@@ -308,31 +311,6 @@ def _exclusions(h: Hypergraph, v: int, inside: int) -> int:
         if rest.bit_count() == 1:
             out |= rest
     return out
-
-
-def hypergraph_fingerprint(h: Hypergraph, independent: VertexSet, tau: int) -> VertexSet:
-    """Single-pass scan in vertex-id order: a vertex of I joins F when it
-    would newly exclude at least tau vertices."""
-    if not h.is_independent(independent.mask):
-        raise PreconditionError("input set is not independent in the hypergraph")
-    f = excluded = 0
-    for v in independent:
-        new = _exclusions(h, v, f | (1 << v))
-        if (new & ~excluded).bit_count() >= tau:
-            f |= 1 << v
-            excluded |= new
-    return VertexSet(f)
-
-
-def hypergraph_container(h: Hypergraph, fp: VertexSet, tau: int) -> VertexSet:
-    """F plus every non-excluded vertex that would newly exclude fewer than
-    tau vertices. Contains every independent set whose fingerprint is F."""
-    f = fp.mask
-    excluded = 0
-    for v in fp:
-        excluded |= _exclusions(h, v, f)
-    joins = [_exclusions(h, v, f | (1 << v)) for v in range(h.n)]
-    return VertexSet(_container_mask(joins, f, excluded, tau))
 
 
 def _container_mask(excludes: Sequence[int], f: int, excluded: int, tau: int) -> int:

@@ -246,8 +246,7 @@ class Hypergraph:
             raise ParameterError("uniformity must be at least 1")
         norm = []
         masks = []
-        incidence = [[] for _ in range(n)]
-        for idx, e in enumerate(edges):
+        for e in edges:
             e = tuple(sorted(e))
             if len(e) != r or e[0] < 0 or e[-1] >= n:
                 # a repeated vertex is named before a vertex out of range
@@ -257,16 +256,11 @@ class Hypergraph:
             mask = 0
             for v in e:
                 mask |= 1 << v
-                incidence[v].append(idx)
             if mask.bit_count() != r:
                 raise ParameterError(f"edge {e} does not have exactly {r} distinct vertices")
             norm.append(e)
             masks.append(mask)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "edges", tuple(norm))
-        object.__setattr__(self, "edge_masks", tuple(masks))
-        object.__setattr__(self, "incidence", tuple(tuple(i) for i in incidence))
+        _fill_hypergraph(self, n, r, norm, masks)
 
     def __setattr__(self, name, value):
         raise AttributeError("Hypergraph is immutable")
@@ -274,6 +268,21 @@ class Hypergraph:
     def is_independent(self, vertices: int) -> bool:
         """True when the bitmask spans no edge entirely."""
         return all(em & vertices != em for em in self.edge_masks)
+
+
+def _fill_hypergraph(h: Hypergraph, n: int, r: int, edges: list, masks: list) -> None:
+    """Set a Hypergraph's fields from checked parts: its edges as sorted
+    r-tuples of distinct vertices below n, and their masks. Builds only
+    `incidence`."""
+    incidence = [[] for _ in range(n)]
+    for idx, e in enumerate(edges):
+        for v in e:
+            incidence[v].append(idx)
+    object.__setattr__(h, "n", n)
+    object.__setattr__(h, "r", r)
+    object.__setattr__(h, "edges", tuple(edges))
+    object.__setattr__(h, "edge_masks", tuple(masks))
+    object.__setattr__(h, "incidence", tuple(map(tuple, incidence)))
 
 
 def max_codegree(h: Hypergraph, i: int) -> int:

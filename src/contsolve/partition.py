@@ -169,9 +169,10 @@ def _splits(k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
 class PartitionContainerCollection:
     """Unions of at most k base containers under the ceiling (1-epsilon)n.
 
-    The full union collection is only materialized on demand; `cover_split`
-    produces an explicit split witness for a k-tuple of independent sets,
-    from the materialized unions only when the located containers overflow."""
+    The full union collection is only materialized on demand, as int masks
+    ordered by size, then by mask; `cover_split` produces an explicit split
+    witness for a k-tuple of independent sets, from the materialized unions
+    only when the located containers overflow."""
 
     base: ContainerCollection
     k: int
@@ -180,21 +181,22 @@ class PartitionContainerCollection:
     source: str  # "regular" | "almost-regular"
     low_degree: bool = False
     stats: dict = field(default_factory=dict)
-    _materialized: tuple[VertexSet, ...] | None = None
+    _materialized: tuple[int, ...] | None = None
 
     @property
     def size_ceiling(self) -> float:
         return (1.0 - self.epsilon) * self.n
 
-    def materialize(self) -> tuple[VertexSet, ...]:
-        """The distinct unions of 1..k base containers under the ceiling, by
-        size, then mask; past `UNION_BUDGET` candidates, SizeLimitError."""
+    def materialize(self) -> tuple[int, ...]:
+        """The distinct unions of 1..k base containers under the ceiling, as
+        int masks ordered by size, then by mask; past `UNION_BUDGET`
+        candidates, SizeLimitError."""
         if self._materialized is not None:
             return self._materialized
         masks = [c.mask for c in self.base.containers]
         ordered = sorted(container_unions(masks, self.k, self.size_ceiling))
         ordered.sort(key=int.bit_count)  # stable: by size, then by mask
-        self._materialized = tuple(map(VertexSet, ordered))
+        self._materialized = tuple(ordered)
         self.stats["container_count"] = len(self._materialized)
         return self._materialized
 
@@ -230,7 +232,7 @@ class PartitionContainerCollection:
             target = 0
             for j in group:
                 target |= independents[j].mask
-            return next((c for c in members if not target & ~c.mask), None)
+            return next((VertexSet(c) for c in members if not target & ~c), None)
 
         for a, b in _splits(self.k):
             ca = cover(a) if a else None

@@ -18,6 +18,7 @@ from .core import (
     ParameterError,
     PreconditionError,
     VertexSet,
+    _fill_hypergraph,
     max_codegree,
 )
 from .containers import build_hypergraph_collection, maximal_masks
@@ -253,11 +254,14 @@ def extract_structure(h: Hypergraph, params: StructureParams) -> StructureResult
     r = h.r
     d = params.D
     eprime, degree, _, retired = _greedy_edges(h, d)
-    edges = tuple(h.edges[i] for i in sorted(eprime))
+    eprime.sort()
+    edges = [h.edges[i] for i in eprime]
     stats = {"edges": len(edges), "vertices": h.n, "retired": retired.bit_count()}
     if len(edges) < h.n:
         return StructureResult("absent", None, len(edges) / h.n if h.n else 0.0, stats)
-    sub = Hypergraph(h.n, r, list(edges))
+    # the host's edges are already checked: take them and their masks as they are
+    sub = object.__new__(Hypergraph)
+    _fill_hypergraph(sub, h.n, r, edges, [h.edge_masks[i] for i in eprime])
     max_deg = max(degree)
     if max_deg > (r + 1) * d:
         raise RuntimeError("extraction degree cap violated; this is a bug")

@@ -73,6 +73,45 @@ def hypergraph_independent_sets(h: Hypergraph) -> list[int]:
     return out
 
 
+def _exclusions(h: Hypergraph, v: int, inside: int) -> int:
+    """Vertices u such that some edge through v has every vertex except u in
+    `inside`, read off the edge list."""
+    out = 0
+    for e in h.edges:
+        if v in e:
+            rest = [u for u in e if not (inside >> u) & 1]
+            if len(rest) == 1:
+                out |= 1 << rest[0]
+    return out
+
+
+def hypergraph_fingerprint(h: Hypergraph, independent: VertexSet, tau: int) -> VertexSet:
+    """The engine's single-pass scan in vertex-id order: a vertex of I joins
+    F when it would newly exclude at least tau vertices."""
+    f = excluded = 0
+    for v in independent:
+        new = _exclusions(h, v, f | (1 << v))
+        if (new & ~excluded).bit_count() >= tau:
+            f |= 1 << v
+            excluded |= new
+    return VertexSet(f)
+
+
+def hypergraph_container(h: Hypergraph, fp: VertexSet, tau: int) -> VertexSet:
+    """F plus every vertex outside F and its exclusions that would newly
+    exclude fewer than tau vertices on joining F."""
+    f = fp.mask
+    excluded = 0
+    for v in fp:
+        excluded |= _exclusions(h, v, f)
+    out = f
+    for v in range(h.n):
+        if not ((f | excluded) >> v) & 1:
+            if (_exclusions(h, v, f | (1 << v)) & ~excluded).bit_count() < tau:
+                out |= 1 << v
+    return VertexSet(out)
+
+
 def brute_codegree(h: Hypergraph, i: int) -> int:
     best = 0
     for t in combinations(range(h.n), i):

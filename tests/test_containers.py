@@ -14,8 +14,6 @@ from contsolve.containers import (
     container_of,
     container_sparsity,
     fingerprint,
-    hypergraph_container,
-    hypergraph_fingerprint,
     maximal_masks,
 )
 from contsolve.coloring import ColoringConfig, solve_kcoloring
@@ -33,7 +31,12 @@ from contsolve.core import (
     random_graph,
     random_regular_graph,
 )
-from oracles import all_independent_sets, hypergraph_independent_sets
+from oracles import (
+    all_independent_sets,
+    hypergraph_container,
+    hypergraph_fingerprint,
+    hypergraph_independent_sets,
+)
 
 EPS = 0.49  # close to the top of the valid range; keeps thresholds at ~d/2
 

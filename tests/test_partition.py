@@ -231,7 +231,7 @@ class TestRegularPartitionCollection:
     def test_materialize_contains_witnesses(self):
         g = cycle_graph(10)
         coll = build_partition_collection_regular(g, 2, force=True)
-        members = {c.mask for c in coll.materialize()}
+        members = set(coll.materialize())
         isets = [VertexSet(m) for m in all_independent_sets(g)]
         rng = random.Random(9)
         for _ in range(100):
@@ -257,7 +257,7 @@ class TestRegularPartitionCollection:
         candidates = [u for u in candidates if u.bit_count() <= coll.size_ceiling]
         expected = sorted(set(candidates), key=lambda u: (u.bit_count(), u))
         monkeypatch.setattr(partition, "UNION_BUDGET", len(candidates))
-        assert [c.mask for c in coll.materialize()] == expected
+        assert coll.materialize() == tuple(expected)
         assert coll.stats["container_count"] == len(expected)
         # one candidate over the budget is refused, however the walk is ordered
         coll = build_partition_collection_regular(g, k, force=True)
@@ -290,7 +290,8 @@ class TestRegularPartitionCollection:
         assert a == (0,)
         members = set(coll.materialize())
         for j, target in ((0, ca), (1, cb)):
-            assert target in members and tup[j].issubset(target)
+            assert isinstance(target, VertexSet)
+            assert target.mask in members and tup[j].issubset(target)
             assert target.cardinality <= coll.size_ceiling
         # 4 single pairs and 6 unions of two fit the ceiling: one fewer is refused
         fitting = [
