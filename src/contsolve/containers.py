@@ -232,8 +232,8 @@ def build_regular_collection(
     """Container collection for a d-regular graph.
 
     When d <= 2/epsilon^2 the construction gives no useful size bound; by
-    default the result is flagged low-degree with no containers so solvers can
-    switch to their non-container path. `force=True` runs the construction
+    default the result is flagged low-degree with no containers, which tells
+    a caller to use something else. `force=True` runs the construction
     anyway (coverage still holds, and so does the size bound, whose proof
     needs only regularity, though it may reach n); an edgeless graph is
     always flagged. The containers are those of the fingerprint fixed points
@@ -457,7 +457,8 @@ def build_hypergraph_collection(
         excludes = structure.adj_mask
     else:
         excludes = [_exclusions(structure, v, 1 << v) for v in range(structure.n)]
-    tau = max(1, math.ceil(1.0 / ((r - 1) * p)))
+    # rounded first, as 1/(4/196) is 49.00000000000001 in floats
+    tau = max(1, math.ceil(round(1.0 / ((r - 1) * p), 9)))
     return _collection(structure, excludes, tau, max_containers, "hypergraph", {"p": p}, keep)
 
 

@@ -26,7 +26,13 @@ prefix of B whose remaining vertices weigh 0, or a vertex between b(i-1) and
 b(i) adjacent to none of b1..b(i-1), with b1..b(i-1) inside the container. A
 container inside one already searched is skipped, as that search saw all of
 its subsets. The answer is therefore the one every container's search would
-give: the lexicographically smallest set of maximum weight."""
+give: the lexicographically smallest set of maximum weight.
+
+That is `containers` mode, which always builds, forcing the regular scheme
+below its degree floor. `auto` runs the base solver on V and says why in
+`stats["path"]`: on regular and G(n, p) graphs up to n = 80, B&B inside
+containers beat B&B on V only on d = n/2 at n <= 28, and lost more as n grew
+(README.md has the table)."""
 
 from __future__ import annotations
 
@@ -191,18 +197,23 @@ def mis_base(
 class MisConfig:
     mode: str = "auto"  # auto | base | containers
     epsilon: float = 0.25  # regular-build slack
-    force: bool = False  # run containers below the useful-degree floor
+    # unread, since containers mode always builds; the field stays only
+    # because perfbench/workloads.py still passes force=True
+    force: bool = False
 
 
 def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int] | None = None) -> MisResult:
     config = config or MisConfig()
     weights = _check_weights(g, weights)
-    if config.mode == "base":
-        r = mis_base(g, weights)
-        r.stats["path"] = "base"
-        return r
-    if config.mode not in ("auto", "containers"):
+    if not 0 < config.epsilon < 0.5:
+        raise ParameterError(f"epsilon must be in (0, 1/2), got {config.epsilon}")
+    if config.mode not in ("auto", "base", "containers"):
         raise ParameterError(f"unknown mode {config.mode!r}")
+    if config.mode != "containers":
+        r = mis_base(g, weights)
+        r.stats["path"] = "base" if config.mode == "base" else (
+            "base (auto: B&B inside containers measured slower than on V)")
+        return r
     if g.m == 0:
         # every positive weight, and each zero weight below the last of them,
         # which only sorts the set earlier
@@ -235,12 +246,7 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
         )
 
     if g.is_regular():
-        force = config.force or config.mode == "containers"
-        coll = build_regular_collection(g, config.epsilon, force=force, keep=keep)
-        if coll.low_degree and not force:
-            r = mis_base(g, weights)
-            r.stats["path"] = "base (low-degree dispatch)"
-            return r
+        coll = build_regular_collection(g, config.epsilon, force=True, keep=keep)
     else:
         coll = build_almost_regular_collection(g, keep=keep)
 

@@ -6,7 +6,10 @@ no edge. On formulas dense enough to contain a well-spread sub-hypergraph
 (many edges per vertex, bounded degree and co-degree), containers for that
 sub-hypergraph cover every candidate literal set; restricting the formula to
 each inclusion-maximal container forces all missing literals false and leaves
-a smaller instance for a plain DPLL base solver."""
+a smaller instance for a plain DPLL base solver. At width 3 or more a lone
+literal excludes nothing, so the collection is every literal; `auto` runs
+DPLL there, and on whatever the engine cannot take, naming the reason in
+`stats["path"]`."""
 
 from __future__ import annotations
 
@@ -24,25 +27,16 @@ from .core import (
 from .containers import build_hypergraph_collection, maximal_masks
 
 
-@dataclass(frozen=True)
-class LiteralHypergraph:
-    """k-uniform hypergraph on the 2n literal vertices of a width-k formula.
-    Variable i (1-based) owns vertices 2(i-1) for x_i and 2(i-1)+1 for its
-    negation; a clause contributes the edge of its negated literals."""
-
-    hypergraph: Hypergraph
-
-    @staticmethod
-    def literal_vertex(literal: int) -> int:
-        var = abs(literal) - 1
-        return 2 * var if literal > 0 else 2 * var + 1
-
-    @staticmethod
-    def negation_vertex(literal: int) -> int:
-        return LiteralHypergraph.literal_vertex(-literal)
+def literal_vertex(literal: int) -> int:
+    """The literal's vertex among the 2n literal vertices: variable i
+    (1-based) owns 2(i-1) for x_i and 2(i-1)+1 for its negation."""
+    var = abs(literal) - 1
+    return 2 * var if literal > 0 else 2 * var + 1
 
 
-def build_literal_hypergraph(phi: CnfFormula) -> LiteralHypergraph:
+def build_literal_hypergraph(phi: CnfFormula) -> Hypergraph:
+    """The k-uniform hypergraph on the 2n literal vertices of a width-k
+    formula, with one edge per clause: the vertices of its negated literals."""
     if not phi.clauses:
         raise ParameterError("formula has no clauses")
     k = len(phi.clauses[0])
@@ -53,10 +47,10 @@ def build_literal_hypergraph(phi: CnfFormula) -> LiteralHypergraph:
             )
     n = phi.num_vars
     # negated[lit] is the vertex of -lit; a negative lit indexes from the end
-    negated = [None, *map(LiteralHypergraph.negation_vertex, (*range(1, n + 1), *range(-n, 0)))]
+    negated = [None, *(literal_vertex(-lit) for lit in (*range(1, n + 1), *range(-n, 0)))]
     # the Hypergraph constructor sorts each edge
     edges = [tuple(map(negated.__getitem__, clause)) for clause in phi.clauses]
-    return LiteralHypergraph(Hypergraph(2 * n, k, edges))
+    return Hypergraph(2 * n, k, edges)
 
 
 def assignment_literal_set(phi: CnfFormula, assignment: dict[int, bool]) -> VertexSet:
@@ -64,7 +58,7 @@ def assignment_literal_set(phi: CnfFormula, assignment: dict[int, bool]) -> Vert
     mask = 0
     for var in range(1, phi.num_vars + 1):
         lit = var if assignment.get(var, False) else -var
-        mask |= 1 << LiteralHypergraph.literal_vertex(lit)
+        mask |= 1 << literal_vertex(lit)
     return VertexSet(mask)
 
 
@@ -121,8 +115,8 @@ def restrict_formula(phi: CnfFormula, kept: VertexSet) -> Restriction:
         raise ParameterError("kept must be a mask of the formula's literal vertices")
     forced: dict[int, bool] = {}
     for var in range(1, phi.num_vars + 1):
-        pos = LiteralHypergraph.literal_vertex(var) in kept
-        neg = LiteralHypergraph.literal_vertex(-var) in kept
+        pos = literal_vertex(var) in kept
+        neg = literal_vertex(-var) in kept
         if pos and neg:
             continue
         if not pos and not neg:
@@ -204,10 +198,6 @@ class StructureResult:
     hypergraph: Hypergraph | None  # the extracted sub-hypergraph on the host's vertices
     d_eff: float
     stats: dict = field(default_factory=dict)
-
-    @property
-    def edges(self) -> tuple[tuple[int, ...], ...] | None:
-        return None if self.hypergraph is None else self.hypergraph.edges
 
     @property
     def usable(self) -> bool:
@@ -303,8 +293,11 @@ def solve_ksat_dense(
         reason = "mixed clause widths"
     elif phi.k < 2:
         reason = "clause width below 2"
+    elif phi.k >= 3 and config.mode == "auto":
+        # `_exclusions` gives nothing at r >= 3, so the collection is {V}
+        reason = "clause width 3 or more: the only container is every literal"
     else:
-        structure = extract_structure(build_literal_hypergraph(phi).hypergraph, params)
+        structure = extract_structure(build_literal_hypergraph(phi), params)
         stats = {"structure": structure.status, "structure_stats": structure.stats}
         reason = None if structure.usable else "no structure"
     if reason is not None:

@@ -372,22 +372,31 @@ def test_criterion_9_sat_exactness(capfd):
     with criterion(9, "dense SAT agreement, restriction arithmetic, planted block", capfd):
         rng = random.Random(109)
         params = StructureParams(D=4, C=40.0, epsilon=0.3)
+        containers_cfg = SatConfig(mode="containers")
+        solved_in_containers = 0
         for _ in range(300):
             n = rng.randint(3, 18)
             m = max(1, int(n * rng.uniform(0.5, 8.0)))
             phi = random_ksat_formula(n, m, 3, rng.randrange(10**6))
-            result = solve_ksat_dense(phi, params)
+            results = [solve_ksat_dense(phi, params)]
+            # auto runs DPLL at width 3; the container path runs wherever a
+            # structure is found
+            if extract_structure(build_literal_hypergraph(phi), params).usable:
+                results.append(solve_ksat_dense(phi, params, containers_cfg))
+                assert results[-1].stats["path"] == "containers"
+                solved_in_containers += 1
             want, _ = dpll(phi)
-            assert result.satisfiable == want
-            if result.satisfiable:
-                assert phi.is_satisfied_by(result.model)
-            if n <= 16:
-                assert result.satisfiable == truth_table_sat_bitmap(phi)
+            for result in results:
+                assert result.satisfiable == want
+                if result.satisfiable:
+                    assert phi.is_satisfied_by(result.model)
+                if n <= 16:
+                    assert result.satisfiable == truth_table_sat_bitmap(phi)
+        assert solved_in_containers > 0
         # restriction sizes: free variables = |kept literals| - num_vars on
         # every non-contradictory container restriction of a dense formula
         phi = random_ksat_formula(10, 80, 3, 424242)
-        lh = build_literal_hypergraph(phi)
-        structure = extract_structure(lh.hypergraph, StructureParams(D=4, C=40.0, epsilon=0.3))
+        structure = extract_structure(build_literal_hypergraph(phi), params)
         assert structure.usable
         result = solve_ksat_dense(phi, params, SatConfig(mode="containers"))
         want, _ = dpll(phi)
@@ -410,7 +419,7 @@ def test_criterion_9_sat_exactness(capfd):
             clauses.append(tuple(v if sign.random() < 0.5 else -v for v in trip))
         planted = CnfFormula(n_vars, clauses)
         structure = extract_structure(
-            build_literal_hypergraph(planted).hypergraph, StructureParams(D=10, C=4.0, epsilon=0.3)
+            build_literal_hypergraph(planted), StructureParams(D=10, C=4.0, epsilon=0.3)
         )
         assert structure.status == "absent"
 

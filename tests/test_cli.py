@@ -9,7 +9,7 @@ import pytest
 
 from contsolve import containers, partition
 from contsolve.cli import run
-from contsolve.core import complete_graph, cycle_graph, parse_dimacs_cnf
+from contsolve.core import complete_graph, cycle_graph, parse_dimacs_cnf, random_graph
 from contsolve.extsum import ExtSumInstance
 
 
@@ -223,6 +223,21 @@ class TestMisCommand:
         assert code == 0
         assert report["counters"]["path"] == "containers"
 
+    def test_auto_names_its_reason(self, capsys, tmp_path):
+        path = write_graph(tmp_path, random_graph(12, 0.4, 3))
+        for source in (["--random-regular", "12", "4", "--seed", "1"], ["--input", path]):
+            code, report = run_json(capsys, ["mis", *source])
+            assert code == 0 and report["counters"]["path"] == (
+                "base (auto: B&B inside containers measured slower than on V)"
+            )
+
+    def test_epsilon_outside_its_range_exits_two(self, capsys, tmp_path):
+        path = write_graph(tmp_path, random_graph(12, 0.4, 3))
+        for source in (["--random-regular", "12", "4", "--seed", "1"], ["--input", path]):
+            for mode in ("auto", "base", "containers"):
+                code, report = run_json(capsys, ["mis", *source, "--mode", mode, "--epsilon", "0.9"])
+                assert code == 2 and report["error"]["type"] == "ParameterError"
+
 
 class TestSatCommand:
     def test_random_ksat(self, capsys):
@@ -231,6 +246,9 @@ class TestSatCommand:
         )
         assert code in (0, 1)
         assert report["result"]["satisfiable"] is (code == 0)
+        assert report["counters"] == {
+            "path": "dpll (clause width 3 or more: the only container is every literal)"
+        }
 
     def test_unsatisfiable_exit_one(self, capsys, tmp_path):
         path = tmp_path / "phi.cnf"

@@ -594,6 +594,18 @@ class TestAlmostRegular:
             assert coll.source == "almost-regular-graph" and coll.params is None
             assert coll.stats["p"] == min(1.0, 4.0 / g.average_degree)
 
+    def test_threshold_is_the_regular_schemes_at_a_quarter(self):
+        # 196-regular: 1/(4/196) is 49.00000000000001 in floats, and both
+        # builders take ceil(196/4) = 49
+        g = complete_graph(197)
+        assert g.is_regular() and g.average_degree == 196
+        assert build_regular_collection(g, 0.25).stats["tau"] == 49
+        assert build_almost_regular_collection(g).stats["tau"] == 49
+        for d in (3, 4, 6, 9):
+            g = random_regular_graph(24, d, d)
+            regular = build_regular_collection(g, 0.25, force=True).stats["tau"]
+            assert build_almost_regular_collection(g).stats["tau"] == regular
+
     def test_graph_callers_build_no_hypergraph(self, monkeypatch):
         built = []
         init = Hypergraph.__init__

@@ -30,6 +30,8 @@ from contsolve.mis import (
 )
 from oracles import all_independent_sets, max_independent_set_size, max_weight_independent_set
 
+MIS_AUTO_PATH = "base (auto: B&B inside containers measured slower than on V)"
+
 
 class TestMisBase:
     def test_complete_graph(self):
@@ -118,16 +120,17 @@ class TestMisContainers:
         assert r.size == 3 and r.stats["path"] == "base"
 
     def test_edgeless_shortcut(self):
-        r = mis_containers(Graph(5, []))
+        r = mis_containers(Graph(5, []), MisConfig(mode="containers"))
         assert r.size == 5 and r.stats["path"] == "edgeless"
 
     def test_edgeless_shortcut_is_the_base_answer(self):
+        config = MisConfig(mode="containers")
         for n in range(8):
             g = Graph(n, [])
             for weights in product(range(3), repeat=n):
                 weights = list(weights)
                 want = mis_base(g, weights)
-                got = mis_containers(g, weights=weights)
+                got = mis_containers(g, config, weights)
                 assert got.stats["path"] == "edgeless"
                 assert (got.best, got.size, got.weight) == (want.best, want.size, want.weight)
 
@@ -135,6 +138,35 @@ class TestMisContainers:
         r = mis_containers(cycle_graph(8), MisConfig(mode="auto"))
         assert r.size == 4
         assert "base" in r.stats["path"]
+
+    def test_auto_is_the_base_answer(self, monkeypatch):
+        # auto builds no collection, on regular, G(n, p) and edgeless graphs
+        # alike, and names the reason for running the base solver
+        def no_build(*args, **kwargs):
+            raise AssertionError("auto built a container collection")
+
+        monkeypatch.setattr(mis, "build_regular_collection", no_build)
+        monkeypatch.setattr(mis, "build_almost_regular_collection", no_build)
+        rng = random.Random(58)
+        cases = [(Graph(n, []), list(w)) for n in range(5) for w in product(range(4), repeat=n)]
+        for _ in range(15):
+            n, d = rng.choice([(10, 3), (12, 4), (14, 6), (16, 8)])
+            regular = random_regular_graph(n, d, rng.randrange(10**6))
+            gnp = random_graph(rng.randint(4, 14), rng.choice([0.2, 0.4, 0.6]), rng.randrange(10**6))
+            for g in (regular, gnp):
+                cases += [(g, None), (g, [rng.randint(0, 3) for _ in range(g.n)])]
+        for g, weights in cases:
+            want = mis_base(g, weights)
+            got = mis_containers(g, weights=weights)
+            assert (got.best, got.size, got.weight) == (want.best, want.size, want.weight)
+            assert got.stats == {**want.stats, "path": MIS_AUTO_PATH}
+
+    def test_epsilon_checked_in_every_mode(self):
+        for g in (random_graph(12, 0.4, 3), random_regular_graph(12, 4, 1), Graph(3, [])):
+            for mode in ("auto", "base", "containers"):
+                for eps in (0.0, 0.5, 0.9, -0.1):
+                    with pytest.raises(ParameterError, match="epsilon"):
+                        mis_containers(g, MisConfig(mode=mode, epsilon=eps))
 
     def test_containers_mode_forces_build(self):
         r = mis_containers(cycle_graph(8), MisConfig(mode="containers"))

@@ -14,13 +14,13 @@ from contsolve.core import (
 from contsolve import sat
 from contsolve.containers import build_hypergraph_collection
 from contsolve.sat import (
-    LiteralHypergraph,
     SatConfig,
     StructureParams,
     assignment_literal_set,
     build_literal_hypergraph,
     dpll,
     extract_structure,
+    literal_vertex,
     restrict_formula,
     solve_ksat_dense,
 )
@@ -29,17 +29,18 @@ from oracles import greedy_structure_rescan, hypergraph_independent_sets, truth_
 
 class TestLiteralHypergraph:
     def test_vertex_numbering(self):
-        assert LiteralHypergraph.literal_vertex(1) == 0
-        assert LiteralHypergraph.literal_vertex(-1) == 1
-        assert LiteralHypergraph.literal_vertex(3) == 4
-        assert LiteralHypergraph.negation_vertex(2) == 3
+        assert literal_vertex(1) == 0
+        assert literal_vertex(-1) == 1
+        assert literal_vertex(3) == 4
+        assert literal_vertex(-2) == 3
 
     def test_clause_edge(self):
         # (x1 or x2) falsified exactly when both negations are picked
         phi = CnfFormula(2, [(1, 2)])
-        lh = build_literal_hypergraph(phi)
-        assert lh.hypergraph.n == 4
-        assert lh.hypergraph.edges == ((1, 3),)
+        h = build_literal_hypergraph(phi)
+        assert isinstance(h, Hypergraph)
+        assert h.n == 4 and h.r == 2
+        assert h.edges == ((1, 3),)
 
     def test_mixed_widths_rejected(self):
         phi = CnfFormula(3, [(1, 2), (1, 2, 3)])
@@ -52,9 +53,9 @@ class TestLiteralHypergraph:
             k = rng.randint(2, 5)
             n = rng.randint(k, 9)
             phi = random_ksat_formula(n, rng.randint(1, 12), k, rng.randrange(10**6))
-            edges = build_literal_hypergraph(phi).hypergraph.edges
+            edges = build_literal_hypergraph(phi).edges
             assert edges == tuple(
-                tuple(sorted(map(LiteralHypergraph.negation_vertex, c))) for c in phi.clauses
+                tuple(sorted(literal_vertex(-lit) for lit in c)) for c in phi.clauses
             )
 
     def test_empty_formula_rejected(self):
@@ -68,8 +69,8 @@ class TestLiteralHypergraph:
         for _ in range(25):
             n = rng.randint(2, 7)
             phi = random_ksat_formula(n, rng.randint(1, 10), min(3, n), rng.randrange(10**6))
-            lh = build_literal_hypergraph(phi)
-            independent = set(hypergraph_independent_sets(lh.hypergraph))
+            h = build_literal_hypergraph(phi)
+            independent = set(hypergraph_independent_sets(h))
             for bits in range(1 << n):
                 assignment = {v: bool((bits >> (v - 1)) & 1) for v in range(1, n + 1)}
                 lits = assignment_literal_set(phi, assignment)
@@ -123,8 +124,8 @@ class TestRestriction:
             r = restrict_formula(phi, kept)
             forced = {}
             for var in range(1, n + 1):
-                pos = LiteralHypergraph.literal_vertex(var) in kept
-                neg = LiteralHypergraph.literal_vertex(-var) in kept
+                pos = literal_vertex(var) in kept
+                neg = literal_vertex(-var) in kept
                 if not pos and not neg:
                     assert r.contradiction
                     break
@@ -179,9 +180,9 @@ class TestExtractStructure:
         h = Hypergraph(8, 3, edges)
         result = extract_structure(h, StructureParams(D=3, C=10.0, epsilon=0.1))
         assert result.status in ("found", "found-codegree-fail")
-        assert len(result.edges) >= h.n
+        assert len(result.hypergraph.edges) >= h.n
         # every vertex of the extracted structure keeps degree <= (r+1) D
-        sub = Hypergraph(h.n, 3, list(result.edges))
+        sub = Hypergraph(h.n, 3, list(result.hypergraph.edges))
         assert max(len(sub.incidence[v]) for v in range(h.n)) <= 4 * 3
 
     def test_codegree_gate(self):
@@ -225,6 +226,9 @@ class TestExtractStructure:
             StructureParams(D=1, C=1.0, epsilon=1.0)
 
 
+AUTO_WIDE_PATH = "dpll (clause width 3 or more: the only container is every literal)"
+
+
 class TestSolveKsatDense:
     PARAMS = StructureParams(D=4, C=40.0, epsilon=0.3)
 
@@ -247,10 +251,39 @@ class TestSolveKsatDense:
                 solve_ksat_dense(phi, StructureParams(D=2, C=40.0, epsilon=0.3), SatConfig(mode="containers"))
 
     def test_auto_falls_back_without_structure(self):
+        # width 3: the engine's collection would be every literal
         phi = random_ksat_formula(12, 4, 3, 3)
         r = solve_ksat_dense(phi, self.PARAMS)
-        assert r.stats["path"] == "dpll (no structure)"
+        assert r.stats["path"] == AUTO_WIDE_PATH
         assert r.satisfiable == truth_table_sat(phi)
+        # width 2: 4 edges on 24 literal vertices hold no structure
+        phi = random_ksat_formula(12, 4, 2, 3)
+        r = solve_ksat_dense(phi, self.PARAMS)
+        assert r.stats["path"] == "dpll (no structure)" and r.stats["structure"] == "absent"
+        assert r.satisfiable == truth_table_sat(phi)
+
+    def test_auto_builds_the_literal_hypergraph_only_at_width_two(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            sat, "build_literal_hypergraph",
+            lambda phi: calls.append(phi) or build_literal_hypergraph(phi),
+        )
+        rng = random.Random(65)
+        for k in (3, 4, 5):
+            for _ in range(10):
+                n = rng.randint(k, 10)
+                phi = random_ksat_formula(n, rng.randint(1, 8 * n), k, rng.randrange(10**6))
+                r = solve_ksat_dense(phi, self.PARAMS)
+                assert r.stats == {"path": AUTO_WIDE_PATH}
+                assert r.satisfiable == truth_table_sat(phi)
+        assert calls == []
+        for _ in range(10):
+            n = rng.randint(2, 10)
+            phi = random_ksat_formula(n, rng.randint(1, 8 * n), 2, rng.randrange(10**6))
+            r = solve_ksat_dense(phi, self.PARAMS)
+            assert calls[-1] is phi and "structure" in r.stats
+            assert r.satisfiable == truth_table_sat(phi)
+        assert len(calls) == 10
 
     def test_dense_agrees_with_dpll(self):
         rng = random.Random(62)
@@ -259,7 +292,7 @@ class TestSolveKsatDense:
             n = rng.randint(6, 12)
             m = rng.randint(6 * n, 10 * n)
             phi = random_ksat_formula(n, m, 3, rng.randrange(10**6))
-            r = solve_ksat_dense(phi, self.PARAMS)
+            r = solve_ksat_dense(phi, self.PARAMS, SatConfig(mode="containers"))
             if r.stats["path"] == "containers":
                 used_containers += 1
             want, _ = dpll(phi)
@@ -312,7 +345,7 @@ class TestSolveKsatDense:
             phi = random_ksat_formula(n, rng.randint(6 * n, 10 * n), 3, rng.randrange(10**6))
             r = solve_ksat_dense(phi, self.PARAMS, SatConfig(mode="containers"))
             h, p = seen[-1]
-            host = build_literal_hypergraph(phi).hypergraph
-            assert h.edges == extract_structure(host, self.PARAMS).edges
+            host = build_literal_hypergraph(phi)
+            assert h.edges == extract_structure(host, self.PARAMS).hypergraph.edges
             assert p == r.stats["p"]
         assert len(seen) == 10
