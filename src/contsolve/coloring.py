@@ -6,33 +6,35 @@ iff F(G) > 0. The constrained variant confines the j-th set to a given
 container and factors through the extensions-sum evaluators. The full solver
 either runs the plain 2^n sum (baseline) or prices the pairs of unions of
 independence containers against it and tests the pairs, with per-pair color
-counts, only when they cost less (containers, and auto). Counts are exact
-big integers throughout: positivity hinges on sign cancellation, so no
-modular shortcuts.
+counts, only when they cost less (containers, and auto). The sums are
+exact big integers throughout: positivity hinges on sign cancellation, so
+no modular shortcuts.
 
-The IS-count table is built one block per vertex, each block one list
-operation (see `count_is_dp`). The plain sum is taken as a value histogram:
+The IS-count table is one Python int of 8-, 16- or 32-bit fields, built
+one block per vertex by a few big-int operations, and read out as an
+array (see `count_is_dp`). The plain sum is taken as a value histogram:
 the subset parities come as one bytes object, doubled bit by bit, the
 counts of each parity are tallied by value, and each distinct count is
 raised to the k-th power once, so the per-subset work runs in C."""
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
-from operator import add
-from typing import Iterable
 
 from .containers import build_almost_regular_collection, maximal_masks
-from .core import Graph, ParameterError, SizeLimitError, VertexSet
+from .core import MEMORY_BUDGET_BYTES, Graph, ParameterError, SizeLimitError, VertexSet, _over_budget
 # eval_k2 is not called here: perfbench's tracer test checks that a name
 # bound by `from .extsum import` is patched, and names this one
 from .extsum import TABLE_ENTRY_CEILING, ExtSumInstance, eval_k2, evaluate, reduce_refinement  # noqa: F401
 from .partition import container_unions
 
-# vertices of the largest IS-count table, and of the whole-V sum
+# vertices of the largest IS-count table, and of the whole-V sum; the byte
+# budget of count_is_dp refuses tables over 24 vertices first
 BASELINE_CEILING = 26
 # Cost of one covering-pair test, all k-1 color counts, per unit of
 # (k-1)(2^|X| + 2^|Y|), in units of one subset of the whole-V sum (whose time
@@ -41,10 +43,15 @@ BASELINE_CEILING = 26
 # caches, best of 3: median 2.01 over 384 pairs, quartiles 1.72-2.41, range
 # 1.04-7.78 (2-CPU machine; two more 384-pair runs had medians 1.97).
 PAIR_ENTRY_COST = 2
-# the sliced gather of count_is_dp must copy at least 2^GATHER_MIN_RUN
-# entries per step on average, or a flat map gathers instead (measured on
-# G(n, p), n = 12-16, p = 0.02-0.8: 3 to 5 are within noise, 8 is 40% slower)
-GATHER_MIN_RUN = 4
+# peak bytes of a count_is_dp build over the bytes of its finished array:
+# 2.69-2.75 by tracemalloc at w = 20-22 (64-bit CPython 3.11)
+IS_TABLE_PEAK_FACTOR = 3
+# bytes of each field mask count_is_dp keeps between calls, by (field
+# width, index bit): at most 33 masks, about 1 MB
+MASK_CACHE_BYTES = 1 << 15
+_masks: dict[tuple[int, int], int] = {}
+# the unsigned array typecode of each field width in bytes
+_TYPECODES = {array(code).itemsize: code for code in "LIHB"}
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 # the engine raises its threshold until the base collection has at most this
 # many containers
@@ -56,7 +63,7 @@ class IsCountTable:
     """Independent-set counts i(G[V']) for every subset V' of a domain."""
 
     order: tuple[int, ...]  # ascending vertex ids of the domain
-    counts: list[int]  # indexed by local bitmask over `order`
+    counts: array  # indexed by local bitmask over `order`
 
 
 @lru_cache(maxsize=2048)
@@ -66,54 +73,72 @@ def _cached_is_table(g: Graph, domain: VertexSet) -> IsCountTable:
 
 def count_is_dp(g: Graph, domain: VertexSet) -> IsCountTable:
     """Full table via i(S) = i(S - j) + i(S minus j's closed neighborhood),
-    j = the highest local vertex of S, built one block per local vertex: the
-    subsets whose highest vertex is j are the 2^j entries r + 2^j, r < 2^j,
-    and their counts are counts[r] + counts[r & keep_j], keep_j being j's
-    non-neighbours below j, all in the table already.
+    j = the highest local vertex of S, held as one Python int t of f-bit
+    fields, field r holding i(r) for the local bitmask r. It is built one
+    block per local vertex j: the subsets whose highest vertex is j are the
+    2^j entries r + 2^j, r < 2^j, and their counts are t[r] + t[r & keep_j],
+    keep_j being j's non-neighbours below j, all in t already. So block j
+    is one add, shift and or of `t` and its restriction `_restricted`.
 
-    The gather r -> counts[r & keep_j] is assembled from list slices: a
-    keep_j bit missing on top repeats the gather below it, a kept top bit
-    joins the gathers of the two halves, and a run of kept low bits is one
-    slice. That takes about 2^(kept bits above keep_j's lowest gap) steps;
-    when they would not each copy at least 2^GATHER_MIN_RUN entries on
-    average, one flat map over r < 2^j gathers instead."""
+    A count is at most 2^w on a domain of w vertices, so the field width f
+    is the narrowest of 8, 16 and 32 bits that holds 2^w, and no field
+    carries into the next. `counts` is the table as an array of f-bit
+    unsigned ints. A build may hold IS_TABLE_PEAK_FACTOR times the array's
+    bytes; one that would need more than `core.MEMORY_BUDGET_BYTES` is
+    refused before it starts, which refuses every domain over 24 vertices."""
     order = tuple(domain)
     w = len(order)
     if w > BASELINE_CEILING:
         raise SizeLimitError(
             "is-count-table", f"domain of {w} exceeds ceiling {BASELINE_CEILING}"
         )
-    counts = [1]
+    f = 8 if w <= 7 else 16 if w <= 15 else 32
+    itemsize = f >> 3
+    need = IS_TABLE_PEAK_FACTOR * (itemsize << w)
+    if need > MEMORY_BUDGET_BYTES:
+        raise SizeLimitError("is-count-table", _over_budget(f"a domain of {w}", need))
+    t = 1
     for j, v in enumerate(order):
-        keep = 0
-        for i, u in enumerate(order[:j]):
-            if not (g.adj_mask[v] >> u) & 1:
-                keep |= 1 << i
-        # the map ends with the gather's 2^j entries, so it never reads the
-        # block it is appending
-        counts += map(add, counts, _gather(counts, keep, j))
+        # the restriction is a temporary, so the last block holds t, its
+        # shifted sum and their or: 2.5 finished tables
+        t |= (_restricted(t, f, order[:j], g.adj_mask[v]) + t) << (f << j)
+    data = t.to_bytes(itemsize << w, "little")
+    del t  # the array copies the bytes: two finished tables at most
+    counts = array(_TYPECODES[itemsize], data)
+    if sys.byteorder == "big":
+        counts.byteswap()
     return IsCountTable(order=order, counts=counts)
 
 
-def _gather(counts: list[int], keep: int, width: int) -> Iterable[int]:
-    """counts[r & keep] for every r < 2^width, in order of r."""
-    gaps = ~keep & ((1 << width) - 1)
-    branching = (keep >> (gaps & -gaps).bit_length()).bit_count() if gaps else 0
-    if width - branching < GATHER_MIN_RUN:
-        return map(counts.__getitem__, map(keep.__and__, range(1 << width)))
-    return _sliced_gather(counts, 0, keep, width)
+def _restricted(t: int, f: int, below: tuple[int, ...], adj: int) -> int:
+    """t's first 2^len(below) fields, field r replaced by field r & keep,
+    keep being the local bits of the vertices `below` outside `adj`: for
+    each vertex below[b] in adj, the fields whose index has bit b clear are
+    kept and each is copied onto the field 2^b above it."""
+    nbytes = (f >> 3) << len(below)
+    for b, u in enumerate(below):
+        if adj >> u & 1:
+            t &= _field_mask(f, b, nbytes)
+            t |= t << (f << b)
+    return t
 
 
-def _sliced_gather(counts: list[int], base: int, keep: int, width: int) -> list[int]:
-    """counts[base + (r & keep)] for every r < 2^width, from slices."""
-    if keep == (1 << width) - 1:
-        return counts[base : base + (1 << width)]
-    top = keep.bit_length()
-    if top < width:
-        return _sliced_gather(counts, base, keep, top) * (1 << (width - top))
-    top -= 1
-    rest = keep ^ (1 << top)
-    return _sliced_gather(counts, base, rest, top) + _sliced_gather(counts, base + (1 << top), rest, top)
+def _field_mask(f: int, b: int, nbytes: int) -> int:
+    """Ones in every f-bit field whose index has bit b clear, over at least
+    `nbytes` bytes, a multiple of the mask's period. Masks of at most
+    MASK_CACHE_BYTES are cached at that length, one per (f, b); an `&`
+    costs only its narrower operand, so each serves every narrower table."""
+    if nbytes > MASK_CACHE_BYTES:
+        return _periodic_mask(f, b, nbytes)
+    mask = _masks.get((f, b))
+    if mask is None:
+        mask = _masks[f, b] = _periodic_mask(f, b, MASK_CACHE_BYTES)
+    return mask
+
+
+def _periodic_mask(f: int, b: int, nbytes: int) -> int:
+    half = (f >> 3) << b  # the bytes of 2^b fields
+    return int.from_bytes((b"\xff" * half + bytes(half)) * (nbytes // (2 * half)), "little")
 
 
 def _parities(width: int, flips: int) -> bytes:

@@ -88,8 +88,10 @@ class ContainerParams:
     @property
     def tau(self) -> int:
         """The fingerprint threshold: a vertex joins F when it brings at least
-        epsilon*d new neighbors, i.e. at least tau, as counts are integers."""
-        return math.ceil(self.epsilon * self.d)
+        epsilon*d new neighbors, i.e. at least tau, as counts are integers.
+        epsilon*d is rounded to 9 decimals first, as 0.28*25 is
+        7.000000000000001 in floats."""
+        return math.ceil(round(self.epsilon * self.d, 9))
 
 
 @dataclass
@@ -346,14 +348,21 @@ def _locate(
 
 
 def _walked_containers(
-    excludes: Sequence[int], tau: int, keep: Keep | None = None
-) -> dict[int, int]:
+    excludes: Sequence[int], tau: int, keep: Keep | None = None, limit: int | None = None
+) -> dict[int, int] | None:
     """The map from each fingerprint walked at threshold tau to its
-    container mask."""
+    container mask. With `limit`, the walk stops, and the map is None, as
+    soon as it holds more than `limit` distinct containers over more than
+    one fingerprint."""
     full = (1 << len(excludes)) - 1
-    return {
-        f: full & ~(excluded | heavy) for f, excluded, heavy in _fixed_points(excludes, tau, keep)
-    }
+    walked: dict[int, int] = {}
+    distinct = set()
+    for f, excluded, heavy in _fixed_points(excludes, tau, keep):
+        container = walked[f] = full & ~(excluded | heavy)
+        distinct.add(container)
+        if limit is not None and len(distinct) > limit and len(walked) > 1:
+            return None
+    return walked
 
 
 def _collection(
@@ -368,39 +377,51 @@ def _collection(
     """Every builder's collection: walk the fixed points at threshold tau,
     raised by half while the walk overflows `CANDIDATE_BUDGET` or yields
     more than `max_containers` containers (larger tau means fewer, smaller
-    fingerprints and larger containers; coverage is unaffected). The stats
+    fingerprints and larger containers; coverage is unaffected). A walk is
+    abandoned as soon as it passes `max_containers`. When raising tau
+    degenerates the collection to {V}, the last abandoned threshold whose
+    whole walk fits the budget is walked again and kept instead. The stats
     add the caller's `stats` and the final tau, which `locate` follows.
     With `keep`, `stats["cut"]` counts the subtrees the final walk skipped,
     when there are any, and the collection has no `locate`."""
     full = (1 << len(excludes)) - 1
-    fallback = None  # last build whose containers were not all-of-V
 
-    def counted(f, excluded, heavy):
-        nonlocal cut
-        if keep(f, excluded, heavy):
-            return True
-        cut += 1
-        return False
-
-    while True:
+    def walk(tau: int, limit: int | None = None) -> tuple[dict[int, int] | None, int]:
         cut = 0
+
+        def counted(f, excluded, heavy):
+            nonlocal cut
+            if keep(f, excluded, heavy):
+                return True
+            cut += 1
+            return False
+
+        walked = _walked_containers(excludes, tau, counted if keep else None, limit)
+        return walked, cut
+
+    abandoned = []  # thresholds whose walk passed max_containers
+    while True:
         try:
-            walked = _walked_containers(excludes, tau, counted if keep else None)
+            walked, cut = walk(tau, max_containers)
         except SizeLimitError:
-            tau += max(1, tau // 2)
-            continue
-        dedup = set(walked.values())
-        if full not in dedup:
-            fallback = (tau, walked, dedup, cut)
-        if max_containers is not None and len(dedup) > max_containers and len(walked) > 1:
-            tau += max(1, tau // 2)
-            continue
-        break
-    if full in dedup and fallback is not None:
+            pass
+        else:
+            if walked is not None:
+                break
+            abandoned.append(tau)
+        tau += max(1, tau // 2)
+    if full in walked.values():
         # raising the threshold degenerated the collection to the single
-        # full-vertex-set container; prefer the last informative build even
-        # if it overshoots the requested collection size
-        tau, walked, dedup, cut = fallback
+        # full-vertex-set container; prefer the last informative build that
+        # fits the budget, even if it overshoots the requested collection size
+        for informative in reversed(abandoned):
+            try:
+                walked, cut = walk(informative)
+            except SizeLimitError:
+                continue
+            tau = informative
+            break
+    dedup = set(walked.values())
     containers = tuple(VertexSet(m) for m in sorted(dedup, key=lambda m: (m.bit_count(), m)))
     return ContainerCollection(
         containers=containers,

@@ -81,6 +81,53 @@ class TestCountIsDp:
         with pytest.raises(SizeLimitError):
             count_is_dp(g, _full(g))
 
+    def test_field_width_boundaries(self):
+        # an edgeless domain of w vertices counts 2^w, the most a w-vertex
+        # field can hold: 8-bit fields up to w = 7, 16-bit up to 15
+        rng = random.Random(24)
+        for w, itemsize in ((0, 1), (1, 1), (7, 1), (8, 2), (15, 2), (16, 4), (17, 4)):
+            for g in (Graph(w, []), random_graph(w, rng.uniform(0.1, 0.6), rng.randrange(10**6))):
+                table = count_is_dp(g, _full(g))
+                assert table.counts.itemsize == itemsize
+                assert list(table.counts) == is_counts_lowest_bit(g, (1 << w) - 1)
+            assert table.counts[-1] <= 1 << w
+            assert count_is_dp(Graph(w, []), _full(Graph(w, []))).counts[-1] == 1 << w
+
+    def test_mask_cache_stays_in_its_byte_bound(self):
+        g = random_graph(20, 0.3, 5)
+        table = count_is_dp(g, _full(g))
+        isets = all_independent_sets(g)
+        assert table.counts[-1] == len(isets)
+        rng = random.Random(25)
+        for mask in [rng.getrandbits(20) for _ in range(20)]:
+            assert table.counts[mask] == sum(1 for m in isets if not m & ~mask)
+        count_is_dp(Graph(20, []), _full(Graph(20, [])))
+        assert coloring._masks
+        assert all(m.bit_length() <= 8 * coloring.MASK_CACHE_BYTES for m in coloring._masks.values())
+
+    def test_byte_budget_refuses_before_building(self, monkeypatch):
+        # IS_TABLE_PEAK_FACTOR times the array's bytes: 2-byte fields, so a
+        # domain of 10 needs 3 * 2 * 2^10 bytes
+        monkeypatch.setattr(coloring, "MEMORY_BUDGET_BYTES", coloring.IS_TABLE_PEAK_FACTOR * 2 << 10)
+        count_is_dp(Graph(10, []), _full(Graph(10, [])))
+        monkeypatch.setattr(coloring, "_restricted", None)
+        with pytest.raises(SizeLimitError) as exc:
+            count_is_dp(Graph(11, []), _full(Graph(11, [])))
+        assert exc.value.stage == "is-count-table"
+
+    def test_default_budget_refuses_domains_over_24(self, monkeypatch):
+        def started(*args):
+            raise RuntimeError("the build started")
+
+        monkeypatch.setattr(coloring, "_restricted", started)
+        with pytest.raises(RuntimeError):
+            count_is_dp(Graph(24, []), _full(Graph(24, [])))
+        for n in (25, 26):
+            g = Graph(n, [])
+            with pytest.raises(SizeLimitError) as exc:
+                count_is_dp(g, _full(g))
+            assert exc.value.stage == "is-count-table" and "bytes" in str(exc.value)
+
 
 class TestKernelsAgainstTheLowestBitRecurrence:
     def test_tables_on_random_domains(self):
@@ -92,11 +139,12 @@ class TestKernelsAgainstTheLowestBitRecurrence:
             table = count_is_dp(g, VertexSet(domain))
             assert table.order == tuple(VertexSet(domain))
             assert list(table.counts) == is_counts_lowest_bit(g, domain)
-        assert count_is_dp(Graph(5, []), VertexSet(0)).counts == [1]
+        assert list(count_is_dp(Graph(5, []), VertexSet(0)).counts) == [1]
 
     def test_tables_on_n16_shapes(self):
-        # a star centred at 0 leaves every later vertex a gap at bit 0 below
-        # it, so the sliced gather would branch 2^(j-1) ways there
+        # a star centred at 0 gives every later block one collapse, at bit 0,
+        # and a hub at n - 1 gives the last block 15; the path, the empty
+        # and the complete graph give one, none and every collapse per block
         n = 16
         shapes = [
             Graph(n, [(0, v) for v in range(1, n)]),

@@ -1,3 +1,4 @@
+import math
 import random
 from functools import partial
 from itertools import combinations
@@ -24,6 +25,7 @@ from contsolve.core import (
     Hypergraph,
     ParameterError,
     PreconditionError,
+    SizeLimitError,
     VertexSet,
     complete_graph,
     cycle_graph,
@@ -33,6 +35,7 @@ from contsolve.core import (
 )
 from oracles import (
     all_independent_sets,
+    collection_driver,
     hypergraph_container,
     hypergraph_fingerprint,
     hypergraph_independent_sets,
@@ -68,6 +71,20 @@ class TestFingerprint:
         for bad in (0.0, 0.5, 0.7, -0.1):
             with pytest.raises(ParameterError):
                 ContainerParams(epsilon=bad, d=3.0)
+
+    def test_tau_is_the_ceiling_of_the_exact_product(self):
+        # 0.28 * 25 is 7.000000000000001 in floats, where epsilon*d is 7;
+        # of the two-decimal epsilons below 1/2 and the degrees below 300,
+        # 16 pairs have a float product just over an integer like that
+        assert ContainerParams(epsilon=0.28, d=25.0).tau == 7
+        off = []
+        for hundredths in range(1, 50):
+            for d in range(1, 300):
+                exact = -(-hundredths * d // 100)
+                if math.ceil(hundredths / 100 * d) != exact:
+                    off.append((hundredths, d))
+                assert ContainerParams(epsilon=hundredths / 100, d=float(d)).tau == exact
+        assert len(off) == 16 and {(28, 25), (7, 100), (14, 50)} <= set(off)
 
 
 class TestContainerOf:
@@ -584,6 +601,82 @@ class TestCutWalk:
             else:
                 assert "cut" not in coll.stats and coll.locate is not None
         assert cases > 10
+
+
+class TestEarlyStopDriver:
+    """The driver abandons a walk once it passes max_containers, and walks
+    an abandoned threshold again only for the fallback; its collections are
+    those of the driver that finishes every walk, `oracles.collection_driver`."""
+
+    @staticmethod
+    def _reference(g, p, max_containers, keep):
+        def walk(tau):
+            cut = 0
+
+            def counted(f, excluded, heavy):
+                nonlocal cut
+                if keep(f, excluded, heavy):
+                    return True
+                cut += 1
+                return False
+
+            return _walked_containers(g.adj_mask, tau, counted if keep else None), cut
+
+        start = max(1, math.ceil(round(1.0 / p, 9)))
+        return collection_driver(walk, start, max_containers, (1 << g.n) - 1)
+
+    def test_matches_the_driver_that_finishes_every_walk(self, monkeypatch):
+        # a perfect matching at tau = 1 walks 3^(n/2) fingerprints and at
+        # tau = 2 only the root, so under a small budget its one abandoned
+        # threshold overflows in full and the fallback is skipped
+        rng = random.Random(93)
+        default = containers.CANDIDATE_BUDGET
+        cases = fallbacks = skipped = 0
+        for _ in range(400):
+            if rng.random() < 0.2:
+                half = rng.randint(2, 7)
+                g = Graph(2 * half, [(2 * i, 2 * i + 1) for i in range(half)])
+            else:
+                g = random_graph(rng.randint(3, 14), rng.choice([0.2, 0.35, 0.5, 0.7]), rng.randrange(10**6))
+            if g.m == 0:
+                continue
+            p = rng.choice([0.25, 0.5, 1.0])
+            max_containers = rng.randint(1, 12)
+            keep = rng.choice([None, lambda f, excluded, heavy: f % 5 != 3])
+            budget = rng.choice([default, rng.randint(2, 40)])
+            monkeypatch.setattr(containers, "CANDIDATE_BUDGET", budget)
+            coll = build_hypergraph_collection(g, p, max_containers=max_containers, keep=keep)
+            tau, walked, cut = self._reference(g, p, max_containers, keep)
+            distinct = sorted(set(walked.values()), key=lambda m: (m.bit_count(), m))
+            assert coll.containers == tuple(VertexSet(m) for m in distinct)
+            assert coll.stats["tau"] == tau and coll.stats["candidate_count"] == len(walked)
+            assert coll.stats.get("cut", 0) == cut and (coll.locate is None) == bool(cut)
+            cases += 1
+            fallbacks += len(distinct) > max_containers
+            if p == 1.0 and coll.stats["vacuous"] and coll.stats["tau"] > 1:
+                # tau = 1 was abandoned, and its whole walk overflows
+                stopped = overflowed = False
+                try:
+                    stopped = _walked_containers(g.adj_mask, 1, keep, max_containers) is None
+                    _walked_containers(g.adj_mask, 1, keep)
+                except SizeLimitError:
+                    overflowed = True
+                skipped += stopped and overflowed
+        assert cases > 300 and fallbacks > 20 and skipped > 5
+
+    def test_a_walk_stops_past_its_limit(self, monkeypatch):
+        g = random_graph(14, 0.5, 7)
+        whole = _walked_containers(g.adj_mask, 2)
+        distinct = len(set(whole.values()))
+        assert _walked_containers(g.adj_mask, 2, None, distinct) == whole
+        assert _walked_containers(g.adj_mask, 2, None, distinct - 1) is None
+        # the walk stops before the budget it would overflow in full
+        monkeypatch.setattr(containers, "CANDIDATE_BUDGET", len(whole) - 1)
+        with pytest.raises(SizeLimitError):
+            _walked_containers(g.adj_mask, 2)
+        assert _walked_containers(g.adj_mask, 2, None, 1) is None
+        # a lone fingerprint is never over the limit
+        assert _walked_containers(g.adj_mask, g.n, None, 0) == {0: (1 << g.n) - 1}
 
 
 class TestAlmostRegular:
