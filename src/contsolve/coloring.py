@@ -33,9 +33,6 @@ from .core import MEMORY_BUDGET_BYTES, Graph, ParameterError, SizeLimitError, Ve
 from .extsum import TABLE_ENTRY_CEILING, ExtSumInstance, eval_k2, evaluate, reduce_refinement  # noqa: F401
 from .partition import container_unions
 
-# vertices of the largest IS-count table, and of the whole-V sum; the byte
-# budget of count_is_dp refuses tables over 24 vertices first
-BASELINE_CEILING = 26
 # Cost of one covering-pair test, all k-1 color counts, per unit of
 # (k-1)(2^|X| + 2^|Y|), in units of one subset of the whole-V sum (whose time
 # is about 2^n units at any small k), over G(n, 0.6), n = 12-18, k = 2-5,
@@ -80,23 +77,14 @@ def count_is_dp(g: Graph, domain: VertexSet) -> IsCountTable:
     keep_j being j's non-neighbours below j, all in t already. So block j
     is one add, shift and or of `t` and its restriction `_restricted`.
 
-    A count is at most 2^w on a domain of w vertices, so the field width f
-    is the narrowest of 8, 16 and 32 bits that holds 2^w, and no field
-    carries into the next. `counts` is the table as an array of f-bit
-    unsigned ints. A build may hold IS_TABLE_PEAK_FACTOR times the array's
-    bytes; one that would need more than `core.MEMORY_BUDGET_BYTES` is
-    refused before it starts, which refuses every domain over 24 vertices."""
+    A count is at most 2^w on a domain of w vertices, and the field width f
+    of `_field_width` holds 2^w, so no field carries into the next.
+    `counts` is the table as an array of f-bit unsigned ints. A build over
+    the byte budget of `_field_width` is refused before it starts."""
     order = tuple(domain)
     w = len(order)
-    if w > BASELINE_CEILING:
-        raise SizeLimitError(
-            "is-count-table", f"domain of {w} exceeds ceiling {BASELINE_CEILING}"
-        )
-    f = 8 if w <= 7 else 16 if w <= 15 else 32
+    f = _field_width(w, "is-count-table")
     itemsize = f >> 3
-    need = IS_TABLE_PEAK_FACTOR * (itemsize << w)
-    if need > MEMORY_BUDGET_BYTES:
-        raise SizeLimitError("is-count-table", _over_budget(f"a domain of {w}", need))
     t = 1
     for j, v in enumerate(order):
         # the restriction is a temporary, so the last block holds t, its
@@ -108,6 +96,20 @@ def count_is_dp(g: Graph, domain: VertexSet) -> IsCountTable:
     if sys.byteorder == "big":
         counts.byteswap()
     return IsCountTable(order=order, counts=counts)
+
+
+def _field_width(w: int, stage: str) -> int:
+    """The field width f, in bits, of a w-vertex IS-count table: the
+    narrowest of 8, 16 and 32 that holds 2^w. A build may hold
+    IS_TABLE_PEAK_FACTOR times the table's f/8 * 2^w bytes; when that is
+    more than `core.MEMORY_BUDGET_BYTES`, SizeLimitError at `stage`. At 256
+    MiB this refuses every domain over 24 vertices, long before 2^w
+    outgrows a 32-bit field."""
+    f = 8 if w <= 7 else 16 if w <= 15 else 32
+    need = IS_TABLE_PEAK_FACTOR * ((f >> 3) << w)
+    if need > MEMORY_BUDGET_BYTES:
+        raise SizeLimitError(stage, _over_budget(f"a domain of {w}", need))
+    return f
 
 
 def _restricted(t: int, f: int, below: tuple[int, ...], adj: int) -> int:
@@ -154,8 +156,8 @@ def inclusion_exclusion_F(g: Graph, k: int) -> int:
     """Number of ordered k-tuples of independent sets covering V(G)."""
     if k < 1:
         raise ParameterError("k must be at least 1")
-    if g.n > BASELINE_CEILING:
-        raise SizeLimitError("inclusion-exclusion", f"n={g.n} exceeds ceiling {BASELINE_CEILING}")
+    # the whole-V table's byte budget, checked at this stage, not the table's
+    _field_width(g.n, "inclusion-exclusion")
     counts = count_is_dp(g, VertexSet((1 << g.n) - 1)).counts
     odd = _parities(g.n, (1 << g.n) - 1)
     # each distinct count is raised to the k-th power once, times how often
@@ -251,25 +253,23 @@ def _decide_containers(g: Graph, k: int, stats: dict) -> bool:
     (`stats["pair_cost"]` is None). When they are unpayable or cost at least
     the 2^n of the whole-V sum -- always so when V itself is the only
     candidate -- one whole-V inclusion-exclusion sum decides instead, and
-    refuses above BASELINE_CEILING.
+    refuses a table over the byte budget of `_field_width`.
 
     No price exists without the build: only the build can find that no pair
     covers V, which answers "no" at zero pair cost (G(20, 0.5, 62443) at
     k = 2, where the whole-V sum walks 2^20 subsets). Above n = 48 every
     covering pair has a side of at least ceil(n/2) > 24 and the whole-V sum
-    is over its ceiling, so the path refuses before building; it gives up
+    is over its byte budget, so the path refuses before building; it gives up
     only the "no" of a build that would find no covering pair."""
     if k == 1 or g.m == 0:
         # a k-coloring exists for every k when there are no edges, and for
         # k = 1 only then
         return g.m == 0
     side_ceiling = TABLE_ENTRY_CEILING.bit_length() - 1
-    if g.n > BASELINE_CEILING and (g.n + 1) // 2 > side_ceiling:
-        raise SizeLimitError(
-            "inclusion-exclusion",
-            f"n={g.n}: every covering pair has a side over {side_ceiling} "
-            f"and the whole-V sum is over {BASELINE_CEILING}",
-        )
+    if (g.n + 1) // 2 > side_ceiling:
+        # every covering pair has a side over extsum's table ceiling, so only
+        # the whole-V sum could decide: refused here when it is over budget
+        _field_width(g.n, "inclusion-exclusion")
     base = build_almost_regular_collection(g, max_containers=MAX_BASE_CONTAINERS)
     stats["base_containers"] = len(base)
     # any union over non-maximal base containers is dominated by a union

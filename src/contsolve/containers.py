@@ -5,14 +5,16 @@ set in a fixed vertex order, keep vertices that contribute enough fresh
 neighbors, expand the kept fingerprint into a container), and a pragmatic
 engine for r-uniform hypergraphs built on the same idea, with exclusions
 playing the role of neighborhoods: a vertex is excluded by a set F once some
-edge has all its other vertices in F. One rule, `_exclusions`, drives the
-engine's fingerprint scan, and one container rule, `_container_mask`, expands
-every fingerprint of all three builders (regular, almost-regular, r>=3) into
-its container: F plus each vertex outside F and its exclusions that would
-newly exclude fewer than tau vertices. Both scans are single pass, so the
-fingerprints of the independent sets are exactly the fixed points fp(F) == F,
-and these are prefix-closed: one depth-first walker, `_fixed_points`, lists
-them for every builder, pruning at the first vertex that brings too few new
+edge has all its other vertices in F. The graph scheme is the engine's r=2
+case, and every builder (regular, almost-regular, r>=3) runs on one list:
+what each vertex excludes when it joins a fingerprint, its neighborhood in a
+graph and its lone-vertex exclusions, `_exclusions`, in a hypergraph. One
+container rule expands every fingerprint into its container: F plus each
+vertex outside F and its exclusions that would newly exclude fewer than tau
+vertices. The fingerprint scan is single pass, so the fingerprints of the
+independent sets are exactly the fixed points fp(F) == F, and these are
+prefix-closed: one depth-first walker, `_fixed_points`, lists them for
+every builder, pruning at the first vertex that brings too few new
 exclusions (the algorithmic graph container lemma of Kleitman-Winston and
 Sapozhenko). The walk carries each fingerprint's heavy set, the vertices
 outside F and its exclusions that would newly exclude at least tau: the
@@ -31,10 +33,10 @@ assembles every collection; every walk is budgeted (`CANDIDATE_BUDGET`
 fingerprints per threshold), and past it the driver raises the threshold. A
 graph is walked on its own adjacency masks. Every collection's `locate` is
 one scan, `_locate`: the fingerprint scan of the set, then a lookup in the
-walk's map from fingerprint to container. The engine's per-set scans (one
-set's fingerprint, one fingerprint's container) are not in the library:
-`tests/oracles.py` holds them as the references the walk and `locate` are
-checked against.
+walk's map from fingerprint to container. The per-set scans of both
+schemes (one set's fingerprint, one fingerprint's container) are not in the
+library: `tests/oracles.py` holds them, the regular scheme's being the r=2
+case, as the references the walk and `locate` are checked against.
 
 A builder's caller may pass `keep(F, excluded, heavy)` to cut the walk: a
 fingerprint it rejects is skipped with its whole subtree. Exclusions only
@@ -134,37 +136,6 @@ def maximal_masks(masks: Iterable[int]) -> list[int]:
     return [~hole for hole in holes]
 
 
-def fingerprint(g: Graph, independent: VertexSet, params: ContainerParams) -> VertexSet:
-    """Scan the independent set in vertex-id order, keeping v when it has at
-    least epsilon*d neighbors outside the current fingerprint neighborhood."""
-    if not g.is_independent(independent.mask):
-        raise PreconditionError("input set is not independent")
-    tau = params.tau
-    nf = 0  # union of neighborhoods of the fingerprint so far
-    f = 0
-    for v in independent:
-        if (g.adj_mask[v] & ~nf).bit_count() >= tau:
-            f |= 1 << v
-            nf |= g.adj_mask[v]
-    return VertexSet(f)
-
-
-def container_of(g: Graph, fp: VertexSet, params: ContainerParams) -> VertexSet:
-    """F plus every vertex outside F and its neighborhood with fewer than
-    epsilon*d neighbors outside that neighborhood: the vertices the
-    fingerprint scan would have passed over."""
-    if not g.is_independent(fp.mask):
-        raise PreconditionError("fingerprint is not independent")
-    return VertexSet(
-        _container_mask(g.adj_mask, fp.mask, g.neighborhood_mask(fp.mask), params.tau)
-    )
-
-
-def container_sparsity(g: Graph, c: VertexSet) -> int:
-    """Number of edges of g induced inside the container."""
-    return g.induced_edge_count(c.mask)
-
-
 def _heavy(excludes: Sequence[int], candidates: int, excluded: int, threshold: float) -> int:
     """The vertices v of `candidates` whose `excludes[v]` holds at least
     `threshold` vertices not yet excluded."""
@@ -194,7 +165,8 @@ def _fixed_points(
     so a child's heavy set lies inside H(F) minus the child's new exclusions
     and its new vertex, and only those vertices are tested again. The
     container of F is what is neither excluded nor heavy, `full & ~(excluded
-    | H(F))`, the mask `_container_mask` gives. The fixed points are exactly
+    | H(F))`: F plus the vertices the fingerprint scan would have passed
+    over, which is the one container rule. The fixed points are exactly
     the fingerprints of the independent sets, each with at most n/threshold
     vertices. More than `CANDIDATE_BUDGET` of them raise SizeLimitError.
 
@@ -239,10 +211,9 @@ def build_regular_collection(
     anyway (coverage still holds, and so does the size bound, whose proof
     needs only regularity, though it may reach n); an edgeless graph is
     always flagged. The containers are those of the fingerprint fixed points
-    at threshold tau = ceil(epsilon*d), under the one container rule
-    `_container_mask`, which `container_of` applies too; `locate` is the
-    shared scan and lookup `_locate`, which gives
-    `container_of(g, fingerprint(g, I))`.
+    at threshold tau = ceil(epsilon*d), under the one container rule, and
+    `locate` is the shared scan and lookup `_locate`: this is the engine's
+    r=2 walk on g's adjacency masks, started at the scheme's tau.
 
     A walk past `CANDIDATE_BUDGET` fingerprints makes the driver raise tau,
     as it does for the engine. `stats["tau"]` is the walked threshold and
@@ -300,27 +271,18 @@ def build_regular_collection(
 
 # --- r-uniform hypergraph engine ------------------------------------------
 
-def _exclusions(h: Hypergraph, v: int, inside: int) -> int:
+def _exclusions(h: Hypergraph, v: int) -> int:
     """Vertices u such that some edge through v has every vertex except u in
-    `inside`: with v in `inside`, the vertices no independent superset of
-    `inside` can take. This one rule serves the fingerprint scan and the
-    container expansion; for r=2 it is the set of neighbors of v outside
-    `inside`."""
-    outside = ~inside
+    {v}: the vertices no independent set holding v can take, and what v
+    excludes on joining a fingerprint. For r=2 it is the set of neighbors of
+    v; for r>=3 it is empty."""
+    outside = ~(1 << v)
     out = 0
     for idx in h.incidence[v]:
         rest = h.edge_masks[idx] & outside
         if rest.bit_count() == 1:
             out |= rest
     return out
-
-
-def _container_mask(excludes: Sequence[int], f: int, excluded: int, tau: int) -> int:
-    """The engine's container rule: F plus every vertex v outside F and
-    `excluded` whose `excludes[v]` (what v excludes on joining F) holds fewer
-    than tau vertices not yet excluded."""
-    free = ((1 << len(excludes)) - 1) & ~(f | excluded)
-    return f | (free & ~_heavy(excludes, free, excluded, tau))
 
 
 def _locate(
@@ -332,7 +294,10 @@ def _locate(
     new exclusions, and F's container is looked up in `walked`. `excludes`
     holds the lone exclusion sets the walk uses, which are exactly what a
     fingerprint vertex excludes (F is independent at r=2 and empty at r>=3),
-    so F is a fixed point the walk listed."""
+    so F is a fixed point the walk listed. This is the library's only
+    fingerprint scan of a given set, for the regular scheme and the engine
+    alike; the per-set references it is tested against are in
+    `tests/oracles.py`."""
     mask = independent.mask
     if not structure.is_independent(mask):
         raise PreconditionError("input set is not independent")
@@ -477,7 +442,7 @@ def build_hypergraph_collection(
     if graph:
         excludes = structure.adj_mask
     else:
-        excludes = [_exclusions(structure, v, 1 << v) for v in range(structure.n)]
+        excludes = [_exclusions(structure, v) for v in range(structure.n)]
     # rounded first, as 1/(4/196) is 49.00000000000001 in floats
     tau = max(1, math.ceil(round(1.0 / ((r - 1) * p), 9)))
     return _collection(structure, excludes, tau, max_containers, "hypergraph", {"p": p}, keep)
@@ -517,7 +482,7 @@ def collection_report(coll: ContainerCollection, g: Graph) -> dict:
         report["params"] = {"epsilon": coll.params.epsilon, "d": coll.params.d, "q": coll.params.q}
     sparsities: dict[int, int] = {}
     for c in coll.containers:
-        s = container_sparsity(g, c)
+        s = g.induced_edge_count(c.mask)
         sparsities[s] = sparsities.get(s, 0) + 1
     report["sparsity_histogram"] = {str(k): v for k, v in sorted(sparsities.items())}
     return report

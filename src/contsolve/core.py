@@ -177,16 +177,6 @@ class Graph:
     def is_regular(self) -> bool:
         return self.n == 0 or all(len(a) == len(self.adj[0]) for a in self.adj)
 
-    def neighborhood_mask(self, vertices: int) -> int:
-        """Union of neighborhoods of the vertices in the given bitmask."""
-        out = 0
-        mask = vertices
-        while mask:
-            low = mask & -mask
-            out |= self.adj_mask[low.bit_length() - 1]
-            mask ^= low
-        return out
-
     def is_independent(self, vertices: int) -> bool:
         mask = vertices
         while mask:

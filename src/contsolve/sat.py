@@ -53,15 +53,6 @@ def build_literal_hypergraph(phi: CnfFormula) -> Hypergraph:
     return Hypergraph(2 * n, k, edges)
 
 
-def assignment_literal_set(phi: CnfFormula, assignment: dict[int, bool]) -> VertexSet:
-    """Vertices of the literals made true by a total assignment."""
-    mask = 0
-    for var in range(1, phi.num_vars + 1):
-        lit = var if assignment.get(var, False) else -var
-        mask |= 1 << literal_vertex(lit)
-    return VertexSet(mask)
-
-
 @dataclass
 class Restriction:
     """Formula after forcing every literal outside `kept` to false.

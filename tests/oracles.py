@@ -193,6 +193,16 @@ def is_k_colorable(g: Graph, k: int) -> bool:
     return rec(0)
 
 
+def assignment_literal_set(num_vars: int, assignment: dict[int, bool]) -> int:
+    """Bitmask of the literal vertices a total assignment makes true:
+    variable v (1-based) owns vertex 2(v-1) for x_v and 2(v-1)+1 for its
+    negation."""
+    mask = 0
+    for v in range(1, num_vars + 1):
+        mask |= 1 << (2 * (v - 1) + (not assignment[v]))
+    return mask
+
+
 def truth_table_sat(phi: CnfFormula) -> bool:
     for bits in range(1 << phi.num_vars):
         assignment = {v: bool((bits >> (v - 1)) & 1) for v in range(1, phi.num_vars + 1)}

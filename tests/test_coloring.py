@@ -6,7 +6,6 @@ import pytest
 
 from contsolve import coloring, partition
 from contsolve.coloring import (
-    BASELINE_CEILING,
     MAX_BASE_CONTAINERS,
     PAIR_ENTRY_COST,
     ColoringConfig,
@@ -77,7 +76,7 @@ class TestCountIsDp:
                 assert table.counts[local] == brute
 
     def test_ceiling(self):
-        g = Graph(BASELINE_CEILING + 1, [])
+        g = Graph(25, [])
         with pytest.raises(SizeLimitError):
             count_is_dp(g, _full(g))
 
@@ -386,14 +385,20 @@ class TestSolveKColoring:
         assert result.stats["dispatch"] == "pairs" and result.stats["pairs_tested"] == 1
         assert result.colorable
 
-    def test_whole_v_sum_keeps_the_baseline_ceiling(self):
-        # n = 27 prices at whole-V, and the container path's whole-V sum
-        # refuses it as the baseline does, before any table is built
-        g = random_graph(27, 0.7, 0)
-        for mode in ("baseline", "containers", "auto"):
-            with pytest.raises(SizeLimitError) as exc:
-                solve_kcoloring(g, 3, ColoringConfig(mode=mode))
-            assert exc.value.stage == "inclusion-exclusion"
+    def test_whole_v_sum_keeps_the_baseline_ceiling(self, monkeypatch):
+        # these graphs price at whole-V (G(25, 0.7, 0) takes the pairs), and
+        # the container path's whole-V sum refuses them as the baseline
+        # does, by the table's byte budget, before any table is started
+        def started(*args):
+            raise AssertionError("a table was started")
+
+        monkeypatch.setattr(coloring, "_restricted", started)
+        for n, seed in ((25, 1), (26, 1), (27, 0)):
+            g = random_graph(n, 0.7, seed)
+            for mode in ("baseline", "containers", "auto"):
+                with pytest.raises(SizeLimitError) as exc:
+                    solve_kcoloring(g, 3, ColoringConfig(mode=mode))
+                assert exc.value.stage == "inclusion-exclusion" and "bytes" in str(exc.value)
 
     def test_candidate_unions_stop_at_the_union_budget(self, monkeypatch):
         # the candidates are unions of 1..k-1 maximal base containers, one

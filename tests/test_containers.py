@@ -12,14 +12,11 @@ from contsolve.containers import (
     build_hypergraph_collection,
     build_regular_collection,
     collection_report,
-    container_of,
-    container_sparsity,
-    fingerprint,
     maximal_masks,
 )
 from contsolve.coloring import ColoringConfig, solve_kcoloring
 from contsolve.mis import MisConfig, mis_containers
-from contsolve.containers import _container_mask, _exclusions, _fixed_points, _walked_containers
+from contsolve.containers import _exclusions, _fixed_points, _locate, _walked_containers
 from contsolve.core import (
     Graph,
     Hypergraph,
@@ -44,28 +41,39 @@ from oracles import (
 EPS = 0.49  # close to the top of the valid range; keeps thresholds at ~d/2
 
 
+class _Fingerprints(dict):
+    """A walk map under which `_locate` returns the fingerprint it scanned."""
+
+    def __missing__(self, f):
+        return f
+
+
+def _scanned(g, eps, iset):
+    """The fingerprint the regular collection's `locate` scans I to."""
+    tau = build_regular_collection(g, eps, force=True).stats["tau"]
+    return _locate(g, g.adj_mask, tau, _Fingerprints(), iset)
+
+
 class TestFingerprint:
+    """The regular scheme's scan, as `locate` runs it: v joins F when it
+    brings at least tau = ceil(epsilon*d) neighbors outside F's
+    neighborhood."""
+
     def test_c4_hand_example(self):
-        g = cycle_graph(4)
-        p = ContainerParams(epsilon=0.5 - 1e-12, d=2.0)
-        f = fingerprint(g, VertexSet.of([0, 2]), p)
+        # tau = 1: 0 joins, then 2 brings no new neighbor
+        f = _scanned(cycle_graph(4), 0.5 - 1e-12, VertexSet.of([0, 2]))
         assert f.to_list() == [0]
 
     def test_empty_set(self):
-        g = cycle_graph(4)
-        p = ContainerParams(epsilon=0.25, d=2.0)
-        assert fingerprint(g, VertexSet(0), p).mask == 0
+        assert _scanned(cycle_graph(4), 0.25, VertexSet(0)).mask == 0
 
     def test_k2_single_vertex(self):
-        g = complete_graph(2)
-        p = ContainerParams(epsilon=0.5 - 1e-12, d=1.0)
-        assert fingerprint(g, VertexSet.of([0]), p).to_list() == [0]
+        assert _scanned(complete_graph(2), 0.5 - 1e-12, VertexSet.of([0])).to_list() == [0]
 
     def test_rejects_dependent_set(self):
-        g = complete_graph(3)
-        p = ContainerParams(epsilon=0.25, d=2.0)
+        coll = build_regular_collection(complete_graph(3), 0.25, force=True)
         with pytest.raises(PreconditionError):
-            fingerprint(g, VertexSet.of([0, 1]), p)
+            coll.locate(VertexSet.of([0, 1]))
 
     def test_epsilon_range_enforced(self):
         for bad in (0.0, 0.5, 0.7, -0.1):
@@ -88,20 +96,23 @@ class TestFingerprint:
 
 
 class TestContainerOf:
+    """The regular scheme's container rule, as `locate` returns it: F plus
+    every vertex outside F and its neighborhood bringing fewer than tau new
+    neighbors."""
+
     def test_c4_hand_example(self):
-        g = cycle_graph(4)
-        p = ContainerParams(epsilon=0.5 - 1e-12, d=2.0)
-        assert container_of(g, VertexSet.of([0]), p).to_list() == [0, 2]
+        coll = build_regular_collection(cycle_graph(4), 0.5 - 1e-12, force=True)
+        for iset in ([0], [0, 2]):
+            assert coll.locate(VertexSet.of(iset)).to_list() == [0, 2]
 
     def test_empty_fingerprint(self):
-        g = cycle_graph(4)
-        p = ContainerParams(epsilon=0.25, d=2.0)
-        assert container_of(g, VertexSet(0), p).mask == 0
+        # every vertex brings 2 >= tau = 1 new neighbors to the empty F
+        coll = build_regular_collection(cycle_graph(4), 0.25, force=True)
+        assert coll.locate(VertexSet(0)).mask == 0
 
     def test_k2(self):
-        g = complete_graph(2)
-        p = ContainerParams(epsilon=0.5 - 1e-12, d=1.0)
-        assert container_of(g, VertexSet.of([0]), p).to_list() == [0]
+        coll = build_regular_collection(complete_graph(2), 0.5 - 1e-12, force=True)
+        assert coll.locate(VertexSet.of([0])).to_list() == [0]
 
 
 def _coverage_instances():
@@ -152,12 +163,14 @@ class TestRegularCollection:
             coll = build_regular_collection(g, EPS, force=True)
             members = {c.mask for c in coll.containers}
             size_bound = (1.0 / (2.0 - EPS) + params.q) * g.n
+            # the oracles' r=2 scans are the regular scheme's per-set scans
+            h = Hypergraph(g.n, 2, g.edges)
             for iset in all_independent_sets(g):
                 ivs = VertexSet(iset)
                 assert ivs.cardinality <= g.n / 2  # regular graphs only
-                f = fingerprint(g, ivs, params)
+                f = hypergraph_fingerprint(h, ivs, params.tau)
                 assert f.cardinality <= params.q * g.n
-                cont = container_of(g, f, params)
+                cont = hypergraph_container(h, f, params.tau)
                 assert iset & ~cont.mask == 0
                 assert cont.mask in members
                 assert cont.cardinality <= size_bound + 1e-9
@@ -167,7 +180,11 @@ class TestRegularCollection:
             d = g.degree(0)
             coll = build_regular_collection(g, EPS, force=True)
             for c in coll.containers:
-                assert container_sparsity(g, c) <= EPS * d * g.n + 1e-9
+                assert g.induced_edge_count(c.mask) <= EPS * d * g.n + 1e-9
+            # the report's histogram counts each container's edges
+            inside = [sum(c.mask >> u & c.mask >> v & 1 for u, v in g.edges) for c in coll.containers]
+            histogram = {str(s): inside.count(s) for s in sorted(set(inside))}
+            assert collection_report(coll, g)["sparsity_histogram"] == histogram
 
     def test_deterministic_output(self):
         g = random_regular_graph(12, 4, 3)
@@ -414,19 +431,19 @@ class TestFixedPointWalk:
         for g in _coverage_instances():
             for eps in (0.2, 0.25, 0.3, EPS):
                 coll = build_regular_collection(g, eps, force=True)
-                params = coll.params
+                params, h = coll.params, Hypergraph(g.n, 2, g.edges)
                 isets = all_independent_sets(g)
-                fps = {fingerprint(g, VertexSet(i), params).mask for i in isets}
+                fps = {hypergraph_fingerprint(h, VertexSet(i), params.tau).mask for i in isets}
                 walked = [f for f, _, _ in _fixed_points(g.adj_mask, params.epsilon * params.d)]
                 assert len(walked) == len(set(walked)) and set(walked) == fps
                 assert coll.stats["candidate_count"] == len(fps)
                 images = {coll.locate(VertexSet(i)).mask for i in isets}
                 assert {c.mask for c in coll.containers} == images
                 assert not coll.stats["vacuous"]
-                # the shared scan gives the per-set API's container
+                # the shared scan gives the per-set reference's container
                 for i in isets:
-                    fp = fingerprint(g, VertexSet(i), params)
-                    assert coll.locate(VertexSet(i)) == container_of(g, fp, params)
+                    fp = hypergraph_fingerprint(h, VertexSet(i), params.tau)
+                    assert coll.locate(VertexSet(i)) == hypergraph_container(h, fp, params.tau)
 
     def test_integer_threshold_keeps_locate_images_members(self):
         # epsilon*d = 2 exactly: a vertex bringing exactly 2 new neighbors is
@@ -486,8 +503,9 @@ class TestFixedPointWalk:
 
 def _assert_walk_matches_container_rule(excludes, tau):
     """Every walked fingerprint carries its heavy set, and the container the
-    walk reads off it is the one `_container_mask` gives. Returns the number
-    of fingerprints walked."""
+    walk reads off it is the one container rule's: F plus every vertex
+    outside F and its exclusions that is not heavy. Returns the number of
+    fingerprints walked."""
     full = (1 << len(excludes)) - 1
     walked = 0
     for f, excluded, heavy in _fixed_points(excludes, tau):
@@ -496,7 +514,8 @@ def _assert_walk_matches_container_rule(excludes, tau):
             if not (f | excluded) >> v & 1 and (excludes[v] & ~excluded).bit_count() >= tau:
                 expected_heavy |= 1 << v
         assert heavy == expected_heavy
-        assert full & ~(excluded | heavy) == _container_mask(excludes, f, excluded, tau)
+        free = full & ~(f | excluded)
+        assert full & ~(excluded | heavy) == f | (free & ~expected_heavy)
         walked += 1
     return walked
 
@@ -525,7 +544,7 @@ class TestHeavySetWalk:
         for seed in range(20):
             n = rng.randint(5, 12)
             h = _random_hypergraph(n, 3, rng.randint(n, 3 * n), seed)
-            excludes = [_exclusions(h, v, 1 << v) for v in range(n)]
+            excludes = [_exclusions(h, v) for v in range(n)]
             for tau in (1, 2, 3):
                 assert _assert_walk_matches_container_rule(excludes, tau) == 1
                 walked = _walked_containers(excludes, tau)

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contsolve import partition
-from contsolve.containers import ContainerCollection, ContainerParams, container_of, maximal_masks
+from contsolve.containers import ContainerCollection, ContainerParams, maximal_masks
 from contsolve.core import (
     Graph,
+    Hypergraph,
     ParameterError,
     SizeLimitError,
     VertexSet,
@@ -28,7 +29,7 @@ from contsolve.partition import (
     uncovered_edges,
     venn_refinement,
 )
-from oracles import all_independent_sets
+from oracles import all_independent_sets, hypergraph_container
 
 
 def _intersection(universe_n, subsets, indices):
@@ -176,14 +177,17 @@ class TestBoundaryIntersectionBound:
             if n * d % 2:
                 n += 1
             g = random_regular_graph(n, d, rng.randrange(10**6))
-            params = ContainerParams(epsilon=0.49, d=float(d))
+            h, tau = Hypergraph(g.n, 2, g.edges), ContainerParams(epsilon=0.49, d=float(d)).tau
             isets = all_independent_sets(g)
             fps = [VertexSet(rng.choice(isets)) for _ in range(rng.randint(1, 4))]
             union_b = 0
             inter_n = (1 << g.n) - 1
             for f in fps:
-                union_b |= (container_of(g, f, params) - f).mask
-                inter_n &= g.neighborhood_mask(f.mask)
+                union_b |= (hypergraph_container(h, f, tau) - f).mask
+                neighbors = 0
+                for v in f:
+                    neighbors |= g.adj_mask[v]
+                inter_n &= neighbors
             assert union_b.bit_count() <= g.n - inter_n.bit_count()
 
 

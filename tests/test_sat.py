@@ -16,7 +16,6 @@ from contsolve.containers import build_hypergraph_collection
 from contsolve.sat import (
     SatConfig,
     StructureParams,
-    assignment_literal_set,
     build_literal_hypergraph,
     dpll,
     extract_structure,
@@ -24,7 +23,12 @@ from contsolve.sat import (
     restrict_formula,
     solve_ksat_dense,
 )
-from oracles import greedy_structure_rescan, hypergraph_independent_sets, truth_table_sat
+from oracles import (
+    assignment_literal_set,
+    greedy_structure_rescan,
+    hypergraph_independent_sets,
+    truth_table_sat,
+)
 
 
 class TestLiteralHypergraph:
@@ -73,8 +77,8 @@ class TestLiteralHypergraph:
             independent = set(hypergraph_independent_sets(h))
             for bits in range(1 << n):
                 assignment = {v: bool((bits >> (v - 1)) & 1) for v in range(1, n + 1)}
-                lits = assignment_literal_set(phi, assignment)
-                assert phi.is_satisfied_by(assignment) == (lits.mask in independent)
+                lits = assignment_literal_set(n, assignment)
+                assert phi.is_satisfied_by(assignment) == (lits in independent)
 
 
 class TestRestriction:
