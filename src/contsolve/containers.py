@@ -7,13 +7,15 @@ engine for r-uniform hypergraphs built on the same idea, with exclusions
 playing the role of neighborhoods: a vertex is excluded by a set F once some
 edge has all its other vertices in F. The graph scheme is the engine's r=2
 case, and every builder (regular, almost-regular, r>=3) runs on one list:
-what each vertex excludes when it joins a fingerprint, its neighborhood in a
-graph and its lone-vertex exclusions, `_exclusions`, in a hypergraph. One
-container rule expands every fingerprint into its container: F plus each
-vertex outside F and its exclusions that would newly exclude fewer than tau
-vertices. The fingerprint scan is single pass, so the fingerprints of the
-independent sets are exactly the fixed points fp(F) == F, and these are
-prefix-closed: one depth-first walker, `_fixed_points`, lists them for
+what each vertex excludes when it joins a fingerprint. In a graph that is
+its neighborhood, its adjacency mask; a hypergraph's lists are read in one
+pass over its edges, each 2-edge's ends excluding each other, and at r>=3 a
+lone vertex excludes nothing, as an edge through it has r-1 >= 2 other
+vertices. One container rule expands every fingerprint into its container:
+F plus each vertex outside F and its exclusions that would newly exclude
+fewer than tau vertices. The fingerprint scan is single pass, so the
+fingerprints of the independent sets are exactly the fixed points fp(F) ==
+F, and these are prefix-closed: one depth-first walker, `_fixed_points`, lists them for
 every builder, pruning at the first vertex that brings too few new
 exclusions (the algorithmic graph container lemma of Kleitman-Winston and
 Sapozhenko). The walk carries each fingerprint's heavy set, the vertices
@@ -271,20 +273,6 @@ def build_regular_collection(
 
 # --- r-uniform hypergraph engine ------------------------------------------
 
-def _exclusions(h: Hypergraph, v: int) -> int:
-    """Vertices u such that some edge through v has every vertex except u in
-    {v}: the vertices no independent set holding v can take, and what v
-    excludes on joining a fingerprint. For r=2 it is the set of neighbors of
-    v; for r>=3 it is empty."""
-    outside = ~(1 << v)
-    out = 0
-    for idx in h.incidence[v]:
-        rest = h.edge_masks[idx] & outside
-        if rest.bit_count() == 1:
-            out |= rest
-    return out
-
-
 def _locate(
     structure: Graph | Hypergraph, excludes: Sequence[int], tau: int, walked: dict[int, int],
     independent: VertexSet,
@@ -314,20 +302,23 @@ def _locate(
 
 def _walked_containers(
     excludes: Sequence[int], tau: int, keep: Keep | None = None, limit: int | None = None
-) -> dict[int, int] | None:
+) -> tuple[dict[int, int] | None, int]:
     """The map from each fingerprint walked at threshold tau to its
-    container mask. With `limit`, the walk stops, and the map is None, as
-    soon as it holds more than `limit` distinct containers over more than
-    one fingerprint."""
+    container mask, and the number of subtrees `keep` cut. With `limit`, the
+    walk stops, and the map is None, as soon as it holds more than `limit`
+    distinct containers over more than one fingerprint."""
     full = (1 << len(excludes)) - 1
     walked: dict[int, int] = {}
     distinct = set()
-    for f, excluded, heavy in _fixed_points(excludes, tau, keep):
+    cut: list[int] = []  # the fingerprints `keep` rejected, each with its subtree
+    # keep, recording each rejection (append returns None, which rejects)
+    counted = keep and (lambda f, excluded, heavy: keep(f, excluded, heavy) or cut.append(f))
+    for f, excluded, heavy in _fixed_points(excludes, tau, counted):
         container = walked[f] = full & ~(excluded | heavy)
         distinct.add(container)
         if limit is not None and len(distinct) > limit and len(walked) > 1:
-            return None
-    return walked
+            return None, len(cut)
+    return walked, len(cut)
 
 
 def _collection(
@@ -350,24 +341,10 @@ def _collection(
     With `keep`, `stats["cut"]` counts the subtrees the final walk skipped,
     when there are any, and the collection has no `locate`."""
     full = (1 << len(excludes)) - 1
-
-    def walk(tau: int, limit: int | None = None) -> tuple[dict[int, int] | None, int]:
-        cut = 0
-
-        def counted(f, excluded, heavy):
-            nonlocal cut
-            if keep(f, excluded, heavy):
-                return True
-            cut += 1
-            return False
-
-        walked = _walked_containers(excludes, tau, counted if keep else None, limit)
-        return walked, cut
-
     abandoned = []  # thresholds whose walk passed max_containers
     while True:
         try:
-            walked, cut = walk(tau, max_containers)
+            walked, cut = _walked_containers(excludes, tau, keep, max_containers)
         except SizeLimitError:
             pass
         else:
@@ -381,7 +358,7 @@ def _collection(
         # fits the budget, even if it overshoots the requested collection size
         for informative in reversed(abandoned):
             try:
-                walked, cut = walk(informative)
+                walked, cut = _walked_containers(excludes, informative, keep)
             except SizeLimitError:
                 continue
             tau = informative
@@ -424,12 +401,13 @@ def build_hypergraph_collection(
     final tau are in the stats.
 
     What a vertex excludes on joining a fingerprint is its lone-vertex
-    exclusion set: at r=2 its neighborhood, and at r>=3 nothing, since an
-    edge through v has r-1 >= 2 other vertices. So at r>=3 no vertex joins
-    the empty fingerprint, every `locate` image is V and the collection is
-    {V}, which `stats["vacuous"]` reports. At r=2 a collection holds V only
-    when it is {V}. `keep` cuts the walk as in `_fixed_points`; see
-    `_collection`.
+    exclusion set, read in one pass over the edges: at r=2 the other end of
+    each edge through it (its neighborhood; a repeated edge adds nothing
+    new), and at r>=3 nothing, since an edge through v has r-1 >= 2 other
+    vertices. So at r>=3 no vertex joins the empty fingerprint, every
+    `locate` image is V and the collection is {V}, which `stats["vacuous"]`
+    reports. At r=2 a collection holds V only when it is {V}. `keep` cuts
+    the walk as in `_fixed_points`; see `_collection`.
     """
     if not 0 < p <= 1:
         raise ParameterError(f"p must be in (0, 1], got {p}")
@@ -442,7 +420,13 @@ def build_hypergraph_collection(
     if graph:
         excludes = structure.adj_mask
     else:
-        excludes = [_exclusions(structure, v) for v in range(structure.n)]
+        # each end of a 2-edge excludes the other; at r>=3 nothing is excluded
+        excludes = [0] * structure.n
+        if r == 2:
+            for mask in structure.edge_masks:
+                low = mask & -mask
+                excludes[low.bit_length() - 1] |= mask ^ low
+                excludes[mask.bit_length() - 1] |= low
     # rounded first, as 1/(4/196) is 49.00000000000001 in floats
     tau = max(1, math.ceil(round(1.0 / ((r - 1) * p), 9)))
     return _collection(structure, excludes, tau, max_containers, "hypergraph", {"p": p}, keep)

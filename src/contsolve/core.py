@@ -229,7 +229,7 @@ class Hypergraph:
     count with multiplicity in co-degree queries.
     """
 
-    __slots__ = ("n", "r", "edges", "edge_masks", "incidence")
+    __slots__ = ("n", "r", "edges", "edge_masks")
 
     def __init__(self, n: int, r: int, edges):
         if r < 1:
@@ -262,17 +262,12 @@ class Hypergraph:
 
 def _fill_hypergraph(h: Hypergraph, n: int, r: int, edges: list, masks: list) -> None:
     """Set a Hypergraph's fields from checked parts: its edges as sorted
-    r-tuples of distinct vertices below n, and their masks. Builds only
-    `incidence`."""
-    incidence = [[] for _ in range(n)]
-    for idx, e in enumerate(edges):
-        for v in e:
-            incidence[v].append(idx)
+    r-tuples of distinct vertices below n, and their masks, both taken as
+    they are."""
     object.__setattr__(h, "n", n)
     object.__setattr__(h, "r", r)
     object.__setattr__(h, "edges", tuple(edges))
     object.__setattr__(h, "edge_masks", tuple(masks))
-    object.__setattr__(h, "incidence", tuple(map(tuple, incidence)))
 
 
 def max_codegree(h: Hypergraph, i: int) -> int:
@@ -414,13 +409,17 @@ def parse_dimacs_graph(text) -> Graph:
 
 
 def parse_dimacs_cnf(text) -> CnfFormula:
-    """Parse DIMACS CNF; clauses are zero-terminated and may span lines."""
+    """Parse DIMACS CNF; clauses are zero-terminated and may span lines. A
+    line starting with `%` ends the input, as in SATLIB files, which close
+    with a `%` line and then `0`."""
     n = m = None
     clauses: list[list[int]] = []
     current: list[int] = []
     for lineno, raw in enumerate(_decode_lines(text), start=1):
         line = raw.strip()
-        if not line or line.startswith(("c", "%")):
+        if line.startswith("%"):
+            break
+        if not line or line.startswith("c"):
             continue
         parts = line.split()
         if parts[0] == "p":

@@ -14,9 +14,10 @@ vertices.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import Graph, ParameterError, SizeLimitError, VertexSet
 from .containers import (
@@ -43,13 +44,12 @@ class RefinementResult:
     matching_size: int = 0  # populated by matching_refinement
 
 
-def _membership_code(v: int, subsets: list[VertexSet]) -> int:
-    """Bit i set iff v is in subsets[i]."""
-    code = 0
-    for i, s in enumerate(subsets):
-        if v in s:
-            code |= 1 << i
-    return code
+def _most_frequent_code(vertices: Iterable[int], subsets: list[VertexSet]) -> int:
+    """The most frequent membership vector over `vertices`, encoded with bit
+    i set for membership in subsets[i]; ties go to the smallest code, and no
+    vertices give 0."""
+    freq = Counter(sum(1 << i for i, s in enumerate(subsets) if v in s) for v in vertices)
+    return min(freq, key=lambda code: (-freq[code], code), default=0)
 
 
 def venn_refinement(universe_n: int, subsets: list[VertexSet]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -60,11 +60,7 @@ def venn_refinement(universe_n: int, subsets: list[VertexSet]) -> tuple[tuple[in
     smallest vector encoded with bit i as membership in subsets[i]."""
     if not subsets:
         raise ParameterError("need at least one subset")
-    freq: dict[int, int] = {}
-    for v in range(universe_n):
-        code = _membership_code(v, subsets)
-        freq[code] = freq.get(code, 0) + 1
-    best = min(freq.items(), key=lambda kv: (-kv[1], kv[0]))[0] if freq else 0
+    best = _most_frequent_code(range(universe_n), subsets)
     k = len(subsets)
     a = tuple(i for i in range(k) if (best >> i) & 1)
     b = tuple(i for i in range(k) if not (best >> i) & 1)
@@ -107,11 +103,7 @@ def matching_refinement(g: Graph, subsets: list[VertexSet]) -> RefinementResult:
     if not matching:
         raise RefinementUnavailableError("every edge lies inside some subset")
     k = len(subsets)
-    freq: dict[int, int] = {}
-    for e0, _ in matching:
-        code = _membership_code(e0, subsets)
-        freq[code] = freq.get(code, 0) + 1
-    best = min(freq.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+    best = _most_frequent_code((e0 for e0, _ in matching), subsets)
     a = tuple(i for i in range(k) if not (best >> i) & 1)
     b = tuple(i for i in range(k) if (best >> i) & 1)
     parts = []

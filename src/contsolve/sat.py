@@ -206,10 +206,14 @@ def _greedy_edges(h: Hypergraph, d: int) -> tuple[list[int], list[int], int, int
     picked = retired = 0
     degree = [0] * h.n
     eprime: list[int] = []
+    incidence: list[list[int]] = [[] for _ in range(h.n)]  # each vertex's edge indices
+    for idx, e in enumerate(h.edges):
+        for v in e:
+            incidence[v].append(idx)
     for v in range(h.n):
         if (retired >> v) & 1:
             continue
-        residual = [i for i in h.incidence[v] if not h.edge_masks[i] & retired]
+        residual = [i for i in incidence[v] if not h.edge_masks[i] & retired]
         if len(residual) < d:
             continue
         picked |= 1 << v
@@ -285,7 +289,8 @@ def solve_ksat_dense(
     elif phi.k < 2:
         reason = "clause width below 2"
     elif phi.k >= 3 and config.mode == "auto":
-        # `_exclusions` gives nothing at r >= 3, so the collection is {V}
+        # a lone literal excludes nothing at r >= 3, so the engine's
+        # collection (`build_hypergraph_collection`) is {V}
         reason = "clause width 3 or more: the only container is every literal"
     else:
         structure = extract_structure(build_literal_hypergraph(phi), params)

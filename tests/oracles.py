@@ -258,7 +258,8 @@ def greedy_structure_rescan(h: Hypergraph, d: int) -> tuple[list[int], int]:
     while True:
         for v in range(h.n):
             residual = [
-                i for i in h.incidence[v] if i not in moved and not h.edge_masks[i] & retired
+                i for i, e in enumerate(h.edges)
+                if v in e and i not in moved and not h.edge_masks[i] & retired
             ]
             if not retired >> v & 1 and len(residual) >= d:
                 break

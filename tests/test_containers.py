@@ -16,7 +16,7 @@ from contsolve.containers import (
 )
 from contsolve.coloring import ColoringConfig, solve_kcoloring
 from contsolve.mis import MisConfig, mis_containers
-from contsolve.containers import _exclusions, _fixed_points, _locate, _walked_containers
+from contsolve.containers import _fixed_points, _locate, _walked_containers
 from contsolve.core import (
     Graph,
     Hypergraph,
@@ -31,6 +31,7 @@ from contsolve.core import (
     random_regular_graph,
 )
 from oracles import (
+    _exclusions,
     all_independent_sets,
     collection_driver,
     hypergraph_container,
@@ -358,7 +359,8 @@ class TestHypergraphEngine:
     def test_graph_builds_as_its_two_uniform_hypergraph(self, monkeypatch):
         # a Graph is walked on its adjacency masks; the collection, its stats
         # and its locate images are those of the same edges as a 2-uniform
-        # hypergraph, with and without the driver raising tau
+        # hypergraph, with some edges repeated or not (as repeated 2-clauses
+        # give), with and without the driver raising tau
         default = containers.CANDIDATE_BUDGET
         rng = random.Random(71)
         cases = 0
@@ -366,15 +368,18 @@ class TestHypergraphEngine:
             g = random_graph(rng.randint(2, 12), rng.choice([0.2, 0.35, 0.5, 0.7]), rng.randrange(10**6))
             if g.m == 0:
                 continue
-            h = Hypergraph(g.n, 2, g.edges)
+            repeated = list(g.edges) + rng.choices(g.edges, k=rng.randint(1, g.m))
+            rng.shuffle(repeated)
+            hs = (Hypergraph(g.n, 2, g.edges), Hypergraph(g.n, 2, repeated))
             p = rng.choice([0.25, 0.5, 1.0])
             for budget, kwargs in ((default, {}), (default, {"max_containers": 2}), (3, {})):
                 monkeypatch.setattr(containers, "CANDIDATE_BUDGET", budget)
                 a = build_hypergraph_collection(g, p, **kwargs)
-                b = build_hypergraph_collection(h, p, **kwargs)
-                assert a.containers == b.containers and a.stats == b.stats
-                for iset in all_independent_sets(g):
-                    assert a.locate(VertexSet(iset)) == b.locate(VertexSet(iset))
+                for h in hs:
+                    b = build_hypergraph_collection(h, p, **kwargs)
+                    assert a.containers == b.containers and a.stats == b.stats
+                    for iset in all_independent_sets(g):
+                        assert a.locate(VertexSet(iset)) == b.locate(VertexSet(iset))
             u, v = g.edges[0]
             with pytest.raises(PreconditionError):
                 a.locate(VertexSet(1 << u | 1 << v))
@@ -453,7 +458,7 @@ class TestFixedPointWalk:
         coll = build_regular_collection(g, 0.4, force=True)
         assert coll.params.epsilon * coll.params.d == 2.0
         members = {c.mask for c in coll.containers}
-        walked = _walked_containers(g.adj_mask, coll.params.tau)
+        walked, _ = _walked_containers(g.adj_mask, coll.params.tau)
         assert members == set(walked.values())
         for iset in all_independent_sets(g):
             cont = coll.locate(VertexSet(iset))
@@ -544,10 +549,10 @@ class TestHeavySetWalk:
         for seed in range(20):
             n = rng.randint(5, 12)
             h = _random_hypergraph(n, 3, rng.randint(n, 3 * n), seed)
-            excludes = [_exclusions(h, v) for v in range(n)]
+            excludes = [_exclusions(h, v, 1 << v) for v in range(n)]
             for tau in (1, 2, 3):
                 assert _assert_walk_matches_container_rule(excludes, tau) == 1
-                walked = _walked_containers(excludes, tau)
+                walked, _ = _walked_containers(excludes, tau)
                 assert (len(walked), set(walked.values())) == (1, {(1 << n) - 1})
 
 
@@ -629,18 +634,7 @@ class TestEarlyStopDriver:
 
     @staticmethod
     def _reference(g, p, max_containers, keep):
-        def walk(tau):
-            cut = 0
-
-            def counted(f, excluded, heavy):
-                nonlocal cut
-                if keep(f, excluded, heavy):
-                    return True
-                cut += 1
-                return False
-
-            return _walked_containers(g.adj_mask, tau, counted if keep else None), cut
-
+        walk = partial(_walked_containers, g.adj_mask, keep=keep)
         start = max(1, math.ceil(round(1.0 / p, 9)))
         return collection_driver(walk, start, max_containers, (1 << g.n) - 1)
 
@@ -676,7 +670,7 @@ class TestEarlyStopDriver:
                 # tau = 1 was abandoned, and its whole walk overflows
                 stopped = overflowed = False
                 try:
-                    stopped = _walked_containers(g.adj_mask, 1, keep, max_containers) is None
+                    stopped = _walked_containers(g.adj_mask, 1, keep, max_containers)[0] is None
                     _walked_containers(g.adj_mask, 1, keep)
                 except SizeLimitError:
                     overflowed = True
@@ -685,17 +679,21 @@ class TestEarlyStopDriver:
 
     def test_a_walk_stops_past_its_limit(self, monkeypatch):
         g = random_graph(14, 0.5, 7)
-        whole = _walked_containers(g.adj_mask, 2)
+        whole, cut = _walked_containers(g.adj_mask, 2)
         distinct = len(set(whole.values()))
-        assert _walked_containers(g.adj_mask, 2, None, distinct) == whole
-        assert _walked_containers(g.adj_mask, 2, None, distinct - 1) is None
+        assert cut == 0
+        # rejecting every fingerprint cuts each child of the root: its heavy vertices
+        heavy = sum(m.bit_count() >= 2 for m in g.adj_mask)
+        assert _walked_containers(g.adj_mask, 2, lambda *args: False)[1] == heavy > 0
+        assert _walked_containers(g.adj_mask, 2, None, distinct) == (whole, 0)
+        assert _walked_containers(g.adj_mask, 2, None, distinct - 1) == (None, 0)
         # the walk stops before the budget it would overflow in full
         monkeypatch.setattr(containers, "CANDIDATE_BUDGET", len(whole) - 1)
         with pytest.raises(SizeLimitError):
             _walked_containers(g.adj_mask, 2)
-        assert _walked_containers(g.adj_mask, 2, None, 1) is None
+        assert _walked_containers(g.adj_mask, 2, None, 1) == (None, 0)
         # a lone fingerprint is never over the limit
-        assert _walked_containers(g.adj_mask, g.n, None, 0) == {0: (1 << g.n) - 1}
+        assert _walked_containers(g.adj_mask, g.n, None, 0) == ({0: (1 << g.n) - 1}, 0)
 
 
 class TestAlmostRegular:

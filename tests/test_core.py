@@ -287,6 +287,19 @@ class TestCnfParsing:
         phi = random_ksat_formula(6, 10, 3, seed=1)
         assert parse_dimacs_cnf(phi.to_dimacs()) == phi
 
+    def test_percent_line_ends_the_input(self):
+        # SATLIB files close with a `%` line and then `0`; nothing after the
+        # `%` line is read, and the clause checks still apply before it
+        body = "p cnf 3 2\n1 -2 3 0\n-1 2 0\n"
+        assert parse_dimacs_cnf(body + "%\n0\n").clauses == ((1, -2, 3), (-1, 2))
+        assert parse_dimacs_cnf(body + " %\nnot dimacs\n").clauses == ((1, -2, 3), (-1, 2))
+        with pytest.raises(ParseError, match="unterminated clause"):
+            parse_dimacs_cnf("p cnf 3 2\n1 -2 3 0\n-1 2\n%\n0\n")
+        with pytest.raises(ParseError, match="header declares 3 clauses, found 2"):
+            parse_dimacs_cnf("p cnf 3 3\n1 -2 3 0\n-1 2 0\n%\n0\n")
+        with pytest.raises(ParseError, match="missing header"):
+            parse_dimacs_cnf("%\np cnf 3 0\n")
+
 
 class TestGenerators:
     def test_k4_unique_cubic(self):

@@ -187,7 +187,7 @@ class TestExtractStructure:
         assert len(result.hypergraph.edges) >= h.n
         # every vertex of the extracted structure keeps degree <= (r+1) D
         sub = Hypergraph(h.n, 3, list(result.hypergraph.edges))
-        assert max(len(sub.incidence[v]) for v in range(h.n)) <= 4 * 3
+        assert max(sum(v in e for e in sub.edges) for v in range(h.n)) <= 4 * 3
 
     def test_codegree_gate(self):
         # a tight cluster of triples through one fixed pair has huge pair
@@ -218,8 +218,8 @@ class TestExtractStructure:
             for v in range(n):
                 if not retired >> v & 1:
                     residual = [
-                        i for i in h.incidence[v]
-                        if i not in eprime and not h.edge_masks[i] & retired
+                        i for i, e in enumerate(h.edges)
+                        if v in e and i not in eprime and not h.edge_masks[i] & retired
                     ]
                     assert len(residual) < d
 
