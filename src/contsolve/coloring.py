@@ -8,7 +8,10 @@ either runs the plain 2^n sum (baseline) or prices the pairs of unions of
 independence containers against it and tests the pairs, with per-pair color
 counts, only when they cost less (containers, and auto). The sums are
 exact big integers throughout: positivity hinges on sign cancellation, so
-no modular shortcuts.
+no modular shortcuts. A "yes" becomes a coloring by contraction: one color
+class at a time, each vertex joining it by one sum on the uncolored
+vertices with the class merged into one, so no certificate sum is on more
+than n - 1 vertices.
 
 The IS-count table is one Python int of 8-, 16- or 32-bit fields, built
 one block per vertex by a few big-int operations, and read out as an
@@ -30,7 +33,7 @@ from .containers import build_almost_regular_collection, maximal_masks
 from .core import MEMORY_BUDGET_BYTES, Graph, ParameterError, SizeLimitError, VertexSet, _over_budget
 # eval_k2 is not called here: perfbench's tracer test checks that a name
 # bound by `from .extsum import` is patched, and names this one
-from .extsum import TABLE_ENTRY_CEILING, ExtSumInstance, eval_k2, evaluate, reduce_refinement  # noqa: F401
+from .extsum import ExtSumInstance, eval_k2, evaluate, reduce_refinement  # noqa: F401
 from .partition import container_unions
 
 # Cost of one covering-pair test, all k-1 color counts, per unit of
@@ -40,6 +43,11 @@ from .partition import container_unions
 # caches, best of 3: median 2.01 over 384 pairs, quartiles 1.72-2.41, range
 # 1.04-7.78 (2-CPU machine; two more 384-pair runs had medians 1.97).
 PAIR_ENTRY_COST = 2
+# peak bytes of one covering-pair test, all k-1 color counts, cold table
+# caches, per entry of its 2^|X| + 2^|Y|: 50-133 by tracemalloc over 87
+# random covering pairs of G(n, 0.3) and G(n, 0.6), n = 16-22, k = 2-24
+# (64-bit CPython 3.11), as the signed tables are tuples of Python ints
+PAIR_TABLE_PEAK_FACTOR = 136
 # peak bytes of a count_is_dp build over the bytes of its finished array:
 # 2.69-2.75 by tracemalloc at w = 20-22 (64-bit CPython 3.11)
 IS_TABLE_PEAK_FACTOR = 3
@@ -234,6 +242,13 @@ class ColoringResult:
     stats: dict = field(default_factory=dict)
 
 
+def _pair_bytes(x: int, y: int) -> int:
+    """Bytes a covering-pair test with sides of x and y vertices may hold.
+    At 256 MiB a pair of two 20-vertex sides is over budget, far below
+    extsum's TABLE_ENTRY_CEILING of 2^24 entries per table."""
+    return PAIR_TABLE_PEAK_FACTOR * ((1 << x) + (1 << y))
+
+
 def _decide_containers(g: Graph, k: int, stats: dict) -> bool:
     """Container-pair decision.
 
@@ -248,27 +263,27 @@ def _decide_containers(g: Graph, k: int, stats: dict) -> bool:
 
     The covering pairs are priced first, at PAIR_ENTRY_COST * (k-1)(2^|X| +
     2^|Y|) each, in the time units of one subset of the whole-V sum. A pair
-    with a side over 24 vertices needs a table over extsum's
-    TABLE_ENTRY_CEILING, so it cannot be tested, and the pairs are unpayable
-    (`stats["pair_cost"]` is None). When they are unpayable or cost at least
-    the 2^n of the whole-V sum -- always so when V itself is the only
-    candidate -- one whole-V inclusion-exclusion sum decides instead, and
-    refuses a table over the byte budget of `_field_width`.
+    whose test may hold more than `core.MEMORY_BUDGET_BYTES` (`_pair_bytes`)
+    cannot be tested, and then the pairs are unpayable (`stats["pair_cost"]`
+    is None). When they are unpayable or cost at least the 2^n of the
+    whole-V sum -- always so when V itself is the only candidate -- one
+    whole-V inclusion-exclusion sum decides instead, and refuses a table
+    over the byte budget of `_field_width`.
 
     No price exists without the build: only the build can find that no pair
     covers V, which answers "no" at zero pair cost (G(20, 0.5, 62443) at
-    k = 2, where the whole-V sum walks 2^20 subsets). Above n = 48 every
-    covering pair has a side of at least ceil(n/2) > 24 and the whole-V sum
-    is over its byte budget, so the path refuses before building; it gives up
-    only the "no" of a build that would find no covering pair."""
+    k = 2, where the whole-V sum walks 2^20 subsets). A covering pair has
+    sides of at least ceil(n/2) and floor(n/2) vertices, so from n = 40 every
+    pair is over the byte budget, as is the whole-V sum, and the path refuses
+    before building; it gives up only the "no" of a build that would find no
+    covering pair."""
     if k == 1 or g.m == 0:
         # a k-coloring exists for every k when there are no edges, and for
         # k = 1 only then
         return g.m == 0
-    side_ceiling = TABLE_ENTRY_CEILING.bit_length() - 1
-    if (g.n + 1) // 2 > side_ceiling:
-        # every covering pair has a side over extsum's table ceiling, so only
-        # the whole-V sum could decide: refused here when it is over budget
+    if _pair_bytes((g.n + 1) // 2, g.n // 2) > MEMORY_BUDGET_BYTES:
+        # every covering pair is over the byte budget, so only the whole-V
+        # sum could decide: refused here when it is over budget too
         _field_width(g.n, "inclusion-exclusion")
     base = build_almost_regular_collection(g, max_containers=MAX_BASE_CONTAINERS)
     stats["base_containers"] = len(base)
@@ -290,7 +305,7 @@ def _decide_containers(g: Graph, k: int, stats: dict) -> bool:
     )
     sides = [(maximal[ia].cardinality, maximal[ib].cardinality) for _, ia, ib in pairs]
     pair_cost = None
-    if all(max(side) <= side_ceiling for side in sides):
+    if all(_pair_bytes(x, y) <= MEMORY_BUDGET_BYTES for x, y in sides):
         pair_cost = PAIR_ENTRY_COST * sum((k - 1) * ((1 << x) + (1 << y)) for x, y in sides)
     whole_cost = 1 << g.n
     stats["pair_cost"] = pair_cost
@@ -315,35 +330,34 @@ def _decide_containers(g: Graph, k: int, stats: dict) -> bool:
     return False
 
 
-def _force_color_gadget(g: Graph, k: int, fixed: dict[int, int]) -> Graph:
-    """g plus a k-clique of color vertices; a fixed vertex is joined to every
-    color vertex except its own, so any proper coloring of the gadget assigns
-    fixed vertices consistently (up to renaming colors)."""
-    n = g.n
-    edges = list(g.edges)
-    for i in range(k):
-        for j in range(i + 1, k):
-            edges.append((n + i, n + j))
-    for v, c in fixed.items():
-        for i in range(k):
-            if i != c:
-                edges.append((v, n + i))
-    return Graph(n + k, edges)
-
-
 def _extract_certificate(g: Graph, k: int) -> dict[int, int] | None:
-    fixed: dict[int, int] = {}
-    for v in range(g.n):
-        for c in range(k):
-            fixed[v] = c
-            if inclusion_exclusion_F(_force_color_gadget(g, k, fixed), k) > 0:
-                break
-        else:
-            return None
-    for u, w in g.edges:
-        if fixed[u] == fixed[w]:
-            raise RuntimeError("extracted coloring is improper; this is a bug")
-    return fixed
+    """A k-coloring by contraction. Class c starts at the lowest uncolored
+    vertex; each later uncolored u with no neighbour in the class joins it
+    when the uncolored vertices, the class and u merged into one, are still
+    (k - c)-colorable. Some such coloring has the finished class as a whole
+    color (any other vertex of its color would have passed its own test),
+    so the rest is (k - c - 1)-colorable. Every sum is on at most n - 1
+    vertices. None when vertices are left after k classes."""
+    color: dict[int, int] = {}
+    for c in range(k):
+        rest = [v for v in range(g.n) if v not in color]
+        if not rest:
+            break
+        cls = 1 << rest[0]
+        for u in rest[1:]:
+            if not g.adj_mask[u] & cls and inclusion_exclusion_F(_merged(g, rest, cls | 1 << u), k - c) > 0:
+                cls |= 1 << u
+        color.update((v, c) for v in rest if cls >> v & 1)
+    return dict(sorted(color.items())) if len(color) == g.n else None
+
+
+def _merged(g: Graph, rest: list[int], merged: int) -> Graph:
+    """g on the vertices `rest`, the independent set `merged` contracted
+    into vertex 0 and the others numbered 1, 2, ... in id order."""
+    label = dict.fromkeys(rest, 0)
+    label.update((v, i) for i, v in enumerate((v for v in rest if not merged >> v & 1), 1))
+    edges = {tuple(sorted((label[u], label[w]))) for u, w in g.edges if u in label and w in label}
+    return Graph(len(rest) - merged.bit_count() + 1, sorted(edges))
 
 
 def solve_kcoloring(g: Graph, k: int, config: ColoringConfig | None = None) -> ColoringResult:

@@ -9,7 +9,7 @@ import pytest
 
 from contsolve import containers, partition
 from contsolve.cli import run
-from contsolve.core import complete_graph, cycle_graph, parse_dimacs_cnf, random_graph
+from contsolve.core import complete_graph, cycle_graph, parse_dimacs_cnf, random_graph, random_regular_graph
 from contsolve.extsum import ExtSumInstance
 
 
@@ -182,14 +182,18 @@ class TestColorCommand:
 
     def test_certificate(self, capsys, tmp_path):
         path = write_graph(tmp_path, cycle_graph(5))
-        code, report = run_json(
-            capsys, ["color", "--input", path, "--k", "3", "--certificate"]
-        )
-        assert code == 0
-        cert = {int(v): c for v, c in report["result"]["certificate"].items()}
-        g = cycle_graph(5)
-        for u, w in g.edges:
-            assert cert[u] != cert[w]
+        # the 20-vertex graph's certificate sums are on at most 19 vertices,
+        # so it is answered where a sum on n + k = 25 would be refused
+        for g, k, source in (
+            (cycle_graph(5), 3, ["--input", path]),
+            (random_regular_graph(20, 8, 1), 5, ["--random-regular", "20", "8", "--seed", "1"]),
+        ):
+            code, report = run_json(capsys, ["color", *source, "--k", str(k), "--certificate"])
+            assert code == 0
+            cert = {int(v): c for v, c in report["result"]["certificate"].items()}
+            assert set(cert) == set(range(g.n)) and set(cert.values()) <= set(range(k))
+            for u, w in g.edges:
+                assert cert[u] != cert[w]
 
     def test_containers_mode_on_edgeless_graph(self, capsys):
         code, report = run_json(

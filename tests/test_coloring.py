@@ -310,17 +310,35 @@ class TestSolveKColoring:
                 assert solve_kcoloring(g, k, ColoringConfig(mode="baseline")).colorable == want
                 assert solve_kcoloring(g, k, ColoringConfig(mode="containers")).colorable == want
 
-    def test_certificate(self):
+    def test_certificate(self, monkeypatch):
+        # every sum the certificate runs is on a contracted graph of at most
+        # n - 1 vertices; only the decision's whole-V sum reads g itself
+        sums = []
+        real = coloring.inclusion_exclusion_F
+        monkeypatch.setattr(coloring, "inclusion_exclusion_F", lambda h, k: sums.append(h) or real(h, k))
         rng = random.Random(14)
-        cfg = ColoringConfig(mode="baseline", certificate=True)
+        cases = []
         for _ in range(10):
             g = random_graph(rng.randint(3, 9), 0.5, rng.randrange(10**6))
-            result = solve_kcoloring(g, 3, cfg)
-            if result.colorable:
+            chi = next(k for k in range(1, g.n + 1) if is_k_colorable(g, k))
+            cases += [(g, chi), (g, chi + 1)]
+        # colorable at these k; a sum on n + k vertices would take seconds on
+        # the first two and be over the byte budget on the other three
+        cases += [(random_graph(14, 0.5, 1), 5), (random_graph(16, 0.5, 1), 4),
+                  (random_graph(20, 0.5, 1), 7), (random_graph(22, 0.5, 1), 7),
+                  (random_regular_graph(20, 8, 1), 5)]
+        for g, k in cases:
+            for mode in ("baseline", "containers"):
+                sums.clear()
+                result = solve_kcoloring(g, k, ColoringConfig(mode=mode, certificate=True))
+                assert result.colorable and is_k_colorable(g, k)
                 cert = result.certificate
                 assert cert is not None and set(cert) == set(range(g.n))
+                assert set(cert.values()) <= set(range(k))
                 for u, v in g.edges:
                     assert cert[u] != cert[v]
+                assert sum(h is g for h in sums) <= 1
+                assert all(h.n <= g.n - 1 for h in sums if h is not g)
 
     def test_whole_v_dispatch_matches_ie_sum_and_oracle(self):
         # G(14, p) with k just below and at chi: when the priced pairs cost at
@@ -437,8 +455,9 @@ class TestSolveKColoring:
                 assert auto.colorable == containers.colorable == is_k_colorable(g, k)
 
     def test_pairs_with_sides_extsum_cannot_take_are_unpayable(self, monkeypatch):
-        # G(40, 0.2) at k=2 has covering pairs with a side over 24 vertices,
-        # so the whole-V sum decides, and refuses, before any table is built
+        # G(40, 0.2) at k=2: every covering pair has two sides of at least 20
+        # vertices, over the byte budget of `_pair_bytes`, so the whole-V sum
+        # decides, and refuses, before any table is built
         real = coloring.count_is_dp
 
         def bounded(g, domain):
@@ -451,6 +470,36 @@ class TestSolveKColoring:
             with pytest.raises(SizeLimitError) as exc:
                 solve_kcoloring(g, 2, ColoringConfig(mode=mode))
             assert exc.value.stage == "inclusion-exclusion"
+
+    def test_pair_byte_budget_makes_pairs_unpayable(self, monkeypatch):
+        # G(12, 0.3, 6) at k=2 has one covering pair, sides of 10 and 6
+        # vertices: PAIR_TABLE_PEAK_FACTOR * (2^10 + 2^6) bytes, against
+        # IS_TABLE_PEAK_FACTOR * 2 * 2^12 for its whole-V sum
+        g = random_graph(12, 0.3, 6)
+        need = coloring.PAIR_TABLE_PEAK_FACTOR * ((1 << 10) + (1 << 6))
+        assert coloring.IS_TABLE_PEAK_FACTOR * 2 << 12 < need
+        monkeypatch.setattr(coloring, "MEMORY_BUDGET_BYTES", need)
+        stats = {}
+        assert not coloring._decide_containers(g, 2, stats) and not is_k_colorable(g, 2)
+        assert stats["dispatch"] == "pairs" and stats["pairs_tested"] == 1
+        monkeypatch.setattr(coloring, "MEMORY_BUDGET_BYTES", need - 1)
+        stats = {}
+        assert not coloring._decide_containers(g, 2, stats)
+        assert stats["pair_cost"] is None and stats["dispatch"] == "whole-V"
+        # the cheapest covering pair has two sides of 6: under its bytes the
+        # path refuses before building, since the whole-V sum is over too
+        floor = coloring.PAIR_TABLE_PEAK_FACTOR * (2 << 6)
+        assert floor < coloring.IS_TABLE_PEAK_FACTOR * 2 << 12
+        built = []
+        real = coloring.build_almost_regular_collection
+        monkeypatch.setattr(coloring, "build_almost_regular_collection",
+                            lambda *a, **kw: built.append(1) or real(*a, **kw))
+        for budget, builds in ((floor, 1), (floor - 1, 0)):
+            monkeypatch.setattr(coloring, "MEMORY_BUDGET_BYTES", budget)
+            built.clear()
+            with pytest.raises(SizeLimitError) as exc:
+                coloring._decide_containers(g, 2, {})
+            assert exc.value.stage == "inclusion-exclusion" and len(built) == builds
 
     def test_refuses_above_48_vertices_before_building(self, monkeypatch):
         def no_build(*args, **kwargs):
