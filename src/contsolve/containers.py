@@ -40,12 +40,16 @@ schemes (one set's fingerprint, one fingerprint's container) are not in the
 library: `tests/oracles.py` holds them, the regular scheme's being the r=2
 case, as the references the walk and `locate` are checked against.
 
-A builder's caller may pass `keep(F, excluded, heavy)` to cut the walk: a
+A builder's caller may pass `keep(F, reach, leaf)` to cut the walk: a
 fingerprint it rejects is skipped with its whole subtree. Exclusions only
 grow down the tree, so every container below F lies inside V minus F's
-exclusions, and a solver that can bound what that set holds (the MIS
-wrapper, with its incumbent) lists only the containers it may need. Such a
-collection no longer covers every independent set, so it has no `locate`.
+exclusions, and the walk asks about that set (`leaf` false) before it pays
+for F's heavy set; a leaf, a fingerprint with no heavy vertex above it, is
+then asked again about its own container (`leaf` true). A solver that can
+bound what a set holds (the MIS wrapper, with its incumbent) lists only the
+containers it may need, and may search a leaf's container as soon as it is
+asked about it. Such a collection no longer covers every independent set, so
+it has no `locate`.
 """
 
 from __future__ import annotations
@@ -68,8 +72,10 @@ from .core import (
 # threshold
 CANDIDATE_BUDGET = 20000
 
-# keep(F, excluded, heavy): whether the walk enters fingerprint F's subtree
-Keep = Callable[[int, int, int], bool]
+# keep(F, reach, leaf): whether the walk enters fingerprint F's subtree, every
+# container of which lies inside the vertex mask reach (F's own container
+# when leaf is true)
+Keep = Callable[[int, int, bool], bool]
 
 
 @dataclass(frozen=True)
@@ -172,11 +178,13 @@ def _fixed_points(
     the fingerprints of the independent sets, each with at most n/threshold
     vertices. More than `CANDIDATE_BUDGET` of them raise SizeLimitError.
 
-    `keep(F, excluded, heavy)`, when given, is asked about every fixed point
-    but the root; where it is false, F and its whole subtree are skipped.
+    `keep(F, reach, leaf)`, when given, is asked about every fixed point but
+    the root; where it is false, F and its whole subtree are skipped.
     Exclusions only grow down the tree, so every container below F lies
-    inside V minus F's exclusions, and a caller can cut by what that set or,
-    at a leaf (no heavy vertex above max F), F's container can hold."""
+    inside V minus F's exclusions: `keep` is first asked about that set,
+    with `leaf` false, before F's heavy set is computed. A leaf (no heavy
+    vertex above max F) that passes is asked a second time, about its own
+    container, with `leaf` true. A rejected F is rejected at one ask only."""
     full = (1 << len(excludes)) - 1
     budget = CANDIDATE_BUDGET
     count = 0
@@ -193,9 +201,16 @@ def _fixed_points(
             children ^= low
             v = low.bit_length() - 1
             grown = excluded | excludes[v]
+            if keep is not None and not keep(f | low, full & ~grown, False):
+                continue
             child_heavy = _heavy(excludes, heavy & ~(grown | low), grown, threshold)
-            if keep is None or keep(f | low, grown, child_heavy):
-                stack.append((v + 1, f | low, grown, child_heavy))
+            if (
+                keep is not None
+                and not child_heavy >> (v + 1)
+                and not keep(f | low, full & ~(grown | child_heavy), True)
+            ):
+                continue
+            stack.append((v + 1, f | low, grown, child_heavy))
 
 
 def build_regular_collection(
@@ -312,7 +327,7 @@ def _walked_containers(
     distinct = set()
     cut: list[int] = []  # the fingerprints `keep` rejected, each with its subtree
     # keep, recording each rejection (append returns None, which rejects)
-    counted = keep and (lambda f, excluded, heavy: keep(f, excluded, heavy) or cut.append(f))
+    counted = keep and (lambda f, reach, leaf: keep(f, reach, leaf) or cut.append(f))
     for f, excluded, heavy in _fixed_points(excludes, tau, counted):
         container = walked[f] = full & ~(excluded | heavy)
         distinct.add(container)

@@ -11,22 +11,28 @@ branches that cannot beat or tie the incumbent.
 
 Containers are priced by a greedy clique cover: an independent set takes at
 most one vertex of each clique, so the sum of the cliques' heaviest weights
-bounds every independent subset of a vertex set. The answer never ranks
-below S, so the fingerprint walk is cut where it cannot reach a better set:
-every container below a fingerprint F lies inside V minus F's exclusions,
-and F's subtree is skipped when that set (at a leaf, F's own container) is
-priced below w(S), or at w(S) without room for a tie that sorts before S.
+bounds every independent subset of a vertex set. The incumbent starts at S
+and only improves, and the answer never ranks below it, so the fingerprint
+walk is cut where it cannot reach a better set: every container below a
+fingerprint F lies inside V minus F's exclusions, and F's subtree is skipped
+when that set is priced below the incumbent's weight, or at it without room
+for a tie that sorts before the incumbent. That is asked before F's heavy
+set is computed. A leaf (a fingerprint with no children) that passes is
+asked again about its own container, and if that passes too the container
+is searched at once, unless a container already searched holds it; so every
+later price meets the raised incumbent.
 
-The kept containers are searched in descending bound order, larger first on
-equal bounds; the first always, from S, and the rest until the first bound
-below the incumbent's weight. A container whose bound equals that weight can
-only tie the incumbent B = b1 < b2 < ..., so it is searched only when a bit
-test along B finds room in it for a tying set that sorts before B: a proper
-prefix of B whose remaining vertices weigh 0, or a vertex between b(i-1) and
-b(i) adjacent to none of b1..b(i-1), with b1..b(i-1) inside the container. A
-container inside one already searched is skipped, as that search saw all of
-its subsets. The answer is therefore the one every container's search would
-give: the lexicographically smallest set of maximum weight.
+After the walk the kept containers are taken in descending bound order,
+larger first on equal bounds, until the first bound below the incumbent's
+weight; if the walk searched nothing, the first is searched regardless. A
+container whose bound equals that weight can only tie the incumbent B = b1
+< b2 < ..., so it is searched only when a bit test along B finds room in it
+for a tying set that sorts before B: a proper prefix of B whose remaining
+vertices weigh 0, or a vertex between b(i-1) and b(i) adjacent to none of
+b1..b(i-1), with b1..b(i-1) inside the container. A container inside one
+already searched, in the walk or after it, is skipped, as that search saw
+all of its subsets. The answer is therefore the one every container's
+search would give: the lexicographically smallest set of maximum weight.
 
 That is `containers` mode, which always builds, forcing the regular scheme
 below its degree floor. `auto` runs the base solver on V and says why in
@@ -203,6 +209,19 @@ class MisConfig:
 
 
 def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int] | None = None) -> MisResult:
+    """Exact maximum-weight independent set, with `mis_base`'s tie rule;
+    unit weights by default. `containers` mode searches inside the
+    containers of a cut fingerprint walk (see the module docstring); `auto`
+    and `base` run `mis_base` on V.
+
+    In `containers` mode the stats count: `walked`, the fingerprints the
+    walk listed; `containers`, the distinct containers it kept; `cut`, the
+    subtrees it skipped, a leaf whose own container was priced out
+    included; `searched`, the container searches, those made during the
+    walk included; `nodes`, the B&B nodes of all of them; and, after the
+    walk, `tie_skipped` for the kept containers the tie test skipped and
+    `subsumed` for those inside a searched one, where a container searched
+    during the walk is inside itself."""
     config = config or MisConfig()
     weights = _check_weights(g, weights)
     if not 0 < config.epsilon < 0.5:
@@ -221,14 +240,13 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
         while top and not weights[top - 1]:
             top -= 1
         return MisResult(VertexSet((1 << top) - 1), top, sum(weights), {"path": "edgeless"})
-    # every answer sorts at or before the greedy set S over V, so the walk
-    # enters a fingerprint's subtree only when what it can reach (V minus
-    # the fingerprint's exclusions, or at a leaf its container) is priced
-    # above w(S), or at w(S) with room for a tie that sorts before S
+    # the incumbent starts at the greedy set S over V and only improves
     full = (1 << g.n) - 1
-    seed = _greedy_seed(g, weights, full)
-    seed_w = sum(weights[v] for v in VertexSet(seed))
+    best_mask = _greedy_seed(g, weights, full)
+    best_w = sum(weights[v] for v in VertexSet(best_mask))
     prices: dict[int, int] = {}  # vertex mask -> bound
+    searched: list[int] = []  # the containers searched, in order
+    nodes = 0
 
     def price(mask: int) -> int:
         bound = prices.get(mask)
@@ -236,43 +254,53 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
             bound = prices[mask] = _clique_cover_bound(g, weights, mask)
         return bound
 
-    def keep(f: int, excluded: int, heavy: int) -> bool:
-        # F's children are its heavy vertices above max F; a leaf's subtree
-        # is F's own container
-        reach = full & ~(excluded if heavy >> f.bit_length() else excluded | heavy)
+    def held(container: int) -> bool:
+        return any(not container & ~done for done in searched)
+
+    def search(container: int) -> None:
+        nonlocal best_mask, best_w, nodes
+        r = mis_base(g, weights, within=container, incumbent=best_mask)
+        nodes += r.stats["nodes"]
+        searched.append(container)
+        best_mask, best_w = r.best.mask, r.weight
+
+    def keep(f: int, reach: int, leaf: bool) -> bool:
+        # whether reach may hold a set that beats the incumbent, or ties it
+        # and sorts first
         bound = price(reach)
-        return bound > seed_w or (
-            bound == seed_w and _may_hold_earlier_tie(g, weights, reach, seed, seed_w)
-        )
+        if bound < best_w or (
+            bound == best_w and not _may_hold_earlier_tie(g, weights, reach, best_mask, best_w)
+        ):
+            return False
+        # a kept leaf's container is searched at once, so every later price
+        # and tie test meets the raised incumbent
+        if leaf and not held(reach):
+            search(reach)
+        return True
 
     if g.is_regular():
         coll = build_regular_collection(g, config.epsilon, force=True, keep=keep)
     else:
         coll = build_almost_regular_collection(g, keep=keep)
 
+    # highest bound first, then larger, then by mask; the incumbent only
+    # grows, so the first bound below it ends the search
     order = sorted((c.mask for c in coll.containers), key=lambda m: (-price(m), -m.bit_count(), m))
-    # highest bound first, then larger, then by mask; the first container is
-    # searched from S, and the incumbent only grows, so the first bound below
-    # it ends the search; a container that can only tie it is searched only
-    # for a set sorting first, and one inside a searched container not at all
-    first, *rest = order
-    r = mis_base(g, weights, within=first, incumbent=seed)
-    best_mask, best_w = r.best.mask, r.weight
-    nodes, searched, tie_skipped, subsumed = r.stats["nodes"], [first], 0, 0
-    for container in rest:
-        bound = prices[container]
-        if bound < best_w:
-            break
-        if bound == best_w and not _may_hold_earlier_tie(g, weights, container, best_mask, best_w):
-            tie_skipped += 1
-            continue
-        if any(not container & ~done for done in searched):
-            subsumed += 1
-            continue
-        r = mis_base(g, weights, within=container, incumbent=best_mask)
-        nodes += r.stats["nodes"]
-        searched.append(container)
-        best_mask, best_w = r.best.mask, r.weight
+    tie_skipped = subsumed = 0
+    for container in order:
+        if searched:
+            bound = prices[container]
+            if bound < best_w:
+                break
+            if bound == best_w and not _may_hold_earlier_tie(
+                g, weights, container, best_mask, best_w
+            ):
+                tie_skipped += 1
+                continue
+            if held(container):
+                subsumed += 1
+                continue
+        search(container)
     best = VertexSet(best_mask)
     if not g.is_independent(best.mask):
         raise RuntimeError("container subproblem produced a dependent set; this is a bug")
@@ -283,6 +311,7 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
         stats={
             "path": "containers",
             "containers": len(coll.containers),
+            "walked": coll.stats["candidate_count"],
             "cut": coll.stats.get("cut", 0),
             "searched": len(searched),
             "tie_skipped": tie_skipped,

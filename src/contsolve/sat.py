@@ -36,7 +36,11 @@ def literal_vertex(literal: int) -> int:
 
 def build_literal_hypergraph(phi: CnfFormula) -> Hypergraph:
     """The k-uniform hypergraph on the 2n literal vertices of a width-k
-    formula, with one edge per clause: the vertices of its negated literals."""
+    formula, with one edge per clause: the vertices of its negated literals.
+
+    `CnfFormula` already rejects a clause that repeats a variable, so each
+    edge has k distinct vertices below 2n: the edges are built sorted, with
+    their masks, and taken as they are."""
     if not phi.clauses:
         raise ParameterError("formula has no clauses")
     k = len(phi.clauses[0])
@@ -48,9 +52,14 @@ def build_literal_hypergraph(phi: CnfFormula) -> Hypergraph:
     n = phi.num_vars
     # negated[lit] is the vertex of -lit; a negative lit indexes from the end
     negated = [None, *(literal_vertex(-lit) for lit in (*range(1, n + 1), *range(-n, 0)))]
-    # the Hypergraph constructor sorts each edge
-    edges = [tuple(map(negated.__getitem__, clause)) for clause in phi.clauses]
-    return Hypergraph(2 * n, k, edges)
+    edges = [tuple(sorted(map(negated.__getitem__, clause))) for clause in phi.clauses]
+    # bit[lit] is the bit of -lit's vertex; those of a clause are distinct,
+    # so they sum to its edge's mask
+    bit = [None, *(1 << v for v in negated[1:])]
+    masks = [sum(map(bit.__getitem__, clause)) for clause in phi.clauses]
+    h = object.__new__(Hypergraph)
+    _fill_hypergraph(h, 2 * n, k, edges, masks)
+    return h
 
 
 @dataclass

@@ -227,6 +227,14 @@ class TestMisCommand:
         assert code == 0
         assert report["counters"]["path"] == "containers"
 
+    def test_containers_mode_counts_the_walk(self, capsys):
+        argv = ["mis", "--random-regular", "24", "12", "--seed", "1"]
+        _, base = run_json(capsys, [*argv, "--mode", "base"])
+        code, report = run_json(capsys, [*argv, "--mode", "containers", "--epsilon", "0.45"])
+        assert code == 0 and report["result"]["set"] == base["result"]["set"]
+        counters = report["counters"]
+        assert counters["walked"] >= counters["containers"] >= 1
+
     def test_auto_names_its_reason(self, capsys, tmp_path):
         path = write_graph(tmp_path, random_graph(12, 0.4, 3))
         for source in (["--random-regular", "12", "4", "--seed", "1"], ["--input", path]):

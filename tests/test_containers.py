@@ -587,34 +587,66 @@ class TestCutWalk:
                 assert a.locate(VertexSet(i)) == b.locate(VertexSet(i))
 
     def test_keep_is_never_asked_about_the_root(self):
+        # every fingerprint but the root is asked once about what it can
+        # reach, and a leaf once more about its container
         for _, build in _keep_builds():
             asked = []
-            coll = build(keep=lambda f, excluded, heavy: asked.append(f) or True)
-            assert 0 not in asked and len(asked) == coll.stats["candidate_count"] - 1
+            coll = build(keep=lambda f, reach, leaf: asked.append((f, leaf)) or True)
+            walked = [f for f, leaf in asked if not leaf]
+            leaves = [f for f, leaf in asked if leaf]
+            assert 0 not in walked and 0 not in leaves
+            assert len(set(walked)) == len(walked) == coll.stats["candidate_count"] - 1
+            assert len(set(leaves)) == len(leaves) and set(leaves) <= set(walked)
         g = random_graph(10, 0.4, 3)
         assert [f for f, _, _ in _fixed_points(g.adj_mask, 1, lambda *args: False)] == [0]
 
-    def test_keep_sees_what_the_walk_carries(self):
-        # the arguments are the fingerprint's own (F, excluded, heavy)
+    def test_keep_sees_what_the_walk_carries(self, monkeypatch):
+        # F is asked about V minus its exclusions, then, at a leaf (no heavy
+        # vertex above max F), right away about its own container
+        rng = random.Random(82)
+        leaves = inner = 0
+        for trial in range(12):
+            g = random_regular_graph(12, 4, 11) if trial == 0 else random_graph(
+                rng.randint(6, 13), rng.choice([0.25, 0.4, 0.6]), rng.randrange(10**6)
+            )
+            full = (1 << g.n) - 1
+            want = []
+            for f, excluded, heavy in _fixed_points(g.adj_mask, 2):
+                if f:
+                    want.append((f, full & ~excluded, False))
+                    if heavy >> f.bit_length():
+                        inner += 1
+                    else:
+                        want.append((f, full & ~(excluded | heavy), True))
+                        leaves += 1
+            asked = []
+            list(_fixed_points(g.adj_mask, 2, lambda *args: asked.append(args) or True))
+            assert sorted(asked) == sorted(want)
+            for before, (f, _, leaf) in zip(asked, asked[1:]):
+                if leaf:
+                    assert before[0] == f and not before[2]
+        assert leaves > 20 and inner > 20
+        # keep is asked before the child's heavy set: a walk that rejects
+        # every child computes only the root's
+        heavy_calls = []
+        real = containers._heavy
+        monkeypatch.setattr(containers, "_heavy", lambda *args: heavy_calls.append(1) or real(*args))
         g = random_regular_graph(12, 4, 11)
-        walked = {f: (excluded, heavy) for f, excluded, heavy in _fixed_points(g.adj_mask, 2)}
-        seen = {}
-
-        def record(f, excluded, heavy):
-            seen[f] = (excluded, heavy)
-            return True
-
-        list(_fixed_points(g.adj_mask, 2, record))
-        assert seen == {f: v for f, v in walked.items() if f}
+        assert [f for f, _, _ in _fixed_points(g.adj_mask, 2, lambda *args: False)] == [0]
+        assert len(heavy_calls) == 1
 
     def test_cut_collection_reports_the_cut_and_has_no_locate(self):
         # keeping the fingerprints of at most one vertex cuts the subtree of
-        # every two-vertex fingerprint the uncut walk lists
-        cases = 0
+        # every two-vertex fingerprint the uncut walk lists, at its first
+        # ask; rejecting only leaf containers cuts each leaf once, at its
+        # second
+        cases = leaf_cases = 0
         for _, build in _keep_builds():
-            walked = []
-            full = build(keep=lambda f, excluded, heavy: walked.append(f) or True)
-            coll = build(keep=lambda f, excluded, heavy: not f & (f - 1))
+            asked = []
+            full = build(keep=lambda f, reach, leaf: asked.append((f, leaf)) or True)
+            walked = [f for f, leaf in asked if not leaf]
+            leaves = [f for f, leaf in asked if leaf]
+            coll = build(keep=lambda f, reach, leaf: not f & (f - 1))
             assert coll.stats["tau"] == full.stats["tau"]
             sizes = [f.bit_count() for f in walked]
             assert coll.stats["candidate_count"] == 1 + sizes.count(1)
@@ -624,7 +656,16 @@ class TestCutWalk:
                 cases += 1
             else:
                 assert "cut" not in coll.stats and coll.locate is not None
-        assert cases > 10
+            coll = build(keep=lambda f, reach, leaf: not leaf)
+            assert coll.stats["tau"] == full.stats["tau"]
+            assert coll.stats["candidate_count"] == 1 + len(walked) - len(leaves)
+            assert {c.mask for c in coll.containers} <= {c.mask for c in full.containers}
+            if leaves:
+                assert coll.stats["cut"] == len(leaves) and coll.locate is None
+                leaf_cases += 1
+            else:
+                assert "cut" not in coll.stats and coll.locate is not None
+        assert cases > 10 and leaf_cases > 10
 
 
 class TestEarlyStopDriver:

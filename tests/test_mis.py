@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import product
 
 import pytest
@@ -282,8 +283,20 @@ class TestMisContainers:
 
 def _solve_and_capture(g, config, weights=None):
     """mis_containers' result and the cut collection its walk built."""
-    built = []
+    return _solve_and_trace(g, config, weights)[:2]
+
+
+def _solve_and_trace(g, config, weights=None):
+    """mis_containers' result, the cut collection its walk built, and the
+    containers it searched during the walk and after it, in order."""
+    built, during, after = [], [], []
     with pytest.MonkeyPatch.context() as mp:
+
+        def search(*args, _real=mis.mis_base, **kwargs):
+            (after if built else during).append(kwargs["within"])
+            return _real(*args, **kwargs)
+
+        mp.setattr(mis, "mis_base", search)
         for name in ("build_regular_collection", "build_almost_regular_collection"):
 
             def capture(*args, _real=getattr(mis, name), **kwargs):
@@ -291,7 +304,7 @@ def _solve_and_capture(g, config, weights=None):
                 return built[-1]
 
             mp.setattr(mis, name, capture)
-        return mis_containers(g, config, weights), built[0]
+        return mis_containers(g, config, weights), built[0], during, after
 
 
 def _priced_cases(seed, count):
@@ -418,28 +431,34 @@ class TestContainerPricing:
         assert not _may_hold_earlier_tie(g, [1, 1, 1], 0b001, 0b101, 2)
 
     def test_tie_test_cuts_searches_on_dense_regular_graphs(self):
-        # the walk cuts subtrees, and every kept container whose bound
-        # reaches the final weight is searched, skipped by the tie test or
-        # skipped inside a searched one; the tie test skips some (the walk's
-        # own tie test leaves none to skip on some graphs)
+        # the walk cuts subtrees and searches kept leaf containers as it
+        # reaches them; after it, every kept container whose bound reaches
+        # the final weight is searched, skipped by the tie test or skipped
+        # inside a searched one (a container searched in the walk is inside
+        # itself); the tie test skips some
         rng = random.Random(76)
-        tie_skipped = 0
+        tie_skipped = walk_searched = 0
         for _ in range(4):
             g = random_regular_graph(18, 8, rng.randrange(10**6))
             coll = build_regular_collection(g, 0.45, force=True)
             config = MisConfig(mode="containers", epsilon=0.45, force=True)
-            c, kept = _solve_and_capture(g, config)
+            c, kept, during, after = _solve_and_trace(g, config)
             assert c.best == mis_base(g).best
-            assert {x.mask for x in kept.containers} <= {x.mask for x in coll.containers}
+            kept_masks = {x.mask for x in kept.containers}
+            assert kept_masks <= {x.mask for x in coll.containers}
+            assert set(during) <= kept_masks
             reach = sum(
                 _clique_cover_bound(g, [1] * g.n, x.mask) >= c.weight for x in kept.containers
             )
-            # the first is searched even when S outweighs every bound
+            # the first is searched even when S outweighs every bound, unless
+            # the walk searched one
             skipped = c.stats["tie_skipped"] + c.stats["subsumed"]
-            assert c.stats["searched"] + skipped == max(reach, 1)
+            assert len(after) + skipped == (reach if during else max(reach, 1))
+            assert c.stats["searched"] == len(during) + len(after)
             assert c.stats["cut"] > 0
             tie_skipped += c.stats["tie_skipped"]
-        assert tie_skipped > 0
+            walk_searched += len(during)
+        assert tie_skipped > 0 and walk_searched > 0
 
 
 class TestCutWalk:
@@ -460,6 +479,38 @@ class TestCutWalk:
             c = mis_containers(g, config, weights)
             assert c.best == mis_base(g, weights).best
             assert c.weight == max_weight_independent_set(g, weights)
+
+    def test_leaves_searched_in_the_walk_match_brute_force(self):
+        # searching kept leaves during the walk, at a rising incumbent, keeps
+        # the answer and its tie break; every container searched in the walk
+        # is one the uncut walk lists, and the counters add up
+        rng = random.Random(80)
+        checked = walk_searched = 0
+        for trial in range(240):
+            if trial % 2 == 0:
+                n, d = rng.choice([(8, 3), (10, 4), (12, 4), (12, 6), (14, 6), (14, 8), (10, 6)])
+                g = random_regular_graph(n, d, rng.randrange(10**6))
+                eps = rng.choice([0.25, 0.45])
+                config = MisConfig(mode="containers", epsilon=eps, force=True)
+                uncut = partial(build_regular_collection, g, eps, force=True)
+            else:
+                n, p = rng.randint(3, 14), rng.choice([0.2, 0.35, 0.5, 0.7])
+                g = random_graph(n, p, rng.randrange(10**6))
+                config = MisConfig(mode="containers")
+                uncut = partial(build_almost_regular_collection, g)
+            if g.m == 0:
+                continue
+            weights = [rng.randint(0, 3) for _ in range(g.n)]
+            c, kept, during, after = _solve_and_trace(g, config, weights)
+            assert c.best == mis_base(g, weights).best
+            assert c.weight == max_weight_independent_set(g, weights)
+            assert set(during) <= {x.mask for x in uncut().containers}
+            assert c.stats["searched"] == len(during) + len(after)
+            assert c.stats["walked"] == kept.stats["candidate_count"]
+            assert c.stats["cut"] == kept.stats.get("cut", 0)
+            checked += 1
+            walk_searched += len(during)
+        assert checked >= 200 and walk_searched > 100
 
     def test_cut_walk_past_the_budget_raises_tau(self, monkeypatch):
         # a budget below the cut walk (so below the uncut one) makes the
