@@ -257,18 +257,18 @@ def _decide_containers(g: Graph, k: int, stats: dict) -> bool:
     constrained count is monotone in the containers, so it is enough to test
     supersets of those unions. Each group has at most k-1 classes, hence
     candidates are the inclusion-maximal unions of at most k-1 maximal base
-    containers, from the partition enumeration `container_unions` (past its
-    `UNION_BUDGET` candidates, SizeLimitError), and by symmetry a pair
-    (X, Y) needs just the k-1 color counts.
+    containers, from the partition enumeration `container_unions`, and by
+    symmetry a pair (X, Y) needs just the k-1 color counts.
 
     The covering pairs are priced first, at PAIR_ENTRY_COST * (k-1)(2^|X| +
     2^|Y|) each, in the time units of one subset of the whole-V sum. A pair
     whose test may hold more than `core.MEMORY_BUDGET_BYTES` (`_pair_bytes`)
     cannot be tested, and then the pairs are unpayable (`stats["pair_cost"]`
-    is None). When they are unpayable or cost at least the 2^n of the
-    whole-V sum -- always so when V itself is the only candidate -- one
-    whole-V inclusion-exclusion sum decides instead, and refuses a table
-    over the byte budget of `_field_width`.
+    is None), as they are when the enumeration passes its `UNION_BUDGET`
+    candidates and no pair has a price. When they are unpayable or cost at
+    least the 2^n of the whole-V sum -- always so when V itself is the only
+    candidate -- one whole-V inclusion-exclusion sum decides instead, and
+    refuses a table over the byte budget of `_field_width`.
 
     No price exists without the build: only the build can find that no pair
     covers V, which answers "no" at zero pair cost (G(20, 0.5, 62443) at
@@ -293,20 +293,24 @@ def _decide_containers(g: Graph, k: int, stats: dict) -> bool:
     # a union of fewer containers lies inside one of min(k-1, m) containers,
     # so only those unions can be maximal
     fewest = min(k - 1, len(maximal_base))
-    unions = container_unions(maximal_base, k - 1, fewest=fewest)
-    maximal = [VertexSet(m) for m in maximal_masks(unions)]
-    stats["candidate_containers"] = len(maximal)
-    full = (1 << g.n) - 1
-    pairs = sorted(
-        (maximal[ia].cardinality + maximal[ib].cardinality, ia, ib)
-        for ia in range(len(maximal))
-        for ib in range(ia, len(maximal))
-        if maximal[ia].mask | maximal[ib].mask == full
-    )
-    sides = [(maximal[ia].cardinality, maximal[ib].cardinality) for _, ia, ib in pairs]
     pair_cost = None
-    if all(_pair_bytes(x, y) <= MEMORY_BUDGET_BYTES for x, y in sides):
-        pair_cost = PAIR_ENTRY_COST * sum((k - 1) * ((1 << x) + (1 << y)) for x, y in sides)
+    try:
+        unions = maximal_masks(container_unions(maximal_base, k - 1, fewest=fewest))
+    except SizeLimitError:
+        pass  # past the union budget no pair has a price: unpayable
+    else:
+        maximal = [VertexSet(m) for m in unions]
+        stats["candidate_containers"] = len(maximal)
+        full = (1 << g.n) - 1
+        pairs = sorted(
+            (maximal[ia].cardinality + maximal[ib].cardinality, ia, ib)
+            for ia in range(len(maximal))
+            for ib in range(ia, len(maximal))
+            if maximal[ia].mask | maximal[ib].mask == full
+        )
+        sides = [(maximal[ia].cardinality, maximal[ib].cardinality) for _, ia, ib in pairs]
+        if all(_pair_bytes(x, y) <= MEMORY_BUDGET_BYTES for x, y in sides):
+            pair_cost = PAIR_ENTRY_COST * sum((k - 1) * ((1 << x) + (1 << y)) for x, y in sides)
     whole_cost = 1 << g.n
     stats["pair_cost"] = pair_cost
     stats["whole_cost"] = whole_cost

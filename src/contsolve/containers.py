@@ -40,16 +40,18 @@ schemes (one set's fingerprint, one fingerprint's container) are not in the
 library: `tests/oracles.py` holds them, the regular scheme's being the r=2
 case, as the references the walk and `locate` are checked against.
 
-A builder's caller may pass `keep(F, reach, leaf)` to cut the walk: a
+A builder's caller may pass `keep(F, reach, container)` to cut the walk: a
 fingerprint it rejects is skipped with its whole subtree. Exclusions only
 grow down the tree, so every container below F lies inside V minus F's
-exclusions, and the walk asks about that set (`leaf` false) before it pays
-for F's heavy set; a leaf, a fingerprint with no heavy vertex above it, is
-then asked again about its own container (`leaf` true). A solver that can
-bound what a set holds (the MIS wrapper, with its incumbent) lists only the
-containers it may need, and may search a leaf's container as soon as it is
-asked about it. Such a collection no longer covers every independent set, so
-it has no `locate`.
+exclusions, and the walk asks about that set (`container` false) before it
+pays for F's heavy set. Every fixed point the walk lists is then asked once
+about its own container (`container` true): a leaf, a fingerprint with no
+heavy vertex above it, right after its heavy set, where a no cuts it; any
+other, the root included, once its whole subtree has been walked, where the
+answer skips nothing. A solver that can bound what a set holds (the MIS
+wrapper, with its incumbent) so lists only the containers it may need, and
+is handed each one, to search, as soon as the walk is done with it. Such a
+collection no longer covers every independent set, so it has no `locate`.
 """
 
 from __future__ import annotations
@@ -72,9 +74,10 @@ from .core import (
 # threshold
 CANDIDATE_BUDGET = 20000
 
-# keep(F, reach, leaf): whether the walk enters fingerprint F's subtree, every
-# container of which lies inside the vertex mask reach (F's own container
-# when leaf is true)
+# keep(F, reach, container): whether the walk enters fingerprint F's subtree,
+# every container of which lies inside the vertex mask reach; when container
+# is true, reach is F's own container (and after F's subtree, the answer is
+# ignored)
 Keep = Callable[[int, int, bool], bool]
 
 
@@ -178,24 +181,35 @@ def _fixed_points(
     the fingerprints of the independent sets, each with at most n/threshold
     vertices. More than `CANDIDATE_BUDGET` of them raise SizeLimitError.
 
-    `keep(F, reach, leaf)`, when given, is asked about every fixed point but
-    the root; where it is false, F and its whole subtree are skipped.
-    Exclusions only grow down the tree, so every container below F lies
-    inside V minus F's exclusions: `keep` is first asked about that set,
-    with `leaf` false, before F's heavy set is computed. A leaf (no heavy
-    vertex above max F) that passes is asked a second time, about its own
-    container, with `leaf` true. A rejected F is rejected at one ask only."""
+    `keep(F, reach, container)`, when given, is asked about every fixed
+    point but the root before F is walked; where it is false, F and its
+    whole subtree are skipped. Exclusions only grow down the tree, so every
+    container below F lies inside V minus F's exclusions: `keep` is first
+    asked about that set, with `container` false, before F's heavy set is
+    computed. Each fixed point walked is asked once about its own container,
+    with `container` true: a leaf (no heavy vertex above max F) right after
+    its heavy set, where false skips it, and any other, the root included,
+    once every fixed point below it has been walked, where the answer is
+    ignored. A rejected F is rejected at one ask only."""
     full = (1 << len(excludes)) - 1
     budget = CANDIDATE_BUDGET
     count = 0
     stack = [(0, 0, 0, _heavy(excludes, full, 0, threshold))]
     while stack:
         start, f, excluded, heavy = stack.pop()
+        if start < 0:
+            # F's subtree is done: `excluded` holds F's container
+            keep(f, excluded, True)
+            continue
         count += 1
         if count > budget:
             raise SizeLimitError("fingerprint-enumeration", f"budget {budget} exceeded")
         yield f, excluded, heavy
         children = heavy & -(1 << start)
+        if keep is not None and (children or not f):
+            # not a leaf: F is asked about its container when this pops,
+            # after its children's subtrees
+            stack.append((-1, f, full & ~(excluded | heavy), 0))
         while children:
             low = children & -children
             children ^= low
@@ -326,8 +340,9 @@ def _walked_containers(
     walked: dict[int, int] = {}
     distinct = set()
     cut: list[int] = []  # the fingerprints `keep` rejected, each with its subtree
-    # keep, recording each rejection (append returns None, which rejects)
-    counted = keep and (lambda f, reach, leaf: keep(f, reach, leaf) or cut.append(f))
+    # keep, recording each rejection (append returns None, which rejects),
+    # but not a no about a walked F's container, which skips nothing
+    counted = keep and (lambda f, reach, own: keep(f, reach, own) or f in walked or cut.append(f))
     for f, excluded, heavy in _fixed_points(excludes, tau, counted):
         container = walked[f] = full & ~(excluded | heavy)
         distinct.add(container)

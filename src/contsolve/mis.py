@@ -12,27 +12,31 @@ branches that cannot beat or tie the incumbent.
 Containers are priced by a greedy clique cover: an independent set takes at
 most one vertex of each clique, so the sum of the cliques' heaviest weights
 bounds every independent subset of a vertex set. The incumbent starts at S
-and only improves, and the answer never ranks below it, so the fingerprint
-walk is cut where it cannot reach a better set: every container below a
-fingerprint F lies inside V minus F's exclusions, and F's subtree is skipped
-when that set is priced below the incumbent's weight, or at it without room
-for a tie that sorts before the incumbent. That is asked before F's heavy
-set is computed. A leaf (a fingerprint with no children) that passes is
-asked again about its own container, and if that passes too the container
-is searched at once, unless a container already searched holds it; so every
-later price meets the raised incumbent.
+and only improves, and the answer never ranks below it, so a vertex set
+needs a search only if it may hold a set that beats the incumbent, or ties
+it and sorts first. A set priced below the incumbent's weight holds
+neither. One priced at that weight can only tie the incumbent B = b1 < b2 <
+..., and is kept only when a bit test along B finds room in it for a tying
+set that sorts before B: a proper prefix of B whose remaining vertices
+weigh 0, or a vertex between b(i-1) and b(i) adjacent to none of
+b1..b(i-1), with b1..b(i-1) inside the set.
 
-After the walk the kept containers are taken in descending bound order,
-larger first on equal bounds, until the first bound below the incumbent's
-weight; if the walk searched nothing, the first is searched regardless. A
-container whose bound equals that weight can only tie the incumbent B = b1
-< b2 < ..., so it is searched only when a bit test along B finds room in it
-for a tying set that sorts before B: a proper prefix of B whose remaining
-vertices weigh 0, or a vertex between b(i-1) and b(i) adjacent to none of
-b1..b(i-1), with b1..b(i-1) inside the container. A container inside one
-already searched, in the walk or after it, is skipped, as that search saw
-all of its subsets. The answer is therefore the one every container's
-search would give: the lexicographically smallest set of maximum weight.
+The fingerprint walk asks that question twice about each fingerprint F but
+the root, which is asked only the second. Every container below F lies
+inside V minus F's exclusions, so F's subtree is skipped when that set
+fails, which is asked before F's heavy set is computed. Then F's own
+container is asked about: a leaf's (a fingerprint with no children) right
+away, where a fail skips the leaf too, and any other F's, the root's
+included, once F's whole subtree has been walked. A container that passes
+is searched then, unless a container already searched holds it, as that
+search saw all of its subsets; so every later price meets the raised
+incumbent, and nothing is searched after the walk. The one exception is a
+walk that searched nothing, because S outweighs every container, or ties it
+with no room for an earlier tie: then the kept container of the highest
+bound, larger first, is searched anyway, so every answer of this path comes
+out of a search of the base solver, whose own checks then run (perfbench's
+MIS check relies on it). The answer is the one every container's search
+would give: the lexicographically smallest set of maximum weight.
 
 That is `containers` mode, which always builds, forcing the regular scheme
 below its degree floor. `auto` runs the base solver on V and says why in
@@ -202,7 +206,9 @@ def mis_base(
 @dataclass
 class MisConfig:
     mode: str = "auto"  # auto | base | containers
-    epsilon: float = 0.25  # regular-build slack
+    # regular-build slack, read only in containers mode on a regular graph:
+    # any other graph takes the almost-regular build, which reads none
+    epsilon: float = 0.25
     # unread, since containers mode always builds; the field stays only
     # because perfbench/workloads.py still passes force=True
     force: bool = False
@@ -217,11 +223,8 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
     In `containers` mode the stats count: `walked`, the fingerprints the
     walk listed; `containers`, the distinct containers it kept; `cut`, the
     subtrees it skipped, a leaf whose own container was priced out
-    included; `searched`, the container searches, those made during the
-    walk included; `nodes`, the B&B nodes of all of them; and, after the
-    walk, `tie_skipped` for the kept containers the tie test skipped and
-    `subsumed` for those inside a searched one, where a container searched
-    during the walk is inside itself."""
+    included; `searched`, the container searches, the one after a walk that
+    searched nothing included; and `nodes`, the B&B nodes of all of them."""
     config = config or MisConfig()
     weights = _check_weights(g, weights)
     if not 0 < config.epsilon < 0.5:
@@ -264,7 +267,7 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
         searched.append(container)
         best_mask, best_w = r.best.mask, r.weight
 
-    def keep(f: int, reach: int, leaf: bool) -> bool:
+    def keep(f: int, reach: int, container: bool) -> bool:
         # whether reach may hold a set that beats the incumbent, or ties it
         # and sorts first
         bound = price(reach)
@@ -272,9 +275,9 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
             bound == best_w and not _may_hold_earlier_tie(g, weights, reach, best_mask, best_w)
         ):
             return False
-        # a kept leaf's container is searched at once, so every later price
-        # and tie test meets the raised incumbent
-        if leaf and not held(reach):
+        # a container is searched when the walk hands it over, so every later
+        # price and tie test meets the raised incumbent
+        if container and not held(reach):
             search(reach)
         return True
 
@@ -282,25 +285,10 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
         coll = build_regular_collection(g, config.epsilon, force=True, keep=keep)
     else:
         coll = build_almost_regular_collection(g, keep=keep)
-
-    # highest bound first, then larger, then by mask; the incumbent only
-    # grows, so the first bound below it ends the search
-    order = sorted((c.mask for c in coll.containers), key=lambda m: (-price(m), -m.bit_count(), m))
-    tie_skipped = subsumed = 0
-    for container in order:
-        if searched:
-            bound = prices[container]
-            if bound < best_w:
-                break
-            if bound == best_w and not _may_hold_earlier_tie(
-                g, weights, container, best_mask, best_w
-            ):
-                tie_skipped += 1
-                continue
-            if held(container):
-                subsumed += 1
-                continue
-        search(container)
+    if not searched:
+        # the walk priced every container out: the answer still comes out
+        # of a search, as the module docstring says
+        search(min((c.mask for c in coll.containers), key=lambda m: (-price(m), -m.bit_count(), m)))
     best = VertexSet(best_mask)
     if not g.is_independent(best.mask):
         raise RuntimeError("container subproblem produced a dependent set; this is a bug")
@@ -314,8 +302,6 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
             "walked": coll.stats["candidate_count"],
             "cut": coll.stats.get("cut", 0),
             "searched": len(searched),
-            "tie_skipped": tie_skipped,
-            "subsumed": subsumed,
             "largest_subproblem": coll.stats["max_container_size"],
             "nodes": nodes,
         },

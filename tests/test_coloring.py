@@ -420,20 +420,39 @@ class TestSolveKColoring:
 
     def test_candidate_unions_stop_at_the_union_budget(self, monkeypatch):
         # the candidates are unions of 1..k-1 maximal base containers, one
-        # per combination, and past UNION_BUDGET of them the path refuses
+        # per combination, and past UNION_BUDGET of them the enumeration
+        # stops; no pair has a price then, so the whole-V sum decides
         g, k = random_graph(12, 0.5, 2), 3
         config = ColoringConfig(mode="containers")
         want = solve_kcoloring(g, k, config).colorable
         base = build_almost_regular_collection(g, max_containers=MAX_BASE_CONTAINERS)
-        maximal = len(maximal_masks(c.mask for c in base.containers))
-        tried = sum(comb(maximal, j) for j in range(1, k))
+        maximal = maximal_masks(c.mask for c in base.containers)
+        tried = sum(comb(len(maximal), j) for j in range(1, k))
         assert tried > 1
         monkeypatch.setattr(partition, "UNION_BUDGET", tried)
-        assert solve_kcoloring(g, k, config).colorable == want
+        r = solve_kcoloring(g, k, config)
+        assert r.colorable == want and r.stats["pair_cost"] is not None
+        assert "candidate_containers" in r.stats
         monkeypatch.setattr(partition, "UNION_BUDGET", tried - 1)
         with pytest.raises(SizeLimitError) as exc:
-            solve_kcoloring(g, k, config)
+            list(partition.container_unions(maximal, k - 1))
         assert exc.value.stage == "partition-container-materialization"
+        r = solve_kcoloring(g, k, config)
+        assert r.colorable == want and "candidate_containers" not in r.stats
+        assert r.stats["dispatch"] == "whole-V" and r.stats["pair_cost"] is None
+        assert r.stats["pairs_tested"] == 0
+
+    def test_past_the_union_budget_the_whole_v_sum_answers(self):
+        # this graph's candidate unions pass UNION_BUDGET at k = 6 and 7,
+        # where the whole-V sum still decides in a fraction of a second
+        g = random_regular_graph(20, 8, 1)
+        for k in (6, 7):
+            want = solve_kcoloring(g, k, ColoringConfig(mode="baseline")).colorable
+            for mode in ("auto", "containers"):
+                r = solve_kcoloring(g, k, ColoringConfig(mode=mode))
+                assert r.colorable == want
+                assert r.stats["dispatch"] == "whole-V" and r.stats["pair_cost"] is None
+                assert "candidate_containers" not in r.stats
 
     def test_containers_path_on_edgeless_graphs(self):
         for g in (Graph(0, []), Graph(3, [])):

@@ -586,23 +586,29 @@ class TestCutWalk:
             for i in isets:
                 assert a.locate(VertexSet(i)) == b.locate(VertexSet(i))
 
-    def test_keep_is_never_asked_about_the_root(self):
+    def test_the_root_is_asked_only_about_its_container(self):
         # every fingerprint but the root is asked once about what it can
-        # reach, and a leaf once more about its container
+        # reach, and every fingerprint, the root included, once about its
+        # container; the root's is the walk's last ask
         for _, build in _keep_builds():
             asked = []
-            coll = build(keep=lambda f, reach, leaf: asked.append((f, leaf)) or True)
-            walked = [f for f, leaf in asked if not leaf]
-            leaves = [f for f, leaf in asked if leaf]
-            assert 0 not in walked and 0 not in leaves
+            coll = build(keep=lambda f, reach, container: asked.append((f, container)) or True)
+            walked = [f for f, container in asked if not container]
+            owned = [f for f, container in asked if container]
+            assert 0 not in walked and asked[-1] == (0, True)
             assert len(set(walked)) == len(walked) == coll.stats["candidate_count"] - 1
-            assert len(set(leaves)) == len(leaves) and set(leaves) <= set(walked)
+            assert sorted(owned) == sorted(walked + [0])
         g = random_graph(10, 0.4, 3)
-        assert [f for f, _, _ in _fixed_points(g.adj_mask, 1, lambda *args: False)] == [0]
+        asked = []
+        walk = _fixed_points(g.adj_mask, 1, lambda *args: asked.append(args) or False)
+        assert [f for f, _, _ in walk] == [0]
+        assert [f for f, _, container in asked if container] == [0] and asked[-1][2]
 
     def test_keep_sees_what_the_walk_carries(self, monkeypatch):
-        # F is asked about V minus its exclusions, then, at a leaf (no heavy
-        # vertex above max F), right away about its own container
+        # F is asked about V minus its exclusions, then about its own
+        # container: a leaf (no heavy vertex above max F) right away, and
+        # any other F once its subtree is walked, so the asks about the
+        # fingerprints below F are the ones just before F's second
         rng = random.Random(82)
         leaves = inner = 0
         for trial in range(12):
@@ -611,20 +617,27 @@ class TestCutWalk:
             )
             full = (1 << g.n) - 1
             want = []
+            leaf = set()
             for f, excluded, heavy in _fixed_points(g.adj_mask, 2):
                 if f:
                     want.append((f, full & ~excluded, False))
                     if heavy >> f.bit_length():
                         inner += 1
                     else:
-                        want.append((f, full & ~(excluded | heavy), True))
-                        leaves += 1
+                        leaf.add(f)
+                want.append((f, full & ~(excluded | heavy), True))
+            leaves += len(leaf)
             asked = []
             list(_fixed_points(g.adj_mask, 2, lambda *args: asked.append(args) or True))
             assert sorted(asked) == sorted(want)
-            for before, (f, _, leaf) in zip(asked, asked[1:]):
-                if leaf:
-                    assert before[0] == f and not before[2]
+            position = {(f, container): i for i, (f, _, container) in enumerate(asked)}
+            for f, _, container in asked:
+                if container:
+                    first, last = position.get((f, False), -1), position[(f, True)]
+                    prefix = (1 << f.bit_length()) - 1
+                    below = [i for i, (b, _, _) in enumerate(asked) if b != f and b & prefix == f]
+                    assert below == list(range(last - len(below), last)) and first < last - len(below)
+                    assert (last == first + 1) == (f in leaf)
         assert leaves > 20 and inner > 20
         # keep is asked before the child's heavy set: a walk that rejects
         # every child computes only the root's
@@ -638,15 +651,17 @@ class TestCutWalk:
     def test_cut_collection_reports_the_cut_and_has_no_locate(self):
         # keeping the fingerprints of at most one vertex cuts the subtree of
         # every two-vertex fingerprint the uncut walk lists, at its first
-        # ask; rejecting only leaf containers cuts each leaf once, at its
-        # second
+        # ask; rejecting every container cuts each leaf once, at its second,
+        # and a no about a container once its subtree is walked is neither
+        # a cut nor a loss
         cases = leaf_cases = 0
         for _, build in _keep_builds():
             asked = []
-            full = build(keep=lambda f, reach, leaf: asked.append((f, leaf)) or True)
-            walked = [f for f, leaf in asked if not leaf]
-            leaves = [f for f, leaf in asked if leaf]
-            coll = build(keep=lambda f, reach, leaf: not f & (f - 1))
+            full = build(keep=lambda f, reach, container: asked.append((f, reach, container)) or True)
+            walked = [f for f, _, container in asked if not container]
+            # a leaf's two asks are consecutive; any other F's enclose its children's
+            leaves = [f for (f, _, _), (then, _, own) in zip(asked, asked[1:]) if then == f and own]
+            coll = build(keep=lambda f, reach, container: not f & (f - 1))
             assert coll.stats["tau"] == full.stats["tau"]
             sizes = [f.bit_count() for f in walked]
             assert coll.stats["candidate_count"] == 1 + sizes.count(1)
@@ -656,10 +671,12 @@ class TestCutWalk:
                 cases += 1
             else:
                 assert "cut" not in coll.stats and coll.locate is not None
-            coll = build(keep=lambda f, reach, leaf: not leaf)
+            coll = build(keep=lambda f, reach, container: not container)
             assert coll.stats["tau"] == full.stats["tau"]
             assert coll.stats["candidate_count"] == 1 + len(walked) - len(leaves)
-            assert {c.mask for c in coll.containers} <= {c.mask for c in full.containers}
+            assert {c.mask for c in coll.containers} == {
+                reach for f, reach, container in asked if container and f not in leaves
+            }
             if leaves:
                 assert coll.stats["cut"] == len(leaves) and coll.locate is None
                 leaf_cases += 1

@@ -7,6 +7,7 @@ import pytest
 from contsolve import containers, mis
 from contsolve.core import (
     Graph,
+    Hypergraph,
     ParameterError,
     VertexSet,
     complete_graph,
@@ -29,7 +30,13 @@ from contsolve.mis import (
     mis_base,
     mis_containers,
 )
-from oracles import all_independent_sets, max_independent_set_size, max_weight_independent_set
+from oracles import (
+    all_independent_sets,
+    hypergraph_container,
+    hypergraph_fingerprint,
+    max_independent_set_size,
+    max_weight_independent_set,
+)
 
 MIS_AUTO_PATH = "base (auto: B&B inside containers measured slower than on V)"
 
@@ -307,6 +314,25 @@ def _solve_and_trace(g, config, weights=None):
         return mis_containers(g, config, weights), built[0], during, after
 
 
+def _solve_and_ask(g, config, weights):
+    """mis_containers' result, the cut collection its walk built, and every
+    ask of its `keep`, in order, as (F, reach, container, answer)."""
+    built, asks = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("build_regular_collection", "build_almost_regular_collection"):
+
+            def capture(*args, keep, _real=getattr(mis, name), **kwargs):
+                def asked(*ask):
+                    asks.append((*ask, keep(*ask)))
+                    return asks[-1][-1]
+
+                built.append(_real(*args, keep=asked, **kwargs))
+                return built[-1]
+
+            mp.setattr(mis, name, capture)
+        return mis_containers(g, config, weights), built[0], asks
+
+
 def _priced_cases(seed, count):
     """(graph, weights, collection, config) on forced regular and G(n, p)
     graphs, built as mis_containers builds them; weights 0-3, so zero
@@ -406,21 +432,31 @@ class TestContainerPricing:
         assert skipped > 0 and needed > 0
 
     def test_highest_priced_container_seeds_the_incumbent(self):
-        # the answer comes out of a container search even where every other
-        # container is cut or tie-skipped, as on these 4-regular n = 10
-        # graphs whose greedy set over V is already optimal
+        # the answer comes out of a container search even where the walk
+        # searches nothing, as on these 4-regular n = 10 and 6-regular
+        # n = 12 graphs whose greedy set over V is already optimal: then the
+        # kept container of the highest bound, larger first, is searched
+        # after the walk, and only then is anything searched after it
         rng = random.Random(77)
-        only_seed = 0
-        for _ in range(40):
-            g = random_regular_graph(10, 4, rng.randrange(10**6))
+        only_seed = larger_first = 0
+        for n, d in [(10, 4)] * 40 + [(12, 6)] * 40:
+            g = random_regular_graph(n, d, rng.randrange(10**6))
             coll = build_regular_collection(g, 0.45, force=True)
             maximal = maximal_masks(x.mask for x in coll.containers)
-            c = mis_containers(g, MisConfig(mode="containers", epsilon=0.45, force=True))
+            config = MisConfig(mode="containers", epsilon=0.45, force=True)
+            c, kept, during, after = _solve_and_trace(g, config)
             assert c.best == mis_base(g).best
-            assert c.stats["searched"] >= 1
+            assert c.stats["searched"] == len(during) + len(after) >= 1
             assert any(not c.best.mask & ~m for m in maximal)
-            only_seed += c.stats["searched"] == 1 and c.stats["tie_skipped"] > 0
-        assert only_seed > 0
+            if during:
+                assert after == []
+                continue
+            price = {x.mask: _clique_cover_bound(g, [1] * g.n, x.mask) for x in kept.containers}
+            top = [m for m in price if price[m] == max(price.values())]
+            assert after == [min(top, key=lambda m: (-m.bit_count(), m))]
+            only_seed += 1
+            larger_first += len({m.bit_count() for m in top}) > 1
+        assert only_seed > 0 and larger_first > 0
 
     def test_tie_test_searches_a_prefix_whose_rest_weighs_zero(self):
         # B = (0, 2) with w(2) = 0 ties its prefix (0,), which sorts first;
@@ -430,15 +466,20 @@ class TestContainerPricing:
         assert _may_hold_earlier_tie(g, [1, 1, 0], 0b001, 0b101, 1)
         assert not _may_hold_earlier_tie(g, [1, 1, 1], 0b001, 0b101, 2)
 
-    def test_tie_test_cuts_searches_on_dense_regular_graphs(self):
-        # the walk cuts subtrees and searches kept leaf containers as it
-        # reaches them; after it, every kept container whose bound reaches
-        # the final weight is searched, skipped by the tie test or skipped
-        # inside a searched one (a container searched in the walk is inside
-        # itself); the tie test skips some
+    def test_tie_test_cuts_searches_on_dense_regular_graphs(self, monkeypatch):
+        # the walk cuts subtrees and searches each kept container it hands
+        # over, so after it only a walk that searched nothing searches, once;
+        # no container is searched inside one searched before it, and a kept
+        # container left unsearched is inside a searched one, priced below
+        # the answer's weight, or priced at it and refused by the tie test,
+        # which does so for some
+        said_no = []
+        real = mis._may_hold_earlier_tie
+        monkeypatch.setattr(mis, "_may_hold_earlier_tie", lambda *args: real(*args) or said_no.append(args))
         rng = random.Random(76)
-        tie_skipped = walk_searched = 0
+        walk_searched = tie_refused = 0
         for _ in range(4):
+            said_no.clear()
             g = random_regular_graph(18, 8, rng.randrange(10**6))
             coll = build_regular_collection(g, 0.45, force=True)
             config = MisConfig(mode="containers", epsilon=0.45, force=True)
@@ -447,18 +488,20 @@ class TestContainerPricing:
             kept_masks = {x.mask for x in kept.containers}
             assert kept_masks <= {x.mask for x in coll.containers}
             assert set(during) <= kept_masks
-            reach = sum(
-                _clique_cover_bound(g, [1] * g.n, x.mask) >= c.weight for x in kept.containers
-            )
-            # the first is searched even when S outweighs every bound, unless
-            # the walk searched one
-            skipped = c.stats["tie_skipped"] + c.stats["subsumed"]
-            assert len(after) + skipped == (reach if during else max(reach, 1))
-            assert c.stats["searched"] == len(during) + len(after)
+            assert len(after) == (0 if during else 1)
+            searched = during + after
+            assert c.stats["searched"] == len(searched)
+            for i, container in enumerate(searched):
+                assert all(container & ~done for done in searched[:i])
+            refused = {args[2] for args in said_no}
+            for container in kept_masks:
+                if all(container & ~done for done in searched):
+                    bound = _clique_cover_bound(g, [1] * g.n, container)
+                    assert bound < c.weight or (bound == c.weight and container in refused)
+                    tie_refused += bound == c.weight
             assert c.stats["cut"] > 0
-            tie_skipped += c.stats["tie_skipped"]
             walk_searched += len(during)
-        assert tie_skipped > 0 and walk_searched > 0
+        assert tie_refused > 0 and walk_searched > 0
 
 
 class TestCutWalk:
@@ -511,6 +554,49 @@ class TestCutWalk:
             checked += 1
             walk_searched += len(during)
         assert checked >= 200 and walk_searched > 100
+
+    def test_each_container_is_asked_once_after_its_subtree(self):
+        # against the fixed points of a brute-force fingerprint scan at the
+        # walk's tau: the root and every fixed point kept at its first ask
+        # are asked about their own container (the oracle's), each once and
+        # after every ask about a fixed point below it; every fixed point
+        # left unasked lies below one rejected at its first ask
+        rng = random.Random(84)
+        checked = inner = 0
+        for trial in range(220):
+            if trial % 2 == 0:
+                n, d = rng.choice([(8, 3), (10, 4), (12, 4), (12, 6), (14, 6), (10, 6)])
+                g = random_regular_graph(n, d, rng.randrange(10**6))
+                config = MisConfig(mode="containers", epsilon=rng.choice([0.25, 0.45]), force=True)
+            else:
+                g = random_graph(rng.randint(3, 14), rng.choice([0.25, 0.4, 0.6]), rng.randrange(10**6))
+                config = MisConfig(mode="containers")
+            if g.m == 0:
+                continue
+            weights = [rng.randint(0, 3) for _ in range(g.n)]
+            c, coll, asks = _solve_and_ask(g, config, weights)
+            assert c.best == mis_base(g, weights).best
+            assert c.weight == max_weight_independent_set(g, weights)
+            tau = coll.stats["tau"]
+            h = Hypergraph(g.n, 2, g.edges)
+            fixed = {hypergraph_fingerprint(h, VertexSet(i), tau).mask for i in all_independent_sets(g)}
+            owned = [f for f, _, container, _ in asks if container]
+            kept = {0} | {f for f, _, container, answer in asks if not container and answer}
+            rejected = {f for f, _, container, answer in asks if not container and not answer}
+            assert len(owned) == len(set(owned)) and set(owned) == kept and kept | rejected <= fixed
+            assert asks[-1][0] == 0 and asks[-1][2]
+            for i, (f, reach, container, _) in enumerate(asks):
+                if not container:
+                    continue
+                assert reach == hypergraph_container(h, VertexSet(f), tau).mask
+                prefix = (1 << f.bit_length()) - 1
+                assert all(j < i for j, (b, *_) in enumerate(asks) if b != f and b & prefix == f)
+                inner += any(b != f and b & prefix == f for b, *_ in asks) and f != 0
+            for f in fixed - kept - rejected:
+                prefixes = {f & ((1 << v) - 1) for v in range(f.bit_length())}
+                assert prefixes & rejected
+            checked += 1
+        assert checked >= 200 and inner > 100
 
     def test_cut_walk_past_the_budget_raises_tau(self, monkeypatch):
         # a budget below the cut walk (so below the uncut one) makes the
