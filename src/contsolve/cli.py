@@ -179,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mis", help="maximum independent set")
     add_graph_source(p)
     p.add_argument("--mode", choices=["auto", "base", "containers"], default="auto")
-    p.add_argument("--epsilon", type=float, default=0.25, help="regular-build slack, read only in containers "
-                   "mode on a regular graph: others take the almost-regular build, which reads none")
+    p.add_argument("--epsilon", type=float, default=0.25, help="fingerprint slack, read in containers mode "
+                   "on every graph: the walk's threshold is tau = ceil(epsilon * average degree)")
     p.set_defaults(func=_cmd_mis)
 
     p = sub.add_parser("sat", help="dense k-SAT")

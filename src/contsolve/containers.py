@@ -15,43 +15,32 @@ vertices. One container rule expands every fingerprint into its container:
 F plus each vertex outside F and its exclusions that would newly exclude
 fewer than tau vertices. The fingerprint scan is single pass, so the
 fingerprints of the independent sets are exactly the fixed points fp(F) ==
-F, and these are prefix-closed: one depth-first walker, `_fixed_points`, lists them for
-every builder, pruning at the first vertex that brings too few new
-exclusions (the algorithmic graph container lemma of Kleitman-Winston and
-Sapozhenko). The walk carries each fingerprint's heavy set, the vertices
-outside F and its exclusions that would newly exclude at least tau: the
-children of F are its heavy vertices above max F, its container is every
-vertex neither excluded nor heavy (the mask of the container rule), and a
-child's heavy set is found by testing only its parent's heavy vertices, as
-new-exclusion counts only fall while F grows. At r>=3 a lone vertex excludes
-nothing, so the walk stops at the empty fingerprint and the engine's
-collection is {V}. Coverage -- every independent set is inside the container
-of its fingerprint -- holds by construction; container size bounds are
-certified for regular graphs and measured/reported for the hypergraph
-engine. The engine's only input is p, which sets its starting threshold;
-co-degree conditions, which the container lemma needs only to bound
-container sizes, are not checked. One driver, `_collection`, walks and
-assembles every collection; every walk is budgeted (`CANDIDATE_BUDGET`
-fingerprints per threshold), and past it the driver raises the threshold. A
-graph is walked on its own adjacency masks. Every collection's `locate` is
-one scan, `_locate`: the fingerprint scan of the set, then a lookup in the
-walk's map from fingerprint to container. The per-set scans of both
-schemes (one set's fingerprint, one fingerprint's container) are not in the
-library: `tests/oracles.py` holds them, the regular scheme's being the r=2
-case, as the references the walk and `locate` are checked against.
+F, and these are prefix-closed: one depth-first walk, `_walked_containers`,
+lists them for every builder, pruning at the first vertex that brings too
+few new exclusions (the algorithmic container lemma of Kleitman-Winston and
+Sapozhenko), and maps each to its container. The walk carries each
+fingerprint's heavy set, the vertices outside F and its exclusions that
+would newly exclude at least tau: the children of F are its heavy vertices
+above max F, and its container is every vertex neither excluded nor heavy
+(the mask of the container rule). At r>=3 a lone vertex excludes nothing,
+so the walk stops at the empty fingerprint and the engine's collection is
+{V}. Coverage -- every independent set is inside the container of its
+fingerprint -- holds by construction; container size bounds are certified
+for regular graphs and measured/reported for the hypergraph engine. The
+engine's only input is p, which sets its starting threshold; co-degree
+conditions, which the container lemma needs only to bound container sizes,
+are not checked. One driver, `_collection`, walks and assembles every
+collection; every walk is budgeted (`CANDIDATE_BUDGET` fingerprints per
+threshold), and past it the driver raises the threshold. A graph is walked
+on its own adjacency masks. Every collection's `locate` is one scan,
+`_locate`: the fingerprint scan of the set, then a lookup in the walk's map
+from fingerprint to container. The per-set scans of both schemes (one
+set's fingerprint, one fingerprint's container) are not in the library:
+`tests/oracles.py` holds them, the regular scheme's being the r=2 case, as
+the references the walk and `locate` are checked against.
 
-A builder's caller may pass `keep(F, reach, container)` to cut the walk: a
-fingerprint it rejects is skipped with its whole subtree. Exclusions only
-grow down the tree, so every container below F lies inside V minus F's
-exclusions, and the walk asks about that set (`container` false) before it
-pays for F's heavy set. Every fixed point the walk lists is then asked once
-about its own container (`container` true): a leaf, a fingerprint with no
-heavy vertex above it, right after its heavy set, where a no cuts it; any
-other, the root included, once its whole subtree has been walked, where the
-answer skips nothing. A solver that can bound what a set holds (the MIS
-wrapper, with its incumbent) so lists only the containers it may need, and
-is handed each one, to search, as soon as the walk is done with it. Such a
-collection no longer covers every independent set, so it has no `locate`.
+`build_hypergraph_collection`'s caller may pass `keep(F, reach,
+container)`, which cuts the walk; `_walked_containers` says how.
 """
 
 from __future__ import annotations
@@ -59,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     Graph,
@@ -74,10 +63,7 @@ from .core import (
 # threshold
 CANDIDATE_BUDGET = 20000
 
-# keep(F, reach, container): whether the walk enters fingerprint F's subtree,
-# every container of which lies inside the vertex mask reach; when container
-# is true, reach is F's own container (and after F's subtree, the answer is
-# ignored)
+# keep(F, reach, container), as `_walked_containers` asks it
 Keep = Callable[[int, int, bool], bool]
 
 
@@ -160,79 +146,11 @@ def _heavy(excludes: Sequence[int], candidates: int, excluded: int, threshold: f
     return heavy
 
 
-def _fixed_points(
-    excludes: Sequence[int], threshold: float, keep: Keep | None = None
-) -> Iterator[tuple[int, int, int]]:
-    """Depth-first walk of the single-pass fingerprint fixed points, each
-    yielded once as (F, vertices F excludes, heavy set of F).
-
-    `excludes[v]` is what v excludes when it joins a set that does not
-    exclude it (its neighborhood, in a graph). The heavy set H(F) holds the
-    vertices outside F and its exclusions that would newly exclude at least
-    `threshold` vertices. F is a fixed point, fp(F) == F, exactly when each
-    of its vertices, in id order, was heavy for the vertices before it; so
-    fixed points are prefix-closed, and the children of F are F + v for v in
-    H(F) above max F. New-exclusion counts only fall as the exclusions grow,
-    so a child's heavy set lies inside H(F) minus the child's new exclusions
-    and its new vertex, and only those vertices are tested again. The
-    container of F is what is neither excluded nor heavy, `full & ~(excluded
-    | H(F))`: F plus the vertices the fingerprint scan would have passed
-    over, which is the one container rule. The fixed points are exactly
-    the fingerprints of the independent sets, each with at most n/threshold
-    vertices. More than `CANDIDATE_BUDGET` of them raise SizeLimitError.
-
-    `keep(F, reach, container)`, when given, is asked about every fixed
-    point but the root before F is walked; where it is false, F and its
-    whole subtree are skipped. Exclusions only grow down the tree, so every
-    container below F lies inside V minus F's exclusions: `keep` is first
-    asked about that set, with `container` false, before F's heavy set is
-    computed. Each fixed point walked is asked once about its own container,
-    with `container` true: a leaf (no heavy vertex above max F) right after
-    its heavy set, where false skips it, and any other, the root included,
-    once every fixed point below it has been walked, where the answer is
-    ignored. A rejected F is rejected at one ask only."""
-    full = (1 << len(excludes)) - 1
-    budget = CANDIDATE_BUDGET
-    count = 0
-    stack = [(0, 0, 0, _heavy(excludes, full, 0, threshold))]
-    while stack:
-        start, f, excluded, heavy = stack.pop()
-        if start < 0:
-            # F's subtree is done: `excluded` holds F's container
-            keep(f, excluded, True)
-            continue
-        count += 1
-        if count > budget:
-            raise SizeLimitError("fingerprint-enumeration", f"budget {budget} exceeded")
-        yield f, excluded, heavy
-        children = heavy & -(1 << start)
-        if keep is not None and (children or not f):
-            # not a leaf: F is asked about its container when this pops,
-            # after its children's subtrees
-            stack.append((-1, f, full & ~(excluded | heavy), 0))
-        while children:
-            low = children & -children
-            children ^= low
-            v = low.bit_length() - 1
-            grown = excluded | excludes[v]
-            if keep is not None and not keep(f | low, full & ~grown, False):
-                continue
-            child_heavy = _heavy(excludes, heavy & ~(grown | low), grown, threshold)
-            if (
-                keep is not None
-                and not child_heavy >> (v + 1)
-                and not keep(f | low, full & ~(grown | child_heavy), True)
-            ):
-                continue
-            stack.append((v + 1, f | low, grown, child_heavy))
-
-
 def build_regular_collection(
     g: Graph,
     epsilon: float,
     *,
     force: bool = False,
-    keep: Keep | None = None,
 ) -> ContainerCollection:
     """Container collection for a d-regular graph.
 
@@ -254,8 +172,6 @@ def build_regular_collection(
     `stats["certified"]` is whether that bound is below n: at or above it
     (a raised tau on a low-degree graph, such as tau = 2 at d = 3) the size
     check cannot fail, and the bound certifies nothing.
-
-    `keep` cuts the walk as in `_fixed_points`; see `_collection`.
     """
     if g.n == 0:
         raise ParameterError("empty graph")
@@ -282,7 +198,7 @@ def build_regular_collection(
     size_bound = (1.0 / (2.0 - epsilon) + params.q) * g.n
     coll = _collection(
         g, g.adj_mask, params.tau, max_containers=None, source="regular-graph",
-        stats={"size_bound": size_bound, "forced": force and low_degree}, keep=keep,
+        stats={"size_bound": size_bound, "forced": force and low_degree},
     )
     tau = coll.stats["tau"]
     if tau != params.tau:
@@ -330,25 +246,84 @@ def _locate(
 
 
 def _walked_containers(
-    excludes: Sequence[int], tau: int, keep: Keep | None = None, limit: int | None = None
+    excludes: Sequence[int], tau: float, keep: Keep | None = None, limit: int | None = None
 ) -> tuple[dict[int, int] | None, int]:
-    """The map from each fingerprint walked at threshold tau to its
-    container mask, and the number of subtrees `keep` cut. With `limit`, the
-    walk stops, and the map is None, as soon as it holds more than `limit`
-    distinct containers over more than one fingerprint."""
+    """Depth-first walk of the single-pass fingerprint fixed points at
+    threshold tau: the map from each fingerprint walked to its container
+    mask, and the number of subtrees `keep` cut.
+
+    `excludes[v]` is what v excludes when it joins a set that does not
+    exclude it (its neighborhood, in a graph). The heavy set H(F) holds the
+    vertices outside F and its exclusions that would newly exclude at least
+    tau vertices. F is a fixed point, fp(F) == F, exactly when each of its
+    vertices, in id order, was heavy for the vertices before it; so fixed
+    points are prefix-closed, and the children of F are F + v for v in H(F)
+    above max F. New-exclusion counts only fall as the exclusions grow, so a
+    child's heavy set lies inside H(F) minus the child's new exclusions and
+    its new vertex, and only those vertices are tested again. The container
+    of F is what is neither excluded nor heavy, `full & ~(excluded | H(F))`:
+    F plus the vertices the fingerprint scan would have passed over, which
+    is the one container rule. The fixed points are exactly the fingerprints
+    of the independent sets, each with at most n/tau vertices. More than
+    `CANDIDATE_BUDGET` of them raise SizeLimitError. With `limit`, the walk
+    stops, and the map is None, as soon as it holds more than `limit`
+    distinct containers over more than one fingerprint.
+
+    `keep(F, reach, container)`, when given, cuts the walk. It is asked
+    about every fixed point but the root before F is walked; where it is
+    false, F and its whole subtree are skipped, which counts as one cut.
+    Exclusions only grow down the tree, so every container below F lies
+    inside V minus F's exclusions: `keep` is first asked about that set,
+    with `container` false, before F's heavy set is computed. Each fixed
+    point walked is asked once about its own container, with `container`
+    true: a leaf (no heavy vertex above max F) right after its heavy set,
+    where false skips it, and any other, the root included, once every
+    fixed point below it has been walked, where the answer is ignored. A
+    rejected F is rejected at one ask only. A solver that can bound what a
+    set holds (the MIS wrapper, with its incumbent) so lists only the
+    containers it may need, and is handed each one, to search, as soon as
+    the walk is done with it. A cut walk no longer covers every independent
+    set, so its collection has no `locate`."""
     full = (1 << len(excludes)) - 1
     walked: dict[int, int] = {}
     distinct = set()
-    cut: list[int] = []  # the fingerprints `keep` rejected, each with its subtree
-    # keep, recording each rejection (append returns None, which rejects),
-    # but not a no about a walked F's container, which skips nothing
-    counted = keep and (lambda f, reach, own: keep(f, reach, own) or f in walked or cut.append(f))
-    for f, excluded, heavy in _fixed_points(excludes, tau, counted):
+    cut = 0
+    stack = [(0, 0, 0, _heavy(excludes, full, 0, tau))]
+    while stack:
+        start, f, excluded, heavy = stack.pop()
+        if start < 0:
+            # F's subtree is done: `excluded` holds F's container
+            keep(f, excluded, True)
+            continue
+        if len(walked) >= CANDIDATE_BUDGET:
+            raise SizeLimitError("fingerprint-enumeration", f"budget {CANDIDATE_BUDGET} exceeded")
         container = walked[f] = full & ~(excluded | heavy)
         distinct.add(container)
         if limit is not None and len(distinct) > limit and len(walked) > 1:
-            return None, len(cut)
-    return walked, len(cut)
+            return None, cut
+        children = heavy & -(1 << start)
+        if keep is not None and (children or not f):
+            # not a leaf: F is asked about its container when this pops,
+            # after its children's subtrees
+            stack.append((-1, f, container, 0))
+        while children:
+            low = children & -children
+            children ^= low
+            v = low.bit_length() - 1
+            grown = excluded | excludes[v]
+            if keep is not None and not keep(f | low, full & ~grown, False):
+                cut += 1
+                continue
+            child_heavy = _heavy(excludes, heavy & ~(grown | low), grown, tau)
+            if (
+                keep is not None
+                and not child_heavy >> (v + 1)
+                and not keep(f | low, full & ~(grown | child_heavy), True)
+            ):
+                cut += 1
+                continue
+            stack.append((v + 1, f | low, grown, child_heavy))
+    return walked, cut
 
 
 def _collection(
@@ -358,7 +333,7 @@ def _collection(
     max_containers: int | None,
     source: str,
     stats: dict,
-    keep: Keep | None,
+    keep: Keep | None = None,
 ) -> ContainerCollection:
     """Every builder's collection: walk the fixed points at threshold tau,
     raised by half while the walk overflows `CANDIDATE_BUDGET` or yields
@@ -437,7 +412,7 @@ def build_hypergraph_collection(
     vertices. So at r>=3 no vertex joins the empty fingerprint, every
     `locate` image is V and the collection is {V}, which `stats["vacuous"]`
     reports. At r=2 a collection holds V only when it is {V}. `keep` cuts
-    the walk as in `_fixed_points`; see `_collection`.
+    the walk as `_walked_containers` says; see `_collection`.
     """
     if not 0 < p <= 1:
         raise ParameterError(f"p must be in (0, 1], got {p}")
@@ -463,7 +438,7 @@ def build_hypergraph_collection(
 
 
 def build_almost_regular_collection(
-    g: Graph, *, max_containers: int | None = None, keep: Keep | None = None
+    g: Graph, *, max_containers: int | None = None
 ) -> ContainerCollection:
     """Graph containers via the hypergraph engine at r=2, on g itself.
 
@@ -476,7 +451,7 @@ def build_almost_regular_collection(
     if g.m == 0:
         raise ParameterError("graph has no edges (zero edge density)")
     p = min(1.0, 1.0 / (0.25 * g.average_degree))
-    coll = build_hypergraph_collection(g, p, max_containers=max_containers, keep=keep)
+    coll = build_hypergraph_collection(g, p, max_containers=max_containers)
     return replace(coll, source="almost-regular-graph")
 
 

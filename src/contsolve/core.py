@@ -6,6 +6,7 @@ Vertex ids are 0-indexed internally; the DIMACS boundary is 1-indexed.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from itertools import chain, combinations, repeat
@@ -515,6 +516,11 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p), deterministic for a fixed seed."""
+    if not 0 <= p <= 1:
+        raise ParameterError(f"edge probability {p} must be in [0, 1]")
+    need = graph_bytes(n, math.ceil(p * (n * (n - 1) // 2)))
+    if need > MEMORY_BUDGET_BYTES:
+        raise SizeLimitError("memory", _over_budget(f"{n} vertices at edge probability {p}", need))
     rng = random.Random(seed)
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p

@@ -21,25 +21,23 @@ set that sorts before B: a proper prefix of B whose remaining vertices
 weigh 0, or a vertex between b(i-1) and b(i) adjacent to none of
 b1..b(i-1), with b1..b(i-1) inside the set.
 
-The fingerprint walk asks that question twice about each fingerprint F but
-the root, which is asked only the second. Every container below F lies
-inside V minus F's exclusions, so F's subtree is skipped when that set
-fails, which is asked before F's heavy set is computed. Then F's own
-container is asked about: a leaf's (a fingerprint with no children) right
-away, where a fail skips the leaf too, and any other F's, the root's
-included, once F's whole subtree has been walked. A container that passes
-is searched then, unless a container already searched holds it, as that
-search saw all of its subsets; so every later price meets the raised
-incumbent, and nothing is searched after the walk. The one exception is a
-walk that searched nothing, because S outweighs every container, or ties it
-with no room for an earlier tie: then the kept container of the highest
-bound, larger first, is searched anyway, so every answer of this path comes
-out of a search of the base solver, whose own checks then run (perfbench's
-MIS check relies on it). The answer is the one every container's search
-would give: the lexicographically smallest set of maximum weight.
+That question is the `keep` the fingerprint walk asks
+(`containers._walked_containers` says when), and a container that passes
+when the walk is done with it is searched then, unless a container already
+searched holds it, as that search saw all of its subsets; so every later
+price meets the raised incumbent, and nothing is searched after the walk.
+The one exception is a walk that searched nothing, because S outweighs every
+container, or ties it with no room for an earlier tie: then the kept
+container of the highest bound, larger first, is searched anyway, so every
+answer of this path comes out of a search of the base solver, whose own
+checks then run (perfbench's MIS check relies on it). The answer is the one
+every container's search would give: the lexicographically smallest set of
+maximum weight.
 
-That is `containers` mode, which always builds, forcing the regular scheme
-below its degree floor. `auto` runs the base solver on V and says why in
+That is `containers` mode, which always builds, through the hypergraph
+engine on g at p = 1/(epsilon * average degree): its threshold is tau =
+ceil(epsilon * average degree), the regular scheme's on a regular graph, at
+any degree. `auto` runs the base solver on V and says why in
 `stats["path"]`: on regular and G(n, p) graphs up to n = 80, B&B inside
 containers beat B&B on V only on d = n/2 at n <= 28, and lost more as n grew
 (README.md has the table)."""
@@ -49,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import Graph, ParameterError, VertexSet
-from .containers import build_almost_regular_collection, build_regular_collection
+from .containers import build_hypergraph_collection
 
 
 @dataclass
@@ -206,8 +204,8 @@ def mis_base(
 @dataclass
 class MisConfig:
     mode: str = "auto"  # auto | base | containers
-    # regular-build slack, read only in containers mode on a regular graph:
-    # any other graph takes the almost-regular build, which reads none
+    # fingerprint slack, read in containers mode on every graph: the walk's
+    # threshold is tau = ceil(epsilon * average degree)
     epsilon: float = 0.25
     # unread, since containers mode always builds; the field stays only
     # because perfbench/workloads.py still passes force=True
@@ -281,10 +279,7 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
             search(reach)
         return True
 
-    if g.is_regular():
-        coll = build_regular_collection(g, config.epsilon, force=True, keep=keep)
-    else:
-        coll = build_almost_regular_collection(g, keep=keep)
+    coll = build_hypergraph_collection(g, min(1.0, 1.0 / (config.epsilon * g.average_degree)), keep=keep)
     if not searched:
         # the walk priced every container out: the answer still comes out
         # of a search, as the module docstring says

@@ -16,7 +16,7 @@ from contsolve.containers import (
 )
 from contsolve.coloring import ColoringConfig, solve_kcoloring
 from contsolve.mis import MisConfig, mis_containers
-from contsolve.containers import _fixed_points, _locate, _walked_containers
+from contsolve.containers import _locate, _walked_containers
 from contsolve.core import (
     Graph,
     Hypergraph,
@@ -40,6 +40,26 @@ from oracles import (
 )
 
 EPS = 0.49  # close to the top of the valid range; keeps thresholds at ~d/2
+
+
+def _walked_fingerprints(excludes, tau):
+    """The fingerprints one walk at threshold tau lists, its map's keys, in
+    walk order, once the walk is seen to reach each of them once: every one
+    but the root is asked about once before it is walked."""
+    reached = []
+    walked, _ = _walked_containers(
+        excludes, tau, lambda f, reach, container: container or not reached.append(f)
+    )
+    assert sorted(reached) == sorted(set(walked) - {0})
+    return list(walked)
+
+
+def _excluded(excludes, f):
+    """What the vertices of F exclude."""
+    excluded = 0
+    for v in VertexSet(f):
+        excluded |= excludes[v]
+    return excluded
 
 
 class _Fingerprints(dict):
@@ -412,9 +432,8 @@ class TestFixedPointWalk:
             h = Hypergraph(g.n, 2, g.edges)
             isets = all_independent_sets(g)
             for tau in (1, 2, 3):
-                walked = [f for f, _, _ in _fixed_points(g.adj_mask, tau)]
+                walked = _walked_fingerprints(g.adj_mask, tau)
                 fps = {hypergraph_fingerprint(h, VertexSet(i), tau).mask for i in isets}
-                assert len(walked) == len(set(walked))
                 assert set(walked) == fps
             coll = build_hypergraph_collection(h, 1.0 / rng.randint(1, 3))
             tau = coll.stats["tau"]
@@ -439,8 +458,8 @@ class TestFixedPointWalk:
                 params, h = coll.params, Hypergraph(g.n, 2, g.edges)
                 isets = all_independent_sets(g)
                 fps = {hypergraph_fingerprint(h, VertexSet(i), params.tau).mask for i in isets}
-                walked = [f for f, _, _ in _fixed_points(g.adj_mask, params.epsilon * params.d)]
-                assert len(walked) == len(set(walked)) and set(walked) == fps
+                walked = _walked_fingerprints(g.adj_mask, params.epsilon * params.d)
+                assert set(walked) == fps
                 assert coll.stats["candidate_count"] == len(fps)
                 images = {coll.locate(VertexSet(i)).mask for i in isets}
                 assert {c.mask for c in coll.containers} == images
@@ -509,18 +528,21 @@ class TestFixedPointWalk:
 def _assert_walk_matches_container_rule(excludes, tau):
     """Every walked fingerprint carries its heavy set, and the container the
     walk reads off it is the one container rule's: F plus every vertex
-    outside F and its exclusions that is not heavy. Returns the number of
-    fingerprints walked."""
+    outside F and its exclusions that is not heavy. The heavy set is what
+    the container leaves out of V minus F's exclusions. Returns the number
+    of fingerprints walked."""
     full = (1 << len(excludes)) - 1
     walked = 0
-    for f, excluded, heavy in _fixed_points(excludes, tau):
+    for f, container in _walked_containers(excludes, tau)[0].items():
+        excluded = _excluded(excludes, f)
+        heavy = full & ~(excluded | container)
         expected_heavy = 0
         for v in range(len(excludes)):
             if not (f | excluded) >> v & 1 and (excludes[v] & ~excluded).bit_count() >= tau:
                 expected_heavy |= 1 << v
         assert heavy == expected_heavy
         free = full & ~(f | excluded)
-        assert full & ~(excluded | heavy) == f | (free & ~expected_heavy)
+        assert container == f | (free & ~expected_heavy)
         walked += 1
     return walked
 
@@ -558,10 +580,13 @@ class TestHeavySetWalk:
 
 def _keep_builds():
     """(independent sets, build) pairs, `build(keep=...)` being one builder
-    at fixed arguments: every builder that takes `keep`, at r=2 and r=3."""
+    at fixed arguments: the engine, the one builder that takes `keep`, on
+    regular graphs at the regular scheme's threshold, as the MIS wrapper
+    builds, on G(n, p) graphs and their 2-uniform hypergraphs, and at r=3."""
     rng = random.Random(81)
     for g in _coverage_instances():
-        yield all_independent_sets(g), partial(build_regular_collection, g, EPS, force=True)
+        p = min(1.0, 1.0 / (EPS * g.average_degree))
+        yield all_independent_sets(g), partial(build_hypergraph_collection, g, p)
     for _ in range(20):
         g = random_graph(rng.randint(4, 12), rng.choice([0.25, 0.4, 0.6]), rng.randrange(10**6))
         if g.m == 0:
@@ -569,7 +594,7 @@ def _keep_builds():
         h = Hypergraph(g.n, 2, g.edges)
         isets = all_independent_sets(g)
         yield isets, partial(build_hypergraph_collection, h, rng.choice([0.25, 0.5, 1.0]))
-        yield isets, partial(build_almost_regular_collection, g)
+        yield isets, partial(build_hypergraph_collection, g, min(1.0, 4.0 / g.average_degree))
     h = _random_hypergraph(9, 3, 20, 5)
     yield hypergraph_independent_sets(h)[:50], partial(build_hypergraph_collection, h, 0.5)
 
@@ -600,9 +625,12 @@ class TestCutWalk:
             assert sorted(owned) == sorted(walked + [0])
         g = random_graph(10, 0.4, 3)
         asked = []
-        walk = _fixed_points(g.adj_mask, 1, lambda *args: asked.append(args) or False)
-        assert [f for f, _, _ in walk] == [0]
+        walked, cut = _walked_containers(g.adj_mask, 1, lambda *args: asked.append(args) or False)
+        assert list(walked) == [0]
         assert [f for f, _, container in asked if container] == [0] and asked[-1][2]
+        # each of the root's children is cut; the no about the root's own
+        # container skips nothing
+        assert cut == len(asked) - 1 > 0
 
     def test_keep_sees_what_the_walk_carries(self, monkeypatch):
         # F is asked about V minus its exclusions, then about its own
@@ -618,17 +646,19 @@ class TestCutWalk:
             full = (1 << g.n) - 1
             want = []
             leaf = set()
-            for f, excluded, heavy in _fixed_points(g.adj_mask, 2):
+            for f, container in _walked_containers(g.adj_mask, 2)[0].items():
+                excluded = _excluded(g.adj_mask, f)
+                heavy = full & ~(excluded | container)
                 if f:
                     want.append((f, full & ~excluded, False))
                     if heavy >> f.bit_length():
                         inner += 1
                     else:
                         leaf.add(f)
-                want.append((f, full & ~(excluded | heavy), True))
+                want.append((f, container, True))
             leaves += len(leaf)
             asked = []
-            list(_fixed_points(g.adj_mask, 2, lambda *args: asked.append(args) or True))
+            _walked_containers(g.adj_mask, 2, lambda *args: asked.append(args) or True)
             assert sorted(asked) == sorted(want)
             position = {(f, container): i for i, (f, _, container) in enumerate(asked)}
             for f, _, container in asked:
@@ -645,7 +675,7 @@ class TestCutWalk:
         real = containers._heavy
         monkeypatch.setattr(containers, "_heavy", lambda *args: heavy_calls.append(1) or real(*args))
         g = random_regular_graph(12, 4, 11)
-        assert [f for f, _, _ in _fixed_points(g.adj_mask, 2, lambda *args: False)] == [0]
+        assert list(_walked_containers(g.adj_mask, 2, lambda *args: False)[0]) == [0]
         assert len(heavy_calls) == 1
 
     def test_cut_collection_reports_the_cut_and_has_no_locate(self):
@@ -804,3 +834,34 @@ class TestAlmostRegular:
         for iset in all_independent_sets(g):
             cont = coll.locate(VertexSet(iset))
             assert iset & ~cont.mask == 0 and cont.mask in members
+
+
+class TestRegularSchemeThroughTheEngine:
+    """The engine on a regular graph at p = 1/(epsilon*d), as the MIS
+    wrapper builds, is the regular scheme at epsilon."""
+
+    def test_same_collection_as_the_regular_builder(self):
+        # 0.3 at d = 3 puts epsilon*d just below one in floats
+        rng = random.Random(97)
+        cases = 0
+        for eps in (0.1, 0.25, 0.3, 0.37, 0.45, EPS):
+            for _ in range(6):
+                n, d = rng.choice([(10, 3), (12, 3), (12, 4), (14, 6), (16, 8), (12, 5)])
+                g = random_regular_graph(n, d, rng.randrange(10**6))
+                regular = build_regular_collection(g, eps, force=True)
+                engine = build_hypergraph_collection(g, min(1.0, 1.0 / (eps * d)))
+                assert engine.containers == regular.containers
+                for key in ("tau", "candidate_count"):
+                    assert engine.stats[key] == regular.stats[key]
+                cases += 1
+        assert cases == 36
+
+    def test_tau_is_the_regular_schemes_for_every_two_decimal_epsilon(self):
+        # one edge walks at most three fingerprints, so the engine never
+        # raises its starting threshold here
+        edge = Graph(2, [(0, 1)])
+        for hundredths in range(1, 50):
+            eps = hundredths / 100
+            for d in range(1, 300):
+                tau = build_hypergraph_collection(edge, min(1.0, 1.0 / (eps * d))).stats["tau"]
+                assert tau == ContainerParams(eps, d).tau, (eps, d)

@@ -25,6 +25,7 @@ from contsolve.core import (
     max_codegree,
     parse_dimacs_cnf,
     parse_dimacs_graph,
+    random_graph,
     random_ksat_formula,
     random_regular_graph,
 )
@@ -325,9 +326,20 @@ class TestGenerators:
             with pytest.raises(ParameterError):
                 random_ksat_formula(10, m, 3, 1)
 
+    def test_edge_probability_outside_unit_interval_rejected(self):
+        for p in (1.5, -0.5, 1 + 1e-12, float("nan")):
+            with pytest.raises(ParameterError, match="probability"):
+                random_graph(6, p, 1)
+        assert random_graph(6, 1.0, 1) == complete_graph(6)
+        assert random_graph(6, 0.0, 1).m == 0
+
     def test_sizes_over_the_byte_budget_refused_at_once(self):
         started = time.monotonic()
         for generate in (
+            lambda: random_graph(_GRAPH_MAX_VERTICES + 2, 0.0, 1),
+            # 1,000,405 pairs at p = 0.6 expect 600,243 edges, past the
+            # budget's 524,288
+            lambda: random_graph(1415, 0.6, 1),
             lambda: random_regular_graph(160_000, 4, 1),
             lambda: random_regular_graph(_GRAPH_MAX_VERTICES + 2, 0, 1),
             lambda: random_ksat_formula(1_000_000, 4000, 3, 1),

@@ -1,3 +1,4 @@
+import math
 import random
 from functools import partial
 from itertools import product
@@ -153,8 +154,7 @@ class TestMisContainers:
         def no_build(*args, **kwargs):
             raise AssertionError("auto built a container collection")
 
-        monkeypatch.setattr(mis, "build_regular_collection", no_build)
-        monkeypatch.setattr(mis, "build_almost_regular_collection", no_build)
+        monkeypatch.setattr(mis, "build_hypergraph_collection", no_build)
         rng = random.Random(58)
         cases = [(Graph(n, []), list(w)) for n in range(5) for w in product(range(4), repeat=n)]
         for _ in range(15):
@@ -304,13 +304,12 @@ def _solve_and_trace(g, config, weights=None):
             return _real(*args, **kwargs)
 
         mp.setattr(mis, "mis_base", search)
-        for name in ("build_regular_collection", "build_almost_regular_collection"):
 
-            def capture(*args, _real=getattr(mis, name), **kwargs):
-                built.append(_real(*args, **kwargs))
-                return built[-1]
+        def capture(*args, _real=mis.build_hypergraph_collection, **kwargs):
+            built.append(_real(*args, **kwargs))
+            return built[-1]
 
-            mp.setattr(mis, name, capture)
+        mp.setattr(mis, "build_hypergraph_collection", capture)
         return mis_containers(g, config, weights), built[0], during, after
 
 
@@ -319,17 +318,16 @@ def _solve_and_ask(g, config, weights):
     ask of its `keep`, in order, as (F, reach, container, answer)."""
     built, asks = [], []
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("build_regular_collection", "build_almost_regular_collection"):
 
-            def capture(*args, keep, _real=getattr(mis, name), **kwargs):
-                def asked(*ask):
-                    asks.append((*ask, keep(*ask)))
-                    return asks[-1][-1]
+        def capture(*args, keep, _real=mis.build_hypergraph_collection, **kwargs):
+            def asked(*ask):
+                asks.append((*ask, keep(*ask)))
+                return asks[-1][-1]
 
-                built.append(_real(*args, keep=asked, **kwargs))
-                return built[-1]
+            built.append(_real(*args, keep=asked, **kwargs))
+            return built[-1]
 
-            mp.setattr(mis, name, capture)
+        mp.setattr(mis, "build_hypergraph_collection", capture)
         return mis_containers(g, config, weights), built[0], asks
 
 
@@ -597,6 +595,29 @@ class TestCutWalk:
                 assert prefixes & rejected
             checked += 1
         assert checked >= 200 and inner > 100
+
+    def test_epsilon_sets_the_threshold_on_non_regular_graphs(self):
+        # epsilon reaches every graph's walk, at tau = ceil(epsilon * average
+        # degree), and the answer is exact at each
+        rng = random.Random(85)
+        taus = set()
+        checked = 0
+        for _ in range(60):
+            g = random_graph(rng.randint(4, 14), rng.choice([0.25, 0.4, 0.6]), rng.randrange(10**6))
+            if g.m == 0 or g.is_regular():
+                continue
+            weights = [rng.randint(0, 3) for _ in range(g.n)]
+            want = mis_base(g, weights)
+            for eps in (0.1, 0.25, 0.45):
+                c, coll = _solve_and_capture(g, MisConfig(mode="containers", epsilon=eps), weights)
+                assert c.best == want.best
+                assert c.weight == max_weight_independent_set(g, weights)
+                taus.add((g.average_degree, eps, coll.stats["tau"]))
+            checked += 1
+        assert checked > 40
+        # where the walk fits the budget, its tau is the scheme's
+        assert all(tau == max(1, math.ceil(round(eps * avg, 9))) for avg, eps, tau in taus)
+        assert len({tau for *_, tau in taus}) > 2
 
     def test_cut_walk_past_the_budget_raises_tau(self, monkeypatch):
         # a budget below the cut walk (so below the uncut one) makes the
