@@ -22,7 +22,6 @@ raised to the k-th power once, so the per-subset work runs in C."""
 
 from __future__ import annotations
 
-import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -30,7 +29,15 @@ from functools import lru_cache
 from itertools import compress
 
 from .containers import build_almost_regular_collection, maximal_masks
-from .core import MEMORY_BUDGET_BYTES, Graph, ParameterError, SizeLimitError, VertexSet, _over_budget
+from .core import (
+    MEMORY_BUDGET_BYTES,
+    Graph,
+    ParameterError,
+    SizeLimitError,
+    VertexSet,
+    _over_budget,
+    unpack_fields,
+)
 # eval_k2 is not called here: perfbench's tracer test checks that a name
 # bound by `from .extsum import` is patched, and names this one
 from .extsum import ExtSumInstance, eval_k2, evaluate, reduce_refinement  # noqa: F401
@@ -55,8 +62,6 @@ IS_TABLE_PEAK_FACTOR = 3
 # width, index bit): at most 33 masks, about 1 MB
 MASK_CACHE_BYTES = 1 << 15
 _masks: dict[tuple[int, int], int] = {}
-# the unsigned array typecode of each field width in bytes
-_TYPECODES = {array(code).itemsize: code for code in "LIHB"}
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 # the engine raises its threshold until the base collection has at most this
 # many containers
@@ -100,10 +105,7 @@ def count_is_dp(g: Graph, domain: VertexSet) -> IsCountTable:
         t |= (_restricted(t, f, order[:j], g.adj_mask[v]) + t) << (f << j)
     data = t.to_bytes(itemsize << w, "little")
     del t  # the array copies the bytes: two finished tables at most
-    counts = array(_TYPECODES[itemsize], data)
-    if sys.byteorder == "big":
-        counts.byteswap()
-    return IsCountTable(order=order, counts=counts)
+    return IsCountTable(order=order, counts=unpack_fields(data, itemsize))
 
 
 def _field_width(w: int, stage: str) -> int:

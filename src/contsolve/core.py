@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from array import array
 from collections import Counter
 from itertools import chain, combinations, repeat
 
@@ -43,6 +45,31 @@ def formula_bytes(n: int, m: int) -> int:
 
 def _over_budget(counts: str, need: int) -> str:
     return f"{counts} may need {need:,} bytes, over the budget of {MEMORY_BUDGET_BYTES:,}"
+
+
+# the unsigned array typecode of each field width in bytes
+_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
+
+
+def pack_fields(values, itemsize: int) -> int:
+    """`values` as one Python int of unsigned `itemsize`-byte fields, value i
+    at bit 8 * itemsize * i; each value must fit its field, and `itemsize`
+    is 1, 2, 4 or 8."""
+    fields = array(_TYPECODES[itemsize], values)
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return int.from_bytes(fields, "little")
+
+
+def unpack_fields(data: bytes, itemsize: int) -> array:
+    """The unsigned `itemsize`-byte fields of little-endian `data`, in order:
+    the read-back of a Python int packed as fixed-width fields, field i at
+    bit 8 * itemsize * i, after `int.to_bytes(len, "little")`. `itemsize` is
+    1, 2, 4 or 8."""
+    fields = array(_TYPECODES[itemsize], data)
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return fields
 
 
 class ParseError(ValueError):

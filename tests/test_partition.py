@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations, combinations_with_replacement
 
@@ -16,6 +17,7 @@ from contsolve.core import (
     complete_graph,
     cycle_graph,
     random_graph,
+    pack_fields,
     random_regular_graph,
 )
 from contsolve.partition import (
@@ -46,27 +48,74 @@ def _union(subsets, indices):
     return u
 
 
+def _assert_materialize_is_every_union(collection, monkeypatch):
+    # the definition, by brute force: every union of 1..k base containers
+    # under the ceiling is one candidate; members are the distinct unions
+    # ordered by size, then by mask
+    coll = collection()
+    base = list(coll.base.containers)
+    candidates = [
+        _union(base, combo)
+        for j in range(1, coll.k + 1)
+        for combo in combinations(range(len(base)), j)
+    ]
+    candidates = [u for u in candidates if u.bit_count() <= coll.size_ceiling]
+    expected = sorted(set(candidates), key=lambda u: (u.bit_count(), u))
+    monkeypatch.setattr(partition, "UNION_BUDGET", len(candidates))
+    assert coll.materialize() == tuple(expected)
+    assert coll.stats["container_count"] == len(expected)
+    # one candidate over the budget is refused, however the walk is ordered
+    monkeypatch.setattr(partition, "UNION_BUDGET", len(candidates) - 1)
+    with pytest.raises(SizeLimitError):
+        collection().materialize()
+
+
 class TestContainerUnions:
     def test_fewest_skips_smaller_combinations_but_counts_them(self, monkeypatch):
+        # brute force on both sides of PACKED_MIN_MASKS, at a width the
+        # packed step takes and one over 64 bits, where only the loop holds
+        # the masks; a packed walk ends on a batch, which holds the budget's
+        # last candidate at least when no ceiling empties it
         rng = random.Random(31)
-        for _ in range(40):
-            masks = [rng.getrandbits(10) for _ in range(rng.randint(1, 6))]
-            count = rng.randint(1, 4)
+        low = partition.PACKED_MIN_MASKS
+        cases = [(rng.randint(1, 6), 10, rng.randint(1, 4), math.inf) for _ in range(30)]
+        cases += [
+            (size, bits, count, ceiling)
+            for size in (low - 1, low, low + 5)
+            for bits in (12, 70)
+            for count in (1, 2, 3)
+            for ceiling in (math.inf, 0.6 * bits)
+        ]
+        binding = 0
+        for size, bits, count, ceiling in cases:
+            masks = [rng.getrandbits(bits) for _ in range(size)]
+            sets = [VertexSet(m) for m in masks]
             fewest = rng.randint(1, count)
             combos = [
-                combo for j in range(1, count + 1) for combo in combinations(range(len(masks)), j)
+                combo
+                for j in range(1, count + 1)
+                for combo in combinations(range(size), j)
+                if _union(sets, combo).bit_count() <= ceiling
             ]
-            want = {
-                _union([VertexSet(m) for m in masks], combo) for combo in combos if len(combo) >= fewest
-            }
-            got = list(container_unions(masks, count, fewest=fewest))
-            assert len(got) == len(set(got)) and set(got) == want
+            want = {_union(sets, combo) for combo in combos if len(combo) >= fewest}
+            packs = []
+            monkeypatch.setattr(partition, "pack_fields", lambda *a: packs.append(a) or pack_fields(*a))
+            assert container_unions(masks, count, ceiling, fewest=fewest) == want
+            packed = count > 1 and size >= low and bits <= 64
+            assert bool(packs) == packed
+            # a combination over the ceiling whose first count - 1 masks
+            # are under it is refused inside a packed batch
+            binding += packed and any(
+                _union(sets, combo).bit_count() > ceiling >= _union(sets, combo[:-1]).bit_count()
+                for combo in combinations(range(size), count)
+            )
             monkeypatch.setattr(partition, "UNION_BUDGET", len(combos))
-            list(container_unions(masks, count, fewest=fewest))
+            container_unions(masks, count, ceiling, fewest=fewest)
             monkeypatch.setattr(partition, "UNION_BUDGET", len(combos) - 1)
             with pytest.raises(SizeLimitError):
-                list(container_unions(masks, count, fewest=fewest))
+                container_unions(masks, count, ceiling, fewest=fewest)
             monkeypatch.undo()
+        assert binding >= 4
 
     def test_unions_of_the_most_containers_hold_every_maximal_union(self):
         rng = random.Random(32)
@@ -245,29 +294,28 @@ class TestRegularPartitionCollection:
                 if c is not None:
                     assert c.mask in members
 
-    @pytest.mark.parametrize("n,d,k", [(10, 3, 1), (12, 4, 2), (10, 3, 3)])
+    @pytest.mark.parametrize("n,d,k", [(10, 3, 1), (12, 4, 2), (10, 3, 3), (16, 4, 2)])
     def test_materialize_is_every_union_under_the_ceiling(self, n, d, k, monkeypatch):
-        # the definition, by brute force: every union of 1..k base containers
-        # under the ceiling is one candidate; members are the distinct unions
-        # ordered by size, then by mask
+        # (16, 4, 2) is a cli-size instance, whose hundreds of base
+        # containers take the packed step
         g = random_regular_graph(n, d, 5)
-        coll = build_partition_collection_regular(g, k, force=True)
-        base = list(coll.base.containers)
-        candidates = [
-            _union(base, combo)
-            for j in range(1, k + 1)
-            for combo in combinations(range(len(base)), j)
-        ]
-        candidates = [u for u in candidates if u.bit_count() <= coll.size_ceiling]
-        expected = sorted(set(candidates), key=lambda u: (u.bit_count(), u))
-        monkeypatch.setattr(partition, "UNION_BUDGET", len(candidates))
-        assert coll.materialize() == tuple(expected)
-        assert coll.stats["container_count"] == len(expected)
-        # one candidate over the budget is refused, however the walk is ordered
-        coll = build_partition_collection_regular(g, k, force=True)
-        monkeypatch.setattr(partition, "UNION_BUDGET", len(candidates) - 1)
-        with pytest.raises(SizeLimitError):
-            coll.materialize()
+        _assert_materialize_is_every_union(
+            lambda: build_partition_collection_regular(g, k, force=True), monkeypatch
+        )
+
+    def test_materialize_over_64_bits_is_every_union_under_the_ceiling(self, monkeypatch):
+        # masks wider than any array field: the loop enumerates them
+        rng = random.Random(6)
+        n = 80
+        base = ContainerCollection(
+            containers=tuple(VertexSet(rng.getrandbits(n)) for _ in range(partition.PACKED_MIN_MASKS + 6)),
+            params=None,
+            source="regular-graph",
+        )
+        _assert_materialize_is_every_union(
+            lambda: PartitionContainerCollection(base=base, k=2, epsilon=0.25, n=n, source="regular"),
+            monkeypatch,
+        )
 
     def test_cover_split_fallback_uses_materialized_unions(self, monkeypatch):
         # every set locates to V, which is over the ceiling, so no split of
@@ -308,6 +356,30 @@ class TestRegularPartitionCollection:
         monkeypatch.setattr(partition, "UNION_BUDGET", len(fitting) - 1)
         with pytest.raises(SizeLimitError):
             collection().cover_split(tup)
+
+    def test_cover_split_at_a_large_k_makes_splits_one_at_a_time(self, monkeypatch):
+        # 2^40 splits could not all be made: the first is tried at once, and
+        # a tuple no split fits is refused after UNION_BUDGET of them (kept
+        # small here, as each split is a Python loop over k)
+        n, k = 8, 40
+        full = VertexSet((1 << n) - 1)
+        pair = VertexSet.of([0, 1])
+
+        def collection(located):
+            base = ContainerCollection(
+                containers=(pair, full),
+                params=None,
+                source="regular-graph",
+                locate=lambda independent: located,
+            )
+            return PartitionContainerCollection(base=base, k=k, epsilon=1 / 16, n=n, source="regular")
+
+        tup = [VertexSet.of([0])] * k
+        assert collection(pair).cover_split(tup) == ((), None, pair)
+        monkeypatch.setattr(partition, "UNION_BUDGET", 1000)
+        with pytest.raises(SizeLimitError) as exc:
+            collection(full).cover_split(tup)
+        assert exc.value.stage == "partition-cover-split"
 
     def test_non_regular_rejected(self):
         with pytest.raises(ParameterError):
