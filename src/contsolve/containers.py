@@ -62,6 +62,9 @@ from .core import (
 # fingerprints any walk lists at one threshold before the driver raises the
 # threshold
 CANDIDATE_BUDGET = 20000
+# the stage a walk past it names; the driver raises the threshold on this
+# error only
+WALK_STAGE = "fingerprint-enumeration"
 
 # keep(F, reach, container), as `_walked_containers` asks it
 Keep = Callable[[int, int, bool], bool]
@@ -269,60 +272,67 @@ def _walked_containers(
     stops, and the map is None, as soon as it holds more than `limit`
     distinct containers over more than one fingerprint.
 
-    `keep(F, reach, container)`, when given, cuts the walk. It is asked
-    about every fixed point but the root before F is walked; where it is
-    false, F and its whole subtree are skipped, which counts as one cut.
-    Exclusions only grow down the tree, so every container below F lies
-    inside V minus F's exclusions: `keep` is first asked about that set,
-    with `container` false, before F's heavy set is computed. Each fixed
-    point walked is asked once about its own container, with `container`
-    true: a leaf (no heavy vertex above max F) right after its heavy set,
-    where false skips it, and any other, the root included, once every
-    fixed point below it has been walked, where the answer is ignored. A
-    rejected F is rejected at one ask only. A solver that can bound what a
-    set holds (the MIS wrapper, with its incumbent) so lists only the
-    containers it may need, and is handed each one, to search, as soon as
-    the walk is done with it. A cut walk no longer covers every independent
-    set, so its collection has no `locate`."""
+    `keep(F, reach, container)`, when given, cuts the walk. The walk asks
+    it about F, and computes F's heavy set, only when it reaches F: when F
+    pops from the stack, not when F's parent does. Exclusions only grow
+    down the tree, so every container below F lies inside V minus F's
+    exclusions: `keep` is first asked about that set, with `container`
+    false, before F's heavy set is computed; where it is false, F and its
+    whole subtree are skipped, which counts as one cut. The root is not
+    asked this. Each fixed point walked is asked once about its own
+    container, with `container` true: a leaf (no heavy vertex above max F)
+    right after its heavy set, where false skips it, and any other, the
+    root included, once every fixed point below it has been walked, where
+    the answer is ignored. A rejected F is rejected at one ask only. A cut
+    walk reaches F's children lowest vertex first, each once the subtree of
+    the one before is done. So a solver that can bound what a set holds
+    (the MIS wrapper, with its incumbent) prices each child against what
+    its lower siblings' searches found, lists only the containers it may
+    need, and is handed each one, to search, as soon as the walk is done
+    with it. A cut walk no longer covers every independent set, so its
+    collection has no `locate`. An uncut walk reaches F's children highest
+    vertex first."""
     full = (1 << len(excludes)) - 1
     walked: dict[int, int] = {}
     distinct = set()
     cut = 0
-    stack = [(0, 0, 0, _heavy(excludes, full, 0, tau))]
+    # (start, F, F's exclusions, the vertices F's heavy set lies in): F is
+    # asked about, and its heavy set computed, only when it pops
+    stack = [(0, 0, 0, full)]
     while stack:
-        start, f, excluded, heavy = stack.pop()
+        start, f, excluded, candidates = stack.pop()
         if start < 0:
             # F's subtree is done: `excluded` holds F's container
             keep(f, excluded, True)
             continue
+        if keep is not None and f and not keep(f, full & ~excluded, False):
+            cut += 1
+            continue
+        heavy = _heavy(excludes, candidates, excluded, tau)
+        children = heavy & -(1 << start)
+        container = full & ~(excluded | heavy)
+        if keep is not None and f and not children and not keep(f, container, True):
+            cut += 1
+            continue
         if len(walked) >= CANDIDATE_BUDGET:
-            raise SizeLimitError("fingerprint-enumeration", f"budget {CANDIDATE_BUDGET} exceeded")
-        container = walked[f] = full & ~(excluded | heavy)
+            raise SizeLimitError(WALK_STAGE, f"budget {CANDIDATE_BUDGET} exceeded")
+        walked[f] = container
         distinct.add(container)
         if limit is not None and len(distinct) > limit and len(walked) > 1:
             return None, cut
-        children = heavy & -(1 << start)
         if keep is not None and (children or not f):
             # not a leaf: F is asked about its container when this pops,
             # after its children's subtrees
             stack.append((-1, f, container, 0))
+        below = []
         while children:
             low = children & -children
             children ^= low
             v = low.bit_length() - 1
             grown = excluded | excludes[v]
-            if keep is not None and not keep(f | low, full & ~grown, False):
-                cut += 1
-                continue
-            child_heavy = _heavy(excludes, heavy & ~(grown | low), grown, tau)
-            if (
-                keep is not None
-                and not child_heavy >> (v + 1)
-                and not keep(f | low, full & ~(grown | child_heavy), True)
-            ):
-                cut += 1
-                continue
-            stack.append((v + 1, f | low, grown, child_heavy))
+            below.append((v + 1, f | low, grown, heavy & ~(grown | low)))
+        # a cut walk pops the lowest child first, an uncut one the highest
+        stack.extend(below if keep is None else reversed(below))
     return walked, cut
 
 
@@ -350,8 +360,9 @@ def _collection(
     while True:
         try:
             walked, cut = _walked_containers(excludes, tau, keep, max_containers)
-        except SizeLimitError:
-            pass
+        except SizeLimitError as exc:
+            if exc.stage != WALK_STAGE:
+                raise  # from `keep`, such as a search it ran
         else:
             if walked is not None:
                 break
@@ -364,7 +375,9 @@ def _collection(
         for informative in reversed(abandoned):
             try:
                 walked, cut = _walked_containers(excludes, informative, keep)
-            except SizeLimitError:
+            except SizeLimitError as exc:
+                if exc.stage != WALK_STAGE:
+                    raise
                 continue
             tau = informative
             break

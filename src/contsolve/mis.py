@@ -21,11 +21,16 @@ set that sorts before B: a proper prefix of B whose remaining vertices
 weigh 0, or a vertex between b(i-1) and b(i) adjacent to none of
 b1..b(i-1), with b1..b(i-1) inside the set.
 
-That question is the `keep` the fingerprint walk asks
-(`containers._walked_containers` says when), and a container that passes
-when the walk is done with it is searched then, unless a container already
-searched holds it, as that search saw all of its subsets; so every later
-price meets the raised incumbent, and nothing is searched after the walk.
+That question is the `keep` the fingerprint walk asks of each fingerprint
+as it reaches it, a fingerprint's children lowest vertex first, each once
+the subtree of the one before is done (`containers._walked_containers`
+says when). A set whose size times the heaviest weight is below the
+incumbent's weight is answered no before it is priced, as its price is at
+most its weight. A container that passes when the walk is done with it is
+searched then, unless a container already searched holds it, as that
+search saw all of its subsets; so every later price, a higher sibling's
+included, meets the raised incumbent, and nothing is searched after the
+walk.
 The one exception is a walk that searched nothing, because S outweighs every
 container, or ties it with no room for an earlier tie: then the kept
 container of the highest bound, larger first, is searched anyway, so every
@@ -44,9 +49,10 @@ containers beat B&B on V only on d = n/2 at n <= 28, and lost more as n grew
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
-from .core import Graph, ParameterError, VertexSet
+from .core import Graph, ParameterError, SizeLimitError, VertexSet
 from .containers import build_hypergraph_collection
 
 
@@ -194,7 +200,13 @@ def mis_base(
         rec(alive & ~(g.adj_mask[pivot] | (1 << pivot)), chosen | (1 << pivot), chosen_w + weights[pivot])
         rec(alive & ~(1 << pivot), chosen, chosen_w)
 
-    rec(within, 0, 0)
+    try:
+        rec(within, 0, 0)
+    except RecursionError:
+        # one frame per branch: a search deeper than the interpreter's stack
+        raise SizeLimitError(
+            "mis-branch-and-bound", f"recursion deeper than the limit {sys.getrecursionlimit()}"
+        ) from None
     best = VertexSet(best_mask)
     if not g.is_independent(best.mask):
         raise RuntimeError("solver returned a dependent set; this is a bug")
@@ -222,7 +234,9 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
     walk listed; `containers`, the distinct containers it kept; `cut`, the
     subtrees it skipped, a leaf whose own container was priced out
     included; `searched`, the container searches, the one after a walk that
-    searched nothing included; and `nodes`, the B&B nodes of all of them."""
+    searched nothing included; and `nodes`, the B&B nodes of all of them.
+    `tau` is the walked threshold, and `vacuous` whether V itself is a
+    container."""
     config = config or MisConfig()
     weights = _check_weights(g, weights)
     if not 0 < config.epsilon < 0.5:
@@ -245,6 +259,7 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
     full = (1 << g.n) - 1
     best_mask = _greedy_seed(g, weights, full)
     best_w = sum(weights[v] for v in VertexSet(best_mask))
+    heaviest = max(weights)
     prices: dict[int, int] = {}  # vertex mask -> bound
     searched: list[int] = []  # the containers searched, in order
     nodes = 0
@@ -267,7 +282,10 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
 
     def keep(f: int, reach: int, container: bool) -> bool:
         # whether reach may hold a set that beats the incumbent, or ties it
-        # and sorts first
+        # and sorts first; the cover bound is at most reach's weight, so a
+        # reach too small to reach the incumbent's weight needs no price
+        if reach.bit_count() * heaviest < best_w:
+            return False
         bound = price(reach)
         if bound < best_w or (
             bound == best_w and not _may_hold_earlier_tie(g, weights, reach, best_mask, best_w)
@@ -297,6 +315,8 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
             "walked": coll.stats["candidate_count"],
             "cut": coll.stats.get("cut", 0),
             "searched": len(searched),
+            "tau": coll.stats["tau"],
+            "vacuous": coll.stats["vacuous"],
             "largest_subproblem": coll.stats["max_container_size"],
             "nodes": nodes,
         },

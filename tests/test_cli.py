@@ -234,6 +234,21 @@ class TestMisCommand:
         assert code == 0 and report["result"]["set"] == base["result"]["set"]
         counters = report["counters"]
         assert counters["walked"] >= counters["containers"] >= 1
+        # the walked threshold is the scheme's ceil(0.45 * 12), and a
+        # collection smaller than V is no vacuous one
+        assert counters["tau"] == 6 and counters["vacuous"] is False
+
+    def test_a_search_past_the_recursion_limit_exits_two(self, capsys, tmp_path):
+        # B&B recurses once per branch, and 1,200 vertices are deeper than
+        # the interpreter's stack: a typed refusal at the search's stage,
+        # while the container path prices its containers out and answers
+        path = tmp_path / "one-edge.col"
+        path.write_text("p edge 1200 1\ne 1 2\n")
+        code, report = run_json(capsys, ["mis", "--input", str(path), "--mode", "base"])
+        assert code == 2 and report["error"]["type"] == "SizeLimitError"
+        assert report["error"]["stage"] == "mis-branch-and-bound"
+        code, report = run_json(capsys, ["mis", "--input", str(path), "--mode", "containers"])
+        assert code == 0 and report["result"]["size"] == 1199
 
     def test_auto_names_its_reason(self, capsys, tmp_path):
         path = write_graph(tmp_path, random_graph(12, 0.4, 3))

@@ -449,6 +449,37 @@ class TestFixedPointWalk:
             cases += 1
         assert cases > 40
 
+    def test_uncut_walk_lists_each_highest_child_first(self):
+        # an uncut walk lists the fixed points of a brute-force scan depth
+        # first, the highest child of each fingerprint first, each with the
+        # per-set container: the order its map has always had; a walk whose
+        # `keep` says yes to everything lists the same map lowest child first
+        rng = random.Random(42)
+        cases = 0
+        for _ in range(60):
+            g = random_graph(rng.randint(2, 12), rng.choice([0.2, 0.35, 0.5, 0.7]), rng.randrange(10**6))
+            if g.m == 0:
+                continue
+            h = Hypergraph(g.n, 2, g.edges)
+            isets = all_independent_sets(g)
+            for tau in (1, 2, 3):
+                fixed = {hypergraph_fingerprint(h, VertexSet(i), tau).mask for i in isets}
+
+                def preorder(f, order):
+                    yield f
+                    for v in order(range(f.bit_length(), g.n)):
+                        if f | 1 << v in fixed:
+                            yield from preorder(f | 1 << v, order)
+
+                def listed(order):
+                    return [(f, hypergraph_container(h, VertexSet(f), tau).mask) for f in preorder(0, order)]
+
+                assert list(_walked_containers(g.adj_mask, tau)[0].items()) == listed(reversed)
+                walked, cut = _walked_containers(g.adj_mask, tau, lambda *args: True)
+                assert list(walked.items()) == listed(iter) and cut == 0
+                cases += len(fixed) > 2
+        assert cases > 60
+
     def test_regular_builder_walks_every_fingerprint_and_nothing_else(self):
         # 0.25 makes epsilon*d an integer on the 4-regular instances (1.0);
         # 0.3 puts the float product just off one (0.3*3 = 0.8999999999999999)

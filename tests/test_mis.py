@@ -10,6 +10,7 @@ from contsolve.core import (
     Graph,
     Hypergraph,
     ParameterError,
+    SizeLimitError,
     VertexSet,
     complete_graph,
     cycle_graph,
@@ -115,6 +116,19 @@ class TestMisBase:
             assert r.best.mask == expected
             assert r.weight == -key(expected)[0] and r.size == expected.bit_count()
         assert outside > 20
+
+    def test_a_search_past_the_recursion_limit_is_a_size_limit(self):
+        # one frame per branch: on 1,200 vertices with one edge the search on
+        # V, which auto mode runs, is deeper than the interpreter allows and
+        # is refused at its stage; the container path prices its containers
+        # out and answers with the set that leaves out vertex 1
+        g = Graph(1200, [(0, 1)])
+        for call in (partial(mis_base, g), partial(mis_containers, g)):
+            with pytest.raises(SizeLimitError) as refused:
+                call()
+            assert refused.value.stage == "mis-branch-and-bound"
+        c = mis_containers(g, MisConfig(mode="containers"))
+        assert c.size == 1199 and c.best.mask == (1 << 1200) - 1 - 0b10
 
     def test_rejects_bad_within_and_incumbent(self):
         g = cycle_graph(4)
@@ -596,6 +610,108 @@ class TestCutWalk:
             checked += 1
         assert checked >= 200 and inner > 100
 
+    def test_siblings_are_asked_lowest_first_after_the_lower_subtrees(self):
+        # the asks are a brute-force walk's over the fixed points of a
+        # fingerprint scan at the walk's tau, answered as the walk's own
+        # were: F's children, in increasing vertex order, are each asked
+        # about V minus their exclusions, and a kept one has its subtree
+        # walked and is asked about its container before its next sibling
+        # is asked anything; the root is asked about its container last
+        rng = random.Random(86)
+        checked = nested = 0
+        for trial in range(160):
+            if trial % 2 == 0:
+                n, d = rng.choice([(8, 3), (10, 4), (12, 4), (12, 6), (14, 6), (10, 6)])
+                g = random_regular_graph(n, d, rng.randrange(10**6))
+                config = MisConfig(mode="containers", epsilon=rng.choice([0.25, 0.45]))
+            else:
+                g = random_graph(rng.randint(3, 14), rng.choice([0.25, 0.4, 0.6]), rng.randrange(10**6))
+                config = MisConfig(mode="containers")
+            if g.m == 0:
+                continue
+            weights = [rng.randint(0, 3) for _ in range(g.n)] if trial % 4 < 2 else None
+            c, coll, asks = _solve_and_ask(g, config, weights)
+            assert c.best == mis_base(g, weights).best
+            tau, full = coll.stats["tau"], (1 << g.n) - 1
+            h = Hypergraph(g.n, 2, g.edges)
+            fixed = {hypergraph_fingerprint(h, VertexSet(i), tau).mask for i in all_independent_sets(g)}
+            answer = {(f, container): said for f, _, container, said in asks}
+            want = []
+
+            def walk(f):
+                # the number of siblings asked after a lower one's subtree
+                # held asks of its own
+                after_subtree = 0
+                deep = False
+                for v in range(f.bit_length(), g.n):
+                    child = f | 1 << v
+                    if child not in fixed:
+                        continue
+                    after_subtree += deep
+                    excluded = 0
+                    for u in VertexSet(child):
+                        excluded |= g.adj_mask[u]
+                    want.append((child, full & ~excluded, False))
+                    if answer[child, False]:
+                        before = len(want)
+                        after_subtree += walk(child)
+                        deep = deep or len(want) > before
+                        want.append((child, hypergraph_container(h, VertexSet(child), tau).mask, True))
+                return after_subtree
+
+            nested += walk(0)
+            want.append((0, hypergraph_container(h, VertexSet(0), tau).mask, True))
+            assert [ask[:3] for ask in asks] == want
+            checked += 1
+        assert checked >= 140 and nested > 100
+
+    def test_the_weight_cap_answers_as_the_cover_rule_and_tie_test(self, monkeypatch):
+        # keep says no before pricing when |reach| times the heaviest weight
+        # is below the incumbent's weight; at every ask its answer is the
+        # cover bound's and the tie test's against the incumbent of that
+        # moment: the greedy set over V, then each search's answer
+        rng = random.Random(87)
+        state = {}
+        real_base, real_build = mis.mis_base, mis.build_hypergraph_collection
+
+        def search(*args, **kwargs):
+            r = real_base(*args, **kwargs)
+            state["best"] = r.best.mask
+            return r
+
+        def build(*args, keep, **kwargs):
+            def checked(f, reach, container):
+                g, weights, best = state["g"], state["weights"], state["best"]
+                best_w = sum(weights[v] for v in VertexSet(best))
+                bound = _clique_cover_bound(g, weights, reach)
+                said = keep(f, reach, container)
+                assert said == (bound > best_w or (
+                    bound == best_w and _may_hold_earlier_tie(g, weights, reach, best, best_w)))
+                state["capped"] += reach.bit_count() * max(weights) < best_w
+                state["asks"] += 1
+                return said
+
+            return real_build(*args, keep=checked, **kwargs)
+
+        monkeypatch.setattr(mis, "mis_base", search)
+        monkeypatch.setattr(mis, "build_hypergraph_collection", build)
+        state.update(capped=0, asks=0)
+        for trial in range(120):
+            if trial % 2 == 0:
+                n, d = rng.choice([(10, 4), (12, 6), (14, 6), (16, 8), (18, 8)])
+                g = random_regular_graph(n, d, rng.randrange(10**6))
+                config = MisConfig(mode="containers", epsilon=0.45)
+            else:
+                g = random_graph(rng.randint(6, 16), rng.choice([0.3, 0.5]), rng.randrange(10**6))
+                config = MisConfig(mode="containers")
+            if g.m == 0:
+                continue
+            weights = [rng.randint(0, 3) for _ in range(g.n)] if trial % 4 < 2 else [1] * g.n
+            state.update(g=g, weights=weights, best=_greedy_seed(g, weights, (1 << g.n) - 1))
+            c = mis_containers(g, config, weights)
+            assert c.best.mask == real_base(g, weights).best.mask
+        assert state["capped"] > 200 and state["asks"] > state["capped"]
+
     def test_epsilon_sets_the_threshold_on_non_regular_graphs(self):
         # epsilon reaches every graph's walk, at tau = ceil(epsilon * average
         # degree), and the answer is exact at each
@@ -618,6 +734,29 @@ class TestCutWalk:
         # where the walk fits the budget, its tau is the scheme's
         assert all(tau == max(1, math.ceil(round(eps * avg, 9))) for avg, eps, tau in taus)
         assert len({tau for *_, tau in taus}) > 2
+
+    def test_a_search_refused_in_the_walk_ends_the_build(self, monkeypatch):
+        # min-degree greedy misses this 9-vertex graph's optimum by one, so
+        # the walk searches a container, and with 1,100 isolated vertices
+        # that search is deeper than the recursion limit: its SizeLimitError
+        # ends the build at the first walk, where the walk's own budget
+        # error would make the driver raise tau and walk again
+        edges = [(0, 5), (0, 7), (0, 8), (1, 3), (1, 6), (1, 7), (1, 8), (2, 4)]
+        edges += [(3, 4), (3, 6), (3, 8), (4, 7), (5, 6), (5, 8), (6, 7), (7, 8)]
+        core = Graph(9, edges)
+        assert _greedy_seed(core, [1] * 9, (1 << 9) - 1).bit_count() < mis_base(core).size
+        walks = []
+        real = containers._walked_containers
+
+        def walk(*args):
+            walks.append(args[1])
+            assert len(walks) == 1, "the driver walked again after a refused search"
+            return real(*args)
+
+        monkeypatch.setattr(containers, "_walked_containers", walk)
+        with pytest.raises(SizeLimitError) as refused:
+            mis_containers(Graph(9 + 1100, edges), MisConfig(mode="containers"))
+        assert refused.value.stage == "mis-branch-and-bound" and len(walks) == 1
 
     def test_cut_walk_past_the_budget_raises_tau(self, monkeypatch):
         # a budget below the cut walk (so below the uncut one) makes the
