@@ -9,31 +9,39 @@ better of it and its container's optimum. That is exact, because the optimum
 lies inside the container of its fingerprint, and the prune only cuts
 branches that cannot beat or tie the incumbent.
 
-Containers are priced by a greedy clique cover: an independent set takes at
+Vertex sets are priced by greedy clique covers: an independent set takes at
 most one vertex of each clique, so the sum of the cliques' heaviest weights
 bounds every independent subset of a vertex set. The incumbent starts at S
 and only improves, and the answer never ranks below it, so a vertex set
 needs a search only if it may hold a set that beats the incumbent, or ties
 it and sorts first. A set priced below the incumbent's weight holds
 neither. One priced at that weight can only tie the incumbent B = b1 < b2 <
-..., and is kept only when a bit test along B finds room in it for a tying
-set that sorts before B: a proper prefix of B whose remaining vertices
-weigh 0, or a vertex between b(i-1) and b(i) adjacent to none of
-b1..b(i-1), with b1..b(i-1) inside the set.
+..., and is kept only when the tie test finds room in it for a tying set
+that sorts before B: a proper prefix of B whose remaining vertices weigh 0,
+or a vertex between b(i-1) and b(i) adjacent to none of b1..b(i-1), with
+b1..b(i-1) inside the set. The test is built once per incumbent, as one gap
+mask and one bit of B per step, so an ask is at most two ANDs per vertex of
+B.
 
 That question is the `keep` the fingerprint walk asks of each fingerprint
 as it reaches it, a fingerprint's children lowest vertex first, each once
 the subtree of the one before is done (`containers._walked_containers`
 says when). A set whose size times the heaviest weight is below the
 incumbent's weight is answered no before it is priced, as its price is at
-most its weight. A container that passes when the walk is done with it is
-searched then, unless a container already searched holds it, as that
-search saw all of its subsets; so every later price, a higher sibling's
-included, meets the raised incumbent, and nothing is searched after the
-walk.
+most its weight. Otherwise it is priced by one cover, each clique grown
+from the lowest free vertex by the lowest common free neighbour. A
+container that this cover does not price out, about to be searched, is
+priced again by the mirrored cover (highest free vertex, highest common
+free neighbour), and its price is the lower of the two: a search costs
+tens of covers, and neither cover is always the tighter. Pricing every
+ask by both took about as many nodes and no less time. A container that passes
+when the walk is done with it is searched then, unless a container already
+searched holds it, as that search saw all of its subsets; so every later
+price, a higher sibling's included, meets the raised incumbent, and nothing
+is searched after the walk.
 The one exception is a walk that searched nothing, because S outweighs every
 container, or ties it with no room for an earlier tie: then the kept
-container of the highest bound, larger first, is searched anyway, so every
+container of the highest price, larger first, is searched anyway, so every
 answer of this path comes out of a search of the base solver, whose own
 checks then run (perfbench's MIS check relies on it). The answer is the one
 every container's search would give: the lexicographically smallest set of
@@ -50,6 +58,7 @@ containers beat B&B on V only on d = n/2 at n <= 28, and lost more as n grew
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .core import Graph, ParameterError, SizeLimitError, VertexSet
@@ -83,61 +92,71 @@ def _greedy_seed(g: Graph, weights: list[int], alive: int) -> int:
     return chosen
 
 
-def _clique_cover_bound(g: Graph, weights: list[int], mask: int) -> int:
+def _clique_cover_bound(g: Graph, weights: list[int], mask: int, *, highest: bool = False) -> int:
     """Upper bound on the weight of an independent subset of `mask`: cover
     `mask` greedily by cliques, each grown from its lowest free vertex by its
-    lowest common free neighbour, and add up each clique's heaviest weight.
-    An independent set meets each clique at most once, so the bound holds for
-    any non-negative weights; on an independent mask it is the mask's weight."""
+    lowest common free neighbour (with `highest`, the mirrored cover: from
+    the highest free vertex by the highest common free neighbour), and add up
+    each clique's heaviest weight. An independent set meets each clique at
+    most once, so the bound holds for any non-negative weights; on an
+    independent mask it is the mask's weight."""
+    adj = g.adj_mask
     bound = 0
     while mask:
-        low = mask & -mask
+        low = 1 << (mask.bit_length() - 1) if highest else mask & -mask
         mask ^= low
         v = low.bit_length() - 1
         heaviest = weights[v]
-        common = g.adj_mask[v] & mask
+        common = adj[v] & mask
         while common:
-            low = common & -common
+            low = 1 << (common.bit_length() - 1) if highest else common & -common
             mask ^= low
             u = low.bit_length() - 1
             if weights[u] > heaviest:
                 heaviest = weights[u]
-            common &= g.adj_mask[u]
+            common &= adj[u]
         bound += heaviest
     return bound
 
 
-def _may_hold_earlier_tie(
-    g: Graph, weights: list[int], container: int, best: int, best_w: int
-) -> bool:
-    """Whether `container` may hold an independent set of the incumbent's
-    weight that sorts before the incumbent `best` = b1 < b2 < ... < bk, of
-    weight `best_w`.
+def _earlier_tie_test(g: Graph, weights: list[int], best: int, best_w: int) -> Callable[[int], bool]:
+    """The test of whether a vertex set may hold an independent set of the
+    incumbent's weight that sorts before the incumbent `best` = b1 < b2 <
+    ... < bk, of weight `best_w`, built once per incumbent.
 
     Such a set S either is a proper prefix b1..b(i-1) of `best` whose rest
     b(i)..bk weighs 0, or first differs from `best` at some i with b(i-1) <
-    s(i) < b(i); either way b1..b(i-1) lies in the container. So for i = 1,
-    2, ...: a zero-weight rest or a vertex of the container strictly between
-    b(i-1) and b(i) that no b1..b(i-1) is adjacent to says yes, and b(i)
-    outside the container says no. Past bk it is no: every other subset of
-    the container that holds all of `best` extends it and sorts after it."""
+    s(i) < b(i); either way b1..b(i-1) lies in the set. So for i = 1, 2,
+    ...: a zero-weight rest, or a vertex of the set strictly between b(i-1)
+    and b(i) that no b1..b(i-1) is adjacent to (step i's gap mask), says
+    yes, and b(i) outside the set says no. Past bk it is no: every other
+    subset that holds all of `best` extends it and sorts after it. The rest
+    weighs 0 from some step on, or never, so the steps stop there, and a
+    set that passes them all is answered by whether they stopped at a
+    zero-weight rest."""
+    steps = []  # (step i's gap mask, b(i))
     rest_w = best_w  # the weight of b(i)..bk
     passed = 0  # b1..b(i-1) and every vertex below them
     blocked = 0  # the neighbourhood of b1..b(i-1)
-    while best:
-        if rest_w == 0:
-            return True
+    while best and rest_w:
         low = best & -best
         best ^= low
-        if container & (low - 1) & ~(passed | blocked):
-            return True
-        if not container & low:
-            return False
+        steps.append(((low - 1) & ~(passed | blocked), low))
         v = low.bit_length() - 1
         passed |= (low << 1) - 1
         blocked |= g.adj_mask[v]
         rest_w -= weights[v]
-    return False
+    zero_rest = bool(best)  # stopped before bk, at a rest of weight 0
+
+    def may_hold_earlier_tie(mask: int) -> bool:
+        for gap, bit in steps:
+            if mask & gap:
+                return True
+            if not mask & bit:
+                return False
+        return zero_rest
+
+    return may_hold_earlier_tie
 
 
 def _check_weights(g: Graph, weights: list[int] | None) -> list[int]:
@@ -259,42 +278,55 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
     full = (1 << g.n) - 1
     best_mask = _greedy_seed(g, weights, full)
     best_w = sum(weights[v] for v in VertexSet(best_mask))
+    may_tie = _earlier_tie_test(g, weights, best_mask, best_w)
     heaviest = max(weights)
-    prices: dict[int, int] = {}  # vertex mask -> bound
+    covers: dict[int, int] = {}  # vertex mask -> its lowest-first cover
+    prices: dict[int, int] = {}  # container mask -> the lower of its two covers
     searched: list[int] = []  # the containers searched, in order
     nodes = 0
 
-    def price(mask: int) -> int:
-        bound = prices.get(mask)
+    def cover(mask: int) -> int:
+        bound = covers.get(mask)
         if bound is None:
-            bound = prices[mask] = _clique_cover_bound(g, weights, mask)
+            bound = covers[mask] = _clique_cover_bound(g, weights, mask)
         return bound
+
+    def price(container: int) -> int:
+        bound = prices.get(container)
+        if bound is None:
+            bound = prices[container] = min(
+                cover(container), _clique_cover_bound(g, weights, container, highest=True))
+        return bound
+
+    def priced_out(mask: int, bound: int) -> bool:
+        # mask holds no set that beats the incumbent, or ties it and sorts first
+        return bound < best_w or (bound == best_w and not may_tie(mask))
 
     def held(container: int) -> bool:
         return any(not container & ~done for done in searched)
 
     def search(container: int) -> None:
-        nonlocal best_mask, best_w, nodes
+        nonlocal best_mask, best_w, may_tie, nodes
         r = mis_base(g, weights, within=container, incumbent=best_mask)
         nodes += r.stats["nodes"]
         searched.append(container)
-        best_mask, best_w = r.best.mask, r.weight
+        if r.best.mask != best_mask:
+            best_mask, best_w = r.best.mask, r.weight
+            may_tie = _earlier_tie_test(g, weights, best_mask, best_w)
 
     def keep(f: int, reach: int, container: bool) -> bool:
-        # whether reach may hold a set that beats the incumbent, or ties it
-        # and sorts first; the cover bound is at most reach's weight, so a
-        # reach too small to reach the incumbent's weight needs no price
-        if reach.bit_count() * heaviest < best_w:
+        # a cover is at most reach's weight, so a reach too small to reach
+        # the incumbent's weight needs no price; a container that one cover
+        # does not price out meets the lower of two before it is searched
+        if reach.bit_count() * heaviest < best_w or priced_out(reach, cover(reach)):
             return False
-        bound = price(reach)
-        if bound < best_w or (
-            bound == best_w and not _may_hold_earlier_tie(g, weights, reach, best_mask, best_w)
-        ):
-            return False
-        # a container is searched when the walk hands it over, so every later
-        # price and tie test meets the raised incumbent
-        if container and not held(reach):
-            search(reach)
+        if container:
+            if priced_out(reach, price(reach)):
+                return False
+            # a container is searched when the walk hands it over, so every
+            # later price and tie test meets the raised incumbent
+            if not held(reach):
+                search(reach)
         return True
 
     coll = build_hypergraph_collection(g, min(1.0, 1.0 / (config.epsilon * g.average_degree)), keep=keep)

@@ -27,8 +27,8 @@ from contsolve.containers import (
 from contsolve.mis import (
     MisConfig,
     _clique_cover_bound,
+    _earlier_tie_test,
     _greedy_seed,
-    _may_hold_earlier_tie,
     mis_base,
     mis_containers,
 )
@@ -345,6 +345,34 @@ def _solve_and_ask(g, config, weights):
         return mis_containers(g, config, weights), built[0], asks
 
 
+def _container_price(g, weights, mask):
+    """The price mis_containers gives a container: the lower of its two
+    greedy clique covers."""
+    return min(_clique_cover_bound(g, weights, mask), _clique_cover_bound(g, weights, mask, highest=True))
+
+
+def _tie_walk(g, weights, container, best, best_w):
+    """The tie test as one bit walk along the incumbent B = b1 < ... < bk
+    per ask: the reference `_earlier_tie_test` is checked against. A
+    zero-weight rest says yes, a vertex of the container between b(i-1) and
+    b(i) adjacent to none of b1..b(i-1) says yes, b(i) outside it says no."""
+    rest_w, passed, blocked = best_w, 0, 0
+    while best:
+        if rest_w == 0:
+            return True
+        low = best & -best
+        best ^= low
+        if container & (low - 1) & ~(passed | blocked):
+            return True
+        if not container & low:
+            return False
+        v = low.bit_length() - 1
+        passed |= (low << 1) - 1
+        blocked |= g.adj_mask[v]
+        rest_w -= weights[v]
+    return False
+
+
 def _priced_cases(seed, count):
     """(graph, weights, collection, config) on forced regular and G(n, p)
     graphs, built as mis_containers builds them; weights 0-3, so zero
@@ -368,6 +396,7 @@ def _priced_cases(seed, count):
 
 class TestContainerPricing:
     def test_clique_cover_bound_is_an_upper_bound(self):
+        # both covers, lowest-first and mirrored, against brute force
         rng = random.Random(71)
         for _ in range(300):
             n = rng.randint(1, 12)
@@ -380,6 +409,7 @@ class TestContainerPricing:
                 if not i & ~mask
             )
             assert _clique_cover_bound(g, weights, mask) >= best
+            assert _clique_cover_bound(g, weights, mask, highest=True) >= best
 
     def test_clique_cover_bound_is_exact_on_independent_masks(self):
         rng = random.Random(72)
@@ -388,7 +418,9 @@ class TestContainerPricing:
             g = random_graph(n, rng.choice([0.2, 0.4, 0.6]), rng.randrange(10**6))
             weights = [rng.randint(0, 3) for _ in range(n)]
             for i in all_independent_sets(g):
-                assert _clique_cover_bound(g, weights, i) == sum(weights[v] for v in VertexSet(i))
+                weight = sum(weights[v] for v in VertexSet(i))
+                assert _clique_cover_bound(g, weights, i) == weight
+                assert _clique_cover_bound(g, weights, i, highest=True) == weight
 
     def test_priced_search_keeps_base_answer_under_ties(self):
         for g, weights, _, config in _priced_cases(73, 40):
@@ -398,20 +430,24 @@ class TestContainerPricing:
 
     def test_pricing_never_adds_nodes_to_the_unpriced_loop(self):
         # the loop before pricing: every maximal container in maximal_masks
-        # order, one incumbent carried across, started from a greedy set
-        skipped = 0
-        for g, weights, coll, config in _priced_cases(74, 30):
+        # order, one incumbent carried across, started from a greedy set.
+        # Pricing takes fewer B&B nodes in total, though not on every graph:
+        # the walk searches other containers than the loop, in another
+        # order, from other incumbents
+        skipped = priced = unpriced = 0
+        cases = [*_priced_cases(74, 30), *_priced_cases(174, 200), *_priced_cases(274, 200)]
+        for g, weights, coll, config in cases:
             best = _greedy_seed(g, weights, (1 << g.n) - 1)
-            unpriced = 0
             for container in maximal_masks(x.mask for x in coll.containers):
                 r = mis_base(g, weights, within=container, incumbent=best)
                 unpriced += r.stats["nodes"]
                 best = r.best.mask
             c = mis_containers(g, config, weights)
             assert c.best.mask == best
-            assert c.stats["nodes"] <= unpriced
+            priced += c.stats["nodes"]
             assert c.stats["searched"] <= c.stats["containers"]
             skipped += c.stats["searched"] < c.stats["containers"]
+        assert priced <= unpriced
         assert skipped > 0
 
     def test_tie_test_skips_only_containers_without_an_earlier_tie(self):
@@ -431,13 +467,14 @@ class TestContainerPricing:
 
             within = (1 << n) - 1 if trial % 3 == 0 else rng.getrandbits(n)
             best = min((m for m in isets if not m & ~within), key=key)
+            may_tie = _earlier_tie_test(g, weights, best, -key(best)[0])
             for _ in range(8):
                 container = rng.getrandbits(n)
                 earlier = [
                     m for m in isets
                     if not m & ~container and key(m)[0] == key(best)[0] and key(m) < key(best)
                 ]
-                if not _may_hold_earlier_tie(g, weights, container, best, -key(best)[0]):
+                if not may_tie(container):
                     assert not earlier
                     skipped += 1
                 needed += bool(earlier)
@@ -447,11 +484,13 @@ class TestContainerPricing:
         # the answer comes out of a container search even where the walk
         # searches nothing, as on these 4-regular n = 10 and 6-regular
         # n = 12 graphs whose greedy set over V is already optimal: then the
-        # kept container of the highest bound, larger first, is searched
-        # after the walk, and only then is anything searched after it
+        # kept container of the highest price, the lower of its two covers
+        # as in the walk, larger first, is searched after the walk, and only
+        # then is anything searched after it. On some 8-regular n = 16
+        # graphs the lowest-first cover alone would rank another first
         rng = random.Random(77)
-        only_seed = larger_first = 0
-        for n, d in [(10, 4)] * 40 + [(12, 6)] * 40:
+        only_seed = larger_first = not_by_one_cover = 0
+        for n, d in [(10, 4)] * 40 + [(12, 6)] * 40 + [(16, 8)] * 300:
             g = random_regular_graph(n, d, rng.randrange(10**6))
             coll = build_regular_collection(g, 0.45, force=True)
             maximal = maximal_masks(x.mask for x in coll.containers)
@@ -463,31 +502,63 @@ class TestContainerPricing:
             if during:
                 assert after == []
                 continue
-            price = {x.mask: _clique_cover_bound(g, [1] * g.n, x.mask) for x in kept.containers}
+            price = {x.mask: _container_price(g, [1] * g.n, x.mask) for x in kept.containers}
             top = [m for m in price if price[m] == max(price.values())]
             assert after == [min(top, key=lambda m: (-m.bit_count(), m))]
             only_seed += 1
             larger_first += len({m.bit_count() for m in top}) > 1
-        assert only_seed > 0 and larger_first > 0
+            one_cover = min(price, key=lambda m: (-_clique_cover_bound(g, [1] * g.n, m), -m.bit_count(), m))
+            not_by_one_cover += after != [one_cover]
+        assert only_seed > 0 and larger_first > 0 and not_by_one_cover > 0
 
     def test_tie_test_searches_a_prefix_whose_rest_weighs_zero(self):
         # B = (0, 2) with w(2) = 0 ties its prefix (0,), which sorts first;
         # the container holds only the prefix, so b2 outside it must not end
         # the test before the zero-weight rest is seen
         g = Graph(3, [(0, 1)])
-        assert _may_hold_earlier_tie(g, [1, 1, 0], 0b001, 0b101, 1)
-        assert not _may_hold_earlier_tie(g, [1, 1, 1], 0b001, 0b101, 2)
+        assert _earlier_tie_test(g, [1, 1, 0], 0b101, 1)(0b001)
+        assert not _earlier_tie_test(g, [1, 1, 1], 0b101, 2)(0b001)
+
+    def test_tie_test_built_once_answers_as_the_bit_walk(self):
+        # the steps built from the incumbent answer every mask as the walk
+        # along B per ask does; B often ends in vertices of weight 0, and a
+        # mask holding B up to them but not all of them holds a tying prefix
+        # that sorts first, so it must be answered yes
+        rng = random.Random(81)
+        zero_rest = 0
+        for _ in range(400):
+            n = rng.randint(1, 12)
+            g = random_graph(n, rng.choice([0.2, 0.4, 0.6]), rng.randrange(10**6))
+            weights = [rng.randint(0, 3) for _ in range(n)]
+            isets = all_independent_sets(g)
+            for best in rng.sample(isets, min(4, len(isets))):
+                best_w = sum(weights[v] for v in VertexSet(best))
+                may_tie = _earlier_tie_test(g, weights, best, best_w)
+                top = max((v for v in VertexSet(best) if weights[v]), default=-1)
+                head = best & ((1 << (top + 1)) - 1)  # B up to its last positive weight
+                for mask in [0, head, best, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(12))]:
+                    said = may_tie(mask)
+                    assert said == _tie_walk(g, weights, mask, best, best_w)
+                    if not head & ~mask and best & ~mask:
+                        assert said
+                        zero_rest += 1
+        assert zero_rest > 100
 
     def test_tie_test_cuts_searches_on_dense_regular_graphs(self, monkeypatch):
         # the walk cuts subtrees and searches each kept container it hands
         # over, so after it only a walk that searched nothing searches, once;
         # no container is searched inside one searched before it, and a kept
-        # container left unsearched is inside a searched one, priced below
-        # the answer's weight, or priced at it and refused by the tie test,
-        # which does so for some
+        # container left unsearched is inside a searched one, priced (the
+        # lower of its two covers) below the answer's weight, or priced at
+        # it and refused by the tie test, which does so for some
         said_no = []
-        real = mis._may_hold_earlier_tie
-        monkeypatch.setattr(mis, "_may_hold_earlier_tie", lambda *args: real(*args) or said_no.append(args))
+        real = mis._earlier_tie_test
+
+        def built(*args):
+            may_tie = real(*args)
+            return lambda mask: may_tie(mask) or said_no.append(mask)
+
+        monkeypatch.setattr(mis, "_earlier_tie_test", built)
         rng = random.Random(76)
         walk_searched = tie_refused = 0
         for _ in range(4):
@@ -505,10 +576,10 @@ class TestContainerPricing:
             assert c.stats["searched"] == len(searched)
             for i, container in enumerate(searched):
                 assert all(container & ~done for done in searched[:i])
-            refused = {args[2] for args in said_no}
+            refused = set(said_no)
             for container in kept_masks:
                 if all(container & ~done for done in searched):
-                    bound = _clique_cover_bound(g, [1] * g.n, container)
+                    bound = _container_price(g, [1] * g.n, container)
                     assert bound < c.weight or (bound == c.weight and container in refused)
                     tie_refused += bound == c.weight
             assert c.stats["cut"] > 0
@@ -668,8 +739,10 @@ class TestCutWalk:
     def test_the_weight_cap_answers_as_the_cover_rule_and_tie_test(self, monkeypatch):
         # keep says no before pricing when |reach| times the heaviest weight
         # is below the incumbent's weight; at every ask its answer is the
-        # cover bound's and the tie test's against the incumbent of that
-        # moment: the greedy set over V, then each search's answer
+        # price's and the tie test's against the incumbent of that moment:
+        # the greedy set over V, then each search's answer. A reach is priced
+        # by the lowest-first cover, a container by the lower of its two
+        # covers, so the mirrored one alone prices some containers out
         rng = random.Random(87)
         state = {}
         real_base, real_build = mis.mis_base, mis.build_hypergraph_collection
@@ -683,11 +756,16 @@ class TestCutWalk:
             def checked(f, reach, container):
                 g, weights, best = state["g"], state["weights"], state["best"]
                 best_w = sum(weights[v] for v in VertexSet(best))
-                bound = _clique_cover_bound(g, weights, reach)
+                may_tie = _earlier_tie_test(g, weights, best, best_w)
+
+                def passes(bound):
+                    return bound > best_w or (bound == best_w and may_tie(reach))
+
+                low = _clique_cover_bound(g, weights, reach)
                 said = keep(f, reach, container)
-                assert said == (bound > best_w or (
-                    bound == best_w and _may_hold_earlier_tie(g, weights, reach, best, best_w)))
+                assert said == passes(_container_price(g, weights, reach) if container else low)
                 state["capped"] += reach.bit_count() * max(weights) < best_w
+                state["mirrored"] += container and passes(low) and not said
                 state["asks"] += 1
                 return said
 
@@ -695,7 +773,7 @@ class TestCutWalk:
 
         monkeypatch.setattr(mis, "mis_base", search)
         monkeypatch.setattr(mis, "build_hypergraph_collection", build)
-        state.update(capped=0, asks=0)
+        state.update(capped=0, asks=0, mirrored=0)
         for trial in range(120):
             if trial % 2 == 0:
                 n, d = rng.choice([(10, 4), (12, 6), (14, 6), (16, 8), (18, 8)])
@@ -710,7 +788,7 @@ class TestCutWalk:
             state.update(g=g, weights=weights, best=_greedy_seed(g, weights, (1 << g.n) - 1))
             c = mis_containers(g, config, weights)
             assert c.best.mask == real_base(g, weights).best.mask
-        assert state["capped"] > 200 and state["asks"] > state["capped"]
+        assert state["capped"] > 200 and state["asks"] > state["capped"] and state["mirrored"] > 0
 
     def test_epsilon_sets_the_threshold_on_non_regular_graphs(self):
         # epsilon reaches every graph's walk, at tau = ceil(epsilon * average
