@@ -289,6 +289,7 @@ def _decide_containers(g: Graph, k: int, stats: dict) -> bool:
         _field_width(g.n, "inclusion-exclusion")
     base = build_almost_regular_collection(g, max_containers=MAX_BASE_CONTAINERS)
     stats["base_containers"] = len(base)
+    stats["base_tau"] = base.stats["tau"]  # a kept fallback walk may overshoot MAX_BASE_CONTAINERS
     # any union over non-maximal base containers is dominated by a union
     # over their supersets
     maximal_base = maximal_masks(c.mask for c in base.containers)

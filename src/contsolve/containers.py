@@ -16,13 +16,14 @@ F plus each vertex outside F and its exclusions that would newly exclude
 fewer than tau vertices. The fingerprint scan is single pass, so the
 fingerprints of the independent sets are exactly the fixed points fp(F) ==
 F, and these are prefix-closed: one depth-first walk, `_walked_containers`,
-lists them for every builder, pruning at the first vertex that brings too
-few new exclusions (the algorithmic container lemma of Kleitman-Winston and
-Sapozhenko), and maps each to its container. The walk carries each
-fingerprint's heavy set, the vertices outside F and its exclusions that
-would newly exclude at least tau: the children of F are its heavy vertices
-above max F, and its container is every vertex neither excluded nor heavy
-(the mask of the container rule). At r>=3 a lone vertex excludes nothing,
+lists them for every builder, each fingerprint's lowest child first,
+pruning at the first vertex that brings too few new exclusions (the
+algorithmic container lemma of Kleitman-Winston and Sapozhenko), and maps
+each to its container. The walk carries each fingerprint's heavy set, the
+vertices outside F and its exclusions that would newly exclude at least
+tau: the children of F are its heavy vertices above max F, and its
+container is every vertex neither excluded nor heavy (the mask of the
+container rule). At r>=3 a lone vertex excludes nothing,
 so the walk stops at the empty fingerprint and the engine's collection is
 {V}. Coverage -- every independent set is inside the container of its
 fingerprint -- holds by construction; container size bounds are certified
@@ -283,15 +284,14 @@ def _walked_containers(
     container, with `container` true: a leaf (no heavy vertex above max F)
     right after its heavy set, where false skips it, and any other, the
     root included, once every fixed point below it has been walked, where
-    the answer is ignored. A rejected F is rejected at one ask only. A cut
+    the answer is ignored. A rejected F is rejected at one ask only. Every
     walk reaches F's children lowest vertex first, each once the subtree of
     the one before is done. So a solver that can bound what a set holds
     (the MIS wrapper, with its incumbent) prices each child against what
     its lower siblings' searches found, lists only the containers it may
     need, and is handed each one, to search, as soon as the walk is done
     with it. A cut walk no longer covers every independent set, so its
-    collection has no `locate`. An uncut walk reaches F's children highest
-    vertex first."""
+    collection has no `locate`."""
     full = (1 << len(excludes)) - 1
     walked: dict[int, int] = {}
     distinct = set()
@@ -324,15 +324,13 @@ def _walked_containers(
             # not a leaf: F is asked about its container when this pops,
             # after its children's subtrees
             stack.append((-1, f, container, 0))
-        below = []
+        # pushed highest first, so the lowest child pops first
         while children:
-            low = children & -children
+            v = children.bit_length() - 1
+            low = 1 << v
             children ^= low
-            v = low.bit_length() - 1
             grown = excluded | excludes[v]
-            below.append((v + 1, f | low, grown, heavy & ~(grown | low)))
-        # a cut walk pops the lowest child first, an uncut one the highest
-        stack.extend(below if keep is None else reversed(below))
+            stack.append((v + 1, f | low, grown, heavy & ~(grown | low)))
     return walked, cut
 
 
@@ -350,13 +348,18 @@ def _collection(
     more than `max_containers` containers (larger tau means fewer, smaller
     fingerprints and larger containers; coverage is unaffected). A walk is
     abandoned as soon as it passes `max_containers`. When raising tau
-    degenerates the collection to {V}, the last abandoned threshold whose
-    whole walk fits the budget is walked again and kept instead. The stats
-    add the caller's `stats` and the final tau, which `locate` follows.
+    degenerates the collection to {V}, the last abandoned threshold is
+    walked again in full and kept instead if that walk fits the budget. No
+    earlier one is tried: a fixed point at a threshold is one at every
+    lower threshold too, so a lower threshold's walk overflows whenever a
+    higher one's does (a cut walk's, when `keep` answers by F alone; MIS,
+    the one caller that cuts, sets no `max_containers` and abandons
+    nothing). The stats add the caller's `stats` and the final tau, which
+    `locate` follows.
     With `keep`, `stats["cut"]` counts the subtrees the final walk skipped,
     when there are any, and the collection has no `locate`."""
     full = (1 << len(excludes)) - 1
-    abandoned = []  # thresholds whose walk passed max_containers
+    abandoned = None  # the last threshold whose walk passed max_containers
     while True:
         try:
             walked, cut = _walked_containers(excludes, tau, keep, max_containers)
@@ -366,21 +369,20 @@ def _collection(
         else:
             if walked is not None:
                 break
-            abandoned.append(tau)
+            abandoned = tau
         tau += max(1, tau // 2)
-    if full in walked.values():
+    if full in walked.values() and abandoned is not None:
         # raising the threshold degenerated the collection to the single
-        # full-vertex-set container; prefer the last informative build that
-        # fits the budget, even if it overshoots the requested collection size
-        for informative in reversed(abandoned):
-            try:
-                walked, cut = _walked_containers(excludes, informative, keep)
-            except SizeLimitError as exc:
-                if exc.stage != WALK_STAGE:
-                    raise
-                continue
-            tau = informative
-            break
+        # full-vertex-set container; prefer the last informative build, even
+        # if it overshoots the requested collection size. One try: each
+        # earlier threshold's fixed points include this one's, so if this
+        # walk overflows, so would theirs
+        try:
+            walked, cut = _walked_containers(excludes, abandoned, keep)
+            tau = abandoned
+        except SizeLimitError as exc:
+            if exc.stage != WALK_STAGE:
+                raise
     dedup = set(walked.values())
     containers = tuple(VertexSet(m) for m in sorted(dedup, key=lambda m: (m.bit_count(), m)))
     return ContainerCollection(

@@ -32,20 +32,21 @@ most its weight. Otherwise it is priced by one cover, each clique grown
 from the lowest free vertex by the lowest common free neighbour. A
 container that this cover does not price out, about to be searched, is
 priced again by the mirrored cover (highest free vertex, highest common
-free neighbour), and its price is the lower of the two: a search costs
-tens of covers, and neither cover is always the tighter. Pricing every
-ask by both took about as many nodes and no less time. A container that passes
-when the walk is done with it is searched then, unless a container already
-searched holds it, as that search saw all of its subsets; so every later
-price, a higher sibling's included, meets the raised incumbent, and nothing
-is searched after the walk.
-The one exception is a walk that searched nothing, because S outweighs every
-container, or ties it with no room for an earlier tie: then the kept
-container of the highest price, larger first, is searched anyway, so every
-answer of this path comes out of a search of the base solver, whose own
-checks then run (perfbench's MIS check relies on it). The answer is the one
-every container's search would give: the lexicographically smallest set of
-maximum weight.
+free neighbour): a search costs tens of covers, and neither cover is
+always the tighter. As the first cover did not price it out, the mirrored
+one prices it out exactly when the lower of the two would, so only the
+first cover is memoized. Pricing every ask by both took about as many
+nodes and no less time. A container that passes when the walk is done
+with it is searched then, unless a container already searched holds it,
+as that search saw all of its subsets; so every later price, a higher
+sibling's included, meets the raised incumbent, and nothing is searched
+after the walk. The one exception is a walk that searched nothing,
+because S outweighs every container, or ties it with no room for an
+earlier tie: then any search returns S, and the smallest kept container,
+the cheapest, is searched anyway, so every answer of this path comes out
+of a search of the base solver, whose own checks then run (perfbench's
+MIS check relies on it). The answer is the one every container's search
+would give: the lexicographically smallest set of maximum weight.
 
 That is `containers` mode, which always builds, through the hypergraph
 engine on g at p = 1/(epsilon * average degree): its threshold is tau =
@@ -281,7 +282,6 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
     may_tie = _earlier_tie_test(g, weights, best_mask, best_w)
     heaviest = max(weights)
     covers: dict[int, int] = {}  # vertex mask -> its lowest-first cover
-    prices: dict[int, int] = {}  # container mask -> the lower of its two covers
     searched: list[int] = []  # the containers searched, in order
     nodes = 0
 
@@ -289,13 +289,6 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
         bound = covers.get(mask)
         if bound is None:
             bound = covers[mask] = _clique_cover_bound(g, weights, mask)
-        return bound
-
-    def price(container: int) -> int:
-        bound = prices.get(container)
-        if bound is None:
-            bound = prices[container] = min(
-                cover(container), _clique_cover_bound(g, weights, container, highest=True))
         return bound
 
     def priced_out(mask: int, bound: int) -> bool:
@@ -317,11 +310,12 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
     def keep(f: int, reach: int, container: bool) -> bool:
         # a cover is at most reach's weight, so a reach too small to reach
         # the incumbent's weight needs no price; a container that one cover
-        # does not price out meets the lower of two before it is searched
+        # does not price out meets the mirrored one before it is searched,
+        # which prices it out exactly when the lower of the two would
         if reach.bit_count() * heaviest < best_w or priced_out(reach, cover(reach)):
             return False
         if container:
-            if priced_out(reach, price(reach)):
+            if priced_out(reach, _clique_cover_bound(g, weights, reach, highest=True)):
                 return False
             # a container is searched when the walk hands it over, so every
             # later price and tie test meets the raised incumbent
@@ -331,9 +325,10 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
 
     coll = build_hypergraph_collection(g, min(1.0, 1.0 / (config.epsilon * g.average_degree)), keep=keep)
     if not searched:
-        # the walk priced every container out: the answer still comes out
-        # of a search, as the module docstring says
-        search(min((c.mask for c in coll.containers), key=lambda m: (-price(m), -m.bit_count(), m)))
+        # the walk priced every container out, so any search returns S: the
+        # smallest container is the cheapest, and the answer still comes
+        # out of a search, as the module docstring says
+        search(coll.containers[0].mask)
     best = VertexSet(best_mask)
     if not g.is_independent(best.mask):
         raise RuntimeError("container subproblem produced a dependent set; this is a bug")

@@ -357,6 +357,7 @@ class TestSolveKColoring:
                 # the candidates are the maximal unions of exactly
                 # min(k-1, m) of the m maximal base containers
                 base = build_almost_regular_collection(g, max_containers=MAX_BASE_CONTAINERS)
+                assert stats["base_containers"] == len(base) and stats["base_tau"] == base.stats["tau"]
                 maximal_base = _maximal(c.mask for c in base.containers)
                 unions = []
                 for combo in combinations(sorted(maximal_base), min(k - 1, len(maximal_base))):
@@ -376,6 +377,15 @@ class TestSolveKColoring:
                 # container means the walk found real fingerprints
                 informative += stats["base_containers"] > 1
         assert informative >= 20
+
+    def test_stats_name_the_threshold_of_an_overshooting_base(self):
+        # the base walk passes MAX_BASE_CONTAINERS up to tau = 6 and leaves
+        # only V at tau = 9, above the degree 8, so the driver keeps the
+        # tau = 6 walk and its 20 containers; the stats say which it kept
+        g = random_regular_graph(16, 8, 1)
+        stats = solve_kcoloring(g, 4, ColoringConfig(mode="containers")).stats
+        assert stats["base_containers"] == 20 > MAX_BASE_CONTAINERS
+        assert stats["base_tau"] == 6 and stats["dispatch"] == "whole-V"
 
     def test_priced_pairs_reach_the_pair_loop(self):
         cfg = ColoringConfig(mode="containers")

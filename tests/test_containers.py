@@ -449,11 +449,11 @@ class TestFixedPointWalk:
             cases += 1
         assert cases > 40
 
-    def test_uncut_walk_lists_each_highest_child_first(self):
+    def test_every_walk_lists_each_lowest_child_first(self):
         # an uncut walk lists the fixed points of a brute-force scan depth
-        # first, the highest child of each fingerprint first, each with the
-        # per-set container: the order its map has always had; a walk whose
-        # `keep` says yes to everything lists the same map lowest child first
+        # first, the lowest child of each fingerprint first, each with the
+        # per-set container; a walk whose `keep` says yes to everything
+        # lists the same map in the same order
         rng = random.Random(42)
         cases = 0
         for _ in range(60):
@@ -465,18 +465,16 @@ class TestFixedPointWalk:
             for tau in (1, 2, 3):
                 fixed = {hypergraph_fingerprint(h, VertexSet(i), tau).mask for i in isets}
 
-                def preorder(f, order):
+                def preorder(f):
                     yield f
-                    for v in order(range(f.bit_length(), g.n)):
+                    for v in range(f.bit_length(), g.n):
                         if f | 1 << v in fixed:
-                            yield from preorder(f | 1 << v, order)
+                            yield from preorder(f | 1 << v)
 
-                def listed(order):
-                    return [(f, hypergraph_container(h, VertexSet(f), tau).mask) for f in preorder(0, order)]
-
-                assert list(_walked_containers(g.adj_mask, tau)[0].items()) == listed(reversed)
+                listed = [(f, hypergraph_container(h, VertexSet(f), tau).mask) for f in preorder(0)]
+                assert list(_walked_containers(g.adj_mask, tau)[0].items()) == listed
                 walked, cut = _walked_containers(g.adj_mask, tau, lambda *args: True)
-                assert list(walked.items()) == listed(iter) and cut == 0
+                assert list(walked.items()) == listed and cut == 0
                 cases += len(fixed) > 2
         assert cases > 60
 
@@ -748,8 +746,9 @@ class TestCutWalk:
 
 class TestEarlyStopDriver:
     """The driver abandons a walk once it passes max_containers, and walks
-    an abandoned threshold again only for the fallback; its collections are
-    those of the driver that finishes every walk, `oracles.collection_driver`."""
+    the last abandoned threshold again only for the fallback, once; its
+    collections are those of the driver that finishes every walk,
+    `oracles.collection_driver`."""
 
     @staticmethod
     def _reference(g, p, max_containers, keep):
@@ -760,9 +759,18 @@ class TestEarlyStopDriver:
     def test_matches_the_driver_that_finishes_every_walk(self, monkeypatch):
         # a perfect matching at tau = 1 walks 3^(n/2) fingerprints and at
         # tau = 2 only the root, so under a small budget its one abandoned
-        # threshold overflows in full and the fallback is skipped
+        # threshold overflows in full and the fallback is skipped. Every walk
+        # of a build has a limit but the fallback's, so a build walks without
+        # one at most once
         rng = random.Random(93)
         default = containers.CANDIDATE_BUDGET
+        unlimited = []
+
+        def walk(excludes, tau, keep=None, limit=None, _real=_walked_containers):
+            unlimited.append(limit is None)
+            return _real(excludes, tau, keep, limit)
+
+        monkeypatch.setattr(containers, "_walked_containers", walk)
         cases = fallbacks = skipped = 0
         for _ in range(400):
             if rng.random() < 0.2:
@@ -777,7 +785,9 @@ class TestEarlyStopDriver:
             keep = rng.choice([None, lambda f, excluded, heavy: f % 5 != 3])
             budget = rng.choice([default, rng.randint(2, 40)])
             monkeypatch.setattr(containers, "CANDIDATE_BUDGET", budget)
+            unlimited.clear()
             coll = build_hypergraph_collection(g, p, max_containers=max_containers, keep=keep)
+            assert sum(unlimited) <= 1
             tau, walked, cut = self._reference(g, p, max_containers, keep)
             distinct = sorted(set(walked.values()), key=lambda m: (m.bit_count(), m))
             assert coll.containers == tuple(VertexSet(m) for m in distinct)
