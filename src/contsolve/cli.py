@@ -40,8 +40,11 @@ def _graph_stats(g: core.Graph) -> dict:
 def _cmd_containers(args) -> tuple[int, dict]:
     g = _load_graph(args)
     if args.builder == "regular":
-        coll = containers.build_regular_collection(g, args.epsilon, force=args.force)
+        epsilon = 0.25 if args.epsilon is None else args.epsilon
+        coll = containers.build_regular_collection(g, epsilon, force=args.force)
     else:
+        if args.epsilon is not None or args.force:
+            raise core.ParameterError("--epsilon and --force only apply to --builder regular")
         coll = containers.build_almost_regular_collection(g)
     return 0, {"instance": _graph_stats(g), "result": containers.collection_report(coll, g)}
 
@@ -51,6 +54,8 @@ def _cmd_partition_containers(args) -> tuple[int, dict]:
     if args.builder == "regular":
         coll = partition.build_partition_collection_regular(g, args.k, force=args.force)
     else:
+        if args.force:
+            raise core.ParameterError("--force only applies to --builder regular")
         coll = partition.build_partition_collection_almost_regular(g, args.k)
     if args.materialize and not coll.low_degree:
         coll.materialize()
@@ -151,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("containers", help="build a container collection")
     add_graph_source(p)
     p.add_argument("--builder", choices=["regular", "almost-regular"], default="regular")
-    p.add_argument("--epsilon", type=float, default=0.25)
+    p.add_argument("--epsilon", type=float, help="fingerprint slack of the regular builder (default 0.25)")
     p.add_argument("--force", action="store_true", help="build even below the useful-degree floor")
     p.set_defaults(func=_cmd_containers)
 

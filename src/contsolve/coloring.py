@@ -321,6 +321,7 @@ def _decide_containers(g: Graph, k: int, stats: dict) -> bool:
         stats["dispatch"] = "whole-V"
         stats["pairs_tested"] = 0
         return inclusion_exclusion_F(g, k) > 0
+    # the one self-pair, (V, V), is priced above the whole-V sum: none is tested
     stats["dispatch"] = "pairs"
     tested = 0
     for _, ia, ib in pairs:
@@ -331,8 +332,6 @@ def _decide_containers(g: Graph, k: int, stats: dict) -> bool:
             if constrained_F(g, assigned) > 0:
                 stats["pairs_tested"] = tested
                 return True
-            if ia == ib:
-                break  # identical containers: every count is the same test
     stats["pairs_tested"] = tested
     return False
 
@@ -374,15 +373,18 @@ def solve_kcoloring(g: Graph, k: int, config: ColoringConfig | None = None) -> C
     stats: dict = {}
     mode = "containers" if config.mode == "auto" else config.mode
     stats["path"] = mode
+    # n colors always suffice, so k past n decides and certifies as n does:
+    # class c's tests are on fewer than n - c vertices, so pass at n - c too
+    colors = min(k, max(g.n, 1))
     if mode == "baseline":
-        colorable = inclusion_exclusion_F(g, k) > 0
+        colorable = inclusion_exclusion_F(g, colors) > 0
     elif mode == "containers":
-        colorable = _decide_containers(g, k, stats)
+        colorable = _decide_containers(g, colors, stats)
     else:
         raise ParameterError(f"unknown mode {config.mode!r}")
     cert = None
     if colorable and config.certificate:
-        cert = _extract_certificate(g, k)
+        cert = _extract_certificate(g, colors)
         if cert is None:
             raise RuntimeError("decision positive but certificate extraction failed")
     return ColoringResult(colorable=colorable, k=k, certificate=cert, stats=stats)

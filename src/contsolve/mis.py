@@ -58,11 +58,10 @@ containers beat B&B on V only on d = n/2 at n <= 28, and lost more as n grew
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .core import Graph, ParameterError, SizeLimitError, VertexSet
+from .core import Graph, ParameterError, VertexSet
 from .containers import build_hypergraph_collection
 
 
@@ -181,7 +180,10 @@ def mis_base(
     `within` is the vertex mask the search may use (all of V by default).
     `incumbent` is an independent set of g, anywhere in V, to start from
     instead of a greedy set inside `within`; the result is the best of it and
-    the independent subsets of `within`, under the same tie rule."""
+    the independent subsets of `within`, under the same tie rule.
+
+    It runs on an explicit stack: each node pushes its exclude branch, then
+    its include branch, which is searched first."""
     weights = _check_weights(g, weights)
     if within is None:
         within = (1 << g.n) - 1
@@ -195,19 +197,19 @@ def mis_base(
         best_mask = incumbent
     best_w = sum(weights[v] for v in VertexSet(best_mask))
     nodes = 0
-
-    def rec(alive: int, chosen: int, chosen_w: int):
-        nonlocal best_mask, best_w, nodes
+    stack = [(within, 0, 0)]  # (alive, chosen, chosen_w) of each branch left
+    while stack:
+        alive, chosen, chosen_w = stack.pop()
         nodes += 1
         rest_w = sum(weights[v] for v in VertexSet(alive))
         if chosen_w + rest_w < best_w:
-            return
+            continue
         if not alive:
             if chosen_w > best_w or (
                 chosen_w == best_w and tuple(VertexSet(chosen)) < tuple(VertexSet(best_mask))
             ):
                 best_mask, best_w = chosen, chosen_w
-            return
+            continue
         # branch on the max-degree alive vertex, lowest id on ties
         pivot, pivot_deg = -1, -1
         m = alive
@@ -217,16 +219,8 @@ def mis_base(
             deg = (g.adj_mask[v] & alive).bit_count()
             if deg > pivot_deg:
                 pivot, pivot_deg = v, deg
-        rec(alive & ~(g.adj_mask[pivot] | (1 << pivot)), chosen | (1 << pivot), chosen_w + weights[pivot])
-        rec(alive & ~(1 << pivot), chosen, chosen_w)
-
-    try:
-        rec(within, 0, 0)
-    except RecursionError:
-        # one frame per branch: a search deeper than the interpreter's stack
-        raise SizeLimitError(
-            "mis-branch-and-bound", f"recursion deeper than the limit {sys.getrecursionlimit()}"
-        ) from None
+        stack.append((alive & ~(1 << pivot), chosen, chosen_w))
+        stack.append((alive & ~(g.adj_mask[pivot] | (1 << pivot)), chosen | (1 << pivot), chosen_w + weights[pivot]))
     best = VertexSet(best_mask)
     if not g.is_independent(best.mask):
         raise RuntimeError("solver returned a dependent set; this is a bug")

@@ -136,15 +136,18 @@ def restrict_formula(phi: CnfFormula, kept: VertexSet) -> Restriction:
 
 def dpll(phi: CnfFormula, assumptions: dict[int, bool] | None = None) -> tuple[bool, dict[int, bool] | None]:
     """Unit propagation + pure-literal elimination + branching on the lowest
-    free variable of the first clause. Returns a total model when SAT."""
-    forced = dict(assumptions or {})
-    clauses = _propagate([list(c) for c in phi.clauses], forced)
-    if clauses is None:
-        return False, None
+    free variable of the first clause. Returns a total model when SAT.
 
-    def rec(clauses: list[list[int]], model: dict[int, bool]) -> dict[int, bool] | None:
+    It runs on an explicit stack of (clauses, model) entries, each entry's
+    clauses propagated when it pops; a branch pushes False, then True."""
+    stack = [([list(c) for c in phi.clauses], dict(assumptions or {}))]
+    while stack:
+        clauses, model = stack.pop()
+        clauses = _propagate(clauses, model)
+        if clauses is None:
+            continue
         if not clauses:
-            return model
+            break
         # pure literals
         polarity: dict[int, int] = {}
         for clause in clauses:
@@ -152,26 +155,12 @@ def dpll(phi: CnfFormula, assumptions: dict[int, bool] | None = None) -> tuple[b
                 polarity[abs(lit)] = polarity.get(abs(lit), 0) | (1 if lit > 0 else 2)
         pures = {v: p == 1 for v, p in polarity.items() if p != 3}
         if pures:
-            model = dict(model)
-            model.update(pures)
-            reduced = _propagate(clauses, model)
-            if reduced is None:
-                return None
-            return rec(reduced, model)
+            stack.append((clauses, {**model, **pures}))
+            continue
         branch = min(abs(l) for l in clauses[0])
-        for value in (True, False):
-            trial = dict(model)
-            trial[branch] = value
-            reduced = _propagate(clauses, trial)
-            if reduced is None:
-                continue
-            result = rec(reduced, trial)
-            if result is not None:
-                return result
-        return None
-
-    model = rec(clauses, forced)
-    if model is None:
+        stack.append((clauses, {**model, branch: False}))
+        stack.append((clauses, {**model, branch: True}))
+    else:  # every branch ended in a conflict
         return False, None
     full = {v: model.get(v, False) for v in range(1, phi.num_vars + 1)}
     if not phi.is_satisfied_by(full):

@@ -9,7 +9,14 @@ import pytest
 
 from contsolve import containers, partition
 from contsolve.cli import run
-from contsolve.core import complete_graph, cycle_graph, parse_dimacs_cnf, random_graph, random_regular_graph
+from contsolve.core import (
+    CnfFormula,
+    complete_graph,
+    cycle_graph,
+    parse_dimacs_cnf,
+    random_graph,
+    random_regular_graph,
+)
 from contsolve.extsum import ExtSumInstance
 
 
@@ -57,6 +64,28 @@ class TestContainersCommand:
             ["containers", "--input", path, "--builder", "almost-regular"],
         )
         assert code == 0
+
+    def test_almost_regular_builder_refuses_the_regular_flags(self, capsys):
+        # the almost-regular builders take no epsilon and no force, so the
+        # flags are refused rather than ignored
+        source = ["--random-regular", "16", "6", "--seed", "1", "--builder", "almost-regular"]
+        for command, flags in (
+            (["containers"], ["--epsilon", "0.45"]),
+            (["containers"], ["--force"]),
+            (["partition-containers", "--k", "2"], ["--force"]),
+        ):
+            code, report = run_json(capsys, [*command, *source])
+            assert code == 0
+            code, report = run_json(capsys, [*command, *source, *flags])
+            assert code == 2 and report["error"]["type"] == "ParameterError"
+            assert flags[0] in report["error"]["message"]
+
+    def test_regular_builder_epsilon_defaults_to_a_quarter(self, capsys):
+        argv = ["containers", "--random-regular", "16", "6", "--seed", "1", "--force"]
+        _, default = run_json(capsys, argv)
+        _, quarter = run_json(capsys, [*argv, "--epsilon", "0.25"])
+        _, wider = run_json(capsys, [*argv, "--epsilon", "0.45"])
+        assert default["result"] == quarter["result"] != wider["result"]
 
     def test_huge_vertex_count_exits_two(self, capsys, tmp_path):
         # header-only inputs whose counts need more than the byte budget
@@ -238,17 +267,14 @@ class TestMisCommand:
         # collection smaller than V is no vacuous one
         assert counters["tau"] == 6 and counters["vacuous"] is False
 
-    def test_a_search_past_the_recursion_limit_exits_two(self, capsys, tmp_path):
-        # B&B recurses once per branch, and 1,200 vertices are deeper than
-        # the interpreter's stack: a typed refusal at the search's stage,
-        # while the container path prices its containers out and answers
+    def test_a_search_deeper_than_the_recursion_limit_answers(self, capsys, tmp_path):
+        # B&B runs on an explicit stack, so a search on 1,200 vertices, deeper
+        # than the interpreter's default recursion limit, answers in both modes
         path = tmp_path / "one-edge.col"
         path.write_text("p edge 1200 1\ne 1 2\n")
-        code, report = run_json(capsys, ["mis", "--input", str(path), "--mode", "base"])
-        assert code == 2 and report["error"]["type"] == "SizeLimitError"
-        assert report["error"]["stage"] == "mis-branch-and-bound"
-        code, report = run_json(capsys, ["mis", "--input", str(path), "--mode", "containers"])
-        assert code == 0 and report["result"]["size"] == 1199
+        for mode in ("base", "containers"):
+            code, report = run_json(capsys, ["mis", "--input", str(path), "--mode", mode])
+            assert code == 0 and report["result"]["size"] == 1199
 
     def test_auto_names_its_reason(self, capsys, tmp_path):
         path = write_graph(tmp_path, random_graph(12, 0.4, 3))
@@ -286,6 +312,18 @@ class TestSatCommand:
         assert code == 1
         assert report["result"]["satisfiable"] is False
 
+    def test_a_search_deeper_than_the_recursion_limit_answers(self, capsys, tmp_path):
+        # x1 != x2, x3 != x4, ... on 2,000 variables: DPLL branches 1,000
+        # deep, past the interpreter's default recursion limit, on an
+        # explicit stack; auto finds no structure and runs DPLL too
+        path = tmp_path / "xor.cnf"
+        clauses = [c for v in range(1, 2000, 2) for c in ((v, v + 1), (-v, -v - 1))]
+        path.write_text(CnfFormula(2000, clauses).to_dimacs())
+        for mode in ("dpll", "auto"):
+            code, report = run_json(capsys, ["sat", "--input", path.as_posix(), "--mode", mode])
+            assert code == 0 and report["result"]["satisfiable"] is True
+            model = report["result"]["model"]
+            assert all(model[str(v)] != model[str(v + 1)] for v in range(1, 2000, 2))
 
     @pytest.mark.parametrize(
         "text, extra, path",

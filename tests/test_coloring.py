@@ -340,6 +340,26 @@ class TestSolveKColoring:
                 assert sum(h is g for h in sums) <= 1
                 assert all(h.n <= g.n - 1 for h in sums if h is not g)
 
+    def test_k_past_n_decides_and_certifies_as_k_equal_n(self, monkeypatch):
+        # n colors always suffice, so a huge k answers as k = n does, and no
+        # sum raises its counts to a power past n
+        powers = []
+        real_ie, real_constrained = coloring.inclusion_exclusion_F, coloring.constrained_F
+        monkeypatch.setattr(coloring, "inclusion_exclusion_F", lambda h, k: powers.append(k) or real_ie(h, k))
+        monkeypatch.setattr(
+            coloring, "constrained_F", lambda h, cs: powers.append(len(cs)) or real_constrained(h, cs)
+        )
+        for g in (petersen_graph(), complete_graph(5), random_graph(9, 0.5, 3), random_regular_graph(14, 4, 1)):
+            for mode in ("baseline", "containers"):
+                config = ColoringConfig(mode=mode, certificate=True)
+                at_n = solve_kcoloring(g, g.n, config)
+                powers.clear()
+                huge = solve_kcoloring(g, 10**9, config)
+                assert powers and max(powers) <= g.n
+                assert huge.k == 10**9 and huge.colorable and at_n.colorable
+                assert huge.certificate == at_n.certificate is not None
+        assert solve_kcoloring(Graph(0, []), 10**9).colorable
+
     def test_whole_v_dispatch_matches_ie_sum_and_oracle(self):
         # G(14, p) with k just below and at chi: when the priced pairs cost at
         # least the whole-V sum, that sum alone decides

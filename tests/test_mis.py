@@ -117,18 +117,33 @@ class TestMisBase:
             assert r.weight == -key(expected)[0] and r.size == expected.bit_count()
         assert outside > 20
 
-    def test_a_search_past_the_recursion_limit_is_a_size_limit(self):
-        # one frame per branch: on 1,200 vertices with one edge the search on
-        # V, which auto mode runs, is deeper than the interpreter allows and
-        # is refused at its stage; the container path prices its containers
-        # out and answers with the set that leaves out vertex 1
+    def test_the_include_branch_is_searched_first(self):
+        # each node pushes its exclude branch, then its include branch; the
+        # order changes no answer, only the node counts that perfbench and
+        # the container path report: excluding first takes 5,464 here
+        rng = random.Random(91)
+        total = 0
+        for trial in range(60):
+            n = rng.randint(8, 18)
+            g = random_graph(n, rng.choice([0.2, 0.4, 0.6]), rng.randrange(10**6))
+            weights = [1] * n if trial % 2 else [rng.randint(0, 3) for _ in range(n)]
+            total += mis_base(g, weights).stats["nodes"]
+        assert total == 4650
+
+    def test_a_search_deeper_than_the_recursion_limit_answers(self):
+        # on 1,200 vertices with one edge the search on V, which auto mode
+        # runs, is about 1,200 branches deep, past the interpreter's default
+        # recursion limit of 1,000; it runs on an explicit stack and answers,
+        # as does the container path, with the set that leaves out vertex 1
         g = Graph(1200, [(0, 1)])
-        for call in (partial(mis_base, g), partial(mis_containers, g)):
-            with pytest.raises(SizeLimitError) as refused:
-                call()
-            assert refused.value.stage == "mis-branch-and-bound"
-        c = mis_containers(g, MisConfig(mode="containers"))
-        assert c.size == 1199 and c.best.mask == (1 << 1200) - 1 - 0b10
+        want = (1 << 1200) - 1 - 0b10
+        for call in (
+            partial(mis_base, g),
+            partial(mis_containers, g),
+            partial(mis_containers, g, MisConfig(mode="containers")),
+        ):
+            r = call()
+            assert r.size == r.weight == 1199 and r.best.mask == want
 
     def test_rejects_bad_within_and_incumbent(self):
         g = cycle_graph(4)
@@ -810,14 +825,13 @@ class TestCutWalk:
 
     def test_a_search_refused_in_the_walk_ends_the_build(self, monkeypatch):
         # min-degree greedy misses this 9-vertex graph's optimum by one, so
-        # the walk searches a container, and with 1,100 isolated vertices
-        # that search is deeper than the recursion limit: its SizeLimitError
+        # the walk searches a container; a SizeLimitError from that search
         # ends the build at the first walk, where the walk's own budget
         # error would make the driver raise tau and walk again
         edges = [(0, 5), (0, 7), (0, 8), (1, 3), (1, 6), (1, 7), (1, 8), (2, 4)]
         edges += [(3, 4), (3, 6), (3, 8), (4, 7), (5, 6), (5, 8), (6, 7), (7, 8)]
-        core = Graph(9, edges)
-        assert _greedy_seed(core, [1] * 9, (1 << 9) - 1).bit_count() < mis_base(core).size
+        g = Graph(9, edges)
+        assert _greedy_seed(g, [1] * 9, (1 << 9) - 1).bit_count() < mis_base(g).size
         walks = []
         real = containers._walked_containers
 
@@ -826,10 +840,14 @@ class TestCutWalk:
             assert len(walks) == 1, "the driver walked again after a refused search"
             return real(*args)
 
+        def refused_search(*args, **kwargs):
+            raise SizeLimitError("search", "refused")
+
         monkeypatch.setattr(containers, "_walked_containers", walk)
+        monkeypatch.setattr(mis, "mis_base", refused_search)
         with pytest.raises(SizeLimitError) as refused:
-            mis_containers(Graph(9 + 1100, edges), MisConfig(mode="containers"))
-        assert refused.value.stage == "mis-branch-and-bound" and len(walks) == 1
+            mis_containers(g, MisConfig(mode="containers"))
+        assert refused.value.stage == "search" and len(walks) == 1
 
     def test_cut_walk_past_the_budget_raises_tau(self, monkeypatch):
         # a budget below the cut walk (so below the uncut one) makes the

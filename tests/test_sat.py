@@ -172,6 +172,14 @@ class TestDpll:
             if sat:
                 assert phi.is_satisfied_by(model)
 
+    def test_a_search_deeper_than_the_recursion_limit_answers(self):
+        # x1 != x2, x3 != x4, ...: no literal is pure, so each pair is one
+        # branch, 1,000 deep, past the interpreter's default recursion limit;
+        # the search runs on an explicit stack and tries True first
+        phi = CnfFormula(2000, [c for v in range(1, 2000, 2) for c in ((v, v + 1), (-v, -v - 1))])
+        sat, model = dpll(phi)
+        assert sat and model == {v: v % 2 == 1 for v in range(1, 2001)}
+
 
 class TestExtractStructure:
     def test_absent_on_sparse(self):
