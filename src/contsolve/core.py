@@ -32,6 +32,16 @@ MEMORY_BUDGET_BYTES = 1 << 28
 ITEM_BYTES = 512
 
 
+# Values `random_regular_graph` may draw, shuffles and stub pairs of every
+# attempt together, before it refuses. The dense rejection loop draws 3-5
+# million a second (2-CPU x86-64 host, CPython 3.11), so a refusal comes
+# within a second. One attempt at 2,048 vertices of degree 508, near the
+# byte budget's edge limit, draws 2.24 million. Of the graphs the tests,
+# perfbench (seeds 0-10) and CI generate, (39, 26) at seed 0 needs the
+# most, 121,508 draws; no perfbench graph needs more than 16,346.
+REGULAR_DRAW_BUDGET = 2_500_000
+
+
 def graph_bytes(n: int, m: int) -> int:
     """Worst-case bytes of a graph with n vertices and m edges."""
     return n * n // 8 + (n + m) * ITEM_BYTES
@@ -502,7 +512,15 @@ def parse_dimacs_cnf(text) -> CnfFormula:
 
 def random_regular_graph(n: int, d: int, seed: int) -> Graph:
     """Random d-regular simple graph via the pairing model; deterministic
-    for a fixed seed."""
+    for a fixed seed.
+
+    Its draws equal those of `random.Random(seed).shuffle(stubs)` and of
+    `randrange(len(stubs))` for each stub of a pair, so each seed gives the
+    graph those calls give: a value below a size is drawn as CPython's
+    `Random._randbelow_with_getrandbits` draws it, `getrandbits` of the
+    size's bit length, again while it is not below the size. Past
+    `REGULAR_DRAW_BUDGET` draws it raises `SizeLimitError` (stage
+    "random-regular-graph")."""
     if d >= n or d < 0:
         raise ParameterError(f"degree {d} must satisfy 0 <= d < n = {n}")
     if (n * d) % 2 != 0:
@@ -510,35 +528,61 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
     need = graph_bytes(n, n * d // 2)
     if need > MEMORY_BUDGET_BYTES:
         raise SizeLimitError("memory", _over_budget(f"{n} vertices of degree {d}", need))
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    draws = 0
     # pairing model with local rejection: draw two random stubs, redraw on a
     # loop or multi-edge, and restart the attempt only when stuck near the
     # end (a full restart per conflict is hopeless for dense cases)
-    for _ in range(10_000):
+    while True:
         stubs = [v for v in range(n) for _ in range(d)]
-        rng.shuffle(stubs)
-        edges: set[tuple[int, int]] = set()
-        stuck = False
-        while stubs and not stuck:
-            for _ in range(100):
-                i = rng.randrange(len(stubs))
-                j = rng.randrange(len(stubs))
-                u, v = stubs[i], stubs[j]
-                if u == v:
+        size = len(stubs)
+        draws += max(size - 1, 0)
+        # the shuffle, top index first
+        for i in range(size - 1, 0, -1):
+            k = (i + 1).bit_length()
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            stubs[i], stubs[j] = stubs[j], stubs[i]
+        masks = [0] * n
+        edges = []
+        # stubs[:size] are the unpaired stubs
+        while size:
+            if draws > REGULAR_DRAW_BUDGET:
+                raise SizeLimitError(
+                    "random-regular-graph",
+                    f"no simple {d}-regular graph on {n} vertices within "
+                    f"{REGULAR_DRAW_BUDGET:,} draws",
+                )
+            k = size.bit_length()
+            for tries in range(100):
+                i = getrandbits(k)
+                while i >= size:
+                    i = getrandbits(k)
+                j = getrandbits(k)
+                while j >= size:
+                    j = getrandbits(k)
+                u = stubs[i]
+                v = stubs[j]
+                if u == v or masks[u] >> v & 1:
                     continue
-                key = (min(u, v), max(u, v))
-                if key in edges:
-                    continue
-                edges.add(key)
-                for idx in sorted((i, j), reverse=True):
-                    stubs[idx] = stubs[-1]
-                    stubs.pop()
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+                edges.append((u, v) if u < v else (v, u))
+                # swap-pop, the higher index first
+                if i < j:
+                    i, j = j, i
+                size -= 1
+                stubs[i] = stubs[size]
+                size -= 1
+                stubs[j] = stubs[size]
                 break
             else:
-                stuck = True
-        if not stuck:
+                draws += 200
+                break
+            draws += 2 * tries + 2
+        else:
             return Graph(n, sorted(edges))
-    raise RuntimeError(f"pairing model failed to produce a simple graph (n={n}, d={d})")
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:

@@ -3,6 +3,7 @@
 Everything here deliberately avoids the library's algorithmic machinery:
 plain enumeration only, so agreement with the package is meaningful."""
 
+import random
 from itertools import combinations
 
 from contsolve.core import CnfFormula, Graph, Hypergraph, SizeLimitError, VertexSet
@@ -22,6 +23,40 @@ def graph_fields(n: int, pairs: set[tuple[int, int]]) -> dict:
         "adj_mask": tuple(sum(1 << w for w in a) for a in adj),
         "edges": tuple(sorted(pairs)),
     }
+
+
+def pairing_regular_graph(n: int, d: int, seed: int) -> Graph:
+    """The pairing model as `core.random_regular_graph` draws it, through
+    `shuffle` and `randrange` and with a set of (low, high) pairs: shuffle
+    the stubs, draw two stubs, redraw (up to 100 times) on a loop or a
+    repeated pair, remove both, and start again on a shuffled list when
+    stuck. Has no draw budget; None after 10,000 stuck attempts."""
+    rng = random.Random(seed)
+    for _ in range(10_000):
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        edges: set[tuple[int, int]] = set()
+        stuck = False
+        while stubs and not stuck:
+            for _ in range(100):
+                i = rng.randrange(len(stubs))
+                j = rng.randrange(len(stubs))
+                u, v = stubs[i], stubs[j]
+                if u == v:
+                    continue
+                key = (min(u, v), max(u, v))
+                if key in edges:
+                    continue
+                edges.add(key)
+                for idx in sorted((i, j), reverse=True):
+                    stubs[idx] = stubs[-1]
+                    stubs.pop()
+                break
+            else:
+                stuck = True
+        if not stuck:
+            return Graph(n, sorted(edges))
+    return None
 
 
 def all_independent_sets(g: Graph) -> list[int]:

@@ -267,6 +267,14 @@ class TestMisCommand:
         # collection smaller than V is no vacuous one
         assert counters["tau"] == 6 and counters["vacuous"] is False
 
+    def test_regular_graph_past_the_draw_budget_exits_two(self, capsys):
+        started = time.monotonic()
+        code, report = run_json(capsys, ["mis", "--random-regular", "50", "48", "--seed", "1"])
+        assert time.monotonic() - started < 2
+        assert code == 2
+        assert report["error"]["type"] == "SizeLimitError"
+        assert report["error"]["stage"] == "random-regular-graph"
+
     def test_a_search_deeper_than_the_recursion_limit_answers(self, capsys, tmp_path):
         # B&B runs on an explicit stack, so a search on 1,200 vertices, deeper
         # than the interpreter's default recursion limit, answers in both modes

@@ -29,7 +29,7 @@ from contsolve.core import (
     random_ksat_formula,
     random_regular_graph,
 )
-from oracles import brute_codegree, graph_fields
+from oracles import brute_codegree, graph_fields, pairing_regular_graph
 
 
 class TestVertexSet:
@@ -349,6 +349,31 @@ class TestGenerators:
                 generate()
             assert err.value.stage == "memory"
         assert time.monotonic() - started < 1
+
+    def test_regular_graphs_are_the_shuffle_and_randrange_graphs(self):
+        # every n <= 40 and every d with n*d even outside the dense band
+        # d > 2n/3, where the pairing model restarts hundreds of times and
+        # the reference takes up to seconds a graph
+        for n in range(1, 41):
+            for d in range(0, 2 * n // 3 + 1):
+                if n * d % 2:
+                    continue
+                for seed in (0, 1, 2):
+                    got = random_regular_graph(n, d, seed)
+                    want = pairing_regular_graph(n, d, seed)
+                    assert (got.edges, got.adj, got.adj_mask) == (
+                        want.edges,
+                        want.adj,
+                        want.adj_mask,
+                    ), (n, d, seed)
+
+    @pytest.mark.parametrize("n, d", [(50, 48), (60, 58)])
+    def test_near_complete_degrees_refused_past_the_draw_budget(self, n, d):
+        started = time.monotonic()
+        with pytest.raises(SizeLimitError, match="draws") as err:
+            random_regular_graph(n, d, 1)
+        assert err.value.stage == "random-regular-graph"
+        assert time.monotonic() - started < 2
 
     def test_deterministic(self):
         assert random_regular_graph(12, 4, 3) == random_regular_graph(12, 4, 3)
