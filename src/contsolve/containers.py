@@ -41,7 +41,10 @@ set's fingerprint, one fingerprint's container) are not in the library:
 the references the walk and `locate` are checked against.
 
 `build_hypergraph_collection`'s caller may pass `keep(F, reach,
-container)`, which cuts the walk; `_walked_containers` says how.
+container)`, which cuts the walk; `_walked_containers` says how. It is
+asked only about what a set whose fingerprint starts with F can hold: F,
+and no vertex that F excludes or that the scan would have taken before max
+F.
 """
 
 from __future__ import annotations
@@ -275,16 +278,25 @@ def _walked_containers(
 
     `keep(F, reach, container)`, when given, cuts the walk. The walk asks
     it about F, and computes F's heavy set, only when it reaches F: when F
-    pops from the stack, not when F's parent does. Exclusions only grow
-    down the tree, so every container below F lies inside V minus F's
-    exclusions: `keep` is first asked about that set, with `container`
-    false, before F's heavy set is computed; where it is false, F and its
-    whole subtree are skipped, which counts as one cut. The root is not
-    asked this. Each fixed point walked is asked once about its own
-    container, with `container` true: a leaf (no heavy vertex above max F)
-    right after its heavy set, where false skips it, and any other, the
-    root included, once every fixed point below it has been walked, where
-    the answer is ignored. A rejected F is rejected at one ask only. Every
+    pops from the stack, not when F's parent does. It asks only about the
+    vertices that a set whose fingerprint starts with F can hold. The scan
+    is deterministic, so such a set holds F and none of F's exclusions. It
+    also holds no vertex of S(F): the vertices u below max F, outside F and
+    its exclusions, that the scan would have taken on reaching u, as they
+    newly exclude at least tau vertices beyond the exclusions of F's
+    vertices below u. Counts only fall as exclusions grow, so S(F + v) is
+    S(F) plus H(F)'s vertices below v, less the new exclusions, and the
+    walk carries it on its stack. `keep` is first asked about the reach, V
+    minus F's exclusions and S(F), which holds every independent set of
+    F's subtree, with `container` false, before F's heavy set is computed;
+    where it is false, F and its whole subtree are skipped, which counts as
+    one cut. The root is not asked this. Each fixed point walked is asked
+    once about its own container minus S(F), which holds every set whose
+    fingerprint is F, with `container` true: a leaf (no heavy vertex above
+    max F) right after its heavy set, where false skips it, and any other,
+    the root included, once every fixed point below it has been walked,
+    where the answer is ignored. The map keeps the whole containers. A
+    rejected F is rejected at one ask only. Every
     walk reaches F's children lowest vertex first, each once the subtree of
     the one before is done. So a solver that can bound what a set holds
     (the MIS wrapper, with its incumbent) prices each child against what
@@ -296,22 +308,23 @@ def _walked_containers(
     walked: dict[int, int] = {}
     distinct = set()
     cut = 0
-    # (start, F, F's exclusions, the vertices F's heavy set lies in): F is
-    # asked about, and its heavy set computed, only when it pops
-    stack = [(0, 0, 0, full)]
+    # (start, F, F's exclusions, the vertices F's heavy set lies in, a set
+    # holding S(F) and lying in S(F) plus F's exclusions): F is asked about,
+    # and its heavy set computed, only when it pops
+    stack = [(0, 0, 0, full, 0)]
     while stack:
-        start, f, excluded, candidates = stack.pop()
+        start, f, excluded, candidates, passed = stack.pop()
         if start < 0:
-            # F's subtree is done: `excluded` holds F's container
+            # F's subtree is done: `excluded` holds F's container minus S(F)
             keep(f, excluded, True)
             continue
-        if keep is not None and f and not keep(f, full & ~excluded, False):
+        if keep is not None and f and not keep(f, full & ~(excluded | passed), False):
             cut += 1
             continue
         heavy = _heavy(excludes, candidates, excluded, tau)
         children = heavy & -(1 << start)
         container = full & ~(excluded | heavy)
-        if keep is not None and f and not children and not keep(f, container, True):
+        if keep is not None and f and not children and not keep(f, container & ~passed, True):
             cut += 1
             continue
         if len(walked) >= CANDIDATE_BUDGET:
@@ -323,14 +336,14 @@ def _walked_containers(
         if keep is not None and (children or not f):
             # not a leaf: F is asked about its container when this pops,
             # after its children's subtrees
-            stack.append((-1, f, container, 0))
+            stack.append((-1, f, container & ~passed, 0, 0))
         # pushed highest first, so the lowest child pops first
         while children:
             v = children.bit_length() - 1
             low = 1 << v
             children ^= low
             grown = excluded | excludes[v]
-            stack.append((v + 1, f | low, grown, heavy & ~(grown | low)))
+            stack.append((v + 1, f | low, grown, heavy & ~(grown | low), passed | (heavy & (low - 1))))
     return walked, cut
 
 

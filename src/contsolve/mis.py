@@ -1,13 +1,15 @@
 """Maximum (weighted) independent set.
 
 The base solver is branch-and-bound on the max-degree vertex with a greedy
-seed and a residual-weight prune; it can be confined to a vertex mask and
-started from a given incumbent. The container wrapper takes the greedy set S
-over V as its incumbent and runs the base solver inside a few containers of
-the parent graph, carrying one incumbent across them: each search returns the
-better of it and its container's optimum. That is exact, because the optimum
-lies inside the container of its fingerprint, and the prune only cuts
-branches that cannot beat or tie the incumbent.
+seed and a residual-weight prune; it can be confined to a vertex mask, made
+to hold a given independent set, and started from a given incumbent. The
+container wrapper takes the greedy set S over V as its incumbent and runs the
+base solver inside a few containers of the parent graph, carrying one
+incumbent across them. Each search holds its container's fingerprint F and
+returns the better of the incumbent and the best set of the container that
+holds F. That is exact, because the optimum holds its fingerprint and lies
+inside that fingerprint's container, and the prune only cuts branches that
+cannot beat or tie the incumbent.
 
 Vertex sets are priced by greedy clique covers: an independent set takes at
 most one vertex of each clique, so the sum of the cliques' heaviest weights
@@ -26,35 +28,39 @@ B.
 That question is the `keep` the fingerprint walk asks of each fingerprint
 as it reaches it, a fingerprint's children lowest vertex first, each once
 the subtree of the one before is done (`containers._walked_containers`
-says when). A set whose size times the heaviest weight is below the
-incumbent's weight is answered no before it is priced, as its price is at
-most its weight. Otherwise it is priced by one cover, each clique grown
-from the lowest free vertex by the lowest common free neighbour. A
-container that this cover does not price out, about to be searched, is
-priced again by the mirrored cover (highest free vertex, highest common
-free neighbour): a search costs tens of covers, and neither cover is
-always the tighter. As the first cover did not price it out, the mirrored
-one prices it out exactly when the lower of the two would, so only the
-first cover is memoized. Pricing every ask by both took about as many
-nodes and no less time. A container that passes when the walk is done
-with it is searched then, unless a container already searched holds it,
-as that search saw all of its subsets; so every later price, a higher
-sibling's included, meets the raised incumbent, and nothing is searched
-after the walk. The one exception is a walk that searched nothing,
-because S outweighs every container, or ties it with no room for an
-earlier tie: then any search returns S, and the smallest kept container,
-the cheapest, is searched anyway, so every answer of this path comes out
-of a search of the base solver, whose own checks then run (perfbench's
-MIS check relies on it). The answer is the one every container's search
-would give: the lexicographically smallest set of maximum weight.
+says when). The walk asks only about what a set whose fingerprint starts
+with F can hold, so no price or search sees a vertex that the scan would
+have taken before max F. A set whose size times the heaviest weight is
+below the incumbent's weight is answered no before it is priced, as its
+price is at most its weight. Otherwise it is priced by one cover, each
+clique grown from the lowest free vertex by the lowest common free
+neighbour. A container that this cover does not price out, about to be
+searched, is priced again by the mirrored cover (highest free vertex,
+highest common free neighbour): a search costs tens of covers, and neither
+cover is always the tighter. As the first cover did not price it out, the
+mirrored one prices it out exactly when the lower of the two would, so only
+the first cover is memoized. Pricing every ask by both took about as many
+nodes and no less time. F has no neighbour in the sets asked about, so each
+vertex of F is a clique of its own in either cover. A container C of F that
+passes when the walk is done with it is searched then, with F forced,
+unless an earlier search of C' with F' forced has C inside C' and F' inside
+F, as that search saw every set of C that holds F; so every later price, a
+higher sibling's included, meets the raised incumbent, and nothing is
+searched after the walk. The one exception is a walk that searched nothing,
+because S outweighs every container, or ties it with no room for an earlier
+tie: then any search returns S, and the smallest kept container, the
+cheapest, is searched anyway, with nothing forced, so every answer of this
+path comes out of a search of the base solver, whose own checks then run
+(perfbench's MIS check relies on it). The answer is the one every
+container's search would give: the lexicographically smallest set of
+maximum weight.
 
 That is `containers` mode, which always builds, through the hypergraph
 engine on g at p = 1/(epsilon * average degree): its threshold is tau =
 ceil(epsilon * average degree), the regular scheme's on a regular graph, at
 any degree. `auto` runs the base solver on V and says why in
-`stats["path"]`: on regular and G(n, p) graphs up to n = 80, B&B inside
-containers beat B&B on V only on d = n/2 at n <= 28, and lost more as n grew
-(README.md has the table)."""
+`stats["path"]`: no rule fitted to a sweep of measured rows picks the
+container path yet (README.md has the rows measured so far)."""
 
 from __future__ import annotations
 
@@ -173,14 +179,17 @@ def mis_base(
     *,
     within: int | None = None,
     incumbent: int | None = None,
+    forced: int = 0,
 ) -> MisResult:
     """Exact maximum-weight independent set; unit weights by default. Ties
     resolve to the lexicographically smallest sorted vertex tuple.
 
     `within` is the vertex mask the search may use (all of V by default).
-    `incumbent` is an independent set of g, anywhere in V, to start from
-    instead of a greedy set inside `within`; the result is the best of it and
-    the independent subsets of `within`, under the same tie rule.
+    `forced` is an independent subset of `within` that every set searched
+    holds. `incumbent` is an independent set of g, anywhere in V, to start
+    from instead of `forced` plus a greedy set inside `within`; the result is
+    the best of it and the independent subsets of `within` that hold
+    `forced`, under the same tie rule.
 
     It runs on an explicit stack: each node pushes its exclude branch, then
     its include branch, which is searched first."""
@@ -189,15 +198,22 @@ def mis_base(
         within = (1 << g.n) - 1
     elif within >> g.n:
         raise ParameterError("within must be a vertex mask of the graph")
+    if forced & ~within or not g.is_independent(forced):
+        raise ParameterError("forced must be an independent subset of within")
+    # the vertices a set holding `forced` may add to it
+    free = within & ~forced
+    for v in VertexSet(forced):
+        free &= ~g.adj_mask[v]
+    forced_w = sum(weights[v] for v in VertexSet(forced))
     if incumbent is None:
-        best_mask = _greedy_seed(g, weights, within)
+        best_mask = forced | _greedy_seed(g, weights, free)
     elif incumbent >> g.n or not g.is_independent(incumbent):
         raise ParameterError("incumbent must be an independent vertex mask of the graph")
     else:
         best_mask = incumbent
     best_w = sum(weights[v] for v in VertexSet(best_mask))
     nodes = 0
-    stack = [(within, 0, 0)]  # (alive, chosen, chosen_w) of each branch left
+    stack = [(free, forced, forced_w)]  # (alive, chosen, chosen_w) of each branch left
     while stack:
         alive, chosen, chosen_w = stack.pop()
         nodes += 1
@@ -248,9 +264,10 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
     walk listed; `containers`, the distinct containers it kept; `cut`, the
     subtrees it skipped, a leaf whose own container was priced out
     included; `searched`, the container searches, the one after a walk that
-    searched nothing included; and `nodes`, the B&B nodes of all of them.
-    `tau` is the walked threshold, and `vacuous` whether V itself is a
-    container."""
+    searched nothing included; `nodes`, the B&B nodes of all of them; and
+    `largest_subproblem`, the most free vertices a search got: its container
+    minus the fingerprint it forced. `tau` is the walked threshold, and
+    `vacuous` whether V itself is a container."""
     config = config or MisConfig()
     weights = _check_weights(g, weights)
     if not 0 < config.epsilon < 0.5:
@@ -260,7 +277,7 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
     if config.mode != "containers":
         r = mis_base(g, weights)
         r.stats["path"] = "base" if config.mode == "base" else (
-            "base (auto: B&B inside containers measured slower than on V)")
+            "base (auto: no measured rule picks the container path yet)")
         return r
     if g.m == 0:
         # every positive weight, and each zero weight below the last of them,
@@ -276,8 +293,8 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
     may_tie = _earlier_tie_test(g, weights, best_mask, best_w)
     heaviest = max(weights)
     covers: dict[int, int] = {}  # vertex mask -> its lowest-first cover
-    searched: list[int] = []  # the containers searched, in order
-    nodes = 0
+    searched: list[tuple[int, int]] = []  # (container, F) of each search, in order
+    nodes = largest = 0
 
     def cover(mask: int) -> int:
         bound = covers.get(mask)
@@ -289,14 +306,16 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
         # mask holds no set that beats the incumbent, or ties it and sorts first
         return bound < best_w or (bound == best_w and not may_tie(mask))
 
-    def held(container: int) -> bool:
-        return any(not container & ~done for done in searched)
+    def held(container: int, f: int) -> bool:
+        # a search of (C', F') saw every set of C' that holds F'
+        return any(not container & ~done and not done_f & ~f for done, done_f in searched)
 
-    def search(container: int) -> None:
-        nonlocal best_mask, best_w, may_tie, nodes
-        r = mis_base(g, weights, within=container, incumbent=best_mask)
+    def search(container: int, f: int) -> None:
+        nonlocal best_mask, best_w, may_tie, nodes, largest
+        r = mis_base(g, weights, within=container, incumbent=best_mask, forced=f)
         nodes += r.stats["nodes"]
-        searched.append(container)
+        largest = max(largest, (container & ~f).bit_count())
+        searched.append((container, f))
         if r.best.mask != best_mask:
             best_mask, best_w = r.best.mask, r.weight
             may_tie = _earlier_tie_test(g, weights, best_mask, best_w)
@@ -313,8 +332,8 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
                 return False
             # a container is searched when the walk hands it over, so every
             # later price and tie test meets the raised incumbent
-            if not held(reach):
-                search(reach)
+            if not held(reach, f):
+                search(reach, f)
         return True
 
     coll = build_hypergraph_collection(g, min(1.0, 1.0 / (config.epsilon * g.average_degree)), keep=keep)
@@ -322,7 +341,7 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
         # the walk priced every container out, so any search returns S: the
         # smallest container is the cheapest, and the answer still comes
         # out of a search, as the module docstring says
-        search(coll.containers[0].mask)
+        search(coll.containers[0].mask, 0)
     best = VertexSet(best_mask)
     if not g.is_independent(best.mask):
         raise RuntimeError("container subproblem produced a dependent set; this is a bug")
@@ -338,7 +357,7 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
             "searched": len(searched),
             "tau": coll.stats["tau"],
             "vacuous": coll.stats["vacuous"],
-            "largest_subproblem": coll.stats["max_container_size"],
+            "largest_subproblem": largest,
             "nodes": nodes,
         },
     )

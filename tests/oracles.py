@@ -174,6 +174,28 @@ def hypergraph_container(h: Hypergraph, fp: VertexSet, tau: int) -> VertexSet:
     return VertexSet(out)
 
 
+def scan_passed(h: Hypergraph, f: int, tau: int) -> int:
+    """S(F): each vertex u below max F, outside F and F's exclusions, that
+    the scan would have taken on reaching u, as it newly excludes at least
+    tau vertices beyond what F's vertices below u exclude. No independent
+    set whose fingerprint starts with F holds one. Scanned vertex by
+    vertex, off the edge list."""
+    excluded = 0
+    for v in VertexSet(f):
+        excluded |= _exclusions(h, v, f)
+    out = 0
+    for u in range(max(f.bit_length() - 1, 0)):
+        if ((f | excluded) >> u) & 1:
+            continue
+        below = f & ((1 << u) - 1)
+        before = 0
+        for v in VertexSet(below):
+            before |= _exclusions(h, v, below)
+        if (_exclusions(h, u, below | (1 << u)) & ~before).bit_count() >= tau:
+            out |= 1 << u
+    return out
+
+
 def brute_codegree(h: Hypergraph, i: int) -> int:
     best = 0
     for t in combinations(range(h.n), i):

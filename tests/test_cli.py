@@ -289,7 +289,7 @@ class TestMisCommand:
         for source in (["--random-regular", "12", "4", "--seed", "1"], ["--input", path]):
             code, report = run_json(capsys, ["mis", *source])
             assert code == 0 and report["counters"]["path"] == (
-                "base (auto: B&B inside containers measured slower than on V)"
+                "base (auto: no measured rule picks the container path yet)"
             )
 
     def test_epsilon_outside_its_range_exits_two(self, capsys, tmp_path):

@@ -37,6 +37,7 @@ from oracles import (
     hypergraph_container,
     hypergraph_fingerprint,
     hypergraph_independent_sets,
+    scan_passed,
 )
 
 EPS = 0.49  # close to the top of the valid range; keeps thresholds at ~d/2
@@ -662,10 +663,11 @@ class TestCutWalk:
         assert cut == len(asked) - 1 > 0
 
     def test_keep_sees_what_the_walk_carries(self, monkeypatch):
-        # F is asked about V minus its exclusions, then about its own
-        # container: a leaf (no heavy vertex above max F) right away, and
-        # any other F once its subtree is walked, so the asks about the
-        # fingerprints below F are the ones just before F's second
+        # F is asked about V minus its exclusions and S(F), then about its
+        # own container minus S(F): a leaf (no heavy vertex above max F)
+        # right away, and any other F once its subtree is walked, so the
+        # asks about the fingerprints below F are the ones just before F's
+        # second
         rng = random.Random(82)
         leaves = inner = 0
         for trial in range(12):
@@ -678,13 +680,14 @@ class TestCutWalk:
             for f, container in _walked_containers(g.adj_mask, 2)[0].items():
                 excluded = _excluded(g.adj_mask, f)
                 heavy = full & ~(excluded | container)
+                passed = scan_passed(g, f, 2)
                 if f:
-                    want.append((f, full & ~excluded, False))
+                    want.append((f, full & ~(excluded | passed), False))
                     if heavy >> f.bit_length():
                         inner += 1
                     else:
                         leaf.add(f)
-                want.append((f, container, True))
+                want.append((f, container & ~passed, True))
             leaves += len(leaf)
             asked = []
             _walked_containers(g.adj_mask, 2, lambda *args: asked.append(args) or True)
@@ -712,7 +715,8 @@ class TestCutWalk:
         # every two-vertex fingerprint the uncut walk lists, at its first
         # ask; rejecting every container cuts each leaf once, at its second,
         # and a no about a container once its subtree is walked is neither
-        # a cut nor a loss
+        # a cut nor a loss. Each F is asked about its container minus S(F),
+        # and the collection keeps the whole container
         cases = leaf_cases = 0
         for _, build in _keep_builds():
             asked = []
@@ -733,8 +737,13 @@ class TestCutWalk:
             coll = build(keep=lambda f, reach, container: not container)
             assert coll.stats["tau"] == full.stats["tau"]
             assert coll.stats["candidate_count"] == 1 + len(walked) - len(leaves)
+            structure, tau = build.args[0], full.stats["tau"]
+            owned = {f: hypergraph_container(structure, VertexSet(f), tau).mask for f, _, own in asked if own}
+            assert all(
+                reach == owned[f] & ~scan_passed(structure, f, tau) for f, reach, own in asked if own
+            )
             assert {c.mask for c in coll.containers} == {
-                reach for f, reach, container in asked if container and f not in leaves
+                owned[f] for f, _, container in asked if container and f not in leaves
             }
             if leaves:
                 assert coll.stats["cut"] == len(leaves) and coll.locate is None
@@ -742,6 +751,43 @@ class TestCutWalk:
             else:
                 assert "cut" not in coll.stats and coll.locate is not None
         assert cases > 10 and leaf_cases > 10
+
+
+class TestAsksHoldTheirSets:
+    """The walk asks `keep` only about what a set whose fingerprint starts
+    with F can hold, and that holds every such set."""
+
+    def test_every_set_lies_in_the_asks_about_its_fingerprint(self):
+        # brute force on random and regular graphs with n <= 12 at several
+        # tau: every independent set whose fingerprint has F as a prefix
+        # lies in the reach asked about F, and every set whose fingerprint
+        # is F in the container asked about F; both asks leave S(F) out
+        rng = random.Random(88)
+        reaches = narrowed = 0
+        for trial in range(40):
+            if trial % 2:
+                n, d = rng.choice([(8, 3), (10, 4), (12, 4), (12, 6)])
+                g = random_regular_graph(n, d, rng.randrange(10**6))
+            else:
+                g = random_graph(rng.randint(4, 12), rng.choice([0.25, 0.4, 0.6]), rng.randrange(10**6))
+            isets = all_independent_sets(g)
+            for tau in (1, 2, 3):
+                # the union of the sets of each fingerprint
+                held: dict[int, int] = {}
+                for i in isets:
+                    fp = hypergraph_fingerprint(g, VertexSet(i), tau).mask
+                    held[fp] = held.get(fp, 0) | i
+                asked = []
+                _walked_containers(g.adj_mask, tau, lambda *args: asked.append(args) or True)
+                for f, mask, container in asked:
+                    prefix = (1 << f.bit_length()) - 1
+                    for fp, union in held.items():
+                        if fp == f or (not container and fp & prefix == f):
+                            assert not union & ~mask
+                    assert not mask & scan_passed(g, f, tau)
+                    reaches += not container
+                    narrowed += scan_passed(g, f, tau) != 0
+        assert reaches > 2000 and narrowed > 2000
 
 
 class TestEarlyStopDriver:

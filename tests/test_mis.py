@@ -38,9 +38,10 @@ from oracles import (
     hypergraph_fingerprint,
     max_independent_set_size,
     max_weight_independent_set,
+    scan_passed,
 )
 
-MIS_AUTO_PATH = "base (auto: B&B inside containers measured slower than on V)"
+MIS_AUTO_PATH = "base (auto: no measured rule picks the container path yet)"
 
 
 class TestMisBase:
@@ -144,6 +145,46 @@ class TestMisBase:
         ):
             r = call()
             assert r.size == r.weight == 1199 and r.best.mask == want
+
+    def test_forced_matches_brute_force(self):
+        # the best, by weight then smallest sorted tuple, of the incumbent and
+        # the independent subsets of `within` that hold `forced`; with no
+        # incumbent the greedy seed holds `forced` too, so it is the best of
+        # those subsets alone, ties included
+        rng = random.Random(59)
+        forced_seen = 0
+        for trial in range(300):
+            n = rng.randint(1, 12)
+            g = random_graph(n, rng.choice([0.2, 0.4, 0.6]), rng.randrange(10**6))
+            weights = [1] * n if trial % 2 else [rng.randint(0, 3) for _ in range(n)]
+            within = rng.getrandbits(n)
+            isets = all_independent_sets(g)
+            forced = rng.choice([m for m in isets if not m & ~within]) & rng.getrandbits(n)
+            incumbent = None if trial % 3 else rng.choice(isets)
+            pool = [m for m in isets if not m & ~within and not forced & ~m]
+            if incumbent is not None:
+                pool.append(incumbent)
+
+            def key(m):
+                return -sum(weights[v] for v in VertexSet(m)), tuple(VertexSet(m))
+
+            expected = min(pool, key=key)
+            r = mis_base(g, weights, within=within, incumbent=incumbent, forced=forced)
+            assert r.best.mask == expected
+            assert r.weight == -key(expected)[0] and r.size == expected.bit_count()
+            forced_seen += forced != 0
+        assert forced_seen > 100
+
+    def test_rejects_a_dependent_forced_set_or_one_outside_within(self):
+        g = cycle_graph(4)
+        for kwargs in (
+            {"forced": 0b11},
+            {"forced": 0b101, "within": 0b011},
+            {"forced": 1 << 4},
+            {"forced": -1},
+        ):
+            with pytest.raises(ParameterError, match="forced"):
+                mis_base(g, **kwargs)
 
     def test_rejects_bad_within_and_incumbent(self):
         g = cycle_graph(4)
@@ -324,29 +365,29 @@ def _solve_and_capture(g, config, weights=None):
 
 def _solve_and_trace(g, config, weights=None):
     """mis_containers' result, the cut collection its walk built, and the
-    containers it searched during the walk and after it, in order."""
-    built, during, after = [], [], []
-    with pytest.MonkeyPatch.context() as mp:
-
-        def search(*args, _real=mis.mis_base, **kwargs):
-            (after if built else during).append(kwargs["within"])
-            return _real(*args, **kwargs)
-
-        mp.setattr(mis, "mis_base", search)
-
-        def capture(*args, _real=mis.build_hypergraph_collection, **kwargs):
-            built.append(_real(*args, **kwargs))
-            return built[-1]
-
-        mp.setattr(mis, "build_hypergraph_collection", capture)
-        return mis_containers(g, config, weights), built[0], during, after
+    searches it ran during the walk and after it, in order, each as
+    (container, forced F)."""
+    return _trace(g, config, weights)[:4]
 
 
 def _solve_and_ask(g, config, weights):
     """mis_containers' result, the cut collection its walk built, and every
     ask of its `keep`, in order, as (F, reach, container, answer)."""
-    built, asks = [], []
+    c, built, _, _, asks = _trace(g, config, weights)
+    return c, built, asks
+
+
+def _trace(g, config, weights):
+    """mis_containers' result, the cut collection its walk built, the
+    searches during the walk and after it, and the asks of its `keep`."""
+    built, during, after, asks = [], [], [], []
     with pytest.MonkeyPatch.context() as mp:
+
+        def search(*args, _real=mis.mis_base, **kwargs):
+            (after if built else during).append((kwargs["within"], kwargs["forced"]))
+            return _real(*args, **kwargs)
+
+        mp.setattr(mis, "mis_base", search)
 
         def capture(*args, keep, _real=mis.build_hypergraph_collection, **kwargs):
             def asked(*ask):
@@ -357,7 +398,7 @@ def _solve_and_ask(g, config, weights):
             return built[-1]
 
         mp.setattr(mis, "build_hypergraph_collection", capture)
-        return mis_containers(g, config, weights), built[0], asks
+        return mis_containers(g, config, weights), built[0], during, after, asks
 
 
 def _container_price(g, weights, mask):
@@ -515,7 +556,7 @@ class TestContainerPricing:
             if during:
                 assert after == []
                 continue
-            assert after == [kept.containers[0].mask]
+            assert after == [(kept.containers[0].mask, 0)]
             assert c.best.mask == _greedy_seed(g, [1] * g.n, (1 << g.n) - 1)
             only_seed += 1
             several_kept += len(kept.containers) > 1
@@ -556,11 +597,13 @@ class TestContainerPricing:
 
     def test_tie_test_cuts_searches_on_dense_regular_graphs(self, monkeypatch):
         # the walk cuts subtrees and searches each kept container it hands
-        # over, so after it only a walk that searched nothing searches, once;
-        # no container is searched inside one searched before it, and a kept
-        # container left unsearched is inside a searched one, priced (the
+        # over, minus S(F) and with its F forced, so after it only a walk
+        # that searched nothing searches, once; no search of (C, F) follows
+        # one of (C', F') with C inside C' and F' inside F; a container
+        # asked about and left unsearched is held by a search, priced (the
         # lower of its two covers) below the answer's weight, or priced at
-        # it and refused by the tie test, which does so for some
+        # it and refused by the tie test, and so is each reach that cut a
+        # subtree, by its one cover; the tie test refuses some
         said_no = []
         real = mis._earlier_tie_test
 
@@ -574,24 +617,33 @@ class TestContainerPricing:
         for _ in range(4):
             said_no.clear()
             g = random_regular_graph(18, 8, rng.randrange(10**6))
+            h = Hypergraph(g.n, 2, g.edges)
             coll = build_regular_collection(g, 0.45, force=True)
             config = MisConfig(mode="containers", epsilon=0.45, force=True)
-            c, kept, during, after = _solve_and_trace(g, config)
+            c, kept, during, after, asks = _trace(g, config, None)
             assert c.best == mis_base(g).best
             kept_masks = {x.mask for x in kept.containers}
             assert kept_masks <= {x.mask for x in coll.containers}
-            assert set(during) <= kept_masks
+            tau = kept.stats["tau"]
+            for mask, f in during:
+                container = hypergraph_container(h, VertexSet(f), tau).mask
+                assert container in kept_masks and mask == container & ~scan_passed(h, f, tau)
             assert len(after) == (0 if during else 1)
             searched = during + after
             assert c.stats["searched"] == len(searched)
-            for i, container in enumerate(searched):
-                assert all(container & ~done for done in searched[:i])
+            for i, (mask, f) in enumerate(searched):
+                assert all(mask & ~done or done_f & ~f for done, done_f in searched[:i])
             refused = set(said_no)
-            for container in kept_masks:
-                if all(container & ~done for done in searched):
-                    bound = _container_price(g, [1] * g.n, container)
-                    assert bound < c.weight or (bound == c.weight and container in refused)
-                    tie_refused += bound == c.weight
+            for f, mask, container, answer in asks:
+                if container and all(mask & ~done or done_f & ~f for done, done_f in searched):
+                    bound = _container_price(g, [1] * g.n, mask)
+                elif not container and not answer:
+                    # a cut subtree: its reach is priced by the first cover
+                    bound = _clique_cover_bound(g, [1] * g.n, mask)
+                else:
+                    continue
+                assert bound < c.weight or (bound == c.weight and mask in refused)
+                tie_refused += bound == c.weight
             assert c.stats["cut"] > 0
             walk_searched += len(during)
         assert tie_refused > 0 and walk_searched > 0
@@ -618,8 +670,9 @@ class TestCutWalk:
 
     def test_leaves_searched_in_the_walk_match_brute_force(self):
         # searching kept leaves during the walk, at a rising incumbent, keeps
-        # the answer and its tie break; every container searched in the walk
-        # is one the uncut walk lists, and the counters add up
+        # the answer and its tie break; every mask searched in the walk is a
+        # container the uncut walk lists minus its F's S(F), and the
+        # counters add up
         rng = random.Random(80)
         checked = walk_searched = 0
         for trial in range(240):
@@ -640,7 +693,10 @@ class TestCutWalk:
             c, kept, during, after = _solve_and_trace(g, config, weights)
             assert c.best == mis_base(g, weights).best
             assert c.weight == max_weight_independent_set(g, weights)
-            assert set(during) <= {x.mask for x in uncut().containers}
+            tau, containers = kept.stats["tau"], {x.mask for x in uncut().containers}
+            for mask, f in during:
+                container = hypergraph_container(g, VertexSet(f), tau).mask
+                assert container in containers and mask == container & ~scan_passed(g, f, tau)
             assert c.stats["searched"] == len(during) + len(after)
             assert c.stats["walked"] == kept.stats["candidate_count"]
             assert c.stats["cut"] == kept.stats.get("cut", 0)
@@ -651,9 +707,9 @@ class TestCutWalk:
     def test_each_container_is_asked_once_after_its_subtree(self):
         # against the fixed points of a brute-force fingerprint scan at the
         # walk's tau: the root and every fixed point kept at its first ask
-        # are asked about their own container (the oracle's), each once and
-        # after every ask about a fixed point below it; every fixed point
-        # left unasked lies below one rejected at its first ask
+        # are asked about their own container (the oracle's) minus S(F),
+        # each once and after every ask about a fixed point below it; every
+        # fixed point left unasked lies below one rejected at its first ask
         rng = random.Random(84)
         checked = inner = 0
         for trial in range(220):
@@ -681,7 +737,7 @@ class TestCutWalk:
             for i, (f, reach, container, _) in enumerate(asks):
                 if not container:
                     continue
-                assert reach == hypergraph_container(h, VertexSet(f), tau).mask
+                assert reach == hypergraph_container(h, VertexSet(f), tau).mask & ~scan_passed(h, f, tau)
                 prefix = (1 << f.bit_length()) - 1
                 assert all(j < i for j, (b, *_) in enumerate(asks) if b != f and b & prefix == f)
                 inner += any(b != f and b & prefix == f for b, *_ in asks) and f != 0
@@ -695,9 +751,10 @@ class TestCutWalk:
         # the asks are a brute-force walk's over the fixed points of a
         # fingerprint scan at the walk's tau, answered as the walk's own
         # were: F's children, in increasing vertex order, are each asked
-        # about V minus their exclusions, and a kept one has its subtree
-        # walked and is asked about its container before its next sibling
-        # is asked anything; the root is asked about its container last
+        # about V minus their exclusions and S(F), and a kept one has its
+        # subtree walked and is asked about its container minus S(F) before
+        # its next sibling is asked anything; the root is asked about its
+        # container last
         rng = random.Random(86)
         checked = nested = 0
         for trial in range(160):
@@ -732,12 +789,14 @@ class TestCutWalk:
                     excluded = 0
                     for u in VertexSet(child):
                         excluded |= g.adj_mask[u]
-                    want.append((child, full & ~excluded, False))
+                    passed = scan_passed(h, child, tau)
+                    want.append((child, full & ~(excluded | passed), False))
                     if answer[child, False]:
                         before = len(want)
                         after_subtree += walk(child)
                         deep = deep or len(want) > before
-                        want.append((child, hypergraph_container(h, VertexSet(child), tau).mask, True))
+                        container = hypergraph_container(h, VertexSet(child), tau).mask
+                        want.append((child, container & ~passed, True))
                 return after_subtree
 
             nested += walk(0)
@@ -745,6 +804,36 @@ class TestCutWalk:
             assert [ask[:3] for ask in asks] == want
             checked += 1
         assert checked >= 140 and nested > 100
+
+    def test_a_container_held_only_under_another_fingerprint_is_searched(self):
+        # a search of (C', F') sees only the sets of C' that hold F', so a
+        # later container C inside C' is still searched when its F does not
+        # hold F': C has independent sets that hold F and miss F', which the
+        # earlier search never saw. Every search of the walk is one the
+        # `held` rule allows, and the answer is the base path's
+        rng = random.Random(89)
+        searched_again = 0
+        for trial in range(200):
+            if trial % 2 == 0:
+                n, d = rng.choice([(10, 4), (12, 4), (12, 6), (14, 6), (14, 8)])
+                g = random_regular_graph(n, d, rng.randrange(10**6))
+                config = MisConfig(mode="containers", epsilon=rng.choice([0.25, 0.45]))
+            else:
+                g = random_graph(rng.randint(6, 14), rng.choice([0.25, 0.4, 0.6]), rng.randrange(10**6))
+                config = MisConfig(mode="containers")
+            if g.m == 0:
+                continue
+            weights = [rng.randint(0, 3) for _ in range(g.n)]
+            c, _, during, _ = _solve_and_trace(g, config, weights)
+            assert c.best == mis_base(g, weights).best
+            isets = all_independent_sets(g)
+            for i, (mask, f) in enumerate(during):
+                holders = [done_f for done, done_f in during[:i] if not mask & ~done]
+                assert all(done_f & ~f for done_f in holders)
+                for done_f in holders:
+                    assert any(not m & ~mask and not f & ~m and done_f & ~m for m in isets)
+                    searched_again += 1
+        assert searched_again > 4
 
     def test_the_weight_cap_answers_as_the_cover_rule_and_tie_test(self, monkeypatch):
         # keep says no before pricing when |reach| times the heaviest weight
