@@ -38,22 +38,25 @@ neighbour. A container that this cover does not price out, about to be
 searched, is priced again by the mirrored cover (highest free vertex,
 highest common free neighbour): a search costs tens of covers, and neither
 cover is always the tighter. As the first cover did not price it out, the
-mirrored one prices it out exactly when the lower of the two would, so only
-the first cover is memoized. Pricing every ask by both took about as many
-nodes and no less time. F has no neighbour in the sets asked about, so each
-vertex of F is a clique of its own in either cover. A container C of F that
-passes when the walk is done with it is searched then, with F forced,
-unless an earlier search of C' with F' forced has C inside C' and F' inside
-F, as that search saw every set of C that holds F; so every later price, a
-higher sibling's included, meets the raised incumbent, and nothing is
-searched after the walk. The one exception is a walk that searched nothing,
-because S outweighs every container, or ties it with no room for an earlier
-tie: then any search returns S, and the smallest kept container, the
-cheapest, is searched anyway, with nothing forced, so every answer of this
-path comes out of a search of the base solver, whose own checks then run
-(perfbench's MIS check relies on it). The answer is the one every
-container's search would give: the lexicographically smallest set of
-maximum weight.
+mirrored one prices it out exactly when the lower of the two would. Pricing
+every ask by both took about as many nodes and no less time. Only the last
+lowest-first price is kept, with its mask. A leaf's heavy set lies in S(F),
+so its container minus S(F) is its reach, and its container ask, right
+after its reach ask, reuses that price; on perfbench's mis graphs a memo of
+every price met no other repeat. F has no neighbour in the sets asked
+about, so each vertex of F is a clique of its own in either cover. A
+container C of F that passes when the walk is done with it is searched
+then, with F forced, unless an earlier search of C' with F' forced has C
+inside C' and F' inside F, as that search saw every set of C that holds F;
+so every later price, a higher sibling's included, meets the raised
+incumbent, and nothing is searched after the walk. The one exception is a
+walk that searched nothing, because S outweighs every container, or ties
+it with no room for an earlier tie: then any search returns S, and the
+smallest kept container, the cheapest, is searched anyway, with nothing
+forced, so every answer of this path comes out of a search of the base
+solver, whose own checks then run (perfbench's MIS check relies on it).
+The answer is the one every container's search would give: the
+lexicographically smallest set of maximum weight.
 
 That is `containers` mode, which always builds, through the hypergraph
 engine on g at p = 1/(epsilon * average degree): its threshold is tau =
@@ -81,20 +84,30 @@ class MisResult:
 
 def _greedy_seed(g: Graph, weights: list[int], alive: int) -> int:
     """Min-degree greedy independent set inside `alive`, as the initial lower
-    bound."""
+    bound. Each pick is the alive vertex of least degree within `alive`,
+    then of greatest weight, then of lowest id. Every vertex of degree 0 is
+    taken at the scan that finds it: each would be picked before any other
+    vertex, and taking one changes no degree."""
+    adj = g.adj_mask
     chosen = 0
     while alive:
-        best_v, best_key = -1, None
+        isolated = 0
+        best_v, best_deg, best_w = -1, g.n, -1
         m = alive
         while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            deg = (g.adj_mask[v] & alive).bit_count()
-            key = (deg, -weights[v], v)
-            if best_key is None or key < best_key:
-                best_key, best_v = key, v
-        chosen |= 1 << best_v
-        alive &= ~(g.adj_mask[best_v] | (1 << best_v))
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            deg = (adj[v] & alive).bit_count()
+            if not deg:
+                isolated |= low
+            elif deg < best_deg or (deg == best_deg and weights[v] > best_w):
+                best_v, best_deg, best_w = v, deg, weights[v]
+        chosen |= isolated
+        alive &= ~isolated
+        if best_v >= 0:
+            chosen |= 1 << best_v
+            alive &= ~(adj[best_v] | (1 << best_v))
     return chosen
 
 
@@ -168,7 +181,7 @@ def _earlier_tie_test(g: Graph, weights: list[int], best: int, best_w: int) -> C
 def _check_weights(g: Graph, weights: list[int] | None) -> list[int]:
     if weights is None:
         return [1] * g.n
-    if len(weights) != g.n or any(w < 0 for w in weights):
+    if len(weights) != g.n or (weights and min(weights) < 0):
         raise ParameterError("weights must be non-negative, one per vertex")
     return weights
 
@@ -264,9 +277,10 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
     walk listed; `containers`, the distinct containers it kept; `cut`, the
     subtrees it skipped, a leaf whose own container was priced out
     included; `searched`, the container searches, the one after a walk that
-    searched nothing included; `nodes`, the B&B nodes of all of them; and
+    searched nothing included; `nodes`, the B&B nodes of all of them;
     `largest_subproblem`, the most free vertices a search got: its container
-    minus the fingerprint it forced. `tau` is the walked threshold, and
+    minus the fingerprint it forced; and `covers`, the clique covers `keep`
+    computed, lowest-first and mirrored. `tau` is the walked threshold, and
     `vacuous` whether V itself is a container."""
     config = config or MisConfig()
     weights = _check_weights(g, weights)
@@ -292,19 +306,11 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
     best_w = sum(weights[v] for v in VertexSet(best_mask))
     may_tie = _earlier_tie_test(g, weights, best_mask, best_w)
     heaviest = max(weights)
-    covers: dict[int, int] = {}  # vertex mask -> its lowest-first cover
     searched: list[tuple[int, int]] = []  # (container, F) of each search, in order
-    nodes = largest = 0
-
-    def cover(mask: int) -> int:
-        bound = covers.get(mask)
-        if bound is None:
-            bound = covers[mask] = _clique_cover_bound(g, weights, mask)
-        return bound
-
-    def priced_out(mask: int, bound: int) -> bool:
-        # mask holds no set that beats the incumbent, or ties it and sorts first
-        return bound < best_w or (bound == best_w and not may_tie(mask))
+    nodes = largest = covers = 0
+    # the last mask given a lowest-first cover, and its price: a leaf's
+    # container ask repeats its reach ask
+    priced_mask = priced = -1
 
     def held(container: int, f: int) -> bool:
         # a search of (C', F') saw every set of C' that holds F'
@@ -321,14 +327,25 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
             may_tie = _earlier_tie_test(g, weights, best_mask, best_w)
 
     def keep(f: int, reach: int, container: bool) -> bool:
+        nonlocal priced_mask, priced, covers
         # a cover is at most reach's weight, so a reach too small to reach
-        # the incumbent's weight needs no price; a container that one cover
-        # does not price out meets the mirrored one before it is searched,
-        # which prices it out exactly when the lower of the two would
-        if reach.bit_count() * heaviest < best_w or priced_out(reach, cover(reach)):
+        # the incumbent's weight needs no price
+        if reach.bit_count() * heaviest < best_w:
+            return False
+        if reach != priced_mask:
+            priced_mask, priced = reach, _clique_cover_bound(g, weights, reach)
+            covers += 1
+        # priced out: reach holds no set that beats the incumbent, or ties
+        # it and sorts first
+        if priced < best_w or (priced == best_w and not may_tie(reach)):
             return False
         if container:
-            if priced_out(reach, _clique_cover_bound(g, weights, reach, highest=True)):
+            # a container that one cover does not price out meets the
+            # mirrored one before it is searched, which prices it out
+            # exactly when the lower of the two would
+            price = _clique_cover_bound(g, weights, reach, highest=True)
+            covers += 1
+            if price < best_w or (price == best_w and not may_tie(reach)):
                 return False
             # a container is searched when the walk hands it over, so every
             # later price and tie test meets the raised incumbent
@@ -359,5 +376,6 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
             "vacuous": coll.stats["vacuous"],
             "largest_subproblem": largest,
             "nodes": nodes,
+            "covers": covers,
         },
     )

@@ -127,6 +127,21 @@ def max_weight_independent_set(g: Graph, weights: list[int]) -> int:
     return best
 
 
+def greedy_seed_by_key(g: Graph, weights: list[int], alive: int) -> int:
+    """Min-degree greedy independent set inside `alive`, one vertex a pick:
+    each pick is the alive vertex with the least (degree within `alive`,
+    -weight, id) key, and removes itself and its neighbours from `alive`."""
+    chosen = 0
+    while alive:
+        v = min(
+            (u for u in range(g.n) if alive >> u & 1),
+            key=lambda u: ((g.adj_mask[u] & alive).bit_count(), -weights[u], u),
+        )
+        chosen |= 1 << v
+        alive &= ~(g.adj_mask[v] | 1 << v)
+    return chosen
+
+
 def hypergraph_independent_sets(h: Hypergraph) -> list[int]:
     out = []
     for m in range(1 << h.n):

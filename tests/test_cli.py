@@ -263,6 +263,8 @@ class TestMisCommand:
         assert code == 0 and report["result"]["set"] == base["result"]["set"]
         counters = report["counters"]
         assert counters["walked"] >= counters["containers"] >= 1
+        # a search in the walk meets both clique covers first
+        assert counters["covers"] >= 2 * counters["searched"] > 0
         # the walked threshold is the scheme's ceil(0.45 * 12), and a
         # collection smaller than V is no vacuous one
         assert counters["tau"] == 6 and counters["vacuous"] is False

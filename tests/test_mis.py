@@ -34,6 +34,7 @@ from contsolve.mis import (
 )
 from oracles import (
     all_independent_sets,
+    greedy_seed_by_key,
     hypergraph_container,
     hypergraph_fingerprint,
     max_independent_set_size,
@@ -90,6 +91,30 @@ class TestMisBase:
             mis_base(cycle_graph(4), [1, 2, 3])
         with pytest.raises(ParameterError):
             mis_base(cycle_graph(4), [1, -1, 1, 1])
+        # no weight at all is none below 0
+        assert mis_base(Graph(0, []), []).size == 0
+
+    def test_greedy_seed_is_the_keyed_greedy(self):
+        # the seed picks by the reference's (degree, -weight, id) key, one
+        # vertex at a time, and takes the same set when it takes every
+        # isolated vertex at the scan that finds it
+        rng = random.Random(52)
+        isolated = 0
+        for _ in range(2400):
+            n = rng.randint(0, 16)
+            g = random_graph(n, rng.uniform(0.05, 0.8), rng.randrange(10**6))
+            weights = [rng.randint(0, 3) for _ in range(n)]
+            alive = rng.getrandbits(n) if rng.random() < 0.75 else (1 << n) - 1
+            assert _greedy_seed(g, weights, alive) == greedy_seed_by_key(g, weights, alive)
+            isolated += any(alive >> v & 1 and not g.adj_mask[v] & alive for v in range(n))
+        assert isolated > 1000
+
+    def test_greedy_seed_on_2500_vertices_and_one_edge(self):
+        # on 2,500 vertices with one edge, vertex 0 is the only pick, beside
+        # the 2,498 isolated vertices, so the seed is the set without 1
+        g = Graph(2500, [(0, 1)])
+        seed = _greedy_seed(g, [1] * g.n, (1 << g.n) - 1)
+        assert seed.bit_count() == 2499 and seed == (1 << g.n) - 1 - 0b10
 
     def test_within_and_incumbent_match_brute_force(self):
         # the best, by weight then smallest sorted tuple, of the incumbent and
@@ -746,6 +771,64 @@ class TestCutWalk:
                 assert prefixes & rejected
             checked += 1
         assert checked >= 200 and inner > 100
+
+    def test_a_leafs_container_ask_repeats_its_reach_ask(self):
+        # keep reuses its last lowest-first price, which holds because a
+        # leaf (a fixed point with no fixed-point child above max F) has its
+        # heavy set inside S(F): its container ask comes right after the
+        # reach ask that kept it, about the same F and the same mask
+        rng = random.Random(88)
+        leaves = 0
+        for trial in range(300):
+            if trial % 2 == 0:
+                n, d = rng.choice([(8, 3), (10, 4), (12, 4), (12, 6), (14, 6), (10, 6)])
+                g = random_regular_graph(n, d, rng.randrange(10**6))
+                config = MisConfig(mode="containers", epsilon=rng.choice([0.25, 0.45]), force=True)
+            else:
+                g = random_graph(rng.randint(3, 14), rng.choice([0.2, 0.35, 0.5, 0.7]), rng.randrange(10**6))
+                config = MisConfig(mode="containers")
+            if g.m == 0:
+                continue
+            weights = [rng.randint(0, 3) for _ in range(g.n)]
+            c, coll, asks = _solve_and_ask(g, config, weights)
+            assert c.best == mis_base(g, weights).best
+            h = Hypergraph(g.n, 2, g.edges)
+            tau = coll.stats["tau"]
+            fixed = {hypergraph_fingerprint(h, VertexSet(i), tau).mask for i in all_independent_sets(g)}
+            for i, (f, reach, container, _) in enumerate(asks):
+                if not container or not f or any(f | 1 << v in fixed for v in range(f.bit_length(), g.n)):
+                    continue
+                assert asks[i - 1] == (f, reach, False, True)
+                leaves += 1
+        assert leaves > 150
+
+    def test_covers_counts_every_clique_cover(self, monkeypatch):
+        # stats["covers"] is the number of clique covers keep computed,
+        # lowest-first and mirrored alike
+        rng = random.Random(90)
+        calls = []
+        real = mis._clique_cover_bound
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("highest", False))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mis, "_clique_cover_bound", counted)
+        mirrored = 0
+        for trial in range(60):
+            if trial % 2 == 0:
+                g = random_regular_graph(14, 6, rng.randrange(10**6))
+                config = MisConfig(mode="containers", epsilon=0.45, force=True)
+            else:
+                g = random_graph(rng.randint(6, 14), rng.choice([0.3, 0.5]), rng.randrange(10**6))
+                config = MisConfig(mode="containers")
+            if g.m == 0:
+                continue
+            calls.clear()
+            c = mis_containers(g, config, [rng.randint(0, 3) for _ in range(g.n)])
+            assert c.stats["covers"] == len(calls)
+            mirrored += sum(calls)
+        assert mirrored > 0
 
     def test_siblings_are_asked_lowest_first_after_the_lower_subtrees(self):
         # the asks are a brute-force walk's over the fixed points of a
