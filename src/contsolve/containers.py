@@ -110,8 +110,9 @@ class ContainerCollection:
     the container the walk built for that fingerprint; the result is always
     a member of `containers`. `stats["vacuous"]` is true when V itself is a
     container, so the collection prunes nothing. A walk that a `keep`
-    filter cut reports the number of subtrees it skipped in `stats["cut"]`
-    and has no `locate`, as it no longer covers every independent set.
+    filter cut reports the number of reach asks it refused, each skipping a
+    subtree, in `stats["cut"]` and has no `locate`, as it no longer covers
+    every independent set.
     """
 
     containers: tuple[VertexSet, ...]
@@ -257,7 +258,7 @@ def _walked_containers(
 ) -> tuple[dict[int, int] | None, int]:
     """Depth-first walk of the single-pass fingerprint fixed points at
     threshold tau: the map from each fingerprint walked to its container
-    mask, and the number of subtrees `keep` cut.
+    mask, and the number of reach asks `keep` refused, each a subtree cut.
 
     `excludes[v]` is what v excludes when it joins a set that does not
     exclude it (its neighborhood, in a graph). The heavy set H(F) holds the
@@ -290,60 +291,54 @@ def _walked_containers(
     minus F's exclusions and S(F), which holds every independent set of
     F's subtree, with `container` false, before F's heavy set is computed;
     where it is false, F and its whole subtree are skipped, which counts as
-    one cut. The root is not asked this. Each fixed point walked is asked
-    once about its own container minus S(F), which holds every set whose
-    fingerprint is F, with `container` true: a leaf (no heavy vertex above
-    max F) right after its heavy set, where false skips it, and any other,
-    the root included, once every fixed point below it has been walked,
-    where the answer is ignored. The map keeps the whole containers. A
-    rejected F is rejected at one ask only. Every
-    walk reaches F's children lowest vertex first, each once the subtree of
-    the one before is done. So a solver that can bound what a set holds
-    (the MIS wrapper, with its incumbent) prices each child against what
-    its lower siblings' searches found, lists only the containers it may
-    need, and is handed each one, to search, as soon as the walk is done
-    with it. A cut walk no longer covers every independent set, so its
+    one cut. The root is not asked this. Each fixed point walked, the root
+    included, is then asked once about its own container minus S(F), which
+    holds every set whose fingerprint is F, with `container` true, once
+    every fixed point below it has been walked: a leaf (no heavy vertex
+    above max F) right after its heavy set. That answer is ignored, and the
+    map keeps the whole containers. Every walk reaches F's children lowest
+    vertex first, each once the subtree of the one before is done. So a
+    solver that can bound what a set holds (the MIS wrapper, with its
+    incumbent) prices each child against what its lower siblings' searches
+    found, and is handed each container, to search, as soon as the walk is
+    done with it. A cut walk no longer covers every independent set, so its
     collection has no `locate`."""
     full = (1 << len(excludes)) - 1
     walked: dict[int, int] = {}
     distinct = set()
     cut = 0
-    # (start, F, F's exclusions, the vertices F's heavy set lies in, a set
-    # holding S(F) and lying in S(F) plus F's exclusions): F is asked about,
-    # and its heavy set computed, only when it pops
-    stack = [(0, 0, 0, full, 0)]
+    # (F, F's exclusions, the vertices F's heavy set lies in, a set holding
+    # S(F) and lying in S(F) plus F's exclusions): F is asked about, and its
+    # heavy set computed, only when it pops. (F, F's container minus S(F),
+    # None, 0) pops once F's subtree is done
+    stack = [(0, 0, full, 0)]
     while stack:
-        start, f, excluded, candidates, passed = stack.pop()
-        if start < 0:
-            # F's subtree is done: `excluded` holds F's container minus S(F)
+        f, excluded, candidates, passed = stack.pop()
+        if candidates is None:
             keep(f, excluded, True)
             continue
         if keep is not None and f and not keep(f, full & ~(excluded | passed), False):
             cut += 1
             continue
         heavy = _heavy(excludes, candidates, excluded, tau)
-        children = heavy & -(1 << start)
+        children = heavy & -(1 << f.bit_length())
         container = full & ~(excluded | heavy)
-        if keep is not None and f and not children and not keep(f, container & ~passed, True):
-            cut += 1
-            continue
         if len(walked) >= CANDIDATE_BUDGET:
             raise SizeLimitError(WALK_STAGE, f"budget {CANDIDATE_BUDGET} exceeded")
         walked[f] = container
         distinct.add(container)
         if limit is not None and len(distinct) > limit and len(walked) > 1:
             return None, cut
-        if keep is not None and (children or not f):
-            # not a leaf: F is asked about its container when this pops,
-            # after its children's subtrees
-            stack.append((-1, f, container & ~passed, 0, 0))
+        if keep is not None:
+            # pushed under F's children, so it pops after their subtrees
+            stack.append((f, container & ~passed, None, 0))
         # pushed highest first, so the lowest child pops first
         while children:
             v = children.bit_length() - 1
             low = 1 << v
             children ^= low
             grown = excluded | excludes[v]
-            stack.append((v + 1, f | low, grown, heavy & ~(grown | low), passed | (heavy & (low - 1))))
+            stack.append((f | low, grown, heavy & ~(grown | low), passed | (heavy & (low - 1))))
     return walked, cut
 
 
@@ -369,8 +364,9 @@ def _collection(
     the one caller that cuts, sets no `max_containers` and abandons
     nothing). The stats add the caller's `stats` and the final tau, which
     `locate` follows.
-    With `keep`, `stats["cut"]` counts the subtrees the final walk skipped,
-    when there are any, and the collection has no `locate`."""
+    With `keep`, `stats["cut"]` counts the reach asks the final walk's
+    `keep` refused, when there are any, and only then does the collection
+    lack `locate`."""
     full = (1 << len(excludes)) - 1
     abandoned = None  # the last threshold whose walk passed max_containers
     while True:

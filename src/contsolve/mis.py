@@ -46,12 +46,16 @@ after its reach ask, reuses that price; on perfbench's mis graphs a memo of
 every price met no other repeat. F has no neighbour in the sets asked
 about, so each vertex of F is a clique of its own in either cover. A
 container C of F that passes when the walk is done with it is searched
-then, with F forced, unless an earlier search of C' with F' forced has C
-inside C' and F' inside F, as that search saw every set of C that holds F;
-so every later price, a higher sibling's included, meets the raised
-incumbent, and nothing is searched after the walk. The one exception is a
-walk that searched nothing, because S outweighs every container, or ties
-it with no room for an earlier tie: then any search returns S, and the
+then, with F forced, so every later price, a higher sibling's included,
+meets the raised incumbent. An earlier search of C' with F' forced saw
+every set of C that holds F only if F' lies in F, and none does: the walk
+hands F over after its subtree, whose fingerprints hold F and more, and
+any other one handed over before F lies in the subtree of a lower
+sibling of F or of one of F's ancestors, so it holds that sibling's
+vertex, which F lacks. (A re-walk at a raised tau may repeat a search,
+with the same answer.) Nothing is searched after the walk, except when
+it searched nothing, because S outweighs every container, or ties it
+with no room for an earlier tie: then any search returns S, and the
 smallest kept container, the cheapest, is searched anyway, with nothing
 forced, so every answer of this path comes out of a search of the base
 solver, whose own checks then run (perfbench's MIS check relies on it).
@@ -274,10 +278,10 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
     and `base` run `mis_base` on V.
 
     In `containers` mode the stats count: `walked`, the fingerprints the
-    walk listed; `containers`, the distinct containers it kept; `cut`, the
-    subtrees it skipped, a leaf whose own container was priced out
-    included; `searched`, the container searches, the one after a walk that
-    searched nothing included; `nodes`, the B&B nodes of all of them;
+    walk listed, each one whose reach ask passed, and the root; `containers`,
+    the distinct containers it kept; `cut`, the reach asks refused, each
+    skipping a subtree; `searched`, the container searches, the one after a
+    walk that searched nothing included; `nodes`, the B&B nodes of all of them;
     `largest_subproblem`, the most free vertices a search got: its container
     minus the fingerprint it forced; and `covers`, the clique covers `keep`
     computed, lowest-first and mirrored. `tau` is the walked threshold, and
@@ -306,22 +310,17 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
     best_w = sum(weights[v] for v in VertexSet(best_mask))
     may_tie = _earlier_tie_test(g, weights, best_mask, best_w)
     heaviest = max(weights)
-    searched: list[tuple[int, int]] = []  # (container, F) of each search, in order
-    nodes = largest = covers = 0
+    searched = nodes = largest = covers = 0
     # the last mask given a lowest-first cover, and its price: a leaf's
     # container ask repeats its reach ask
     priced_mask = priced = -1
 
-    def held(container: int, f: int) -> bool:
-        # a search of (C', F') saw every set of C' that holds F'
-        return any(not container & ~done and not done_f & ~f for done, done_f in searched)
-
     def search(container: int, f: int) -> None:
-        nonlocal best_mask, best_w, may_tie, nodes, largest
+        nonlocal best_mask, best_w, may_tie, searched, nodes, largest
         r = mis_base(g, weights, within=container, incumbent=best_mask, forced=f)
         nodes += r.stats["nodes"]
         largest = max(largest, (container & ~f).bit_count())
-        searched.append((container, f))
+        searched += 1
         if r.best.mask != best_mask:
             best_mask, best_w = r.best.mask, r.weight
             may_tie = _earlier_tie_test(g, weights, best_mask, best_w)
@@ -349,8 +348,7 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
                 return False
             # a container is searched when the walk hands it over, so every
             # later price and tie test meets the raised incumbent
-            if not held(reach, f):
-                search(reach, f)
+            search(reach, f)
         return True
 
     coll = build_hypergraph_collection(g, min(1.0, 1.0 / (config.epsilon * g.average_degree)), keep=keep)
@@ -371,7 +369,7 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
             "containers": len(coll.containers),
             "walked": coll.stats["candidate_count"],
             "cut": coll.stats.get("cut", 0),
-            "searched": len(searched),
+            "searched": searched,
             "tau": coll.stats["tau"],
             "vacuous": coll.stats["vacuous"],
             "largest_subproblem": largest,

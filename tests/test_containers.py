@@ -710,13 +710,34 @@ class TestCutWalk:
         assert list(_walked_containers(g.adj_mask, 2, lambda *args: False)[0]) == [0]
         assert len(heavy_calls) == 1
 
+    def test_refusing_every_container_ask_is_the_uncut_walk(self):
+        # the answer about a container is ignored: a keep that passes every
+        # reach ask and refuses every container ask gives the uncut walk's
+        # map, containers, tau and locate answers, and no cut
+        def refuse(f, reach, container):
+            return not container
+
+        for isets, build in _keep_builds():
+            a, b = build(), build(keep=refuse)
+            assert a.containers == b.containers and a.stats == b.stats
+            assert "cut" not in b.stats and b.locate is not None
+            for i in isets:
+                assert a.locate(VertexSet(i)) == b.locate(VertexSet(i))
+        rng = random.Random(83)
+        for _ in range(30):
+            g = random_graph(rng.randint(4, 14), rng.choice([0.25, 0.4, 0.6]), rng.randrange(10**6))
+            for tau in (1, 2, 3):
+                a, b = _walked_containers(g.adj_mask, tau), _walked_containers(g.adj_mask, tau, refuse)
+                assert list(a[0].items()) == list(b[0].items()) and a[1] == b[1] == 0
+
     def test_cut_collection_reports_the_cut_and_has_no_locate(self):
         # keeping the fingerprints of at most one vertex cuts the subtree of
-        # every two-vertex fingerprint the uncut walk lists, at its first
-        # ask; rejecting every container cuts each leaf once, at its second,
-        # and a no about a container once its subtree is walked is neither
-        # a cut nor a loss. Each F is asked about its container minus S(F),
-        # and the collection keeps the whole container
+        # every two-vertex fingerprint the uncut walk lists, at its reach
+        # ask; a no about a container, asked once its subtree is walked (a
+        # leaf's right after its reach ask), is neither a cut nor a loss, so
+        # rejecting every container cuts nothing, the leaves' included. Each
+        # F is asked about its container minus S(F), and the collection
+        # keeps the whole container
         cases = leaf_cases = 0
         for _, build in _keep_builds():
             asked = []
@@ -736,20 +757,15 @@ class TestCutWalk:
                 assert "cut" not in coll.stats and coll.locate is not None
             coll = build(keep=lambda f, reach, container: not container)
             assert coll.stats["tau"] == full.stats["tau"]
-            assert coll.stats["candidate_count"] == 1 + len(walked) - len(leaves)
+            assert coll.stats["candidate_count"] == 1 + len(walked)
             structure, tau = build.args[0], full.stats["tau"]
             owned = {f: hypergraph_container(structure, VertexSet(f), tau).mask for f, _, own in asked if own}
             assert all(
                 reach == owned[f] & ~scan_passed(structure, f, tau) for f, reach, own in asked if own
             )
-            assert {c.mask for c in coll.containers} == {
-                owned[f] for f, _, container in asked if container and f not in leaves
-            }
-            if leaves:
-                assert coll.stats["cut"] == len(leaves) and coll.locate is None
-                leaf_cases += 1
-            else:
-                assert "cut" not in coll.stats and coll.locate is not None
+            assert {c.mask for c in coll.containers} == set(owned.values())
+            assert "cut" not in coll.stats and coll.locate is not None
+            leaf_cases += bool(leaves)
         assert cases > 10 and leaf_cases > 10
 
 

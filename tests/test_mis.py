@@ -625,10 +625,10 @@ class TestContainerPricing:
         # over, minus S(F) and with its F forced, so after it only a walk
         # that searched nothing searches, once; no search of (C, F) follows
         # one of (C', F') with C inside C' and F' inside F; a container
-        # asked about and left unsearched is held by a search, priced (the
-        # lower of its two covers) below the answer's weight, or priced at
-        # it and refused by the tie test, and so is each reach that cut a
-        # subtree, by its one cover; the tie test refuses some
+        # asked about and left unsearched is priced (the lower of its two
+        # covers) below the answer's weight, or priced at it and refused by
+        # the tie test, and so is each reach that cut a subtree, by its one
+        # cover; the tie test refuses some
         said_no = []
         real = mis._earlier_tie_test
 
@@ -888,12 +888,57 @@ class TestCutWalk:
             checked += 1
         assert checked >= 140 and nested > 100
 
+    def test_each_fingerprint_is_handed_over_once_after_its_descendants(self):
+        # the walk order that makes a log of searches needless: on the uncut
+        # walk (a keep that records every ask and passes it) and on the MIS
+        # keep's cut walk, each fingerprint walked is handed over (asked
+        # about its container) once, after every fingerprint walked below
+        # it, and no hand-over (C, F) follows one (C', F') with F' inside F,
+        # let alone with C inside C' too, so no search repeats one that saw
+        # all its sets. Popping the highest child first breaks the first
+        # rule: {w} is handed over before a fingerprint {u, w}, u < w
+        rng = random.Random(91)
+        checked = nested = 0
+        for trial in range(160):
+            eps = rng.choice([0.25, 0.45])
+            if trial % 2 == 0:
+                n, d = rng.choice([(8, 3), (10, 4), (12, 4), (12, 6), (14, 6), (14, 8)])
+                g = random_regular_graph(n, d, rng.randrange(10**6))
+            else:
+                g = random_graph(rng.randint(3, 14), rng.choice([0.2, 0.35, 0.5, 0.7]), rng.randrange(10**6))
+            if g.m == 0:
+                continue
+            weights = [rng.randint(0, 3) for _ in range(g.n)]
+            c, coll, asks = _solve_and_ask(g, MisConfig(mode="containers", epsilon=eps), weights)
+            assert c.best == mis_base(g, weights).best
+            passed = {0} | {f for f, _, container, said in asks if not container and said}
+            assert len(passed) == coll.stats["candidate_count"]
+            recorded = []
+            p = min(1.0, 1.0 / (eps * g.average_degree))
+            uncut = containers.build_hypergraph_collection(g, p, keep=lambda *ask: recorded.append(ask) or True)
+            tau = uncut.stats["tau"]
+            assert tau == coll.stats["tau"]
+            h = Hypergraph(g.n, 2, g.edges)
+            fixed = {hypergraph_fingerprint(h, VertexSet(i), tau).mask for i in all_independent_sets(g)}
+            for walked, trace in ((passed, asks), (fixed, recorded)):
+                order = [f for f, _, container, *_ in trace if container]
+                assert sorted(order) == sorted(walked)
+                for i, f in enumerate(order):
+                    prefix = (1 << f.bit_length()) - 1
+                    below = [j for j, b in enumerate(order) if b != f and b & prefix == f]
+                    assert all(j < i for j in below)
+                    assert all(done_f & ~f for done_f in order[:i])
+                    nested += bool(below)
+            checked += 1
+        assert checked >= 140 and nested > 1500
+
     def test_a_container_held_only_under_another_fingerprint_is_searched(self):
         # a search of (C', F') sees only the sets of C' that hold F', so a
         # later container C inside C' is still searched when its F does not
         # hold F': C has independent sets that hold F and miss F', which the
-        # earlier search never saw. Every search of the walk is one the
-        # `held` rule allows, and the answer is the base path's
+        # earlier search never saw. No search of the walk follows one whose
+        # F' lies in its F, so none repeats an earlier one, and the answer is
+        # the base path's
         rng = random.Random(89)
         searched_again = 0
         for trial in range(200):
