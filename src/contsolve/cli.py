@@ -131,7 +131,7 @@ def _cmd_sat(args) -> tuple[int, dict]:
     params = sat.StructureParams(D=args.D, C=args.C, epsilon=args.eps)
     result = sat.solve_ksat_dense(phi, params, sat.SatConfig(mode=args.mode))
     model = (
-        {str(v): int(b) for v, b in sorted(result.model.items())} if result.model else None
+        None if result.model is None else {str(v): int(b) for v, b in sorted(result.model.items())}
     )
     report = {
         "instance": {"num_vars": phi.num_vars, "clauses": len(phi.clauses), "k": phi.k},

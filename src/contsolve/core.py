@@ -181,7 +181,6 @@ class Graph:
     def __init__(self, n: int, edges):
         if n < 0:
             raise ParameterError("vertex count must be non-negative")
-        adj = [[] for _ in range(n)]
         masks = [0] * n
         norm_edges = []
         for u, v in edges:
@@ -193,10 +192,8 @@ class Graph:
                 raise ParameterError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-            adj[u].append(v)
-            adj[v].append(u)
             norm_edges.append((u, v) if u < v else (v, u))
-        _fill_graph(self, n, adj, masks, norm_edges)
+        _fill_graph(self, n, masks, norm_edges)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -248,16 +245,23 @@ class Graph:
         return hash((self.n, self.edges))
 
 
-def _fill_graph(g: Graph, n: int, adj: list, masks: list, edges: list) -> None:
-    """Set a Graph's fields from checked parts: each vertex's neighbours in
-    any order, its adjacency mask, and the edges as (low, high) pairs in any
-    order. Sorts `edges` in place."""
+def _fill_graph(g: Graph, n: int, masks: list, edges: list) -> Graph:
+    """Set and return a Graph's fields from checked parts: each vertex's
+    adjacency mask and the edges as (low, high) pairs in any order. Sorts
+    `edges` in place and builds the adjacency lists from them in one pass:
+    in sorted order a vertex meets its lower neighbours, then its higher
+    ones, each ascending."""
     edges.sort()
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "m", len(edges))
-    object.__setattr__(g, "adj", tuple(tuple(sorted(a)) for a in adj))
+    object.__setattr__(g, "adj", tuple(map(tuple, adj)))
     object.__setattr__(g, "adj_mask", tuple(masks))
     object.__setattr__(g, "edges", tuple(edges))
+    return g
 
 
 class Hypergraph:
@@ -270,6 +274,8 @@ class Hypergraph:
     __slots__ = ("n", "r", "edges", "edge_masks")
 
     def __init__(self, n: int, r: int, edges):
+        if n < 0:
+            raise ParameterError("vertex count must be non-negative")
         if r < 1:
             raise ParameterError("uniformity must be at least 1")
         norm = []
@@ -326,6 +332,8 @@ class CnfFormula:
     __slots__ = ("num_vars", "clauses", "k")
 
     def __init__(self, num_vars: int, clauses):
+        if num_vars < 0:
+            raise ParameterError("variable count must be non-negative")
         norm = []
         for clause in clauses:
             clause = tuple(clause)
@@ -387,7 +395,7 @@ def parse_dimacs_graph(text) -> Graph:
     header's edge count; only a line that fails the test is looked at again,
     to name its fault."""
     n = m = None
-    adj = masks = ()
+    masks = ()
     edges = []
     for lineno, raw in enumerate(_decode_lines(text), start=1):
         parts = raw.split()
@@ -399,8 +407,6 @@ def parse_dimacs_graph(text) -> Graph:
             if 0 <= u < n and 0 <= v < n and u != v and not masks[u] >> v & 1 and len(edges) < m:
                 masks[u] |= 1 << v
                 masks[v] |= 1 << u
-                adj[u].append(v)
-                adj[v].append(u)
                 edges.append((u, v) if u < v else (v, u))
                 continue
             if not (0 <= u < n and 0 <= v < n):
@@ -429,7 +435,6 @@ def parse_dimacs_graph(text) -> Graph:
             need = graph_bytes(n, m)
             if need > MEMORY_BUDGET_BYTES:
                 raise ParseError(_over_budget(f"{n} vertices and {m} edges", need), lineno)
-            adj = [[] for _ in range(n)]
             masks = [0] * n
         elif parts[0] == "e":
             if n is None:
@@ -441,9 +446,7 @@ def parse_dimacs_graph(text) -> Graph:
         raise ParseError("missing header")
     if len(edges) != m:
         raise ParseError(f"header declares {m} edges, found {len(edges)}")
-    g = object.__new__(Graph)
-    _fill_graph(g, n, adj, masks, edges)
-    return g
+    return _fill_graph(object.__new__(Graph), n, masks, edges)
 
 
 def parse_dimacs_cnf(text) -> CnfFormula:
@@ -582,7 +585,7 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
                 break
             draws += 2 * tries + 2
         else:
-            return Graph(n, sorted(edges))
+            return _fill_graph(object.__new__(Graph), n, masks, edges)
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:

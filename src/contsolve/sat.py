@@ -4,12 +4,13 @@ Each clause becomes a hyperedge on the negations of its literals, so an
 assignment satisfies the formula exactly when its set of true literals spans
 no edge. On formulas dense enough to contain a well-spread sub-hypergraph
 (many edges per vertex, bounded degree and co-degree), containers for that
-sub-hypergraph cover every candidate literal set; restricting the formula to
-each inclusion-maximal container forces all missing literals false and leaves
-a smaller instance for a plain DPLL base solver. At width 3 or more a lone
-literal excludes nothing, so the collection is every literal; `auto` runs
-DPLL there, and on whatever the engine cannot take, naming the reason in
-`stats["path"]`."""
+sub-hypergraph cover every candidate literal set. Each inclusion-maximal
+container is a set of DPLL assumptions, every literal outside it false, that
+DPLL propagates once on the formula itself; `stats["largest_restriction"]`
+is the most free variables any container left before DPLL. At width 3 or
+more a lone literal excludes nothing, so the collection is every literal;
+`auto` runs DPLL there, and on whatever the engine cannot take, naming the
+reason in `stats["path"]`."""
 
 from __future__ import annotations
 
@@ -64,22 +65,23 @@ def build_literal_hypergraph(phi: CnfFormula) -> Hypergraph:
 
 @dataclass
 class Restriction:
-    """Formula after forcing every literal outside `kept` to false.
+    """What a container forces: every literal outside `kept` is false.
 
-    contradiction means some variable lost both literals or the forced
-    values already falsify a clause. `forced` accumulates both the vertex
-    forcing and eager unit propagation; `formula` keeps only the surviving
-    clauses over the still-free variables."""
+    `forced` maps each variable with exactly one kept literal to that
+    literal's value. contradiction means some variable kept neither literal,
+    and then `forced` is empty. `unassigned_before_propagation` counts the
+    variables that keep both literals: free until DPLL propagates `forced`,
+    which may still refute it."""
 
     contradiction: bool
     forced: dict[int, bool]
-    formula: CnfFormula | None
     unassigned_before_propagation: int
 
 
-def _propagate(clauses: list[list[int]], forced: dict[int, bool]):
+def _propagate(clauses, forced: dict[int, bool]):
     """Apply `forced` and unit-propagate until fixpoint. Returns simplified
-    clauses or None on contradiction; extends `forced` in place."""
+    clauses as new lists, or None on contradiction; `clauses` is only read,
+    and `forced` is extended in place."""
     while True:
         new_clauses: list[list[int]] = []
         unit: int | None = None
@@ -108,9 +110,8 @@ def _propagate(clauses: list[list[int]], forced: dict[int, bool]):
 
 
 def restrict_formula(phi: CnfFormula, kept: VertexSet) -> Restriction:
-    """Force every literal outside `kept` false and unit-propagate. When
-    `kept` holds every literal and no clause is a unit, there is nothing to
-    force or propagate, and the restriction's formula is `phi` itself."""
+    """The assumptions that container `kept` stands for. It neither builds a
+    formula nor propagates: `dpll(phi, assumptions=forced)` does that."""
     if kept.mask >> (2 * phi.num_vars):
         raise ParameterError("kept must be a mask of the formula's literal vertices")
     forced: dict[int, bool] = {}
@@ -120,27 +121,22 @@ def restrict_formula(phi: CnfFormula, kept: VertexSet) -> Restriction:
         if pos and neg:
             continue
         if not pos and not neg:
-            return Restriction(True, {}, None, 0)
+            return Restriction(True, {}, 0)
         forced[var] = pos  # exactly one literal kept; it must be the true one
     unassigned = phi.num_vars - len(forced)
     if unassigned != len(kept) - phi.num_vars:
         raise RuntimeError("restriction size accounting failed; this is a bug")
-    if not forced and 1 not in map(len, phi.clauses):
-        return Restriction(False, forced, phi, unassigned)
-    clauses = _propagate([list(c) for c in phi.clauses], forced)
-    if clauses is None:
-        return Restriction(True, forced, None, unassigned)
-    formula = CnfFormula(phi.num_vars, [tuple(c) for c in clauses])
-    return Restriction(False, forced, formula, unassigned)
+    return Restriction(False, forced, unassigned)
 
 
 def dpll(phi: CnfFormula, assumptions: dict[int, bool] | None = None) -> tuple[bool, dict[int, bool] | None]:
     """Unit propagation + pure-literal elimination + branching on the lowest
-    free variable of the first clause. Returns a total model when SAT.
+    free variable of the first clause. Returns a total model, which keeps
+    every assumption, when SAT.
 
     It runs on an explicit stack of (clauses, model) entries, each entry's
     clauses propagated when it pops; a branch pushes False, then True."""
-    stack = [([list(c) for c in phi.clauses], dict(assumptions or {}))]
+    stack = [(phi.clauses, dict(assumptions or {}))]
     while stack:
         clauses, model = stack.pop()
         clauses = _propagate(clauses, model)
@@ -240,7 +236,7 @@ def extract_structure(h: Hypergraph, params: StructureParams) -> StructureResult
     eprime.sort()
     edges = [h.edges[i] for i in eprime]
     stats = {"edges": len(edges), "vertices": h.n, "retired": retired.bit_count()}
-    if len(edges) < h.n:
+    if not edges or len(edges) < h.n:
         return StructureResult("absent", None, len(edges) / h.n if h.n else 0.0, stats)
     # the host's edges are already checked: take them and their masks as they are
     sub = object.__new__(Hypergraph)
@@ -319,10 +315,8 @@ def solve_ksat_dense(
         if restriction.contradiction:
             continue
         largest = max(largest, restriction.unassigned_before_propagation)
-        sat, model = dpll(restriction.formula, assumptions=restriction.forced)
+        sat, model = dpll(phi, assumptions=restriction.forced)
         if sat:
-            if not phi.is_satisfied_by(model):
-                raise RuntimeError("container model fails the formula; this is a bug")
             stats["winning_container"] = idx
             stats["largest_restriction"] = largest
             return SatResult(True, model, stats)

@@ -322,6 +322,13 @@ class TestSatCommand:
         assert code == 1
         assert report["result"]["satisfiable"] is False
 
+    def test_formula_without_variables_has_an_empty_model(self, capsys, tmp_path):
+        path = tmp_path / "empty.cnf"
+        path.write_text("p cnf 0 0\n")
+        code, report = run_json(capsys, ["sat", "--input", path.as_posix()])
+        assert code == 0
+        assert report["result"] == {"satisfiable": True, "model": {}}
+
     def test_a_search_deeper_than_the_recursion_limit_answers(self, capsys, tmp_path):
         # x1 != x2, x3 != x4, ... on 2,000 variables: DPLL branches 1,000
         # deep, past the interpreter's default recursion limit, on an

@@ -70,6 +70,32 @@ class TestGraphConstructor:
         expected = graph_fields(n, set(pairs))
         assert {name: getattr(g, name) for name in expected} == expected
 
+    def test_adjacency_lists_are_the_sorted_mask_neighbours(self):
+        # the constructor, the parser and the regular generator each build
+        # adj[v] from the sorted edges; it must list adj_mask[v]'s bits in
+        # order, and a generated graph must equal the one its edges build
+        def sorted_mask_neighbours(g):
+            return tuple(tuple(w for w in range(g.n) if mask >> w & 1) for mask in g.adj_mask)
+
+        rng = random.Random(71)
+        for _ in range(60):
+            n = rng.randint(0, 30)
+            pool = list(combinations(range(n), 2))
+            pairs = rng.sample(pool, rng.randint(0, len(pool)))
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+            g = Graph(n, edges)
+            assert g.adj == sorted_mask_neighbours(g)
+            text = "".join([f"p edge {n} {len(edges)}\n", *(f"e {u + 1} {v + 1}\n" for u, v in edges)])
+            parsed = parse_dimacs_graph(text)
+            assert parsed.adj == sorted_mask_neighbours(parsed)
+        fields = ("n", "m", "edges", "adj", "adj_mask")
+        for n, d in ((10, 3), (16, 5), (24, 12), (40, 7)):
+            for seed in range(4):
+                g = random_regular_graph(n, d, seed)
+                assert g.adj == sorted_mask_neighbours(g)
+                rebuilt = Graph(n, g.edges)
+                assert [getattr(g, f) for f in fields] == [getattr(rebuilt, f) for f in fields]
+
     def test_empty_graph(self):
         for n in (0, 1, 5):
             g = Graph(n, [])
@@ -284,6 +310,10 @@ class TestCnfParsing:
         phi = parse_dimacs_cnf("p cnf 3 0\n")
         assert phi.num_vars == 3 and phi.clauses == ()
 
+    def test_negative_variable_count_rejected(self):
+        with pytest.raises(ParameterError, match="variable count"):
+            CnfFormula(-1, [])
+
     def test_roundtrip(self):
         phi = random_ksat_formula(6, 10, 3, seed=1)
         assert parse_dimacs_cnf(phi.to_dimacs()) == phi
@@ -386,6 +416,12 @@ class TestGenerators:
             n += 1
         g = random_regular_graph(n, d, seed)
         assert all(g.degree(v) == d for v in range(g.n))
+
+
+class TestHypergraphConstructor:
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(ParameterError, match="vertex count"):
+            Hypergraph(-1, 3, [])
 
 
 class TestCodegree:

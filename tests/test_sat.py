@@ -83,39 +83,44 @@ class TestLiteralHypergraph:
 
 class TestRestriction:
     def test_keep_everything_is_identity(self):
+        # keeping every literal forces nothing: DPLL runs on phi as it is
         phi = CnfFormula(2, [(1, -2)])
         r = restrict_formula(phi, VertexSet((1 << 4) - 1))
         assert not r.contradiction and r.forced == {}
-        assert r.formula.clauses == phi.clauses
+        assert r.unassigned_before_propagation == 2
 
     def test_single_literal_forced(self):
         phi = CnfFormula(2, [(1, 2)])
         kept = VertexSet.of([0, 2, 3])  # x1 kept positively only
         r = restrict_formula(phi, kept)
         assert not r.contradiction
-        assert r.forced[1] is True
-        assert r.formula.clauses == ()  # clause satisfied by x1
+        assert r.forced == {1: True} and r.unassigned_before_propagation == 1
 
     def test_variable_missing_both_literals(self):
         phi = CnfFormula(2, [(1, 2)])
         r = restrict_formula(phi, VertexSet.of([0, 1]))
-        assert r.contradiction
+        assert r.contradiction and r.forced == {}
 
     def test_forced_falsification(self):
+        # forcing both variables false falsifies the clause; the restriction
+        # does not propagate, so DPLL's first propagation refutes it
         phi = CnfFormula(2, [(1, 2)])
-        kept = VertexSet.of([1, 3])  # both variables forced false
-        assert restrict_formula(phi, kept).contradiction
+        kept = VertexSet.of([1, 3])
+        r = restrict_formula(phi, kept)
+        assert not r.contradiction and r.forced == {1: False, 2: False}
+        assert dpll(phi, assumptions=r.forced) == (False, None)
 
     def test_mask_outside_the_literals_rejected(self):
         with pytest.raises(ParameterError, match="literal vertices"):
             restrict_formula(CnfFormula(2, [(1, -2)]), VertexSet(0b11111))
 
-    def test_matches_propagation(self):
-        # forcing the missing literals and propagating gives the restriction,
-        # including the shortcut that keeps every literal of a unit-free formula
+    def test_assumptions_match_brute_force(self):
+        # a variable keeping one literal is forced to it, one keeping neither
+        # is a contradiction; DPLL under the forced values agrees with a
+        # brute force over the assignments that honour them
         rng = random.Random(68)
-        shortcuts = 0
-        for _ in range(300):
+        outcomes = {"contradiction": 0, True: 0, False: 0}
+        for _ in range(400):
             n = rng.randint(1, 7)
             clauses = []
             for _ in range(rng.randint(1, 4 * n)):
@@ -123,27 +128,33 @@ class TestRestriction:
                 trip = rng.sample(range(1, n + 1), min(width, n))
                 clauses.append([v if rng.random() < 0.5 else -v for v in trip])
             phi = CnfFormula(n, clauses)
-            full = (1 << 2 * n) - 1
-            kept = VertexSet(full if rng.random() < 0.5 else rng.getrandbits(2 * n))
+            keeps = rng.choices(["both", "pos", "neg", "none"], [6, 2, 2, 1], k=n)
+            kept = VertexSet.of(
+                literal_vertex(lit)
+                for var, keep in enumerate(keeps, 1)
+                for lit, wanted in ((var, "pos"), (-var, "neg"))
+                if keep in ("both", wanted)
+            )
             r = restrict_formula(phi, kept)
-            forced = {}
-            for var in range(1, n + 1):
-                pos = literal_vertex(var) in kept
-                neg = literal_vertex(-var) in kept
-                if not pos and not neg:
-                    assert r.contradiction
-                    break
-                if pos != neg:
-                    forced[var] = pos
-            else:
-                clauses = sat._propagate([list(c) for c in phi.clauses], forced)
-                assert r.contradiction == (clauses is None)
-                assert r.forced == forced
-                if clauses is not None:
-                    assert r.formula.clauses == tuple(map(tuple, clauses))
-                    if r.formula is phi:
-                        shortcuts += 1
-        assert shortcuts > 0
+            if "none" in keeps:
+                assert r.contradiction and r.forced == {}
+                outcomes["contradiction"] += 1
+                continue
+            forced = {var: keep == "pos" for var, keep in enumerate(keeps, 1) if keep != "both"}
+            assert not r.contradiction and r.forced == forced
+            assert r.unassigned_before_propagation == keeps.count("both")
+            free = [var for var in range(1, n + 1) if var not in forced]
+            want = any(
+                phi.is_satisfied_by({**forced, **{v: bool(bits >> i & 1) for i, v in enumerate(free)}})
+                for bits in range(1 << len(free))
+            )
+            got, model = dpll(phi, assumptions=r.forced)
+            assert got == want
+            if got:
+                assert set(model) == set(range(1, n + 1)) and phi.is_satisfied_by(model)
+                assert all(model[var] == value for var, value in forced.items())
+            outcomes[got] += 1
+        assert min(outcomes.values()) > 20, outcomes
 
 
 class TestDpll:
@@ -186,6 +197,12 @@ class TestExtractStructure:
         h = Hypergraph(6, 3, [(0, 1, 2)])
         result = extract_structure(h, StructureParams(D=2, C=4.0, epsilon=0.5))
         assert result.status == "absent"
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_absent_without_edges(self, n):
+        result = extract_structure(Hypergraph(n, 3, []), StructureParams(D=1, C=4.0, epsilon=0.5))
+        assert result.status == "absent" and result.hypergraph is None
+        assert result.d_eff == 0.0
 
     def test_found_on_dense_block(self):
         edges = list(combinations(range(8), 3))
