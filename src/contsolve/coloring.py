@@ -92,8 +92,11 @@ def count_is_dp(g: Graph, domain: VertexSet) -> IsCountTable:
 
     A count is at most 2^w on a domain of w vertices, and the field width f
     of `_field_width` holds 2^w, so no field carries into the next.
-    `counts` is the table as an array of f-bit unsigned ints. A build over
-    the byte budget of `_field_width` is refused before it starts."""
+    `counts` is the table as an array of f-bit unsigned ints. A domain with
+    a vertex beyond g is refused with ParameterError, and a build over the
+    byte budget of `_field_width` before it starts."""
+    if domain.mask >> g.n:
+        raise ParameterError("domain must be a vertex mask of the graph")
     order = tuple(domain)
     w = len(order)
     f = _field_width(w, "is-count-table")

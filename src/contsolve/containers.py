@@ -238,8 +238,12 @@ def _locate(
     so F is a fixed point the walk listed. This is the library's only
     fingerprint scan of a given set, for the regular scheme and the engine
     alike; the per-set references it is tested against are in
-    `tests/oracles.py`."""
+    `tests/oracles.py`. A set with a vertex beyond the structure is refused
+    with ParameterError, a set that is not independent with
+    PreconditionError."""
     mask = independent.mask
+    if mask >> structure.n:
+        raise ParameterError("input set must be a vertex mask of the structure")
     if not structure.is_independent(mask):
         raise PreconditionError("input set is not independent")
     f = excluded = 0

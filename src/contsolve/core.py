@@ -2,6 +2,12 @@
 
 All types are immutable after construction and safe to share between threads.
 Vertex ids are 0-indexed internally; the DIMACS boundary is 1-indexed.
+
+The constructors `Graph`, `Hypergraph` and `CnfFormula` check what a direct
+caller passes. Parts already checked are not checked again: the DIMACS
+parsers and the generators fill their graphs and formulas through
+`_fill_graph` and `_fill_cnf`, and `sat` its literal hypergraphs through
+`_fill_hypergraph`.
 """
 
 from __future__ import annotations
@@ -282,16 +288,14 @@ class Hypergraph:
         masks = []
         for e in edges:
             e = tuple(sorted(e))
-            if len(e) != r or e[0] < 0 or e[-1] >= n:
-                # a repeated vertex is named before a vertex out of range
-                if len(e) != r or len(set(e)) != r:
-                    raise ParameterError(f"edge {e} does not have exactly {r} distinct vertices")
+            # a repeated vertex is named before a vertex out of range
+            if len(e) != r or len(set(e)) != r:
+                raise ParameterError(f"edge {e} does not have exactly {r} distinct vertices")
+            if e[0] < 0 or e[-1] >= n:
                 raise ParameterError(f"vertex id out of range in edge {e}")
             mask = 0
             for v in e:
                 mask |= 1 << v
-            if mask.bit_count() != r:
-                raise ParameterError(f"edge {e} does not have exactly {r} distinct vertices")
             norm.append(e)
             masks.append(mask)
         _fill_hypergraph(self, n, r, norm, masks)
@@ -327,7 +331,11 @@ def max_codegree(h: Hypergraph, i: int) -> int:
 
 
 class CnfFormula:
-    """k-CNF with signed-literal clauses; literal v means x_v, -v means not x_v (1-based)."""
+    """k-CNF with signed-literal clauses; literal v means x_v, -v means not x_v (1-based).
+
+    The constructor refuses an empty clause, a literal out of range and a
+    variable twice in a clause; `parse_dimacs_cnf` and `random_ksat_formula`
+    fill theirs through `_fill_cnf` instead."""
 
     __slots__ = ("num_vars", "clauses", "k")
 
@@ -348,9 +356,7 @@ class CnfFormula:
                     raise ParameterError(f"variable {var} occurs twice in clause {clause}")
                 vars_seen.add(var)
             norm.append(clause)
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "clauses", tuple(norm))
-        object.__setattr__(self, "k", max((len(c) for c in norm), default=0))
+        _fill_cnf(self, num_vars, norm)
 
     def __setattr__(self, name, value):
         raise AttributeError("CnfFormula is immutable")
@@ -377,6 +383,17 @@ class CnfFormula:
         )
 
 
+def _fill_cnf(phi: CnfFormula, n: int, clauses: list) -> CnfFormula:
+    """Set and return a CnfFormula's fields from checked parts: clauses of
+    distinct variables in 1..n, each a non-empty list or tuple of literals,
+    stored as tuples."""
+    clauses = tuple(map(tuple, clauses))
+    object.__setattr__(phi, "num_vars", n)
+    object.__setattr__(phi, "clauses", clauses)
+    object.__setattr__(phi, "k", max(map(len, clauses), default=0))
+    return phi
+
+
 def _decode_lines(text) -> list[str]:
     if isinstance(text, bytes):
         try:
@@ -385,6 +402,30 @@ def _decode_lines(text) -> list[str]:
             line = text.count(b"\n", 0, exc.start) + 1
             raise ParseError("input is not valid UTF-8", line) from None
     return text.splitlines()
+
+
+# each DIMACS format's header word: the bytes its counts may need, and the
+# nouns for them
+_FORMATS = {"edge": (graph_bytes, "vertices", "edges"), "cnf": (formula_bytes, "variables", "clauses")}
+
+
+def _read_header(parts: list[str], line: str, lineno: int, fmt: str) -> tuple[int, int]:
+    """The counts n and m of the header `p <fmt> n m`, split into `parts`:
+    refused with ParseError at `lineno` when malformed, negative, or past
+    `MEMORY_BUDGET_BYTES`."""
+    if len(parts) != 4 or parts[1] != fmt:
+        raise ParseError(f"malformed header {line!r}", lineno)
+    try:
+        n, m = int(parts[2]), int(parts[3])
+    except ValueError:
+        raise ParseError(f"malformed header {line!r}", lineno) from None
+    if n < 0 or m < 0:
+        raise ParseError("negative count in header", lineno)
+    size, items, groups = _FORMATS[fmt]
+    need = size(n, m)
+    if need > MEMORY_BUDGET_BYTES:
+        raise ParseError(_over_budget(f"{n} {items} and {m} {groups}", need), lineno)
+    return n, m
 
 
 def parse_dimacs_graph(text) -> Graph:
@@ -424,17 +465,7 @@ def parse_dimacs_graph(text) -> Graph:
         if parts[0] == "p":
             if n is not None:
                 raise ParseError("duplicate header", lineno)
-            if len(parts) != 4 or parts[1] != "edge":
-                raise ParseError(f"malformed header {line!r}", lineno)
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(f"malformed header {line!r}", lineno) from None
-            if n < 0 or m < 0:
-                raise ParseError("negative count in header", lineno)
-            need = graph_bytes(n, m)
-            if need > MEMORY_BUDGET_BYTES:
-                raise ParseError(_over_budget(f"{n} vertices and {m} edges", need), lineno)
+            n, m = _read_header(parts, line, lineno, "edge")
             masks = [0] * n
         elif parts[0] == "e":
             if n is None:
@@ -452,7 +483,12 @@ def parse_dimacs_graph(text) -> Graph:
 def parse_dimacs_cnf(text) -> CnfFormula:
     """Parse DIMACS CNF; clauses are zero-terminated and may span lines. A
     line starting with `%` ends the input, as in SATLIB files, which close
-    with a `%` line and then `0`."""
+    with a `%` line and then `0`.
+
+    A finished clause costs one set test over its variables; only a clause
+    that fails it is looked at again, to name a tautology (on the first
+    literal whose negation is in the clause) before a repeated literal. The
+    formula is filled from the checked clauses, not re-checked."""
     n = m = None
     clauses: list[list[int]] = []
     current: list[int] = []
@@ -466,17 +502,7 @@ def parse_dimacs_cnf(text) -> CnfFormula:
         if parts[0] == "p":
             if n is not None:
                 raise ParseError("duplicate header", lineno)
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError(f"malformed header {line!r}", lineno)
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(f"malformed header {line!r}", lineno) from None
-            if n < 0 or m < 0:
-                raise ParseError("negative count in header", lineno)
-            need = formula_bytes(n, m)
-            if need > MEMORY_BUDGET_BYTES:
-                raise ParseError(_over_budget(f"{n} variables and {m} clauses", need), lineno)
+            n, m = _read_header(parts, line, lineno, "cnf")
             continue
         if n is None:
             raise ParseError("clause line before header", lineno)
@@ -488,13 +514,11 @@ def parse_dimacs_cnf(text) -> CnfFormula:
             if lit == 0:
                 if not current:
                     raise ParseError("empty clause", lineno)
-                var_signs: dict[int, set[int]] = {}
-                for x in current:
-                    var_signs.setdefault(abs(x), set()).add(x > 0)
-                for var, signs in var_signs.items():
-                    if len(signs) == 2:
-                        raise ParseError(f"tautological clause on variable {var}", lineno)
-                if len(var_signs) != len(current):
+                if len(set(map(abs, current))) != len(current):
+                    lits = set(current)
+                    for x in current:
+                        if -x in lits:
+                            raise ParseError(f"tautological clause on variable {abs(x)}", lineno)
                     raise ParseError("repeated literal in clause", lineno)
                 if len(clauses) == m:
                     raise ParseError(f"more clauses than the {m} the header declares", lineno)
@@ -510,7 +534,7 @@ def parse_dimacs_cnf(text) -> CnfFormula:
         raise ParseError("unterminated clause at end of input")
     if len(clauses) != m:
         raise ParseError(f"header declares {m} clauses, found {len(clauses)}")
-    return CnfFormula(n, clauses)
+    return _fill_cnf(object.__new__(CnfFormula), n, clauses)
 
 
 def random_regular_graph(n: int, d: int, seed: int) -> Graph:
@@ -603,7 +627,8 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 
 
 def random_ksat_formula(n: int, m: int, k: int, seed: int) -> CnfFormula:
-    """Random k-CNF: each clause has k distinct variables with random signs."""
+    """Random k-CNF: each clause has k distinct variables with random signs,
+    filled into the formula as drawn."""
     if not 1 <= k <= n:
         raise ParameterError(f"clause width {k} must be between 1 and the variable count {n}")
     if m < 0:
@@ -616,7 +641,7 @@ def random_ksat_formula(n: int, m: int, k: int, seed: int) -> CnfFormula:
     for _ in range(m):
         vars_ = rng.sample(range(1, n + 1), k)
         clauses.append([v if rng.random() < 0.5 else -v for v in vars_])
-    return CnfFormula(n, clauses)
+    return _fill_cnf(object.__new__(CnfFormula), n, clauses)
 
 
 def petersen_graph() -> Graph:

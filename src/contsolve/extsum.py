@@ -108,21 +108,13 @@ def eval_naive(inst: ExtSumInstance) -> int:
         raise SizeLimitError(
             "naive-eval", f"universe {inst.universe} exceeds {NAIVE_UNIVERSE_CEILING}"
         )
-    # precompute value-by-projection so the main loop is one mask-and-lookup
-    # per subset instead of a per-variable bit gather
-    lookups = []
-    for xs, tab in zip(inst.subsets, inst.tables):
-        mask = 0
-        for v in xs:
-            mask |= 1 << v
-        proj = {}
-        for local in range(1 << len(xs)):
-            global_bits = 0
-            for j, v in enumerate(xs):
-                if (local >> j) & 1:
-                    global_bits |= 1 << v
-            proj[global_bits] = tab[local]
-        lookups.append((mask, proj))
+    # key each table by its entries' global bits, so the main loop is one
+    # mask-and-lookup per subset instead of a per-variable bit gather
+    universe = tuple(range(inst.universe))
+    lookups = [
+        (sum(1 << v for v in xs), dict(zip(_project(xs, universe), tab)))
+        for xs, tab in zip(inst.subsets, inst.tables)
+    ]
     total = 0
     for alpha in range(1 << inst.universe):
         prod = 1

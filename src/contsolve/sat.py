@@ -145,11 +145,8 @@ def dpll(phi: CnfFormula, assumptions: dict[int, bool] | None = None) -> tuple[b
         if not clauses:
             break
         # pure literals
-        polarity: dict[int, int] = {}
-        for clause in clauses:
-            for lit in clause:
-                polarity[abs(lit)] = polarity.get(abs(lit), 0) | (1 if lit > 0 else 2)
-        pures = {v: p == 1 for v, p in polarity.items() if p != 3}
+        lits = {lit for clause in clauses for lit in clause}
+        pures = {abs(lit): lit > 0 for lit in lits if -lit not in lits}
         if pures:
             stack.append((clauses, {**model, **pures}))
             continue

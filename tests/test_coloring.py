@@ -59,6 +59,11 @@ class TestCountIsDp:
         g = cycle_graph(4)
         assert count_is_dp(g, _full(g)).counts[-1] == 7
 
+    def test_domain_beyond_the_graph_rejected(self):
+        g = cycle_graph(8)
+        with pytest.raises(ParameterError, match="vertex mask of the graph"):
+            count_is_dp(g, VertexSet(1 << 9))
+
     def test_matches_brute_force_on_subdomains(self):
         rng = random.Random(3)
         for _ in range(30):

@@ -326,6 +326,18 @@ class TestHypergraphEngine:
             with pytest.raises(PreconditionError):
                 coll.locate(VertexSet(dependent))
 
+    def test_locate_rejects_a_set_beyond_the_structure(self):
+        # one vertex past n: ParameterError, before the independence test
+        # and the scan would read past the adjacency and exclusion lists
+        regular = build_regular_collection(random_regular_graph(12, 6, 1), 0.45, force=True)
+        engine = build_hypergraph_collection(Hypergraph(6, 2, cycle_graph(6).edges), 1.0)
+        triple = build_hypergraph_collection(Hypergraph(4, 3, [(0, 1, 2), (1, 2, 3)]), 1.0)
+        for coll, n in ((regular, 12), (engine, 6), (triple, 4)):
+            with pytest.raises(ParameterError, match="vertex mask of the structure"):
+                coll.locate(VertexSet(1 << n))
+            with pytest.raises(ParameterError, match="vertex mask of the structure"):
+                coll.locate(VertexSet(0b11 | 1 << n))
+
     def test_locate_matches_the_per_set_api(self):
         # the shared scan gives the container of the single-pass fingerprint
         rng = random.Random(17)

@@ -297,6 +297,61 @@ class TestDimacsFuzz:
         assert formula_bytes(phi.num_vars, len(phi.clauses)) <= MEMORY_BUDGET_BYTES
 
 
+_PARSERS = {"edge": parse_dimacs_graph, "cnf": parse_dimacs_cnf}
+
+
+class TestDimacsHeader:
+    # both parsers read their header through one reader; each fault is
+    # refused at the faulty header's line with the same message
+    @pytest.mark.parametrize("fmt", ["edge", "cnf"])
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("p {fmt} 3", "malformed header 'p {fmt} 3'"),
+            ("  p {fmt} 3 0 0 ", "malformed header 'p {fmt} 3 0 0'"),
+            ("p col 3 0", "malformed header 'p col 3 0'"),
+            ("p {fmt} 3 x", "malformed header 'p {fmt} 3 x'"),
+            ("p {fmt} 2.0 0", "malformed header 'p {fmt} 2.0 0'"),
+            ("p {fmt} -1 0", "negative count in header"),
+            ("p {fmt} 3 -2", "negative count in header"),
+            ("p {fmt} 3 0\np {fmt} 3 0", "duplicate header"),
+        ],
+        ids=[
+            "three-tokens", "five-tokens", "other-format", "non-integer", "float",
+            "negative-n", "negative-m", "duplicate",
+        ],
+    )
+    def test_fault_names_its_line(self, fmt, header, message):
+        text = "c header\n" + header.format(fmt=fmt) + "\n"
+        line = text.count("\n")
+        with pytest.raises(ParseError) as err:
+            _PARSERS[fmt](text)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: " + message.format(fmt=fmt)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (
+                "p edge 300000 1",
+                "300000 vertices and 1 edges may need 11,403,600,512 bytes, "
+                "over the budget of 268,435,456",
+            ),
+            (
+                "p cnf 300000 1",
+                "300000 variables and 1 clauses may need 307,275,512 bytes, "
+                "over the budget of 268,435,456",
+            ),
+        ],
+        ids=["edge", "cnf"],
+    )
+    def test_past_the_byte_budget_names_the_format_nouns(self, header, message):
+        with pytest.raises(ParseError) as err:
+            _PARSERS[header.split()[1]]("c header\n" + header + "\n")
+        assert err.value.line == 2
+        assert str(err.value) == "line 2: " + message
+
+
 class TestCnfParsing:
     def test_basic(self):
         phi = parse_dimacs_cnf("p cnf 2 1\n1 -2 0\n")
@@ -305,6 +360,34 @@ class TestCnfParsing:
     def test_tautology_rejected(self):
         with pytest.raises(ParseError):
             parse_dimacs_cnf("p cnf 1 1\n1 -1 0\n")
+
+    @pytest.mark.parametrize(
+        "clause, message",
+        [
+            ("1 2 -1 0", "tautological clause on variable 1"),
+            # the tautology is named before a repeated literal
+            ("2 1 2 -1 0", "tautological clause on variable 1"),
+            # on the variable of the first literal whose negation is in the
+            # clause, not the lowest such variable
+            ("-3 2 1 3 -2 0", "tautological clause on variable 3"),
+            ("2 -3 1 -2 3 0", "tautological clause on variable 2"),
+            ("1 2 1 0", "repeated literal in clause"),
+            ("-2 -2 0", "repeated literal in clause"),
+            # a clause that spans lines is refused at the line of its 0
+            ("1 2\n-1 0", "tautological clause on variable 1"),
+        ],
+        ids=[
+            "tautology", "tautology-before-repeat", "first-literal", "first-literal-2",
+            "repeat", "repeat-negative", "spanning-lines",
+        ],
+    )
+    def test_clause_faults_name_their_line(self, clause, message):
+        text = "p cnf 3 1\n" + clause + "\n"
+        line = text.count("\n")
+        with pytest.raises(ParseError) as err:
+            parse_dimacs_cnf(text)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
 
     def test_no_clauses(self):
         phi = parse_dimacs_cnf("p cnf 3 0\n")

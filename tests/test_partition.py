@@ -281,6 +281,11 @@ class TestRegularPartitionCollection:
                 assert target is not None and tup[j].issubset(target)
                 assert target.cardinality <= coll.size_ceiling
 
+    def test_cover_split_rejects_a_set_beyond_the_graph(self):
+        coll = build_partition_collection_regular(cycle_graph(12), 3, force=True)
+        with pytest.raises(ParameterError, match="vertex mask of the structure"):
+            coll.cover_split([VertexSet(1), VertexSet(1 << 12), VertexSet(4)])
+
     def test_materialize_contains_witnesses(self):
         g = cycle_graph(10)
         coll = build_partition_collection_regular(g, 2, force=True)
