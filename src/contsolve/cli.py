@@ -213,18 +213,20 @@ def run(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         code, report = args.func(args)
+        # serialized inside the boundary too, so a report that cannot be
+        # written is an error report
+        text = json.dumps({
+            "command": args.command,
+            **report,
+            "timing_ms": round((time.monotonic() - started) * 1000, 3),
+        })
     except Exception as exc:  # noqa: BLE001 - boundary: everything becomes exit 2
         error = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, core.SizeLimitError):
             error["stage"] = exc.stage
         print(json.dumps({"error": error}))
         return 2
-    report = {
-        "command": args.command,
-        **report,
-        "timing_ms": round((time.monotonic() - started) * 1000, 3),
-    }
-    print(json.dumps(report))
+    print(text)
     return code
 
 

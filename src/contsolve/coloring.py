@@ -25,9 +25,12 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import compress
+from functools import lru_cache, reduce
+from itertools import combinations, compress
+from math import comb
+from operator import or_
 
+from . import partition
 from .containers import build_almost_regular_collection, maximal_masks
 from .core import (
     MEMORY_BUDGET_BYTES,
@@ -41,7 +44,6 @@ from .core import (
 # eval_k2 is not called here: perfbench's tracer test checks that a name
 # bound by `from .extsum import` is patched, and names this one
 from .extsum import ExtSumInstance, eval_k2, evaluate, reduce_refinement  # noqa: F401
-from .partition import container_unions
 
 # Cost of one covering-pair test, all k-1 color counts, per unit of
 # (k-1)(2^|X| + 2^|Y|), in units of one subset of the whole-V sum (whose time
@@ -254,6 +256,23 @@ def _pair_bytes(x: int, y: int) -> int:
     return PAIR_TABLE_PEAK_FACTOR * ((1 << x) + (1 << y))
 
 
+def _candidate_unions(maximal_base: list[int], k: int) -> list[int] | None:
+    """The inclusion-maximal unions of at most k-1 of the m masks
+    `maximal_base`, by `containers.maximal_masks`: a union of fewer masks
+    lies inside a union of f = min(k-1, m) of them, so these are the maximal
+    unions of exactly f masks, one per combination. When one of them is the
+    union of all m masks, it holds every other and is the only one. None
+    when the unions of 1..k-1 masks, sum over s < k of C(m, s), are more
+    than `partition.UNION_BUDGET`, read at each call."""
+    m = len(maximal_base)
+    fewest = min(k - 1, m)
+    if sum(comb(m, s) for s in range(1, fewest + 1)) > partition.UNION_BUDGET:
+        return None
+    unions = {reduce(or_, combo) for combo in combinations(maximal_base, fewest)}
+    top = reduce(or_, maximal_base)
+    return [top] if top in unions else maximal_masks(unions)
+
+
 def _decide_containers(g: Graph, k: int, stats: dict) -> bool:
     """Container-pair decision.
 
@@ -262,15 +281,15 @@ def _decide_containers(g: Graph, k: int, stats: dict) -> bool:
     constrained count is monotone in the containers, so it is enough to test
     supersets of those unions. Each group has at most k-1 classes, hence
     candidates are the inclusion-maximal unions of at most k-1 maximal base
-    containers, from the partition enumeration `container_unions`, and by
-    symmetry a pair (X, Y) needs just the k-1 color counts.
+    containers (`_candidate_unions`), and by symmetry a pair (X, Y) needs
+    just the k-1 color counts.
 
     The covering pairs are priced first, at PAIR_ENTRY_COST * (k-1)(2^|X| +
     2^|Y|) each, in the time units of one subset of the whole-V sum. A pair
     whose test may hold more than `core.MEMORY_BUDGET_BYTES` (`_pair_bytes`)
     cannot be tested, and then the pairs are unpayable (`stats["pair_cost"]`
-    is None), as they are when the enumeration passes its `UNION_BUDGET`
-    candidates and no pair has a price. When they are unpayable or cost at
+    is None), as they are when the unions are past `partition.UNION_BUDGET`
+    and no pair has a price. When they are unpayable or cost at
     least the 2^n of the whole-V sum -- always so when V itself is the only
     candidate -- one whole-V inclusion-exclusion sum decides instead, and
     refuses a table over the byte budget of `_field_width`.
@@ -295,16 +314,9 @@ def _decide_containers(g: Graph, k: int, stats: dict) -> bool:
     stats["base_tau"] = base.stats["tau"]  # a kept fallback walk may overshoot MAX_BASE_CONTAINERS
     # any union over non-maximal base containers is dominated by a union
     # over their supersets
-    maximal_base = maximal_masks(c.mask for c in base.containers)
-    # a union of fewer containers lies inside one of min(k-1, m) containers,
-    # so only those unions can be maximal
-    fewest = min(k - 1, len(maximal_base))
+    unions = _candidate_unions(maximal_masks(c.mask for c in base.containers), k)
     pair_cost = None
-    try:
-        unions = maximal_masks(container_unions(maximal_base, k - 1, fewest=fewest))
-    except SizeLimitError:
-        pass  # past the union budget no pair has a price: unpayable
-    else:
+    if unions is not None:  # past the union budget no pair has a price: unpayable
         maximal = [VertexSet(m) for m in unions]
         stats["candidate_containers"] = len(maximal)
         full = (1 << g.n) - 1

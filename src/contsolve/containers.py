@@ -92,12 +92,22 @@ class ContainerParams:
         return 1.0 / (self.epsilon * self.d)
 
     @property
+    def low_degree(self) -> bool:
+        """Whether d <= 2/epsilon^2, where the scheme bounds no container
+        below n. Tested as d*epsilon^2 <= 2: epsilon^2 is 0.0 in floats
+        below epsilon = 1.57e-162, which sets the flag, where 2/epsilon^2
+        would divide by zero."""
+        return self.d * (self.epsilon * self.epsilon) <= 2.0
+
+    @property
     def tau(self) -> int:
         """The fingerprint threshold: a vertex joins F when it brings at least
         epsilon*d new neighbors, i.e. at least tau, as counts are integers.
         epsilon*d is rounded to 9 decimals first, as 0.28*25 is
-        7.000000000000001 in floats."""
-        return math.ceil(round(self.epsilon * self.d, 9))
+        7.000000000000001 in floats, and tau is at least 1, as the engine's
+        is: an epsilon*d that rounds to 0 would let a vertex that brings no
+        new neighbor join F."""
+        return max(1, math.ceil(round(self.epsilon * self.d, 9)))
 
 
 @dataclass
@@ -191,8 +201,7 @@ def build_regular_collection(
         raise ParameterError(f"epsilon must be in (0, 1/2), got {epsilon}")
     d = g.degree(0)
     params = ContainerParams(epsilon=epsilon, d=float(d)) if d else None
-    low_degree = d <= 2.0 / (epsilon * epsilon)
-    if d == 0 or (low_degree and not force):
+    if d == 0 or (params.low_degree and not force):
         note = {} if d else {"note": "edgeless"}
         return ContainerCollection(
             containers=(),
@@ -206,7 +215,7 @@ def build_regular_collection(
     size_bound = (1.0 / (2.0 - epsilon) + params.q) * g.n
     coll = _collection(
         g, g.adj_mask, params.tau, max_containers=None, source="regular-graph",
-        stats={"size_bound": size_bound, "forced": force and low_degree},
+        stats={"size_bound": size_bound, "forced": force and params.low_degree},
     )
     tau = coll.stats["tau"]
     if tau != params.tau:
@@ -221,7 +230,7 @@ def build_regular_collection(
             f"container of size {largest} violates the regular-graph bound "
             f"{size_bound:.3f}; this indicates a bug"
         )
-    return replace(coll, params=params, low_degree=low_degree)
+    return replace(coll, params=params, low_degree=params.low_degree)
 
 
 # --- r-uniform hypergraph engine ------------------------------------------

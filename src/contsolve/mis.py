@@ -351,7 +351,9 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
             search(reach, f)
         return True
 
-    coll = build_hypergraph_collection(g, min(1.0, 1.0 / (config.epsilon * g.average_degree)), keep=keep)
+    # p = min(1, 1/(epsilon * average degree)), with no division by a
+    # product that underflows to 0.0 at a tiny epsilon
+    coll = build_hypergraph_collection(g, 1.0 / max(1.0, config.epsilon * g.average_degree), keep=keep)
     if not searched:
         # the walk priced every container out, so any search returns S: the
         # smallest container is the cheapest, and the answer still comes

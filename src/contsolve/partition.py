@@ -4,10 +4,10 @@ A partition container collection for tuple size k has the property that any k
 independent sets can be split into two groups, each group fully inside one
 container. The containers are unions of at most k base containers kept under
 a size ceiling; one enumeration, `container_unions`, returns the set of
-such unions for the collection and for the k-coloring solver. With enough
-masks it extends each combination by all later masks in one big-int OR of
-fixed-width fields, read back as an array, and counts those candidates
-against its budget one batch at a time. Two refinement primitives
+such unions for the collection. With enough masks it extends each
+combination by all later masks in one big-int OR of fixed-width fields,
+read back as an array, and counts those candidates against its budget one
+batch at a time. Two refinement primitives
 support the constructions: a Venn (membership-vector pigeonhole) split of a
 subset family, and a matching-based split that trades a maximal matching
 avoiding all subsets for part unions that each miss a fraction of the
@@ -28,17 +28,23 @@ from .containers import (
     build_regular_collection,
 )
 
-# candidate unions any `container_unions` enumeration (`materialize`, so
-# `cover_split`'s fallback, and the coloring solver's candidates) tries,
-# and splits one `cover_split` loop tries, before it raises SizeLimitError
+# candidate unions a `container_unions` enumeration (`materialize`, so
+# `cover_split`'s fallback) tries, and splits one `cover_split` loop tries,
+# before it raises SizeLimitError; the coloring solver's candidate unions
+# are held to it too (`coloring._candidate_unions`)
 UNION_BUDGET = 200000
 # fewest masks for which `container_unions` packs its last level. Packed
 # over loop time, random 14-bit masks, no ceiling, median of 5 draws (best
 # of 15 each, 2-CPU machine): 1.41/1.23/1.06/0.95/0.91/0.82 at 12/16/20/24/
 # 28/32 masks for unions of 2, 1.40/1.28/1.14/1.06/1.01/0.85 for unions of
-# 3. Coloring decisions see at most 11 maximal base containers, partition
-# materialization at cli sizes (n = 12-16, k = 2) 60-400.
+# 3. Partition materialization at cli sizes (n = 12-16, k = 2) sees 60-400
+# base containers.
 PACKED_MIN_MASKS = 24
+# largest tuple size k the partition builders take, refused before any
+# power of two is formed: up to it epsilon = 2^-(k+2) keeps the size
+# ceiling (1 - epsilon)n below n in floats (from k = 52 it is n), and the
+# regular builder's degree floor k*2^(2k+3) is at most a 109-bit int
+MAX_K = 50
 
 
 class RefinementUnavailableError(ValueError):
@@ -126,10 +132,8 @@ def matching_refinement(g: Graph, subsets: list[VertexSet]) -> RefinementResult:
     return RefinementResult(parts=tuple(parts), matching_size=len(matching))
 
 
-def container_unions(
-    masks: Sequence[int], count: int, ceiling: float = math.inf, *, fewest: int = 1
-) -> set[int]:
-    """The distinct unions of fewest..count of `masks`. A candidate is a
+def container_unions(masks: Sequence[int], count: int, ceiling: float = math.inf) -> set[int]:
+    """The distinct unions of 1..count of `masks`. A candidate is a
     combination of 1..count masks whose union has at most `ceiling`
     vertices (a union only grows, so no superset of a combination over the
     ceiling is tried), counted and extended whatever its size; more than
@@ -169,8 +173,7 @@ def container_unions(
             tried += len(batch)
             if tried > limit:
                 raise _over_union_budget(limit)
-            if size >= fewest:
-                unions.update(batch)
+            unions.update(batch)
             continue
         for i in range(start, len(masks)):
             grown = union | masks[i]
@@ -179,8 +182,7 @@ def container_unions(
             tried += 1
             if tried > limit:
                 raise _over_union_budget(limit)
-            if size >= fewest:
-                unions.add(grown)
+            unions.add(grown)
             if size < count:
                 stack.append((i + 1, grown, size + 1))
     return unions
@@ -281,14 +283,21 @@ class PartitionContainerCollection:
         raise RefinementUnavailableError("no split of the tuple fits any container pair")
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ParameterError("k must be at least 1")
+    if k > MAX_K:
+        raise ParameterError(f"k must be at most {MAX_K}, got {k}")
+
+
 def build_partition_collection_regular(
     g: Graph, k: int, *, force: bool = False
 ) -> PartitionContainerCollection:
     """Regular-graph construction: base containers at slack 2^-(k+1), unions
     of at most k of them under the ceiling (1 - 2^-(k+2))n. Below the degree
-    floor k*2^(2k+3) the result is a low-degree flag unless forced."""
-    if k < 1:
-        raise ParameterError("k must be at least 1")
+    floor k*2^(2k+3) the result is a low-degree flag unless forced. k
+    outside 1..`MAX_K` is refused with ParameterError."""
+    _check_k(k)
     if not g.is_regular():
         raise ParameterError("graph is not regular; use the almost-regular builder")
     epsilon = 2.0 ** -(k + 2)
@@ -333,9 +342,9 @@ def build_partition_collection_almost_regular(g: Graph, k: int) -> PartitionCont
     """Almost-regular construction via the almost-regular container builder;
     size ceiling (1 - epsilon'')n with epsilon'' = 1/(C*2^(k+2)), C the
     measured max/average degree ratio (1 on a regular graph, where
-    epsilon'' is the regular construction's 2^-(k+2))."""
-    if k < 1:
-        raise ParameterError("k must be at least 1")
+    epsilon'' is the regular construction's 2^-(k+2)). k outside
+    1..`MAX_K` is refused with ParameterError."""
+    _check_k(k)
     base = build_almost_regular_collection(g)
     ratio = g.max_degree / g.average_degree
     return PartitionContainerCollection(

@@ -11,6 +11,7 @@ from contsolve import containers, partition
 from contsolve.cli import run
 from contsolve.core import (
     CnfFormula,
+    Graph,
     complete_graph,
     cycle_graph,
     parse_dimacs_cnf,
@@ -43,6 +44,17 @@ class TestContainersCommand:
             "n": 12, "m": 24, "max_degree": 4, "average_degree": 4.0,
         }
         assert report["result"]["container_count"] >= 1
+
+    def test_tiny_epsilon_answers(self, capsys):
+        # epsilon^2 is 0.0 in floats at 1e-170: flagged low-degree, and
+        # forced, walked at tau 1, as it is where epsilon*d rounds to 0
+        argv = ["containers", "--random-regular", "12", "4", "--seed", "1"]
+        code, report = run_json(capsys, [*argv, "--epsilon", "1e-170"])
+        assert code == 0 and report["result"]["low_degree"] is True
+        assert report["result"]["container_count"] == 0
+        for epsilon in ("1e-170", "1e-12"):
+            code, report = run_json(capsys, [*argv, "--epsilon", epsilon, "--force"])
+            assert code == 0 and report["result"]["stats"]["tau"] == 1
 
     def test_seed_required_for_generator(self, capsys):
         code, report = run_json(capsys, ["containers", "--random-regular", "8", "3"])
@@ -153,6 +165,18 @@ class TestPartitionContainersCommand:
         assert report["error"]["stage"] == "partition-container-materialization"
 
 
+    def test_k_past_the_bound_is_a_parameter_error(self, capsys):
+        # 537 once divided by epsilon^2 = 0.0 in the forced base build, 1022
+        # overflowed 2^(k+2) as a float, and 8000 gave a degree floor past
+        # 4,300 digits that the report could not print
+        graph = ["partition-containers", "--random-regular", "12", "4", "--seed", "1"]
+        for extra in (["--k", "537", "--force"], ["--k", "1022", "--builder", "almost-regular"],
+                      ["--k", "8000"]):
+            code, report = run_json(capsys, [*graph, *extra])
+            assert code == 2 and report["error"]["type"] == "ParameterError"
+            assert f"at most {partition.MAX_K}" in report["error"]["message"]
+
+
 class TestExtsumCommand:
     def test_eval_agreement_across_algorithms(self, capsys, tmp_path):
         inst = ExtSumInstance(4, ((0, 1), (1, 2)), ((1, 2, 3, 4), (5, -1, 2, 0)))
@@ -255,6 +279,13 @@ class TestMisCommand:
         )
         assert code == 0
         assert report["counters"]["path"] == "containers"
+
+    def test_tiny_epsilon_on_a_sparse_graph_answers(self, capsys, tmp_path):
+        # epsilon times the average degree 2/200 is 0.0 in floats, so p is 1
+        path = write_graph(tmp_path, Graph(200, [(0, 1)]))
+        _, base = run_json(capsys, ["mis", "--input", path, "--mode", "base"])
+        code, report = run_json(capsys, ["mis", "--input", path, "--mode", "containers", "--epsilon", "5e-324"])
+        assert code == 0 and report["result"] == base["result"]
 
     def test_containers_mode_counts_the_walk(self, capsys):
         argv = ["mis", "--random-regular", "24", "12", "--seed", "1"]
@@ -384,6 +415,15 @@ class TestDeterminismAndErrors:
         assert run(["color", *graph, "--k", "3", "--degree-ratio", "3"]) == 2
         assert run(["color", *graph, "--k", "3", "--degree-threshold", "8"]) == 2
         assert run(["mis", *graph, "--force"]) == 2
+
+
+    def test_a_report_that_cannot_be_printed_is_an_error_report(self, capsys, monkeypatch):
+        # serializing happens inside the error boundary: an int past Python's
+        # digit limit ends as exit code 2 and a JSON error, not a traceback
+        monkeypatch.setattr(partition, "partition_collection_report", lambda coll: {"d0": 10**5000})
+        argv = ["partition-containers", "--random-regular", "12", "4", "--seed", "1", "--k", "2"]
+        code, report = run_json(capsys, argv)
+        assert code == 2 and report["error"]["type"] == "ValueError"
 
 
 class TestConsoleEntryPoint:

@@ -9,6 +9,7 @@ from contsolve.coloring import (
     MAX_BASE_CONTAINERS,
     PAIR_ENTRY_COST,
     ColoringConfig,
+    _candidate_unions,
     _signed_table,
     constrained_F,
     count_is_dp,
@@ -278,6 +279,63 @@ class TestConstrainedF:
             g = random_graph(n, 0.4, rng.randrange(10**6))
             k = rng.randint(1, 3)
             assert constrained_F(g, [_full(g)] * k) == inclusion_exclusion_F(g, k)
+
+
+def _maximal_base(g):
+    base = build_almost_regular_collection(g, max_containers=MAX_BASE_CONTAINERS)
+    return maximal_masks(c.mask for c in base.containers)
+
+
+class TestCandidateUnions:
+    """The candidates are the maximal unions of exactly min(k-1, m) of the m
+    maximal base containers: the maximal unions of the walk over 1..k-1 of
+    them, `partition.container_unions`, refused at the same budget."""
+
+    @staticmethod
+    def _assert_matches_the_walk(maximal, k, monkeypatch):
+        tried = sum(comb(len(maximal), s) for s in range(1, k))
+        monkeypatch.setattr(partition, "UNION_BUDGET", tried)
+        want = maximal_masks(partition.container_unions(maximal, k - 1))
+        assert _candidate_unions(maximal, k) == want
+        monkeypatch.setattr(partition, "UNION_BUDGET", tried - 1)
+        with pytest.raises(SizeLimitError):
+            partition.container_unions(maximal, k - 1)
+        assert _candidate_unions(maximal, k) is None
+        monkeypatch.undo()
+
+    def test_gnp(self, monkeypatch):
+        rng = random.Random(41)
+        for n in range(8, 17):
+            for p in (0.3, 0.5, 0.7):
+                g = random_graph(n, p, rng.randrange(10**6))
+                if not g.m:
+                    continue
+                maximal = _maximal_base(g)
+                for k in range(2, 9):
+                    self._assert_matches_the_walk(maximal, k, monkeypatch)
+
+    def test_fallback_collection(self, monkeypatch):
+        # the walk kept past MAX_BASE_CONTAINERS has 20 containers, 18 of
+        # them maximal
+        g = random_regular_graph(16, 8, 1)
+        assert len(build_almost_regular_collection(g, max_containers=MAX_BASE_CONTAINERS)) == 20
+        maximal = _maximal_base(g)
+        assert len(maximal) == 18
+        for k in range(2, 7):
+            self._assert_matches_the_walk(maximal, k, monkeypatch)
+
+    def test_many_maximal_containers(self, monkeypatch):
+        # 46 maximal containers: at k = 5 the unions of 1..4 of them, 179,446,
+        # are the most under UNION_BUDGET, and the decision still dispatches
+        # whole-V on the one candidate, V
+        g = random_regular_graph(20, 8, 1)
+        maximal = _maximal_base(g)
+        assert len(maximal) == 46
+        for k in (4, 5):
+            self._assert_matches_the_walk(maximal, k, monkeypatch)
+        assert sum(comb(46, s) for s in range(1, 5)) == 179446 <= partition.UNION_BUDGET
+        stats = solve_kcoloring(g, 5, ColoringConfig(mode="containers")).stats
+        assert stats["candidate_containers"] == 1 and stats["dispatch"] == "whole-V"
 
 
 class TestSolveKColoring:

@@ -116,6 +116,26 @@ class TestFingerprint:
                 assert ContainerParams(epsilon=hundredths / 100, d=float(d)).tau == exact
         assert len(off) == 16 and {(28, 25), (7, 100), (14, 50)} <= set(off)
 
+    def test_tau_is_at_least_one(self):
+        # epsilon*d rounds to 0 at 9 decimals, and no vertex that brings no
+        # new neighbor may join a fingerprint
+        for epsilon in (1e-12, 1e-170, 5e-324):
+            assert ContainerParams(epsilon=epsilon, d=4.0).tau == 1
+        assert ContainerParams(epsilon=2e-9, d=1.0).tau == 1
+
+    def test_low_degree_is_d_at_most_two_over_epsilon_squared(self):
+        # tested as d*epsilon^2 <= 2, which gives the flag of d <= 2/epsilon^2
+        # on every four-decimal epsilon below 1/2 and every degree to 200
+        for tenths_of_millis in range(1, 5000):
+            epsilon = tenths_of_millis / 10000
+            for d in range(1, 201):
+                want = d <= 2.0 / (epsilon * epsilon)
+                assert ContainerParams(epsilon=epsilon, d=float(d)).low_degree == want, (epsilon, d)
+        # and where epsilon^2 is 0.0 in floats the flag is set, not a division
+        for epsilon in (1.5e-162, 1e-170, 5e-324):
+            assert epsilon * epsilon == 0.0
+            assert ContainerParams(epsilon=epsilon, d=200.0).low_degree
+
 
 class TestContainerOf:
     """The regular scheme's container rule, as `locate` returns it: F plus
@@ -157,6 +177,19 @@ class TestRegularCollection:
         coll = build_regular_collection(complete_graph(4), 0.25)
         assert coll.low_degree and len(coll) == 0 and coll.locate is None
         assert coll.stats["vacuous"] is False
+
+    def test_tiny_epsilon_is_flagged_or_walked_at_tau_one(self):
+        # below epsilon = 1.57e-162, epsilon^2 is 0.0 in floats: the graph
+        # is flagged low-degree, and forced, walked at tau 1
+        g = random_regular_graph(12, 4, 1)
+        for epsilon in (1e-170, 1e-12):
+            coll = build_regular_collection(g, epsilon)
+            assert coll.low_degree and len(coll) == 0
+            forced = build_regular_collection(g, epsilon, force=True)
+            assert forced.low_degree and forced.stats["forced"]
+            assert forced.stats["tau"] == 1 and forced.params.tau == 1
+            for iset in all_independent_sets(g):
+                assert iset & ~forced.locate(VertexSet(iset)).mask == 0
 
     def test_edgeless_rejected_as_low_degree(self):
         g = Graph(4, [])

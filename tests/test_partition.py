@@ -1,5 +1,7 @@
 import math
 import random
+import time
+from functools import partial
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -71,7 +73,7 @@ def _assert_materialize_is_every_union(collection, monkeypatch):
 
 
 class TestContainerUnions:
-    def test_fewest_skips_smaller_combinations_but_counts_them(self, monkeypatch):
+    def test_unions_and_budget_match_brute_force(self, monkeypatch):
         # brute force on both sides of PACKED_MIN_MASKS, at a width the
         # packed step takes and one over 64 bits, where only the loop holds
         # the masks; a packed walk ends on a batch, which holds the budget's
@@ -90,17 +92,16 @@ class TestContainerUnions:
         for size, bits, count, ceiling in cases:
             masks = [rng.getrandbits(bits) for _ in range(size)]
             sets = [VertexSet(m) for m in masks]
-            fewest = rng.randint(1, count)
             combos = [
                 combo
                 for j in range(1, count + 1)
                 for combo in combinations(range(size), j)
                 if _union(sets, combo).bit_count() <= ceiling
             ]
-            want = {_union(sets, combo) for combo in combos if len(combo) >= fewest}
+            want = {_union(sets, combo) for combo in combos}
             packs = []
             monkeypatch.setattr(partition, "pack_fields", lambda *a: packs.append(a) or pack_fields(*a))
-            assert container_unions(masks, count, ceiling, fewest=fewest) == want
+            assert container_unions(masks, count, ceiling) == want
             packed = count > 1 and size >= low and bits <= 64
             assert bool(packs) == packed
             # a combination over the ceiling whose first count - 1 masks
@@ -110,10 +111,10 @@ class TestContainerUnions:
                 for combo in combinations(range(size), count)
             )
             monkeypatch.setattr(partition, "UNION_BUDGET", len(combos))
-            container_unions(masks, count, ceiling, fewest=fewest)
+            container_unions(masks, count, ceiling)
             monkeypatch.setattr(partition, "UNION_BUDGET", len(combos) - 1)
             with pytest.raises(SizeLimitError):
-                container_unions(masks, count, ceiling, fewest=fewest)
+                container_unions(masks, count, ceiling)
             monkeypatch.undo()
         assert binding >= 4
 
@@ -122,9 +123,10 @@ class TestContainerUnions:
         for _ in range(60):
             masks = maximal_masks(rng.getrandbits(12) for _ in range(rng.randint(1, 7)))
             count = rng.randint(1, 5)
-            fewest = min(count, len(masks))
+            sets = [VertexSet(m) for m in masks]
+            most = combinations(range(len(masks)), min(count, len(masks)))
             assert maximal_masks(container_unions(masks, count)) == maximal_masks(
-                container_unions(masks, count, fewest=fewest)
+                _union(sets, combo) for combo in most
             )
 
 
@@ -389,6 +391,39 @@ class TestRegularPartitionCollection:
     def test_non_regular_rejected(self):
         with pytest.raises(ParameterError):
             build_partition_collection_regular(Graph(3, [(0, 1)]), 2)
+
+
+class TestTupleSizeBound:
+    def test_k_past_the_bound_is_refused_before_any_power_of_two(self, monkeypatch):
+        # 2^(k+2) as a float overflows from k = 1022, and the regular degree
+        # floor k*2^(2k+3) passes 4,300 digits from about k = 7,140; both
+        # builders refuse such k before forming either, so at once
+        g = random_regular_graph(12, 4, 1)
+        monkeypatch.setattr(partition, "build_regular_collection", None)
+        monkeypatch.setattr(partition, "build_almost_regular_collection", None)
+        for k in (partition.MAX_K + 1, 537, 1022, 8000, 10**8, 10**30):
+            for build in (
+                partial(build_partition_collection_regular, force=True),
+                build_partition_collection_regular,
+                build_partition_collection_almost_regular,
+            ):
+                started = time.monotonic()
+                with pytest.raises(ParameterError, match=f"at most {partition.MAX_K}"):
+                    build(g, k)
+                assert time.monotonic() - started < 0.1
+
+    def test_k_at_the_bound_builds(self):
+        # the size ceiling (1 - 2^-(k+2))n stays below n, and a forced base
+        # build at epsilon 2^-(k+1) walks at tau 1
+        g = random_regular_graph(12, 4, 1)
+        k = partition.MAX_K
+        flagged = build_partition_collection_regular(g, k)
+        assert flagged.low_degree and flagged.stats["d0"] == k * 2 ** (2 * k + 3)
+        forced = build_partition_collection_regular(g, k, force=True)
+        assert forced.base.stats["tau"] == 1 and not forced.low_degree
+        almost = build_partition_collection_almost_regular(g, k)
+        for coll in (flagged, forced, almost):
+            assert g.n - 1 < coll.size_ceiling < g.n
 
 
 class TestAlmostRegularPartitionCollection:
