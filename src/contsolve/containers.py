@@ -32,19 +32,20 @@ engine's only input is p, which sets its starting threshold; co-degree
 conditions, which the container lemma needs only to bound container sizes,
 are not checked. One driver, `_collection`, walks and assembles every
 collection; every walk is budgeted (`CANDIDATE_BUDGET` fingerprints per
-threshold), and past it the driver raises the threshold. A graph is walked
-on its own adjacency masks. Every collection's `locate` is one scan,
-`_locate`: the fingerprint scan of the set, then a lookup in the walk's map
-from fingerprint to container. The per-set scans of both schemes (one
-set's fingerprint, one fingerprint's container) are not in the library:
-`tests/oracles.py` holds them, the regular scheme's being the r=2 case, as
-the references the walk and `locate` are checked against.
+threshold), and past it the driver raises the threshold of an uncut walk
+and refuses a cut one. A graph is walked on its own adjacency masks. Every
+collection's `locate` is one scan, `_locate`: the fingerprint scan of the
+set, then a lookup in the walk's map from fingerprint to container. The
+per-set scans of both schemes (one set's fingerprint, one fingerprint's
+container) are not in the library: `tests/oracles.py` holds them, the
+regular scheme's being the r=2 case, as the references the walk and
+`locate` are checked against.
 
 `build_hypergraph_collection`'s caller may pass `keep(F, reach,
 container)`, which cuts the walk; `_walked_containers` says how. It is
 asked only about what a set whose fingerprint starts with F can hold: F,
 and no vertex that F excludes or that the scan would have taken before max
-F.
+F. A cut walk is walked once, at its starting threshold.
 """
 
 from __future__ import annotations
@@ -63,12 +64,9 @@ from .core import (
     VertexSet,
 )
 
-# fingerprints any walk lists at one threshold before the driver raises the
-# threshold
+# fingerprints any walk lists at one threshold: past it the driver raises an
+# uncut walk's threshold, and a cut walk's SizeLimitError propagates
 CANDIDATE_BUDGET = 20000
-# the stage a walk past it names; the driver raises the threshold on this
-# error only
-WALK_STAGE = "fingerprint-enumeration"
 
 # keep(F, reach, container), as `_walked_containers` asks it
 Keep = Callable[[int, int, bool], bool]
@@ -201,6 +199,11 @@ def build_regular_collection(
         raise ParameterError(f"epsilon must be in (0, 1/2), got {epsilon}")
     d = g.degree(0)
     params = ContainerParams(epsilon=epsilon, d=float(d)) if d else None
+    if d and math.isinf(params.q * g.n):
+        # q = 1/(epsilon*d) overflows below epsilon*d of about 5.6e-309, and
+        # the size bound q*n a little above it; a report would print either
+        # as Infinity
+        raise ParameterError(f"epsilon {epsilon} is too small: its size bound overflows")
     if d == 0 or (params.low_degree and not force):
         note = {} if d else {"note": "edgeless"}
         return ContainerCollection(
@@ -337,7 +340,7 @@ def _walked_containers(
         children = heavy & -(1 << f.bit_length())
         container = full & ~(excluded | heavy)
         if len(walked) >= CANDIDATE_BUDGET:
-            raise SizeLimitError(WALK_STAGE, f"budget {CANDIDATE_BUDGET} exceeded")
+            raise SizeLimitError("fingerprint-enumeration", f"budget {CANDIDATE_BUDGET} exceeded")
         walked[f] = container
         distinct.add(container)
         if limit is not None and len(distinct) > limit and len(walked) > 1:
@@ -364,47 +367,45 @@ def _collection(
     stats: dict,
     keep: Keep | None = None,
 ) -> ContainerCollection:
-    """Every builder's collection: walk the fixed points at threshold tau,
-    raised by half while the walk overflows `CANDIDATE_BUDGET` or yields
-    more than `max_containers` containers (larger tau means fewer, smaller
-    fingerprints and larger containers; coverage is unaffected). A walk is
-    abandoned as soon as it passes `max_containers`. When raising tau
-    degenerates the collection to {V}, the last abandoned threshold is
+    """Every builder's collection. A walk cut by `keep` is walked once, at
+    tau: past `CANDIDATE_BUDGET` its SizeLimitError propagates, as a higher
+    threshold would hand the cutting solver larger containers, and
+    `stats["cut"]` counts the reach asks `keep` refused, when there are
+    any, and only then does the collection lack `locate`. An uncut walk has
+    its threshold raised by half while it overflows `CANDIDATE_BUDGET` or
+    yields more than `max_containers` containers (larger tau means fewer,
+    smaller fingerprints and larger containers; coverage is unaffected),
+    and is abandoned as soon as it passes `max_containers`. When raising
+    tau degenerates the collection to {V}, the last abandoned threshold is
     walked again in full and kept instead if that walk fits the budget. No
     earlier one is tried: a fixed point at a threshold is one at every
     lower threshold too, so a lower threshold's walk overflows whenever a
-    higher one's does (a cut walk's, when `keep` answers by F alone; MIS,
-    the one caller that cuts, sets no `max_containers` and abandons
-    nothing). The stats add the caller's `stats` and the final tau, which
-    `locate` follows.
-    With `keep`, `stats["cut"]` counts the reach asks the final walk's
-    `keep` refused, when there are any, and only then does the collection
-    lack `locate`."""
+    higher one's does. The stats add the caller's `stats` and the final
+    tau, which `locate` follows."""
     full = (1 << len(excludes)) - 1
-    abandoned = None  # the last threshold whose walk passed max_containers
-    while True:
-        try:
-            walked, cut = _walked_containers(excludes, tau, keep, max_containers)
-        except SizeLimitError as exc:
-            if exc.stage != WALK_STAGE:
-                raise  # from `keep`, such as a search it ran
-        else:
-            if walked is not None:
-                break
-            abandoned = tau
-        tau += max(1, tau // 2)
-    if full in walked.values() and abandoned is not None:
-        # raising the threshold degenerated the collection to the single
-        # full-vertex-set container; prefer the last informative build, even
-        # if it overshoots the requested collection size. One try: each
-        # earlier threshold's fixed points include this one's, so if this
-        # walk overflows, so would theirs
-        try:
-            walked, cut = _walked_containers(excludes, abandoned, keep)
-            tau = abandoned
-        except SizeLimitError as exc:
-            if exc.stage != WALK_STAGE:
-                raise
+    if keep is not None:
+        walked, cut = _walked_containers(excludes, tau, keep)
+    else:
+        abandoned = None  # the last threshold whose walk passed max_containers
+        while True:
+            try:
+                walked, cut = _walked_containers(excludes, tau, None, max_containers)
+            except SizeLimitError:
+                pass
+            else:
+                if walked is not None:
+                    break
+                abandoned = tau
+            tau += max(1, tau // 2)
+        if full in walked.values() and abandoned is not None:
+            # raising the threshold degenerated the collection to the single
+            # full-vertex-set container; prefer the last informative build,
+            # even if it overshoots the requested collection size
+            try:
+                walked, cut = _walked_containers(excludes, abandoned)
+                tau = abandoned
+            except SizeLimitError:
+                pass
     dedup = set(walked.values())
     containers = tuple(VertexSet(m) for m in sorted(dedup, key=lambda m: (m.bit_count(), m)))
     return ContainerCollection(
@@ -449,10 +450,14 @@ def build_hypergraph_collection(
     vertices. So at r>=3 no vertex joins the empty fingerprint, every
     `locate` image is V and the collection is {V}, which `stats["vacuous"]`
     reports. At r=2 a collection holds V only when it is {V}. `keep` cuts
-    the walk as `_walked_containers` says; see `_collection`.
+    the walk as `_walked_containers` says, and then the walk keeps its
+    starting tau and refuses past `CANDIDATE_BUDGET` (see `_collection`),
+    so it takes no `max_containers`.
     """
     if not 0 < p <= 1:
         raise ParameterError(f"p must be in (0, 1], got {p}")
+    if keep is not None and max_containers is not None:
+        raise ParameterError("a walk cut by keep takes no max_containers")
     graph = isinstance(structure, Graph)
     r = 2 if graph else structure.r
     if r < 2:

@@ -121,7 +121,7 @@ class VertexSet:
 
     def __init__(self, mask: int = 0):
         if mask < 0:
-            raise ValueError("bitmask must be non-negative")
+            raise ParameterError("bitmask must be non-negative")
         _set_mask(self, mask)
         _set_cardinality(self, mask.bit_count())
 

@@ -52,8 +52,7 @@ every set of C that holds F only if F' lies in F, and none does: the walk
 hands F over after its subtree, whose fingerprints hold F and more, and
 any other one handed over before F lies in the subtree of a lower
 sibling of F or of one of F's ancestors, so it holds that sibling's
-vertex, which F lacks. (A re-walk at a raised tau may repeat a search,
-with the same answer.) Nothing is searched after the walk, except when
+vertex, which F lacks. Nothing is searched after the walk, except when
 it searched nothing, because S outweighs every container, or ties it
 with no room for an earlier tie: then any search returns S, and the
 smallest kept container, the cheapest, is searched anyway, with nothing
@@ -65,9 +64,13 @@ lexicographically smallest set of maximum weight.
 That is `containers` mode, which always builds, through the hypergraph
 engine on g at p = 1/(epsilon * average degree): its threshold is tau =
 ceil(epsilon * average degree), the regular scheme's on a regular graph, at
-any degree. `auto` runs the base solver on V and says why in
-`stats["path"]`: no rule fitted to a sweep of measured rows picks the
-container path yet (README.md has the rows measured so far)."""
+any degree. The walk is cut, so it is walked once, at that threshold: past
+`containers.CANDIDATE_BUDGET` fingerprints it refuses with SizeLimitError
+at stage "fingerprint-enumeration", as a raised threshold would hand B&B
+larger containers and repeat the searches already run. `auto` runs the
+base solver on V and says why in `stats["path"]`: no rule fitted to a sweep
+of measured rows picks the container path yet (README.md has the rows
+measured so far)."""
 
 from __future__ import annotations
 
@@ -284,8 +287,9 @@ def mis_containers(g: Graph, config: MisConfig | None = None, weights: list[int]
     walk that searched nothing included; `nodes`, the B&B nodes of all of them;
     `largest_subproblem`, the most free vertices a search got: its container
     minus the fingerprint it forced; and `covers`, the clique covers `keep`
-    computed, lowest-first and mirrored. `tau` is the walked threshold, and
-    `vacuous` whether V itself is a container."""
+    computed, lowest-first and mirrored. All of them count the one walk, at
+    threshold `tau`, which is never raised (the module docstring says why),
+    and `vacuous` is whether V itself is a container."""
     config = config or MisConfig()
     weights = _check_weights(g, weights)
     if not 0 < config.epsilon < 0.5:

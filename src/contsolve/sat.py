@@ -14,6 +14,7 @@ reason in `stats["path"]`."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .core import (
@@ -170,8 +171,9 @@ class StructureParams:
     def __post_init__(self):
         if self.D < 1:
             raise ParameterError("D must be at least 1")
-        if self.C <= 0 or not 0 <= self.epsilon < 1:
-            raise ParameterError("need C > 0 and epsilon in [0, 1)")
+        # a NaN or infinite C would print as NaN or Infinity in delta2_bound
+        if not 0 < self.C < math.inf or not 0 <= self.epsilon < 1:
+            raise ParameterError("need a finite C > 0 and epsilon in [0, 1)")
 
 
 @dataclass

@@ -90,30 +90,30 @@ def is_counts_lowest_bit(g: Graph, domain: int) -> list[int]:
 
 
 def collection_driver(walk, tau: int, max_containers: int | None, full: int):
-    """The container driver that finishes every walk it starts. `walk(tau)`
-    returns (the map from each fingerprint to its container, the subtrees
-    cut) or raises SizeLimitError past its budget. tau is raised by half
-    while the walk overflows or yields more than max_containers distinct
-    containers over more than one fingerprint; when that ends at {V}, the
-    last walk that fit the budget without V is taken instead. Returns
-    (tau, map, cut)."""
+    """The container driver that finishes every uncut walk it starts.
+    `walk(tau)` returns (the map from each fingerprint to its container, 0
+    subtrees cut) or raises SizeLimitError past its budget. tau is raised by
+    half while the walk overflows or yields more than max_containers
+    distinct containers over more than one fingerprint; when that ends at
+    {V}, the last walk that fit the budget without V is taken instead.
+    Returns (tau, map)."""
     fallback = None
     while True:
         try:
-            walked, cut = walk(tau)
+            walked, _ = walk(tau)
         except SizeLimitError:
             tau += max(1, tau // 2)
             continue
         distinct = set(walked.values())
         if full not in distinct:
-            fallback = (tau, walked, cut)
+            fallback = (tau, walked)
         if max_containers is not None and len(distinct) > max_containers and len(walked) > 1:
             tau += max(1, tau // 2)
             continue
         break
     if full in distinct and fallback is not None:
         return fallback
-    return tau, walked, cut
+    return tau, walked
 
 
 def max_independent_set_size(g: Graph) -> int:

@@ -56,6 +56,13 @@ class TestContainersCommand:
             code, report = run_json(capsys, [*argv, "--epsilon", epsilon, "--force"])
             assert code == 0 and report["result"]["stats"]["tau"] == 1
 
+    def test_epsilon_whose_size_bound_overflows_exits_two(self, capsys):
+        # q = 1/(epsilon*d) overflows at 1e-320, which printed as Infinity
+        argv = ["containers", "--random-regular", "12", "4", "--seed", "1", "--epsilon", "1e-320"]
+        for force in ([], ["--force"]):
+            code, report = run_json(capsys, [*argv, *force])
+            assert code == 2 and report["error"]["type"] == "ParameterError"
+
     def test_seed_required_for_generator(self, capsys):
         code, report = run_json(capsys, ["containers", "--random-regular", "8", "3"])
         assert code == 2
@@ -299,6 +306,16 @@ class TestMisCommand:
         # the walked threshold is the scheme's ceil(0.45 * 12), and a
         # collection smaller than V is no vacuous one
         assert counters["tau"] == 6 and counters["vacuous"] is False
+
+    def test_cut_walk_past_the_budget_exits_two(self, capsys, monkeypatch):
+        # the container path's walk is cut, so past the budget it is refused
+        # at its own stage, not walked again at a raised tau
+        argv = ["mis", "--random-regular", "24", "12", "--seed", "1", "--mode", "containers", "--epsilon", "0.45"]
+        _, report = run_json(capsys, argv)
+        monkeypatch.setattr(containers, "CANDIDATE_BUDGET", report["counters"]["walked"] - 1)
+        code, report = run_json(capsys, argv)
+        assert code == 2 and report["error"]["type"] == "SizeLimitError"
+        assert report["error"]["stage"] == "fingerprint-enumeration"
 
     def test_regular_graph_past_the_draw_budget_exits_two(self, capsys):
         started = time.monotonic()

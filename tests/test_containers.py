@@ -191,6 +191,20 @@ class TestRegularCollection:
             for iset in all_independent_sets(g):
                 assert iset & ~forced.locate(VertexSet(iset)).mask == 0
 
+    def test_epsilon_whose_size_bound_overflows_is_refused(self):
+        # q = 1/(epsilon*d) is inf below epsilon*d of about 5.6e-309, and
+        # q*n a little above it: refused before the low-degree flag, while
+        # ContainerParams still takes such an epsilon
+        g = random_regular_graph(12, 4, 1)
+        for epsilon in (1e-320, 5e-324, 6e-309):
+            for force in (False, True):
+                with pytest.raises(ParameterError, match="size bound overflows"):
+                    build_regular_collection(g, epsilon, force=force)
+        assert math.isinf(ContainerParams(epsilon=1e-320, d=4.0).q)
+        assert build_regular_collection(g, 1e-300, force=True).stats["size_bound"] < math.inf
+        # an edgeless graph has no q and is flagged as before
+        assert build_regular_collection(Graph(4, []), 1e-320).low_degree
+
     def test_edgeless_rejected_as_low_degree(self):
         g = Graph(4, [])
         coll = build_regular_collection(g, 0.25)
@@ -775,6 +789,21 @@ class TestCutWalk:
                 a, b = _walked_containers(g.adj_mask, tau), _walked_containers(g.adj_mask, tau, refuse)
                 assert list(a[0].items()) == list(b[0].items()) and a[1] == b[1] == 0
 
+    def test_a_cut_walk_keeps_its_tau_and_refuses_past_the_budget(self, monkeypatch):
+        # the uncut walk's threshold is raised past the budget; the cut
+        # walk's is not: its SizeLimitError propagates. A cut walk takes no
+        # max_containers, which would ask for a raise
+        g = random_graph(14, 0.4, 5)
+        keep = lambda *args: True
+        start = build_hypergraph_collection(g, 0.5, keep=keep)
+        monkeypatch.setattr(containers, "CANDIDATE_BUDGET", start.stats["candidate_count"] - 1)
+        assert build_hypergraph_collection(g, 0.5).stats["tau"] > start.stats["tau"]
+        with pytest.raises(SizeLimitError) as refused:
+            build_hypergraph_collection(g, 0.5, keep=keep)
+        assert refused.value.stage == "fingerprint-enumeration"
+        with pytest.raises(ParameterError, match="max_containers"):
+            build_hypergraph_collection(g, 0.5, max_containers=5, keep=keep)
+
     def test_cut_collection_reports_the_cut_and_has_no_locate(self):
         # keeping the fingerprints of at most one vertex cuts the subtree of
         # every two-vertex fingerprint the uncut walk lists, at its reach
@@ -858,8 +887,8 @@ class TestEarlyStopDriver:
     `oracles.collection_driver`."""
 
     @staticmethod
-    def _reference(g, p, max_containers, keep):
-        walk = partial(_walked_containers, g.adj_mask, keep=keep)
+    def _reference(g, p, max_containers):
+        walk = partial(_walked_containers, g.adj_mask)
         start = max(1, math.ceil(round(1.0 / p, 9)))
         return collection_driver(walk, start, max_containers, (1 << g.n) - 1)
 
@@ -889,25 +918,24 @@ class TestEarlyStopDriver:
                 continue
             p = rng.choice([0.25, 0.5, 1.0])
             max_containers = rng.randint(1, 12)
-            keep = rng.choice([None, lambda f, excluded, heavy: f % 5 != 3])
             budget = rng.choice([default, rng.randint(2, 40)])
             monkeypatch.setattr(containers, "CANDIDATE_BUDGET", budget)
             unlimited.clear()
-            coll = build_hypergraph_collection(g, p, max_containers=max_containers, keep=keep)
+            coll = build_hypergraph_collection(g, p, max_containers=max_containers)
             assert sum(unlimited) <= 1
-            tau, walked, cut = self._reference(g, p, max_containers, keep)
+            tau, walked = self._reference(g, p, max_containers)
             distinct = sorted(set(walked.values()), key=lambda m: (m.bit_count(), m))
             assert coll.containers == tuple(VertexSet(m) for m in distinct)
             assert coll.stats["tau"] == tau and coll.stats["candidate_count"] == len(walked)
-            assert coll.stats.get("cut", 0) == cut and (coll.locate is None) == bool(cut)
+            assert "cut" not in coll.stats and coll.locate is not None
             cases += 1
             fallbacks += len(distinct) > max_containers
             if p == 1.0 and coll.stats["vacuous"] and coll.stats["tau"] > 1:
                 # tau = 1 was abandoned, and its whole walk overflows
                 stopped = overflowed = False
                 try:
-                    stopped = _walked_containers(g.adj_mask, 1, keep, max_containers)[0] is None
-                    _walked_containers(g.adj_mask, 1, keep)
+                    stopped = _walked_containers(g.adj_mask, 1, None, max_containers)[0] is None
+                    _walked_containers(g.adj_mask, 1)
                 except SizeLimitError:
                     overflowed = True
                 skipped += stopped and overflowed

@@ -53,6 +53,11 @@ class TestVertexSet:
         with pytest.raises(AttributeError):
             vs.mask = 0
 
+    def test_negative_mask_is_a_parameter_error(self):
+        for mask in (-1, -(1 << 80)):
+            with pytest.raises(ParameterError, match="non-negative"):
+                VertexSet(mask)
+
 
 class TestGraphConstructor:
     @settings(max_examples=200, deadline=None)

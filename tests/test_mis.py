@@ -1043,8 +1043,7 @@ class TestCutWalk:
     def test_a_search_refused_in_the_walk_ends_the_build(self, monkeypatch):
         # min-degree greedy misses this 9-vertex graph's optimum by one, so
         # the walk searches a container; a SizeLimitError from that search
-        # ends the build at the first walk, where the walk's own budget
-        # error would make the driver raise tau and walk again
+        # ends the build at the first walk
         edges = [(0, 5), (0, 7), (0, 8), (1, 3), (1, 6), (1, 7), (1, 8), (2, 4)]
         edges += [(3, 4), (3, 6), (3, 8), (4, 7), (5, 6), (5, 8), (6, 7), (7, 8)]
         g = Graph(9, edges)
@@ -1066,12 +1065,13 @@ class TestCutWalk:
             mis_containers(g, MisConfig(mode="containers"))
         assert refused.value.stage == "search" and len(walks) == 1
 
-    def test_cut_walk_past_the_budget_raises_tau(self, monkeypatch):
-        # a budget below the cut walk (so below the uncut one) makes the
-        # driver raise tau while the walk is cut, and the answer stays exact
+    def test_cut_walk_past_the_budget_refuses(self, monkeypatch):
+        # a budget below the cut walk ends the build at its one walk, with
+        # the walk's own SizeLimitError, and no search runs at a raised tau
         rng = random.Random(79)
         default = containers.CANDIDATE_BUDGET
-        raised = 0
+        real_walk, real_search = containers._walked_containers, mis.mis_base
+        refused = 0
         for trial in range(12):
             if trial % 2 == 0:
                 g = random_regular_graph(12, 6, rng.randrange(10**6))
@@ -1085,9 +1085,25 @@ class TestCutWalk:
             if kept.stats["candidate_count"] < 2:
                 continue
             monkeypatch.setattr(containers, "CANDIDATE_BUDGET", kept.stats["candidate_count"] - 1)
-            c, cut = _solve_and_capture(g, config, weights)
-            assert cut.stats["tau"] > kept.stats["tau"]
-            assert c.best == mis_base(g, weights).best
-            assert c.weight == max_weight_independent_set(g, weights)
-            raised += 1
-        assert raised >= 8
+            walks, overflowed = [], []
+
+            def walk(*args, **kwargs):
+                walks.append(args[1])
+                try:
+                    return real_walk(*args, **kwargs)
+                except SizeLimitError:
+                    overflowed.append(True)
+                    raise
+
+            def search(*args, **kwargs):
+                assert not overflowed, "a search ran after the walk overflowed"
+                return real_search(*args, **kwargs)
+
+            with monkeypatch.context() as patched, pytest.raises(SizeLimitError) as exc:
+                patched.setattr(containers, "_walked_containers", walk)
+                patched.setattr(mis, "mis_base", search)
+                mis_containers(g, config, weights)
+            assert exc.value.stage == "fingerprint-enumeration"
+            assert walks == [kept.stats["tau"]] and overflowed == [True]
+            refused += 1
+        assert refused >= 8

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations
 
@@ -253,6 +254,11 @@ class TestExtractStructure:
             StructureParams(D=0, C=1.0, epsilon=0.5)
         with pytest.raises(ParameterError):
             StructureParams(D=1, C=1.0, epsilon=1.0)
+        # a NaN or infinite C would reach the report as NaN or Infinity
+        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError):
+                StructureParams(D=1, C=bad, epsilon=0.5)
+        assert StructureParams(D=1, C=1e300, epsilon=0.5).C == 1e300
 
 
 AUTO_WIDE_PATH = "dpll (clause width 3 or more: the only container is every literal)"
