@@ -18,7 +18,7 @@ from . import coloring, containers, core, extsum, mis, partition, sat
 
 
 def _load_graph(args) -> core.Graph:
-    if getattr(args, "random_regular", None):
+    if args.random_regular:
         if args.seed is None:
             raise core.ParameterError("--seed is required with --random-regular")
         n, d = args.random_regular
@@ -146,8 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_graph_source(p):
-        p.add_argument("--input", help="DIMACS edge-format graph file")
-        p.add_argument(
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--input", help="DIMACS edge-format graph file")
+        source.add_argument(
             "--random-regular", nargs=2, type=int, metavar=("N", "D"),
             help="generate a random d-regular graph instead of reading a file",
         )
@@ -189,8 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mis)
 
     p = sub.add_parser("sat", help="dense k-SAT")
-    p.add_argument("--input", help="DIMACS CNF file")
-    p.add_argument(
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--input", help="DIMACS CNF file")
+    source.add_argument(
         "--random-ksat", nargs=3, type=int, metavar=("N", "M", "K"),
         help="generate a random k-CNF instead of reading a file",
     )

@@ -413,7 +413,6 @@ def _collection(
         params=None,
         source=source,
         stats={
-            "container_count": len(containers),
             "max_container_size": containers[-1].cardinality,
             **stats,
             "tau": tau,

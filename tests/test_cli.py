@@ -160,6 +160,17 @@ class TestPartitionContainersCommand:
         assert code == 0
         assert report["result"]["base_container_count"] >= 1
 
+    def test_forced_build_on_an_edgeless_graph_is_flagged(self, capsys, tmp_path):
+        # the forced base is flagged edgeless, so nothing is materialized
+        path = tmp_path / "edgeless.col"
+        path.write_text("p edge 3 0\n")
+        code, report = run_json(
+            capsys,
+            ["partition-containers", "--input", str(path), "--k", "1", "--force", "--materialize"],
+        )
+        assert code == 0 and report["result"]["low_degree"] is True
+        assert "container_count" not in report["result"]
+
     def test_union_budget_names_the_stage(self, capsys, monkeypatch):
         monkeypatch.setattr(partition, "UNION_BUDGET", 1)
         code, report = run_json(
@@ -432,6 +443,9 @@ class TestDeterminismAndErrors:
         assert run(["color", *graph, "--k", "3", "--degree-ratio", "3"]) == 2
         assert run(["color", *graph, "--k", "3", "--degree-threshold", "8"]) == 2
         assert run(["mis", *graph, "--force"]) == 2
+        # a file and a generator together: neither is chosen over the other
+        assert run(["mis", "--input", "/nonexistent", *graph]) == 2
+        assert run(["sat", "--input", "/nonexistent", "--random-ksat", "8", "24", "2", "--seed", "1"]) == 2
 
 
     def test_a_report_that_cannot_be_printed_is_an_error_report(self, capsys, monkeypatch):

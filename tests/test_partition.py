@@ -52,8 +52,8 @@ def _union(subsets, indices):
 
 def _assert_materialize_is_every_union(collection, monkeypatch):
     # the definition, by brute force: every union of 1..k base containers
-    # under the ceiling is one candidate; members are the distinct unions
-    # ordered by size, then by mask
+    # under the ceiling is one candidate; members are the distinct unions,
+    # in no order
     coll = collection()
     base = list(coll.base.containers)
     candidates = [
@@ -62,10 +62,8 @@ def _assert_materialize_is_every_union(collection, monkeypatch):
         for combo in combinations(range(len(base)), j)
     ]
     candidates = [u for u in candidates if u.bit_count() <= coll.size_ceiling]
-    expected = sorted(set(candidates), key=lambda u: (u.bit_count(), u))
     monkeypatch.setattr(partition, "UNION_BUDGET", len(candidates))
-    assert coll.materialize() == tuple(expected)
-    assert coll.stats["container_count"] == len(expected)
+    assert coll.materialize() == set(candidates)
     # one candidate over the budget is refused, however the walk is ordered
     monkeypatch.setattr(partition, "UNION_BUDGET", len(candidates) - 1)
     with pytest.raises(SizeLimitError):
@@ -251,6 +249,13 @@ class TestRegularPartitionCollection:
         assert coll.epsilon == pytest.approx(1 / 16)
         assert coll.stats["d0"] == 2 * 2**7
 
+    def test_forced_build_on_an_edgeless_graph_is_low_degree(self):
+        # the forced base of an edgeless graph is flagged, with no
+        # containers, so the partition collection has no unions either
+        coll = build_partition_collection_regular(Graph(3, []), 1, force=True)
+        assert coll.low_degree and len(coll.base) == 0
+        assert coll.base.low_degree and coll.base.stats["note"] == "edgeless"
+
     def test_forced_c16_pair_cover_exhaustive(self):
         g = cycle_graph(16)
         coll = build_partition_collection_regular(g, 2, force=True)
@@ -291,7 +296,7 @@ class TestRegularPartitionCollection:
     def test_materialize_contains_witnesses(self):
         g = cycle_graph(10)
         coll = build_partition_collection_regular(g, 2, force=True)
-        members = set(coll.materialize())
+        members = coll.materialize()
         isets = [VertexSet(m) for m in all_independent_sets(g)]
         rng = random.Random(9)
         for _ in range(100):
@@ -347,11 +352,14 @@ class TestRegularPartitionCollection:
         a, ca, cb = coll.cover_split(tup)
         # all three of {0, 2, 5} need three pairs, so the sets are split
         assert a == (0,)
-        members = set(coll.materialize())
+        members = coll.materialize()
         for j, target in ((0, ca), (1, cb)):
             assert isinstance(target, VertexSet)
             assert target.mask in members and tup[j].issubset(target)
             assert target.cardinality <= coll.size_ceiling
+            # the smallest covering union, by size, then by mask
+            covering = [c for c in members if not tup[j].mask & ~c]
+            assert target.mask == min(covering, key=lambda c: (c.bit_count(), c))
         # 4 single pairs and 6 unions of two fit the ceiling: one fewer is refused
         fitting = [
             combo
