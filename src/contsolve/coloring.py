@@ -66,7 +66,7 @@ MASK_CACHE_BYTES = 1 << 15
 _masks: dict[tuple[int, int], int] = {}
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 # the engine raises its threshold until the base collection has at most this
-# many containers
+# many containers, but walks its last informative threshold whole
 MAX_BASE_CONTAINERS = 10
 
 
@@ -311,7 +311,7 @@ def _decide_containers(g: Graph, k: int, stats: dict) -> bool:
         _field_width(g.n, "inclusion-exclusion")
     base = build_almost_regular_collection(g, max_containers=MAX_BASE_CONTAINERS)
     stats["base_containers"] = len(base)
-    stats["base_tau"] = base.stats["tau"]  # a kept fallback walk may overshoot MAX_BASE_CONTAINERS
+    stats["base_tau"] = base.stats["tau"]  # the last informative tau is walked uncapped
     # any union over non-maximal base containers is dominated by a union
     # over their supersets
     unions = _candidate_unions(maximal_masks(c.mask for c in base.containers), k)

@@ -32,14 +32,14 @@ engine's only input is p, which sets its starting threshold; co-degree
 conditions, which the container lemma needs only to bound container sizes,
 are not checked. One driver, `_collection`, walks and assembles every
 collection; every walk is budgeted (`CANDIDATE_BUDGET` fingerprints per
-threshold), and past it the driver raises the threshold of an uncut walk
-and refuses a cut one. A graph is walked on its own adjacency masks. Every
-collection's `locate` is one scan, `_locate`: the fingerprint scan of the
-set, then a lookup in the walk's map from fingerprint to container. The
-per-set scans of both schemes (one set's fingerprint, one fingerprint's
-container) are not in the library: `tests/oracles.py` holds them, the
-regular scheme's being the r=2 case, as the references the walk and
-`locate` are checked against.
+threshold), and past it the driver raises the threshold of an uncut walk,
+walking no threshold twice, and refuses a cut one. A graph is walked on its
+own adjacency masks. Every collection's `locate` is one scan, `_locate`:
+the fingerprint scan of the set, then a lookup in the walk's map from
+fingerprint to container. The per-set scans of both schemes (one set's
+fingerprint, one fingerprint's container) are not in the library:
+`tests/oracles.py` holds them, the regular scheme's being the r=2 case, as
+the references the walk and `locate` are checked against.
 
 `build_hypergraph_collection`'s caller may pass `keep(F, reach,
 container)`, which cuts the walk; `_walked_containers` says how. It is
@@ -72,6 +72,13 @@ CANDIDATE_BUDGET = 20000
 Keep = Callable[[int, int, bool], bool]
 
 
+def _threshold(x: float) -> int:
+    """ceil(x), at least 1: x is rounded to 9 decimals first, as 0.28*25 is
+    7.000000000000001 and 1/(4/196) is 49.00000000000001 in floats, and an x
+    that rounds to 0 would let a vertex that excludes nothing new join F."""
+    return max(1, math.ceil(round(x, 9)))
+
+
 @dataclass(frozen=True)
 class ContainerParams:
     """Graph-scheme parameters: threshold slack epsilon and degree context d."""
@@ -100,12 +107,9 @@ class ContainerParams:
     @property
     def tau(self) -> int:
         """The fingerprint threshold: a vertex joins F when it brings at least
-        epsilon*d new neighbors, i.e. at least tau, as counts are integers.
-        epsilon*d is rounded to 9 decimals first, as 0.28*25 is
-        7.000000000000001 in floats, and tau is at least 1, as the engine's
-        is: an epsilon*d that rounds to 0 would let a vertex that brings no
-        new neighbor join F."""
-        return max(1, math.ceil(round(self.epsilon * self.d, 9)))
+        epsilon*d new neighbors, i.e. at least tau, as counts are integers;
+        `_threshold` rounds it, as it does the engine's."""
+        return _threshold(self.epsilon * self.d)
 
 
 @dataclass
@@ -375,37 +379,29 @@ def _collection(
     its threshold raised by half while it overflows `CANDIDATE_BUDGET` or
     yields more than `max_containers` containers (larger tau means fewer,
     smaller fingerprints and larger containers; coverage is unaffected),
-    and is abandoned as soon as it passes `max_containers`. When raising
-    tau degenerates the collection to {V}, the last abandoned threshold is
-    walked again in full and kept instead if that walk fits the budget. No
-    earlier one is tried: a fixed point at a threshold is one at every
-    lower threshold too, so a lower threshold's walk overflows whenever a
-    higher one's does. The stats add the caller's `stats` and the final
-    tau, which `locate` follows."""
+    and stops as soon as it passes `max_containers`. The cap holds at every
+    threshold whose raise is at most `top`, the largest exclusion set: past
+    `top` no vertex is heavy for the empty fingerprint and the collection is
+    {V} (at r>=3 `top` is 0). So the last informative threshold is walked
+    whole, with no cap, and kept if it fits the budget, and no threshold is
+    walked twice. No lower threshold is tried: its fixed points are a
+    superset, so its walk overflows too. The stats add the caller's `stats`
+    and the final tau, which `locate` follows."""
     full = (1 << len(excludes)) - 1
     if keep is not None:
         walked, cut = _walked_containers(excludes, tau, keep)
     else:
-        abandoned = None  # the last threshold whose walk passed max_containers
+        top = max(map(int.bit_count, excludes))
         while True:
+            raised = tau + max(1, tau // 2)
+            limit = max_containers if raised <= top else None
             try:
-                walked, cut = _walked_containers(excludes, tau, None, max_containers)
+                walked, cut = _walked_containers(excludes, tau, None, limit)
             except SizeLimitError:
-                pass
-            else:
-                if walked is not None:
-                    break
-                abandoned = tau
-            tau += max(1, tau // 2)
-        if full in walked.values() and abandoned is not None:
-            # raising the threshold degenerated the collection to the single
-            # full-vertex-set container; prefer the last informative build,
-            # even if it overshoots the requested collection size
-            try:
-                walked, cut = _walked_containers(excludes, abandoned)
-                tau = abandoned
-            except SizeLimitError:
-                pass
+                walked = None
+            if walked is not None:
+                break
+            tau = raised
     dedup = set(walked.values())
     containers = tuple(VertexSet(m) for m in sorted(dedup, key=lambda m: (m.bit_count(), m)))
     return ContainerCollection(
@@ -438,9 +434,10 @@ def build_hypergraph_collection(
     single-pass fingerprints, which one walk of the fixed points lists. The
     exclusion threshold tau starts at ~1/((r-1)p) and is raised until the
     walk fits `CANDIDATE_BUDGET` and, when requested, the deduped collection
-    fits max_containers. Container sizes are measured and reported in the
-    stats, not certified, so no co-degree condition is checked; p and the
-    final tau are in the stats.
+    fits max_containers, save the last informative tau, which is walked
+    whole; no tau is walked twice (see `_collection`). Container sizes are
+    measured and reported in the stats, not certified, so no co-degree
+    condition is checked; p and the final tau are in the stats.
 
     What a vertex excludes on joining a fingerprint is its lone-vertex
     exclusion set, read in one pass over the edges: at r=2 the other end of
@@ -473,8 +470,7 @@ def build_hypergraph_collection(
                 low = mask & -mask
                 excludes[low.bit_length() - 1] |= mask ^ low
                 excludes[mask.bit_length() - 1] |= low
-    # rounded first, as 1/(4/196) is 49.00000000000001 in floats
-    tau = max(1, math.ceil(round(1.0 / ((r - 1) * p), 9)))
+    tau = _threshold(1.0 / ((r - 1) * p))
     return _collection(structure, excludes, tau, max_containers, "hypergraph", {"p": p}, keep)
 
 

@@ -16,6 +16,7 @@ from contsolve.containers import (
 )
 from contsolve.coloring import ColoringConfig, solve_kcoloring
 from contsolve.mis import MisConfig, mis_containers
+from contsolve.partition import build_partition_collection_regular
 from contsolve.containers import _locate, _walked_containers
 from contsolve.core import (
     Graph,
@@ -880,11 +881,24 @@ class TestAsksHoldTheirSets:
         assert reaches > 2000 and narrowed > 2000
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """The (tau, limit) of every `_walked_containers` call, in order."""
+    walks = []
+
+    def walk(excludes, tau, keep=None, limit=None, _real=_walked_containers):
+        walks.append((tau, limit))
+        return _real(excludes, tau, keep, limit)
+
+    monkeypatch.setattr(containers, "_walked_containers", walk)
+    return walks
+
+
 class TestEarlyStopDriver:
-    """The driver abandons a walk once it passes max_containers, and walks
-    the last abandoned threshold again only for the fallback, once; its
-    collections are those of the driver that finishes every walk,
-    `oracles.collection_driver`."""
+    """The driver stops a walk once it passes max_containers, caps only the
+    thresholds whose raise is at most the largest exclusion set, and walks
+    each threshold once; its collections are those of the driver that
+    finishes every walk, `oracles.collection_driver`."""
 
     @staticmethod
     def _reference(g, p, max_containers):
@@ -892,22 +906,15 @@ class TestEarlyStopDriver:
         start = max(1, math.ceil(round(1.0 / p, 9)))
         return collection_driver(walk, start, max_containers, (1 << g.n) - 1)
 
-    def test_matches_the_driver_that_finishes_every_walk(self, monkeypatch):
+    def test_matches_the_driver_that_finishes_every_walk(self, monkeypatch, walks):
         # a perfect matching at tau = 1 walks 3^(n/2) fingerprints and at
-        # tau = 2 only the root, so under a small budget its one abandoned
-        # threshold overflows in full and the fallback is skipped. Every walk
-        # of a build has a limit but the fallback's, so a build walks without
-        # one at most once
+        # tau = 2 only the root, so under a small budget its last informative
+        # threshold overflows in full and the collection is {V}. A walk is
+        # capped only where its raise could still leave a container other
+        # than V, and no threshold is walked twice
         rng = random.Random(93)
         default = containers.CANDIDATE_BUDGET
-        unlimited = []
-
-        def walk(excludes, tau, keep=None, limit=None, _real=_walked_containers):
-            unlimited.append(limit is None)
-            return _real(excludes, tau, keep, limit)
-
-        monkeypatch.setattr(containers, "_walked_containers", walk)
-        cases = fallbacks = skipped = 0
+        cases = overshoots = skipped = 0
         for _ in range(400):
             if rng.random() < 0.2:
                 half = rng.randint(2, 7)
@@ -920,18 +927,22 @@ class TestEarlyStopDriver:
             max_containers = rng.randint(1, 12)
             budget = rng.choice([default, rng.randint(2, 40)])
             monkeypatch.setattr(containers, "CANDIDATE_BUDGET", budget)
-            unlimited.clear()
+            walks.clear()
             coll = build_hypergraph_collection(g, p, max_containers=max_containers)
-            assert sum(unlimited) <= 1
+            taus = [tau for tau, _ in walks]
+            assert len(set(taus)) == len(taus)
+            top = max(m.bit_count() for m in g.adj_mask)
+            assert all(tau + max(1, tau // 2) <= top for tau, limit in walks if limit is not None)
             tau, walked = self._reference(g, p, max_containers)
             distinct = sorted(set(walked.values()), key=lambda m: (m.bit_count(), m))
             assert coll.containers == tuple(VertexSet(m) for m in distinct)
             assert coll.stats["tau"] == tau and coll.stats["candidate_count"] == len(walked)
             assert "cut" not in coll.stats and coll.locate is not None
             cases += 1
-            fallbacks += len(distinct) > max_containers
+            overshoots += len(distinct) > max_containers
             if p == 1.0 and coll.stats["vacuous"] and coll.stats["tau"] > 1:
-                # tau = 1 was abandoned, and its whole walk overflows
+                # tau = 1 passed the cap or the budget, and its whole walk
+                # overflows
                 stopped = overflowed = False
                 try:
                     stopped = _walked_containers(g.adj_mask, 1, None, max_containers)[0] is None
@@ -939,7 +950,14 @@ class TestEarlyStopDriver:
                 except SizeLimitError:
                     overflowed = True
                 skipped += stopped and overflowed
-        assert cases > 300 and fallbacks > 20 and skipped > 5
+        assert cases > 300 and overshoots > 20 and skipped > 5
+
+    def test_the_last_informative_threshold_is_walked_once_uncapped(self, walks):
+        # degree 8: tau 6 raises to 9, past every exclusion set, so tau 6 is
+        # walked whole, once, with no cap, and keeps its 20 containers
+        coll = build_almost_regular_collection(random_regular_graph(16, 8, 1), max_containers=10)
+        assert walks == [(2, 10), (3, 10), (4, 10), (6, None)]
+        assert len(coll) == 20 and coll.stats["tau"] == 6 and not coll.stats["vacuous"]
 
     def test_a_walk_stops_past_its_limit(self, monkeypatch):
         g = random_graph(14, 0.5, 7)
@@ -958,6 +976,54 @@ class TestEarlyStopDriver:
         assert _walked_containers(g.adj_mask, 2, None, 1) == (None, 0)
         # a lone fingerprint is never over the limit
         assert _walked_containers(g.adj_mask, g.n, None, 0) == ({0: (1 << g.n) - 1}, 0)
+
+
+class TestOneWalkPerThreshold:
+    """No builder walks a threshold twice: every `_walked_containers` call
+    of one build has its own tau."""
+
+    @staticmethod
+    def _distinct(walks):
+        taus = [tau for tau, _ in walks]
+        assert taus and len(set(taus)) == len(taus)
+        walks.clear()
+
+    def test_forced_regular_build_raised_past_the_budget(self, walks):
+        for seed in (538876, 810624):
+            coll = build_regular_collection(random_regular_graph(24, 3, seed), 0.25, force=True)
+            assert coll.stats["tau"] > coll.params.tau and len(walks) > 1
+            self._distinct(walks)
+
+    def test_r3_hypergraph_build(self, walks):
+        for seed in range(5):
+            h = _random_hypergraph(10, 3, 40, seed)
+            coll = build_hypergraph_collection(h, 0.5, max_containers=1)
+            # no vertex excludes anything at r = 3, so no walk is capped
+            assert walks == [(coll.stats["tau"], None)] and coll.stats["vacuous"]
+            self._distinct(walks)
+
+    def test_mis_containers_mode(self, walks):
+        for seed in (1, 2):
+            g = random_regular_graph(18, 8, seed)
+            r = mis_containers(g, MisConfig(mode="containers", epsilon=0.45))
+            assert r.stats["path"] == "containers"
+            self._distinct(walks)
+
+    def test_forced_partition_build(self, walks):
+        for seed in (1, 2):
+            coll = build_partition_collection_regular(random_regular_graph(12, 4, seed), 2, force=True)
+            assert coll.base.containers
+            self._distinct(walks)
+
+    def test_coloring_decisions_capped_base_build(self, walks):
+        graphs = [random_regular_graph(16, 8, 1)] + [random_graph(14, 0.6, seed) for seed in range(8)]
+        capped = 0
+        for g in graphs:
+            for k in (3, 4):
+                solve_kcoloring(g, k, ColoringConfig(mode="containers"))
+                capped += any(limit is not None for _, limit in walks)
+                self._distinct(walks)
+        assert capped > 0
 
 
 class TestAlmostRegular:
