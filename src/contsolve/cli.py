@@ -3,6 +3,8 @@
 Every run prints a single JSON report on stdout. Exit codes: 0 for success,
 1 for a negative decision (not colorable / unsatisfiable), 2 for errors; the
 error report of a `SizeLimitError` names the stage whose budget was hit.
+Input files are read as bytes and decoded only by the library's parsers, so
+a file that is not UTF-8 is a `ParseError` like any other malformed input.
 Timings are informational only; the counters inside the reports are the
 reproducible part and are byte-identical for identical inputs and seeds."""
 
@@ -25,7 +27,7 @@ def _load_graph(args) -> core.Graph:
         return core.random_regular_graph(n, d, args.seed)
     if args.input is None:
         raise core.ParameterError("provide --input or --random-regular")
-    return core.parse_dimacs_graph(Path(args.input).read_text())
+    return core.parse_dimacs_graph(Path(args.input).read_bytes())
 
 
 def _graph_stats(g: core.Graph) -> dict:
@@ -66,7 +68,7 @@ def _cmd_partition_containers(args) -> tuple[int, dict]:
 
 
 def _cmd_extsum(args) -> tuple[int, dict]:
-    inst = extsum.ExtSumInstance.from_json(Path(args.input).read_text())
+    inst = extsum.ExtSumInstance.from_json(Path(args.input).read_bytes())
     stats: dict = {}
     if args.algo == "naive":
         value = extsum.eval_naive(inst)
@@ -125,7 +127,7 @@ def _cmd_sat(args) -> tuple[int, dict]:
         n, m, k = args.random_ksat
         phi = core.random_ksat_formula(n, m, k, args.seed)
     elif args.input:
-        phi = core.parse_dimacs_cnf(Path(args.input).read_text())
+        phi = core.parse_dimacs_cnf(Path(args.input).read_bytes())
     else:
         raise core.ParameterError("provide --input or --random-ksat")
     params = sat.StructureParams(D=args.D, C=args.C, epsilon=args.eps)

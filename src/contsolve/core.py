@@ -5,9 +5,11 @@ Vertex ids are 0-indexed internally; the DIMACS boundary is 1-indexed.
 
 The constructors `Graph`, `Hypergraph` and `CnfFormula` check what a direct
 caller passes. Parts already checked are not checked again: the DIMACS
-parsers and the generators fill their graphs and formulas through
-`_fill_graph` and `_fill_cnf`, and `sat` its literal hypergraphs through
-`_fill_hypergraph`.
+parsers, `random_regular_graph` and `random_ksat_formula` fill their graphs
+and formulas through `_fill_graph` and `_fill_cnf`, and `sat` its literal
+hypergraphs through `_fill_hypergraph`; `random_graph` builds through the
+checked `Graph` constructor. The parsers take text or bytes, and decode
+bytes as strict UTF-8, so an undecodable byte is a ParseError at its line.
 """
 
 from __future__ import annotations

@@ -70,10 +70,12 @@ class ExtSumInstance:
         )
 
     @staticmethod
-    def from_json(text: str) -> "ExtSumInstance":
-        """Read `{"universe": int, "subsets": [[int]], "tables": [[int]]}`;
-        malformed JSON or any other shape raises ParseError, and values the
-        constructor rejects raise ParameterError or SizeLimitError."""
+    def from_json(text: str | bytes) -> "ExtSumInstance":
+        """Read `{"universe": int, "subsets": [[int]], "tables": [[int]]}`
+        from text or from bytes, which `json.loads` decodes; malformed JSON,
+        bytes it cannot decode, or any other shape raise ParseError, and
+        values the constructor rejects raise ParameterError or
+        SizeLimitError."""
         try:
             data = json.loads(text)
         except (ValueError, RecursionError) as exc:

@@ -6,14 +6,13 @@ container. The containers are unions of at most k base containers kept under
 a size ceiling; one enumeration, `container_unions`, returns the set of
 such unions for the collection, which keeps them in no order: the one
 reader that needs a choice, `cover_split`'s fallback, takes the smallest
-covering union by size, then by mask. With enough masks it extends each
-combination by all later masks in one big-int OR of fixed-width fields,
-read back as an array, and counts those candidates against its budget one
-batch at a time. Two refinement primitives
-support the constructions: a Venn (membership-vector pigeonhole) split of a
-subset family, and a matching-based split that trades a maximal matching
-avoiding all subsets for part unions that each miss a fraction of the
-vertices.
+covering union by size, then by mask. With masks of at most 64 bits it
+extends each combination by all later masks in one big-int OR of fixed-width
+fields, read back as an array, and counts those candidates against its
+budget one batch at a time. Two refinement primitives support the
+constructions: a Venn (membership-vector pigeonhole) split of a subset
+family, and a matching-based split that trades a maximal matching avoiding
+all subsets for part unions that each miss a fraction of the vertices.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .core import Graph, ParameterError, SizeLimitError, VertexSet, pack_fields, unpack_fields
+from .core import Graph, ParameterError, PreconditionError, SizeLimitError, VertexSet, pack_fields, unpack_fields
 from .containers import (
     ContainerCollection,
     build_almost_regular_collection,
@@ -35,22 +34,11 @@ from .containers import (
 # before it raises SizeLimitError; the coloring solver's candidate unions
 # are held to it too (`coloring._candidate_unions`)
 UNION_BUDGET = 200000
-# fewest masks for which `container_unions` packs its last level. Packed
-# over loop time, random 14-bit masks, no ceiling, median of 5 draws (best
-# of 15 each, 2-CPU machine): 1.41/1.23/1.06/0.95/0.91/0.82 at 12/16/20/24/
-# 28/32 masks for unions of 2, 1.40/1.28/1.14/1.06/1.01/0.85 for unions of
-# 3. Partition materialization at cli sizes (n = 12-16, k = 2) sees 60-400
-# base containers.
-PACKED_MIN_MASKS = 24
 # largest tuple size k the partition builders take, refused before any
 # power of two is formed: up to it epsilon = 2^-(k+2) keeps the size
 # ceiling (1 - epsilon)n below n in floats (from k = 52 it is n), and the
 # regular builder's degree floor k*2^(2k+3) is at most a 109-bit int
 MAX_K = 50
-
-
-class RefinementUnavailableError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -113,12 +101,13 @@ def matching_refinement(g: Graph, subsets: list[VertexSet]) -> RefinementResult:
     subset). The most frequent vector w yields parts A = {i : w_i = 0} and
     B = {i : w_i = 1}; the winning pairs' e0 vertices avoid the A-union and
     their e1 vertices avoid the B-union, so both unions have size at most
-    n - |M|/2^k. Empty parts are dropped."""
+    n - |M|/2^k. Empty parts are dropped. When every edge lies inside some
+    subset there is no matching, and PreconditionError is raised."""
     if not subsets:
         raise ParameterError("need at least one subset")
     matching = greedy_matching(uncovered_edges(g, subsets))
     if not matching:
-        raise RefinementUnavailableError("every edge lies inside some subset")
+        raise PreconditionError("every edge lies inside some subset")
     k = len(subsets)
     best = _most_frequent_code((e0 for e0, _ in matching), subsets)
     a = tuple(i for i in range(k) if not (best >> i) & 1)
@@ -143,21 +132,21 @@ def container_unions(masks: Sequence[int], count: int, ceiling: float = math.inf
 
     The combinations of fewer than `count` masks are walked one at a time.
     The last level, each combination of count - 1 masks extended by every
-    later mask, holds most of the candidates. With at least
-    `PACKED_MIN_MASKS` masks, none over 64 bits, and count > 1, it takes one
-    packed step per combination: the masks are fixed-width fields of one
-    Python int, as in `coloring.count_is_dp`'s table, the later ones are
-    OR-ed with the combination's union copied into every field, and the
-    fields are read back as one array. Each field is tested against the
-    ceiling only when the union's size plus the largest mask's can pass it.
-    A step's candidates are counted as one batch, so the budget raises after
-    the batch that passes it, at the same total of candidates as the loop."""
+    later mask, holds most of the candidates. With count > 1 and no mask
+    over 64 bits, it takes one packed step per combination: the masks are
+    fixed-width fields of one Python int, as in `coloring.count_is_dp`'s
+    table, the later ones are OR-ed with the combination's union copied into
+    every field, and the fields are read back as one array. Each field is
+    tested against the ceiling only when the union's size plus the largest
+    mask's can pass it. A step's candidates are counted as one batch, so the
+    budget raises after the batch that passes it, at the same total of
+    candidates as the loop."""
     limit = UNION_BUDGET
     unions: set[int] = set()
     tried = 0
-    # unions of one mask are the masks themselves, and no array field holds
-    # a mask over 64 bits
-    packed = count > 1 and len(masks) >= PACKED_MIN_MASKS and max(masks) >> 64 == 0
+    # unions of one mask are the masks themselves, no array field holds a
+    # mask over 64 bits, and an empty list has no max
+    packed = count > 1 and len(masks) > 0 and max(masks) >> 64 == 0
     if packed:
         itemsize = next(b for b in (1, 2, 4, 8) if max(masks) >> 8 * b == 0)
         fields = pack_fields(masks, itemsize)
@@ -258,11 +247,12 @@ class PartitionContainerCollection:
         `materialize()` member covering its sets, by size, then by mask.
         Both are within `UNION_BUDGET`: the splits are made one at a time,
         and trying more than that many raises SizeLimitError, as more
-        candidate unions do."""
+        candidate unions do. A base with no locator, or a tuple that no
+        split fits, raises PreconditionError."""
         if len(independents) != self.k:
             raise ParameterError(f"expected {self.k} sets, got {len(independents)}")
         if self.base.locate is None:
-            raise RefinementUnavailableError("base collection has no locator")
+            raise PreconditionError("base collection has no locator")
         located = [self.base.locate(i).mask for i in independents]
         ceiling = self.size_ceiling
         for a, b in _splits(self.k):
@@ -288,7 +278,7 @@ class PartitionContainerCollection:
             cb = cover(b) if b else None
             if (ca is not None or not a) and (cb is not None or not b):
                 return a, ca, cb
-        raise RefinementUnavailableError("no split of the tuple fits any container pair")
+        raise PreconditionError("no split of the tuple fits any container pair")
 
 
 def _check_k(k: int) -> None:

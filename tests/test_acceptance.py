@@ -14,6 +14,7 @@ from contsolve.containers import build_regular_collection
 from contsolve.core import (
     CnfFormula,
     Graph,
+    PreconditionError,
     VertexSet,
     complete_graph,
     cycle_graph,
@@ -35,7 +36,6 @@ from contsolve.extsum import (
 )
 from contsolve.mis import MisConfig, mis_base, mis_containers
 from contsolve.partition import (
-    RefinementUnavailableError,
     build_partition_collection_regular,
     greedy_matching,
     matching_refinement,
@@ -219,7 +219,7 @@ def test_criterion_4_refinement_bounds(capfd):
             assert 2 * degree * len(m) >= len(free)
             try:
                 result = matching_refinement(g, subsets)
-            except RefinementUnavailableError:
+            except PreconditionError:
                 continue
             checked += 1
             bound = n - result.matching_size / (2**k)

@@ -457,6 +457,47 @@ class TestDeterminismAndErrors:
         assert code == 2 and report["error"]["type"] == "ValueError"
 
 
+class TestInputFilesAreBytes:
+    # each file reaches its parser as bytes, so one byte that is not UTF-8
+    # is a ParseError whatever the locale, at its line in a DIMACS file
+    GRAPH = b"p edge 3 2\ne 1 2\nc \xff\ne 2 3\n"
+    CNF = b"p cnf 2 1\n1 -2 0\nc \xff\n"
+    JSON = b'{"universe": 2, "subsets": [[0]], "tables": [[1, 2]], "name": "\xff"}'
+    LINE_3 = "line 3: input is not valid UTF-8"
+
+    @pytest.mark.parametrize(
+        "argv, data, message",
+        [
+            (["containers", "--force"], GRAPH, LINE_3),
+            (["partition-containers", "--k", "2", "--force"], GRAPH, LINE_3),
+            (["color", "--k", "3"], GRAPH, LINE_3),
+            (["mis"], GRAPH, LINE_3),
+            (["sat"], CNF, LINE_3),
+            (["extsum", "eval"], JSON, "invalid JSON: 'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["containers", "partition-containers", "color", "mis", "sat", "extsum"],
+    )
+    def test_a_byte_that_is_not_utf8_is_a_parse_error(self, capsys, tmp_path, argv, data, message):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        code, report = run_json(capsys, [*argv, "--input", str(path)])
+        assert code == 2
+        assert report["error"]["type"] == "ParseError"
+        assert report["error"]["message"].startswith(message)
+
+    def test_crlf_file_reports_as_its_lf_twin(self, capsys, tmp_path):
+        text = random_regular_graph(12, 4, 1).to_dimacs()
+        reports = []
+        for newline in ("\n", "\r\n"):
+            path = tmp_path / "g.col"
+            path.write_bytes(text.replace("\n", newline).encode())
+            code, report = run_json(capsys, ["containers", "--input", str(path), "--force"])
+            assert code == 0
+            report.pop("timing_ms")
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+
 class TestConsoleEntryPoint:
     def test_module_exit_status(self, tmp_path):
         # the console script's `main` exits with `run`'s code

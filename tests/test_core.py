@@ -1,5 +1,7 @@
 
+import importlib
 import math
+import pkgutil
 import random
 import time
 from itertools import combinations, count
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import contsolve
 from contsolve.core import (
     ITEM_BYTES,
     MEMORY_BUDGET_BYTES,
@@ -16,6 +19,7 @@ from contsolve.core import (
     Hypergraph,
     ParameterError,
     ParseError,
+    PreconditionError,
     SizeLimitError,
     VertexSet,
     complete_graph,
@@ -30,6 +34,19 @@ from contsolve.core import (
     random_regular_graph,
 )
 from oracles import brute_codegree, graph_fields, pairing_regular_graph
+
+
+def test_every_error_the_library_defines_is_one_of_four():
+    # every refusal is a ParseError, ParameterError, PreconditionError or
+    # SizeLimitError: no module defines an exception class of its own
+    defined = {
+        obj
+        for info in pkgutil.iter_modules(contsolve.__path__, "contsolve.")
+        for obj in vars(importlib.import_module(info.name)).values()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+        and obj.__module__.startswith("contsolve")
+    }
+    assert defined == {ParseError, ParameterError, PreconditionError, SizeLimitError}
 
 
 class TestVertexSet:

@@ -14,6 +14,7 @@ from contsolve.core import (
     Graph,
     Hypergraph,
     ParameterError,
+    PreconditionError,
     SizeLimitError,
     VertexSet,
     complete_graph,
@@ -24,7 +25,6 @@ from contsolve.core import (
 )
 from contsolve.partition import (
     PartitionContainerCollection,
-    RefinementUnavailableError,
     build_partition_collection_almost_regular,
     build_partition_collection_regular,
     container_unions,
@@ -72,16 +72,15 @@ def _assert_materialize_is_every_union(collection, monkeypatch):
 
 class TestContainerUnions:
     def test_unions_and_budget_match_brute_force(self, monkeypatch):
-        # brute force on both sides of PACKED_MIN_MASKS, at a width the
-        # packed step takes and one over 64 bits, where only the loop holds
-        # the masks; a packed walk ends on a batch, which holds the budget's
-        # last candidate at least when no ceiling empties it
+        # brute force from few masks to many, at a width the packed step
+        # takes and one over 64 bits, where only the loop holds the masks; a
+        # packed walk ends on a batch, which holds the budget's last
+        # candidate at least when no ceiling empties it
         rng = random.Random(31)
-        low = partition.PACKED_MIN_MASKS
         cases = [(rng.randint(1, 6), 10, rng.randint(1, 4), math.inf) for _ in range(30)]
         cases += [
             (size, bits, count, ceiling)
-            for size in (low - 1, low, low + 5)
+            for size in (23, 24, 29)
             for bits in (12, 70)
             for count in (1, 2, 3)
             for ceiling in (math.inf, 0.6 * bits)
@@ -100,7 +99,7 @@ class TestContainerUnions:
             packs = []
             monkeypatch.setattr(partition, "pack_fields", lambda *a: packs.append(a) or pack_fields(*a))
             assert container_unions(masks, count, ceiling) == want
-            packed = count > 1 and size >= low and bits <= 64
+            packed = count > 1 and bits <= 64
             assert bool(packs) == packed
             # a combination over the ceiling whose first count - 1 masks
             # are under it is refused inside a packed batch
@@ -115,6 +114,10 @@ class TestContainerUnions:
                 container_unions(masks, count, ceiling)
             monkeypatch.undo()
         assert binding >= 4
+
+    def test_no_masks_have_no_unions(self):
+        for count in (1, 2, 3):
+            assert container_unions([], count) == set()
 
     def test_unions_of_the_most_containers_hold_every_maximal_union(self):
         rng = random.Random(32)
@@ -182,7 +185,7 @@ class TestMatchingRefinement:
 
     def test_unavailable_when_all_edges_covered(self):
         g = complete_graph(3)
-        with pytest.raises(RefinementUnavailableError):
+        with pytest.raises(PreconditionError):
             matching_refinement(g, [VertexSet.of([0, 1, 2])])
 
     def test_part_union_bound_random(self):
@@ -197,7 +200,7 @@ class TestMatchingRefinement:
             ]
             try:
                 ref = matching_refinement(g, subsets)
-            except RefinementUnavailableError:
+            except PreconditionError:
                 assert not greedy_matching(uncovered_edges(g, subsets))
                 continue
             for _, u in ref.parts:
@@ -320,7 +323,7 @@ class TestRegularPartitionCollection:
         rng = random.Random(6)
         n = 80
         base = ContainerCollection(
-            containers=tuple(VertexSet(rng.getrandbits(n)) for _ in range(partition.PACKED_MIN_MASKS + 6)),
+            containers=tuple(VertexSet(rng.getrandbits(n)) for _ in range(30)),
             params=None,
             source="regular-graph",
         )
@@ -371,6 +374,20 @@ class TestRegularPartitionCollection:
         monkeypatch.setattr(partition, "UNION_BUDGET", len(fitting) - 1)
         with pytest.raises(SizeLimitError):
             collection().cover_split(tup)
+
+    def test_cover_split_refusals_are_precondition_errors(self):
+        # a base with no locator, and a tuple that no union of at most two
+        # pair containers covers on either side of any split
+        n = 8
+        full = VertexSet((1 << n) - 1)
+        pairs = tuple(VertexSet.of([v, v + 1]) for v in range(0, n, 2))
+        tup = [VertexSet.of([0, 2, 4])] * 2
+        for locate, message in ((None, "base collection has no locator"),
+                                (lambda independent: full, "no split of the tuple fits any container pair")):
+            base = ContainerCollection(containers=pairs, params=None, source="regular-graph", locate=locate)
+            coll = PartitionContainerCollection(base=base, k=2, epsilon=1 / 16, n=n, source="regular")
+            with pytest.raises(PreconditionError, match=message):
+                coll.cover_split(tup)
 
     def test_cover_split_at_a_large_k_makes_splits_one_at_a_time(self, monkeypatch):
         # 2^40 splits could not all be made: the first is tried at once, and
