@@ -4,7 +4,8 @@ Every run prints a single JSON report on stdout. Exit codes: 0 for success,
 1 for a negative decision (not colorable / unsatisfiable), 2 for errors; the
 error report of a `SizeLimitError` names the stage whose budget was hit.
 Input files are read as bytes and decoded only by the library's parsers, so
-a file that is not UTF-8 is a `ParseError` like any other malformed input.
+a file that is not UTF-8 is a `ParseError` like any other malformed input,
+and one that cannot be read is a `ParameterError`.
 Timings are informational only; the counters inside the reports are the
 reproducible part and are byte-identical for identical inputs and seeds."""
 
@@ -19,6 +20,15 @@ from pathlib import Path
 from . import coloring, containers, core, extsum, mis, partition, sat
 
 
+def _read_input(path: str) -> bytes:
+    """The bytes of the --input file; one that cannot be read is a
+    ParameterError naming the path and the OS reason."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise core.ParameterError(f"cannot read --input {path!r}: {exc.strerror or exc}") from None
+
+
 def _load_graph(args) -> core.Graph:
     if args.random_regular:
         if args.seed is None:
@@ -27,7 +37,7 @@ def _load_graph(args) -> core.Graph:
         return core.random_regular_graph(n, d, args.seed)
     if args.input is None:
         raise core.ParameterError("provide --input or --random-regular")
-    return core.parse_dimacs_graph(Path(args.input).read_bytes())
+    return core.parse_dimacs_graph(_read_input(args.input))
 
 
 def _graph_stats(g: core.Graph) -> dict:
@@ -68,7 +78,7 @@ def _cmd_partition_containers(args) -> tuple[int, dict]:
 
 
 def _cmd_extsum(args) -> tuple[int, dict]:
-    inst = extsum.ExtSumInstance.from_json(Path(args.input).read_bytes())
+    inst = extsum.ExtSumInstance.from_json(_read_input(args.input))
     stats: dict = {}
     if args.algo == "naive":
         value = extsum.eval_naive(inst)
@@ -127,7 +137,7 @@ def _cmd_sat(args) -> tuple[int, dict]:
         n, m, k = args.random_ksat
         phi = core.random_ksat_formula(n, m, k, args.seed)
     elif args.input:
-        phi = core.parse_dimacs_cnf(Path(args.input).read_bytes())
+        phi = core.parse_dimacs_cnf(_read_input(args.input))
     else:
         raise core.ParameterError("provide --input or --random-ksat")
     params = sat.StructureParams(D=args.D, C=args.C, epsilon=args.eps)

@@ -3,15 +3,13 @@
 F(G) = sum over vertex subsets V' of (-1)^(n-|V'|) * i(G[V'])^k counts the
 ordered k-tuples of independent sets whose union is V, so G is k-colorable
 iff F(G) > 0. The constrained variant confines the j-th set to a given
-container and factors through the extensions-sum evaluators. The full solver
-either runs the plain 2^n sum (baseline) or prices the pairs of unions of
-independence containers against it and tests the pairs, with per-pair color
-counts, only when they cost less (containers, and auto). The sums are
-exact big integers throughout: positivity hinges on sign cancellation, so
-no modular shortcuts. A "yes" becomes a coloring by contraction: one color
-class at a time, each vertex joining it by one sum on the uncolored
-vertices with the class merged into one, so no certificate sum is on more
-than n - 1 vertices.
+container and factors through the extensions-sum evaluators. Every mode
+decides by the plain 2^n sum; containers (and auto) first answer k = 1 and
+edgeless graphs without one. The sums are exact big integers throughout:
+positivity hinges on sign cancellation, so no modular shortcuts. A "yes"
+becomes a coloring by contraction: one color class at a time, each vertex
+joining it by one sum on the uncolored vertices with the class merged into
+one, so no certificate sum is on more than n - 1 vertices.
 
 The IS-count table is one Python int of 8-, 16- or 32-bit fields, built
 one block per vertex by a few big-int operations, and read out as an
@@ -25,13 +23,9 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
-from itertools import combinations, compress
-from math import comb
-from operator import or_
+from functools import lru_cache
+from itertools import compress
 
-from . import partition
-from .containers import build_almost_regular_collection, maximal_masks
 from .core import (
     MEMORY_BUDGET_BYTES,
     Graph,
@@ -45,18 +39,6 @@ from .core import (
 # bound by `from .extsum import` is patched, and names this one
 from .extsum import ExtSumInstance, eval_k2, evaluate, reduce_refinement  # noqa: F401
 
-# Cost of one covering-pair test, all k-1 color counts, per unit of
-# (k-1)(2^|X| + 2^|Y|), in units of one subset of the whole-V sum (whose time
-# is about 2^n units at any small k), over G(n, 0.6), n = 12-18, k = 2-5,
-# random covering pairs (each vertex in X, in Y or in both), cold table
-# caches, best of 3: median 2.01 over 384 pairs, quartiles 1.72-2.41, range
-# 1.04-7.78 (2-CPU machine; two more 384-pair runs had medians 1.97).
-PAIR_ENTRY_COST = 2
-# peak bytes of one covering-pair test, all k-1 color counts, cold table
-# caches, per entry of its 2^|X| + 2^|Y|: 50-133 by tracemalloc over 87
-# random covering pairs of G(n, 0.3) and G(n, 0.6), n = 16-22, k = 2-24
-# (64-bit CPython 3.11), as the signed tables are tuples of Python ints
-PAIR_TABLE_PEAK_FACTOR = 136
 # peak bytes of a count_is_dp build over the bytes of its finished array:
 # 2.69-2.75 by tracemalloc at w = 20-22 (64-bit CPython 3.11)
 IS_TABLE_PEAK_FACTOR = 3
@@ -65,9 +47,6 @@ IS_TABLE_PEAK_FACTOR = 3
 MASK_CACHE_BYTES = 1 << 15
 _masks: dict[tuple[int, int], int] = {}
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-# the engine raises its threshold until the base collection has at most this
-# many containers, but walks its last informative threshold whole
-MAX_BASE_CONTAINERS = 10
 
 
 @dataclass(frozen=True)
@@ -234,9 +213,11 @@ def constrained_F(g: Graph, containers: list[VertexSet]) -> int:
 
 @dataclass
 class ColoringConfig:
-    mode: str = "auto"  # baseline | containers; auto is containers
-    # unread, since the base build measures the degree ratio; the field stays
-    # only because perfbench/workloads.py still passes degree_ratio=3.0
+    # baseline | containers; auto is containers. Both decide by the whole-V
+    # sum; containers first answers k = 1 and edgeless graphs without one
+    mode: str = "auto"
+    # unread; the field stays only because perfbench/workloads.py still
+    # passes degree_ratio=3.0
     degree_ratio: float = 2.0
     certificate: bool = False
 
@@ -247,108 +228,6 @@ class ColoringResult:
     k: int
     certificate: dict[int, int] | None = None
     stats: dict = field(default_factory=dict)
-
-
-def _pair_bytes(x: int, y: int) -> int:
-    """Bytes a covering-pair test with sides of x and y vertices may hold.
-    At 256 MiB a pair of two 20-vertex sides is over budget, far below
-    extsum's TABLE_ENTRY_CEILING of 2^24 entries per table."""
-    return PAIR_TABLE_PEAK_FACTOR * ((1 << x) + (1 << y))
-
-
-def _candidate_unions(maximal_base: list[int], k: int) -> list[int] | None:
-    """The inclusion-maximal unions of at most k-1 of the m masks
-    `maximal_base`, by `containers.maximal_masks`: a union of fewer masks
-    lies inside a union of f = min(k-1, m) of them, so these are the maximal
-    unions of exactly f masks, one per combination. When one of them is the
-    union of all m masks, it holds every other and is the only one. None
-    when the unions of 1..k-1 masks, sum over s < k of C(m, s), are more
-    than `partition.UNION_BUDGET`, read at each call."""
-    m = len(maximal_base)
-    fewest = min(k - 1, m)
-    if sum(comb(m, s) for s in range(1, fewest + 1)) > partition.UNION_BUDGET:
-        return None
-    unions = {reduce(or_, combo) for combo in combinations(maximal_base, fewest)}
-    top = reduce(or_, maximal_base)
-    return [top] if top in unions else maximal_masks(unions)
-
-
-def _decide_containers(g: Graph, k: int, stats: dict) -> bool:
-    """Container-pair decision.
-
-    Any proper k-coloring splits its color classes into two non-empty groups
-    whose classes' base containers have unions (X, Y); positivity of the
-    constrained count is monotone in the containers, so it is enough to test
-    supersets of those unions. Each group has at most k-1 classes, hence
-    candidates are the inclusion-maximal unions of at most k-1 maximal base
-    containers (`_candidate_unions`), and by symmetry a pair (X, Y) needs
-    just the k-1 color counts.
-
-    The covering pairs are priced first, at PAIR_ENTRY_COST * (k-1)(2^|X| +
-    2^|Y|) each, in the time units of one subset of the whole-V sum. A pair
-    whose test may hold more than `core.MEMORY_BUDGET_BYTES` (`_pair_bytes`)
-    cannot be tested, and then the pairs are unpayable (`stats["pair_cost"]`
-    is None), as they are when the unions are past `partition.UNION_BUDGET`
-    and no pair has a price. When they are unpayable or cost at
-    least the 2^n of the whole-V sum -- always so when V itself is the only
-    candidate -- one whole-V inclusion-exclusion sum decides instead, and
-    refuses a table over the byte budget of `_field_width`.
-
-    No price exists without the build: only the build can find that no pair
-    covers V, which answers "no" at zero pair cost (G(20, 0.5, 62443) at
-    k = 2, where the whole-V sum walks 2^20 subsets). A covering pair has
-    sides of at least ceil(n/2) and floor(n/2) vertices, so from n = 40 every
-    pair is over the byte budget, as is the whole-V sum, and the path refuses
-    before building; it gives up only the "no" of a build that would find no
-    covering pair."""
-    if k == 1 or g.m == 0:
-        # a k-coloring exists for every k when there are no edges, and for
-        # k = 1 only then
-        return g.m == 0
-    if _pair_bytes((g.n + 1) // 2, g.n // 2) > MEMORY_BUDGET_BYTES:
-        # every covering pair is over the byte budget, so only the whole-V
-        # sum could decide: refused here when it is over budget too
-        _field_width(g.n, "inclusion-exclusion")
-    base = build_almost_regular_collection(g, max_containers=MAX_BASE_CONTAINERS)
-    stats["base_containers"] = len(base)
-    stats["base_tau"] = base.stats["tau"]  # the last informative tau is walked uncapped
-    # any union over non-maximal base containers is dominated by a union
-    # over their supersets
-    unions = _candidate_unions(maximal_masks(c.mask for c in base.containers), k)
-    pair_cost = None
-    if unions is not None:  # past the union budget no pair has a price: unpayable
-        maximal = [VertexSet(m) for m in unions]
-        stats["candidate_containers"] = len(maximal)
-        full = (1 << g.n) - 1
-        pairs = sorted(
-            (maximal[ia].cardinality + maximal[ib].cardinality, ia, ib)
-            for ia in range(len(maximal))
-            for ib in range(ia, len(maximal))
-            if maximal[ia].mask | maximal[ib].mask == full
-        )
-        sides = [(maximal[ia].cardinality, maximal[ib].cardinality) for _, ia, ib in pairs]
-        if all(_pair_bytes(x, y) <= MEMORY_BUDGET_BYTES for x, y in sides):
-            pair_cost = PAIR_ENTRY_COST * sum((k - 1) * ((1 << x) + (1 << y)) for x, y in sides)
-    whole_cost = 1 << g.n
-    stats["pair_cost"] = pair_cost
-    stats["whole_cost"] = whole_cost
-    if pair_cost is None or pair_cost >= whole_cost:
-        stats["dispatch"] = "whole-V"
-        stats["pairs_tested"] = 0
-        return inclusion_exclusion_F(g, k) > 0
-    # the one self-pair, (V, V), is priced above the whole-V sum: none is tested
-    stats["dispatch"] = "pairs"
-    tested = 0
-    for _, ia, ib in pairs:
-        ca, cb = maximal[ia], maximal[ib]
-        for a in range(1, k):
-            assigned = [ca] * a + [cb] * (k - a)
-            tested += 1
-            if constrained_F(g, assigned) > 0:
-                stats["pairs_tested"] = tested
-                return True
-    stats["pairs_tested"] = tested
-    return False
 
 
 def _extract_certificate(g: Graph, k: int) -> dict[int, int] | None:
@@ -385,21 +264,21 @@ def solve_kcoloring(g: Graph, k: int, config: ColoringConfig | None = None) -> C
     config = config or ColoringConfig()
     if k < 1:
         raise ParameterError("k must be at least 1")
-    stats: dict = {}
     mode = "containers" if config.mode == "auto" else config.mode
-    stats["path"] = mode
     # n colors always suffice, so k past n decides and certifies as n does:
     # class c's tests are on fewer than n - c vertices, so pass at n - c too
     colors = min(k, max(g.n, 1))
-    if mode == "baseline":
-        colorable = inclusion_exclusion_F(g, colors) > 0
-    elif mode == "containers":
-        colorable = _decide_containers(g, colors, stats)
-    else:
+    if mode not in ("baseline", "containers"):
         raise ParameterError(f"unknown mode {config.mode!r}")
+    if mode == "containers" and (colors == 1 or g.m == 0):
+        # a k-coloring exists for every k when there are no edges, and for
+        # k = 1 only then
+        colorable = g.m == 0
+    else:
+        colorable = inclusion_exclusion_F(g, colors) > 0
     cert = None
     if colorable and config.certificate:
         cert = _extract_certificate(g, colors)
         if cert is None:
             raise RuntimeError("decision positive but certificate extraction failed")
-    return ColoringResult(colorable=colorable, k=k, certificate=cert, stats=stats)
+    return ColoringResult(colorable=colorable, k=k, certificate=cert, stats={"path": mode})

@@ -221,7 +221,7 @@ def build_regular_collection(
 
     size_bound = (1.0 / (2.0 - epsilon) + params.q) * g.n
     coll = _collection(
-        g, g.adj_mask, params.tau, max_containers=None, source="regular-graph",
+        g, g.adj_mask, params.tau, source="regular-graph",
         stats={"size_bound": size_bound, "forced": force and params.low_degree},
     )
     tau = coll.stats["tau"]
@@ -274,8 +274,8 @@ def _locate(
 
 
 def _walked_containers(
-    excludes: Sequence[int], tau: float, keep: Keep | None = None, limit: int | None = None
-) -> tuple[dict[int, int] | None, int]:
+    excludes: Sequence[int], tau: float, keep: Keep | None = None
+) -> tuple[dict[int, int], int]:
     """Depth-first walk of the single-pass fingerprint fixed points at
     threshold tau: the map from each fingerprint walked to its container
     mask, and the number of reach asks `keep` refused, each a subtree cut.
@@ -293,9 +293,7 @@ def _walked_containers(
     F plus the vertices the fingerprint scan would have passed over, which
     is the one container rule. The fixed points are exactly the fingerprints
     of the independent sets, each with at most n/tau vertices. More than
-    `CANDIDATE_BUDGET` of them raise SizeLimitError. With `limit`, the walk
-    stops, and the map is None, as soon as it holds more than `limit`
-    distinct containers over more than one fingerprint.
+    `CANDIDATE_BUDGET` of them raise SizeLimitError.
 
     `keep(F, reach, container)`, when given, cuts the walk. The walk asks
     it about F, and computes F's heavy set, only when it reaches F: when F
@@ -325,7 +323,6 @@ def _walked_containers(
     collection has no `locate`."""
     full = (1 << len(excludes)) - 1
     walked: dict[int, int] = {}
-    distinct = set()
     cut = 0
     # (F, F's exclusions, the vertices F's heavy set lies in, a set holding
     # S(F) and lying in S(F) plus F's exclusions): F is asked about, and its
@@ -346,9 +343,6 @@ def _walked_containers(
         if len(walked) >= CANDIDATE_BUDGET:
             raise SizeLimitError("fingerprint-enumeration", f"budget {CANDIDATE_BUDGET} exceeded")
         walked[f] = container
-        distinct.add(container)
-        if limit is not None and len(distinct) > limit and len(walked) > 1:
-            return None, cut
         if keep is not None:
             # pushed under F's children, so it pops after their subtrees
             stack.append((f, container & ~passed, None, 0))
@@ -366,7 +360,6 @@ def _collection(
     structure: Graph | Hypergraph,
     excludes: Sequence[int],
     tau: int,
-    max_containers: int | None,
     source: str,
     stats: dict,
     keep: Keep | None = None,
@@ -376,32 +369,22 @@ def _collection(
     threshold would hand the cutting solver larger containers, and
     `stats["cut"]` counts the reach asks `keep` refused, when there are
     any, and only then does the collection lack `locate`. An uncut walk has
-    its threshold raised by half while it overflows `CANDIDATE_BUDGET` or
-    yields more than `max_containers` containers (larger tau means fewer,
-    smaller fingerprints and larger containers; coverage is unaffected),
-    and stops as soon as it passes `max_containers`. The cap holds at every
-    threshold whose raise is at most `top`, the largest exclusion set: past
-    `top` no vertex is heavy for the empty fingerprint and the collection is
-    {V} (at r>=3 `top` is 0). So the last informative threshold is walked
-    whole, with no cap, and kept if it fits the budget, and no threshold is
-    walked twice. No lower threshold is tried: its fixed points are a
-    superset, so its walk overflows too. The stats add the caller's `stats`
-    and the final tau, which `locate` follows."""
+    its threshold raised by half while it overflows `CANDIDATE_BUDGET`
+    (larger tau means fewer, smaller fingerprints and larger containers;
+    coverage is unaffected), so no threshold is walked twice. No lower
+    threshold is tried: its fixed points are a superset, so its walk
+    overflows too. The stats add the caller's `stats` and the final tau,
+    which `locate` follows."""
     full = (1 << len(excludes)) - 1
     if keep is not None:
         walked, cut = _walked_containers(excludes, tau, keep)
     else:
-        top = max(map(int.bit_count, excludes))
         while True:
-            raised = tau + max(1, tau // 2)
-            limit = max_containers if raised <= top else None
             try:
-                walked, cut = _walked_containers(excludes, tau, None, limit)
-            except SizeLimitError:
-                walked = None
-            if walked is not None:
+                walked, cut = _walked_containers(excludes, tau)
                 break
-            tau = raised
+            except SizeLimitError:
+                tau += max(1, tau // 2)
     dedup = set(walked.values())
     containers = tuple(VertexSet(m) for m in sorted(dedup, key=lambda m: (m.bit_count(), m)))
     return ContainerCollection(
@@ -424,7 +407,6 @@ def build_hypergraph_collection(
     structure: Graph | Hypergraph,
     p: float,
     *,
-    max_containers: int | None = None,
     keep: Keep | None = None,
 ) -> ContainerCollection:
     """Container collection for an r-uniform hypergraph, r read from it; a
@@ -432,12 +414,11 @@ def build_hypergraph_collection(
 
     p in (0, 1] is the engine's only input. The containers are those of the
     single-pass fingerprints, which one walk of the fixed points lists. The
-    exclusion threshold tau starts at ~1/((r-1)p) and is raised until the
-    walk fits `CANDIDATE_BUDGET` and, when requested, the deduped collection
-    fits max_containers, save the last informative tau, which is walked
-    whole; no tau is walked twice (see `_collection`). Container sizes are
-    measured and reported in the stats, not certified, so no co-degree
-    condition is checked; p and the final tau are in the stats.
+    exclusion threshold tau starts at ~1/((r-1)p) and is raised by half until
+    the walk fits `CANDIDATE_BUDGET`; no tau is walked twice (see
+    `_collection`). Container sizes are measured and reported in the stats,
+    not certified, so no co-degree condition is checked; p and the final
+    tau are in the stats.
 
     What a vertex excludes on joining a fingerprint is its lone-vertex
     exclusion set, read in one pass over the edges: at r=2 the other end of
@@ -447,13 +428,10 @@ def build_hypergraph_collection(
     `locate` image is V and the collection is {V}, which `stats["vacuous"]`
     reports. At r=2 a collection holds V only when it is {V}. `keep` cuts
     the walk as `_walked_containers` says, and then the walk keeps its
-    starting tau and refuses past `CANDIDATE_BUDGET` (see `_collection`),
-    so it takes no `max_containers`.
+    starting tau and refuses past `CANDIDATE_BUDGET` (see `_collection`).
     """
     if not 0 < p <= 1:
         raise ParameterError(f"p must be in (0, 1], got {p}")
-    if keep is not None and max_containers is not None:
-        raise ParameterError("a walk cut by keep takes no max_containers")
     graph = isinstance(structure, Graph)
     r = 2 if graph else structure.r
     if r < 2:
@@ -471,12 +449,10 @@ def build_hypergraph_collection(
                 excludes[low.bit_length() - 1] |= mask ^ low
                 excludes[mask.bit_length() - 1] |= low
     tau = _threshold(1.0 / ((r - 1) * p))
-    return _collection(structure, excludes, tau, max_containers, "hypergraph", {"p": p}, keep)
+    return _collection(structure, excludes, tau, "hypergraph", {"p": p}, keep)
 
 
-def build_almost_regular_collection(
-    g: Graph, *, max_containers: int | None = None
-) -> ContainerCollection:
+def build_almost_regular_collection(g: Graph) -> ContainerCollection:
     """Graph containers via the hypergraph engine at r=2, on g itself.
 
     p = 1/(epsilon*avg_degree) at epsilon = 1/4 mirrors the regular scheme,
@@ -488,7 +464,7 @@ def build_almost_regular_collection(
     if g.m == 0:
         raise ParameterError("graph has no edges (zero edge density)")
     p = min(1.0, 1.0 / (0.25 * g.average_degree))
-    coll = build_hypergraph_collection(g, p, max_containers=max_containers)
+    coll = build_hypergraph_collection(g, p)
     return replace(coll, source="almost-regular-graph")
 
 

@@ -399,9 +399,11 @@ def _fill_cnf(phi: CnfFormula, n: int, clauses: list) -> CnfFormula:
 def _decode_lines(text) -> list[str]:
     if isinstance(text, bytes):
         try:
-            text = text.decode("utf-8")
+            # one leading UTF-8 byte-order mark is decoded away
+            text = text.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
-            line = text.count(b"\n", 0, exc.start) + 1
+            # exc.start indexes exc.object, the bytes after any mark
+            line = exc.object.count(b"\n", 0, exc.start) + 1
             raise ParseError("input is not valid UTF-8", line) from None
     return text.splitlines()
 

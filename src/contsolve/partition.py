@@ -31,8 +31,7 @@ from .containers import (
 
 # candidate unions a `container_unions` enumeration (`materialize`, so
 # `cover_split`'s fallback) tries, and splits one `cover_split` loop tries,
-# before it raises SizeLimitError; the coloring solver's candidate unions
-# are held to it too (`coloring._candidate_unions`)
+# before it raises SizeLimitError
 UNION_BUDGET = 200000
 # largest tuple size k the partition builders take, refused before any
 # power of two is formed: up to it epsilon = 2^-(k+2) keeps the size

@@ -89,31 +89,16 @@ def is_counts_lowest_bit(g: Graph, domain: int) -> list[int]:
     return counts
 
 
-def collection_driver(walk, tau: int, max_containers: int | None, full: int):
-    """The container driver that finishes every uncut walk it starts.
-    `walk(tau)` returns (the map from each fingerprint to its container, 0
-    subtrees cut) or raises SizeLimitError past its budget. tau is raised by
-    half while the walk overflows or yields more than max_containers
-    distinct containers over more than one fingerprint; when that ends at
-    {V}, the last walk that fit the budget without V is taken instead.
-    Returns (tau, map)."""
-    fallback = None
+def collection_driver(walk, tau: int):
+    """The uncut container driver. `walk(tau)` returns (the map from each
+    fingerprint to its container, 0 subtrees cut) or raises SizeLimitError
+    past its budget; tau is raised by half while it does. Returns (tau,
+    map)."""
     while True:
         try:
-            walked, _ = walk(tau)
+            return tau, walk(tau)[0]
         except SizeLimitError:
             tau += max(1, tau // 2)
-            continue
-        distinct = set(walked.values())
-        if full not in distinct:
-            fallback = (tau, walked)
-        if max_containers is not None and len(distinct) > max_containers and len(walked) > 1:
-            tau += max(1, tau // 2)
-            continue
-        break
-    if full in distinct and fallback is not None:
-        return fallback
-    return tau, walked
 
 
 def max_independent_set_size(g: Graph) -> int:

@@ -213,7 +213,7 @@ class TestExtsumCommand:
         code, report = run_json(
             capsys, ["extsum", "eval", "--input", str(tmp_path / "none.json")]
         )
-        assert code == 2
+        assert code == 2 and report["error"]["type"] == "ParameterError"
 
     def test_universe_above_ceiling_exits_two(self, capsys, tmp_path):
         path = tmp_path / "inst.json"
@@ -484,6 +484,21 @@ class TestInputFilesAreBytes:
         assert code == 2
         assert report["error"]["type"] == "ParseError"
         assert report["error"]["message"].startswith(message)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["containers", "--force"], ["color", "--k", "2"], ["sat"], ["extsum", "eval"]],
+        ids=["containers", "color", "sat", "extsum"],
+    )
+    @pytest.mark.parametrize(
+        "name, reason", [("none.col", "No such file or directory"), (".", "Is a directory")],
+        ids=["missing", "directory"],
+    )
+    def test_an_input_that_cannot_be_read_is_a_parameter_error(self, capsys, tmp_path, argv, name, reason):
+        path = str(tmp_path / name)
+        code, report = run_json(capsys, [*argv, "--input", path])
+        assert code == 2
+        assert report["error"] == {"type": "ParameterError", "message": f"cannot read --input {path!r}: {reason}"}
 
     def test_crlf_file_reports_as_its_lf_twin(self, capsys, tmp_path):
         text = random_regular_graph(12, 4, 1).to_dimacs()

@@ -1,15 +1,10 @@
 import random
-from itertools import combinations
-from math import comb
 
 import pytest
 
-from contsolve import coloring, partition
+from contsolve import coloring
 from contsolve.coloring import (
-    MAX_BASE_CONTAINERS,
-    PAIR_ENTRY_COST,
     ColoringConfig,
-    _candidate_unions,
     _signed_table,
     constrained_F,
     count_is_dp,
@@ -27,7 +22,6 @@ from contsolve.core import (
     random_graph,
     random_regular_graph,
 )
-from contsolve.containers import build_almost_regular_collection, maximal_masks
 from oracles import (
     all_independent_sets,
     count_ordered_covers,
@@ -38,12 +32,6 @@ from oracles import (
 
 def _full(g):
     return VertexSet((1 << g.n) - 1)
-
-
-def _maximal(masks):
-    """The distinct masks no other mask strictly contains, by brute force."""
-    masks = set(masks)
-    return {m for m in masks if not any(m != o and not m & ~o for o in masks)}
 
 
 class TestCountIsDp:
@@ -281,63 +269,6 @@ class TestConstrainedF:
             assert constrained_F(g, [_full(g)] * k) == inclusion_exclusion_F(g, k)
 
 
-def _maximal_base(g):
-    base = build_almost_regular_collection(g, max_containers=MAX_BASE_CONTAINERS)
-    return maximal_masks(c.mask for c in base.containers)
-
-
-class TestCandidateUnions:
-    """The candidates are the maximal unions of exactly min(k-1, m) of the m
-    maximal base containers: the maximal unions of the walk over 1..k-1 of
-    them, `partition.container_unions`, refused at the same budget."""
-
-    @staticmethod
-    def _assert_matches_the_walk(maximal, k, monkeypatch):
-        tried = sum(comb(len(maximal), s) for s in range(1, k))
-        monkeypatch.setattr(partition, "UNION_BUDGET", tried)
-        want = maximal_masks(partition.container_unions(maximal, k - 1))
-        assert _candidate_unions(maximal, k) == want
-        monkeypatch.setattr(partition, "UNION_BUDGET", tried - 1)
-        with pytest.raises(SizeLimitError):
-            partition.container_unions(maximal, k - 1)
-        assert _candidate_unions(maximal, k) is None
-        monkeypatch.undo()
-
-    def test_gnp(self, monkeypatch):
-        rng = random.Random(41)
-        for n in range(8, 17):
-            for p in (0.3, 0.5, 0.7):
-                g = random_graph(n, p, rng.randrange(10**6))
-                if not g.m:
-                    continue
-                maximal = _maximal_base(g)
-                for k in range(2, 9):
-                    self._assert_matches_the_walk(maximal, k, monkeypatch)
-
-    def test_fallback_collection(self, monkeypatch):
-        # the walk kept past MAX_BASE_CONTAINERS has 20 containers, 18 of
-        # them maximal
-        g = random_regular_graph(16, 8, 1)
-        assert len(build_almost_regular_collection(g, max_containers=MAX_BASE_CONTAINERS)) == 20
-        maximal = _maximal_base(g)
-        assert len(maximal) == 18
-        for k in range(2, 7):
-            self._assert_matches_the_walk(maximal, k, monkeypatch)
-
-    def test_many_maximal_containers(self, monkeypatch):
-        # 46 maximal containers: at k = 5 the unions of 1..4 of them, 179,446,
-        # are the most under UNION_BUDGET, and the decision still dispatches
-        # whole-V on the one candidate, V
-        g = random_regular_graph(20, 8, 1)
-        maximal = _maximal_base(g)
-        assert len(maximal) == 46
-        for k in (4, 5):
-            self._assert_matches_the_walk(maximal, k, monkeypatch)
-        assert sum(comb(46, s) for s in range(1, 5)) == 179446 <= partition.UNION_BUDGET
-        stats = solve_kcoloring(g, 5, ColoringConfig(mode="containers")).stats
-        assert stats["candidate_containers"] == 1 and stats["dispatch"] == "whole-V"
-
-
 class TestSolveKColoring:
     def test_petersen(self):
         g = petersen_graph()
@@ -407,11 +338,8 @@ class TestSolveKColoring:
         # n colors always suffice, so a huge k answers as k = n does, and no
         # sum raises its counts to a power past n
         powers = []
-        real_ie, real_constrained = coloring.inclusion_exclusion_F, coloring.constrained_F
-        monkeypatch.setattr(coloring, "inclusion_exclusion_F", lambda h, k: powers.append(k) or real_ie(h, k))
-        monkeypatch.setattr(
-            coloring, "constrained_F", lambda h, cs: powers.append(len(cs)) or real_constrained(h, cs)
-        )
+        real = coloring.inclusion_exclusion_F
+        monkeypatch.setattr(coloring, "inclusion_exclusion_F", lambda h, k: powers.append(k) or real(h, k))
         for g in (petersen_graph(), complete_graph(5), random_graph(9, 0.5, 3), random_regular_graph(14, 4, 1)):
             for mode in ("baseline", "containers"):
                 config = ColoringConfig(mode=mode, certificate=True)
@@ -424,82 +352,35 @@ class TestSolveKColoring:
         assert solve_kcoloring(Graph(0, []), 10**9).colorable
 
     def test_whole_v_dispatch_matches_ie_sum_and_oracle(self):
-        # G(14, p) with k just below and at chi: when the priced pairs cost at
-        # least the whole-V sum, that sum alone decides
+        # G(14, p) with k just below and at chi: the whole-V sum decides in
+        # every mode, and the stats name only the mode
         rng = random.Random(17)
-        cfg = ColoringConfig(mode="containers")
-        informative = 0
         for i in range(24):
             g = random_graph(14, (0.5, 0.6, 0.7)[i % 3], rng.randrange(10**6))
             chi = next(k for k in range(1, g.n + 1) if is_k_colorable(g, k))
             for k in (chi - 1, chi):
-                result = solve_kcoloring(g, k, cfg)
-                stats = result.stats
-                assert result.colorable == (k >= chi)
-                assert stats["whole_cost"] == 1 << g.n
-                # the candidates are the maximal unions of exactly
-                # min(k-1, m) of the m maximal base containers
-                base = build_almost_regular_collection(g, max_containers=MAX_BASE_CONTAINERS)
-                assert stats["base_containers"] == len(base) and stats["base_tau"] == base.stats["tau"]
-                maximal_base = _maximal(c.mask for c in base.containers)
-                unions = []
-                for combo in combinations(sorted(maximal_base), min(k - 1, len(maximal_base))):
-                    union = 0
-                    for m in combo:
-                        union |= m
-                    unions.append(union)
-                assert stats["candidate_containers"] == len(_maximal(unions))
-                if stats["dispatch"] == "pairs":
-                    assert stats["pair_cost"] < stats["whole_cost"]
-                    continue
-                assert stats["dispatch"] == "whole-V"
-                assert stats["pair_cost"] >= stats["whole_cost"]
-                assert stats["pairs_tested"] == 0
-                assert result.colorable == (inclusion_exclusion_F(g, k) > 0)
-                # a collection holding V is {V}, so more than one base
-                # container means the walk found real fingerprints
-                informative += stats["base_containers"] > 1
-        assert informative >= 20
+                want = inclusion_exclusion_F(g, k) > 0
+                assert want == (k >= chi)
+                for mode in ("baseline", "containers"):
+                    result = solve_kcoloring(g, k, ColoringConfig(mode=mode))
+                    assert result.colorable == want and result.stats == {"path": mode}
 
-    def test_stats_name_the_threshold_of_an_overshooting_base(self):
-        # the base walk passes MAX_BASE_CONTAINERS up to tau = 6 and leaves
-        # only V at tau = 9, above the degree 8, so the driver keeps the
-        # tau = 6 walk and its 20 containers; the stats say which it kept
-        g = random_regular_graph(16, 8, 1)
-        stats = solve_kcoloring(g, 4, ColoringConfig(mode="containers")).stats
-        assert stats["base_containers"] == 20 > MAX_BASE_CONTAINERS
-        assert stats["base_tau"] == 6 and stats["dispatch"] == "whole-V"
-
-    def test_priced_pairs_reach_the_pair_loop(self):
-        cfg = ColoringConfig(mode="containers")
-        # G(14, 0.5) at k=2, priced at 320 pair entries against the 2^14
-        # subsets of the whole-V sum: one covering pair, and its test is
-        # negative
-        g = random_graph(14, 0.5, 0)
-        result = solve_kcoloring(g, 2, cfg)
-        assert result.stats["dispatch"] == "pairs" and result.stats["pairs_tested"] == 1
-        assert result.stats["candidate_containers"] == 6
-        assert result.stats["pair_cost"] == PAIR_ENTRY_COST * 320 and result.stats["whole_cost"] == 1 << 14
-        assert not result.colorable and not is_k_colorable(g, 2)
-        # G(20, 0.5) at k=2: no pair of candidates covers V, so the pair
-        # branch decides with no test where the whole-V sum walks 2^20 subsets
-        g = random_graph(20, 0.5, 62443)
-        result = solve_kcoloring(g, 2, cfg)
-        assert result.stats["dispatch"] == "pairs" and result.stats["pair_cost"] == 0
-        assert result.stats["pairs_tested"] == 0
-        assert not result.colorable and not is_k_colorable(g, 2)
-        # a dense bipartite graph: the first covering pair is positive
+    def test_k2_answers_match_the_oracle_in_every_mode(self):
+        # G(14, 0.5, 0) and G(20, 0.5, 62443) are not 2-colorable, the second
+        # at a whole-V sum of 2^20 subsets; a dense bipartite graph is
         rng = random.Random(935784)
-        g = Graph(14, [(u, v) for u in range(14) for v in range(u + 1, 14)
-                       if (u - v) % 2 and rng.random() < 0.7])
-        result = solve_kcoloring(g, 2, cfg)
-        assert result.stats["dispatch"] == "pairs" and result.stats["pairs_tested"] == 1
-        assert result.colorable
+        bipartite = Graph(14, [(u, v) for u in range(14) for v in range(u + 1, 14)
+                               if (u - v) % 2 and rng.random() < 0.7])
+        for g, want in ((random_graph(14, 0.5, 0), False), (random_graph(20, 0.5, 62443), False),
+                        (bipartite, True)):
+            assert is_k_colorable(g, 2) == want
+            for mode in ("baseline", "containers", "auto"):
+                assert solve_kcoloring(g, 2, ColoringConfig(mode=mode)).colorable == want
 
     def test_whole_v_sum_keeps_the_baseline_ceiling(self, monkeypatch):
-        # these graphs price at whole-V (G(25, 0.7, 0) takes the pairs), and
-        # the container path's whole-V sum refuses them as the baseline
-        # does, by the table's byte budget, before any table is started
+        # the container path's whole-V sum refuses these graphs as the
+        # baseline does, by the table's byte budget, before any table is
+        # started
         def started(*args):
             raise AssertionError("a table was started")
 
@@ -511,42 +392,6 @@ class TestSolveKColoring:
                     solve_kcoloring(g, 3, ColoringConfig(mode=mode))
                 assert exc.value.stage == "inclusion-exclusion" and "bytes" in str(exc.value)
 
-    def test_candidate_unions_stop_at_the_union_budget(self, monkeypatch):
-        # the candidates are unions of 1..k-1 maximal base containers, one
-        # per combination, and past UNION_BUDGET of them the enumeration
-        # stops; no pair has a price then, so the whole-V sum decides
-        g, k = random_graph(12, 0.5, 2), 3
-        config = ColoringConfig(mode="containers")
-        want = solve_kcoloring(g, k, config).colorable
-        base = build_almost_regular_collection(g, max_containers=MAX_BASE_CONTAINERS)
-        maximal = maximal_masks(c.mask for c in base.containers)
-        tried = sum(comb(len(maximal), j) for j in range(1, k))
-        assert tried > 1
-        monkeypatch.setattr(partition, "UNION_BUDGET", tried)
-        r = solve_kcoloring(g, k, config)
-        assert r.colorable == want and r.stats["pair_cost"] is not None
-        assert "candidate_containers" in r.stats
-        monkeypatch.setattr(partition, "UNION_BUDGET", tried - 1)
-        with pytest.raises(SizeLimitError) as exc:
-            list(partition.container_unions(maximal, k - 1))
-        assert exc.value.stage == "partition-container-materialization"
-        r = solve_kcoloring(g, k, config)
-        assert r.colorable == want and "candidate_containers" not in r.stats
-        assert r.stats["dispatch"] == "whole-V" and r.stats["pair_cost"] is None
-        assert r.stats["pairs_tested"] == 0
-
-    def test_past_the_union_budget_the_whole_v_sum_answers(self):
-        # this graph's candidate unions pass UNION_BUDGET at k = 6 and 7,
-        # where the whole-V sum still decides in a fraction of a second
-        g = random_regular_graph(20, 8, 1)
-        for k in (6, 7):
-            want = solve_kcoloring(g, k, ColoringConfig(mode="baseline")).colorable
-            for mode in ("auto", "containers"):
-                r = solve_kcoloring(g, k, ColoringConfig(mode=mode))
-                assert r.colorable == want
-                assert r.stats["dispatch"] == "whole-V" and r.stats["pair_cost"] is None
-                assert "candidate_containers" not in r.stats
-
     def test_containers_path_on_edgeless_graphs(self):
         for g in (Graph(0, []), Graph(3, [])):
             for k in (1, 2):
@@ -555,7 +400,7 @@ class TestSolveKColoring:
                 assert want and got.colorable == want
 
     def test_auto_dispatch(self):
-        # auto takes the priced container path, sparse or dense
+        # auto takes the container path, sparse or dense
         rng = random.Random(18)
         graphs = [cycle_graph(8), complete_graph(10), random_graph(20, 0.5, 62443)]
         graphs += [random_graph(12, rng.choice((0.1, 0.3, 0.6)), rng.randrange(10**6)) for _ in range(8)]
@@ -566,58 +411,11 @@ class TestSolveKColoring:
                 assert auto.stats == containers.stats and auto.stats["path"] == "containers"
                 assert auto.colorable == containers.colorable == is_k_colorable(g, k)
 
-    def test_pairs_with_sides_extsum_cannot_take_are_unpayable(self, monkeypatch):
-        # G(40, 0.2) at k=2: every covering pair has two sides of at least 20
-        # vertices, over the byte budget of `_pair_bytes`, so the whole-V sum
-        # decides, and refuses, before any table is built
-        real = coloring.count_is_dp
-
-        def bounded(g, domain):
-            assert domain.cardinality <= 24
-            return real(g, domain)
-
-        monkeypatch.setattr(coloring, "count_is_dp", bounded)
-        g = random_graph(40, 0.2, 1)
-        for mode in ("auto", "containers"):
-            with pytest.raises(SizeLimitError) as exc:
-                solve_kcoloring(g, 2, ColoringConfig(mode=mode))
-            assert exc.value.stage == "inclusion-exclusion"
-
-    def test_pair_byte_budget_makes_pairs_unpayable(self, monkeypatch):
-        # G(12, 0.3, 6) at k=2 has one covering pair, sides of 10 and 6
-        # vertices: PAIR_TABLE_PEAK_FACTOR * (2^10 + 2^6) bytes, against
-        # IS_TABLE_PEAK_FACTOR * 2 * 2^12 for its whole-V sum
-        g = random_graph(12, 0.3, 6)
-        need = coloring.PAIR_TABLE_PEAK_FACTOR * ((1 << 10) + (1 << 6))
-        assert coloring.IS_TABLE_PEAK_FACTOR * 2 << 12 < need
-        monkeypatch.setattr(coloring, "MEMORY_BUDGET_BYTES", need)
-        stats = {}
-        assert not coloring._decide_containers(g, 2, stats) and not is_k_colorable(g, 2)
-        assert stats["dispatch"] == "pairs" and stats["pairs_tested"] == 1
-        monkeypatch.setattr(coloring, "MEMORY_BUDGET_BYTES", need - 1)
-        stats = {}
-        assert not coloring._decide_containers(g, 2, stats)
-        assert stats["pair_cost"] is None and stats["dispatch"] == "whole-V"
-        # the cheapest covering pair has two sides of 6: under its bytes the
-        # path refuses before building, since the whole-V sum is over too
-        floor = coloring.PAIR_TABLE_PEAK_FACTOR * (2 << 6)
-        assert floor < coloring.IS_TABLE_PEAK_FACTOR * 2 << 12
-        built = []
-        real = coloring.build_almost_regular_collection
-        monkeypatch.setattr(coloring, "build_almost_regular_collection",
-                            lambda *a, **kw: built.append(1) or real(*a, **kw))
-        for budget, builds in ((floor, 1), (floor - 1, 0)):
-            monkeypatch.setattr(coloring, "MEMORY_BUDGET_BYTES", budget)
-            built.clear()
-            with pytest.raises(SizeLimitError) as exc:
-                coloring._decide_containers(g, 2, {})
-            assert exc.value.stage == "inclusion-exclusion" and len(built) == builds
-
     def test_refuses_above_48_vertices_before_building(self, monkeypatch):
         def no_build(*args, **kwargs):
-            raise AssertionError("the container builder was called")
+            raise AssertionError("an IS-count table was built")
 
-        monkeypatch.setattr(coloring, "build_almost_regular_collection", no_build)
+        monkeypatch.setattr(coloring, "count_is_dp", no_build)
         g = random_graph(1000, 0.004, 1)
         for mode in ("auto", "containers"):
             with pytest.raises(SizeLimitError) as exc:

@@ -453,11 +453,11 @@ class TestHypergraphEngine:
             rng.shuffle(repeated)
             hs = (Hypergraph(g.n, 2, g.edges), Hypergraph(g.n, 2, repeated))
             p = rng.choice([0.25, 0.5, 1.0])
-            for budget, kwargs in ((default, {}), (default, {"max_containers": 2}), (3, {})):
+            for budget in (default, 3):
                 monkeypatch.setattr(containers, "CANDIDATE_BUDGET", budget)
-                a = build_hypergraph_collection(g, p, **kwargs)
+                a = build_hypergraph_collection(g, p)
                 for h in hs:
-                    b = build_hypergraph_collection(h, p, **kwargs)
+                    b = build_hypergraph_collection(h, p)
                     assert a.containers == b.containers and a.stats == b.stats
                     for iset in all_independent_sets(g):
                         assert a.locate(VertexSet(iset)) == b.locate(VertexSet(iset))
@@ -762,12 +762,14 @@ class TestCutWalk:
                     assert (last == first + 1) == (f in leaf)
         assert leaves > 20 and inner > 20
         # keep is asked before the child's heavy set: a walk that rejects
-        # every child computes only the root's
+        # every child computes only the root's, and cuts each child, one per
+        # heavy vertex of the root
         heavy_calls = []
         real = containers._heavy
         monkeypatch.setattr(containers, "_heavy", lambda *args: heavy_calls.append(1) or real(*args))
         g = random_regular_graph(12, 4, 11)
-        assert list(_walked_containers(g.adj_mask, 2, lambda *args: False)[0]) == [0]
+        walked, cut = _walked_containers(g.adj_mask, 2, lambda *args: False)
+        assert list(walked) == [0] and cut == sum(m.bit_count() >= 2 for m in g.adj_mask) == g.n
         assert len(heavy_calls) == 1
 
     def test_refusing_every_container_ask_is_the_uncut_walk(self):
@@ -792,8 +794,7 @@ class TestCutWalk:
 
     def test_a_cut_walk_keeps_its_tau_and_refuses_past_the_budget(self, monkeypatch):
         # the uncut walk's threshold is raised past the budget; the cut
-        # walk's is not: its SizeLimitError propagates. A cut walk takes no
-        # max_containers, which would ask for a raise
+        # walk's is not: its SizeLimitError propagates
         g = random_graph(14, 0.4, 5)
         keep = lambda *args: True
         start = build_hypergraph_collection(g, 0.5, keep=keep)
@@ -802,8 +803,6 @@ class TestCutWalk:
         with pytest.raises(SizeLimitError) as refused:
             build_hypergraph_collection(g, 0.5, keep=keep)
         assert refused.value.stage == "fingerprint-enumeration"
-        with pytest.raises(ParameterError, match="max_containers"):
-            build_hypergraph_collection(g, 0.5, max_containers=5, keep=keep)
 
     def test_cut_collection_reports_the_cut_and_has_no_locate(self):
         # keeping the fingerprints of at most one vertex cuts the subtree of
@@ -883,38 +882,34 @@ class TestAsksHoldTheirSets:
 
 @pytest.fixture
 def walks(monkeypatch):
-    """The (tau, limit) of every `_walked_containers` call, in order."""
+    """The tau of every `_walked_containers` call, in order."""
     walks = []
 
-    def walk(excludes, tau, keep=None, limit=None, _real=_walked_containers):
-        walks.append((tau, limit))
-        return _real(excludes, tau, keep, limit)
+    def walk(excludes, tau, keep=None, _real=_walked_containers):
+        walks.append(tau)
+        return _real(excludes, tau, keep)
 
     monkeypatch.setattr(containers, "_walked_containers", walk)
     return walks
 
 
-class TestEarlyStopDriver:
-    """The driver stops a walk once it passes max_containers, caps only the
-    thresholds whose raise is at most the largest exclusion set, and walks
-    each threshold once; its collections are those of the driver that
-    finishes every walk, `oracles.collection_driver`."""
+class TestOneWalkPerThreshold:
+    """No builder walks a threshold twice: every `_walked_containers` call
+    of one build has its own tau."""
 
     @staticmethod
-    def _reference(g, p, max_containers):
-        walk = partial(_walked_containers, g.adj_mask)
-        start = max(1, math.ceil(round(1.0 / p, 9)))
-        return collection_driver(walk, start, max_containers, (1 << g.n) - 1)
+    def _distinct(walks):
+        assert walks and len(set(walks)) == len(walks)
+        walks.clear()
 
-    def test_matches_the_driver_that_finishes_every_walk(self, monkeypatch, walks):
-        # a perfect matching at tau = 1 walks 3^(n/2) fingerprints and at
-        # tau = 2 only the root, so under a small budget its last informative
-        # threshold overflows in full and the collection is {V}. A walk is
-        # capped only where its raise could still leave a container other
-        # than V, and no threshold is walked twice
+    def test_uncut_driver_matches_the_reference_driver(self, monkeypatch, walks):
+        # the driver raises tau by half while the walk overflows the budget,
+        # as `oracles.collection_driver` does. A perfect matching at tau = 1
+        # walks 3^(n/2) fingerprints and at tau = 2 only the root, so under
+        # a small budget its collection is {V}
         rng = random.Random(93)
         default = containers.CANDIDATE_BUDGET
-        cases = overshoots = skipped = 0
+        cases = raised = 0
         for _ in range(400):
             if rng.random() < 0.2:
                 half = rng.randint(2, 7)
@@ -924,69 +919,18 @@ class TestEarlyStopDriver:
             if g.m == 0:
                 continue
             p = rng.choice([0.25, 0.5, 1.0])
-            max_containers = rng.randint(1, 12)
-            budget = rng.choice([default, rng.randint(2, 40)])
-            monkeypatch.setattr(containers, "CANDIDATE_BUDGET", budget)
-            walks.clear()
-            coll = build_hypergraph_collection(g, p, max_containers=max_containers)
-            taus = [tau for tau, _ in walks]
-            assert len(set(taus)) == len(taus)
-            top = max(m.bit_count() for m in g.adj_mask)
-            assert all(tau + max(1, tau // 2) <= top for tau, limit in walks if limit is not None)
-            tau, walked = self._reference(g, p, max_containers)
+            monkeypatch.setattr(containers, "CANDIDATE_BUDGET", rng.choice([default, rng.randint(2, 40)]))
+            coll = build_hypergraph_collection(g, p)
+            start = max(1, math.ceil(round(1.0 / p, 9)))
+            tau, walked = collection_driver(partial(_walked_containers, g.adj_mask), start)
             distinct = sorted(set(walked.values()), key=lambda m: (m.bit_count(), m))
             assert coll.containers == tuple(VertexSet(m) for m in distinct)
             assert coll.stats["tau"] == tau and coll.stats["candidate_count"] == len(walked)
             assert "cut" not in coll.stats and coll.locate is not None
+            self._distinct(walks)
             cases += 1
-            overshoots += len(distinct) > max_containers
-            if p == 1.0 and coll.stats["vacuous"] and coll.stats["tau"] > 1:
-                # tau = 1 passed the cap or the budget, and its whole walk
-                # overflows
-                stopped = overflowed = False
-                try:
-                    stopped = _walked_containers(g.adj_mask, 1, None, max_containers)[0] is None
-                    _walked_containers(g.adj_mask, 1)
-                except SizeLimitError:
-                    overflowed = True
-                skipped += stopped and overflowed
-        assert cases > 300 and overshoots > 20 and skipped > 5
-
-    def test_the_last_informative_threshold_is_walked_once_uncapped(self, walks):
-        # degree 8: tau 6 raises to 9, past every exclusion set, so tau 6 is
-        # walked whole, once, with no cap, and keeps its 20 containers
-        coll = build_almost_regular_collection(random_regular_graph(16, 8, 1), max_containers=10)
-        assert walks == [(2, 10), (3, 10), (4, 10), (6, None)]
-        assert len(coll) == 20 and coll.stats["tau"] == 6 and not coll.stats["vacuous"]
-
-    def test_a_walk_stops_past_its_limit(self, monkeypatch):
-        g = random_graph(14, 0.5, 7)
-        whole, cut = _walked_containers(g.adj_mask, 2)
-        distinct = len(set(whole.values()))
-        assert cut == 0
-        # rejecting every fingerprint cuts each child of the root: its heavy vertices
-        heavy = sum(m.bit_count() >= 2 for m in g.adj_mask)
-        assert _walked_containers(g.adj_mask, 2, lambda *args: False)[1] == heavy > 0
-        assert _walked_containers(g.adj_mask, 2, None, distinct) == (whole, 0)
-        assert _walked_containers(g.adj_mask, 2, None, distinct - 1) == (None, 0)
-        # the walk stops before the budget it would overflow in full
-        monkeypatch.setattr(containers, "CANDIDATE_BUDGET", len(whole) - 1)
-        with pytest.raises(SizeLimitError):
-            _walked_containers(g.adj_mask, 2)
-        assert _walked_containers(g.adj_mask, 2, None, 1) == (None, 0)
-        # a lone fingerprint is never over the limit
-        assert _walked_containers(g.adj_mask, g.n, None, 0) == ({0: (1 << g.n) - 1}, 0)
-
-
-class TestOneWalkPerThreshold:
-    """No builder walks a threshold twice: every `_walked_containers` call
-    of one build has its own tau."""
-
-    @staticmethod
-    def _distinct(walks):
-        taus = [tau for tau, _ in walks]
-        assert taus and len(set(taus)) == len(taus)
-        walks.clear()
+            raised += tau > start
+        assert cases > 300 and raised > 50
 
     def test_forced_regular_build_raised_past_the_budget(self, walks):
         for seed in (538876, 810624):
@@ -997,9 +941,9 @@ class TestOneWalkPerThreshold:
     def test_r3_hypergraph_build(self, walks):
         for seed in range(5):
             h = _random_hypergraph(10, 3, 40, seed)
-            coll = build_hypergraph_collection(h, 0.5, max_containers=1)
-            # no vertex excludes anything at r = 3, so no walk is capped
-            assert walks == [(coll.stats["tau"], None)] and coll.stats["vacuous"]
+            coll = build_hypergraph_collection(h, 0.5)
+            # no vertex excludes anything at r = 3, so one walk lists the root
+            assert walks == [coll.stats["tau"]] and coll.stats["vacuous"]
             self._distinct(walks)
 
     def test_mis_containers_mode(self, walks):
@@ -1015,15 +959,13 @@ class TestOneWalkPerThreshold:
             assert coll.base.containers
             self._distinct(walks)
 
-    def test_coloring_decisions_capped_base_build(self, walks):
+    def test_coloring_decisions_walk_nothing(self, walks):
+        # every coloring mode decides by the whole-V sum, with no collection
         graphs = [random_regular_graph(16, 8, 1)] + [random_graph(14, 0.6, seed) for seed in range(8)]
-        capped = 0
         for g in graphs:
             for k in (3, 4):
                 solve_kcoloring(g, k, ColoringConfig(mode="containers"))
-                capped += any(limit is not None for _, limit in walks)
-                self._distinct(walks)
-        assert capped > 0
+                assert walks == []
 
 
 class TestAlmostRegular:
@@ -1060,8 +1002,6 @@ class TestAlmostRegular:
         coll = build_almost_regular_collection(g)
         assert coll.source == "almost-regular-graph" and coll.stats["candidate_count"] > 1
         assert mis_containers(g, MisConfig(mode="containers")).stats["path"] == "containers"
-        stats = solve_kcoloring(g, 3, ColoringConfig(mode="containers")).stats
-        assert stats["base_containers"] > 0
         assert built == []
 
     def test_coverage_on_irregular_graph(self):

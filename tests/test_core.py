@@ -33,6 +33,7 @@ from contsolve.core import (
     random_ksat_formula,
     random_regular_graph,
 )
+from contsolve.extsum import ExtSumInstance
 from oracles import brute_codegree, graph_fields, pairing_regular_graph
 
 
@@ -180,9 +181,24 @@ class TestGraphParsing:
         for parse in (parse_dimacs_graph, parse_dimacs_cnf):
             with pytest.raises(ParseError):
                 parse(b"\xff\xfe")
+            # a leading byte-order mark does not shift the line count
+            for data in (b"c ok\nc \xff\n", b"\xef\xbb\xbfc ok\nc \xff\n"):
+                with pytest.raises(ParseError) as err:
+                    parse(data)
+                assert err.value.line == 2
+
+    def test_a_leading_byte_order_mark_is_decoded_away(self):
+        # one leading UTF-8 BOM parses as its absence, as `json.loads` reads
+        # it in an extsum instance
+        bom = b"\xef\xbb\xbf"
+        assert parse_dimacs_graph(bom + b"p edge 2 1\ne 1 2\n") == Graph(2, [(0, 1)])
+        assert parse_dimacs_cnf(bom + b"p cnf 2 1\n1 -2 0\n").clauses == ((1, -2),)
+        assert ExtSumInstance.from_json(bom + b'{"universe": 1, "subsets": [], "tables": []}').universe == 1
+        # a second mark is not decoded away
+        for parse, header in ((parse_dimacs_graph, b"p edge 2 1\n"), (parse_dimacs_cnf, b"p cnf 2 1\n")):
             with pytest.raises(ParseError) as err:
-                parse(b"c ok\nc \xff\n")
-            assert err.value.line == 2
+                parse(bom + bom + header)
+            assert err.value.line == 1
 
     def test_vertex_count_ceiling_checked_at_header(self):
         # the largest vertex count the byte budget admits parses; one more,
