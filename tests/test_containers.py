@@ -893,6 +893,51 @@ def walks(monkeypatch):
     return walks
 
 
+class TestEarlyStopDriver:
+    """A walk stops as soon as it passes `CANDIDATE_BUDGET` fingerprints, and
+    the driver raises tau by half past it, walking each threshold once and
+    keeping the first walk that fits."""
+
+    def test_the_last_informative_threshold_is_walked_once_uncapped(self, monkeypatch, walks):
+        # degree 8 under a budget of 20: tau 2, 3 and 4 overflow, and tau 6
+        # is walked whole, once, and keeps its 20 containers. One candidate
+        # fewer overflows tau 6 too, and tau 9, past every exclusion set,
+        # leaves only V
+        g = random_regular_graph(16, 8, 1)
+        monkeypatch.setattr(containers, "CANDIDATE_BUDGET", 20)
+        coll = build_almost_regular_collection(g)
+        assert walks == [2, 3, 4, 6]
+        assert len(coll) == 20 and coll.stats["tau"] == 6 and not coll.stats["vacuous"]
+        walks.clear()
+        monkeypatch.setattr(containers, "CANDIDATE_BUDGET", 19)
+        coll = build_almost_regular_collection(g)
+        assert walks == [2, 3, 4, 6, 9]
+        assert len(coll) == 1 and coll.stats["tau"] == 9 and coll.stats["vacuous"]
+
+    def test_a_walk_stops_past_its_limit(self, monkeypatch):
+        g = random_graph(14, 0.5, 7)
+        whole, cut = _walked_containers(g.adj_mask, 2)
+        assert cut == 0 and len(whole) > 1
+        # at a budget of exactly its fingerprints the walk finishes; under
+        # it, the walk stops at the first fingerprint past the budget, one
+        # heavy set later, and does not walk the rest
+        monkeypatch.setattr(containers, "CANDIDATE_BUDGET", len(whole))
+        assert _walked_containers(g.adj_mask, 2) == (whole, 0)
+        heavy_calls = []
+        real = containers._heavy
+        monkeypatch.setattr(containers, "_heavy", lambda *args: heavy_calls.append(1) or real(*args))
+        for budget in (len(whole) - 1, len(whole) // 2):
+            heavy_calls.clear()
+            monkeypatch.setattr(containers, "CANDIDATE_BUDGET", budget)
+            with pytest.raises(SizeLimitError) as exc:
+                _walked_containers(g.adj_mask, 2)
+            assert exc.value.stage == "fingerprint-enumeration"
+            assert len(heavy_calls) == budget + 1 <= len(whole)
+        # a lone fingerprint is never over the limit
+        monkeypatch.setattr(containers, "CANDIDATE_BUDGET", 1)
+        assert _walked_containers(g.adj_mask, g.n) == ({0: (1 << g.n) - 1}, 0)
+
+
 class TestOneWalkPerThreshold:
     """No builder walks a threshold twice: every `_walked_containers` call
     of one build has its own tau."""
