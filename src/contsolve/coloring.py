@@ -4,12 +4,13 @@ F(G) = sum over vertex subsets V' of (-1)^(n-|V'|) * i(G[V'])^k counts the
 ordered k-tuples of independent sets whose union is V, so G is k-colorable
 iff F(G) > 0. The constrained variant confines the j-th set to a given
 container and factors through the extensions-sum evaluators. Every mode
-decides by the plain 2^n sum; containers (and auto) first answer k = 1 and
-edgeless graphs without one. The sums are exact big integers throughout:
-positivity hinges on sign cancellation, so no modular shortcuts. A "yes"
-becomes a coloring by contraction: one color class at a time, each vertex
-joining it by one sum on the uncolored vertices with the class merged into
-one, so no certificate sum is on more than n - 1 vertices.
+decides by the plain 2^n sum, after answering k = 1 and edgeless graphs
+without one; the mode only names the path in the stats. The sums are exact
+big integers throughout: positivity hinges on sign cancellation, so no
+modular shortcuts. A "yes" becomes a coloring by contraction: one color
+class at a time, each vertex joining it by one sum on the uncolored
+vertices with the class merged into one, so no certificate sum is on more
+than n - 1 vertices.
 
 The IS-count table is one Python int of 8-, 16- or 32-bit fields, built
 one block per vertex by a few big-int operations, and read out as an
@@ -213,8 +214,8 @@ def constrained_F(g: Graph, containers: list[VertexSet]) -> int:
 
 @dataclass
 class ColoringConfig:
-    # baseline | containers; auto is containers. Both decide by the whole-V
-    # sum; containers first answers k = 1 and edgeless graphs without one
+    # baseline | containers; auto is containers. All decide the same way and
+    # differ only in stats["path"], which perfbench reads
     mode: str = "auto"
     # unread; the field stays only because perfbench/workloads.py still
     # passes degree_ratio=3.0
@@ -270,7 +271,7 @@ def solve_kcoloring(g: Graph, k: int, config: ColoringConfig | None = None) -> C
     colors = min(k, max(g.n, 1))
     if mode not in ("baseline", "containers"):
         raise ParameterError(f"unknown mode {config.mode!r}")
-    if mode == "containers" and (colors == 1 or g.m == 0):
+    if colors == 1 or g.m == 0:
         # a k-coloring exists for every k when there are no edges, and for
         # k = 1 only then
         colorable = g.m == 0

@@ -1,10 +1,8 @@
 import random
-from itertools import combinations
-from math import comb
 
 import pytest
 
-from contsolve import coloring, containers, partition
+from contsolve import coloring
 from contsolve.coloring import (
     ColoringConfig,
     _signed_table,
@@ -24,7 +22,6 @@ from contsolve.core import (
     random_graph,
     random_regular_graph,
 )
-from contsolve.containers import build_almost_regular_collection, maximal_masks
 from oracles import (
     all_independent_sets,
     count_ordered_covers,
@@ -272,87 +269,6 @@ class TestConstrainedF:
             assert constrained_F(g, [_full(g)] * k) == inclusion_exclusion_F(g, k)
 
 
-def _maximal_base(g):
-    return maximal_masks(c.mask for c in build_almost_regular_collection(g).containers)
-
-
-class TestCandidateUnions:
-    """The maximal unions of exactly min(k-1, m) of the m maximal containers
-    of a graph's almost-regular collection, formed with `combinations`, are
-    the maximal unions of the walk over 1..k-1 of them,
-    `partition.container_unions`; past `UNION_BUDGET` combinations the walk
-    is refused. Coloring forms no unions: its decisions below do not change
-    with the budget."""
-
-    @staticmethod
-    def _assert_matches_the_walk(maximal, k, monkeypatch):
-        tried = sum(comb(len(maximal), s) for s in range(1, k))
-        monkeypatch.setattr(partition, "UNION_BUDGET", tried)
-        unions = []
-        for combo in combinations(maximal, min(k - 1, len(maximal))):
-            union = 0
-            for m in combo:
-                union |= m
-            unions.append(union)
-        assert maximal_masks(partition.container_unions(maximal, k - 1)) == maximal_masks(unions)
-        monkeypatch.setattr(partition, "UNION_BUDGET", tried - 1)
-        with pytest.raises(SizeLimitError) as exc:
-            partition.container_unions(maximal, k - 1)
-        assert exc.value.stage == "partition-container-materialization"
-        monkeypatch.undo()
-
-    def test_gnp(self, monkeypatch):
-        # every k whose walk is within the default budget is compared; the
-        # rest are refused at that budget
-        rng = random.Random(41)
-        compared = refused = 0
-        for n in range(8, 17):
-            for p in (0.3, 0.5, 0.7):
-                g = random_graph(n, p, rng.randrange(10**6))
-                if not g.m:
-                    continue
-                maximal = _maximal_base(g)
-                for k in range(2, 9):
-                    if sum(comb(len(maximal), s) for s in range(1, k)) <= partition.UNION_BUDGET:
-                        self._assert_matches_the_walk(maximal, k, monkeypatch)
-                        compared += 1
-                    else:
-                        with pytest.raises(SizeLimitError):
-                            partition.container_unions(maximal, k - 1)
-                        refused += 1
-        assert compared > 150 and refused > 5
-
-    def test_fallback_collection(self, monkeypatch):
-        # under a budget of 20 candidates the walks at tau = 2, 3 and 4
-        # overflow and the driver falls back to tau = 6: 20 containers, 18
-        # of them maximal
-        g = random_regular_graph(16, 8, 1)
-        monkeypatch.setattr(containers, "CANDIDATE_BUDGET", 20)
-        base = build_almost_regular_collection(g)
-        assert len(base) == 20 and base.stats["tau"] == 6
-        maximal = maximal_masks(c.mask for c in base.containers)
-        assert len(maximal) == 18
-        for k in range(2, 7):
-            self._assert_matches_the_walk(maximal, k, monkeypatch)
-
-    def test_many_maximal_containers(self, monkeypatch):
-        # 59 maximal containers: at k = 4 the unions of 1..3 of them, 34,279,
-        # are under UNION_BUDGET and at k = 5 the 489,405 of 1..4 are over,
-        # and the decision at k = 5 is the whole-V sum's all the same
-        g = random_regular_graph(20, 8, 1)
-        maximal = _maximal_base(g)
-        assert len(maximal) == 59
-        for k in (3, 4):
-            self._assert_matches_the_walk(maximal, k, monkeypatch)
-        assert sum(comb(59, s) for s in range(1, 4)) == 34279 <= partition.UNION_BUDGET
-        assert sum(comb(59, s) for s in range(1, 5)) == 489405 > partition.UNION_BUDGET
-        with pytest.raises(SizeLimitError):
-            partition.container_unions(maximal, 4)
-        want = inclusion_exclusion_F(g, 5) > 0
-        result = solve_kcoloring(g, 5, ColoringConfig(mode="containers"))
-        assert result.colorable == want and result.stats == {"path": "containers"}
-
-
 class TestSolveKColoring:
     def test_petersen(self):
         g = petersen_graph()
@@ -436,13 +352,14 @@ class TestSolveKColoring:
         assert solve_kcoloring(Graph(0, []), 10**9).colorable
 
     def test_whole_v_dispatch_matches_ie_sum_and_oracle(self):
-        # G(14, p) with k just below and at chi: the whole-V sum decides in
-        # every mode, and the stats name only the mode
+        # G(14, p) with k just below and at chi, and a 20-vertex 8-regular
+        # graph (chi = 5) up to k = 7: the whole-V sum decides in every
+        # mode, and the stats name only the mode
         rng = random.Random(17)
-        for i in range(24):
-            g = random_graph(14, (0.5, 0.6, 0.7)[i % 3], rng.randrange(10**6))
+        graphs = [random_graph(14, (0.5, 0.6, 0.7)[i % 3], rng.randrange(10**6)) for i in range(24)]
+        for g in graphs + [random_regular_graph(20, 8, 1)]:
             chi = next(k for k in range(1, g.n + 1) if is_k_colorable(g, k))
-            for k in (chi - 1, chi):
+            for k in range(chi - 1, chi + 1 if g.n < 20 else 8):
                 want = inclusion_exclusion_F(g, k) > 0
                 assert want == (k >= chi)
                 for mode in ("baseline", "containers"):
@@ -476,42 +393,6 @@ class TestSolveKColoring:
                     solve_kcoloring(g, 3, ColoringConfig(mode=mode))
                 assert exc.value.stage == "inclusion-exclusion" and "bytes" in str(exc.value)
 
-    def test_candidate_unions_stop_at_the_union_budget(self, monkeypatch):
-        # the unions of 1..k-1 maximal base containers stop past
-        # UNION_BUDGET combinations; the coloring decision forms none, so its
-        # answer is the same on either side of the budget
-        g, k = random_graph(12, 0.5, 2), 3
-        config = ColoringConfig(mode="containers")
-        want = solve_kcoloring(g, k, config).colorable
-        assert want == is_k_colorable(g, k)
-        maximal = _maximal_base(g)
-        tried = sum(comb(len(maximal), j) for j in range(1, k))
-        assert tried > 1
-        monkeypatch.setattr(partition, "UNION_BUDGET", tried)
-        partition.container_unions(maximal, k - 1)
-        r = solve_kcoloring(g, k, config)
-        assert r.colorable == want and r.stats == {"path": "containers"}
-        monkeypatch.setattr(partition, "UNION_BUDGET", tried - 1)
-        with pytest.raises(SizeLimitError) as exc:
-            partition.container_unions(maximal, k - 1)
-        assert exc.value.stage == "partition-container-materialization"
-        r = solve_kcoloring(g, k, config)
-        assert r.colorable == want and r.stats == {"path": "containers"}
-
-    def test_past_the_union_budget_the_whole_v_sum_answers(self):
-        # this graph's unions of 1..k-1 maximal base containers pass
-        # UNION_BUDGET at k = 6 and 7, where the whole-V sum still decides
-        # in a fraction of a second
-        g = random_regular_graph(20, 8, 1)
-        maximal = _maximal_base(g)
-        for k in (6, 7):
-            assert sum(comb(len(maximal), s) for s in range(1, k)) > partition.UNION_BUDGET
-            want = solve_kcoloring(g, k, ColoringConfig(mode="baseline")).colorable
-            assert want == (inclusion_exclusion_F(g, k) > 0)
-            for mode in ("auto", "containers"):
-                r = solve_kcoloring(g, k, ColoringConfig(mode=mode))
-                assert r.colorable == want and r.stats == {"path": "containers"}
-
     def test_pairs_with_sides_extsum_cannot_take_are_unpayable(self, monkeypatch):
         # G(40, 0.2) at k=2: every covering pair of sides has one of at
         # least 20 vertices, and no mode prices pairs; the whole-V sum over
@@ -536,6 +417,12 @@ class TestSolveKColoring:
                 want = solve_kcoloring(g, k, ColoringConfig(mode="baseline")).colorable
                 got = solve_kcoloring(g, k, ColoringConfig(mode="containers"))
                 assert want and got.colorable == want
+        # every mode answers k = 1 and edgeless graphs without a sum, past
+        # the whole-V sum's 24-vertex ceiling too
+        for mode in ("baseline", "containers", "auto"):
+            config = ColoringConfig(mode=mode)
+            assert solve_kcoloring(Graph(30, []), 3, config).colorable
+            assert not solve_kcoloring(random_graph(30, 0.2, 1), 1, config).colorable
 
     def test_auto_dispatch(self):
         # auto takes the container path, sparse or dense

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contsolve import partition
-from contsolve.containers import ContainerCollection, ContainerParams, maximal_masks
+from contsolve.containers import (
+    ContainerCollection,
+    ContainerParams,
+    build_almost_regular_collection,
+    maximal_masks,
+)
 from contsolve.core import (
     Graph,
     Hypergraph,
@@ -121,14 +126,25 @@ class TestContainerUnions:
 
     def test_unions_of_the_most_containers_hold_every_maximal_union(self):
         rng = random.Random(32)
+        cases = []
         for _ in range(60):
             masks = maximal_masks(rng.getrandbits(12) for _ in range(rng.randint(1, 7)))
-            count = rng.randint(1, 5)
+            cases.append((masks, rng.randint(1, 5)))
+        # the 59 maximal containers of an 8-regular graph's collection: the
+        # unions of 1..3 of them, 34,279, are within UNION_BUDGET
+        g = random_regular_graph(20, 8, 1)
+        base = maximal_masks(c.mask for c in build_almost_regular_collection(g).containers)
+        assert len(base) == 59
+        cases += [(base, 2), (base, 3)]
+        for masks, count in cases:
             sets = [VertexSet(m) for m in masks]
             most = combinations(range(len(masks)), min(count, len(masks)))
             assert maximal_masks(container_unions(masks, count)) == maximal_masks(
                 _union(sets, combo) for combo in most
             )
+        # the 489,405 unions of 1..4 are over it
+        with pytest.raises(SizeLimitError):
+            container_unions(base, 4)
 
 
 class TestVennRefinement:
