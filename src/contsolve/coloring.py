@@ -14,13 +14,19 @@ than n - 1 vertices.
 
 The IS-count table is one Python int of 8-, 16- or 32-bit fields, built
 one block per vertex by a few big-int operations, and read out as an
-array (see `count_is_dp`). The plain sum is taken as a value histogram:
-the subset parities come as one bytes object, doubled bit by bit, the
-counts of each parity are tallied by value, and each distinct count is
-raised to the k-th power once, so the per-subset work runs in C."""
+array (see `count_is_dp`). The plain sum is taken as a value histogram,
+each distinct count raised to the k-th power once, so no per-subset work
+runs in Python. When i(V), the largest count, is below 256, the counts'
+low bytes become 8 bit planes by one 8x8 bit-matrix transpose per 64-bit
+word; splitting the entries plane by plane gives the entries of each
+distinct count as one mask, and two popcounts give its signed tally. From
+256 on the split grows with the distinct counts, so a Counter tallies the
+counts of each subset parity instead, the parities coming as one bytes
+object doubled bit by bit."""
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -41,12 +47,19 @@ from .core import (
 from .extsum import ExtSumInstance, eval_k2, evaluate, reduce_refinement  # noqa: F401
 
 # peak bytes of a count_is_dp build over the bytes of its finished array:
-# 2.69-2.75 by tracemalloc at w = 20-22 (64-bit CPython 3.11)
+# 2.69-2.75 by tracemalloc at w = 20-22 (64-bit CPython 3.11). The
+# bit-plane tally after it peaks at 2.58-2.59, holding the array and its
+# bytes at once (w = 16, 20 and 22, dense graphs); the Counter tally at
+# 1.5-1.6
 IS_TABLE_PEAK_FACTOR = 3
-# bytes of each field mask count_is_dp keeps between calls, by (field
-# width, index bit): at most 33 masks, about 1 MB
+# bytes of each mask kept between calls: count_is_dp's field masks, by
+# (field width, index bit), and the bit-plane tally's three transpose masks
+# and odd-parity mask, at most 37 masks, about 1.2 MB
 MASK_CACHE_BYTES = 1 << 15
-_masks: dict[tuple[int, int], int] = {}
+_masks: dict[tuple, int] = {}
+# the delta swaps of an 8x8 bit-matrix transpose of each 64-bit word, as
+# (shift, one word of the mask)
+_TRANSPOSE = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
@@ -115,25 +128,28 @@ def _restricted(t: int, f: int, below: tuple[int, ...], adj: int) -> int:
     nbytes = (f >> 3) << len(below)
     for b, u in enumerate(below):
         if adj >> u & 1:
-            t &= _field_mask(f, b, nbytes)
+            t &= _cached_mask((f, b), nbytes, _field_mask)
             t |= t << (f << b)
     return t
 
 
-def _field_mask(f: int, b: int, nbytes: int) -> int:
-    """Ones in every f-bit field whose index has bit b clear, over at least
-    `nbytes` bytes, a multiple of the mask's period. Masks of at most
-    MASK_CACHE_BYTES are cached at that length, one per (f, b); an `&`
-    costs only its narrower operand, so each serves every narrower table."""
+def _cached_mask(key: tuple, nbytes: int, build) -> int:
+    """`build(key, size)`, a mask of `size` bytes, for a size of at least
+    `nbytes`. Masks of at most MASK_CACHE_BYTES are cached at that length,
+    one per key; an `&` costs only its narrower operand, so each serves
+    every narrower operand. Wider ones are built per call and dropped."""
     if nbytes > MASK_CACHE_BYTES:
-        return _periodic_mask(f, b, nbytes)
-    mask = _masks.get((f, b))
+        return build(key, nbytes)
+    mask = _masks.get(key)
     if mask is None:
-        mask = _masks[f, b] = _periodic_mask(f, b, MASK_CACHE_BYTES)
+        mask = _masks[key] = build(key, MASK_CACHE_BYTES)
     return mask
 
 
-def _periodic_mask(f: int, b: int, nbytes: int) -> int:
+def _field_mask(key: tuple[int, int], nbytes: int) -> int:
+    """Ones in every f-bit field whose index has bit b clear, key = (f, b),
+    over `nbytes` bytes, a multiple of the mask's period."""
+    f, b = key
     half = (f >> 3) << b  # the bytes of 2^b fields
     return int.from_bytes((b"\xff" * half + bytes(half)) * (nbytes // (2 * half)), "little")
 
@@ -154,12 +170,80 @@ def inclusion_exclusion_F(g: Graph, k: int) -> int:
     # the whole-V table's byte budget, checked at this stage, not the table's
     _field_width(g.n, "inclusion-exclusion")
     counts = count_is_dp(g, VertexSet((1 << g.n) - 1)).counts
-    odd = _parities(g.n, (1 << g.n) - 1)
-    # each distinct count is raised to the k-th power once, times how often
-    # it occurs among the subsets of each parity
-    total = sum(c * pow(i, k) for i, c in Counter(compress(counts, odd.translate(_FLIP))).items())
-    total -= sum(c * pow(i, k) for i, c in Counter(compress(counts, odd)).items())
+    top = counts[-1]  # i is monotone, so i(V) is the largest count
+    if top < 256:
+        low = _low_bytes(counts)
+        del counts  # free the array: the planes need only its low bytes
+        total = _plane_tally(low, k, top.bit_length())
+    else:
+        odd = _parities(g.n, (1 << g.n) - 1)
+        # each distinct count is raised to the k-th power once, times how
+        # often it occurs among the subsets of each parity
+        total = sum(c * pow(i, k) for i, c in Counter(compress(counts, odd.translate(_FLIP))).items())
+        total -= sum(c * pow(i, k) for i, c in Counter(compress(counts, odd)).items())
     return -total if g.n & 1 else total
+
+
+def _low_bytes(counts: array) -> bytes:
+    """The low byte of every field of `counts`, in index order."""
+    # tobytes is in host order: a field's low byte is its last on a big-endian host
+    start = 0 if sys.byteorder == "little" else counts.itemsize - 1
+    return counts.tobytes()[start :: counts.itemsize]
+
+
+def _plane_tally(low: bytes, k: int, depth: int) -> int:
+    """The sum over every index s of (-1)^|s| * low[s]^k, the values below
+    2^depth. The entries are split by one bit plane at a time, from bit
+    depth - 1 down, into masks of the entries of each distinct value v,
+    and a mask m adds v^k * (|m| - 2|m & odd|), odd being the entries of
+    odd |s|. The split is depth-first, so at most one pending mask per
+    plane is held."""
+    planes = _bit_planes(low, depth)
+    odd = _cached_mask(("odd",), (len(low) + 7) >> 3, _odd_mask)
+    total = 0
+    pending = [(0, (1 << len(low)) - 1, depth)]
+    while pending:
+        value, entries, b = pending.pop()
+        if not b:
+            total += pow(value, k) * (entries.bit_count() - 2 * (entries & odd).bit_count())
+            continue
+        b -= 1
+        ones = entries & planes[b]
+        if ones:
+            pending.append((value | 1 << b, ones, b))
+        if ones != entries:
+            pending.append((value, entries ^ ones, b))
+    return total
+
+
+def _bit_planes(low: bytes, depth: int) -> list[int]:
+    """Planes 0 .. depth - 1 of `low`: plane b has bit s set when byte s
+    has bit b set. Each 64-bit word of the bytes, zero-padded to whole
+    words, is transposed as an 8x8 bit matrix by three delta swaps on one
+    int, byte r's bit c going to byte c's bit r, so plane b is every 8th
+    byte from byte b."""
+    size = (len(low) + 7) & ~7
+    x = int.from_bytes(low, "little")
+    for shift, word in _TRANSPOSE:
+        t = (x ^ x >> shift) & _cached_mask((shift, word), size, _word_mask)
+        x ^= t ^ t << shift
+    data = x.to_bytes(size, "little")
+    return [int.from_bytes(data[b::8], "little") for b in range(depth)]
+
+
+def _word_mask(key: tuple[int, int], nbytes: int) -> int:
+    """The 64-bit word key[1] of a transpose step, over `nbytes` bytes."""
+    return int.from_bytes(key[1].to_bytes(8, "little") * (nbytes >> 3), "little")
+
+
+def _odd_mask(key: tuple, nbytes: int) -> int:
+    """Bit s set when |s| is odd, for every s below 8 * nbytes, a power of
+    two: each doubling appends the complement of the bits so far."""
+    odd, width = 0, 1
+    while width < nbytes << 3:
+        odd |= (odd ^ ((1 << width) - 1)) << width
+        width <<= 1
+    return odd
 
 
 @lru_cache(maxsize=4096)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -150,15 +151,47 @@ class TestKernelsAgainstTheLowestBitRecurrence:
             assert list(count_is_dp(g, _full(g)).counts) == is_counts_lowest_bit(g, (1 << n) - 1)
 
     def test_F_is_the_direct_signed_sum(self):
+        # an i(V) below 256 takes the bit-plane tally, one of 256 or more the
+        # Counter; up to n = 2 the table is shorter than one 64-bit word
         rng = random.Random(22)
-        for n in range(13):
-            g = random_graph(n, rng.uniform(0.2, 0.8), rng.randrange(10**6))
-            counts = is_counts_lowest_bit(g, (1 << n) - 1)
+        graphs = [Graph(8, []), Graph(8, [(0, 1)])]  # i(V) = 256 and 192
+        for n in range(17):
+            graphs += [random_graph(n, p, rng.randrange(10**6)) for p in (0.2, 0.5, 0.8)]
+        sides = set()
+        for g in graphs:
+            counts = is_counts_lowest_bit(g, (1 << g.n) - 1)
+            sides.add((g.n > 8, counts[-1] < 256))
             for k in range(1, 9):
                 direct = sum(
-                    (-1) ** (n - m.bit_count()) * c**k for m, c in enumerate(counts)
+                    (-1) ** (g.n - m.bit_count()) * c**k for m, c in enumerate(counts)
                 )
                 assert inclusion_exclusion_F(g, k) == direct
+        assert sides == {(False, True), (False, False), (True, True), (True, False)}
+
+    def test_which_tally_runs(self, monkeypatch):
+        def counter(*args):
+            raise RuntimeError("the Counter tally ran")
+
+        monkeypatch.setattr(coloring, "Counter", counter)
+        g = random_regular_graph(14, 6, 1)
+        assert count_is_dp(g, _full(g)).counts[-1] == 117
+        assert not solve_kcoloring(g, 3).colorable and solve_kcoloring(g, 4).colorable
+        g = random_regular_graph(16, 3, 1)
+        assert count_is_dp(g, _full(g)).counts[-1] == 988
+        with pytest.raises(RuntimeError, match="Counter"):
+            inclusion_exclusion_F(g, 3)
+
+    def test_low_bytes_follow_the_host_byte_order(self, monkeypatch):
+        g = random_graph(16, 0.8, 1)
+        counts = count_is_dp(g, _full(g)).counts
+        assert counts.itemsize == 4 and counts[-1] < 256
+        want = bytes(counts.tolist())
+        assert coloring._low_bytes(counts) == want
+        # the same fields as the other byte order holds them
+        counts.byteswap()
+        other = "big" if sys.byteorder == "little" else "little"
+        monkeypatch.setattr(coloring.sys, "byteorder", other)
+        assert coloring._low_bytes(counts) == want
 
     def test_signed_table_is_its_per_entry_formula(self):
         rng = random.Random(23)
