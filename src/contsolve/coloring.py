@@ -12,21 +12,21 @@ class at a time, each vertex joining it by one sum on the uncolored
 vertices with the class merged into one, so no certificate sum is on more
 than n - 1 vertices.
 
-The IS-count table is one Python int of 8-, 16- or 32-bit fields, built
-one block per vertex by a few big-int operations, and read out as an
-array (see `count_is_dp`). The plain sum is taken as a value histogram,
-each distinct count raised to the k-th power once, so no per-subset work
-runs in Python. When i(V), the largest count, is below 256, the counts'
-low bytes become 8 bit planes by one 8x8 bit-matrix transpose per 64-bit
-word; splitting the entries plane by plane gives the entries of each
-distinct count as one mask, and two popcounts give its signed tally. From
-256 on the split grows with the distinct counts, so a Counter tallies the
-counts of each subset parity instead, the parities coming as one bytes
-object doubled bit by bit."""
+The IS-count table is one Python int of fields as wide as its largest
+count needs, 8, 16 or 32 bits, built one block per vertex by a few big-int
+operations, and read out as an array (see `count_is_dp`). The plain sum is
+taken as a value histogram, each distinct count raised to the k-th power
+once, so no per-subset work runs in Python. When i(V), the largest count,
+is below 256, the table has 1-byte items, and its bytes become 8 bit
+planes by one 8x8 bit-matrix transpose per 64-bit word; splitting the
+entries plane by plane gives the entries of each distinct count as one
+mask, and one popcount, of the mask XOR the odd-parity entries, gives its
+signed tally. From 256 on the split grows with the distinct counts, so a
+Counter tallies the counts of each subset parity instead, the parities
+coming as one bytes object doubled bit by bit."""
 
 from __future__ import annotations
 
-import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -47,14 +47,17 @@ from .core import (
 from .extsum import ExtSumInstance, eval_k2, evaluate, reduce_refinement  # noqa: F401
 
 # peak bytes of a count_is_dp build over the bytes of its finished array:
-# 2.69-2.75 by tracemalloc at w = 20-22 (64-bit CPython 3.11). The
-# bit-plane tally after it peaks at 2.58-2.59, holding the array and its
-# bytes at once (w = 16, 20 and 22, dense graphs); the Counter tally at
-# 1.5-1.6
+# 2.69-2.75 by tracemalloc at w = 20-22 (64-bit CPython 3.11); the Counter
+# tally after it peaks at 1.5-1.6. The budget counts a table's bytes at the
+# width 2^w needs: over those, the whole-V sum of a dense graph's 1-byte
+# table, bit-plane tally included, peaks at 1.60 at w = 16 and 22 and at
+# 2.67-2.86 at w = 10-15
 IS_TABLE_PEAK_FACTOR = 3
 # bytes of each mask kept between calls: count_is_dp's field masks, by
 # (field width, index bit), and the bit-plane tally's three transpose masks
-# and odd-parity mask, at most 37 masks, about 1.2 MB
+# and odd-parity mask. Every width may be built at any w, so the index bits
+# whose block fits are 15, 14 and 13 at 8, 16 and 32 bits: at most 46
+# masks, about 1.5 MB
 MASK_CACHE_BYTES = 1 << 15
 _masks: dict[tuple, int] = {}
 # the delta swaps of an 8x8 bit-matrix transpose of each 64-bit word, as
@@ -85,39 +88,57 @@ def count_is_dp(g: Graph, domain: VertexSet) -> IsCountTable:
     keep_j being j's non-neighbours below j, all in t already. So block j
     is one add, shift and or of `t` and its restriction `_restricted`.
 
-    A count is at most 2^w on a domain of w vertices, and the field width f
-    of `_field_width` holds 2^w, so no field carries into the next.
+    f is the narrowest of 8, 16 and 32 that holds the table's largest
+    count: the build starts at 8 and starts again at twice the width when
+    a count reaches 2^f (see `_built`). A count is at most 2^w on a domain
+    of w vertices, so some width up to the one 2^w needs always finishes.
     `counts` is the table as an array of f-bit unsigned ints. A domain with
-    a vertex beyond g is refused with ParameterError, and a build over the
-    byte budget of `_field_width` before it starts."""
+    a vertex beyond g is refused with ParameterError, and one whose build
+    at that widest width may pass the byte budget before any build (see
+    `_check_table_bytes`)."""
     if domain.mask >> g.n:
         raise ParameterError("domain must be a vertex mask of the graph")
     order = tuple(domain)
     w = len(order)
-    f = _field_width(w, "is-count-table")
+    _check_table_bytes(w, "is-count-table")
+    f = 8
+    while (t := _built(g, order, f)) is None:
+        f <<= 1
     itemsize = f >> 3
-    t = 1
-    for j, v in enumerate(order):
-        # the restriction is a temporary, so the last block holds t, its
-        # shifted sum and their or: 2.5 finished tables
-        t |= (_restricted(t, f, order[:j], g.adj_mask[v]) + t) << (f << j)
     data = t.to_bytes(itemsize << w, "little")
     del t  # the array copies the bytes: two finished tables at most
     return IsCountTable(order=order, counts=unpack_fields(data, itemsize))
 
 
-def _field_width(w: int, stage: str) -> int:
-    """The field width f, in bits, of a w-vertex IS-count table: the
-    narrowest of 8, 16 and 32 that holds 2^w. A build may hold
-    IS_TABLE_PEAK_FACTOR times the table's f/8 * 2^w bytes; when that is
-    more than `core.MEMORY_BUDGET_BYTES`, SizeLimitError at `stage`. At 256
-    MiB this refuses every domain over 24 vertices, long before 2^w
-    outgrows a 32-bit field."""
+def _built(g: Graph, order: tuple[int, ...], f: int) -> int | None:
+    """The table over `order` as one int of f-bit fields, or None once a
+    count reaches 2^f. i is monotone, so block j's largest count is its top
+    field, t[2^j - 1] + t[keep_j], and any other field of the block
+    overflows only with it; an overflowing top field carries out past the
+    block, so t's bit length shows it after the block's add."""
+    t = 1
+    for j, v in enumerate(order):
+        # the restriction is a temporary, so the last block holds t, its
+        # shifted sum and their or: 2.5 finished tables
+        t |= (_restricted(t, f, order[:j], g.adj_mask[v]) + t) << (f << j)
+        if t.bit_length() > f << (j + 1):
+            return None
+    return t
+
+
+def _check_table_bytes(w: int, stage: str) -> None:
+    """Refuse a w-vertex IS-count table that may pass the byte budget. Its
+    fields may need the narrowest of 8, 16 and 32 bits that holds 2^w, and
+    a build may hold IS_TABLE_PEAK_FACTOR times the table's bytes at that
+    width; when that is more than `core.MEMORY_BUDGET_BYTES`,
+    SizeLimitError at `stage`. At 256 MiB this refuses every domain over 24
+    vertices, long before 2^w outgrows a 32-bit field. A narrower build
+    that is abandoned is dropped before the next starts, so none holds
+    more."""
     f = 8 if w <= 7 else 16 if w <= 15 else 32
     need = IS_TABLE_PEAK_FACTOR * ((f >> 3) << w)
     if need > MEMORY_BUDGET_BYTES:
         raise SizeLimitError(stage, _over_budget(f"a domain of {w}", need))
-    return f
 
 
 def _restricted(t: int, f: int, below: tuple[int, ...], adj: int) -> int:
@@ -168,13 +189,11 @@ def inclusion_exclusion_F(g: Graph, k: int) -> int:
     if k < 1:
         raise ParameterError("k must be at least 1")
     # the whole-V table's byte budget, checked at this stage, not the table's
-    _field_width(g.n, "inclusion-exclusion")
+    _check_table_bytes(g.n, "inclusion-exclusion")
     counts = count_is_dp(g, VertexSet((1 << g.n) - 1)).counts
-    top = counts[-1]  # i is monotone, so i(V) is the largest count
-    if top < 256:
-        low = _low_bytes(counts)
-        del counts  # free the array: the planes need only its low bytes
-        total = _plane_tally(low, k, top.bit_length())
+    if counts.itemsize == 1:
+        # i is monotone, so i(V), the last count, is the largest
+        total = _plane_tally(counts, k, counts[-1].bit_length())
     else:
         odd = _parities(g.n, (1 << g.n) - 1)
         # each distinct count is raised to the k-th power once, times how
@@ -184,28 +203,24 @@ def inclusion_exclusion_F(g: Graph, k: int) -> int:
     return -total if g.n & 1 else total
 
 
-def _low_bytes(counts: array) -> bytes:
-    """The low byte of every field of `counts`, in index order."""
-    # tobytes is in host order: a field's low byte is its last on a big-endian host
-    start = 0 if sys.byteorder == "little" else counts.itemsize - 1
-    return counts.tobytes()[start :: counts.itemsize]
-
-
-def _plane_tally(low: bytes, k: int, depth: int) -> int:
-    """The sum over every index s of (-1)^|s| * low[s]^k, the values below
-    2^depth. The entries are split by one bit plane at a time, from bit
-    depth - 1 down, into masks of the entries of each distinct value v,
-    and a mask m adds v^k * (|m| - 2|m & odd|), odd being the entries of
-    odd |s|. The split is depth-first, so at most one pending mask per
-    plane is held."""
-    planes = _bit_planes(low, depth)
-    odd = _cached_mask(("odd",), (len(low) + 7) >> 3, _odd_mask)
+def _plane_tally(counts: array, k: int, depth: int) -> int:
+    """The sum over every index s of (-1)^|s| * counts[s]^k, `counts` being
+    1-byte values below 2^depth. The entries are split by one bit plane at a
+    time, from bit depth - 1 down, into masks of the entries of each
+    distinct value v. With odd the entries of odd |s|, a mask m adds
+    v^k * (|m| - 2|m & odd|), which is v^k * (|m ^ odd| - |odd|): one
+    popcount per mask. The split is depth-first, so at most one pending
+    mask per plane is held."""
+    planes = _bit_planes(counts, depth)
+    entries = (1 << len(counts)) - 1
+    odd = _cached_mask(("odd",), (len(counts) + 7) >> 3, _odd_mask) & entries
+    half = len(counts) >> 1  # |odd|: half the entries, none of one
     total = 0
-    pending = [(0, (1 << len(low)) - 1, depth)]
+    pending = [(0, entries, depth)]
     while pending:
         value, entries, b = pending.pop()
         if not b:
-            total += pow(value, k) * (entries.bit_count() - 2 * (entries & odd).bit_count())
+            total += pow(value, k) * ((entries ^ odd).bit_count() - half)
             continue
         b -= 1
         ones = entries & planes[b]
@@ -216,14 +231,14 @@ def _plane_tally(low: bytes, k: int, depth: int) -> int:
     return total
 
 
-def _bit_planes(low: bytes, depth: int) -> list[int]:
-    """Planes 0 .. depth - 1 of `low`: plane b has bit s set when byte s
-    has bit b set. Each 64-bit word of the bytes, zero-padded to whole
-    words, is transposed as an 8x8 bit matrix by three delta swaps on one
-    int, byte r's bit c going to byte c's bit r, so plane b is every 8th
-    byte from byte b."""
-    size = (len(low) + 7) & ~7
-    x = int.from_bytes(low, "little")
+def _bit_planes(counts: array, depth: int) -> list[int]:
+    """Planes 0 .. depth - 1 of the 1-byte `counts`: plane b has bit s set
+    when byte s has bit b set. Each 64-bit word of the bytes, zero-padded
+    to whole words, is transposed as an 8x8 bit matrix by three delta
+    swaps on one int, byte r's bit c going to byte c's bit r, so plane b is
+    every 8th byte from byte b."""
+    size = (len(counts) + 7) & ~7
+    x = int.from_bytes(counts, "little")
     for shift, word in _TRANSPOSE:
         t = (x ^ x >> shift) & _cached_mask((shift, word), size, _word_mask)
         x ^= t ^ t << shift

@@ -1,5 +1,6 @@
 import random
-import sys
+from array import array
+from math import prod
 
 import pytest
 
@@ -76,18 +77,39 @@ class TestCountIsDp:
             count_is_dp(g, _full(g))
 
     def test_field_width_boundaries(self):
-        # an edgeless domain of w vertices counts 2^w, the most a w-vertex
-        # field can hold: 8-bit fields up to w = 7, 16-bit up to 15
+        # a table takes the narrowest of 8-, 16- and 32-bit fields that holds
+        # its largest count i(V). An edgeless domain of w vertices counts
+        # 2^w: 1, 2 and 4 bytes at w = 0-7, 8-15 and 16-17
         rng = random.Random(24)
         for w, itemsize in ((0, 1), (1, 1), (7, 1), (8, 2), (15, 2), (16, 4), (17, 4)):
-            for g in (Graph(w, []), random_graph(w, rng.uniform(0.1, 0.6), rng.randrange(10**6))):
-                table = count_is_dp(g, _full(g))
-                assert table.counts.itemsize == itemsize
-                assert list(table.counts) == is_counts_lowest_bit(g, (1 << w) - 1)
-            assert table.counts[-1] <= 1 << w
-            assert count_is_dp(Graph(w, []), _full(Graph(w, []))).counts[-1] == 1 << w
+            g = Graph(w, [])
+            table = count_is_dp(g, _full(g))
+            assert (table.counts[-1], table.counts.itemsize) == (1 << w, itemsize)
+            assert list(table.counts) == is_counts_lowest_bit(g, (1 << w) - 1)
+            g = random_graph(w, rng.uniform(0.1, 0.6), rng.randrange(10**6))
+            table = count_is_dp(g, _full(g))
+            top = table.counts[-1]
+            assert table.counts.itemsize == (1 if top < 256 else 2 if top < 65536 else 4)
+            assert list(table.counts) == is_counts_lowest_bit(g, (1 << w) - 1)
+        # the other sides of 256 and of 65,536, the edgeless w = 8 and 16
+        # above, whatever w: a perfect matching on 2m vertices counts 3^m
+        for g, top, itemsize in (
+            (Graph(8, [(0, 1)]), 192, 1),
+            (random_regular_graph(14, 6, 1), 117, 1),
+            (random_regular_graph(20, 1, 1), 3**10, 2),
+        ):
+            table = count_is_dp(g, _full(g))
+            assert (table.counts[-1], table.counts.itemsize) == (top, itemsize)
+            assert table.counts == array(table.counts.typecode, is_counts_lowest_bit(g, (1 << g.n) - 1))
+        # 3^11 in 32-bit fields; its 2^22 entries are checked at a sample,
+        # against the matching's product of 1, 2 or 3 per edge
+        g = random_regular_graph(22, 1, 1)
+        table = count_is_dp(g, _full(g))
+        assert (table.counts[-1], table.counts.itemsize) == (3**11, 4)
+        for s in [rng.getrandbits(22) for _ in range(2000)]:
+            assert table.counts[s] == prod(1 + (s >> u & 1) + (s >> v & 1) for u, v in g.edges)
 
-    def test_mask_cache_stays_in_its_byte_bound(self):
+    def test_mask_cache_stays_in_its_byte_bound(self, monkeypatch):
         g = random_graph(20, 0.3, 5)
         table = count_is_dp(g, _full(g))
         isets = all_independent_sets(g)
@@ -95,8 +117,19 @@ class TestCountIsDp:
         rng = random.Random(25)
         for mask in [rng.getrandbits(20) for _ in range(20)]:
             assert table.counts[mask] == sum(1 for m in isets if not m & ~mask)
-        count_is_dp(Graph(20, []), _full(Graph(20, [])))
-        assert coloring._masks
+        # every mask the cache can hold: a field mask per width and index
+        # bit b whose block fits MASK_CACHE_BYTES (b below 15, 14 and 13 at
+        # 8, 16 and 32 bits), met here by a vertex adjacent to every lower
+        # one, and a bit-plane tally's three transpose masks and odd-parity
+        # mask, cached at up to 2^15 entries
+        monkeypatch.setattr(coloring, "_masks", {})
+        k16 = complete_graph(16)  # i(V) = 17
+        k15 = Graph(20, complete_graph(15).edges)  # 16 * 2^5
+        star = Graph(18, [(v, 13) for v in range(13)])  # (2^13 + 1) * 2^4
+        for g, itemsize in ((k16, 1), (k15, 2), (star, 4)):
+            assert count_is_dp(g, _full(g)).counts.itemsize == itemsize
+        inclusion_exclusion_F(complete_graph(15), 3)
+        assert len(coloring._masks) == 15 + 14 + 13 + 4 == 46
         assert all(m.bit_length() <= 8 * coloring.MASK_CACHE_BYTES for m in coloring._masks.values())
 
     def test_byte_budget_refuses_before_building(self, monkeypatch):
@@ -180,18 +213,6 @@ class TestKernelsAgainstTheLowestBitRecurrence:
         assert count_is_dp(g, _full(g)).counts[-1] == 988
         with pytest.raises(RuntimeError, match="Counter"):
             inclusion_exclusion_F(g, 3)
-
-    def test_low_bytes_follow_the_host_byte_order(self, monkeypatch):
-        g = random_graph(16, 0.8, 1)
-        counts = count_is_dp(g, _full(g)).counts
-        assert counts.itemsize == 4 and counts[-1] < 256
-        want = bytes(counts.tolist())
-        assert coloring._low_bytes(counts) == want
-        # the same fields as the other byte order holds them
-        counts.byteswap()
-        other = "big" if sys.byteorder == "little" else "little"
-        monkeypatch.setattr(coloring.sys, "byteorder", other)
-        assert coloring._low_bytes(counts) == want
 
     def test_signed_table_is_its_per_entry_formula(self):
         rng = random.Random(23)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -390,6 +391,33 @@ class TestRegularPartitionCollection:
         monkeypatch.setattr(partition, "UNION_BUDGET", len(fitting) - 1)
         with pytest.raises(SizeLimitError):
             collection().cover_split(tup)
+
+    def test_cover_split_fallback_on_a_built_collection(self):
+        # a built collection whose 817 members pass no budget, given a base
+        # that locates every set to V: V is over the ceiling, so every split
+        # of the located containers overflows and each pair of independent
+        # sets takes the fallback. On this graph each pair's union fits one
+        # member, so every witness is the first split, A empty
+        g = random_regular_graph(12, 4, 1)
+        coll = build_partition_collection_regular(g, 2, force=True)
+        full = VertexSet((1 << g.n) - 1)
+        coll = dataclasses.replace(coll, base=dataclasses.replace(coll.base, locate=lambda independent: full))
+        assert full.cardinality > coll.size_ceiling
+        members = coll.materialize()
+        assert len(members) == 817 < partition.UNION_BUDGET
+        ranked = sorted(members, key=lambda c: (c.bit_count(), c))
+        isets = [VertexSet(m) for m in all_independent_sets(g)]
+        for tup in combinations_with_replacement(isets, 2):
+            a, ca, cb = coll.cover_split(list(tup))
+            assert a == ()
+            for group, container in ((a, ca), ((0, 1), cb)):
+                if not group:
+                    assert container is None
+                    continue
+                target = _union(tup, group)
+                # the smallest member by (size, mask) holding the group's union
+                assert container.mask == next(c for c in ranked if not target & ~c)
+                assert not target & ~container.mask
 
     def test_cover_split_refusals_are_precondition_errors(self):
         # a base with no locator, and a tuple that no union of at most two
