@@ -314,7 +314,7 @@ def constrained_F(g: Graph, containers: list[VertexSet]) -> int:
 @dataclass
 class ColoringConfig:
     # baseline | containers; auto is containers. All decide the same way and
-    # differ only in stats["path"], which perfbench reads
+    # differ only in stats["path"], which the CLI prints as counters.path
     mode: str = "auto"
     # unread; the field stays only because perfbench/workloads.py still
     # passes degree_ratio=3.0

@@ -418,7 +418,8 @@ def build_hypergraph_collection(
     the walk fits `CANDIDATE_BUDGET`; no tau is walked twice (see
     `_collection`). Container sizes are measured and reported in the stats,
     not certified, so no co-degree condition is checked; p and the final
-    tau are in the stats.
+    tau are in the stats. A p so small that 1/((r-1)p) overflows is refused
+    with ParameterError.
 
     What a vertex excludes on joining a fingerprint is its lone-vertex
     exclusion set, read in one pass over the edges: at r=2 the other end of
@@ -448,8 +449,11 @@ def build_hypergraph_collection(
                 low = mask & -mask
                 excludes[low.bit_length() - 1] |= mask ^ low
                 excludes[mask.bit_length() - 1] |= low
-    tau = _threshold(1.0 / ((r - 1) * p))
-    return _collection(structure, excludes, tau, "hypergraph", {"p": p}, keep)
+    start = 1.0 / ((r - 1) * p)
+    if math.isinf(start):
+        # below (r-1)p of about 5.6e-309 the starting threshold is no int
+        raise ParameterError(f"p {p} is too small: its threshold 1/((r-1)p) overflows")
+    return _collection(structure, excludes, _threshold(start), "hypergraph", {"p": p}, keep)
 
 
 def build_almost_regular_collection(g: Graph) -> ContainerCollection:

@@ -3,10 +3,10 @@
 A partition container collection for tuple size k has the property that any k
 independent sets can be split into two groups, each group fully inside one
 container. The containers are unions of at most k base containers kept under
-a size ceiling; one enumeration, `container_unions`, returns the set of
-such unions for the collection, which keeps them in no order: the one
-reader that needs a choice, `cover_split`'s fallback, takes the smallest
-covering union by size, then by mask. With masks of at most 64 bits it
+a size ceiling. `cover_split` gives a tuple's witness from the base
+containers locating its sets, never from the union collection. That
+collection, the set of such unions in no order, is built only on demand by
+one enumeration, `container_unions`. With masks of at most 64 bits it
 extends each combination by all later masks in one big-int OR of fixed-width
 fields, read back as an array, and counts those candidates against its
 budget one batch at a time. Two refinement primitives support the
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .core import Graph, ParameterError, PreconditionError, SizeLimitError, VertexSet, pack_fields, unpack_fields
 from .containers import (
@@ -29,9 +29,8 @@ from .containers import (
     build_regular_collection,
 )
 
-# candidate unions a `container_unions` enumeration (`materialize`, so
-# `cover_split`'s fallback) tries, and splits one `cover_split` loop tries,
-# before it raises SizeLimitError
+# candidate unions a `container_unions` enumeration (`materialize`) tries,
+# and splits one `cover_split` loop tries, before it raises SizeLimitError
 UNION_BUDGET = 200000
 # largest tuple size k the partition builders take, refused before any
 # power of two is formed: up to it epsilon = 2^-(k+2) keeps the size
@@ -182,26 +181,14 @@ def _over_union_budget(limit: int) -> SizeLimitError:
     return SizeLimitError("partition-container-materialization", f"more than {limit} candidate unions")
 
 
-def _splits(k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The 2^k splits (A, B) of range(k), in the order of A's bit mask, made
-    one at a time; asked for more than `UNION_BUDGET`, SizeLimitError."""
-    for split in range(1 << k):
-        if split == UNION_BUDGET:
-            raise SizeLimitError("partition-cover-split", f"more than {UNION_BUDGET} splits")
-        yield (
-            tuple(j for j in range(k) if split >> j & 1),
-            tuple(j for j in range(k) if not split >> j & 1),
-        )
-
-
 @dataclass
 class PartitionContainerCollection:
     """Unions of at most k base containers under the ceiling (1-epsilon)n.
 
     The union collection is only materialized on demand, as a set of int
     masks with no order; `cover_split` produces an explicit split witness
-    for a k-tuple of independent sets, from the materialized unions only
-    when the located containers overflow."""
+    for a k-tuple of independent sets from the base containers locating
+    them, without materializing."""
 
     base: ContainerCollection
     k: int
@@ -224,10 +211,10 @@ class PartitionContainerCollection:
     def materialize(self) -> frozenset[int]:
         """The distinct unions of 1..k base containers under the ceiling, as
         int masks in no order, kept in `unions`; past `UNION_BUDGET`
-        candidates, SizeLimitError. They are not sorted: only `cover_split`'s
-        fallback picks among them, and a sort by size, then by mask, is about
-        a third of this call (2.1-2.6 ms of 6.1-6.6 ms on n = 16 cli-ingest
-        graphs, best of 5, 2-CPU machine)."""
+        candidates, SizeLimitError. They are not sorted: no reader picks
+        among them, and a sort by size, then by mask, is about a third of
+        this call (2.1-2.6 ms of 6.1-6.6 ms on n = 16 cli-ingest graphs, best
+        of 5, 2-CPU machine)."""
         if self.unions is None:
             masks = [c.mask for c in self.base.containers]
             self.unions = frozenset(container_unions(masks, self.k, self.size_ceiling))
@@ -240,43 +227,32 @@ class PartitionContainerCollection:
 
         Returns (A, container_A, container_B) where A indexes the first
         group, the A-union is inside container_A and the complement-group
-        union inside container_B; an empty group gets container None. The
-        fast path unions the located base containers D_j = locate(I_j) over
-        each of the 2^k splits; the fallback gives each side the smallest
-        `materialize()` member covering its sets, by size, then by mask.
-        Both are within `UNION_BUDGET`: the splits are made one at a time,
-        and trying more than that many raises SizeLimitError, as more
-        candidate unions do. A base with no locator, or a tuple that no
-        split fits, raises PreconditionError."""
+        union inside container_B; an empty group gets container None. Each
+        side's container is the union of the located base containers
+        D_j = locate(I_j) of its sets, and the first of the 2^k splits, in
+        the order of A's bit mask, whose two unions are both under the
+        ceiling is returned. The splits are made one at a time, and trying
+        more than `UNION_BUDGET` of them raises SizeLimitError. A base with
+        no locator, or a tuple that no split fits, raises PreconditionError;
+        the union collection is never materialized."""
         if len(independents) != self.k:
             raise ParameterError(f"expected {self.k} sets, got {len(independents)}")
         if self.base.locate is None:
             raise PreconditionError("base collection has no locator")
         located = [self.base.locate(i).mask for i in independents]
         ceiling = self.size_ceiling
-        for a, b in _splits(self.k):
+        for split in range(1 << self.k):
+            if split == UNION_BUDGET:
+                raise SizeLimitError("partition-cover-split", f"more than {UNION_BUDGET} splits")
             ua = ub = 0
-            for j in a:
-                ua |= located[j]
-            for j in b:
-                ub |= located[j]
+            for j, mask in enumerate(located):
+                if split >> j & 1:
+                    ua |= mask
+                else:
+                    ub |= mask
             if ua.bit_count() <= ceiling and ub.bit_count() <= ceiling:
-                return a, VertexSet(ua) if a else None, VertexSet(ub) if b else None
-        # rare path: located containers overflow the ceiling jointly
-        members = self.materialize()
-
-        def cover(group: tuple[int, ...]) -> VertexSet | None:
-            target = 0
-            for j in group:
-                target |= independents[j].mask
-            fits = [c for c in members if not target & ~c]
-            return VertexSet(min(fits, key=lambda c: (c.bit_count(), c))) if fits else None
-
-        for a, b in _splits(self.k):
-            ca = cover(a) if a else None
-            cb = cover(b) if b else None
-            if (ca is not None or not a) and (cb is not None or not b):
-                return a, ca, cb
+                a = tuple(j for j in range(self.k) if split >> j & 1)
+                return a, VertexSet(ua) if a else None, VertexSet(ub) if len(a) < self.k else None
         raise PreconditionError("no split of the tuple fits any container pair")
 
 

@@ -228,7 +228,8 @@ def extract_structure(h: Hypergraph, params: StructureParams) -> StructureResult
     exceeds r*D (so the output max degree stays at most (r+1)*D). Success
     means the output has at least one edge per vertex of the host; the pair
     co-degree condition is then checked against the measured density and a
-    failure there is reported as its own outcome."""
+    failure there is reported as its own outcome. A bound that overflows is
+    refused with ParameterError."""
     r = h.r
     d = params.D
     eprime, degree, _, retired = _greedy_edges(h, d)
@@ -248,6 +249,10 @@ def extract_structure(h: Hypergraph, params: StructureParams) -> StructureResult
     if r >= 2:
         delta2 = max_codegree(sub, 2)
         bound = params.C * (d_eff ** (1.0 - params.epsilon))
+        if not math.isfinite(bound):
+            # a finite C can still overflow here, and the bound would print
+            # as Infinity in the report
+            raise ParameterError(f"co-degree bound C*d_eff^(1-epsilon) overflows at C = {params.C}")
         stats["delta2"] = delta2
         stats["delta2_bound"] = bound
         if delta2 > bound + 1e-9:

@@ -381,6 +381,16 @@ class TestSatCommand:
         assert code == 1
         assert report["result"]["satisfiable"] is False
 
+    def test_co_degree_bound_that_overflows_exits_two(self, capsys):
+        # a finite C times d_eff^(1-epsilon) overflowed and printed as
+        # Infinity, which is not JSON
+        argv = ["sat", "--random-ksat", "10", "40", "2", "--seed", "1",
+                "--mode", "containers", "--D", "2", "--C", "1.7e308"]
+        code = run(argv)
+        out = capsys.readouterr().out
+        assert code == 2 and json.loads(out)["error"]["type"] == "ParameterError"
+        assert "Infinity" not in out and "NaN" not in out
+
     def test_formula_without_variables_has_an_empty_model(self, capsys, tmp_path):
         path = tmp_path / "empty.cnf"
         path.write_text("p cnf 0 0\n")

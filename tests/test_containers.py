@@ -365,6 +365,21 @@ class TestHypergraphEngine:
         with pytest.raises(ParameterError, match="uniformity"):
             build_hypergraph_collection(Hypergraph(3, 1, [(0,), (2,)]), 1.0)
 
+    def test_p_whose_threshold_overflows_is_refused_before_any_walk(self, monkeypatch):
+        # 1/((r-1)p) is inf below (r-1)p of about 5.6e-309, which raised an
+        # untyped OverflowError from ceil; 1e-300 still builds {V}
+        g = cycle_graph(5)
+        triple = Hypergraph(4, 3, [(0, 1, 2), (1, 2, 3)])
+        for structure in (g, triple):
+            for p in (1e-300, 1e-308):
+                coll = build_hypergraph_collection(structure, p)
+                assert [c.mask for c in coll.containers] == [(1 << structure.n) - 1]
+        monkeypatch.setattr(containers, "_collection", None)
+        for structure in (g, triple):
+            for p in (1e-320, 5e-324):
+                with pytest.raises(ParameterError, match="threshold 1/\\(\\(r-1\\)p\\) overflows"):
+                    build_hypergraph_collection(structure, p)
+
     def test_locate_rejects_dependent_set(self):
         g = cycle_graph(6)
         regular = build_regular_collection(g, EPS, force=True)

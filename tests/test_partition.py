@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import time
@@ -349,79 +348,14 @@ class TestRegularPartitionCollection:
             monkeypatch,
         )
 
-    def test_cover_split_fallback_uses_materialized_unions(self, monkeypatch):
-        # every set locates to V, which is over the ceiling, so no split of
-        # the located containers fits and the fallback must cover each side
-        # with unions of the four pair containers
-        n = 8
-        full = VertexSet((1 << n) - 1)
-        pairs = [VertexSet.of([v, v + 1]) for v in range(0, n, 2)]
-        base = ContainerCollection(
-            containers=(*pairs, full),
-            params=None,
-            source="regular-graph",
-            locate=lambda independent: full,
-        )
+    def test_cover_split_refusals_are_precondition_errors(self, monkeypatch):
+        # a base with no locator, and a tuple whose sets both locate to V,
+        # over the ceiling, so that no split of the located containers fits;
+        # the refusal never materializes the unions, which would raise here
+        def no_unions(*args):
+            raise SizeLimitError("partition-container-materialization", "materialized")
 
-        def collection():
-            return PartitionContainerCollection(base=base, k=2, epsilon=1 / 16, n=n, source="regular")
-
-        coll = collection()
-        assert full.cardinality > coll.size_ceiling
-        tup = [VertexSet.of([0, 2]), VertexSet.of([5])]
-        a, ca, cb = coll.cover_split(tup)
-        # all three of {0, 2, 5} need three pairs, so the sets are split
-        assert a == (0,)
-        members = coll.materialize()
-        for j, target in ((0, ca), (1, cb)):
-            assert isinstance(target, VertexSet)
-            assert target.mask in members and tup[j].issubset(target)
-            assert target.cardinality <= coll.size_ceiling
-            # the smallest covering union, by size, then by mask
-            covering = [c for c in members if not tup[j].mask & ~c]
-            assert target.mask == min(covering, key=lambda c: (c.bit_count(), c))
-        # 4 single pairs and 6 unions of two fit the ceiling: one fewer is refused
-        fitting = [
-            combo
-            for j in (1, 2)
-            for combo in combinations(range(len(base.containers)), j)
-            if _union(base.containers, combo).bit_count() <= coll.size_ceiling
-        ]
-        assert len(fitting) == 10
-        monkeypatch.setattr(partition, "UNION_BUDGET", len(fitting) - 1)
-        with pytest.raises(SizeLimitError):
-            collection().cover_split(tup)
-
-    def test_cover_split_fallback_on_a_built_collection(self):
-        # a built collection whose 817 members pass no budget, given a base
-        # that locates every set to V: V is over the ceiling, so every split
-        # of the located containers overflows and each pair of independent
-        # sets takes the fallback. On this graph each pair's union fits one
-        # member, so every witness is the first split, A empty
-        g = random_regular_graph(12, 4, 1)
-        coll = build_partition_collection_regular(g, 2, force=True)
-        full = VertexSet((1 << g.n) - 1)
-        coll = dataclasses.replace(coll, base=dataclasses.replace(coll.base, locate=lambda independent: full))
-        assert full.cardinality > coll.size_ceiling
-        members = coll.materialize()
-        assert len(members) == 817 < partition.UNION_BUDGET
-        ranked = sorted(members, key=lambda c: (c.bit_count(), c))
-        isets = [VertexSet(m) for m in all_independent_sets(g)]
-        for tup in combinations_with_replacement(isets, 2):
-            a, ca, cb = coll.cover_split(list(tup))
-            assert a == ()
-            for group, container in ((a, ca), ((0, 1), cb)):
-                if not group:
-                    assert container is None
-                    continue
-                target = _union(tup, group)
-                # the smallest member by (size, mask) holding the group's union
-                assert container.mask == next(c for c in ranked if not target & ~c)
-                assert not target & ~container.mask
-
-    def test_cover_split_refusals_are_precondition_errors(self):
-        # a base with no locator, and a tuple that no union of at most two
-        # pair containers covers on either side of any split
+        monkeypatch.setattr(partition, "container_unions", no_unions)
         n = 8
         full = VertexSet((1 << n) - 1)
         pairs = tuple(VertexSet.of([v, v + 1]) for v in range(0, n, 2))
@@ -432,6 +366,8 @@ class TestRegularPartitionCollection:
             coll = PartitionContainerCollection(base=base, k=2, epsilon=1 / 16, n=n, source="regular")
             with pytest.raises(PreconditionError, match=message):
                 coll.cover_split(tup)
+        with pytest.raises(SizeLimitError, match="materialized"):
+            coll.materialize()
 
     def test_cover_split_at_a_large_k_makes_splits_one_at_a_time(self, monkeypatch):
         # 2^40 splits could not all be made: the first is tried at once, and
@@ -495,6 +431,35 @@ class TestTupleSizeBound:
             assert g.n - 1 < coll.size_ceiling < g.n
 
 
+def _irregular_graphs():
+    """The star K1,5 and six irregular G(10, p) graphs."""
+    rng = random.Random(19)
+    graphs = [Graph(6, [(0, i) for i in range(1, 6)])]
+    while len(graphs) < 7:
+        g = random_graph(10, rng.choice([0.3, 0.5]), rng.randrange(10**6))
+        if g.m and not g.is_regular():
+            graphs.append(g)
+    return graphs
+
+
+def test_base_containers_fit_the_ceiling():
+    # `cover_split` answers only from the located containers. At k = 2 a
+    # split of two of them fails only when one is over the ceiling, since
+    # their union is at least the larger; so while every base container
+    # fits, no tuple is refused, and a change that grows containers past
+    # the ceiling fails here rather than inside `cover_split`
+    regular = [
+        cycle_graph(16), random_regular_graph(18, 4, 7), random_regular_graph(16, 4, 8),
+        cycle_graph(12), random_regular_graph(12, 4, 9), random_regular_graph(10, 4, 10),
+    ]
+    for k in (2, 3):
+        colls = [build_partition_collection_regular(g, k, force=True) for g in regular]
+        colls += [build_partition_collection_almost_regular(g, k) for g in _irregular_graphs()]
+        for coll in colls:
+            assert coll.base.containers
+            assert max(c.cardinality for c in coll.base.containers) <= coll.size_ceiling
+
+
 class TestAlmostRegularPartitionCollection:
     def test_epsilon_constant(self):
         # a regular graph measures C = 1, so epsilon'' = 1/(C*2^(k+2)) is
@@ -510,13 +475,7 @@ class TestAlmostRegularPartitionCollection:
     def test_cover_split_on_irregular_graphs(self):
         # the ceiling reads the measured ratio C; the star K1,5 (C = 3) was
         # refused while C was an option defaulting to 2
-        rng = random.Random(19)
-        graphs = [Graph(6, [(0, i) for i in range(1, 6)])]
-        while len(graphs) < 7:
-            g = random_graph(10, rng.choice([0.3, 0.5]), rng.randrange(10**6))
-            if g.m and not g.is_regular():
-                graphs.append(g)
-        for g in graphs:
+        for g in _irregular_graphs():
             ratio = g.max_degree / g.average_degree
             isets = [VertexSet(m) for m in all_independent_sets(g)][:40]
             for k in (2, 3):

@@ -260,6 +260,14 @@ class TestExtractStructure:
                 StructureParams(D=1, C=bad, epsilon=0.5)
         assert StructureParams(D=1, C=1e300, epsilon=0.5).C == 1e300
 
+    def test_co_degree_bound_that_overflows_is_refused(self):
+        # C is finite, but C*d_eff^(1-epsilon) with d_eff = 1.875 is not
+        h = Hypergraph(8, 3, list(combinations(range(8), 3)))
+        found = extract_structure(h, StructureParams(D=3, C=1e300, epsilon=0.1))
+        assert found.status == "found" and math.isfinite(found.stats["delta2_bound"])
+        with pytest.raises(ParameterError, match="co-degree bound"):
+            extract_structure(h, StructureParams(D=3, C=1.7e308, epsilon=0.1))
+
 
 AUTO_WIDE_PATH = "dpll (clause width 3 or more: the only container is every literal)"
 
