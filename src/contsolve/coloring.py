@@ -14,24 +14,27 @@ than n - 1 vertices.
 
 The IS-count table is one Python int of fields as wide as its largest
 count needs, 8, 16 or 32 bits, built one block per vertex by a few big-int
-operations, and read out as an array (see `count_is_dp`). The plain sum is
-taken as a value histogram, each distinct count raised to the k-th power
-once, so no per-subset work runs in Python. When i(V), the largest count,
-is below 256, the table has 1-byte items, and its bytes become 8 bit
-planes by one 8x8 bit-matrix transpose per 64-bit word; splitting the
-entries plane by plane gives the entries of each distinct count as one
-mask, and one popcount, of the mask XOR the odd-parity entries, gives its
-signed tally. From 256 on the split grows with the distinct counts, so a
-Counter tallies the counts of each subset parity instead, the parities
-coming as one bytes object doubled bit by bit."""
+operations and widened in place when a count passes its field (see
+`count_is_dp`); it is unpacked into an array only for a caller that
+indexes it. The plain sum is taken as a value histogram, each distinct
+count raised to the k-th power once, so no per-subset work runs in Python.
+When i(V), the largest count, is below 256, the table has 1-byte fields,
+and the packed int itself becomes 8 bit planes by one 8x8 bit-matrix
+transpose per 64-bit word; splitting the entries plane by plane gives the
+entries of each distinct count as one mask, and one popcount, of the mask
+XOR the odd-parity entries, gives its signed tally. From 256 on the split
+grows with the distinct counts, so a Counter tallies the array's counts of
+each subset parity instead, the parities coming as one bytes object
+doubled bit by bit."""
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
+from operator import mul
 
 from .core import (
     MEMORY_BUDGET_BYTES,
@@ -46,32 +49,48 @@ from .core import (
 # bound by `from .extsum import` is patched, and names this one
 from .extsum import ExtSumInstance, eval_k2, evaluate, reduce_refinement  # noqa: F401
 
-# peak bytes of a count_is_dp build over the bytes of its finished array:
-# 2.69-2.75 by tracemalloc at w = 20-22 (64-bit CPython 3.11); the Counter
-# tally after it peaks at 1.5-1.6. The budget counts a table's bytes at the
-# width 2^w needs: over those, the whole-V sum of a dense graph's 1-byte
-# table, bit-plane tally included, peaks at 1.60 at w = 16 and 22 and at
-# 2.67-2.86 at w = 10-15
+# peak bytes of a count_is_dp build over the bytes of its finished table:
+# 2.67-2.70 by tracemalloc at w = 16-22 (64-bit CPython 3.11), tables that
+# widen in their last block included, and up to 3.9 at w = 10-15, where a
+# few hundred bytes of small objects count. The budget counts a table's
+# bytes at the width 2^w needs: over those, the whole-V sum peaks at
+# 1.33-1.34 on a dense graph's 1-byte table at w = 16-22 (2.2-2.5 at
+# w = 11-15), at the build's 2.67 on a 32-bit table, and at 3.0-3.3 only on
+# the 1-2 KB tables of w = 10-11
 IS_TABLE_PEAK_FACTOR = 3
 # bytes of each mask kept between calls: count_is_dp's field masks, by
 # (field width, index bit), and the bit-plane tally's three transpose masks
-# and odd-parity mask. Every width may be built at any w, so the index bits
-# whose block fits are 15, 14 and 13 at 8, 16 and 32 bits: at most 46
-# masks, about 1.5 MB
+# and odd-parity mask. A build widens to 16 bits once a count passes 255,
+# at block 7 or later, and to 32 once one passes 65,535, at block 15 or
+# later, whose blocks are past this size; so the index bits whose block
+# fits are 0-14 at 8 bits and 0-13 at 16, and no 32-bit mask is kept: at
+# most 33 masks, about 1.1 MB
 MASK_CACHE_BYTES = 1 << 15
 _masks: dict[tuple, int] = {}
 # the delta swaps of an 8x8 bit-matrix transpose of each 64-bit word, as
 # (shift, one word of the mask)
 _TRANSPOSE = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+# a parity byte as the signed byte of its sign, 1 or -1
+_SIGN = bytes.maketrans(b"\x00\x01", b"\x01\xff")
 
 
 @dataclass(frozen=True)
 class IsCountTable:
-    """Independent-set counts i(G[V']) for every subset V' of a domain."""
+    """Independent-set counts i(G[V']) for every subset V' of a domain, as
+    one int of `itemsize`-byte unsigned fields, field r, at bit
+    8 * itemsize * r, holding the count of the local bitmask r over
+    `order`."""
 
     order: tuple[int, ...]  # ascending vertex ids of the domain
-    counts: array  # indexed by local bitmask over `order`
+    packed: int
+    itemsize: int  # 1, 2 or 4
+
+    @cached_property
+    def counts(self) -> array:
+        """The fields as an array, indexed by local bitmask; unpacked on the
+        first read and kept with the table."""
+        return unpack_fields(self.packed.to_bytes(self.itemsize << len(self.order), "little"), self.itemsize)
 
 
 @lru_cache(maxsize=2048)
@@ -89,41 +108,55 @@ def count_is_dp(g: Graph, domain: VertexSet) -> IsCountTable:
     is one add, shift and or of `t` and its restriction `_restricted`.
 
     f is the narrowest of 8, 16 and 32 that holds the table's largest
-    count: the build starts at 8 and starts again at twice the width when
-    a count reaches 2^f (see `_built`). A count is at most 2^w on a domain
-    of w vertices, so some width up to the one 2^w needs always finishes.
-    `counts` is the table as an array of f-bit unsigned ints. A domain with
-    a vertex beyond g is refused with ParameterError, and one whose build
-    at that widest width may pass the byte budget before any build (see
+    count: the build starts at 8 and widens the blocks it has built to
+    twice the width when a count reaches 2^f (see `_built`). A count is at
+    most 2^w on a domain of w vertices, so the width 2^w needs always
+    holds it. The table is returned packed, t itself with `itemsize` f / 8;
+    its `counts` array is unpacked only when read. A domain with a vertex
+    beyond g is refused with ParameterError, and one whose build at that
+    widest width may pass the byte budget before any build (see
     `_check_table_bytes`)."""
     if domain.mask >> g.n:
         raise ParameterError("domain must be a vertex mask of the graph")
     order = tuple(domain)
-    w = len(order)
-    _check_table_bytes(w, "is-count-table")
-    f = 8
-    while (t := _built(g, order, f)) is None:
-        f <<= 1
-    itemsize = f >> 3
-    data = t.to_bytes(itemsize << w, "little")
-    del t  # the array copies the bytes: two finished tables at most
-    return IsCountTable(order=order, counts=unpack_fields(data, itemsize))
+    _check_table_bytes(len(order), "is-count-table")
+    t, f = _built(g, order)
+    return IsCountTable(order=order, packed=t, itemsize=f >> 3)
 
 
-def _built(g: Graph, order: tuple[int, ...], f: int) -> int | None:
-    """The table over `order` as one int of f-bit fields, or None once a
-    count reaches 2^f. i is monotone, so block j's largest count is its top
-    field, t[2^j - 1] + t[keep_j], and any other field of the block
-    overflows only with it; an overflowing top field carries out past the
-    block, so t's bit length shows it after the block's add."""
-    t = 1
+def _built(g: Graph, order: tuple[int, ...]) -> tuple[int, int]:
+    """The table over `order` as one int of f-bit fields, and f. i is
+    monotone, so block j's largest count is its top field,
+    t[2^j - 1] + t[keep_j], and any other field of the block overflows only
+    with it; an overflowing top field carries out past the block, so the
+    grown table's bit length shows it. That count is at most twice
+    t[2^j - 1] < 2^f, so the blocks before j are widened to 2f-bit fields
+    in place and block j is built again once, at 2f."""
+    t, f = 1, 8
     for j, v in enumerate(order):
-        # the restriction is a temporary, so the last block holds t, its
-        # shifted sum and their or: 2.5 finished tables
-        t |= (_restricted(t, f, order[:j], g.adj_mask[v]) + t) << (f << j)
-        if t.bit_length() > f << (j + 1):
-            return None
-    return t
+        while True:
+            # the restriction is a temporary, so the last block holds t, its
+            # shifted sum and their or: 2.5 finished tables
+            grown = t | (_restricted(t, f, order[:j], g.adj_mask[v]) + t) << (f << j)
+            if grown.bit_length() <= f << (j + 1):
+                break
+            del grown  # before the wider copy of t is made
+            t = _widened(t, f, 1 << j)
+            f <<= 1
+        t = grown
+    return t, f
+
+
+def _widened(t: int, f: int, fields: int) -> int:
+    """The `fields` f-bit fields of t as 2f-bit fields: byte b of every
+    field is copied to byte b of its wider field by one strided slice
+    assignment, and the high bytes stay zero."""
+    size = f >> 3
+    data = t.to_bytes(size * fields, "little")
+    wide = bytearray(2 * len(data))
+    for b in range(size):
+        wide[b::2 * size] = data[b::size]
+    return int.from_bytes(wide, "little")
 
 
 def _check_table_bytes(w: int, stage: str) -> None:
@@ -132,9 +165,9 @@ def _check_table_bytes(w: int, stage: str) -> None:
     a build may hold IS_TABLE_PEAK_FACTOR times the table's bytes at that
     width; when that is more than `core.MEMORY_BUDGET_BYTES`,
     SizeLimitError at `stage`. At 256 MiB this refuses every domain over 24
-    vertices, long before 2^w outgrows a 32-bit field. A narrower build
-    that is abandoned is dropped before the next starts, so none holds
-    more."""
+    vertices, long before 2^w outgrows a 32-bit field. A build that widens
+    drops its failed block first, and its blocks before the widening are at
+    most half the finished table, so none holds more."""
     f = 8 if w <= 7 else 16 if w <= 15 else 32
     need = IS_TABLE_PEAK_FACTOR * ((f >> 3) << w)
     if need > MEMORY_BUDGET_BYTES:
@@ -190,11 +223,24 @@ def inclusion_exclusion_F(g: Graph, k: int) -> int:
         raise ParameterError("k must be at least 1")
     # the whole-V table's byte budget, checked at this stage, not the table's
     _check_table_bytes(g.n, "inclusion-exclusion")
-    counts = count_is_dp(g, VertexSet((1 << g.n) - 1)).counts
-    if counts.itemsize == 1:
-        # i is monotone, so i(V), the last count, is the largest
-        total = _plane_tally(counts, k, counts[-1].bit_length())
+    table = count_is_dp(g, VertexSet((1 << g.n) - 1))
+    if table.itemsize == 1:
+        # i is monotone, so i(V), the last of the 2^n fields, is the largest
+        # count, and its bit length is the table's past the other fields
+        depth = table.packed.bit_length() - (8 << g.n) + 8
+        # the transpose is handed the table's only reference, so the table
+        # is freed at its first swap, not held beside its copies
+        held = [table.packed]
+        del table
+        total = _plane_tally(_bit_planes(held.pop(), 1 << g.n, depth), 1 << g.n, k)
     else:
+        # the array is unpacked once the packed int is dropped, so at most
+        # two copies of the table are held
+        itemsize = table.itemsize
+        data = table.packed.to_bytes(itemsize << g.n, "little")
+        del table
+        counts = unpack_fields(data, itemsize)
+        del data
         odd = _parities(g.n, (1 << g.n) - 1)
         # each distinct count is raised to the k-th power once, times how
         # often it occurs among the subsets of each parity
@@ -203,20 +249,19 @@ def inclusion_exclusion_F(g: Graph, k: int) -> int:
     return -total if g.n & 1 else total
 
 
-def _plane_tally(counts: array, k: int, depth: int) -> int:
-    """The sum over every index s of (-1)^|s| * counts[s]^k, `counts` being
-    1-byte values below 2^depth. The entries are split by one bit plane at a
-    time, from bit depth - 1 down, into masks of the entries of each
-    distinct value v. With odd the entries of odd |s|, a mask m adds
-    v^k * (|m| - 2|m & odd|), which is v^k * (|m ^ odd| - |odd|): one
-    popcount per mask. The split is depth-first, so at most one pending
-    mask per plane is held."""
-    planes = _bit_planes(counts, depth)
-    entries = (1 << len(counts)) - 1
-    odd = _cached_mask(("odd",), (len(counts) + 7) >> 3, _odd_mask) & entries
-    half = len(counts) >> 1  # |odd|: half the entries, none of one
+def _plane_tally(planes: list[int], size: int, k: int) -> int:
+    """The sum over every index s < size of (-1)^|s| * v_s^k, `planes` being
+    the bit planes of the values v_s, plane b having bit s set when v_s has
+    bit b set. The entries are split by one plane at a time, from the top
+    down, into masks of the entries of each distinct value v. With odd the
+    entries of odd |s|, a mask m adds v^k * (|m| - 2|m & odd|), which is
+    v^k * (|m ^ odd| - |odd|): one popcount per mask. The split is
+    depth-first, so at most one pending mask per plane is held."""
+    entries = (1 << size) - 1
+    odd = _cached_mask(("odd",), (size + 7) >> 3, _odd_mask) & entries
+    half = size >> 1  # |odd|: half the entries, none of one
     total = 0
-    pending = [(0, entries, depth)]
+    pending = [(0, entries, len(planes))]
     while pending:
         value, entries, b = pending.pop()
         if not b:
@@ -231,14 +276,13 @@ def _plane_tally(counts: array, k: int, depth: int) -> int:
     return total
 
 
-def _bit_planes(counts: array, depth: int) -> list[int]:
-    """Planes 0 .. depth - 1 of the 1-byte `counts`: plane b has bit s set
-    when byte s has bit b set. Each 64-bit word of the bytes, zero-padded
-    to whole words, is transposed as an 8x8 bit matrix by three delta
-    swaps on one int, byte r's bit c going to byte c's bit r, so plane b is
-    every 8th byte from byte b."""
-    size = (len(counts) + 7) & ~7
-    x = int.from_bytes(counts, "little")
+def _bit_planes(x: int, size: int, depth: int) -> list[int]:
+    """Planes 0 .. depth - 1 of the `size` 1-byte fields packed in x: plane
+    b has bit s set when field s has bit b set. Each 64-bit word of x, its
+    fields zero-padded to whole words, is transposed as an 8x8 bit matrix
+    by three delta swaps, field r's bit c going to field c's bit r, so
+    plane b is every 8th byte from byte b."""
+    size = (size + 7) & ~7
     for shift, word in _TRANSPOSE:
         t = (x ^ x >> shift) & _cached_mask((shift, word), size, _word_mask)
         x ^= t ^ t << shift
@@ -273,8 +317,8 @@ def _signed_table(g: Graph, container: VertexSet, fresh: int) -> tuple[tuple[int
     for j, v in enumerate(order):
         if (fresh >> v) & 1:
             fresh_local |= 1 << j
-    signs = _parities(len(order), fresh_local)
-    return order, tuple(-c if s else c for c, s in zip(table.counts, signs))
+    signs = array("b", _parities(len(order), fresh_local).translate(_SIGN))
+    return order, tuple(map(mul, table.counts, signs))
 
 
 def constrained_extsum_instance(g: Graph, containers: list[VertexSet]) -> ExtSumInstance:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from array import array
 from math import prod
 
@@ -118,19 +119,42 @@ class TestCountIsDp:
         for mask in [rng.getrandbits(20) for _ in range(20)]:
             assert table.counts[mask] == sum(1 for m in isets if not m & ~mask)
         # every mask the cache can hold: a field mask per width and index
-        # bit b whose block fits MASK_CACHE_BYTES (b below 15, 14 and 13 at
-        # 8, 16 and 32 bits), met here by a vertex adjacent to every lower
-        # one, and a bit-plane tally's three transpose masks and odd-parity
-        # mask, cached at up to 2^15 entries
+        # bit b whose block fits MASK_CACHE_BYTES, met here by a vertex
+        # adjacent to every lower one, and a bit-plane tally's three
+        # transpose masks and odd-parity mask, cached at up to 2^15 entries.
+        # b runs below 15 at 8 bits and below 14 at 16 bits; a build widens
+        # to 16 bits only once a count passes 255, at block 7 or later. It
+        # widens to 32 only once one passes 65,535, at block 15 or later,
+        # whose 2^15 fields of 4 bytes are past the cache, so no 32-bit
+        # mask is kept
         monkeypatch.setattr(coloring, "_masks", {})
         k16 = complete_graph(16)  # i(V) = 17
-        k15 = Graph(20, complete_graph(15).edges)  # 16 * 2^5
-        star = Graph(18, [(v, 13) for v in range(13)])  # (2^13 + 1) * 2^4
-        for g, itemsize in ((k16, 1), (k15, 2), (star, 4)):
-            assert count_is_dp(g, _full(g)).counts.itemsize == itemsize
+        star = Graph(15, [(v, 14) for v in range(14)])  # 2^14 + 1
+        hub = Graph(18, [(v, 17) for v in range(17)])  # 2^17 + 1
+        for g, itemsize in ((k16, 1), (star, 2), (hub, 4)):
+            assert count_is_dp(g, _full(g)).itemsize == itemsize
         inclusion_exclusion_F(complete_graph(15), 3)
-        assert len(coloring._masks) == 15 + 14 + 13 + 4 == 46
+        assert len(coloring._masks) == 15 + 14 + 4 == 33
+        assert (32, 0) not in coloring._masks
         assert all(m.bit_length() <= 8 * coloring.MASK_CACHE_BYTES for m in coloring._masks.values())
+
+    def test_widening_in_the_last_blocks(self):
+        # a count that passes the field widens the blocks built so far in
+        # place, and the block is built again at twice the width. These
+        # tables pass 255 or 65,535 only at the given block, i(V) being the
+        # largest count
+        for g, limit, block, itemsize in (
+            (random_regular_graph(14, 4, 3), 255, 13, 2),  # i(V) = 261
+            (random_regular_graph(19, 8, 1), 255, 18, 2),  # 278
+            (Graph(17, [(0, 1)]), 65535, 16, 4),  # 3 * 2^15
+            (random_graph(18, 0.06, 14), 65535, 17, 4),  # 69,120
+        ):
+            counts = is_counts_lowest_bit(g, (1 << g.n) - 1)
+            # the top count of block j is i(G[0..j]), at index 2^(j+1) - 1
+            assert min(j for j in range(g.n) if counts[(2 << j) - 1] > limit) == block
+            table = count_is_dp(g, _full(g))
+            assert table.itemsize == table.counts.itemsize == itemsize
+            assert table.counts == array(table.counts.typecode, counts)
 
     def test_byte_budget_refuses_before_building(self, monkeypatch):
         # IS_TABLE_PEAK_FACTOR times the array's bytes: 2-byte fields, so a
@@ -213,6 +237,39 @@ class TestKernelsAgainstTheLowestBitRecurrence:
         assert count_is_dp(g, _full(g)).counts[-1] == 988
         with pytest.raises(RuntimeError, match="Counter"):
             inclusion_exclusion_F(g, 3)
+
+    def test_bit_plane_tally_reads_the_packed_table(self, monkeypatch):
+        # a 1-byte table's sum takes its bit planes from the packed int the
+        # build returned, so no array is unpacked
+        def unpacked(*args):
+            raise AssertionError("the table was unpacked")
+
+        monkeypatch.setattr(coloring, "unpack_fields", unpacked)
+        rng = random.Random(26)
+        for n in range(17):
+            g = random_graph(n, 0.75, rng.randrange(10**6))
+            counts = is_counts_lowest_bit(g, (1 << n) - 1)
+            assert counts[-1] < 256
+            for k in (2, 3, 5):
+                direct = sum((-1) ** (n - m.bit_count()) * c**k for m, c in enumerate(counts))
+                assert inclusion_exclusion_F(g, k) == direct
+
+    def test_sum_peak_stays_in_the_byte_budget(self):
+        # the budget counts the fields 2^w needs, 32 bits at w = 16. The
+        # masks kept between calls are bounded apart (MASK_CACHE_BYTES), so
+        # each sum is traced on its second run
+        budget = coloring.IS_TABLE_PEAK_FACTOR * 4 << 16
+        for g, itemsize in ((random_graph(16, 0.7, 1), 1), (random_regular_graph(16, 1, 1), 2),
+                            (Graph(16, []), 4)):
+            assert count_is_dp(g, _full(g)).itemsize == itemsize
+            want = inclusion_exclusion_F(g, 3)
+            tracemalloc.start()
+            try:
+                assert inclusion_exclusion_F(g, 3) == want
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < budget, (itemsize, peak / budget)
 
     def test_signed_table_is_its_per_entry_formula(self):
         rng = random.Random(23)
