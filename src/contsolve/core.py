@@ -1,6 +1,7 @@
 """Core data types: graphs, uniform hypergraphs, CNF formulas, bitmask vertex sets.
 
-All types are immutable after construction and safe to share between threads.
+All types are immutable after construction and safe to share between threads;
+a hypergraph builds its edge masks on their first read, each time the same.
 Vertex ids are 0-indexed internally; the DIMACS boundary is 1-indexed.
 
 The constructors `Graph`, `Hypergraph` and `CnfFormula` check what a direct
@@ -279,7 +280,7 @@ class Hypergraph:
     count with multiplicity in co-degree queries.
     """
 
-    __slots__ = ("n", "r", "edges", "edge_masks")
+    __slots__ = ("n", "r", "edges", "_edge_masks")
 
     def __init__(self, n: int, r: int, edges):
         if n < 0:
@@ -287,7 +288,6 @@ class Hypergraph:
         if r < 1:
             raise ParameterError("uniformity must be at least 1")
         norm = []
-        masks = []
         for e in edges:
             e = tuple(sorted(e))
             # a repeated vertex is named before a vertex out of range
@@ -295,29 +295,32 @@ class Hypergraph:
                 raise ParameterError(f"edge {e} does not have exactly {r} distinct vertices")
             if e[0] < 0 or e[-1] >= n:
                 raise ParameterError(f"vertex id out of range in edge {e}")
-            mask = 0
-            for v in e:
-                mask |= 1 << v
             norm.append(e)
-            masks.append(mask)
-        _fill_hypergraph(self, n, r, norm, masks)
+        _fill_hypergraph(self, n, r, norm)
 
     def __setattr__(self, name, value):
         raise AttributeError("Hypergraph is immutable")
+
+    @property
+    def edge_masks(self) -> tuple[int, ...]:
+        """Each edge's vertex bitmask, built on the first read: the r >= 3
+        container engine and `sat`'s structure greedy never read them."""
+        if self._edge_masks is None:
+            object.__setattr__(self, "_edge_masks", tuple(sum(1 << v for v in e) for e in self.edges))
+        return self._edge_masks
 
     def is_independent(self, vertices: int) -> bool:
         """True when the bitmask spans no edge entirely."""
         return all(em & vertices != em for em in self.edge_masks)
 
 
-def _fill_hypergraph(h: Hypergraph, n: int, r: int, edges: list, masks: list) -> None:
-    """Set a Hypergraph's fields from checked parts: its edges as sorted
-    r-tuples of distinct vertices below n, and their masks, both taken as
-    they are."""
+def _fill_hypergraph(h: Hypergraph, n: int, r: int, edges) -> None:
+    """Set a Hypergraph's fields from checked edges, sorted r-tuples of
+    distinct vertices below n, taken as they are."""
     object.__setattr__(h, "n", n)
     object.__setattr__(h, "r", r)
     object.__setattr__(h, "edges", tuple(edges))
-    object.__setattr__(h, "edge_masks", tuple(masks))
+    object.__setattr__(h, "_edge_masks", None)
 
 
 def max_codegree(h: Hypergraph, i: int) -> int:

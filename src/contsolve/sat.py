@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .core import (
     CnfFormula,
@@ -41,26 +42,23 @@ def build_literal_hypergraph(phi: CnfFormula) -> Hypergraph:
     formula, with one edge per clause: the vertices of its negated literals.
 
     `CnfFormula` already rejects a clause that repeats a variable, so each
-    edge has k distinct vertices below 2n: the edges are built sorted, with
-    their masks, and taken as they are."""
+    edge has k distinct vertices below 2n: the edges are built sorted and
+    taken as they are."""
     if not phi.clauses:
         raise ParameterError("formula has no clauses")
     k = len(phi.clauses[0])
-    for clause in phi.clauses:
-        if len(clause) != k:
-            raise ParameterError(
-                f"mixed clause widths ({len(clause)} vs {k}); pad or split upstream"
-            )
+    # phi.k is the widest clause, so the widths agree when the narrowest is
+    # as wide; only a refusal looks for the first clause that differs
+    if min(map(len, phi.clauses)) != phi.k:
+        width = next(len(c) for c in phi.clauses if len(c) != k)
+        raise ParameterError(f"mixed clause widths ({width} vs {k}); pad or split upstream")
     n = phi.num_vars
-    # negated[lit] is the vertex of -lit; a negative lit indexes from the end
-    negated = [None, *(literal_vertex(-lit) for lit in (*range(1, n + 1), *range(-n, 0)))]
-    edges = [tuple(sorted(map(negated.__getitem__, clause))) for clause in phi.clauses]
-    # bit[lit] is the bit of -lit's vertex; those of a clause are distinct,
-    # so they sum to its edge's mask
-    bit = [None, *(1 << v for v in negated[1:])]
-    masks = [sum(map(bit.__getitem__, clause)) for clause in phi.clauses]
+    # negated[lit] is the vertex of -lit: 2(lit-1)+1 for lit > 0, and a
+    # negative lit indexes from the end, where -n .. -1 own 2(n-1) .. 0
+    negated = [None, *range(1, 2 * n, 2), *range(2 * n - 2, -1, -2)]
+    edges = tuple(map(tuple, map(sorted, map(map, repeat(negated.__getitem__), phi.clauses))))
     h = object.__new__(Hypergraph)
-    _fill_hypergraph(h, 2 * n, k, edges, masks)
+    _fill_hypergraph(h, 2 * n, k, edges)
     return h
 
 
@@ -80,34 +78,39 @@ class Restriction:
 
 
 def _propagate(clauses, forced: dict[int, bool]):
-    """Apply `forced` and unit-propagate until fixpoint. Returns simplified
-    clauses as new lists, or None on contradiction; `clauses` is only read,
-    and `forced` is extended in place."""
+    """Apply `forced` and unit-propagate until fixpoint. A pass applies
+    every unit clause it meets, as it meets it, and passes again only when
+    it applied one; two units that disagree leave the second one empty, a
+    contradiction. The fixpoint is the one that one unit per pass reaches.
+
+    Returns the clauses no literal of `forced` satisfies, in their order and
+    without their false literals (a clause with none is passed on as it
+    is), or None on contradiction; `clauses` is only read, and `forced` is
+    extended in place."""
+    true = {var if value else -var for var, value in forced.items()}
+    false = {-lit for lit in true}
     while True:
-        new_clauses: list[list[int]] = []
-        unit: int | None = None
+        left = []
+        grew = False
         for clause in clauses:
-            reduced = []
-            satisfied = False
-            for lit in clause:
-                var = abs(lit)
-                if var in forced:
-                    if (lit > 0) == forced[var]:
-                        satisfied = True
-                        break
-                else:
-                    reduced.append(lit)
-            if satisfied:
+            if not true.isdisjoint(clause):
                 continue
-            if not reduced:
-                return None
-            if len(reduced) == 1 and unit is None:
-                unit = reduced[0]
-            new_clauses.append(reduced)
-        if unit is None:
-            return new_clauses
-        forced[abs(unit)] = unit > 0
-        clauses = new_clauses
+            if not false.isdisjoint(clause):
+                clause = [lit for lit in clause if lit not in false]
+                if not clause:
+                    return None
+            if len(clause) > 1:
+                left.append(clause)
+                continue
+            # a unit: its literal is true from here on, and its clause met
+            lit = clause[0]
+            true.add(lit)
+            false.add(-lit)
+            forced[abs(lit)] = lit > 0
+            grew = True
+        if not grew:
+            return left
+        clauses = left
 
 
 def restrict_formula(phi: CnfFormula, kept: VertexSet) -> Restriction:
@@ -133,7 +136,9 @@ def restrict_formula(phi: CnfFormula, kept: VertexSet) -> Restriction:
 def dpll(phi: CnfFormula, assumptions: dict[int, bool] | None = None) -> tuple[bool, dict[int, bool] | None]:
     """Unit propagation + pure-literal elimination + branching on the lowest
     free variable of the first clause. Returns a total model, which keeps
-    every assumption, when SAT.
+    every assumption, when SAT. Propagation applies every unit a pass of
+    `_propagate` meets, and a pair of units that disagree is a
+    contradiction that ends the branch.
 
     It runs on an explicit stack of (clauses, model) entries, each entry's
     clauses propagated when it pops; a branch pushes False, then True."""
@@ -190,7 +195,7 @@ class StructureResult:
 
 def _greedy_edges(h: Hypergraph, d: int) -> tuple[list[int], list[int], int, int]:
     """The greedy of `extract_structure` in one pass over the vertices. An
-    edge is residual while it meets no retired vertex; a moved edge holds
+    edge is residual until one of its vertices retires; a moved edge holds
     its picker, which retires. Residual counts only fall, so a vertex passed
     over never qualifies later. Returns the moved edge indices, each
     vertex's output degree, and the masks of the picked and the retired
@@ -203,20 +208,26 @@ def _greedy_edges(h: Hypergraph, d: int) -> tuple[list[int], list[int], int, int
     for idx, e in enumerate(h.edges):
         for v in e:
             incidence[v].append(idx)
+    residual = bytearray(b"\x01") * len(h.edges)  # 1 while the edge meets no retired vertex
     for v in range(h.n):
         if (retired >> v) & 1:
             continue
-        residual = [i for i in incidence[v] if not h.edge_masks[i] & retired]
-        if len(residual) < d:
+        moved = [i for i in incidence[v] if residual[i]][:d]
+        if len(moved) < d:
             continue
         picked |= 1 << v
-        retired |= 1 << v
-        for idx in residual[:d]:
+        retiring = [v]
+        for idx in moved:
             eprime.append(idx)
             for u in h.edges[idx]:
                 degree[u] += 1
-                if degree[u] > cap:
-                    retired |= 1 << u
+                if degree[u] == cap + 1:  # u passes the cap here, once
+                    retiring.append(u)
+        # a retirement changes only what later picks find residual
+        for u in retiring:
+            retired |= 1 << u
+            for i in incidence[u]:
+                residual[i] = 0
     return eprime, degree, picked, retired
 
 
@@ -234,13 +245,13 @@ def extract_structure(h: Hypergraph, params: StructureParams) -> StructureResult
     d = params.D
     eprime, degree, _, retired = _greedy_edges(h, d)
     eprime.sort()
-    edges = [h.edges[i] for i in eprime]
+    edges = list(map(h.edges.__getitem__, eprime))
     stats = {"edges": len(edges), "vertices": h.n, "retired": retired.bit_count()}
     if not edges or len(edges) < h.n:
         return StructureResult("absent", None, len(edges) / h.n if h.n else 0.0, stats)
-    # the host's edges are already checked: take them and their masks as they are
+    # the host's edges are already checked: take them as they are
     sub = object.__new__(Hypergraph)
-    _fill_hypergraph(sub, h.n, r, edges, [h.edge_masks[i] for i in eprime])
+    _fill_hypergraph(sub, h.n, r, edges)
     max_deg = max(degree)
     if max_deg > (r + 1) * d:
         raise RuntimeError("extraction degree cap violated; this is a bug")
@@ -282,7 +293,7 @@ def solve_ksat_dense(
         sat, model = dpll(phi)
         return SatResult(sat, model, {"path": "dpll"})
     stats: dict = {}
-    if any(len(c) != phi.k for c in phi.clauses):
+    if min(map(len, phi.clauses)) != phi.k:
         reason = "mixed clause widths"
     elif phi.k < 2:
         reason = "clause width below 2"

@@ -328,3 +328,35 @@ def greedy_structure_rescan(h: Hypergraph, d: int) -> tuple[list[int], int]:
                 degree[u] += 1
         retired |= 1 << v
         retired |= sum(1 << u for u in range(h.n) if degree[u] > h.r * d)
+
+
+def propagate_one_unit_per_pass(clauses, forced: dict[int, bool]):
+    """Unit propagation that applies one unit per full pass over the
+    clauses, the first unit clause the pass meets: simplified clauses as
+    new lists, or None when a clause is left empty. `forced` is extended in
+    place."""
+    while True:
+        new_clauses: list[list[int]] = []
+        unit: int | None = None
+        for clause in clauses:
+            reduced = []
+            satisfied = False
+            for lit in clause:
+                var = abs(lit)
+                if var in forced:
+                    if (lit > 0) == forced[var]:
+                        satisfied = True
+                        break
+                else:
+                    reduced.append(lit)
+            if satisfied:
+                continue
+            if not reduced:
+                return None
+            if len(reduced) == 1 and unit is None:
+                unit = reduced[0]
+            new_clauses.append(reduced)
+        if unit is None:
+            return new_clauses
+        forced[abs(unit)] = unit > 0
+        clauses = new_clauses

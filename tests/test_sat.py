@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -28,6 +29,7 @@ from oracles import (
     assignment_literal_set,
     greedy_structure_rescan,
     hypergraph_independent_sets,
+    propagate_one_unit_per_pass,
     truth_table_sat,
 )
 
@@ -192,6 +194,69 @@ class TestDpll:
         sat, model = dpll(phi)
         assert sat and model == {v: v % 2 == 1 for v in range(1, 2001)}
 
+    @staticmethod
+    def _counted(monkeypatch, propagate, phi, assumptions=None):
+        """dpll's answer and model, and how often it propagated, with
+        `propagate` in place of `sat._propagate`."""
+        calls = []
+        monkeypatch.setattr(sat, "_propagate", lambda c, f: calls.append(None) or propagate(c, f))
+        return dpll(phi, assumptions), len(calls)
+
+    def test_propagation_matches_one_unit_per_pass(self, monkeypatch):
+        # applying every unit a pass meets reaches the fixpoint that one unit
+        # per pass reaches, so the search takes the same branches: the same
+        # answers, models and propagation calls, with and without assumptions
+        live = sat._propagate  # _counted patches the module's name
+        rng = random.Random(67)
+        outcomes = Counter()
+        for i in range(200):
+            # mixed widths 1-4, so units arise at every depth and in any
+            # clause order
+            n = rng.randint(1, 9)
+            phi = CnfFormula(n, [
+                [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), min(n, rng.choice((1, 2, 2, 3, 3, 4))))]
+                for _ in range(rng.randint(1, 4 * n))
+            ])
+            assumptions = None
+            if i % 2:
+                assumptions = {v: rng.random() < 0.5 for v in rng.sample(range(1, n + 1), rng.randint(1, n))}
+            # one propagation: the same clauses left and the same fixpoint
+            forced, want_forced = dict(assumptions or {}), dict(assumptions or {})
+            left = live(phi.clauses, forced)
+            want_left = propagate_one_unit_per_pass(phi.clauses, want_forced)
+            if want_left is None:
+                assert left is None
+            else:
+                assert list(map(list, left)) == want_left and forced == want_forced
+            got = self._counted(monkeypatch, live, phi, assumptions)
+            want = self._counted(monkeypatch, propagate_one_unit_per_pass, phi, assumptions)
+            assert got == want
+            outcomes[got[0][0], assumptions is None] += 1
+        assert len(outcomes) == 4 and min(outcomes.values()) > 20, outcomes
+
+    def test_units_that_disagree_in_one_pass_are_a_contradiction(self):
+        assert sat._propagate([(1,), (-1,), (2, 3)], {}) is None
+        assert dpll(CnfFormula(3, [(1,), (-1,), (2, 3)])) == (False, None)
+
+    def test_one_pass_applies_a_chain_of_units(self):
+        # each unit is applied as the pass meets it, so x1 -> x2 -> x3 is
+        # one pass, and one more finds no unit; the clauses left keep their
+        # order, lose their false literals, and pass on as they are when
+        # they have none
+        forced = {}
+        left = sat._propagate([(1,), (-1, 2), (4, 5), (-3, 4, 6), (-2, 3), (-3, 5, -6)], forced)
+        assert forced == {1: True, 2: True, 3: True}
+        assert left == [(4, 5), [4, 6], [5, -6]]
+
+    def test_xor_pairs_answer_and_propagation_count_are_pinned(self, monkeypatch):
+        # x1 != x2, x3 != x4, ... on 400 variables: no literal is pure, so
+        # each pair is one branch on its lower variable, True first, and one
+        # propagation; the root takes one more. The work is counted, not timed
+        phi = CnfFormula(400, [c for v in range(1, 400, 2) for c in ((v, v + 1), (-v, -v - 1))])
+        (sat_, model), calls = self._counted(monkeypatch, sat._propagate, phi)
+        assert sat_ and model == {v: v % 2 == 1 for v in range(1, 401)}
+        assert calls == 201
+
 
 class TestExtractStructure:
     def test_absent_on_sparse(self):
@@ -352,6 +417,47 @@ class TestSolveKsatDense:
             phi = random_ksat_formula(n, m, 3, rng.randrange(10**6))
             r = solve_ksat_dense(phi, self.PARAMS)
             assert r.satisfiable == truth_table_sat(phi)
+
+    # containers mode's whole stats on three dense 3-CNFs, whose collection
+    # is every literal, and a 2-CNF with three containers: the structure
+    # counters, the co-degree bound and p are pinned exactly
+    PINNED_STATS = (
+        ((7, 56, 3, 1), False, None, {
+            "structure": "found",
+            "structure_stats": {"edges": 24, "vertices": 14, "retired": 6, "max_degree": 8,
+                                "delta2": 4, "delta2_bound": 58.333526963653775},
+            "path": "containers", "containers": 1, "vacuous": True, "p": 0.9475271860147999,
+            "largest_restriction": 7,
+        }),
+        ((7, 56, 3, 2), False, None, {
+            "structure": "found",
+            "structure_stats": {"edges": 28, "vertices": 14, "retired": 7, "max_degree": 10,
+                                "delta2": 3, "delta2_bound": 64.98019170849884},
+            "path": "containers", "containers": 1, "vacuous": True, "p": 0.9330329915368074,
+            "largest_restriction": 7,
+        }),
+        ((7, 56, 3, 3), False, None, {
+            "structure": "found",
+            "structure_stats": {"edges": 28, "vertices": 14, "retired": 7, "max_degree": 11,
+                                "delta2": 4, "delta2_bound": 64.98019170849884},
+            "path": "containers", "containers": 1, "vacuous": True, "p": 0.9330329915368074,
+            "largest_restriction": 7,
+        }),
+        ((5, 15, 2, 3), True, {1: False, 2: False, 3: False, 4: False, 5: False}, {
+            "structure": "found",
+            "structure_stats": {"edges": 12, "vertices": 10, "retired": 3, "max_degree": 5,
+                                "delta2": 2, "delta2_bound": 45.44507908795555},
+            "path": "containers", "containers": 3, "vacuous": False, "p": 0.9730223435250981,
+            "winning_container": 0, "largest_restriction": 3,
+        }),
+    )
+
+    @pytest.mark.parametrize("formula, satisfiable, model, stats", PINNED_STATS)
+    def test_containers_mode_stats_are_pinned(self, formula, satisfiable, model, stats):
+        r = solve_ksat_dense(random_ksat_formula(*formula), self.PARAMS, SatConfig(mode="containers"))
+        assert (r.satisfiable, r.model) == (satisfiable, model)
+        assert r.stats == stats
+        assert list(r.stats) == list(stats) and list(r.stats["structure_stats"]) == list(stats["structure_stats"])
 
     def test_unknown_mode(self):
         with pytest.raises(ParameterError):
